@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-compare vet repro ci crash-matrix server-smoke chaos-smoke backup-smoke
+.PHONY: all build test race bench bench-smoke bench-compare benchmark-smoke vet repro ci crash-matrix server-smoke chaos-smoke backup-smoke
 
 all: build test
 
 # What CI runs (.github/workflows/ci.yml): build, vet, tests, race
-# suite, crash matrix, bench smoke, server smoke, chaos smoke, backup
-# smoke.
-ci: build vet test race crash-matrix bench-smoke server-smoke chaos-smoke backup-smoke
+# suite, crash matrix, bench smoke, benchmark smoke, server smoke, chaos
+# smoke, backup smoke.
+ci: build vet test race crash-matrix bench-smoke benchmark-smoke server-smoke chaos-smoke backup-smoke
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,13 @@ bench-smoke:
 # uploads it as an artifact (docs/PERFORMANCE.md, "Trajectory gate").
 bench-compare:
 	$(GO) run ./cmd/asrbench -snapshot BENCH_9.json -compare BENCH_4.json -gate bench-history
+
+# Smoke-test the repository's yardstick (BENCHMARK.json, benchmark/):
+# all four workloads, untraced then traced, on scale-4 fixtures for one
+# second each. It checks the harness and every answer; it measures
+# nothing.
+benchmark-smoke:
+	$(GO) run ./benchmark -smoke -seconds 1
 
 # Durability suite under the race detector: crash the page file and WAL
 # at every admitted physical write (storage level) and across the

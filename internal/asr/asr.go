@@ -184,7 +184,7 @@ func BuildIncremental(ob *gom.ObjectBase, path *gom.PathExpression, ext Extensio
 			if proj.IsAllNull() {
 				continue
 			}
-			if err := part.AddProjected(proj.Clone()); err != nil {
+			if err := part.AddProjected(proj); err != nil {
 				return nil, err
 			}
 		}
@@ -209,46 +209,19 @@ func build(ob *gom.ObjectBase, path *gom.PathExpression, ext Extension, dec Deco
 	}
 	ix := &Index{ob: ob, path: path, ext: ext, dec: dec, graph: g, pool: pool}
 
-	// Accumulate each partition's reference-counted projections in one
-	// pass over the logical rows, then bulk-load fresh partitions (one
-	// sequential tree build instead of a random insert per row). Preset
-	// partitions — physically shared with another index (§5.4) — already
-	// hold rows and are merged incrementally instead.
+	// Fresh partitions are bulk-loaded from the reference-counted
+	// projections (one sequential tree build instead of a random insert
+	// per row). Preset partitions — physically shared with another index
+	// (§5.4) — already hold rows and are merged incrementally instead.
 	rows := g.allRows(ext)
-	type accum struct {
-		rows   map[string]relation.Tuple
-		refcnt map[string]int
-	}
-	accums := make([]accum, dec.NumPartitions())
-	for p := range accums {
-		if preset[p] == nil {
-			accums[p] = accum{rows: map[string]relation.Tuple{}, refcnt: map[string]int{}}
-		}
-	}
-	for p := 0; p < dec.NumPartitions(); p++ {
-		lo, hi := dec.Partition(p)
-		if preset[p] != nil {
-			continue
-		}
-		for _, row := range rows {
-			proj := row[lo : hi+1]
-			if proj.IsAllNull() {
-				continue
-			}
-			k := proj.Key()
-			if accums[p].refcnt[k] == 0 {
-				accums[p].rows[k] = proj.Clone()
-			}
-			accums[p].refcnt[k]++
-		}
-	}
+	projRows, refcnt := projectRows(rows, dec)
 
 	for p := 0; p < dec.NumPartitions(); p++ {
 		lo, hi := dec.Partition(p)
 		part := preset[p]
 		if part == nil {
 			part, err = NewPartitionBulk(pool, fmt.Sprintf("E_%s^%d,%d", ext, lo, hi),
-				hi-lo+1, accums[p].rows, accums[p].refcnt)
+				hi-lo+1, projRows[p], refcnt[p])
 			if err != nil {
 				return nil, err
 			}
@@ -258,7 +231,7 @@ func build(ob *gom.ObjectBase, path *gom.PathExpression, ext Extension, dec Deco
 					part.Name(), part.Arity(), lo, hi, hi-lo+1)
 			}
 			for _, row := range rows {
-				if err := part.AddProjected(row[lo : hi+1].Clone()); err != nil {
+				if err := part.AddProjected(row[lo : hi+1]); err != nil {
 					return nil, err
 				}
 			}
@@ -303,24 +276,6 @@ func (ix *Index) Partitions() []PlacedPartition {
 
 // Pool returns the buffer pool the partitions live on.
 func (ix *Index) Pool() *storage.BufferPool { return ix.pool }
-
-func (ix *Index) addLogical(row relation.Tuple) error {
-	for _, pp := range ix.parts {
-		if err := pp.Part.AddProjected(row[pp.Lo : pp.Hi+1].Clone()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (ix *Index) removeLogical(row relation.Tuple) error {
-	for _, pp := range ix.parts {
-		if err := pp.Part.RemoveProjected(row[pp.Lo : pp.Hi+1].Clone()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Supports reports whether the index can evaluate Q_{i,j} (object steps
 // 0 ≤ i < j ≤ n), per eq. (35).
@@ -687,42 +642,23 @@ func (ix *Index) LogicalRelation() *relation.Relation {
 	return rel
 }
 
-// CheckConsistent validates every partition against its reference counts
-// and tree invariants, and the partitions against a fresh enumeration of
+// CheckConsistent validates every partition's stored trees — rows,
+// reference counts and tree invariants — against a fresh enumeration of
 // the logical extension. It assumes the index's partitions are not
 // shared with another index (shared partitions legitimately hold foreign
 // rows). Intended for tests.
 func (ix *Index) CheckConsistent() error {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	for _, pp := range ix.parts {
-		if err := pp.Part.CheckConsistent(); err != nil {
+	_, want := projectRows(ix.graph.allRows(ix.ext), ix.dec)
+	for i, pp := range ix.parts {
+		d, err := pp.Part.drift(want[i])
+		if err != nil {
 			return err
 		}
-	}
-	want := make([]map[string]int, len(ix.parts))
-	for i := range want {
-		want[i] = map[string]int{}
-	}
-	for _, row := range ix.graph.allRows(ix.ext) {
-		for i, pp := range ix.parts {
-			proj := row[pp.Lo : pp.Hi+1]
-			if proj.IsAllNull() {
-				continue
-			}
-			want[i][proj.Key()]++
-		}
-	}
-	for i, pp := range ix.parts {
-		p := pp.Part
-		got := p.refcounts()
-		if len(want[i]) != len(got) {
-			return fmt.Errorf("asr: partition %s: %d live rows, expected %d", p.Name(), len(got), len(want[i]))
-		}
-		for k, cnt := range want[i] {
-			if got[k] != cnt {
-				return fmt.Errorf("asr: partition %s: row %q refcount %d, expected %d", p.Name(), k, got[k], cnt)
-			}
+		if d.Drifted() {
+			return fmt.Errorf("asr: partition %s: %d rows missing, %d extra, %d with a wrong reference count",
+				d.Name, d.Missing, d.Extra, d.Wrong)
 		}
 	}
 	return nil

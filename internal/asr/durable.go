@@ -193,12 +193,12 @@ func hookStage(stage string) error {
 
 // OpenFrom rebuilds a Manager from a manifest written by SaveTo: every
 // partition is reopened from its durable meta page on pool (one
-// clustered scan per partition rebuilds the in-memory row maps from the
-// reference counts stored as forward-tree values), every index is
-// reconstructed over the shared partition set, and a Maintainer is
-// registered for each so the indexes track ob again.
+// validating walk of both its trees; no row is retained — the trees
+// are the only copy), every index is reconstructed over the shared
+// partition set, and a Maintainer is registered for each so the indexes
+// track ob again.
 //
-// A partition whose stored rows fail to load — a page failing its
+// A partition whose stored rows fail that walk — a page failing its
 // checksum after a crash, typically one Recover reported in
 // RecoveryInfo.QuarantinedPages — does not fail the open: the owning
 // indexes come up quarantined (queries route around them, degraded)

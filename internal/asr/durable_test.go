@@ -104,6 +104,15 @@ func (r *durableRig) save(t *testing.T) {
 // reloaded base, returning the new session.
 func (r *durableRig) reopen(t *testing.T) (*gom.ObjectBase, *Manager, *storage.RecoveryInfo) {
 	t.Helper()
+	return r.reopenBehind(t, 0, true)
+}
+
+// reopenBehind is reopen with the pool bounded to frames page frames
+// (0 = unbounded). A logged pool is no-steal: a maintenance transaction
+// must fit its dirty pages in the frames, so a pool smaller than that
+// footprint has to run unlogged.
+func (r *durableRig) reopenBehind(t *testing.T, frames int, logged bool) (*gom.ObjectBase, *Manager, *storage.RecoveryInfo) {
+	t.Helper()
 	f, err := os.Open(r.base)
 	if err != nil {
 		t.Fatal(err)
@@ -118,8 +127,10 @@ func (r *durableRig) reopen(t *testing.T) (*gom.ObjectBase, *Manager, *storage.R
 		t.Fatalf("Recover: %v", err)
 	}
 	t.Cleanup(func() { w.Close(); fd.Close() })
-	pool := storage.NewBufferPool(fd, 0, storage.LRU)
-	pool.AttachWAL(w)
+	pool := storage.NewBufferPool(fd, frames, storage.LRU)
+	if logged {
+		pool.AttachWAL(w)
+	}
 	mgr, err := OpenFrom(ob, pool, r.man)
 	if err != nil {
 		t.Fatalf("OpenFrom: %v", err)
@@ -316,4 +327,91 @@ func TestOpenFromQuarantinesDamagedPartition(t *testing.T) {
 	if mgr.Stats().IndexHits == 0 {
 		t.Fatal("repaired index did not serve queries")
 	}
+}
+
+// TestVerifyReadsStoredCounts: Verify and Repair judge what the trees
+// store, not a copy kept beside them. One reference count is rewritten
+// directly in the forward tree, behind the index's back; Verify must
+// report exactly that row as Wrong, Repair must heal it, and the healed
+// state must survive a save/reopen.
+func TestVerifyReadsStoredCounts(t *testing.T) {
+	r := newDurableRig(t, 89)
+	r.mutate(t, 2)
+	const victim = 1
+	part := r.ix.Partitions()[victim].Part
+	var key []byte
+	if err := part.Forward().Scan(func(k, _ []byte) bool {
+		key = append(key, k...)
+		return false
+	}); err != nil || key == nil {
+		t.Fatalf("no stored row to tamper with: %v", err)
+	}
+	if added, err := part.Forward().Insert(key, refcntVal(7)); err != nil || added {
+		t.Fatalf("rewriting a stored count: added=%v err=%v", added, err)
+	}
+
+	rep, err := r.ix.Verify()
+	if err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	for i, d := range rep.Partitions {
+		want := PartitionDrift{Name: d.Name}
+		if i == victim {
+			want.Wrong = 1
+		}
+		if d != want {
+			t.Fatalf("partition %d drift = %+v, want %+v", i, d, want)
+		}
+	}
+	if rep, err = r.ix.Repair(); err != nil || rep.Clean() {
+		t.Fatalf("Repair: %v, %s (want the wrong count recorded)", err, rep)
+	}
+	if rep, err = r.ix.Verify(); err != nil || !rep.Clean() {
+		t.Fatalf("Verify after Repair: %v, %s", err, rep)
+	}
+
+	r.save(t)
+	_, mgr, _ := r.reopen(t)
+	ix := mgr.Indexes()[0]
+	if ix.Quarantined() {
+		t.Fatalf("reopened index quarantined: %v", ix.QuarantineReason())
+	}
+	if rep, err = ix.Verify(); err != nil || !rep.Clean() {
+		t.Fatalf("Verify after reopen: %v, %s", err, rep)
+	}
+}
+
+// TestReopenThenMaintainBehindTinyPool: a reopened partition retains
+// nothing in memory, so maintenance reads every reference count it bumps
+// through the buffer pool. Behind 8 frames — far fewer than the trees
+// have pages — updates must still land exactly, with the pool evicting
+// along the way.
+func TestReopenThenMaintainBehindTinyPool(t *testing.T) {
+	r := newDurableRig(t, 97)
+	r.mutate(t, 2)
+	r.save(t)
+
+	ob, mgr, _ := r.reopenBehind(t, 8, false)
+	ix := mgr.Indexes()[0]
+	if ix.Quarantined() {
+		t.Fatalf("reopened index quarantined: %v", ix.QuarantineReason())
+	}
+	before := mgr.Pool().Stats()
+	for _, pr := range retargetPairs(t, ob, r.db.Extents[0], r.db.Extents[1], 12) {
+		ob.MustSetAttr(pr[0], "Next", gom.Ref(pr[1]))
+	}
+	if err := mgr.Healthy(); err != nil {
+		t.Fatalf("maintenance behind 8 frames: %v", err)
+	}
+	after := mgr.Pool().Stats()
+	if after.Misses == before.Misses || after.Evictions == before.Evictions {
+		t.Fatalf("maintenance never left the pool: %+v -> %+v", before, after)
+	}
+	if err := ix.CheckConsistent(); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := ix.Verify(); err != nil || !rep.Clean() {
+		t.Fatalf("Verify: %v, %s", err, rep)
+	}
+	checkAgainstNaive(t, mgr, ob, ix.Path(), r.db.Extents[0][:6])
 }

@@ -12,26 +12,16 @@ import (
 	"asr/internal/storage"
 )
 
-// rewriteMetaV1 rewrites a partition's meta page in the pre-compression
-// layout (old magic, no format-version field: arity at offset 4, tree
-// state at offset 8) through the pool, so the next checkpoint persists
-// it exactly as a format-v1 build would have.
+// rewriteMetaV1 stamps page-format version 1 (pre-compression) into a
+// partition's meta page through the pool, so the next checkpoint
+// persists a catalog page claiming trees this build cannot read.
 func rewriteMetaV1(t *testing.T, pool *storage.BufferPool, p *Partition) {
 	t.Helper()
 	fr, err := pool.Get(p.MetaPage())
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := fr.Data()
-	binary.BigEndian.PutUint32(buf[0:], partMetaMagicV1)
-	binary.BigEndian.PutUint32(buf[4:], uint32(p.Arity()))
-	st := []uint64{
-		uint64(p.Forward().Root()), uint64(p.Forward().Height()), uint64(p.Forward().Len()),
-		uint64(p.Backward().Root()), uint64(p.Backward().Height()), uint64(p.Backward().Len()),
-	}
-	for i, v := range st {
-		binary.BigEndian.PutUint64(buf[8+8*i:], v)
-	}
+	binary.BigEndian.PutUint32(fr.Data()[4:], 1)
 	fr.MarkDirty()
 	fr.Unpin()
 }

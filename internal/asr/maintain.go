@@ -27,9 +27,9 @@ import (
 // the object update precedes index maintenance.
 //
 // Each update's row diff is applied transactionally: a storage-level
-// undo transaction plus a logical journal make a partial failure — a
-// device write fault halfway through the partitions — roll back to the
-// exact pre-update state, including the path graph. Transient faults
+// undo transaction makes a partial failure — a device write fault
+// halfway through the partitions — roll back to the exact pre-update
+// pages, and the path graph is reversed to match. Transient faults
 // are retried with exponential backoff per SetRetryPolicy; when the
 // retries are exhausted the index is quarantined (queries fail with
 // ErrQuarantined and the Manager routes around it) until Repair.
@@ -265,8 +265,8 @@ func (m *Maintainer) isSetColumn(c int) bool {
 // write lock, so concurrent queries see either the whole change or none
 // of it.
 //
-// The partition updates run under a storage undo transaction plus a
-// logical journal (applyDiffTxn). A failed attempt — typically an
+// The partition updates run under a storage undo transaction
+// (applyDiffTxn). A failed attempt — typically an
 // injected or real device fault during a B⁺-tree page write-back — is
 // rolled back and retried up to retries times with exponential backoff
 // starting at backoff. If every attempt fails, the effective graph
@@ -383,13 +383,13 @@ func (ix *Index) applyChanges(ctx context.Context, changes []edgeChange, retries
 }
 
 // applyDiffTxn applies one update's row diff — removes, then adds — to
-// every partition atomically. Page mutations run under a storage
-// UndoTxn; the in-memory row maps are journaled per operation and the
-// trees' metadata marked per partition. Any failure triggers a full
-// rollback: the journal is reverted in reverse order, the undo
-// transaction restores the pages, and the tree marks rewind root/
-// height/count — all under the involved partitions' write locks so
-// concurrent readers of shared partitions never observe a torn state.
+// every partition atomically. Every row and count lives in B⁺-tree
+// pages, so the storage UndoTxn capturing the page mutations is the
+// whole rollback; the only state outside the pages is each tree's
+// root/height/count, marked per partition on first touch. Any failure
+// restores the pages and rewinds the marks under the involved
+// partitions' write locks, so concurrent readers of shared partitions
+// never observe a torn state.
 func (ix *Index) applyDiffTxn(removes, adds []relation.Tuple) (err error) {
 	if len(removes) == 0 && len(adds) == 0 {
 		return nil
@@ -398,23 +398,21 @@ func (ix *Index) applyDiffTxn(removes, adds []relation.Tuple) (err error) {
 	if err != nil {
 		return err
 	}
-	var journal []partUndo
 	marks := map[*Partition]treeMarks{}
 	var order []*Partition // marks in first-touch order
 
 	apply := func(row relation.Tuple, add bool) error {
 		for _, pp := range ix.parts {
-			proj := row[pp.Lo : pp.Hi+1]
 			if _, ok := marks[pp.Part]; !ok {
 				marks[pp.Part] = pp.Part.marks()
 				order = append(order, pp.Part)
 			}
-			journal = append(journal, pp.Part.captureUndo(proj))
+			proj := row[pp.Lo : pp.Hi+1]
 			var err error
 			if add {
-				err = pp.Part.AddProjected(proj.Clone())
+				err = pp.Part.AddProjected(proj)
 			} else {
-				err = pp.Part.RemoveProjected(proj.Clone())
+				err = pp.Part.RemoveProjected(proj)
 			}
 			if err != nil {
 				return err
@@ -445,16 +443,13 @@ func (ix *Index) applyDiffTxn(removes, adds []relation.Tuple) (err error) {
 		}
 	}
 
-	// Roll back. Lock every touched partition first: the journal revert,
-	// the page restore, and the tree-mark rewind must be invisible to
-	// concurrent readers (who lock the partition, not the index).
+	// Roll back. Lock every touched partition first: the page restore
+	// and the tree-mark rewind must be invisible to concurrent readers
+	// (who lock the partition, not the index).
 	ix.nRollbacks.Add(1)
 	telMaintRollbacks.Inc()
 	for _, p := range order {
 		p.mu.Lock()
-	}
-	for i := len(journal) - 1; i >= 0; i-- {
-		journal[i].revertLocked()
 	}
 	rbErr := txn.Rollback()
 	for _, p := range order {

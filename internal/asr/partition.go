@@ -29,7 +29,11 @@ import (
 //
 // Because a projected row may be shared by several logical rows (and,
 // when shared, by several paths), the partition keeps a reference count
-// per row; the trees hold exactly the rows with a positive count.
+// per row; the trees hold exactly the rows with a positive count. The
+// count is the row's forward-tree value. The two trees are the only
+// copy of the rows: nothing about them is kept in the Go heap, so every
+// row and every count a partition serves or maintains is read through
+// the buffer pool and priced in page accesses.
 //
 // A Partition is safe for concurrent use: the lookup and scan methods
 // take a read lock, the mutators (AddProjected, RemoveProjected, and the
@@ -44,11 +48,9 @@ type Partition struct {
 	pool     *storage.BufferPool
 	meta     storage.PageID // durable root-catalog page, see syncMetaLocked
 	metaSeen [6]uint64      // last state written to the meta page
-	fwd      *btree.Tree    // clustered on column 0 of the projection
+	fwd      *btree.Tree    // clustered on column 0; value = reference count
 	bwd      *btree.Tree    // clustered on the last column
-	refcnt   map[string]int
-	rowByKey map[string]relation.Tuple
-	owners   int // indexes this partition is placed in (§5.4 sharing)
+	owners   int            // indexes this partition is placed in (§5.4 sharing)
 }
 
 // Durable partition state. Each partition owns one meta page recording
@@ -57,25 +59,20 @@ type Partition struct {
 // change. The manifest a Manager.SaveTo writes references this stable
 // page id, never a tree root directly — roots move, the meta page does
 // not. Reference counts are not in the meta page: they live as the
-// forward tree's values (4-byte big-endian counts), so OpenFrom can
-// rebuild the in-memory row maps with one clustered scan.
+// forward tree's values (4-byte big-endian counts).
 //
-// Meta page layout (current):
+// Meta page layout:
 //
 //	magic(4) formatVersion(4) arity(4) pad(4) state(6×8)
 //
 // formatVersion is the B⁺-tree page-format version the partition's
-// trees were written with (btree.FormatVersion). Pre-compression files
-// carry the old magic partMetaMagicV1 (whose layout had no version
-// field); openPartition soft-rejects them — the partition comes up
-// empty and quarantined, wrapping btree.ErrPageFormat, and
-// Index.Repair/Manager.Repair rebuilds it from the live object base in
-// the current format. The old trees' pages cannot be parsed for
-// reclamation and are leaked, exactly like pages behind a corrupt node.
-const (
-	partMetaMagic   = 0x41535251 // "ASRQ" — versioned layout
-	partMetaMagicV1 = 0x41535250 // "ASRP" — format v1, pre-compression
-)
+// trees were written with (btree.FormatVersion). openPartition
+// soft-rejects any other version — the partition comes up empty and
+// quarantined, wrapping btree.ErrPageFormat, and Index.Repair/
+// Manager.Repair rebuilds it from the live object base in the current
+// format. The old trees' pages cannot be parsed for reclamation and are
+// leaked, exactly like pages behind a corrupt node.
+const partMetaMagic = 0x41535251 // "ASRQ"
 
 // refcntVal encodes a row's reference count as the forward tree value.
 func refcntVal(cnt int) []byte {
@@ -144,28 +141,22 @@ func (p *Partition) syncMetaLocked() error {
 }
 
 // openPartition reattaches a partition persisted earlier: tree roots
-// from the meta page, row maps rebuilt by scanning the forward tree's
-// reference-count values. On a scan error (for example a corrupt page
-// that recovery could not heal) the partially loaded partition is
-// returned WITH the error, so the caller can wire it up and quarantine
-// the owning index for Repair. A meta page in a pre-compression format
-// (or an unknown future one) takes the same soft path: the partition
-// comes up empty with an error wrapping btree.ErrPageFormat, and Repair
-// rebuilds it in the current format.
+// from the meta page, then one validating walk of both trees that
+// decodes every stored row and count and retains none of them. The
+// walk is what turns a page recovery could not heal into a quarantined
+// index instead of a failed query later: on a walk error the partition
+// is returned WITH the error, so the caller can wire it up and
+// quarantine the owning index for Repair. A meta page recording another
+// page-format version takes the same soft path: the partition comes up
+// empty with an error wrapping btree.ErrPageFormat, and Repair rebuilds
+// it in the current format.
 func openPartition(pool *storage.BufferPool, name string, arity int, meta storage.PageID) (*Partition, error) {
 	fr, err := pool.Get(meta)
 	if err != nil {
 		return nil, fmt.Errorf("asr: partition %s: meta page %v: %w", name, meta, err)
 	}
 	buf := fr.Data()
-	magic := binary.BigEndian.Uint32(buf[0:])
-	if magic == partMetaMagicV1 {
-		fr.Unpin()
-		return emptyFormatReject(pool, name, arity, meta,
-			fmt.Errorf("asr: partition %s: meta page %v predates prefix compression (format v1): %w",
-				name, meta, btree.ErrPageFormat))
-	}
-	if magic != partMetaMagic {
+	if binary.BigEndian.Uint32(buf[0:]) != partMetaMagic {
 		fr.Unpin()
 		return nil, fmt.Errorf("asr: partition %s: page %v is not a partition meta page", name, meta)
 	}
@@ -192,33 +183,38 @@ func openPartition(pool *storage.BufferPool, name string, arity int, meta storag
 		metaSeen: st,
 		fwd:      btree.Open(pool, name+".fwd", storage.PageID(st[0]), int(st[1]), int(st[2])),
 		bwd:      btree.Open(pool, name+".bwd", storage.PageID(st[3]), int(st[4]), int(st[5])),
-		refcnt:   map[string]int{},
-		rowByKey: map[string]relation.Tuple{},
 	}
-	var derr error
-	err = p.fwd.Scan(func(k, v []byte) bool {
-		t, terr := decodeTuple(k, arity, 0)
-		if terr != nil {
-			derr = terr
-			return false
-		}
-		cnt, terr := decodeRefcnt(v)
-		if terr != nil {
-			derr = terr
-			return false
-		}
-		key := t.Key()
-		p.refcnt[key] = cnt
-		p.rowByKey[key] = t
-		return true
+	err = p.scanRows(p.fwd, 0, func(_ relation.Tuple, v []byte) error {
+		_, err := decodeRefcnt(v)
+		return err
 	})
 	if err == nil {
-		err = derr
+		err = p.scanRows(p.bwd, arity-1, func(relation.Tuple, []byte) error { return nil })
 	}
 	if err != nil {
 		return p, fmt.Errorf("asr: partition %s: loading rows: %w", name, err)
 	}
 	return p, nil
+}
+
+// scanRows streams one clustered tree's stored rows in key order,
+// decoded; rot is the column the tree is clustered on. The tuple handed
+// to fn is owned, the value v is borrowed (btree.Visit). It is the
+// caller's business to hold p.mu.
+func (p *Partition) scanRows(tr *btree.Tree, rot int, fn func(t relation.Tuple, v []byte) error) error {
+	var ferr error
+	err := tr.Scan(func(k, v []byte) bool {
+		t, err := decodeTuple(k, p.arity, rot)
+		if err == nil {
+			err = fn(t, v)
+		}
+		ferr = err
+		return err == nil
+	})
+	if err == nil {
+		err = ferr
+	}
+	return err
 }
 
 // emptyFormatReject wires up a partition whose stored trees are in an
@@ -229,14 +225,12 @@ func openPartition(pool *storage.BufferPool, name string, arity int, meta storag
 // error so OpenFrom quarantines the owning indexes.
 func emptyFormatReject(pool *storage.BufferPool, name string, arity int, meta storage.PageID, ferr error) (*Partition, error) {
 	return &Partition{
-		name:     name,
-		arity:    arity,
-		pool:     pool,
-		meta:     meta,
-		fwd:      btree.Open(pool, name+".fwd", storage.NilPage, 0, 0),
-		bwd:      btree.Open(pool, name+".bwd", storage.NilPage, 0, 0),
-		refcnt:   map[string]int{},
-		rowByKey: map[string]relation.Tuple{},
+		name:  name,
+		arity: arity,
+		pool:  pool,
+		meta:  meta,
+		fwd:   btree.Open(pool, name+".fwd", storage.NilPage, 0, 0),
+		bwd:   btree.Open(pool, name+".bwd", storage.NilPage, 0, 0),
 	}, ferr
 }
 
@@ -258,16 +252,7 @@ func NewPartition(pool *storage.BufferPool, name string, arity int) (*Partition,
 	if err != nil {
 		return nil, err
 	}
-	p := &Partition{
-		name:     name,
-		arity:    arity,
-		pool:     pool,
-		meta:     meta,
-		fwd:      fwd,
-		bwd:      bwd,
-		refcnt:   map[string]int{},
-		rowByKey: map[string]relation.Tuple{},
-	}
+	p := &Partition{name: name, arity: arity, pool: pool, meta: meta, fwd: fwd, bwd: bwd}
 	if err := p.syncMetaLocked(); err != nil {
 		return nil, err
 	}
@@ -288,9 +273,9 @@ func allocMetaPage(pool *storage.BufferPool) (storage.PageID, error) {
 }
 
 // NewPartitionBulk creates a partition holding the given reference-
-// counted rows, bulk-loading both clustered trees in one sequential pass
-// each — the fast path used when an access support relation is first
-// materialized.
+// counted rows (rows and refcnt share their keys), bulk-loading both
+// clustered trees in one sequential pass each — the fast path used when
+// an access support relation is first materialized.
 func NewPartitionBulk(pool *storage.BufferPool, name string, arity int, rows map[string]relation.Tuple, refcnt map[string]int) (*Partition, error) {
 	if arity < 2 {
 		return nil, fmt.Errorf("asr: partition %s: arity %d, want ≥ 2", name, arity)
@@ -299,49 +284,49 @@ func NewPartitionBulk(pool *storage.BufferPool, name string, arity int, rows map
 	if err != nil {
 		return nil, err
 	}
-	p := &Partition{
-		name:     name,
-		arity:    arity,
-		pool:     pool,
-		meta:     meta,
-		refcnt:   make(map[string]int, len(rows)),
-		rowByKey: make(map[string]relation.Tuple, len(rows)),
-	}
-	fwdEntries := make([]btree.KV, 0, len(rows))
-	bwdEntries := make([]btree.KV, 0, len(rows))
-	for k, row := range rows {
-		if len(row) != arity {
-			return nil, fmt.Errorf("asr: partition %s: row arity %d, want %d", name, len(row), arity)
-		}
-		cnt := refcnt[k]
-		if cnt <= 0 {
-			return nil, fmt.Errorf("asr: partition %s: row %v has reference count %d", name, row, cnt)
-		}
-		p.refcnt[k] = cnt
-		p.rowByKey[k] = row.Clone()
-		fk, err := encodeTuple(row, 0)
-		if err != nil {
-			return nil, err
-		}
-		bk, err := encodeTuple(row, arity-1)
-		if err != nil {
-			return nil, err
-		}
-		fwdEntries = append(fwdEntries, btree.KV{Key: fk, Val: refcntVal(cnt)})
-		bwdEntries = append(bwdEntries, btree.KV{Key: bk})
-	}
-	sortKVs(fwdEntries)
-	sortKVs(bwdEntries)
-	if p.fwd, err = btree.BulkLoad(pool, name+".fwd", fwdEntries); err != nil {
-		return nil, err
-	}
-	if p.bwd, err = btree.BulkLoad(pool, name+".bwd", bwdEntries); err != nil {
+	p := &Partition{name: name, arity: arity, pool: pool, meta: meta}
+	if p.fwd, p.bwd, err = bulkTrees(pool, name, arity, rows, refcnt); err != nil {
 		return nil, err
 	}
 	if err := p.syncMetaLocked(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// bulkTrees turns reference-counted rows into the partition's two
+// clustered trees: encode each row once per clustering, sort, bulk-load.
+func bulkTrees(pool *storage.BufferPool, name string, arity int, rows map[string]relation.Tuple, refcnt map[string]int) (fwd, bwd *btree.Tree, err error) {
+	fwdEntries := make([]btree.KV, 0, len(rows))
+	bwdEntries := make([]btree.KV, 0, len(rows))
+	for k, row := range rows {
+		if len(row) != arity {
+			return nil, nil, fmt.Errorf("asr: partition %s: row arity %d, want %d", name, len(row), arity)
+		}
+		cnt := refcnt[k]
+		if cnt <= 0 {
+			return nil, nil, fmt.Errorf("asr: partition %s: row %v has reference count %d", name, row, cnt)
+		}
+		fk, err := encodeTuple(row, 0)
+		if err != nil {
+			return nil, nil, err
+		}
+		bk, err := encodeTuple(row, arity-1)
+		if err != nil {
+			return nil, nil, err
+		}
+		fwdEntries = append(fwdEntries, btree.KV{Key: fk, Val: refcntVal(cnt)})
+		bwdEntries = append(bwdEntries, btree.KV{Key: bk})
+	}
+	sortKVs(fwdEntries)
+	sortKVs(bwdEntries)
+	if fwd, err = btree.BulkLoad(pool, name+".fwd", fwdEntries); err != nil {
+		return nil, nil, err
+	}
+	if bwd, err = btree.BulkLoad(pool, name+".bwd", bwdEntries); err != nil {
+		return nil, nil, err
+	}
+	return fwd, bwd, nil
 }
 
 func sortKVs(kvs []btree.KV) {
@@ -390,45 +375,17 @@ func (p *Partition) release() error {
 		}
 		p.meta = storage.NilPage
 	}
-	p.refcnt = map[string]int{}
-	p.rowByKey = map[string]relation.Tuple{}
 	return nil
 }
 
 // Arity returns the partition's column count.
 func (p *Partition) Arity() int { return p.arity }
 
-// refcounts returns a snapshot copy of the per-row reference counts;
-// used by consistency checks.
-func (p *Partition) refcounts() map[string]int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make(map[string]int, len(p.refcnt))
-	for k, v := range p.refcnt {
-		out[k] = v
-	}
-	return out
-}
-
-// checkPhysical walks both trees page by page, validating structural
-// invariants along the way. It is how Verify notices damage the
-// in-memory refcount diff cannot see: a partition page that fails its
-// device checksum (storage.ErrCorruptPage) or a structurally mangled
-// node surfaces here as the walk reads it.
-func (p *Partition) checkPhysical() error {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if err := p.fwd.CheckInvariants(); err != nil {
-		return err
-	}
-	return p.bwd.CheckInvariants()
-}
-
 // Rows returns the number of distinct stored rows.
 func (p *Partition) Rows() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return len(p.refcnt)
+	return p.fwd.Len()
 }
 
 // Forward returns the tree clustered on the first column.
@@ -441,6 +398,20 @@ func (p *Partition) Backward() *btree.Tree { return p.bwd }
 // inserting it into both trees when it becomes live. All-NULL rows are
 // ignored (they describe no path segment).
 func (p *Partition) AddProjected(row relation.Tuple) error {
+	return p.adjust(row, +1)
+}
+
+// RemoveProjected decrements the reference count of a projected row,
+// deleting it from both trees when it dies.
+func (p *Partition) RemoveProjected(row relation.Tuple) error {
+	return p.adjust(row, -1)
+}
+
+// adjust moves a projected row's stored reference count by delta (±1)
+// in one read-modify-write descent of the forward tree; only a row
+// being born or dying also touches the backward tree. A count rewritten
+// in place keeps its length, so no node splits on that path.
+func (p *Partition) adjust(row relation.Tuple, delta int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(row) != p.arity {
@@ -449,97 +420,46 @@ func (p *Partition) AddProjected(row relation.Tuple) error {
 	if row.IsAllNull() {
 		return nil
 	}
-	k := row.Key()
-	p.refcnt[k]++
-	if cnt := p.refcnt[k]; cnt > 1 {
-		// The row is already stored; only its persisted reference count
-		// (the forward tree's value) changes.
-		return p.storeRefcnt(row, cnt)
-	}
-	p.rowByKey[k] = row.Clone()
-	if err := p.insertRow(row); err != nil {
-		return err
-	}
-	return p.syncMetaLocked()
-}
-
-// storeRefcnt rewrites the row's forward-tree value in place (same
-// length, so no node ever splits on this path); must be called with
-// p.mu held.
-func (p *Partition) storeRefcnt(row relation.Tuple, cnt int) error {
 	fk, err := encodeTuple(row, 0)
 	if err != nil {
 		return err
 	}
-	_, err = p.fwd.Insert(fk, refcntVal(cnt))
-	return err
-}
-
-// RemoveProjected decrements the reference count of a projected row,
-// deleting it from both trees when it dies.
-func (p *Partition) RemoveProjected(row relation.Tuple) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if row.IsAllNull() {
-		return nil
+	var born, died bool
+	var cerr error
+	err = p.fwd.Update(fk, func(old []byte, found bool) ([]byte, bool) {
+		cnt := 0
+		if found {
+			cnt, cerr = decodeRefcnt(old)
+		}
+		if cerr == nil && cnt+delta < 0 {
+			cerr = fmt.Errorf("asr: partition %s: removing untracked row %v", p.name, row)
+		}
+		if cerr != nil {
+			return old, found // leave the entry, or its absence, as it is
+		}
+		cnt += delta
+		born, died = !found, found && cnt == 0
+		return refcntVal(cnt), cnt > 0
+	})
+	if err == nil {
+		err = cerr
 	}
-	k := row.Key()
-	cnt, ok := p.refcnt[k]
-	if !ok {
-		return fmt.Errorf("asr: partition %s: removing untracked row %v", p.name, row)
+	if err != nil || !(born || died) {
+		return err
 	}
-	if cnt > 1 {
-		p.refcnt[k] = cnt - 1
-		return p.storeRefcnt(row, cnt-1)
+	bk, err := encodeTuple(row, p.arity-1)
+	if err != nil {
+		return err
 	}
-	delete(p.refcnt, k)
-	delete(p.rowByKey, k)
-	if err := p.deleteRow(row); err != nil {
+	if born {
+		_, err = p.bwd.Insert(bk, nil)
+	} else {
+		_, err = p.bwd.Delete(bk)
+	}
+	if err != nil {
 		return err
 	}
 	return p.syncMetaLocked()
-}
-
-// partUndo captures the logical pre-state of one projected row in one
-// partition: the reference count and stored tuple before a mutation.
-// Appended to the maintenance journal before each AddProjected/
-// RemoveProjected so a partial failure can be reverted exactly —
-// including the op that failed halfway through. The B⁺-tree pages
-// themselves are reverted by the storage.UndoTxn; partUndo only covers
-// the in-memory row maps.
-type partUndo struct {
-	p    *Partition
-	skip bool // all-NULL projection: the mutators ignore it
-	key  string
-	cnt  int // reference count before the op (0 = row absent)
-	row  relation.Tuple
-}
-
-// captureUndo records row's pre-state in p; call before mutating.
-func (p *Partition) captureUndo(row relation.Tuple) partUndo {
-	if row.IsAllNull() {
-		return partUndo{skip: true}
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	k := row.Key()
-	return partUndo{p: p, key: k, cnt: p.refcnt[k], row: p.rowByKey[k]}
-}
-
-// revertLocked restores the captured pre-state; the caller must hold
-// p.mu (the maintenance rollback locks every involved partition once,
-// then reverts the whole journal in reverse order).
-func (u partUndo) revertLocked() {
-	if u.skip {
-		return
-	}
-	if u.cnt == 0 {
-		delete(u.p.refcnt, u.key)
-		delete(u.p.rowByKey, u.key)
-		return
-	}
-	u.p.refcnt[u.key] = u.cnt
-	u.p.rowByKey[u.key] = u.row
 }
 
 // treeMarks snapshots both clustered trees' mutable metadata (root,
@@ -575,43 +495,11 @@ func (m treeMarks) restoreLocked() {
 func (p *Partition) reloadBulk(pool *storage.BufferPool, rows map[string]relation.Tuple, refcnt map[string]int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	newRefcnt := make(map[string]int, len(rows))
-	newRows := make(map[string]relation.Tuple, len(rows))
-	fwdEntries := make([]btree.KV, 0, len(rows))
-	bwdEntries := make([]btree.KV, 0, len(rows))
-	for k, row := range rows {
-		if len(row) != p.arity {
-			return fmt.Errorf("asr: partition %s: reload row arity %d, want %d", p.name, len(row), p.arity)
-		}
-		cnt := refcnt[k]
-		if cnt <= 0 {
-			return fmt.Errorf("asr: partition %s: reload row %v has reference count %d", p.name, row, cnt)
-		}
-		newRefcnt[k] = cnt
-		newRows[k] = row.Clone()
-		fk, err := encodeTuple(row, 0)
-		if err != nil {
-			return err
-		}
-		bk, err := encodeTuple(row, p.arity-1)
-		if err != nil {
-			return err
-		}
-		fwdEntries = append(fwdEntries, btree.KV{Key: fk, Val: refcntVal(cnt)})
-		bwdEntries = append(bwdEntries, btree.KV{Key: bk})
-	}
-	sortKVs(fwdEntries)
-	sortKVs(bwdEntries)
-
 	txn, err := pool.BeginUndo()
 	if err != nil {
 		return err
 	}
-	newFwd, err := btree.BulkLoad(pool, p.name+".fwd", fwdEntries)
-	if err != nil {
-		return errors.Join(err, txn.Rollback())
-	}
-	newBwd, err := btree.BulkLoad(pool, p.name+".bwd", bwdEntries)
+	newFwd, newBwd, err := bulkTrees(pool, p.name, p.arity, rows, refcnt)
 	if err != nil {
 		return errors.Join(err, txn.Rollback())
 	}
@@ -634,7 +522,6 @@ func (p *Partition) reloadBulk(pool *storage.BufferPool, rows map[string]relatio
 		p.metaSeen = oldSeen
 		return err
 	}
-	p.refcnt, p.rowByKey = newRefcnt, newRows
 	// Reclaim the old trees last: a failure here leaks pages but leaves
 	// the partition fully consistent on the new trees. A corrupt page
 	// in an old tree (the very reason Repair reloads) must not fail the
@@ -651,38 +538,6 @@ func dropTolerant(t *btree.Tree) error {
 		errors.Is(err, btree.ErrPageFormat) {
 		return nil
 	}
-	return err
-}
-
-func (p *Partition) insertRow(row relation.Tuple) error {
-	fk, err := encodeTuple(row, 0)
-	if err != nil {
-		return err
-	}
-	bk, err := encodeTuple(row, p.arity-1)
-	if err != nil {
-		return err
-	}
-	if _, err := p.fwd.Insert(fk, refcntVal(1)); err != nil {
-		return err
-	}
-	_, err = p.bwd.Insert(bk, nil)
-	return err
-}
-
-func (p *Partition) deleteRow(row relation.Tuple) error {
-	fk, err := encodeTuple(row, 0)
-	if err != nil {
-		return err
-	}
-	bk, err := encodeTuple(row, p.arity-1)
-	if err != nil {
-		return err
-	}
-	if _, err := p.fwd.Delete(fk); err != nil {
-		return err
-	}
-	_, err = p.bwd.Delete(bk)
 	return err
 }
 
@@ -819,37 +674,79 @@ func (p *Partition) AsRelation(cols []string) (*relation.Relation, error) {
 	return rel, err
 }
 
-// CheckConsistent verifies that both trees hold exactly the reference-
-// counted rows and satisfy their structural invariants; intended for
-// tests.
-func (p *Partition) CheckConsistent() error {
+// drift diffs the stored trees against want — the reference count every
+// row of the partition should carry, keyed by Tuple.Key — by streaming
+// the stored (row, count) pairs off the forward tree in one clustered
+// pass. It reads storage, not a copy of it: a wrong stored count is
+// Wrong, and a page that fails its checksum or a mangled node surfaces
+// as the returned error as the pass reads it. The backward tree stores
+// no counts; it gets the same row-set diff, which must agree with the
+// forward tree's, and both trees get their structural walk (inner nodes
+// included, which a leaf scan never reads).
+func (p *Partition) drift(want map[string]int) (PartitionDrift, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if p.fwd.Len() != len(p.refcnt) || p.bwd.Len() != len(p.refcnt) {
-		return fmt.Errorf("asr: partition %s: fwd=%d bwd=%d refcnt=%d",
-			p.name, p.fwd.Len(), p.bwd.Len(), len(p.refcnt))
-	}
-	var derr error
-	err := p.fwd.Scan(func(k, _ []byte) bool {
-		t, err := decodeTuple(k, p.arity, 0)
-		if err != nil {
-			derr = err
-			return false
+	d := PartitionDrift{Name: p.name}
+	var key []byte
+	matched := 0
+	err := p.scanRows(p.fwd, 0, func(t relation.Tuple, v []byte) error {
+		key = t.AppendKey(key[:0])
+		wc, ok := want[string(key)]
+		if !ok {
+			d.Extra++
+			return nil
 		}
-		if _, ok := p.refcnt[t.Key()]; !ok {
-			derr = fmt.Errorf("asr: partition %s: stored row %v not refcounted", p.name, t)
-			return false
+		matched++
+		if cnt, err := decodeRefcnt(v); err != nil || cnt != wc {
+			d.Wrong++
 		}
-		return true
+		return nil
 	})
+	if err != nil {
+		return d, err
+	}
+	d.Missing = len(want) - matched
+	bwdMatched, bwdExtra := 0, 0
+	err = p.scanRows(p.bwd, p.arity-1, func(t relation.Tuple, _ []byte) error {
+		key = t.AppendKey(key[:0])
+		if _, ok := want[string(key)]; ok {
+			bwdMatched++
+		} else {
+			bwdExtra++
+		}
+		return nil
+	})
+	if err != nil {
+		return d, err
+	}
+	if bwdMatched != matched || bwdExtra != d.Extra {
+		return d, fmt.Errorf("asr: partition %s: backward tree holds %d expected and %d unexpected rows, forward tree %d and %d",
+			p.name, bwdMatched, bwdExtra, matched, d.Extra)
+	}
+	if err := p.fwd.CheckInvariants(); err != nil {
+		return d, err
+	}
+	return d, p.bwd.CheckInvariants()
+}
+
+// CheckConsistent verifies that the backward tree holds exactly the
+// forward tree's rows, that every stored count is positive, and that
+// both trees satisfy their structural invariants; intended for tests.
+func (p *Partition) CheckConsistent() error {
+	stored := map[string]int{}
+	p.mu.RLock()
+	err := p.scanRows(p.fwd, 0, func(t relation.Tuple, v []byte) error {
+		cnt, err := decodeRefcnt(v)
+		if err == nil && cnt <= 0 {
+			err = fmt.Errorf("asr: partition %s: stored row %v has reference count %d", p.name, t, cnt)
+		}
+		stored[t.Key()] = cnt
+		return err
+	})
+	p.mu.RUnlock()
 	if err != nil {
 		return err
 	}
-	if derr != nil {
-		return derr
-	}
-	if err := p.fwd.CheckInvariants(); err != nil {
-		return err
-	}
-	return p.bwd.CheckInvariants()
+	_, err = p.drift(stored)
+	return err
 }

@@ -7,8 +7,11 @@ import (
 )
 
 // projectRows accumulates the reference-counted projections of the
-// logical rows under dec — one (rows, refcnt) pair per partition, the
-// input NewPartitionBulk wants. Shared with Build and Rematerialize.
+// logical rows under dec — one (rows, refcnt) pair per partition, both
+// keyed by Tuple.Key. It is the one statement of what a partition should
+// hold: Build, Rematerialize and Repair bulk-load from it
+// (NewPartitionBulk, reloadBulk), Verify, Repair and CheckConsistent
+// diff the stored trees against it (Partition.drift).
 func projectRows(rows []relation.Tuple, dec Decomposition) ([]map[string]relation.Tuple, []map[string]int) {
 	outRows := make([]map[string]relation.Tuple, dec.NumPartitions())
 	refcnt := make([]map[string]int, dec.NumPartitions())

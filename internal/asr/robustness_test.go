@@ -2,6 +2,7 @@ package asr
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -88,10 +89,25 @@ func (r *faultyRig) mutableSource(t *testing.T) (src, dst gom.OID) {
 	return p[0], p[1]
 }
 
-func (r *faultyRig) refcountsSnapshot() []map[string]int {
+// refcountsSnapshot reads every partition's (row → reference count)
+// pairs off the stored forward tree, so comparing two snapshots proves
+// what the pages hold, not what a copy beside them says.
+func (r *faultyRig) refcountsSnapshot(t *testing.T) []map[string]int {
+	t.Helper()
 	var out []map[string]int
 	for _, pp := range r.ix.Partitions() {
-		out = append(out, pp.Part.refcounts())
+		refs := map[string]int{}
+		err := pp.Part.Forward().Scan(func(k, v []byte) bool {
+			refs[string(k)] = int(binary.BigEndian.Uint32(v))
+			return true
+		})
+		if err != nil {
+			t.Fatalf("scanning %s: %v", pp.Part.Name(), err)
+		}
+		if len(refs) != pp.Part.Rows() {
+			t.Fatalf("%s: scan found %d rows, Rows() = %d", pp.Part.Name(), len(refs), pp.Part.Rows())
+		}
+		out = append(out, refs)
 	}
 	return out
 }
@@ -119,7 +135,7 @@ func TestMaintenanceFaultRollsBackAndQuarantines(t *testing.T) {
 			t.Fatal(err)
 		}
 		preDisk = r.disk.Snapshot()
-		preRefs = r.refcountsSnapshot()
+		preRefs = r.refcountsSnapshot(t)
 		r.fi.Schedule(storage.Fault{Op: storage.OpWrite, Permanent: true})
 		src = pair[0]
 		r.db.Base.MustSetAttr(src, "Next", gom.Ref(pair[1]))
@@ -146,9 +162,12 @@ func TestMaintenanceFaultRollsBackAndQuarantines(t *testing.T) {
 		t.Fatalf("stats = %+v, expected transient retries before giving up", st)
 	}
 
-	// Logical state: every partition's reference counts are exactly the
-	// pre-update ones.
-	if got := r.refcountsSnapshot(); !reflect.DeepEqual(got, preRefs) {
+	// Logical state: every partition's stored reference counts are
+	// exactly the pre-update ones. The counts live only in the pages, and
+	// reading them through the bounded pool evicts (writes back) frames,
+	// so the device is healed first; the fault has done its job.
+	r.fi.Heal()
+	if got := r.refcountsSnapshot(t); !reflect.DeepEqual(got, preRefs) {
 		t.Fatal("partition refcounts drifted despite rollback")
 	}
 
@@ -158,16 +177,15 @@ func TestMaintenanceFaultRollsBackAndQuarantines(t *testing.T) {
 	}
 
 	// While quarantined, further updates are skipped (not half-applied).
-	before := r.refcountsSnapshot()
+	before := r.refcountsSnapshot(t)
 	src2, dst2 := r.mutableSource(t)
 	r.db.Base.MustSetAttr(src2, "Next", gom.Ref(dst2))
-	if got := r.refcountsSnapshot(); !reflect.DeepEqual(got, before) {
+	if got := r.refcountsSnapshot(t); !reflect.DeepEqual(got, before) {
 		t.Fatal("quarantined index absorbed an update")
 	}
 
-	// Physical state: heal the device, flush, and the stored pages are
-	// byte-identical to the pre-update image.
-	r.fi.Heal()
+	// Physical state: flush, and the stored pages are byte-identical to
+	// the pre-update image.
 	if err := r.pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}

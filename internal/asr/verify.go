@@ -3,8 +3,6 @@ package asr
 import (
 	"fmt"
 	"sort"
-
-	"asr/internal/relation"
 )
 
 // PartitionDrift describes how one stored partition differs from the
@@ -62,37 +60,11 @@ func (r VerifyReport) String() string {
 	return s
 }
 
-// expectedPartitionRows recomputes, from a fresh path graph over the
-// live object base, the reference-counted projections every partition
-// should hold. Returned slices parallel ix.parts.
-func (ix *Index) expectedPartitionRows(g *pathGraph) ([]map[string]relation.Tuple, []map[string]int) {
-	rows := make([]map[string]relation.Tuple, len(ix.parts))
-	refcnt := make([]map[string]int, len(ix.parts))
-	for i := range ix.parts {
-		rows[i] = map[string]relation.Tuple{}
-		refcnt[i] = map[string]int{}
-	}
-	for _, row := range g.allRows(ix.ext) {
-		for i, pp := range ix.parts {
-			proj := row[pp.Lo : pp.Hi+1]
-			if proj.IsAllNull() {
-				continue
-			}
-			k := proj.Key()
-			if refcnt[i][k] == 0 {
-				rows[i][k] = proj.Clone()
-			}
-			refcnt[i][k]++
-		}
-	}
-	return rows, refcnt
-}
-
 // Verify recomputes the logical extension from the live object base and
-// diffs it against every stored partition's reference counts. It works
-// while the index is quarantined — that is its main use: deciding how
-// much drift an unrecoverable maintenance failure left behind before
-// calling Repair. Partitions shared with another index are skipped (see
+// diffs it against the rows and reference counts every partition's
+// trees actually store (Partition.drift). It works while the index is
+// quarantined — that is its main use: deciding how much drift an
+// unrecoverable maintenance failure left behind before calling Repair. Partitions shared with another index are skipped (see
 // VerifyReport.SkippedShared). Safe for concurrent use with readers;
 // must not run concurrently with maintenance (single-writer rule).
 func (ix *Index) Verify() (VerifyReport, error) {
@@ -105,50 +77,28 @@ func (ix *Index) Verify() (VerifyReport, error) {
 	if err != nil {
 		return VerifyReport{}, err
 	}
-	_, want := ix.expectedPartitionRows(g)
+	_, want := projectRows(g.allRows(ix.ext), ix.dec)
 	var rep VerifyReport
 	for i, pp := range ix.parts {
 		if pp.Part.Owners() > 1 {
 			rep.SkippedShared = append(rep.SkippedShared, pp.Part.Name())
 			continue
 		}
-		// Physical pass first: walk the stored trees so on-disk damage
-		// (a page failing its checksum, a mangled node) surfaces even
-		// when the in-memory refcounts still look right. A failure
-		// quarantines the index — queries route around it (degraded
-		// plans) until Repair rebuilds the partition.
-		if perr := pp.Part.checkPhysical(); perr != nil {
+		// The diff reads the stored trees page by page, so on-disk damage
+		// (a page failing its checksum, a mangled node) surfaces here as
+		// an error. It quarantines the index — queries route around it
+		// (degraded plans) until Repair rebuilds the partition.
+		d, perr := pp.Part.drift(want[i])
+		if perr != nil {
 			perr = fmt.Errorf("asr: index on %s: partition %s failed physical verification: %w",
 				ix.path, pp.Part.Name(), perr)
 			ix.quarantine(perr)
 			return rep, perr
 		}
-		rep.Partitions = append(rep.Partitions, diffPartition(pp.Part, want[i]))
+		rep.Partitions = append(rep.Partitions, d)
 	}
 	sort.Strings(rep.SkippedShared)
 	return rep, nil
-}
-
-// diffPartition compares a partition's live refcounts against the
-// expected ones.
-func diffPartition(p *Partition, want map[string]int) PartitionDrift {
-	got := p.refcounts()
-	d := PartitionDrift{Name: p.Name()}
-	for k, wc := range want {
-		gc, ok := got[k]
-		switch {
-		case !ok:
-			d.Missing++
-		case gc != wc:
-			d.Wrong++
-		}
-	}
-	for k := range got {
-		if _, ok := want[k]; !ok {
-			d.Extra++
-		}
-	}
-	return d
 }
 
 // Repair resynchronizes the index with the live object base and lifts
@@ -177,15 +127,15 @@ func (ix *Index) Repair() (VerifyReport, error) {
 	if err != nil {
 		return VerifyReport{}, err
 	}
-	rows, want := ix.expectedPartitionRows(g)
+	rows, want := projectRows(g.allRows(ix.ext), ix.dec)
 	var rep VerifyReport
 	for i, pp := range ix.parts {
-		d := diffPartition(pp.Part, want[i])
-		// A physically damaged partition must be rebuilt even when its
-		// in-memory refcounts still match: the stored trees are what a
-		// restart would reload. reloadBulk tolerates corrupt old pages
-		// when freeing them, so the rebuild heals checksum failures.
-		damaged := pp.Part.checkPhysical() != nil
+		// A physically damaged partition (the diff could not read its
+		// trees through) is rebuilt like a drifted one. reloadBulk
+		// tolerates corrupt old pages when freeing them, so the rebuild
+		// heals checksum failures.
+		d, perr := pp.Part.drift(want[i])
+		damaged := perr != nil
 		if (d.Drifted() || damaged) && pp.Part.Owners() > 1 {
 			return rep, fmt.Errorf("asr: repair of index on %s: partition %s is shared and drifted; drop and rebuild the sharing indexes",
 				ix.path, pp.Part.Name())

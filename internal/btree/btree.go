@@ -432,26 +432,30 @@ type splitResult struct {
 	right storage.PageID
 }
 
-// Insert stores key→val, replacing any existing value for an equal key.
-// It reports whether the key was newly inserted.
-func (t *Tree) Insert(key, val []byte) (bool, error) {
-	if len(key) == 0 {
-		return false, fmt.Errorf("btree %s: empty key", t.name)
-	}
-	if len(key) > t.maxKey {
-		return false, fmt.Errorf("btree %s: key of %d bytes exceeds limit %d", t.name, len(key), t.maxKey)
-	}
-	if len(key)+len(val)+entryOverheadLeaf > t.maxItem {
-		return false, fmt.Errorf("btree %s: entry of %d bytes exceeds page capacity", t.name, len(key)+len(val))
-	}
-	added, split, err := t.insert(t.root, key, val)
+// Update is the tree's one mutating descent: it walks root to leaf once
+// for key and lets fn decide the entry's fate there. fn receives the
+// current value (found false when the key is absent) and returns the
+// value to store and whether an entry should exist afterwards:
+//
+//	found,  keep  → the value is replaced
+//	found,  !keep → the entry is removed
+//	absent, keep  → the entry is inserted
+//	absent, !keep → nothing happens, no page is written
+//
+// old is BORROWED (it aliases the pinned leaf, see Visit) and valid only
+// until fn returns, though fn may hand it back as val. A read-modify-
+// write such as a reference-count bump therefore costs one descent, not
+// a Get followed by an Insert. Insert and Delete are Update with a
+// constant decision.
+func (t *Tree) Update(key []byte, fn func(old []byte, found bool) (val []byte, keep bool)) error {
+	delta, split, err := t.update(t.root, key, fn)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if split != nil {
 		fr, err := t.pool.GetNew()
 		if err != nil {
-			return false, err
+			return err
 		}
 		newRoot := &node{
 			typ:      internalNode,
@@ -463,34 +467,86 @@ func (t *Tree) Insert(key, val []byte) (bool, error) {
 		fr.Unpin()
 		t.height++
 	}
-	if added {
-		t.count++
-	}
-	return added, nil
+	t.count += delta
+	return nil
 }
 
-func (t *Tree) insert(pid storage.PageID, key, val []byte) (bool, *splitResult, error) {
+// Insert stores key→val, replacing any existing value for an equal key.
+// It reports whether the key was newly inserted.
+func (t *Tree) Insert(key, val []byte) (added bool, err error) {
+	err = t.Update(key, func(_ []byte, found bool) ([]byte, bool) {
+		added = !found
+		return val, true
+	})
+	return added && err == nil, err
+}
+
+// Delete removes the entry under key, reporting whether one existed.
+func (t *Tree) Delete(key []byte) (existed bool, err error) {
+	err = t.Update(key, func(_ []byte, found bool) ([]byte, bool) {
+		existed = found
+		return nil, false
+	})
+	return existed && err == nil, err
+}
+
+// checkEntry enforces the size limits on an entry about to be stored.
+func (t *Tree) checkEntry(key, val []byte) error {
+	if len(key) == 0 {
+		return fmt.Errorf("btree %s: empty key", t.name)
+	}
+	if len(key) > t.maxKey {
+		return fmt.Errorf("btree %s: key of %d bytes exceeds limit %d", t.name, len(key), t.maxKey)
+	}
+	if len(key)+len(val)+entryOverheadLeaf > t.maxItem {
+		return fmt.Errorf("btree %s: entry of %d bytes exceeds page capacity", t.name, len(key)+len(val))
+	}
+	return nil
+}
+
+// update is the recursive step of Update. It returns the change in the
+// entry count (+1 inserted, −1 removed, 0 otherwise) and, when the node
+// at pid overflowed, the split to post into the parent.
+func (t *Tree) update(pid storage.PageID, key []byte, fn func([]byte, bool) ([]byte, bool)) (int, *splitResult, error) {
 	fr, n, err := t.load(pid)
 	if err != nil {
-		return false, nil, err
+		return 0, nil, err
 	}
 	defer fr.Unpin()
 
 	if n.isLeaf() {
 		pos, found := findKey(n.keys, key)
+		var old []byte
 		if found {
-			n.vals[pos] = append([]byte(nil), val...)
-			writeNode(fr, n)
-			return false, nil, nil
+			old = n.vals[pos]
 		}
-		n.keys = insertBytes(n.keys, pos, append([]byte(nil), key...))
-		n.vals = insertBytes(n.vals, pos, append([]byte(nil), val...))
+		val, keep := fn(old, found)
+		if !keep {
+			if !found {
+				return 0, nil, nil
+			}
+			n.keys = append(n.keys[:pos], n.keys[pos+1:]...)
+			n.vals = append(n.vals[:pos], n.vals[pos+1:]...)
+			writeNode(fr, n)
+			return -1, nil, nil
+		}
+		if err := t.checkEntry(key, val); err != nil {
+			return 0, nil, err
+		}
+		delta := 0
+		if found {
+			n.vals[pos] = val
+		} else {
+			n.keys = insertBytes(n.keys, pos, append([]byte(nil), key...))
+			n.vals = insertBytes(n.vals, pos, val)
+			delta = 1
+		}
 		if n.size() <= t.pool.Disk().PageSize() {
 			writeNode(fr, n)
-			return true, nil, nil
+			return delta, nil, nil
 		}
 		split, err := t.splitLeaf(fr, n)
-		return true, split, err
+		return delta, split, err
 	}
 
 	pos, _ := findKey(n.keys, key)
@@ -499,18 +555,18 @@ func (t *Tree) insert(pid storage.PageID, key, val []byte) (bool, *splitResult, 
 	if pos < len(n.keys) && bytes.Equal(n.keys[pos], key) {
 		pos++
 	}
-	added, childSplit, err := t.insert(n.children[pos], key, val)
+	delta, childSplit, err := t.update(n.children[pos], key, fn)
 	if err != nil || childSplit == nil {
-		return added, nil, err
+		return delta, nil, err
 	}
 	n.keys = insertBytes(n.keys, pos, childSplit.sep)
 	n.children = insertPages(n.children, pos+1, childSplit.right)
 	if n.size() <= t.pool.Disk().PageSize() {
 		writeNode(fr, n)
-		return added, nil, nil
+		return delta, nil, nil
 	}
 	split, err := t.splitInternal(fr, n)
-	return added, split, err
+	return delta, split, err
 }
 
 // splitLeaf moves the upper half of a leaf to a fresh page. The
@@ -617,34 +673,6 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 			}
 			fr.Unpin()
 			return v, found, nil
-		}
-		pos, _ := findKey(n.keys, key)
-		if pos < len(n.keys) && bytes.Equal(n.keys[pos], key) {
-			pos++
-		}
-		pid = n.children[pos]
-		fr.Unpin()
-	}
-}
-
-// Delete removes the entry under key, reporting whether one existed.
-func (t *Tree) Delete(key []byte) (bool, error) {
-	pid := t.root
-	for {
-		fr, n, err := t.load(pid)
-		if err != nil {
-			return false, err
-		}
-		if n.isLeaf() {
-			pos, found := findKey(n.keys, key)
-			if found {
-				n.keys = append(n.keys[:pos], n.keys[pos+1:]...)
-				n.vals = append(n.vals[:pos], n.vals[pos+1:]...)
-				writeNode(fr, n)
-				t.count--
-			}
-			fr.Unpin()
-			return found, nil
 		}
 		pos, _ := findKey(n.keys, key)
 		if pos < len(n.keys) && bytes.Equal(n.keys[pos], key) {

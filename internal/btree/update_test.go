@@ -1,0 +1,187 @@
+package btree
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"asr/internal/storage"
+)
+
+// checkAgainstModel asserts the tree holds exactly model's entries, in
+// key order, with a matching Len and intact structural invariants.
+func checkAgainstModel(t *testing.T, tr *Tree, model map[string]string) {
+	t.Helper()
+	if tr.Len() != len(model) {
+		t.Fatalf("Len = %d, model has %d entries", tr.Len(), len(model))
+	}
+	keys := make([]string, 0, len(model))
+	for k := range model {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	i := 0
+	err := tr.Scan(func(k, v []byte) bool {
+		if i >= len(keys) || string(k) != keys[i] || string(v) != model[keys[i]] {
+			t.Fatalf("entry %d = %x→%q, model disagrees", i, k, v)
+		}
+		i++
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i != len(keys) {
+		t.Fatalf("scan yielded %d entries, model has %d", i, len(keys))
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUpdateMatchesMapModel drives Update with seeded random decisions
+// against a map: every cell of its decision table (insert, replace,
+// remove, absent no-op) at every tree shape the splits of a 256-byte
+// page produce, with fn shown the value the model holds. Every 50 ops a
+// batch runs under an UndoTxn and is rolled back (pages) and Restored
+// (Mark): the tree must return to the model exactly, splits and root
+// growth included.
+func TestUpdateMatchesMapModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			tr := newTestTree(t, 256)
+			model := map[string]string{}
+			var cells [4]int // found×keep coverage
+
+			// step applies one random Update to the tree and, when
+			// commit is set, to the model.
+			step := func(commit bool) {
+				k := key(rng.Intn(400))
+				keep := rng.Intn(3) > 0
+				val := []byte(fmt.Sprintf("v%d", rng.Intn(1<<20)))
+				if rng.Intn(8) == 0 {
+					val = bytes.Repeat([]byte{'w'}, 40) // a replace that can split
+				}
+				want, has := model[string(k)]
+				err := tr.Update(k, func(old []byte, found bool) ([]byte, bool) {
+					if commit && (found != has || string(old) != want) {
+						t.Fatalf("fn saw %q,%v; model holds %q,%v", old, found, want, has)
+					}
+					c := 0
+					if found {
+						c = 2
+					}
+					if keep {
+						c++
+					}
+					cells[c]++
+					return val, keep
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !commit {
+					return
+				}
+				if keep {
+					model[string(k)] = string(val)
+				} else {
+					delete(model, string(k))
+				}
+			}
+
+			for op := 0; op < 3000; op++ {
+				step(true)
+				if op%50 != 49 {
+					continue
+				}
+				checkAgainstModel(t, tr, model)
+				txn, err := tr.pool.BeginUndo()
+				if err != nil {
+					t.Fatal(err)
+				}
+				mark := tr.Mark()
+				for i := 0; i < 60; i++ {
+					step(false)
+				}
+				if err := txn.Rollback(); err != nil {
+					t.Fatal(err)
+				}
+				tr.Restore(mark)
+				checkAgainstModel(t, tr, model)
+			}
+			for c, n := range cells {
+				if n == 0 {
+					t.Fatalf("decision cell %d (found<<1|keep) never exercised", c)
+				}
+			}
+			if tr.Height() < 3 {
+				t.Fatalf("height %d: the workload never split an internal node", tr.Height())
+			}
+		})
+	}
+}
+
+// TestUpdateAbsentNoOpWritesNothing: declining to create an absent key
+// must not dirty a page — on the maintenance path it would be logged.
+func TestUpdateAbsentNoOpWritesNothing(t *testing.T) {
+	d := storage.NewDisk(256)
+	pool := storage.NewBufferPool(d, 0, storage.LRU)
+	tr, err := New(pool, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := tr.Insert(key(2*i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	before := d.Stats().Writes
+	called := false
+	err = tr.Update(key(51), func(old []byte, found bool) ([]byte, bool) {
+		called = true
+		if found || old != nil {
+			t.Fatalf("absent key reported as %q,%v", old, found)
+		}
+		return nil, false
+	})
+	if err != nil || !called {
+		t.Fatalf("Update: called=%v err=%v", called, err)
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if after := d.Stats().Writes; after != before {
+		t.Fatalf("no-op Update wrote %d pages", after-before)
+	}
+	if tr.Len() != 100 {
+		t.Fatalf("Len = %d", tr.Len())
+	}
+}
+
+// TestUpdateRejectsOversizedEntries: the size limits apply to whatever
+// fn decides to store, for a new key and for a grown replacement alike,
+// and a rejected entry leaves the tree untouched.
+func TestUpdateRejectsOversizedEntries(t *testing.T) {
+	tr := newTestTree(t, 256)
+	if _, err := tr.Insert(key(1), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	huge := bytes.Repeat([]byte{'x'}, 300)
+	if _, err := tr.Insert(key(1), huge); err == nil {
+		t.Error("oversized replacement accepted")
+	}
+	if _, err := tr.Insert(key(2), huge); err == nil {
+		t.Error("oversized new entry accepted")
+	}
+	if _, err := tr.Insert(nil, []byte("v")); err == nil {
+		t.Error("empty key accepted")
+	}
+	checkAgainstModel(t, tr, map[string]string{string(key(1)): "v"})
+}

@@ -2,87 +2,25 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
-	"strings"
 )
 
 // Structured logging. The server logs through a *slog.Logger so every
 // line carries machine-readable attributes — session IDs on session
 // lifecycle lines, trace IDs on request lines — and operators choose
 // the rendering (gomd's -log-format text|json). Config.Logger supplies
-// the logger; the legacy Config.Logf callback keeps working through the
-// logfHandler adapter below, and with neither set the server is silent.
+// the logger; with none set the server is silent.
 
-// serverLogger resolves a Config's logging fields to the logger the
+// serverLogger resolves a Config's Logger field to the logger the
 // server uses.
 func serverLogger(cfg Config) *slog.Logger {
 	if cfg.Logger != nil {
 		return cfg.Logger
 	}
-	if cfg.Logf != nil {
-		return slog.New(&logfHandler{logf: cfg.Logf, level: slog.LevelInfo})
-	}
 	return slog.New(noopHandler{})
 }
 
-// logfHandler renders slog records through a printf-style callback as
-// "msg key=value ..." lines — the bridge that lets callers still on
-// Config.Logf receive the structured log stream.
-type logfHandler struct {
-	logf   func(format string, args ...any)
-	level  slog.Level
-	prefix string // accumulated group path, "a.b." form
-	attrs  []slog.Attr
-}
-
-func (h *logfHandler) Enabled(_ context.Context, l slog.Level) bool { return l >= h.level }
-
-func (h *logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	for _, a := range h.attrs {
-		appendAttr(&b, h.prefix, a)
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		appendAttr(&b, h.prefix, a)
-		return true
-	})
-	h.logf("%s", b.String())
-	return nil
-}
-
-func appendAttr(b *strings.Builder, prefix string, a slog.Attr) {
-	if a.Equal(slog.Attr{}) {
-		return
-	}
-	v := a.Value.Resolve()
-	if v.Kind() == slog.KindGroup {
-		for _, ga := range v.Group() {
-			appendAttr(b, prefix+a.Key+".", ga)
-		}
-		return
-	}
-	fmt.Fprintf(b, " %s%s=%v", prefix, a.Key, v)
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	n := *h
-	n.attrs = append(append([]slog.Attr(nil), h.attrs...), attrs...)
-	return &n
-}
-
-func (h *logfHandler) WithGroup(name string) slog.Handler {
-	if name == "" {
-		return h
-	}
-	n := *h
-	n.prefix = h.prefix + name + "."
-	return &n
-}
-
-// noopHandler discards everything (Config with neither Logger nor
-// Logf).
+// noopHandler discards everything (Config with no Logger).
 type noopHandler struct{}
 
 func (noopHandler) Enabled(context.Context, slog.Level) bool  { return false }

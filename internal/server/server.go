@@ -103,12 +103,8 @@ type Config struct {
 	// Logger receives the server's structured log stream (session
 	// lifecycle, drain progress, slow queries — request lines carry
 	// trace_id attributes). gomd wires this to its -log-level /
-	// -log-format handler.
+	// -log-format handler. Nil discards all logs.
 	Logger *slog.Logger
-	// Logf is the legacy printf-style log callback; when Logger is nil
-	// it receives the same records rendered as "msg key=value" lines.
-	// Nil (with Logger nil) discards all logs.
-	Logf func(format string, args ...any)
 	// SlowQueryThreshold, when positive, records every query whose total
 	// latency (queue wait + execution) reaches it into the bounded
 	// slow-query log served at the admin /slowlog endpoint, with the
@@ -314,6 +310,12 @@ func (s *Server) watchdog() {
 // happen under admitMu — Shutdown flips draining under the same mutex,
 // so every admitted query is either visible to reqWG.Wait or was
 // rejected with SHUTTING_DOWN.
+//
+// release frees the slot and is idempotent: call it when execution
+// ends, before the reply is written, so a client holding its answer is
+// never refused for the slot that produced it and a slow reader pins no
+// admission capacity. The caller separately owes one reqWG.Done after
+// the reply is on the wire — that, not the slot, is the drain invariant.
 func (s *Server) admit() (release func(), code string) {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
@@ -337,7 +339,6 @@ func (s *Server) admit() (release func(), code string) {
 			<-s.sem
 			s.inflight.Add(-1)
 			telInflight.Add(-1)
-			s.reqWG.Done()
 		})
 	}, ""
 }

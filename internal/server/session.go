@@ -201,6 +201,7 @@ func (ss *session) handleQuery(f wire.Frame, clientSpan uint64) {
 		qcancel()
 		release()
 		ss.replyError(f, wire.CodeBadRequest, "request ID already in flight")
+		srv.reqWG.Done()
 		return
 	}
 	ss.inflight[f.ReqID] = qcancel
@@ -231,9 +232,10 @@ func (ss *session) handleQuery(f wire.Frame, clientSpan uint64) {
 			delete(ss.inflight, f.ReqID)
 			ss.inflightMu.Unlock()
 			qcancel()
-			// The response (written above) precedes the release: once
-			// reqWG drains, every admitted answer is on the wire.
-			release()
+			release() // no-op unless the handler panicked before finish
+			// The response (written above) precedes Done: once reqWG
+			// drains, every admitted answer is on the wire.
+			srv.reqWG.Done()
 		}()
 
 		// Queue wait: frame receipt to execution start (admission plus
@@ -246,6 +248,7 @@ func (ss *session) handleQuery(f wire.Frame, clientSpan uint64) {
 			BytesIn: wire.HeaderSize + len(f.Payload),
 		}
 		finish := func(plan, code, errMsg string) {
+			release() // execution is over; the write below holds no slot
 			trailer.ExecUS = time.Since(started).Microseconds()
 			trailer.Pages = tally.Pages()
 			trailer.Objects = tally.Objects()
