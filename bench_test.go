@@ -5,6 +5,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -260,7 +261,7 @@ func BenchmarkQueryParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("exhaustive/w%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := mgr.QueryBackwardParallel(db.Path, 0, span, workers, target); err != nil {
+				if _, err := mgr.QueryBackwardCtx(context.Background(), db.Path, 0, span, workers, target); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -273,7 +274,7 @@ func BenchmarkQueryParallel(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("indexed/w%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := mgr.QueryBackwardParallel(db.Path, 0, span, workers, target); err != nil {
+				if _, err := mgr.QueryBackwardCtx(context.Background(), db.Path, 0, span, workers, target); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -292,7 +293,7 @@ func BenchmarkQueryParallel(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("indexed/w8/shards%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := smgr.QueryBackwardParallel(db.Path, 0, span, 8, target); err != nil {
+				if _, err := smgr.QueryBackwardCtx(context.Background(), db.Path, 0, span, 8, target); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -345,7 +346,7 @@ func BenchmarkASRBuild(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchProbe measures sorted batch probes (LookupForwardBatch,
+// BenchmarkBatchProbe measures sorted batch probes (Partition.LookupBatch,
 // one leaf-cursor walk over sorted keys) against the per-value descents
 // they replaced, on a wide random frontier.
 func BenchmarkBatchProbe(b *testing.B) {
@@ -368,7 +369,7 @@ func BenchmarkBatchProbe(b *testing.B) {
 	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := part.LookupForwardBatch(vals); err != nil {
+			if _, err := part.LookupBatch(true, vals); err != nil {
 				b.Fatal(err)
 			}
 		}

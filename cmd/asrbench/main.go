@@ -33,7 +33,7 @@ func main() {
 		compare = flag.String("compare", "", "with -snapshot: diff the fresh snapshot against this previous snapshot file")
 		gateDir = flag.String("gate", "", "with -snapshot: trajectory-gate the snapshot against the history in this directory (fails on regression)")
 		gateThr = flag.Float64("gate-threshold", 25, "max allowed regression (percent) for pinned sections before the gate fails")
-		gatePin = flag.String("gate-pin", "probe,build,shape", "comma-separated snapshot sections the gate enforces; others are recorded but informational")
+		gatePin = flag.String("gate-pin", "shape", "comma-separated snapshot sections the gate enforces; others are recorded but informational")
 		gateN   = flag.Int("gate-keep", 5, "number of history snapshots to retain in the gate directory")
 	)
 	flag.Usage = func() {

@@ -39,8 +39,8 @@ type PlacedPartition struct {
 // object base by the Maintainer.
 //
 // An Index is safe for concurrent readers: QueryForward, QueryBackward,
-// their parallel variants, TotalRows, Stats and the accessor methods may
-// be called from any number of goroutines, concurrently with one
+// their Ctx forms, TotalRows, Stats and the accessor methods may be
+// called from any number of goroutines, concurrently with one
 // maintaining writer (the Maintainer's callbacks and ReleasePages take
 // the write lock). The physical partitions carry their own locks, so an
 // index stays safe even when a partition it reads is shared with —
@@ -283,30 +283,26 @@ func (ix *Index) Supports(i, j int) bool {
 	return SupportsQuery(ix.ext, ix.path.Len(), i, j)
 }
 
-// partitionAt returns the partition whose window contains col with
-// lo ≤ col < hi (the last partition also claims its hi column).
-func (ix *Index) partitionAt(col int) (PlacedPartition, error) {
-	for _, pp := range ix.parts {
-		if col >= pp.Lo && col < pp.Hi {
-			return pp, nil
-		}
+// edges returns the column a walk in the given direction enters the
+// placed partition by and the column it leaves by. Forward and backward
+// evaluation are mirror images (eqs. 33/34); this swap is the only
+// place the direction shows.
+func (pp PlacedPartition) edges(fwd bool) (enter, leave int) {
+	if fwd {
+		return pp.Lo, pp.Hi
 	}
-	if last := ix.parts[len(ix.parts)-1]; col == last.Hi {
-		return last, nil
-	}
-	return PlacedPartition{}, fmt.Errorf("asr: no partition covers column %d", col)
+	return pp.Hi, pp.Lo
 }
 
-// partitionAtFromRight locates the partition containing col with
-// lo < col ≤ hi (the first partition also claims its lo column).
-func (ix *Index) partitionAtFromRight(col int) (PlacedPartition, error) {
+// partitionEntering returns the partition a walk standing on col enters
+// next: the one whose window contains col anywhere but on the edge the
+// walk would leave it by. Adjacent windows share their border column
+// (Definition 3.8), so exactly one partition qualifies.
+func (ix *Index) partitionEntering(col int, fwd bool) (PlacedPartition, error) {
 	for _, pp := range ix.parts {
-		if col > pp.Lo && col <= pp.Hi {
+		if _, leave := pp.edges(fwd); pp.Lo <= col && col <= pp.Hi && col != leave {
 			return pp, nil
 		}
-	}
-	if first := ix.parts[0]; col == first.Lo {
-		return first, nil
 	}
 	return PlacedPartition{}, fmt.Errorf("asr: no partition covers column %d", col)
 }
@@ -319,27 +315,42 @@ func (ix *Index) partitionAtFromRight(col int) (PlacedPartition, error) {
 // partition is scanned and filtered — exactly the two cases of eq. (33).
 // Safe for concurrent use.
 func (ix *Index) QueryForward(i, j int, start ...gom.Value) ([]gom.Value, error) {
-	return ix.queryForward(context.Background(), i, j, 1, start)
+	return ix.query(context.Background(), true, i, j, 1, start)
 }
 
-// QueryForwardParallel is QueryForward with the per-value clustered
-// probes of each partition hop fanned across up to workers goroutines.
-// The partition hops themselves stay sequential (each hop consumes the
-// previous hop's frontier); interior-column scans are one tree pass and
-// also stay sequential. Results are identical to QueryForward — both
-// deduplicate into a value set that is emitted in sorted order.
-func (ix *Index) QueryForwardParallel(i, j, workers int, start ...gom.Value) ([]gom.Value, error) {
-	return ix.queryForward(context.Background(), i, j, workers, start)
-}
-
-// QueryForwardCtx is QueryForwardParallel honoring ctx: cancellation or
-// deadline expiry aborts the evaluation — including every parallel
-// probe worker — and returns ctx's error.
+// QueryForwardCtx is QueryForward honoring ctx, with the per-value
+// clustered probes of each partition hop fanned across up to workers
+// goroutines (FanOut). The partition hops themselves stay sequential
+// (each hop consumes the previous hop's frontier); interior-column scans
+// are one tree pass and also stay sequential. Results are identical for
+// every worker count — the probes deduplicate into a value set that is
+// emitted in sorted order. Cancellation or deadline expiry aborts the
+// evaluation, including every probe worker, and returns ctx's error.
 func (ix *Index) QueryForwardCtx(ctx context.Context, i, j, workers int, start ...gom.Value) ([]gom.Value, error) {
-	return ix.queryForward(ctx, i, j, workers, start)
+	return ix.query(ctx, true, i, j, workers, start)
 }
 
-func (ix *Index) queryForward(ctx context.Context, i, j, workers int, start []gom.Value) ([]gom.Value, error) {
+// QueryBackward evaluates Q_{i,j}(bw): the distinct column values at
+// object step i from which some given end value at object step j is
+// reachable, following stored rows right to left via the backward-
+// clustered trees (§5.7.2). Safe for concurrent use.
+func (ix *Index) QueryBackward(i, j int, end ...gom.Value) ([]gom.Value, error) {
+	return ix.query(context.Background(), false, i, j, 1, end)
+}
+
+// QueryBackwardCtx is QueryBackward honoring ctx and fanning probes
+// across up to workers goroutines; see QueryForwardCtx.
+func (ix *Index) QueryBackwardCtx(ctx context.Context, i, j, workers int, end ...gom.Value) ([]gom.Value, error) {
+	return ix.query(ctx, false, i, j, workers, end)
+}
+
+// query is the one evaluation body of Q_{i,j}: it walks the frontier
+// vals from the column of step i towards that of step j (forward) or
+// the other way round (backward), one partition per hop. A hop that
+// starts on the edge its partition is entered by probes the tree
+// clustered on that edge; one that starts inside the window scans the
+// partition and filters on the interior column.
+func (ix *Index) query(ctx context.Context, fwd bool, i, j, workers int, vals []gom.Value) ([]gom.Value, error) {
 	if !ix.Supports(i, j) {
 		return nil, ErrNotSupported
 	}
@@ -353,51 +364,33 @@ func (ix *Index) queryForward(ctx context.Context, i, j, workers int, start []go
 	}
 	ix.nQueries.Add(1)
 	telIxQueries.Inc()
-	ci := ix.path.ObjectColumn(i)
-	cj := ix.path.ObjectColumn(j)
-	cur := newValueSet(start...)
-	col := ci
-	for col < cj {
+	col, goal := ix.path.ObjectColumn(i), ix.path.ObjectColumn(j)
+	if !fwd {
+		col, goal = goal, col
+	}
+	cur := newValueSet(vals...)
+	for col != goal {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		pp, err := ix.partitionAt(col)
+		pp, err := ix.partitionEntering(col, fwd)
 		if err != nil {
 			return nil, err
 		}
-		target := pp.Hi
-		if cj < pp.Hi {
-			target = cj
+		enter, target := pp.edges(fwd)
+		if pp.Lo <= goal && goal <= pp.Hi {
+			target = goal
 		}
 		var next *valueSet
-		if col == pp.Lo {
-			next, err = ix.probeAll(ctx, cur.values(), workers, pp.Part.LookupForwardBatch, target-pp.Lo)
-			if err != nil {
-				return nil, err
-			}
+		if col == enter {
+			next, err = ix.probeAll(ctx, pp.Part, fwd, cur.values(), workers, target-pp.Lo)
 		} else {
-			next = newValueSet()
-			var scanned uint64
-			err := pp.Part.ScanAll(func(r relation.Tuple) bool {
-				scanned++
-				if scanned%scanCtxStride == 0 && ctx.Err() != nil {
-					return false
-				}
-				if cur.contains(r[col-pp.Lo]) {
-					next.add(r[target-pp.Lo])
-				}
-				return true
-			})
-			ix.addRowsScanned(scanned)
-			if err == nil {
-				err = ctx.Err()
-			}
-			if err != nil {
-				return nil, err
-			}
+			next, err = ix.scanInterior(ctx, pp.Part, cur, col-pp.Lo, target-pp.Lo)
 		}
-		cur = next
-		col = target
+		if err != nil {
+			return nil, err
+		}
+		cur, col = next, target
 	}
 	return cur.values(), nil
 }
@@ -406,88 +399,26 @@ func (ix *Index) queryForward(ctx context.Context, i, j, workers int, start []go
 // interior-column partition scans.
 const scanCtxStride = 1024
 
-// QueryBackward evaluates Q_{i,j}(bw): the distinct column values at
-// object step i from which some given end value at object step j is
-// reachable, following stored rows right to left via the backward-
-// clustered trees (§5.7.2). Safe for concurrent use.
-func (ix *Index) QueryBackward(i, j int, end ...gom.Value) ([]gom.Value, error) {
-	return ix.queryBackward(context.Background(), i, j, 1, end)
-}
-
-// QueryBackwardParallel is QueryBackward with the per-value clustered
-// probes of each partition hop fanned across up to workers goroutines;
-// see QueryForwardParallel for the execution model.
-func (ix *Index) QueryBackwardParallel(i, j, workers int, end ...gom.Value) ([]gom.Value, error) {
-	return ix.queryBackward(context.Background(), i, j, workers, end)
-}
-
-// QueryBackwardCtx is QueryBackwardParallel honoring ctx; see
-// QueryForwardCtx.
-func (ix *Index) QueryBackwardCtx(ctx context.Context, i, j, workers int, end ...gom.Value) ([]gom.Value, error) {
-	return ix.queryBackward(ctx, i, j, workers, end)
-}
-
-func (ix *Index) queryBackward(ctx context.Context, i, j, workers int, end []gom.Value) ([]gom.Value, error) {
-	if !ix.Supports(i, j) {
-		return nil, ErrNotSupported
-	}
-	if ix.quarantined.Load() {
-		return nil, fmt.Errorf("asr: index on %s: %w", ix.path, ErrQuarantined)
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if len(ix.parts) == 0 {
-		return nil, fmt.Errorf("asr: index on %s: pages released", ix.path)
-	}
-	ix.nQueries.Add(1)
-	telIxQueries.Inc()
-	ci := ix.path.ObjectColumn(i)
-	cj := ix.path.ObjectColumn(j)
-	cur := newValueSet(end...)
-	col := cj
-	for col > ci {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+// scanInterior passes over the whole partition and collects column to
+// of every row whose column from is in the frontier.
+func (ix *Index) scanInterior(ctx context.Context, part *Partition, frontier *valueSet, from, to int) (*valueSet, error) {
+	next := newValueSet()
+	var scanned uint64
+	err := part.ScanAll(func(r relation.Tuple) bool {
+		scanned++
+		if scanned%scanCtxStride == 0 && ctx.Err() != nil {
+			return false
 		}
-		pp, err := ix.partitionAtFromRight(col)
-		if err != nil {
-			return nil, err
+		if frontier.contains(r[from]) {
+			next.add(r[to])
 		}
-		target := pp.Lo
-		if ci > pp.Lo {
-			target = ci
-		}
-		var next *valueSet
-		if col == pp.Hi {
-			next, err = ix.probeAll(ctx, cur.values(), workers, pp.Part.LookupBackwardBatch, target-pp.Lo)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			next = newValueSet()
-			var scanned uint64
-			err := pp.Part.ScanAll(func(r relation.Tuple) bool {
-				scanned++
-				if scanned%scanCtxStride == 0 && ctx.Err() != nil {
-					return false
-				}
-				if cur.contains(r[col-pp.Lo]) {
-					next.add(r[target-pp.Lo])
-				}
-				return true
-			})
-			ix.addRowsScanned(scanned)
-			if err == nil {
-				err = ctx.Err()
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		cur = next
-		col = target
+		return true
+	})
+	ix.addRowsScanned(scanned)
+	if err == nil {
+		err = ctx.Err()
 	}
-	return cur.values(), nil
+	return next, err
 }
 
 // probeBatchSize is how many frontier values each sorted batch probe
@@ -496,113 +427,40 @@ func (ix *Index) queryBackward(ctx context.Context, i, j, workers int, end []gom
 // is near-sequential (btree.ScanPrefixes).
 const probeBatchSize = 256
 
-// probeAll resolves the clustered probes for a whole frontier —
-// sequentially, or chunked across up to workers goroutines when the
-// frontier is wide enough to pay for the fan-out — and merges the
-// projected column off of every matching row into one deduplicated
+// probeAll resolves the clustered probes for a whole frontier — fanned
+// across up to workers goroutines when the frontier is wide enough —
+// and merges column off of every matching row into one deduplicated
 // set. Probes go to the partition in sorted sub-batches of
-// probeBatchSize (LookupForwardBatch/LookupBackwardBatch), which turns
-// random per-value descents into near-sequential leaf walks. The merge
-// is order-insensitive, so the parallel result equals the sequential
-// one. Cancellation of ctx stops every worker between sub-batches; a
-// panicking worker is recovered into an error instead of crashing the
-// process.
-func (ix *Index) probeAll(ctx context.Context, vals []gom.Value, workers int, lookup func([]gom.Value) ([][]relation.Tuple, error), off int) (*valueSet, error) {
-	next := newValueSet()
-	if workers > len(vals) {
-		workers = len(vals)
-	}
-	if workers <= 1 {
+// probeBatchSize (Partition.LookupBatch), which turns random per-value
+// descents into near-sequential leaf walks. The merge is order-
+// insensitive, so the result is the same for every worker count.
+// Cancellation of ctx stops every worker between sub-batches.
+func (ix *Index) probeAll(ctx context.Context, part *Partition, fwd bool, vals []gom.Value, workers, off int) (*valueSet, error) {
+	sets, err := FanOut("asr: probe", workers, vals, func(chunk []gom.Value) (*valueSet, error) {
+		found := newValueSet()
 		var scanned uint64
-		for lo := 0; lo < len(vals); lo += probeBatchSize {
+		defer func() { ix.addRowsScanned(scanned) }()
+		for lo := 0; lo < len(chunk); lo += probeBatchSize {
 			if err := ctx.Err(); err != nil {
-				ix.addRowsScanned(scanned)
 				return nil, err
 			}
-			rowsets, err := lookup(vals[lo:min(lo+probeBatchSize, len(vals))])
+			rowsets, err := part.LookupBatch(fwd, chunk[lo:min(lo+probeBatchSize, len(chunk))])
 			if err != nil {
-				ix.addRowsScanned(scanned)
 				return nil, err
 			}
 			for _, rows := range rowsets {
 				scanned += uint64(len(rows))
 				for _, r := range rows {
-					next.add(r[off])
+					found.add(r[off])
 				}
 			}
 		}
-		ix.addRowsScanned(scanned)
-		return next, nil
+		return found, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	var (
-		wg       sync.WaitGroup
-		mergeMu  sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mergeMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mergeMu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		lo, hi := chunkBounds(len(vals), workers, w)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(chunk []gom.Value) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					fail(fmt.Errorf("asr: probe worker panicked: %v", r))
-				}
-			}()
-			local := newValueSet()
-			var scanned uint64
-			for lo := 0; lo < len(chunk); lo += probeBatchSize {
-				if err := ctx.Err(); err != nil {
-					ix.addRowsScanned(scanned)
-					fail(err)
-					return
-				}
-				rowsets, err := lookup(chunk[lo:min(lo+probeBatchSize, len(chunk))])
-				if err != nil {
-					ix.addRowsScanned(scanned)
-					fail(err)
-					return
-				}
-				for _, rows := range rowsets {
-					scanned += uint64(len(rows))
-					for _, r := range rows {
-						local.add(r[off])
-					}
-				}
-			}
-			ix.addRowsScanned(scanned)
-			mergeMu.Lock()
-			next.merge(local)
-			mergeMu.Unlock()
-		}(vals[lo:hi])
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return next, nil
-}
-
-// chunkBounds splits n items into parts near-equal chunks and returns
-// the half-open bounds of chunk w.
-func chunkBounds(n, parts, w int) (int, int) {
-	base, rem := n/parts, n%parts
-	lo := w*base + min(w, rem)
-	hi := lo + base
-	if w < rem {
-		hi++
-	}
-	return lo, hi
+	return mergeSets(sets), nil
 }
 
 // OIDsOf filters reference values down to their OIDs, in sorted order —
@@ -696,11 +554,15 @@ func (s *valueSet) add(v gom.Value) {
 	s.byKey[gom.ValueString(v)] = v
 }
 
-// merge adds every value of other into s.
-func (s *valueSet) merge(other *valueSet) {
-	for k, v := range other.byKey {
-		s.byKey[k] = v
+// mergeSets folds the per-chunk sets of a FanOut (never empty) into the
+// first one.
+func mergeSets(sets []*valueSet) *valueSet {
+	for _, other := range sets[1:] {
+		for k, v := range other.byKey {
+			sets[0].byKey[k] = v
+		}
 	}
+	return sets[0]
 }
 
 func (s *valueSet) contains(v gom.Value) bool {

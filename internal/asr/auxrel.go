@@ -34,61 +34,30 @@ func BuildAuxiliaryRelations(ob *gom.ObjectBase, path *gom.PathExpression) ([]*r
 		} else {
 			rel = relation.New(name, "OID_"+step.Domain.Name(), colName(step.Range, step))
 		}
+		var targets []gom.Value
 		for _, id := range ob.Extent(step.Domain, true) {
 			o, ok := ob.Get(id)
 			if !ok {
 				continue
 			}
-			v, _ := o.Attr(step.Attr)
-			if v == nil {
-				continue
-			}
-			if step.IsSetOccurrence() {
-				ref, ok := v.(gom.Ref)
-				if !ok {
-					return nil, fmt.Errorf("asr: %s.%s: set-valued attribute holds %T", step.Domain.Name(), step.Attr, v)
+			var set gom.Value
+			set, targets = o.Follow(step, targets[:0])
+			switch {
+			case !step.IsSetOccurrence():
+				for _, v := range targets {
+					rel.MustInsert(relation.Tuple{gom.Ref(id), v})
 				}
-				setObj, ok := ob.Get(ref.OID())
-				if !ok {
-					continue // dangling set reference: no path information
+			case set != nil && len(targets) == 0:
+				rel.MustInsert(relation.Tuple{gom.Ref(id), set, nil})
+			default:
+				for _, e := range targets {
+					rel.MustInsert(relation.Tuple{gom.Ref(id), set, e})
 				}
-				elems := liveElements(ob, setObj)
-				if len(elems) == 0 {
-					rel.MustInsert(relation.Tuple{gom.Ref(id), v, nil})
-					continue
-				}
-				for _, e := range elems {
-					rel.MustInsert(relation.Tuple{gom.Ref(id), v, e})
-				}
-			} else {
-				if r, ok := v.(gom.Ref); ok {
-					if _, live := ob.Get(r.OID()); !live {
-						continue // dangling reference
-					}
-				}
-				rel.MustInsert(relation.Tuple{gom.Ref(id), v})
 			}
 		}
 		out = append(out, rel)
 	}
 	return out, nil
-}
-
-// liveElements returns a set object's elements with dangling references
-// filtered out: a deleted object contributes no path information even if
-// stale references to it remain (GOM references are uni-directional, so
-// the base cannot eagerly clear them).
-func liveElements(ob *gom.ObjectBase, setObj *gom.Object) []gom.Value {
-	var out []gom.Value
-	for _, e := range setObj.Elements() {
-		if r, ok := e.(gom.Ref); ok {
-			if _, live := ob.Get(r.OID()); !live {
-				continue
-			}
-		}
-		out = append(out, e)
-	}
-	return out
 }
 
 func colName(t *gom.Type, step gom.PathStep) string {
@@ -124,33 +93,21 @@ func newPathGraph(ob *gom.ObjectBase, path *gom.PathExpression) (*pathGraph, err
 	for j := 1; j <= path.Len(); j++ {
 		step := path.Step(j)
 		domCol := path.ObjectColumn(j - 1)
+		var targets []gom.Value
 		for _, id := range ob.Extent(step.Domain, true) {
 			o, ok := ob.Get(id)
 			if !ok {
 				continue
 			}
-			v, _ := o.Attr(step.Attr)
-			if v == nil {
-				continue
+			var set gom.Value
+			set, targets = o.Follow(step, targets[:0])
+			col, from := domCol, gom.Value(gom.Ref(id))
+			if set != nil {
+				g.addEdge(col, from, set)
+				col, from = col+1, set
 			}
-			from := gom.Value(gom.Ref(id))
-			if step.IsSetOccurrence() {
-				ref := v.(gom.Ref)
-				setObj, ok := ob.Get(ref.OID())
-				if !ok {
-					continue // dangling set reference
-				}
-				g.addEdge(domCol, from, v)
-				for _, e := range liveElements(ob, setObj) {
-					g.addEdge(domCol+1, v, e)
-				}
-			} else {
-				if r, ok := v.(gom.Ref); ok {
-					if _, live := ob.Get(r.OID()); !live {
-						continue
-					}
-				}
-				g.addEdge(domCol, from, v)
+			for _, v := range targets {
+				g.addEdge(col, from, v)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package asr
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"asr/internal/btree"
@@ -95,7 +96,7 @@ func assertSameQueryResults(t *testing.T, label string, a, b *Index) {
 				if !sameValueSet(fa, fb) {
 					t.Fatalf("%s: fwd %d→%d from %v: %v vs %v", label, i, j, v, fa, fb)
 				}
-				fp, err := a.QueryForwardParallel(i, j, 4, v)
+				fp, err := a.QueryForwardCtx(context.Background(), i, j, 4, v)
 				if err != nil || !sameValueSet(fa, fp) {
 					t.Fatalf("%s: fwd parallel %d→%d from %v: %v (%v)", label, i, j, v, fp, err)
 				}
@@ -109,7 +110,7 @@ func assertSameQueryResults(t *testing.T, label string, a, b *Index) {
 				if !sameValueSet(ba, bb) {
 					t.Fatalf("%s: bwd %d→%d from %v: %v vs %v", label, i, j, v, ba, bb)
 				}
-				bp, err := a.QueryBackwardParallel(i, j, 4, v)
+				bp, err := a.QueryBackwardCtx(context.Background(), i, j, 4, v)
 				if err != nil || !sameValueSet(ba, bp) {
 					t.Fatalf("%s: bwd parallel %d→%d from %v: %v (%v)", label, i, j, v, bp, err)
 				}

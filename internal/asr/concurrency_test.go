@@ -1,6 +1,7 @@
 package asr
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -67,11 +68,11 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 				case 0:
 					_, err = mgr.QueryForward(db.Path, 0, db.Path.Len(), start)
 				case 1:
-					_, err = mgr.QueryForwardParallel(db.Path, 0, db.Path.Len(), 4, start)
+					_, err = mgr.QueryForwardCtx(context.Background(), db.Path, 0, db.Path.Len(), 4, start)
 				case 2:
 					_, err = mgr.QueryBackward(db.Path, 0, db.Path.Len(), end)
 				default:
-					_, err = mgr.QueryBackwardParallel(db.Path, 0, db.Path.Len(), 4, end)
+					_, err = mgr.QueryBackwardCtx(context.Background(), db.Path, 0, db.Path.Len(), 4, end)
 				}
 				if err != nil {
 					select {
@@ -206,12 +207,12 @@ func TestParallelQueryMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range []int{1, 2, 3, 8, 64} {
-			parF, err := mgr.QueryForwardParallel(db.Path, 0, span, w, starts...)
+			parF, err := mgr.QueryForwardCtx(context.Background(), db.Path, 0, span, w, starts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertSameValues(t, label, "forward", w, seqF, parF)
-			parB, err := mgr.QueryBackwardParallel(db.Path, 0, span, w, targets[0])
+			parB, err := mgr.QueryBackwardCtx(context.Background(), db.Path, 0, span, w, targets[0])
 			if err != nil {
 				t.Fatal(err)
 			}

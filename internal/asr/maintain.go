@@ -184,7 +184,7 @@ func (m *Maintainer) setAttrChanges(domCol int, u, old, new gom.Value) []edgeCha
 		if !g.referenced(domCol+1, new) {
 			if ref, ok := new.(gom.Ref); ok {
 				if setObj, ok := m.ix.ob.Get(ref.OID()); ok {
-					for _, e := range liveElements(m.ix.ob, setObj) {
+					for _, e := range setObj.LiveElements() {
 						changes = append(changes, edgeChange{domCol + 1, new, e, true})
 					}
 				}

@@ -27,11 +27,11 @@ type QueryEvent struct {
 // applies — the execution strategies of §5.6.
 //
 // A Manager is safe for concurrent use: QueryForward, QueryBackward,
-// their parallel variants, FindIndex, Indexes, Healthy and Stats may be
-// called from any number of goroutines, concurrently with at most one
-// goroutine mutating the underlying object base (whose updates drive
-// the registered Maintainers) and with CreateIndex/DropIndex, which take
-// the registry's write lock. The query-event hook may be invoked
+// their Ctx forms, FindIndex, Indexes, Healthy and Stats may be called
+// from any number of goroutines, concurrently with at most one goroutine
+// mutating the underlying object base (whose updates drive the
+// registered Maintainers) and with CreateIndex/DropIndex, which take the
+// registry's write lock. The query-event hook may be invoked
 // concurrently and must be safe for that.
 type Manager struct {
 	mu      sync.RWMutex
@@ -216,94 +216,17 @@ func (m *Manager) fireHook(ev QueryEvent) {
 // object traversal when none applies (or the matching indexes are all
 // quarantined). Safe for concurrent use.
 func (m *Manager) QueryForward(path *gom.PathExpression, i, j int, start ...gom.Value) ([]gom.Value, error) {
-	return m.queryForward(context.Background(), path, i, j, 1, start)
+	return m.query(context.Background(), true, path, i, j, 1, start)
 }
 
-// QueryForwardParallel is QueryForward with the work fanned across up
-// to workers goroutines: index probes are parallelized per frontier
-// value, and the no-index traversal fallback splits the start values
-// across workers. Results are identical to QueryForward.
-func (m *Manager) QueryForwardParallel(path *gom.PathExpression, i, j, workers int, start ...gom.Value) ([]gom.Value, error) {
-	return m.queryForward(context.Background(), path, i, j, workers, start)
-}
-
-// QueryForwardCtx is QueryForwardParallel honoring ctx: cancellation or
-// deadline expiry aborts the index probes or the traversal fallback and
-// returns ctx's error.
+// QueryForwardCtx is QueryForward honoring ctx, with the work fanned
+// across up to workers goroutines (FanOut): index probes are split per
+// frontier value, the no-index traversal fallback splits the start
+// values. Results are identical for every worker count. Cancellation or
+// deadline expiry aborts the probes or the fallback and returns ctx's
+// error.
 func (m *Manager) QueryForwardCtx(ctx context.Context, path *gom.PathExpression, i, j, workers int, start ...gom.Value) ([]gom.Value, error) {
-	return m.queryForward(ctx, path, i, j, workers, start)
-}
-
-func (m *Manager) queryForward(ctx context.Context, path *gom.PathExpression, i, j, workers int, start []gom.Value) ([]gom.Value, error) {
-	m.fireHook(QueryEvent{Path: path.String(), Forward: true, I: i, J: j})
-	m.nQueries.Add(1)
-	telQueries.Inc()
-	e, degraded := m.findEntry(path, i, j)
-	if e != nil {
-		m.nIndexHits.Add(1)
-		telIndexHits.Inc()
-		e.hits.Add(1)
-		return e.ix.QueryForwardCtx(ctx, i, j, workers, start...)
-	}
-	// Increment order matters for torn-free Stats snapshots: the
-	// category counter is bumped before the degraded counter, and Stats
-	// loads them in the opposite order, so every snapshot satisfies
-	// Degraded ≤ Traversals + ExhaustiveSearches.
-	m.nTraversals.Add(1)
-	telTraversals.Inc()
-	if degraded {
-		m.nDegraded.Add(1)
-		telDegraded.Inc()
-	}
-	if workers <= 1 || len(start) < 2 {
-		return m.traverseForward(ctx, path, i, j, start)
-	}
-	if workers > len(start) {
-		workers = len(start)
-	}
-	result := newValueSet()
-	var (
-		wg       sync.WaitGroup
-		mergeMu  sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for w := 0; w < workers; w++ {
-		lo, hi := chunkBounds(len(start), workers, w)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(chunk []gom.Value) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mergeMu.Lock()
-					fail(fmt.Errorf("asr: traversal worker panicked: %v", r))
-					mergeMu.Unlock()
-				}
-			}()
-			vals, err := m.traverseForward(ctx, path, i, j, chunk)
-			mergeMu.Lock()
-			defer mergeMu.Unlock()
-			if err != nil {
-				fail(err)
-				return
-			}
-			for _, v := range vals {
-				result.add(v)
-			}
-		}(start[lo:hi])
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return result.values(), nil
+	return m.query(ctx, true, path, i, j, workers, start)
 }
 
 // QueryBackward evaluates Q_{i,j}(bw) through the best index, or by
@@ -311,27 +234,23 @@ func (m *Manager) queryForward(ctx context.Context, path *gom.PathExpression, i,
 // applies (§5.6.2) or the matching indexes are all quarantined. Safe
 // for concurrent use.
 func (m *Manager) QueryBackward(path *gom.PathExpression, i, j int, end ...gom.Value) ([]gom.Value, error) {
-	return m.queryBackward(context.Background(), path, i, j, 1, end)
+	return m.query(context.Background(), false, path, i, j, 1, end)
 }
 
-// QueryBackwardParallel is QueryBackward with the work fanned across up
-// to workers goroutines: index probes are parallelized per frontier
-// value, and the exhaustive-search fallback — the expensive case, since
-// uni-directional references force a scan of the whole t_i extent —
-// splits the candidate anchors across workers. Results are identical to
-// QueryBackward.
-func (m *Manager) QueryBackwardParallel(path *gom.PathExpression, i, j, workers int, end ...gom.Value) ([]gom.Value, error) {
-	return m.queryBackward(context.Background(), path, i, j, workers, end)
-}
-
-// QueryBackwardCtx is QueryBackwardParallel honoring ctx; see
-// QueryForwardCtx.
+// QueryBackwardCtx is QueryBackward honoring ctx and fanning the work
+// across up to workers goroutines; see QueryForwardCtx. The exhaustive-
+// search fallback — the expensive case, since uni-directional
+// references force a scan of the whole t_i extent — splits the
+// candidate anchors across the workers.
 func (m *Manager) QueryBackwardCtx(ctx context.Context, path *gom.PathExpression, i, j, workers int, end ...gom.Value) ([]gom.Value, error) {
-	return m.queryBackward(ctx, path, i, j, workers, end)
+	return m.query(ctx, false, path, i, j, workers, end)
 }
 
-func (m *Manager) queryBackward(ctx context.Context, path *gom.PathExpression, i, j, workers int, end []gom.Value) ([]gom.Value, error) {
-	m.fireHook(QueryEvent{Path: path.String(), Forward: false, I: i, J: j})
+// query is the one routing body: report the event, pick the cheapest
+// healthy index, and answer through it or through the direction's
+// fallback strategy (§5.6).
+func (m *Manager) query(ctx context.Context, fwd bool, path *gom.PathExpression, i, j, workers int, vals []gom.Value) ([]gom.Value, error) {
+	m.fireHook(QueryEvent{Path: path.String(), Forward: fwd, I: i, J: j})
 	m.nQueries.Add(1)
 	telQueries.Inc()
 	e, degraded := m.findEntry(path, i, j)
@@ -339,105 +258,76 @@ func (m *Manager) queryBackward(ctx context.Context, path *gom.PathExpression, i
 		m.nIndexHits.Add(1)
 		telIndexHits.Inc()
 		e.hits.Add(1)
-		return e.ix.QueryBackwardCtx(ctx, i, j, workers, end...)
+		return e.ix.query(ctx, fwd, i, j, workers, vals)
 	}
-	// Exhaustive search: traverse forward from every t_i instance and
-	// keep the anchors whose closure hits an end value. The category
-	// counter precedes the degraded counter (see queryForward).
-	m.nExhaustive.Add(1)
-	telExhaustive.Inc()
+	// Increment order matters for torn-free Stats snapshots: the
+	// category counter is bumped before the degraded counter, and Stats
+	// loads them in the opposite order, so every snapshot satisfies
+	// Degraded ≤ Traversals + ExhaustiveSearches.
+	if fwd {
+		m.nTraversals.Add(1)
+		telTraversals.Inc()
+	} else {
+		m.nExhaustive.Add(1)
+		telExhaustive.Inc()
+	}
 	if degraded {
 		m.nDegraded.Add(1)
 		telDegraded.Inc()
 	}
-	targets := newValueSet(end...)
-	anchors := m.ob.Extent(path.Step(i+1).Domain, true)
-	result := newValueSet()
-	scan := func(ids []gom.OID, sink *valueSet) error {
-		for _, id := range ids {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			vals, err := m.traverseForward(ctx, path, i, j, []gom.Value{gom.Ref(id)})
-			if err != nil {
-				return err
-			}
-			for _, v := range vals {
-				if targets.contains(v) {
-					sink.add(gom.Ref(id))
-					break
-				}
-			}
-		}
-		return nil
-	}
-	if workers <= 1 || len(anchors) < 2 {
-		if err := scan(anchors, result); err != nil {
-			return nil, err
-		}
-		return result.values(), nil
-	}
-	if workers > len(anchors) {
-		workers = len(anchors)
-	}
 	var (
-		wg       sync.WaitGroup
-		mergeMu  sync.Mutex
-		firstErr error
+		sets []*valueSet
+		err  error
 	)
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for w := 0; w < workers; w++ {
-		lo, hi := chunkBounds(len(anchors), workers, w)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(ids []gom.OID) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mergeMu.Lock()
-					fail(fmt.Errorf("asr: search worker panicked: %v", r))
-					mergeMu.Unlock()
+	if fwd {
+		sets, err = FanOut("asr: traversal", workers, vals, func(chunk []gom.Value) (*valueSet, error) {
+			return m.traverseForward(ctx, path, i, j, chunk)
+		})
+	} else {
+		// Exhaustive search: traverse forward from every t_i instance and
+		// keep the anchors whose closure hits an end value.
+		anchors := m.ob.Extent(path.Step(i+1).Domain, true)
+		sets, err = FanOut("asr: search", workers, anchors, func(ids []gom.OID) (*valueSet, error) {
+			hits := newValueSet()
+			for _, id := range ids {
+				if err := ctx.Err(); err != nil {
+					return nil, err
 				}
-			}()
-			local := newValueSet()
-			err := scan(ids, local)
-			mergeMu.Lock()
-			defer mergeMu.Unlock()
-			if err != nil {
-				fail(err)
-				return
+				reached, err := m.traverseForward(ctx, path, i, j, []gom.Value{gom.Ref(id)})
+				if err != nil {
+					return nil, err
+				}
+				for _, end := range vals {
+					if reached.contains(end) {
+						hits.add(gom.Ref(id))
+						break
+					}
+				}
 			}
-			result.merge(local)
-		}(anchors[lo:hi])
+			return hits, nil
+		})
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
-	return result.values(), nil
+	return mergeSets(sets).values(), nil
 }
 
 // traverseForward walks the object graph (no index) from the start
 // values at object step i to step j. Read-only on the object base, so
 // safe to call from multiple goroutines; checks ctx between steps.
-func (m *Manager) traverseForward(ctx context.Context, path *gom.PathExpression, i, j int, start []gom.Value) ([]gom.Value, error) {
+func (m *Manager) traverseForward(ctx context.Context, path *gom.PathExpression, i, j int, start []gom.Value) (*valueSet, error) {
 	if i < 0 || j > path.Len() || i >= j {
 		return nil, fmt.Errorf("asr: bad query span (%d,%d) for path of length %d", i, j, path.Len())
 	}
 	cur := newValueSet(start...)
+	var targets []gom.Value
 	for s := i + 1; s <= j; s++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		step := path.Step(s)
 		next := newValueSet()
-		for _, v := range cur.values() {
+		for _, v := range cur.byKey {
 			ref, ok := v.(gom.Ref)
 			if !ok {
 				continue
@@ -446,34 +336,14 @@ func (m *Manager) traverseForward(ctx context.Context, path *gom.PathExpression,
 			if !ok {
 				continue
 			}
-			av, _ := o.Attr(step.Attr)
-			if av == nil {
-				continue
-			}
-			if step.IsSetOccurrence() {
-				setRef, ok := av.(gom.Ref)
-				if !ok {
-					continue
-				}
-				setObj, ok := m.ob.Get(setRef.OID())
-				if !ok {
-					continue
-				}
-				for _, e := range liveElements(m.ob, setObj) {
-					next.add(e)
-				}
-			} else {
-				if r, ok := av.(gom.Ref); ok {
-					if _, live := m.ob.Get(r.OID()); !live {
-						continue
-					}
-				}
-				next.add(av)
+			_, targets = o.Follow(path.Step(s), targets[:0])
+			for _, t := range targets {
+				next.add(t)
 			}
 		}
 		cur = next
 	}
-	return cur.values(), nil
+	return cur, nil
 }
 
 // ManagedIndexStats describes one managed index's activity inside a

@@ -544,77 +544,37 @@ func dropTolerant(t *btree.Tree) error {
 // LookupForward returns all stored rows whose first column equals v — a
 // clustered prefix scan on the forward tree.
 func (p *Partition) LookupForward(v gom.Value) ([]relation.Tuple, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	prefix, err := encodePrefix(v)
-	if err != nil {
-		return nil, err
-	}
-	var out []relation.Tuple
-	var derr error
-	err = p.fwd.ScanPrefix(prefix, func(k, _ []byte) bool {
-		t, err := decodeTuple(k, p.arity, 0)
-		if err != nil {
-			derr = err
-			return false
-		}
-		out = append(out, t)
-		return true
-	})
-	if err == nil {
-		err = derr
-	}
-	return out, err
+	return p.lookupOne(true, v)
 }
 
 // LookupBackward returns all stored rows whose last column equals v — a
 // clustered prefix scan on the backward tree.
 func (p *Partition) LookupBackward(v gom.Value) ([]relation.Tuple, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	prefix, err := encodePrefix(v)
+	return p.lookupOne(false, v)
+}
+
+func (p *Partition) lookupOne(fwd bool, v gom.Value) ([]relation.Tuple, error) {
+	rowsets, err := p.LookupBatch(fwd, []gom.Value{v})
 	if err != nil {
 		return nil, err
 	}
-	var out []relation.Tuple
-	var derr error
-	err = p.bwd.ScanPrefix(prefix, func(k, _ []byte) bool {
-		t, err := decodeTuple(k, p.arity, p.arity-1)
-		if err != nil {
-			derr = err
-			return false
-		}
-		out = append(out, t)
-		return true
-	})
-	if err == nil {
-		err = derr
+	return rowsets[0], nil
+}
+
+// LookupBatch resolves many probes in one pass over the tree clustered
+// on the first column (fwd) or on the last (!fwd). The probes are
+// sorted by encoded key inside btree.ScanPrefixes, so adjacent probes
+// reuse the current leaf instead of each descending from the root — the
+// sorted-batch fast path for wide query frontiers. Results align with
+// vals; a value with no stored rows yields a nil slice, and the rows of
+// each slice come in the tree's key order.
+func (p *Partition) LookupBatch(fwd bool, vals []gom.Value) ([][]relation.Tuple, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	tr, rot := p.fwd, 0
+	if !fwd {
+		tr, rot = p.bwd, p.arity-1
 	}
-	return out, err
-}
-
-// LookupForwardBatch resolves many first-column probes in one pass
-// over the forward tree. The probes are sorted by encoded key inside
-// btree.ScanPrefixes, so adjacent probes reuse the current leaf instead
-// of each descending from the root — the sorted-batch fast path for
-// wide query frontiers. Results align with vals; a value with no
-// stored rows yields a nil slice. Row order within each slice matches
-// LookupForward exactly.
-func (p *Partition) LookupForwardBatch(vals []gom.Value) ([][]relation.Tuple, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return lookupBatch(p.fwd, vals, p.arity, 0)
-}
-
-// LookupBackwardBatch is LookupForwardBatch over the backward tree,
-// probing last-column values; see LookupBackward.
-func (p *Partition) LookupBackwardBatch(vals []gom.Value) ([][]relation.Tuple, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return lookupBatch(p.bwd, vals, p.arity, p.arity-1)
-}
-
-func lookupBatch(tr *btree.Tree, vals []gom.Value, arity, rot int) ([][]relation.Tuple, error) {
 	prefixes := make([][]byte, len(vals))
 	for i, v := range vals {
 		pf, err := encodePrefix(v)
@@ -626,7 +586,7 @@ func lookupBatch(tr *btree.Tree, vals []gom.Value, arity, rot int) ([][]relation
 	out := make([][]relation.Tuple, len(vals))
 	var derr error
 	err := tr.ScanPrefixes(prefixes, func(i int, k, _ []byte) bool {
-		t, err := decodeTuple(k, arity, rot)
+		t, err := decodeTuple(k, p.arity, rot)
 		if err != nil {
 			derr = err
 			return false

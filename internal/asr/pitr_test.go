@@ -190,7 +190,7 @@ func TestPITREndToEnd(t *testing.T) {
 	fd.SetCrashpoint(cp)
 	w.SetCrashpoint(cp)
 	db.Base.MustSetAttr(pairs[0][0], "Next", gom.Ref(pairs[0][1])) // dies mid-maintenance
-	_ = mgr.Healthy()                                             // expected to fail; the files are frozen
+	_ = mgr.Healthy()                                              // expected to fail; the files are frozen
 	fd.Close()
 	w.Close()
 

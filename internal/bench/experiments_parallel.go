@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -61,13 +62,7 @@ func runParallel() (*Table, error) {
 
 	query := func(workers int) (int, time.Duration, error) {
 		startT := time.Now()
-		var vals []gom.Value
-		var err error
-		if workers <= 1 {
-			vals, err = mgr.QueryBackward(db.Path, 0, span, target)
-		} else {
-			vals, err = mgr.QueryBackwardParallel(db.Path, 0, span, workers, target)
-		}
+		vals, err := mgr.QueryBackwardCtx(context.Background(), db.Path, 0, span, workers, target)
 		return len(vals), time.Since(startT), err
 	}
 

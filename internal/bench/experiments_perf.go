@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -101,7 +102,7 @@ func runPerf() (*Table, error) {
 		}
 		start := time.Now()
 		for r := 0; r < queryReps; r++ {
-			if _, err := mgr.QueryBackwardParallel(db.Path, 0, span, 8, target); err != nil {
+			if _, err := mgr.QueryBackwardCtx(context.Background(), db.Path, 0, span, 8, target); err != nil {
 				return nil, err
 			}
 		}
@@ -133,7 +134,7 @@ func runPerf() (*Table, error) {
 	singleDur := time.Since(singleStart)
 	batchStart := time.Now()
 	for r := 0; r < probeReps; r++ {
-		if _, err := part.LookupForwardBatch(frontier); err != nil {
+		if _, err := part.LookupBatch(true, frontier); err != nil {
 			return nil, err
 		}
 	}

@@ -162,12 +162,12 @@ func TestMaxKeyBoundary(t *testing.T) {
 // must satisfy last < sep ≤ first and be minimal in length.
 func TestShortestSeparator(t *testing.T) {
 	cases := []struct{ last, first, want string }{
-		{"", "foo", "foo"},              // no left bound
-		{"abc", "abd", "abd"},           // differ at final byte
-		{"abc", "abde", "abd"},          // truncate after first divergence
-		{"abc", "abcd", "abcd"},         // last is a proper prefix of first
-		{"alpha", "omega", "o"},         // no shared prefix
-		{"aaaa", "ab", "ab"},            // divergence at byte 1
+		{"", "foo", "foo"},      // no left bound
+		{"abc", "abd", "abd"},   // differ at final byte
+		{"abc", "abde", "abd"},  // truncate after first divergence
+		{"abc", "abcd", "abcd"}, // last is a proper prefix of first
+		{"alpha", "omega", "o"}, // no shared prefix
+		{"aaaa", "ab", "ab"},    // divergence at byte 1
 		{"prefix/001", "prefix/900", "prefix/9"},
 	}
 	for _, c := range cases {

@@ -229,6 +229,16 @@ func (ob *ObjectBase) checkAssignable(want *Type, v Value) error {
 	return nil
 }
 
+// liveLocked reports whether v leads somewhere: it is not NULL and not a
+// reference to a deleted object. Must be called with ob.mu held.
+func (ob *ObjectBase) liveLocked(v Value) bool {
+	if r, ok := v.(Ref); ok {
+		_, live := ob.objects[r.OID()]
+		return live
+	}
+	return v != nil
+}
+
 // SetAttr assigns attribute attr of tuple object id to v (NULL when v is
 // nil) and notifies observers.
 func (ob *ObjectBase) SetAttr(id OID, attr string, v Value) error {

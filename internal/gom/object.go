@@ -106,6 +106,54 @@ func (o *Object) elementsLocked() []Value {
 	}
 }
 
+// LiveElements is Elements with references to deleted objects left out:
+// a deleted object contributes no path information even while stale
+// references to it remain (GOM references are uni-directional, so the
+// base cannot clear them eagerly).
+func (o *Object) LiveElements() []Value {
+	o.base.mu.RLock()
+	defer o.base.mu.RUnlock()
+	return o.appendLiveLocked(nil)
+}
+
+// appendLiveLocked appends the live elements to dst; o.base.mu must be
+// held.
+func (o *Object) appendLiveLocked(dst []Value) []Value {
+	for _, e := range o.elementsLocked() {
+		if o.base.liveLocked(e) {
+			dst = append(dst, e)
+		}
+	}
+	return dst
+}
+
+// Follow reads o.A_j for one path step the way Definition 3.3 does and
+// appends what the step leads to onto dst: the attribute's value for a
+// single-valued step, every live element of the referenced set object
+// for a set occurrence. A NULL attribute, a reference to a deleted
+// object and a set attribute holding anything but a reference (which
+// strong typing rules out) lead nowhere. For a set occurrence, set is
+// the reference to the live set object — reported even when nothing is
+// appended, because Definition 3.3 gives an empty set the row
+// (o, set, NULL) — and nil otherwise.
+func (o *Object) Follow(step PathStep, dst []Value) (set Value, _ []Value) {
+	ob := o.base
+	ob.mu.RLock()
+	defer ob.mu.RUnlock()
+	v, _ := o.attrLocked(step.Attr)
+	if !ob.liveLocked(v) {
+		return nil, dst
+	}
+	if !step.IsSetOccurrence() {
+		return nil, append(dst, v)
+	}
+	ref, ok := v.(Ref)
+	if !ok {
+		return nil, dst
+	}
+	return v, ob.objects[ref.OID()].appendLiveLocked(dst)
+}
+
 // ElementOIDs returns the OIDs of all reference elements of a set or
 // list object, in deterministic order.
 func (o *Object) ElementOIDs() []OID {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -21,7 +20,7 @@ import (
 // use of ASRs in query evaluation (§5).
 //
 // An Engine is stateless between calls and safe for concurrent use: any
-// number of goroutines may call Run and RunParallel simultaneously,
+// number of goroutines may call Run and RunCtx simultaneously,
 // concurrently with at most one writer mutating the object base (the
 // readers/writer discipline of gom.ObjectBase and asr.Manager).
 type Engine struct {
@@ -174,19 +173,14 @@ type runStats struct {
 // Run evaluates the query.
 func (e *Engine) Run(q *Query) (*Result, error) { return e.run(context.Background(), q, 1, nil) }
 
-// RunParallel evaluates the query with the outer collection's surviving
-// anchors fanned across up to workers goroutines. The resolution step,
-// the ASR pre-filter and the plan are computed once, exactly as in Run;
-// each worker then evaluates the nested-loop over its anchor chunk into
-// a private result set, and the sets are merged and emitted in the same
-// deterministic sorted order Run uses — so RunParallel(q, w) returns
-// the same Values as Run(q) for every query and worker count (the Plan
-// additionally records the fan-out). workers ≤ 1 degenerates to Run.
-func (e *Engine) RunParallel(q *Query, workers int) (*Result, error) {
-	return e.run(context.Background(), q, workers, nil)
-}
-
-// RunCtx is RunParallel honoring ctx: cancellation or deadline expiry
+// RunCtx is Run honoring ctx, with the outer collection's surviving
+// anchors fanned across up to workers goroutines (asr.FanOut). The
+// resolution step, the ASR pre-filter and the plan are computed once,
+// exactly as in Run; each worker then evaluates the nested loop over
+// its anchor chunk into a private result set, and the sets are merged
+// and emitted in the same deterministic sorted order Run uses — so the
+// Values are the same for every query and worker count (the Plan
+// additionally records the fan-out). Cancellation or deadline expiry
 // aborts the index pre-filter, every evaluation worker, and the index-
 // backed projection probes, returning ctx's error.
 func (e *Engine) RunCtx(ctx context.Context, q *Query, workers int) (*Result, error) {
@@ -381,57 +375,17 @@ func (e *Engine) run(ctx context.Context, q *Query, workers int, st *runStats) (
 	xsp.SetAttr("anchors", len(anchors))
 	xsp.SetAttr("workers", workers)
 	defer xsp.End()
-	var out map[string]gom.Value
-	if workers <= 1 || len(anchors) < 2 {
-		out, err = evalAnchors(anchors)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if workers > len(anchors) {
-			workers = len(anchors)
-		}
-		planNotes = append(planNotes, fmt.Sprintf("parallel over %d workers", workers))
-		out = map[string]gom.Value{}
-		var (
-			wg       sync.WaitGroup
-			mergeMu  sync.Mutex
-			firstErr error
-		)
-		for w := 0; w < workers; w++ {
-			lo, hi := chunkBounds(len(anchors), workers, w)
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(chunk []gom.OID) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						mergeMu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("query: evaluation worker panicked: %v", r)
-						}
-						mergeMu.Unlock()
-					}
-				}()
-				local, err := evalAnchors(chunk)
-				mergeMu.Lock()
-				defer mergeMu.Unlock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				for k, v := range local {
-					out[k] = v
-				}
-			}(anchors[lo:hi])
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
+	parts, err := asr.FanOut("query: evaluation", workers, anchors, evalAnchors)
+	if err != nil {
+		return nil, err
+	}
+	if len(parts) > 1 {
+		planNotes = append(planNotes, fmt.Sprintf("parallel over %d workers", len(parts)))
+	}
+	out := parts[0]
+	for _, part := range parts[1:] {
+		for k, v := range part {
+			out[k] = v
 		}
 	}
 
@@ -460,19 +414,6 @@ func (e *Engine) run(ctx context.Context, q *Query, workers int, st *runStats) (
 	return res, nil
 }
 
-// chunkBounds returns the half-open range [lo, hi) of items assigned to
-// worker w when n items are split near-evenly across parts workers.
-func chunkBounds(n, parts, w int) (int, int) {
-	size := n / parts
-	rem := n % parts
-	lo := w*size + min(w, rem)
-	hi := lo + size
-	if w < rem {
-		hi++
-	}
-	return lo, hi
-}
-
 // evalPath traverses a resolved path from one object, returning all
 // reachable final values (objects or atomic values). Each frontier
 // object fetched from the object base counts one read into reads — the
@@ -480,17 +421,11 @@ func chunkBounds(n, parts, w int) (int, int) {
 // goroutine-local; callers flush it into runStats when their chunk ends.
 func (e *Engine) evalPath(reads *uint64, start gom.OID, path *gom.PathExpression) []gom.Value {
 	cur := []gom.Value{gom.Ref(start)}
+	var targets []gom.Value
 	for s := 1; s <= path.Len(); s++ {
 		step := path.Step(s)
 		var next []gom.Value
 		seen := map[string]bool{}
-		add := func(v gom.Value) {
-			k := gom.ValueString(v)
-			if !seen[k] {
-				seen[k] = true
-				next = append(next, v)
-			}
-		}
 		for _, v := range cur {
 			ref, ok := v.(gom.Ref)
 			if !ok {
@@ -501,34 +436,12 @@ func (e *Engine) evalPath(reads *uint64, start gom.OID, path *gom.PathExpression
 				continue
 			}
 			*reads++
-			av, _ := o.Attr(step.Attr)
-			if av == nil {
-				continue
-			}
-			if step.IsSetOccurrence() {
-				sref, ok := av.(gom.Ref)
-				if !ok {
-					continue
+			_, targets = o.Follow(step, targets[:0])
+			for _, t := range targets {
+				if k := gom.ValueString(t); !seen[k] {
+					seen[k] = true
+					next = append(next, t)
 				}
-				so, ok := e.ob.Get(sref.OID())
-				if !ok {
-					continue
-				}
-				for _, elem := range so.Elements() {
-					if er, ok := elem.(gom.Ref); ok {
-						if _, live := e.ob.Get(er.OID()); !live {
-							continue
-						}
-					}
-					add(elem)
-				}
-			} else {
-				if ar, ok := av.(gom.Ref); ok {
-					if _, live := e.ob.Get(ar.OID()); !live {
-						continue
-					}
-				}
-				add(av)
 			}
 		}
 		cur = next

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +11,7 @@ import (
 	"asr/internal/paperdb"
 )
 
-// RunParallel's contract: identical Values to Run for every query and
+// RunCtx's contract: identical Values to Run for every query and
 // worker count, with or without ASR assistance, and safe to invoke from
 // many goroutines at once (run with -race).
 
@@ -56,7 +57,7 @@ func TestRunParallelMatchesRun(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			for _, w := range []int{0, 1, 2, 3, 8, 64} {
-				par, err := eng.e.RunParallel(q, w)
+				par, err := eng.e.RunCtx(context.Background(), q, w)
 				if err != nil {
 					t.Fatalf("%s w=%d: %v", name, w, err)
 				}
@@ -94,7 +95,7 @@ func TestRunParallelConcurrentCallers(t *testing.T) {
 		go func(workers int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				res, err := e.RunParallel(q, workers)
+				res, err := e.RunCtx(context.Background(), q, workers)
 				if err != nil {
 					errc <- err
 					return

@@ -311,13 +311,15 @@ func queryErrorCode(qctx context.Context, err error) string {
 }
 
 // isStorageFault recognizes failures originating below the engine — a
-// faulted device read, a checksum mismatch, a simulated crash — all
-// transient or operational conditions a client should see as INTERNAL
-// (report / retry policy), not as a defect in its query.
+// faulted device read, a checksum mismatch, a simulated crash, a buffer
+// pool shard with every frame pinned — all transient or operational
+// conditions a client should see as INTERNAL (report / retry policy),
+// not as a defect in its query.
 func isStorageFault(err error) bool {
 	return errors.Is(err, storage.ErrInjectedFault) ||
 		errors.Is(err, storage.ErrCorruptPage) ||
-		errors.Is(err, storage.ErrCrashed)
+		errors.Is(err, storage.ErrCrashed) ||
+		errors.Is(err, storage.ErrPoolExhausted)
 }
 
 func admissionMessage(code string, maxInflight int) string {

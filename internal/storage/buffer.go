@@ -11,6 +11,12 @@ import (
 	"time"
 )
 
+// ErrPoolExhausted is wrapped by the error a Get or GetNew returns when
+// its shard has no evictable frame: every one is pinned by a concurrent
+// reader or held dirty by the active undo transaction. It is a
+// transient condition of load, not a defect in the caller's request.
+var ErrPoolExhausted = errors.New("buffer pool shard exhausted")
+
 // ReplacementPolicy selects the buffer pool's victim strategy.
 type ReplacementPolicy int
 
@@ -510,7 +516,7 @@ func (s *shard) pickVictim() (*frame, error) {
 			return f, nil
 		}
 	}
-	return nil, fmt.Errorf("storage: buffer pool shard exhausted: all %d frames pinned or transaction-held", len(s.frames))
+	return nil, fmt.Errorf("storage: %w: all %d frames pinned or transaction-held", ErrPoolExhausted, len(s.frames))
 }
 
 // dropFrame must be called with s.mu held.

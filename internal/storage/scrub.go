@@ -48,8 +48,8 @@ type ScrubResult struct {
 
 // Scrubber periodically verifies every stored page of a FileDisk.
 type Scrubber struct {
-	fd *FileDisk
-	w  *WAL // heal source (live log + attached archive); may be nil
+	fd  *FileDisk
+	w   *WAL // heal source (live log + attached archive); may be nil
 	cfg ScrubConfig
 
 	mu       sync.Mutex

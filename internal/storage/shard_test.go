@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"sync"
 	"testing"
 )
@@ -117,10 +118,14 @@ func TestShardedEvictionStaysWithinCapacity(t *testing.T) {
 // fresh allocations, discards of retired pages, flushes and stats
 // snapshots. The assertions are structural (no errors besides legal
 // pinned-discard conflicts, all data readable afterwards); the real
-// check is the race detector.
+// check is the race detector. The pool latches its own state, never a
+// page's contents — in production Partition.mu/Index.mu do that — so
+// the test brings that latch itself: content writers and FlushAll
+// (which copies frame bytes) exclusive, content readers shared.
 func TestShardedPoolConcurrentStress(t *testing.T) {
 	d := NewDisk(64)
 	pool := NewBufferPoolShards(d, 64, LRU, 8)
+	var content sync.RWMutex
 	var ids []PageID
 	for i := 0; i < 128; i++ {
 		ids = append(ids, d.Allocate())
@@ -143,7 +148,9 @@ func TestShardedPoolConcurrentStress(t *testing.T) {
 						errc <- err
 						return
 					}
+					content.RLock()
 					_ = f.Data()[0]
+					content.RUnlock()
 					f.Unpin()
 				case 3: // allocate and dirty a fresh page
 					f, err := pool.GetNew()
@@ -151,12 +158,17 @@ func TestShardedPoolConcurrentStress(t *testing.T) {
 						errc <- err
 						return
 					}
+					content.Lock()
 					f.Data()[0] = byte(w)
+					content.Unlock()
 					f.MarkDirty()
 					f.Unpin()
 				case 4: // flush or snapshot
 					if w%2 == 0 {
-						if err := pool.FlushAll(); err != nil {
+						content.Lock()
+						err := pool.FlushAll()
+						content.Unlock()
+						if err != nil {
 							errc <- err
 							return
 						}
@@ -195,10 +207,12 @@ func TestShardedPoolConcurrentStress(t *testing.T) {
 
 // TestShardedPoolConcurrentUndo exercises undo capture from concurrent
 // reader pins across shards while a writer mutates under a transaction,
-// then rolls back — the transactional-maintenance pattern.
+// then rolls back — the transactional-maintenance pattern. Page
+// contents are latched by the test, as in the stress test above.
 func TestShardedPoolConcurrentUndo(t *testing.T) {
 	d := NewDisk(64)
 	pool := NewBufferPoolShards(d, 0, LRU, 8)
+	var content sync.RWMutex
 	var ids []PageID
 	for i := 0; i < 32; i++ {
 		id := d.Allocate()
@@ -233,7 +247,9 @@ func TestShardedPoolConcurrentUndo(t *testing.T) {
 				if err != nil {
 					return
 				}
+				content.RLock()
 				_ = f.Data()[0]
+				content.RUnlock()
 				f.Unpin()
 			}
 		}(w)
@@ -245,7 +261,9 @@ func TestShardedPoolConcurrentUndo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		content.Lock()
 		f.Data()[0] = byte(i)
+		content.Unlock()
 		f.MarkDirty()
 		f.Unpin()
 	}
@@ -289,4 +307,35 @@ func TestShardedPoolConcurrentUndo(t *testing.T) {
 		t.Fatal(err)
 	}
 	txn2.Commit()
+}
+
+// TestPoolExhaustedIsTyped: a shard whose every frame is pinned cannot
+// evict, and says so with an error callers can recognize — the server
+// maps it to INTERNAL (transient, retryable), not to a query defect.
+func TestPoolExhaustedIsTyped(t *testing.T) {
+	for _, policy := range []ReplacementPolicy{LRU, FIFO, Clock} {
+		d := NewDisk(64)
+		pool := NewBufferPoolShards(d, 4, policy, 1)
+		var pinned []*Frame
+		for i := 0; i < 4; i++ {
+			f, err := pool.Get(d.Allocate())
+			if err != nil {
+				t.Fatalf("%v: %v", policy, err)
+			}
+			pinned = append(pinned, f)
+		}
+		extra := d.Allocate()
+		if _, err := pool.Get(extra); !errors.Is(err, ErrPoolExhausted) {
+			t.Fatalf("%v: Get with every frame pinned = %v, want ErrPoolExhausted", policy, err)
+		}
+		pinned[0].Unpin()
+		f, err := pool.Get(extra)
+		if err != nil {
+			t.Fatalf("%v: Get after an unpin: %v", policy, err)
+		}
+		f.Unpin()
+		for _, f := range pinned[1:] {
+			f.Unpin()
+		}
+	}
 }
