@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-compare benchmark-smoke vet repro ci crash-matrix server-smoke chaos-smoke backup-smoke
+.PHONY: all build test race bench bench-smoke bench-compare benchmark-smoke vet repro ci crash-matrix server-smoke chaos-smoke backup-smoke loc
 
 all: build test
 
@@ -104,6 +104,13 @@ vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; fi
+
+# Non-test Go lines per package (wc -l over *.go minus *_test.go) — the
+# figure simplicity PRs report in CHANGES.md.
+loc:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		printf '%6d %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l) .$${d#$(CURDIR)}; \
+	done
 
 # Regenerate every paper table/figure (EXPERIMENTS.md numbers).
 repro:

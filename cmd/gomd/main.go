@@ -251,7 +251,7 @@ func openDatabase(opts options) (*server.Database, string, *storage.FaultInjecto
 		return d, fmt.Sprintf("demo database (scale %d, seed %d): %d objects, collection var All, indexed path T0.Next.Next.Next.Payload",
 			opts.scale, opts.seed, d.Base.Count()), inj, nil
 	case opts.load != "":
-		d, err := server.LoadDumpFileWith(opts.load, opts.indexes, pool)
+		d, err := server.LoadDumpFile(opts.load, opts.indexes, pool)
 		if err != nil {
 			return nil, "", nil, err
 		}
@@ -262,18 +262,12 @@ func openDatabase(opts options) (*server.Database, string, *storage.FaultInjecto
 		}
 		return d, fmt.Sprintf("loaded %s: %d objects, %d indexes", opts.load, d.Base.Count(), len(d.Manager.Indexes())), inj, nil
 	default:
-		d, info, err := server.OpenDurableBaseArchived(opts.db, opts.archiveDir)
+		d, info, err := server.OpenDurableBase(opts.db, opts.archiveDir)
 		if err != nil {
 			return nil, "", nil, err
 		}
-		desc := fmt.Sprintf("opened %s: %d objects, %d indexes (recovery: %d txns committed, %d discarded, %d pages redone)",
-			opts.db, d.Base.Count(), len(d.Manager.Indexes()), info.CommittedTxns, info.DiscardedTxns, info.RedonePages)
-		if info.WALTailDamaged {
-			desc += "; WAL tail was torn, incomplete transactions discarded"
-		}
-		if n := len(info.QuarantinedPages); n > 0 {
-			desc += fmt.Sprintf("; WARNING: %d pages quarantined, run Repair", n)
-		}
+		desc := fmt.Sprintf("opened %s: %d objects, %d indexes (%s)",
+			opts.db, d.Base.Count(), len(d.Manager.Indexes()), info)
 		if opts.archiveDir != "" {
 			desc += fmt.Sprintf("; archiving WAL segments to %s", opts.archiveDir)
 		}
@@ -344,6 +338,13 @@ func run(opts options, out io.Writer, onReady func(*server.Server)) error {
 		}
 	}
 
+	// Catch the stop signals before anyone can learn the server is up: one
+	// delivered between "ready" and a later Notify would kill the process
+	// undrained.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigc)
+
 	s := server.New(d.Engine, d.Manager, cfg)
 	if err := s.Start(); err != nil {
 		if scrubber != nil {
@@ -379,9 +380,6 @@ func run(opts options, out io.Writer, onReady func(*server.Server)) error {
 		}
 	}()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	defer signal.Stop(sigc)
 	sig := <-sigc
 	logger.Info(fmt.Sprintf("gomd: received %s, draining", sig))
 

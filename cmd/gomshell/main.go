@@ -25,28 +25,23 @@ import (
 	"strconv"
 	"strings"
 
-	"asr/internal/asr"
 	"asr/internal/dump"
 	"asr/internal/gom"
 	"asr/internal/query"
+	"asr/internal/server"
 	"asr/internal/storage"
 	"asr/internal/telemetry"
 )
 
 type shell struct {
-	schema  *gom.Schema
+	// db is the session's database: index manager, query engine and —
+	// after \save / \open — the durable file set, whose whole lifecycle
+	// is server.Database's. base is db.Base.
+	db      *server.Database
 	base    *gom.ObjectBase
-	manager *asr.Manager
 	vars    map[string]gom.OID
 	pending strings.Builder // accumulated type declarations
 	out     *bufio.Writer
-
-	// Durable session state (\save / \open): when dbPath is non-empty
-	// the manager's pool is backed by a checksummed page file and WAL
-	// at dbPath+".pages" / dbPath+".pages.wal".
-	dbPath string
-	fdisk  *storage.FileDisk
-	wal    *storage.WAL
 }
 
 func main() {
@@ -99,24 +94,35 @@ func isTerminal() bool {
 }
 
 func (sh *shell) reset() {
-	sh.closeDurable()
-	sh.schema = gom.NewSchema()
-	sh.base = gom.NewObjectBase(sh.schema)
-	sh.manager = asr.NewManager(sh.base, storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU))
+	sh.use(server.NewMemoryDatabase(gom.NewObjectBase(gom.NewSchema()), nil))
 }
 
-// closeDurable releases the file-backed storage of a \save / \open
-// session, returning the shell to in-memory semantics.
+// use makes db the session's database, releasing the previous one.
+func (sh *shell) use(db *server.Database) {
+	sh.closeDurable()
+	sh.db, sh.base = db, db.Base
+}
+
+// adopt is use for a database restored from disk (load, \open): the
+// shell variables become the base's bound vars and the accumulated
+// declarations are forgotten.
+func (sh *shell) adopt(db *server.Database) {
+	sh.use(db)
+	sh.vars = map[string]gom.OID{}
+	for _, name := range sh.base.VarNames() {
+		if id, ok := sh.base.Var(name); ok {
+			sh.vars[name] = id
+		}
+	}
+	sh.pending.Reset()
+}
+
+// closeDurable checkpoints and releases the file-backed storage of a
+// \save / \open session (a no-op for an in-memory one).
 func (sh *shell) closeDurable() {
-	if sh.wal != nil {
-		sh.wal.Close()
-		sh.wal = nil
+	if sh.db != nil {
+		sh.db.Close()
 	}
-	if sh.fdisk != nil {
-		sh.fdisk.Close()
-		sh.fdisk = nil
-	}
-	sh.dbPath = ""
 }
 
 func (sh *shell) exec(line string) error {
@@ -145,10 +151,7 @@ func (sh *shell) exec(line string) error {
 		if sh.base.Count() > 0 {
 			return fmt.Errorf("declare all types before creating objects")
 		}
-		sh.closeDurable()
-		sh.schema = schema
-		sh.base = gom.NewObjectBase(schema)
-		sh.manager = asr.NewManager(sh.base, storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU))
+		sh.use(server.NewMemoryDatabase(gom.NewObjectBase(schema), nil))
 		for _, v := range vars {
 			fmt.Fprintf(sh.out, "declared var %s: %s (bind with 'new %s as $%s')\n",
 				v.Name, v.Type.Name(), v.Type.Name(), v.Name)
@@ -165,7 +168,7 @@ func (sh *shell) exec(line string) error {
 	case "extent":
 		return sh.cmdExtent(fields[1:])
 	case "schema":
-		for _, t := range sh.schema.Types() {
+		for _, t := range sh.base.Schema().Types() {
 			if t.Kind() != gom.AtomicType {
 				fmt.Fprintln(sh.out, t.Definition())
 			}
@@ -244,7 +247,7 @@ func (sh *shell) cmdNew(args []string) error {
 	if len(args) != 3 || args[1] != "as" || !strings.HasPrefix(args[2], "$") {
 		return fmt.Errorf("usage: new TYPE as $x")
 	}
-	t, ok := sh.schema.Lookup(args[0])
+	t, ok := sh.base.Schema().Lookup(args[0])
 	if !ok {
 		return fmt.Errorf("unknown type %q", args[0])
 	}
@@ -360,7 +363,7 @@ func (sh *shell) cmdExtent(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: extent TYPE")
 	}
-	t, ok := sh.schema.Lookup(args[0])
+	t, ok := sh.base.Schema().Lookup(args[0])
 	if !ok {
 		return fmt.Errorf("unknown type %q", args[0])
 	}
@@ -371,42 +374,11 @@ func (sh *shell) cmdExtent(args []string) error {
 	return nil
 }
 
-// resolvePathArg parses TYPE.A.B.C into a path expression.
-func (sh *shell) resolvePathArg(arg string) (*gom.PathExpression, error) {
-	parts := strings.Split(arg, ".")
-	if len(parts) < 2 {
-		return nil, fmt.Errorf("path must be TYPE.Attr[.Attr...]")
-	}
-	t, ok := sh.schema.Lookup(parts[0])
-	if !ok {
-		return nil, fmt.Errorf("unknown type %q", parts[0])
-	}
-	return gom.ResolvePath(t, parts[1:]...)
-}
-
 func (sh *shell) cmdIndex(args []string) error {
 	if len(args) != 4 || args[2] != "on" {
 		return fmt.Errorf("usage: index EXT DEC on TYPE.A.B...")
 	}
-	ext, err := asr.ParseExtension(args[0])
-	if err != nil {
-		return err
-	}
-	path, err := sh.resolvePathArg(args[3])
-	if err != nil {
-		return err
-	}
-	m := path.Arity() - 1
-	var dec asr.Decomposition
-	switch args[1] {
-	case "binary":
-		dec = asr.BinaryDecomposition(m)
-	case "none":
-		dec = asr.NoDecomposition(m)
-	default:
-		return fmt.Errorf("decomposition %q, want binary|none", args[1])
-	}
-	ix, err := sh.manager.CreateIndex(path, ext, dec)
+	ix, err := sh.db.CreateIndex(args[0], args[1], args[3])
 	if err != nil {
 		return err
 	}
@@ -418,7 +390,7 @@ func (sh *shell) cmdQuery(args []string) error {
 	if len(args) != 4 || args[2] != "via" {
 		return fmt.Errorf("usage: query forward|backward VALUE via TYPE.A.B...")
 	}
-	path, err := sh.resolvePathArg(args[3])
+	path, err := gom.ParsePath(sh.base.Schema(), args[3])
 	if err != nil {
 		return err
 	}
@@ -429,9 +401,9 @@ func (sh *shell) cmdQuery(args []string) error {
 	var results []gom.Value
 	switch args[0] {
 	case "forward":
-		results, err = sh.manager.QueryForward(path, 0, path.Len(), v)
+		results, err = sh.db.Manager.QueryForward(path, 0, path.Len(), v)
 	case "backward":
-		results, err = sh.manager.QueryBackward(path, 0, path.Len(), v)
+		results, err = sh.db.Manager.QueryBackward(path, 0, path.Len(), v)
 	default:
 		return fmt.Errorf("query kind %q, want forward|backward", args[0])
 	}
@@ -490,7 +462,7 @@ func (sh *shell) cmdExplain(rest string) error {
 	if err := sh.bindCollections(q); err != nil {
 		return err
 	}
-	eng := query.New(sh.base, sh.manager)
+	eng := sh.db.Engine
 	if analyze {
 		a, err := eng.ExplainAnalyze(context.Background(), q)
 		if err != nil {
@@ -511,7 +483,7 @@ func (sh *shell) cmdExplain(rest string) error {
 // plus the aggregate — the interactive view of what ShardStats exposes
 // to telemetry.
 func (sh *shell) cmdPool() error {
-	pool := sh.manager.Pool()
+	pool := sh.db.Manager.Pool()
 	fmt.Fprintf(sh.out, "shards: %d  resident pages: %d\n", pool.NumShards(), pool.Resident())
 	fmt.Fprintf(sh.out, "%-6s %9s %9s %9s %9s %9s %9s\n",
 		"shard", "accesses", "hits", "misses", "evicts", "wbacks", "pins")
@@ -535,8 +507,7 @@ func (sh *shell) cmdSelect(line string) error {
 	if err := sh.bindCollections(q); err != nil {
 		return err
 	}
-	eng := query.New(sh.base, sh.manager)
-	res, err := eng.Run(q)
+	res, err := sh.db.Engine.Run(q)
 	if err != nil {
 		return err
 	}
@@ -561,12 +532,7 @@ func (sh *shell) cmdSave(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: save FILE")
 	}
-	f, err := os.Create(args[0])
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := dump.Save(sh.base, f); err != nil {
+	if err := dump.SaveFile(sh.base, args[0]); err != nil {
 		return err
 	}
 	fmt.Fprintf(sh.out, "saved %d objects to %s\n", sh.base.Count(), args[0])
@@ -579,161 +545,57 @@ func (sh *shell) cmdLoad(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: load FILE")
 	}
-	f, err := os.Open(args[0])
+	db, err := server.LoadDumpFile(args[0], nil, nil)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	ob, err := dump.Load(f)
-	if err != nil {
-		return err
-	}
-	sh.closeDurable()
-	sh.base = ob
-	sh.schema = ob.Schema()
-	sh.manager = asr.NewManager(ob, storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU))
-	sh.vars = map[string]gom.OID{}
-	for _, name := range ob.VarNames() {
-		if id, ok := ob.Var(name); ok {
-			sh.vars[name] = id
-		}
-	}
-	sh.pending.Reset()
-	fmt.Fprintf(sh.out, "loaded %d objects from %s (re-declare indexes with 'index')\n", ob.Count(), args[0])
+	sh.adopt(db)
+	fmt.Fprintf(sh.out, "loaded %d objects from %s (re-declare indexes with 'index')\n", sh.base.Count(), args[0])
 	return nil
 }
 
-// cmdSaveBase persists the whole session durably under BASE: the object
-// base to BASE.gom, the index pages to a checksummed page file
-// BASE.pages with write-ahead log BASE.pages.wal, and the index
-// topology to BASE.manifest. A session not already backed by BASE is
-// migrated first: a fresh page file is created and every index is
-// rebuilt onto it, after which the session keeps running file-backed —
-// later maintenance is WAL-logged and survives a crash (see \open).
+// cmdSaveBase persists the whole session durably under BASE
+// (server.Database.SaveAs): the object base to BASE.gom, the index pages
+// to a checksummed page file BASE.pages with write-ahead log
+// BASE.pages.wal, and the index topology to BASE.manifest. A session not
+// already backed by BASE is moved there first, after which it keeps
+// running file-backed — later maintenance is WAL-logged and survives a
+// crash (see \open).
 func (sh *shell) cmdSaveBase(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf(`usage: \save BASE`)
 	}
-	base := args[0]
-	if sh.dbPath != base {
-		if err := sh.migrateTo(base); err != nil {
-			return err
-		}
+	db, err := sh.db.SaveAs(args[0])
+	if db != nil {
+		sh.db = db // shares sh.base; SaveAs retired the previous one
 	}
-	if err := sh.manager.SaveTo(base + ".manifest"); err != nil {
-		return err
-	}
-	f, err := os.Create(base + ".gom")
 	if err != nil {
-		return err
-	}
-	if err := dump.Save(sh.base, f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Fprintf(sh.out, "saved %d objects and %d indexes to %s.{gom,pages,manifest}\n",
-		sh.base.Count(), len(sh.manager.Indexes()), base)
+		sh.base.Count(), len(sh.db.Manager.Indexes()), args[0])
 	return nil
 }
 
-// migrateTo moves the session onto a file-backed pool at base,
-// rebuilding every index there (same path, extension, decomposition).
-func (sh *shell) migrateTo(base string) error {
-	// \save overwrites: start the page file and its log from scratch.
-	os.Remove(base + ".pages")
-	os.Remove(base + ".pages.wal")
-	fd, err := storage.OpenFileDisk(base+".pages", 0)
-	if err != nil {
-		return err
-	}
-	wal, err := storage.OpenWAL(base + ".pages.wal")
-	if err != nil {
-		fd.Close()
-		return err
-	}
-	pool := storage.NewBufferPool(fd, 0, storage.LRU)
-	pool.AttachWAL(wal)
-	old := sh.manager
-	mgr := asr.NewManager(sh.base, pool)
-	for _, ix := range old.Indexes() {
-		if _, err := mgr.CreateIndex(ix.Path(), ix.Extension(), ix.Decomposition()); err != nil {
-			for _, nix := range mgr.Indexes() {
-				mgr.DropIndex(nix)
-			}
-			wal.Close()
-			fd.Close()
-			return err
-		}
-	}
-	for _, ix := range old.Indexes() {
-		if err := old.DropIndex(ix); err != nil {
-			return err
-		}
-	}
-	sh.closeDurable()
-	sh.manager = mgr
-	sh.dbPath, sh.fdisk, sh.wal = base, fd, wal
-	return nil
-}
-
-// cmdOpenBase reopens a session saved with \save: the page file is
-// crash-recovered through its WAL (committed maintenance transactions
-// are redone, incomplete ones discarded), the object base is loaded
-// from BASE.gom, and the indexes are reconstructed from BASE.manifest
-// without rebuilding their trees.
+// cmdOpenBase reopens a session saved with \save
+// (server.OpenDurableBase): the page file is crash-recovered through
+// its WAL (committed maintenance transactions are redone, incomplete
+// ones discarded), the object base is loaded from BASE.gom, and the
+// indexes are reconstructed from BASE.manifest without rebuilding their
+// trees.
 func (sh *shell) cmdOpenBase(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf(`usage: \open BASE`)
 	}
-	base := args[0]
-	fd, wal, info, err := storage.Recover(base + ".pages")
+	db, info, err := server.OpenDurableBase(args[0], "")
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(base + ".gom")
-	if err != nil {
-		wal.Close()
-		fd.Close()
-		return err
-	}
-	ob, err := dump.Load(f)
-	f.Close()
-	if err != nil {
-		wal.Close()
-		fd.Close()
-		return err
-	}
-	pool := storage.NewBufferPool(fd, 0, storage.LRU)
-	pool.AttachWAL(wal)
-	mgr, err := asr.OpenFrom(ob, pool, base+".manifest")
-	if err != nil {
-		wal.Close()
-		fd.Close()
-		return err
-	}
-	sh.closeDurable()
-	sh.base, sh.schema, sh.manager = ob, ob.Schema(), mgr
-	sh.vars = map[string]gom.OID{}
-	for _, name := range ob.VarNames() {
-		if id, ok := ob.Var(name); ok {
-			sh.vars[name] = id
-		}
-	}
-	sh.pending.Reset()
-	sh.dbPath, sh.fdisk, sh.wal = base, fd, wal
-	fmt.Fprintf(sh.out, "opened %s: %d objects, %d indexes (recovery: %d txns committed, %d discarded, %d pages redone)\n",
-		base, ob.Count(), len(mgr.Indexes()), info.CommittedTxns, info.DiscardedTxns, info.RedonePages)
-	if info.WALTailDamaged {
-		fmt.Fprintln(sh.out, "note: WAL tail was torn; incomplete transactions discarded")
-	}
-	if n := len(info.QuarantinedPages); n > 0 {
-		fmt.Fprintf(sh.out, "warning: %d pages still corrupt after redo; affected indexes are quarantined (run Repair)\n", n)
-	}
+	sh.adopt(db)
+	fmt.Fprintf(sh.out, "opened %s: %d objects, %d indexes (%s)\n",
+		args[0], sh.base.Count(), len(db.Manager.Indexes()), info)
 	quarantined := 0
-	for _, ix := range mgr.Indexes() {
+	for _, ix := range db.Manager.Indexes() {
 		if ix.Quarantined() {
 			quarantined++
 		}
@@ -745,51 +607,34 @@ func (sh *shell) cmdOpenBase(args []string) error {
 }
 
 // cmdCheckpoint flushes every dirty page to the device, syncs it, and —
-// in a durable session with no transaction in flight — truncates the
-// WAL, bounding the work a future \open has to redo.
+// with no transaction in flight — truncates the WAL, bounding the work a
+// future \open has to redo. An in-memory session has nothing to flush to.
 func (sh *shell) cmdCheckpoint() error {
-	if err := sh.manager.Pool().Checkpoint(); err != nil {
+	if err := sh.db.Checkpoint(); err != nil {
 		return err
 	}
-	if sh.wal == nil {
+	if !sh.db.Durable() {
 		fmt.Fprintln(sh.out, "checkpoint complete (in-memory pool, no WAL)")
 		return nil
 	}
-	st := sh.wal.Stats()
+	st := sh.db.WAL().Stats()
 	fmt.Fprintf(sh.out, "checkpoint complete: wal records=%d commits=%d syncs=%d truncations=%d\n",
 		st.Records, st.Commits, st.Syncs, st.Truncations)
 	return nil
 }
 
-// cmdBackup streams an online backup of the durable session into DIR:
-// the page file copied under per-page latches, plus the manifest and
-// logical dump (re-saved first, so the chain reflects the session as
-// it stands). Restore it with \restore.
+// cmdBackup streams an online backup of the durable session into DIR
+// (server.Database.Backup): the page file copied under per-page latches,
+// plus the manifest and object-base snapshot, re-saved first so the
+// backup reflects the session as it stands. Restore it with \restore.
 func (sh *shell) cmdBackup(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf(`usage: \backup DIR`)
 	}
-	if sh.dbPath == "" {
+	if !sh.db.Durable() {
 		return fmt.Errorf(`\backup needs a durable session (\save or \open first)`)
 	}
-	if err := sh.manager.SaveTo(sh.dbPath + ".manifest"); err != nil {
-		return err
-	}
-	f, err := os.Create(sh.dbPath + ".gom")
-	if err != nil {
-		return err
-	}
-	if err := dump.Save(sh.base, f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	info, err := storage.Backup(sh.fdisk, sh.wal, args[0], map[string]string{
-		"manifest": sh.dbPath + ".manifest",
-		"gom":      sh.dbPath + ".gom",
-	})
+	info, err := sh.db.Backup(args[0])
 	if err != nil {
 		return err
 	}

@@ -25,6 +25,19 @@ func BinaryDecomposition(m int) Decomposition {
 	return d
 }
 
+// ParseDecomposition parses the operator spelling of the two standard
+// decompositions of a relation of arity m+1: "binary" or "none".
+func ParseDecomposition(s string, m int) (Decomposition, error) {
+	switch s {
+	case "binary":
+		return BinaryDecomposition(m), nil
+	case "none":
+		return NoDecomposition(m), nil
+	default:
+		return nil, fmt.Errorf("asr: decomposition %q, want binary|none", s)
+	}
+}
+
 // Validate checks the boundary conditions of Definition 3.8 against a
 // relation of arity m+1.
 func (d Decomposition) Validate(m int) error {

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"asr/internal/gom"
 	"asr/internal/storage"
@@ -22,7 +20,7 @@ import (
 // survives a save/open cycle.
 //
 // The manifest is deliberately tiny and rewritten atomically
-// (tmp+rename): all bulk state lives behind the meta pages, so SaveTo
+// (storage.AtomicWriteFile): all bulk state lives behind the meta pages, so SaveTo
 // after the initial save costs a checkpoint plus one small file write,
 // no matter how large the indexes are.
 
@@ -57,18 +55,12 @@ type manifest struct {
 // ParseExtension parses the paper's extension abbreviation (the inverse
 // of Extension.String).
 func ParseExtension(s string) (Extension, error) {
-	switch s {
-	case "can":
-		return Canonical, nil
-	case "full":
-		return Full, nil
-	case "left":
-		return LeftComplete, nil
-	case "right":
-		return RightComplete, nil
-	default:
-		return 0, fmt.Errorf("asr: extension %q, want can|full|left|right", s)
+	for _, e := range Extensions {
+		if e.String() == s {
+			return e, nil
+		}
 	}
+	return 0, fmt.Errorf("asr: extension %q, want can|full|left|right", s)
 }
 
 // SaveTo makes the managed indexes durable: it checkpoints the buffer
@@ -119,77 +111,17 @@ func (m *Manager) SaveTo(path string) error {
 	if err != nil {
 		return fmt.Errorf("asr: save %s: %w", path, err)
 	}
-	if err := atomicWriteFile(path, append(data, '\n')); err != nil {
+	if err := storage.AtomicWriteFile(path, append(data, '\n'), nil, manifestWriteHook); err != nil {
 		return fmt.Errorf("asr: save %s: %w", path, err)
 	}
 	return nil
 }
 
-// manifestWriteHook, when non-nil, is invoked between the stages of
-// atomicWriteFile ("written", "synced", "renamed") so crash-injection
-// tests can kill the process-equivalent at any point of the
-// write→fsync→rename→dir-fsync sequence.
+// manifestWriteHook, when non-nil, is handed to storage.AtomicWriteFile
+// as its stage callback ("written", "synced", "renamed") so
+// crash-injection tests can kill the process-equivalent at any point of
+// the manifest's write→fsync→rename→dir-fsync sequence.
 var manifestWriteHook func(stage string) error
-
-// atomicWriteFile replaces path with data crash-safely: the bytes are
-// written to a temp file and fsynced *before* the rename (so the rename
-// can never install an empty or partial manifest), then the parent
-// directory is fsynced (so the rename itself survives a power cut).
-// Rename-without-sync leaves a window where the old file is gone and
-// the new one is zero-length after a crash — the classic
-// "rename is not a barrier" bug.
-func atomicWriteFile(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := hookStage("written"); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := hookStage("synced"); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := hookStage("renamed"); err != nil {
-		return err
-	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	derr := dir.Sync()
-	cerr := dir.Close()
-	if derr != nil {
-		return derr
-	}
-	return cerr
-}
-
-func hookStage(stage string) error {
-	if manifestWriteHook == nil {
-		return nil
-	}
-	return manifestWriteHook(stage)
-}
 
 // OpenFrom rebuilds a Manager from a manifest written by SaveTo: every
 // partition is reopened from its durable meta page on pool (one
@@ -228,7 +160,7 @@ func OpenFrom(ob *gom.ObjectBase, pool *storage.BufferPool, path string) (*Manag
 	m := NewManager(ob, pool)
 	schema := ob.Schema()
 	for _, mi := range man.Indexes {
-		pe, err := resolveManifestPath(schema, mi.Path)
+		pe, err := gom.ParsePath(schema, mi.Path)
 		if err != nil {
 			return nil, fmt.Errorf("asr: open %s: %w", path, err)
 		}
@@ -266,18 +198,4 @@ func OpenFrom(ob *gom.ObjectBase, pool *storage.BufferPool, path string) (*Manag
 		m.entries = append(m.entries, &managedIndex{ix: ix, maintainer: mt})
 	}
 	return m, nil
-}
-
-// resolveManifestPath parses the manifest's dot-notation path
-// (t_0.A_1...A_n) against the live schema.
-func resolveManifestPath(schema *gom.Schema, s string) (*gom.PathExpression, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) < 2 {
-		return nil, fmt.Errorf("asr: manifest path %q must be TYPE.Attr[.Attr...]", s)
-	}
-	root, ok := schema.Lookup(parts[0])
-	if !ok {
-		return nil, fmt.Errorf("asr: manifest path %q: unknown type %q", s, parts[0])
-	}
-	return gom.ResolvePath(root, parts[1:]...)
 }

@@ -13,13 +13,16 @@
 package dump
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 
 	"asr/internal/gom"
+	"asr/internal/storage"
 )
 
 // Format versioning: bump on incompatible changes.
@@ -164,6 +167,31 @@ func Save(ob *gom.ObjectBase, w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(doc)
+}
+
+// SaveFile writes the object base to path through
+// storage.AtomicWriteFile: across a crash path holds its previous
+// content or the whole new dump, never a truncated one — the dump is the
+// only persisted copy of the object base.
+func SaveFile(ob *gom.ObjectBase, path string) error {
+	var buf bytes.Buffer
+	if err := Save(ob, &buf); err != nil {
+		return err
+	}
+	if err := storage.AtomicWriteFile(path, buf.Bytes(), nil, nil); err != nil {
+		return fmt.Errorf("dump: save %s: %w", path, err)
+	}
+	return nil
+}
+
+// LoadFile restores an object base from the dump at path.
+func LoadFile(path string) (*gom.ObjectBase, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Load(f)
 }
 
 // Load restores an object base from r.

@@ -77,6 +77,21 @@ func ResolvePath(root *Type, attrs ...string) (*PathExpression, error) {
 	return &PathExpression{root: root, steps: steps}, nil
 }
 
+// ParsePath resolves a path written in dot notation, TYPE.Attr[.Attr...]
+// (the inverse of PathExpression.String), against schema: the spelling
+// index specs, shell commands and the ASR manifest all use.
+func ParsePath(schema *Schema, s string) (*PathExpression, error) {
+	parts := strings.Split(s, ".")
+	if len(parts) < 2 {
+		return nil, fmt.Errorf("gom: path %q must be TYPE.Attr[.Attr...]", s)
+	}
+	root, ok := schema.Lookup(parts[0])
+	if !ok {
+		return nil, fmt.Errorf("gom: path %q: unknown type %q", s, parts[0])
+	}
+	return ResolvePath(root, parts[1:]...)
+}
+
 // MustResolvePath is ResolvePath panicking on error.
 func MustResolvePath(root *Type, attrs ...string) *PathExpression {
 	p, err := ResolvePath(root, attrs...)

@@ -192,3 +192,23 @@ func TestSharedSegmentFinalStep(t *testing.T) {
 		t.Errorf("SharedSegment = (%d,%d,%d,%v), want (2,0,1,true)", pStart, qStart, l, ok)
 	}
 }
+
+// TestParsePathIsTheInverseOfString: the dot notation index specs, shell
+// commands and the ASR manifest share round-trips, and its malformed
+// spellings are errors, not panics.
+func TestParsePathIsTheInverseOfString(t *testing.T) {
+	s := companySchema(t)
+	const dotted = "Division.Manufactures.Composition.Name"
+	p, err := ParsePath(s, dotted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.String() != dotted || p.SetOccurrences() != 2 {
+		t.Errorf("ParsePath(%q) = %s with %d set occurrences", dotted, p, p.SetOccurrences())
+	}
+	for _, bad := range []string{"", "Division", "NOPE.Name", "Division.Nope", "Division..Name"} {
+		if _, err := ParsePath(s, bad); err == nil {
+			t.Errorf("ParsePath(%q) accepted", bad)
+		}
+	}
+}

@@ -17,7 +17,7 @@ import (
 )
 
 // durableDatabase persists a demo base the way gomshell \save does and
-// reopens it through OpenDurableBaseArchived, returning the database
+// reopens it through OpenDurableBase, returning the database
 // ready for online backup (page file + WAL + archive attached).
 func durableDatabase(t *testing.T) *Database {
 	t.Helper()
@@ -61,7 +61,7 @@ func durableDatabase(t *testing.T) *Database {
 	wal.Close()
 	fd.Close()
 
-	d2, _, err := OpenDurableBaseArchived(base, dir+"/archive")
+	d2, _, err := OpenDurableBase(base, dir+"/archive")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,5 +205,53 @@ func TestAdminHealthzDegraded(t *testing.T) {
 	hcErr = nil
 	if code, _ := get(); code != http.StatusOK {
 		t.Fatalf("recovered /healthz: %d", code)
+	}
+}
+
+// TestAdminBackupCarriesUnsavedMutations pins the drift the shared
+// lifecycle removed: durableDatabase mutates objects after the last
+// explicit save, so BASE.gom on disk is stale while the maintained index
+// pages are current. Backup must Save first — a backup that copied the
+// stale snapshot restores to a base whose indexes are ahead of its
+// objects. Restoring to the backup's end LSN and reopening must show the
+// mutations and Verify every index clean.
+func TestAdminBackupCarriesUnsavedMutations(t *testing.T) {
+	d := durableDatabase(t)
+	bk := t.TempDir() + "/bk"
+	info, err := d.Backup(bk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := t.TempDir() + "/restored"
+	if _, err := storage.Restore(bk, d.archive.Dir(), dst, info.EndLSN); err != nil {
+		t.Fatal(err)
+	}
+	r, rinfo, err := OpenDurableBase(dst, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if len(rinfo.QuarantinedPages) != 0 {
+		t.Fatalf("restored base opened with quarantined pages: %v", rinfo.QuarantinedPages)
+	}
+	t3, _ := r.Base.Schema().Lookup("T3")
+	mutated := false
+	for _, id := range r.Base.Extent(t3, false) {
+		o, _ := r.Base.Get(id)
+		if v, _ := o.Attr("Payload"); v != nil && v.Equal(gom.String("mut-0")) {
+			mutated = true
+		}
+	}
+	if !mutated {
+		t.Fatal("restored base lost the mutation made after the last explicit save")
+	}
+	for _, ix := range r.Manager.Indexes() {
+		rep, err := ix.Verify()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Clean() {
+			t.Fatalf("restored index %s drifted from the restored object base: %+v", ix, rep)
+		}
 	}
 }

@@ -15,20 +15,18 @@ import (
 )
 
 // Database bundles everything a server needs to answer queries: the
-// object base, its index manager, and a query engine — plus how to
-// checkpoint and close the underlying storage. cmd/gomd builds one per
-// process from -demo, -load or -db; tests build them directly.
+// object base, its index manager, and a query engine. It is also the one
+// owner of a durable base's lifecycle — OpenDurableBase, SaveAs, Save,
+// Backup, Checkpoint, Close — for gomd (-demo, -load or -db) and
+// gomshell alike.
 type Database struct {
 	Base    *gom.ObjectBase
 	Manager *asr.Manager
 	Engine  *query.Engine
 
-	checkpoint func() error
-	closers    []func() error // closed in order on Close
-
-	// Durable-database handles (nil for in-memory databases): the page
-	// file and WAL behind the pool, the base path the files live at, and
-	// the optional WAL archive. Backup and the scrubber need them.
+	// Durable databases only: the BASE of the file set
+	// BASE.{gom,pages,pages.wal,manifest}, the page file and WAL behind
+	// the manager's pool, and the optional WAL archive.
 	basePath string
 	disk     *storage.FileDisk
 	wal      *storage.WAL
@@ -36,8 +34,8 @@ type Database struct {
 }
 
 // Durable reports whether this database is backed by a page file and
-// WAL (opened via OpenDurableBase) — the precondition for Backup and
-// for scrubbing.
+// WAL (OpenDurableBase, SaveAs) — the precondition for Save, Backup and
+// scrubbing.
 func (d *Database) Durable() bool { return d.disk != nil }
 
 // Disk exposes the page file of a durable database (nil otherwise).
@@ -46,19 +44,32 @@ func (d *Database) Disk() *storage.FileDisk { return d.disk }
 // WAL exposes the log of a durable database (nil otherwise).
 func (d *Database) WAL() *storage.WAL { return d.wal }
 
-// Archive exposes the WAL archive, when one is attached.
-func (d *Database) Archive() *storage.Archive { return d.archive }
+// Save persists what the page file and its WAL do not: it checkpoints
+// the pool and rewrites the index manifest (Manager.SaveTo), then the
+// object-base snapshot BASE.gom — each replaced atomically. A crash
+// between the two leaves the new manifest beside the previous snapshot,
+// the state any crash after an unsaved mutation leaves
+// (docs/ROBUSTNESS.md). Mutation must be quiesced, as for SaveTo.
+func (d *Database) Save() error {
+	if !d.Durable() {
+		return fmt.Errorf("server: save: database is in-memory")
+	}
+	if err := d.Manager.SaveTo(d.basePath + ".manifest"); err != nil {
+		return err
+	}
+	return dump.SaveFile(d.Base, d.basePath+".gom")
+}
 
 // Backup streams an online backup of a durable database into dstDir:
 // the page file copied under per-page latches (queries keep running),
-// plus the index manifest and the logical dump, with the WAL watermarks
-// recorded for restore. The index manifest is re-saved first so the
-// copy reflects the current index topology.
+// plus the index manifest and the object-base snapshot, with the WAL
+// watermarks recorded for restore. It Saves first, so the copy describes
+// the database as it stands, not as of the last explicit save.
 func (d *Database) Backup(dstDir string) (*storage.BackupInfo, error) {
 	if !d.Durable() {
 		return nil, fmt.Errorf("server: backup: database is in-memory (start with -db to back up)")
 	}
-	if err := d.Manager.SaveTo(d.basePath + ".manifest"); err != nil {
+	if err := d.Save(); err != nil {
 		return nil, err
 	}
 	info, err := storage.Backup(d.disk, d.wal, dstDir, map[string]string{
@@ -81,32 +92,29 @@ func (d *Database) Backup(dstDir string) (*storage.BackupInfo, error) {
 // Checkpoint flushes dirty pages to the device, syncs, and truncates
 // the WAL (durable databases); it is a no-op for in-memory databases.
 func (d *Database) Checkpoint() error {
-	if d.checkpoint == nil {
+	if !d.Durable() {
 		return nil
 	}
-	return d.checkpoint()
+	return d.Manager.Pool().Checkpoint()
 }
 
 // Close checkpoints (best effort) and releases file handles.
 func (d *Database) Close() error {
-	errs := []error{d.Checkpoint()}
-	for _, c := range d.closers {
-		errs = append(errs, c())
+	if !d.Durable() {
+		return nil
 	}
-	return errors.Join(errs...)
+	return errors.Join(d.Checkpoint(), d.wal.Close(), d.disk.Close())
 }
 
-// NewMemoryDatabase wraps an existing object base with a fresh
-// in-memory pool, manager, and engine.
-func NewMemoryDatabase(ob *gom.ObjectBase) *Database {
-	return NewMemoryDatabaseWith(ob, storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU))
-}
-
-// NewMemoryDatabaseWith is NewMemoryDatabase over an explicit buffer
-// pool. The -chaos-disk serving path threads a bounded pool over a
-// storage.FaultInjector through here: bounded, so index reads actually
-// reach the (faulty) device instead of living in cache forever.
-func NewMemoryDatabaseWith(ob *gom.ObjectBase, pool *storage.BufferPool) *Database {
+// NewMemoryDatabase wraps an existing object base with a manager and
+// engine over pool; nil means a fresh unbounded in-memory pool. The
+// -chaos-disk serving path passes a bounded pool over a
+// storage.FaultInjector: bounded, so index reads actually reach the
+// (faulty) device instead of living in cache forever.
+func NewMemoryDatabase(ob *gom.ObjectBase, pool *storage.BufferPool) *Database {
+	if pool == nil {
+		pool = storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU)
+	}
 	mgr := asr.NewManager(ob, pool)
 	return &Database{Base: ob, Manager: mgr, Engine: query.New(ob, mgr)}
 }
@@ -166,12 +174,7 @@ func DemoDatabaseWith(scale int, seed int64, pool *storage.BufferPool) (*Databas
 	if err := db.Base.BindVar("All", all.ID()); err != nil {
 		return nil, err
 	}
-	var d *Database
-	if pool != nil {
-		d = NewMemoryDatabaseWith(db.Base, pool)
-	} else {
-		d = NewMemoryDatabase(db.Base)
-	}
+	d := NewMemoryDatabase(db.Base, pool)
 	if err := d.BuildIndexes([]string{"full:binary:T0.Next.Next.Next.Payload"}); err != nil {
 		return nil, err
 	}
@@ -179,57 +182,33 @@ func DemoDatabaseWith(scale int, seed int64, pool *storage.BufferPool) (*Databas
 }
 
 // LoadDumpFile restores a logical JSON dump (gomshell `save`, package
-// dump) and rebuilds the requested indexes — dumps carry no index
-// pages; indexes are derived data (docs/ARCHITECTURE.md).
-func LoadDumpFile(path string, indexSpecs []string) (*Database, error) {
-	return LoadDumpFileWith(path, indexSpecs, nil)
-}
-
-// LoadDumpFileWith is LoadDumpFile over an explicit buffer pool (nil
-// means a fresh unbounded in-memory pool).
-func LoadDumpFileWith(path string, indexSpecs []string, pool *storage.BufferPool) (*Database, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	ob, err := dump.Load(f)
+// dump) over pool (nil: a fresh unbounded in-memory pool) and rebuilds
+// the requested indexes — dumps carry no index pages; indexes are
+// derived data (docs/ARCHITECTURE.md).
+func LoadDumpFile(path string, indexSpecs []string, pool *storage.BufferPool) (*Database, error) {
+	ob, err := dump.LoadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("server: loading %s: %w", path, err)
 	}
-	var d *Database
-	if pool != nil {
-		d = NewMemoryDatabaseWith(ob, pool)
-	} else {
-		d = NewMemoryDatabase(ob)
-	}
+	d := NewMemoryDatabase(ob, pool)
 	if err := d.BuildIndexes(indexSpecs); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// OpenDurableBase reopens a database persisted with gomshell \save (or
-// a previous gomd run) at BASE.{gom,pages,pages.wal,manifest}: the page
-// file is crash-recovered through its WAL, the object base loaded from
-// the logical dump, and the indexes reattached from the manifest
-// without rebuilding. The returned RecoveryInfo says what recovery did
-// — gomd logs it at startup (the runbook's recovery-on-start step).
-func OpenDurableBase(base string) (*Database, *storage.RecoveryInfo, error) {
-	return OpenDurableBaseArchived(base, "")
-}
-
-// OpenDurableBaseArchived is OpenDurableBase with WAL segment archiving:
-// when archiveDir is non-empty, recovery seals the crashed log's records
-// into the archive (instead of discarding them) and every later
-// checkpoint archives too — the prerequisite for online backup and
-// point-in-time recovery.
-func OpenDurableBaseArchived(base, archiveDir string) (*Database, *storage.RecoveryInfo, error) {
+// OpenDurableBase reopens a database persisted by Save at
+// BASE.{gom,pages,pages.wal,manifest}: the page file is crash-recovered
+// through its WAL, the object base loaded from the snapshot, and the
+// indexes reattached from the manifest without rebuilding. With a
+// non-empty archiveDir, recovery seals the crashed log's records into
+// that WAL archive (instead of discarding them) and every later
+// checkpoint archives too — the prerequisite for point-in-time
+// recovery. RecoveryInfo.String renders the operator's startup line.
+func OpenDurableBase(base, archiveDir string) (_ *Database, _ *storage.RecoveryInfo, err error) {
 	var arch *storage.Archive
 	if archiveDir != "" {
-		var err error
-		arch, err = storage.OpenArchive(archiveDir)
-		if err != nil {
+		if arch, err = storage.OpenArchive(archiveDir); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -237,39 +216,83 @@ func OpenDurableBaseArchived(base, archiveDir string) (*Database, *storage.Recov
 	if err != nil {
 		return nil, nil, err
 	}
-	f, err := os.Open(base + ".gom")
+	defer func() {
+		if err != nil {
+			wal.Close()
+			fd.Close()
+		}
+	}()
+	ob, err := dump.LoadFile(base + ".gom")
 	if err != nil {
-		wal.Close()
-		fd.Close()
-		return nil, nil, err
-	}
-	ob, err := dump.Load(f)
-	f.Close()
-	if err != nil {
-		wal.Close()
-		fd.Close()
 		return nil, nil, err
 	}
 	pool := storage.NewBufferPool(fd, 0, storage.LRU)
 	pool.AttachWAL(wal)
 	mgr, err := asr.OpenFrom(ob, pool, base+".manifest")
 	if err != nil {
-		wal.Close()
-		fd.Close()
 		return nil, nil, err
 	}
-	d := &Database{
-		Base:       ob,
-		Manager:    mgr,
-		Engine:     query.New(ob, mgr),
-		checkpoint: pool.Checkpoint,
-		closers:    []func() error{wal.Close, fd.Close},
-		basePath:   base,
-		disk:       fd,
-		wal:        wal,
-		archive:    arch,
+	return &Database{
+		Base: ob, Manager: mgr, Engine: query.New(ob, mgr),
+		basePath: base, disk: fd, wal: wal, archive: arch,
+	}, info, nil
+}
+
+// SaveAs persists the database at base and returns the Database that
+// lives there: d itself, Saved, when it already does. Otherwise the
+// database is moved — a fresh page file and WAL at base (overwriting a
+// base of that name), every index rebuilt onto them, the result Saved —
+// and the returned Database, which shares d.Base, keeps running
+// file-backed, so later maintenance is WAL-logged. A failed move leaves
+// d untouched and returns nil. A successful one retires d (indexes
+// dropped, storage closed); an error beside the non-nil Database
+// reports only a failure doing that.
+func (d *Database) SaveAs(base string) (*Database, error) {
+	if d.basePath == base {
+		return d, d.Save()
 	}
-	return d, info, nil
+	nd, err := d.moveTo(base)
+	if err != nil {
+		return nil, err
+	}
+	var errs []error
+	for _, ix := range d.Manager.Indexes() {
+		errs = append(errs, d.Manager.DropIndex(ix))
+	}
+	return nd, errors.Join(append(errs, d.Close())...)
+}
+
+func (d *Database) moveTo(base string) (_ *Database, err error) {
+	// Overwrite: start the page file and its log from scratch (recovering
+	// an absent pair creates it).
+	os.Remove(base + ".pages")
+	os.Remove(base + ".pages.wal")
+	fd, wal, _, err := storage.Recover(base + ".pages")
+	if err != nil {
+		return nil, err
+	}
+	pool := storage.NewBufferPool(fd, 0, storage.LRU)
+	pool.AttachWAL(wal)
+	mgr := asr.NewManager(d.Base, pool)
+	defer func() {
+		if err != nil {
+			for _, ix := range mgr.Indexes() {
+				mgr.DropIndex(ix) // unhook its maintainer from d.Base; the pages die with the files
+			}
+			wal.Close()
+			fd.Close()
+		}
+	}()
+	for _, ix := range d.Manager.Indexes() {
+		if _, err := mgr.CreateIndex(ix.Path(), ix.Extension(), ix.Decomposition()); err != nil {
+			return nil, err
+		}
+	}
+	nd := &Database{
+		Base: d.Base, Manager: mgr, Engine: query.New(d.Base, mgr),
+		basePath: base, disk: fd, wal: wal,
+	}
+	return nd, nd.Save()
 }
 
 // BuildIndexes creates one ASR per spec. A spec reads
@@ -281,40 +304,28 @@ func (d *Database) BuildIndexes(specs []string) error {
 		if len(parts) != 3 {
 			return fmt.Errorf("server: index spec %q, want EXT:DEC:TYPE.A.B", spec)
 		}
-		ext, err := asr.ParseExtension(parts[0])
-		if err != nil {
-			return fmt.Errorf("server: index spec %q: %w", spec, err)
-		}
-		path, err := resolveTypePath(d.Base.Schema(), parts[2])
-		if err != nil {
-			return fmt.Errorf("server: index spec %q: %w", spec, err)
-		}
-		m := path.Arity() - 1
-		var dec asr.Decomposition
-		switch parts[1] {
-		case "binary":
-			dec = asr.BinaryDecomposition(m)
-		case "none":
-			dec = asr.NoDecomposition(m)
-		default:
-			return fmt.Errorf("server: index spec %q: decomposition %q, want binary|none", spec, parts[1])
-		}
-		if _, err := d.Manager.CreateIndex(path, ext, dec); err != nil {
+		if _, err := d.CreateIndex(parts[0], parts[1], parts[2]); err != nil {
 			return fmt.Errorf("server: index spec %q: %w", spec, err)
 		}
 	}
 	return nil
 }
 
-// resolveTypePath parses TYPE.A.B.C against the schema.
-func resolveTypePath(schema *gom.Schema, s string) (*gom.PathExpression, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) < 2 {
-		return nil, fmt.Errorf("path must be TYPE.Attr[.Attr...]")
+// CreateIndex builds one ASR from the operator spelling of its three
+// parameters: extension can|full|left|right, decomposition binary|none,
+// and the path TYPE.Attr[.Attr...].
+func (d *Database) CreateIndex(ext, dec, path string) (*asr.Index, error) {
+	e, err := asr.ParseExtension(ext)
+	if err != nil {
+		return nil, err
 	}
-	t, ok := schema.Lookup(parts[0])
-	if !ok {
-		return nil, fmt.Errorf("unknown type %q", parts[0])
+	p, err := gom.ParsePath(d.Base.Schema(), path)
+	if err != nil {
+		return nil, err
 	}
-	return gom.ResolvePath(t, parts[1:]...)
+	dc, err := asr.ParseDecomposition(dec, p.Arity()-1)
+	if err != nil {
+		return nil, err
+	}
+	return d.Manager.CreateIndex(p, e, dc)
 }

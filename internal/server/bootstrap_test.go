@@ -75,7 +75,7 @@ func TestLoadDumpFile(t *testing.T) {
 	}
 	f.Close()
 
-	d2, err := LoadDumpFile(path, []string{"full:binary:T0.Next.Next.Next.Payload"})
+	d2, err := LoadDumpFile(path, []string{"full:binary:T0.Next.Next.Next.Payload"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +86,10 @@ func TestLoadDumpFile(t *testing.T) {
 		t.Fatalf("reloaded dump diverges: %v/%q vs %v/%q", v1, p1, v2, p2)
 	}
 
-	if _, err := LoadDumpFile(path, []string{"bogus-spec"}); err == nil {
+	if _, err := LoadDumpFile(path, []string{"bogus-spec"}, nil); err == nil {
 		t.Fatal("bad index spec should fail")
 	}
-	if _, err := LoadDumpFile(t.TempDir()+"/missing.gom", nil); err == nil {
+	if _, err := LoadDumpFile(t.TempDir()+"/missing.gom", nil, nil); err == nil {
 		t.Fatal("missing dump should fail")
 	}
 }
@@ -138,7 +138,7 @@ func TestOpenDurableBase(t *testing.T) {
 	wal.Close()
 	fd.Close()
 
-	d2, info, err := OpenDurableBase(base)
+	d2, info, err := OpenDurableBase(base, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestOpenDurableBase(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := OpenDurableBase(t.TempDir() + "/nope"); err == nil {
+	if _, _, err := OpenDurableBase(t.TempDir()+"/nope", ""); err == nil {
 		t.Fatal("missing durable base should fail")
 	}
 }

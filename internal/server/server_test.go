@@ -43,7 +43,7 @@ func startServer(t *testing.T, engine QueryEngine, d *Database, cfg Config) *Ser
 func robotsDatabase(t *testing.T) *Database {
 	t.Helper()
 	r := paperdb.BuildRobots()
-	d := NewMemoryDatabase(r.Base)
+	d := NewMemoryDatabase(r.Base, nil)
 	if err := d.BuildIndexes([]string{"full:binary:ROBOT.Arm.MountedTool.ManufacturedBy.Location"}); err != nil {
 		t.Fatalf("BuildIndexes: %v", err)
 	}

@@ -33,9 +33,9 @@ import (
 //	payload      raw WAL record stream (the on-disk WAL framing,
 //	             each record individually checksummed as well)
 //
-// Segments are written tmp+rename with file and directory fsyncs, so a
-// crash mid-seal leaves at worst an ignored *.tmp file — never a half
-// segment under the sealed name.
+// Segments are written with AtomicWriteFile, so a crash mid-seal leaves
+// at worst an ignored *.tmp file — never a half segment under the sealed
+// name.
 const (
 	segMagic      = 0x4153525741524331 // "ASRWARC1"
 	segVersion    = 1
@@ -139,42 +139,9 @@ func (a *Archive) sealLocked(payload []byte, recs []WALRecord) (SegmentInfo, err
 		return SegmentInfo{}, errors.New("storage: archive seal: no records")
 	}
 	first, last := recs[0].LSN, recs[len(recs)-1].LSN
-	name := segName(first, last)
-	final := filepath.Join(a.dir, name)
-	tmp := final + ".tmp"
+	final := filepath.Join(a.dir, segName(first, last))
 	data := append(encodeSegHeader(len(recs), first, last, payload), payload...)
-
-	allowed := len(data)
-	var crashErr error
-	if a.cp != nil {
-		allowed, crashErr = a.cp.admit(len(data))
-	}
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return SegmentInfo{}, fmt.Errorf("storage: archive seal: %w", err)
-	}
-	if allowed > 0 {
-		if _, err := f.Write(data[:allowed]); err != nil {
-			f.Close()
-			return SegmentInfo{}, fmt.Errorf("storage: archive seal: %w", err)
-		}
-	}
-	if crashErr != nil {
-		f.Close()
-		return SegmentInfo{}, fmt.Errorf("storage: archive seal: %w", crashErr)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return SegmentInfo{}, fmt.Errorf("storage: archive seal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return SegmentInfo{}, fmt.Errorf("storage: archive seal: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return SegmentInfo{}, fmt.Errorf("storage: archive seal: %w", err)
-	}
-	if err := syncDir(a.dir); err != nil {
+	if err := AtomicWriteFile(final, data, a.cp, nil); err != nil {
 		return SegmentInfo{}, fmt.Errorf("storage: archive seal: %w", err)
 	}
 	telArchiveSealed.Inc()
@@ -402,18 +369,4 @@ func (a *Archive) Prune(keepFrom uint64) (removed int, err error) {
 		}
 	}
 	return removed, nil
-}
-
-// syncDir fsyncs a directory so a rename or unlink inside it is
-// durable before the caller proceeds.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

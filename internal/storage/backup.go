@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // Online hot backup and point-in-time restore.
@@ -94,12 +93,11 @@ func Backup(fd *FileDisk, w *WAL, dstDir string, aux map[string]string) (info *B
 		Aux:      map[string]string{},
 	}
 
-	// Aux files first: they are tiny and change rarely (the ASR manifest
-	// only on SaveTo, the object dump only on an explicit save), so
-	// copying them at the start keeps the page sweep — the long part —
+	// Aux files first: they are small next to the page file, so copying
+	// them at the start keeps the page sweep — the long part —
 	// uninterrupted.
 	for suffix, src := range aux {
-		crc, _, cerr := copyFileSync(src, filepath.Join(dstDir, "aux."+suffix))
+		crc, cerr := copyFileSync(nil, src, filepath.Join(dstDir, "aux."+suffix))
 		if cerr != nil {
 			return nil, fmt.Errorf("storage: backup aux %s: %w", suffix, cerr)
 		}
@@ -155,10 +153,12 @@ func Backup(fd *FileDisk, w *WAL, dstDir string, aux map[string]string) (info *B
 	if err != nil {
 		return nil, fmt.Errorf("storage: backup: %w", err)
 	}
-	if err := writeFileSync(filepath.Join(dstDir, BackupManifestName), append(data, '\n')); err != nil {
-		return nil, fmt.Errorf("storage: backup: %w", err)
-	}
-	if err := syncDir(dstDir); err != nil {
+	// The manifest is the backup's commit point: it exists iff it is
+	// complete (a half-written one would be unreadable and make the next
+	// Backup refuse the directory), and the directory fsync installing it
+	// covers the page copy's and aux files' names too. Gated by the disk's
+	// crashpoint like the disk's own writes.
+	if err := AtomicWriteFile(filepath.Join(dstDir, BackupManifestName), append(data, '\n'), fd.crashpoint(), nil); err != nil {
 		return nil, fmt.Errorf("storage: backup: %w", err)
 	}
 	telBackupRuns.Inc()
@@ -244,13 +244,10 @@ func restoreWith(cp *Crashpoint, backupDir, archiveDir, dstBase string, targetLS
 			return nil, err
 		}
 	}
-	reachable := maxArchived
-	if man.EndLSN > reachable {
-		// Without (or beyond) archived history the copy itself carries
-		// state up to EndLSN; restoring to exactly EndLSN is only
-		// consistent when nothing moved during the sweep.
-		reachable = man.EndLSN
-	}
+	// Without (or beyond) archived history the copy itself carries state
+	// up to EndLSN; restoring to exactly EndLSN is only consistent when
+	// nothing moved during the sweep.
+	reachable := max(maxArchived, man.EndLSN)
 	if targetLSN == 0 {
 		targetLSN = reachable
 	}
@@ -266,11 +263,11 @@ func restoreWith(cp *Crashpoint, backupDir, archiveDir, dstBase string, targetLS
 	// same base (including a live-looking WAL) are overwritten/removed —
 	// restore owns dstBase.
 	pagesPath := dstBase + ".pages"
-	if err := copyFileSyncGated(cp, filepath.Join(backupDir, backupPagesName), pagesPath); err != nil {
+	if _, err := copyFileSync(cp, filepath.Join(backupDir, backupPagesName), pagesPath); err != nil {
 		return nil, fmt.Errorf("storage: restore pages: %w", err)
 	}
 	for suffix, wantCRC := range man.Aux {
-		crc, _, cerr := copyFileSync(filepath.Join(backupDir, "aux."+suffix), dstBase+"."+suffix)
+		crc, cerr := copyFileSync(nil, filepath.Join(backupDir, "aux."+suffix), dstBase+"."+suffix)
 		if cerr != nil {
 			return nil, fmt.Errorf("storage: restore aux %s: %w", suffix, cerr)
 		}
@@ -288,9 +285,7 @@ func restoreWith(cp *Crashpoint, backupDir, archiveDir, dstBase string, targetLS
 		return nil, err
 	}
 	defer fd.Close()
-	if cp != nil {
-		fd.SetCrashpoint(cp)
-	}
+	fd.SetCrashpoint(cp)
 	if fd.PageSize() != man.PageSize {
 		return nil, fmt.Errorf("storage: restore: copied file has page size %d, backup manifest says %d",
 			fd.PageSize(), man.PageSize)
@@ -298,63 +293,26 @@ func restoreWith(cp *Crashpoint, backupDir, archiveDir, dstBase string, targetLS
 
 	info := &RestoreInfo{StartLSN: man.StartLSN, TargetLSN: targetLSN}
 
-	// Replay: committed images with LSN ≤ target, last one per page
-	// wins — exactly Recover's redo, sourced from the archive chain.
+	// Replay: the newest committed image at or below the target, per page
+	// — exactly Recover's redo, sourced from the archive chain (read
+	// once). Damaged or gapped history fails the restore.
 	if arch != nil {
-		committed := map[uint64]bool{}
-		latest := map[PageID]WALRecord{}
-		err = arch.Replay(0, targetLSN, func(r WALRecord) error {
-			if r.Kind == RecCommit {
-				committed[r.Txn] = true
-			}
-			return nil
+		images, err := foldImageLog(arch, nil, targetLSN)
+		if err != nil {
+			return nil, err
+		}
+		// stored < image: the fuzzy copy is stale — roll forward.
+		// stored > image: the copy caught state past the target (late in
+		// the sweep) — rewind; the image is by construction the newest
+		// committed one at or below the target. Corrupt: the copy tore —
+		// heal.
+		info.RecordsApplied, info.HealedPages, err = images.apply(fd, func(stored, image uint64) bool {
+			return stored != image
 		})
 		if err != nil {
 			return nil, err
 		}
-		err = arch.Replay(0, targetLSN, func(r WALRecord) error {
-			if r.Kind == RecPageImage && committed[r.Txn] {
-				latest[r.Page] = r
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		pages := make([]PageID, 0, len(latest))
-		for id := range latest {
-			pages = append(pages, id)
-		}
-		sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-		for _, id := range pages {
-			rec := latest[id]
-			if len(rec.Data) != fd.PageSize() {
-				return nil, fmt.Errorf("storage: restore: archived image for %v is %d bytes, page size %d",
-					id, len(rec.Data), fd.PageSize())
-			}
-			fd.ensureAllocated(id)
-			stored, perr := fd.PageLSN(id)
-			wasCorrupt := errors.Is(perr, ErrCorruptPage)
-			if perr == nil && stored == rec.LSN {
-				continue
-			}
-			if perr != nil && !wasCorrupt {
-				return nil, perr
-			}
-			// stored < rec.LSN: the fuzzy copy is stale — roll forward.
-			// stored > rec.LSN: the copy caught state past the target
-			// (late in the sweep) — rewind; rec is by construction the
-			// newest committed image at or below the target.
-			// corrupt: the copy tore — heal.
-			if err := fd.WriteLSN(id, rec.Data, rec.LSN); err != nil {
-				return nil, err
-			}
-			info.RecordsApplied++
-			if wasCorrupt {
-				info.HealedPages++
-				telRestoreHealed.Inc()
-			}
-		}
+		telRestoreHealed.Add(uint64(info.HealedPages))
 	}
 
 	// Sweep the restored file: state past the target is zapped (it will
@@ -383,82 +341,45 @@ func restoreWith(cp *Crashpoint, backupDir, archiveDir, dstBase string, targetLS
 }
 
 // copyFileSync copies src to dst (overwriting), fsyncs dst, and returns
-// the CRC32C and length of the copied bytes.
-func copyFileSync(src, dst string) (uint32, int64, error) {
-	return copyGated(nil, src, dst)
-}
-
-// copyFileSyncGated is copyFileSync with a crashpoint gating the write.
-func copyFileSyncGated(cp *Crashpoint, src, dst string) error {
-	_, _, err := copyGated(cp, src, dst)
-	return err
-}
-
-func copyGated(cp *Crashpoint, src, dst string) (uint32, int64, error) {
+// the CRC32C of the copied bytes. cp, when non-nil, gates the writes so
+// the crash-mid-restore matrix can freeze a half-written destination.
+func copyFileSync(cp *Crashpoint, src, dst string) (uint32, error) {
 	in, err := os.Open(src)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	defer in.Close()
 	out, err := os.OpenFile(dst, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	defer out.Close()
 	var (
-		crc   uint32
-		total int64
-		buf   = make([]byte, 1<<16)
+		crc uint32
+		off int64
+		buf = make([]byte, 1<<16)
 	)
 	for {
 		n, rerr := in.Read(buf)
 		if n > 0 {
-			chunk := buf[:n]
-			allowed := n
-			var crashErr error
-			if cp != nil {
-				allowed, crashErr = cp.admit(n)
+			if werr := cp.writeAt(out, buf[:n], off); werr != nil {
+				return 0, werr
 			}
-			if allowed > 0 {
-				if _, werr := out.Write(chunk[:allowed]); werr != nil {
-					return 0, 0, werr
-				}
-			}
-			if crashErr != nil {
-				return 0, 0, crashErr
-			}
-			crc = crc32.Update(crc, castagnoli, chunk)
-			total += int64(n)
+			crc = crc32.Update(crc, castagnoli, buf[:n])
+			off += int64(n)
 		}
 		if rerr == io.EOF {
 			break
 		}
 		if rerr != nil {
-			return 0, 0, rerr
+			return 0, rerr
 		}
 	}
 	if err := out.Sync(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if err := out.Close(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	return crc, total, nil
-}
-
-// writeFileSync writes data to path and fsyncs it.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return crc, nil
 }

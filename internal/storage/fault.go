@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 )
 
@@ -76,6 +77,22 @@ func (c *Crashpoint) admit(n int) (int, error) {
 	}
 	c.crashed = true
 	return int(c.torn * float64(n)), ErrCrashed
+}
+
+// writeAt performs one gated physical write of b to f at off — the one
+// place a crashpoint meets a file. A nil crashpoint admits everything; a
+// firing one persists only the torn prefix and returns ErrCrashed.
+func (c *Crashpoint) writeAt(f *os.File, b []byte, off int64) error {
+	allowed, crashErr := len(b), error(nil)
+	if c != nil {
+		allowed, crashErr = c.admit(len(b))
+	}
+	if allowed > 0 {
+		if _, err := f.WriteAt(b[:allowed], off); err != nil {
+			return err
+		}
+	}
+	return crashErr
 }
 
 // FaultOp selects which device operation a scheduled fault intercepts.

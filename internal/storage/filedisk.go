@@ -176,17 +176,7 @@ func (d *FileDisk) readSuperblock(wantPageSize int) error {
 // may truncate it (torn write) and freeze the file for every later
 // operation, simulating a process kill mid-write.
 func (d *FileDisk) writeAt(b []byte, off int64) error {
-	allowed := len(b)
-	var crashErr error
-	if d.cp != nil {
-		allowed, crashErr = d.cp.admit(len(b))
-	}
-	if allowed > 0 {
-		if _, err := d.f.WriteAt(b[:allowed], off); err != nil {
-			return err
-		}
-	}
-	return crashErr
+	return d.cp.writeAt(d.f, b, off)
 }
 
 // SetCrashpoint installs (or clears, with nil) the crashpoint guarding
@@ -195,6 +185,14 @@ func (d *FileDisk) SetCrashpoint(cp *Crashpoint) {
 	d.mu.Lock()
 	d.cp = cp
 	d.mu.Unlock()
+}
+
+// crashpoint returns the installed crashpoint (nil in production) for
+// writes made on this disk's behalf outside the page file.
+func (d *FileDisk) crashpoint() *Crashpoint {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.cp
 }
 
 // Path returns the backing file path.

@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // RecoveryInfo summarizes one Recover run.
@@ -13,6 +12,20 @@ type RecoveryInfo struct {
 	RedonePages      int      // page images re-applied to the data file
 	QuarantinedPages []PageID // pages still failing checksum after redo
 	WALTailDamaged   bool     // log ended in a torn or corrupt record
+}
+
+// String renders the operator's recovery line, shared by gomd's startup
+// log and gomshell's \open.
+func (r *RecoveryInfo) String() string {
+	s := fmt.Sprintf("recovery: %d txns committed, %d discarded, %d pages redone",
+		r.CommittedTxns, r.DiscardedTxns, r.RedonePages)
+	if r.WALTailDamaged {
+		s += "; WAL tail was torn, incomplete transactions discarded"
+	}
+	if n := len(r.QuarantinedPages); n > 0 {
+		s += fmt.Sprintf("; WARNING: %d pages still corrupt after redo, affected indexes are quarantined (run Repair)", n)
+	}
+	return s
 }
 
 // Recover opens the page file at path and its WAL (path+".wal") and
@@ -45,7 +58,7 @@ func Recover(path string) (*FileDisk, *WAL, *RecoveryInfo, error) {
 // the archive chain instead of discarded — without this, a restart
 // would punch a hole in point-in-time recovery's history. The archive
 // stays attached on the returned WAL: every later checkpoint seals too.
-func RecoverArchived(path string, arch *Archive) (*FileDisk, *WAL, *RecoveryInfo, error) {
+func RecoverArchived(path string, arch *Archive) (_ *FileDisk, _ *WAL, _ *RecoveryInfo, err error) {
 	fd, err := OpenFileDisk(path, 0)
 	if err != nil {
 		return nil, nil, nil, err
@@ -55,74 +68,40 @@ func RecoverArchived(path string, arch *Archive) (*FileDisk, *WAL, *RecoveryInfo
 		fd.Close()
 		return nil, nil, nil, err
 	}
+	defer func() {
+		if err != nil {
+			fd.Close()
+			w.Close()
+		}
+	}()
 	if arch != nil {
 		w.SetArchive(arch)
 	}
 	recs, tailDamaged, err := w.Records()
 	if err != nil {
-		fd.Close()
-		w.Close()
 		return nil, nil, nil, err
 	}
-	info := &RecoveryInfo{WALTailDamaged: tailDamaged}
-
-	committed := map[uint64]bool{}
-	seen := map[uint64]bool{}
-	for _, r := range recs {
-		seen[r.Txn] = true
-		if r.Kind == RecCommit {
-			committed[r.Txn] = true
-		}
+	// The archive is not folded in: everything it holds was checkpointed
+	// into the page file before it was sealed.
+	images, _ := foldImageLog(nil, recs, 0) // no archive, no replay error
+	info := &RecoveryInfo{
+		CommittedTxns:  images.committed,
+		DiscardedTxns:  images.discarded,
+		WALTailDamaged: tailDamaged,
 	}
-	info.CommittedTxns = len(committed)
-	info.DiscardedTxns = len(seen) - len(committed)
 
-	// Last committed image per page, in log order.
-	latest := map[PageID]WALRecord{}
-	for _, r := range recs {
-		if r.Kind == RecPageImage && committed[r.Txn] {
-			latest[r.Page] = r
-		}
-	}
-	pages := make([]PageID, 0, len(latest))
-	for id := range latest {
-		pages = append(pages, id)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-
+	// Redo when the stored page is older than the log (or corrupt). A
+	// stored page may also be newer than the superblock's watermark.
 	maxLSN := fd.MaxLSN()
-	for _, id := range pages {
-		rec := latest[id]
-		if len(rec.Data) != fd.PageSize() {
-			fd.Close()
-			w.Close()
-			return nil, nil, nil, fmt.Errorf("storage: recover %s: image for %v is %d bytes, page size %d",
-				path, id, len(rec.Data), fd.PageSize())
-		}
-		fd.ensureAllocated(id)
-		stored, perr := fd.PageLSN(id)
-		if perr == nil && stored >= rec.LSN {
-			if stored > maxLSN {
-				maxLSN = stored
-			}
-			continue // stored page is already as new as the log
-		}
-		if perr != nil && !errors.Is(perr, ErrCorruptPage) {
-			fd.Close()
-			w.Close()
-			return nil, nil, nil, perr
-		}
-		if err := fd.WriteLSN(id, rec.Data, rec.LSN); err != nil {
-			fd.Close()
-			w.Close()
-			return nil, nil, nil, err
-		}
-		info.RedonePages++
-		telRecoveryRedone.Inc()
-		if rec.LSN > maxLSN {
-			maxLSN = rec.LSN
-		}
+	info.RedonePages, _, err = images.apply(fd, func(stored, image uint64) bool {
+		maxLSN = max(maxLSN, stored)
+		return stored < image
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	telRecoveryRedone.Add(uint64(info.RedonePages))
+	maxLSN = max(maxLSN, fd.MaxLSN())
 
 	// Sweep the whole file: any page still failing its checksum after
 	// redo — torn outside the log's coverage, or rotted while the
@@ -133,22 +112,13 @@ func RecoverArchived(path string, arch *Archive) (*FileDisk, *WAL, *RecoveryInfo
 			telRecoveryQuarantined.Inc()
 		}
 	}
-
-	for i := 0; i < info.CommittedTxns; i++ {
-		telRecoveryCommitted.Inc()
-	}
-	for i := 0; i < info.DiscardedTxns; i++ {
-		telRecoveryDiscarded.Inc()
-	}
+	telRecoveryCommitted.Add(uint64(info.CommittedTxns))
+	telRecoveryDiscarded.Add(uint64(info.DiscardedTxns))
 
 	if err := fd.Sync(); err != nil {
-		fd.Close()
-		w.Close()
 		return nil, nil, nil, err
 	}
 	if err := w.Reset(); err != nil {
-		fd.Close()
-		w.Close()
 		return nil, nil, nil, err
 	}
 	w.SetNextLSN(maxLSN + 1)

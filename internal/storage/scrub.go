@@ -84,6 +84,7 @@ func (s *Scrubber) RunOnce() (*ScrubResult, error) {
 
 func (s *Scrubber) runPass(cancel <-chan struct{}) (*ScrubResult, error) {
 	res := &ScrubResult{}
+	var images *imageLog // heal source, folded on the first corrupt page, dropped with the pass
 	var perPage time.Duration
 	if s.cfg.PagesPerSecond > 0 {
 		perPage = time.Second / time.Duration(s.cfg.PagesPerSecond)
@@ -108,9 +109,17 @@ func (s *Scrubber) runPass(cancel <-chan struct{}) (*ScrubResult, error) {
 		case errors.Is(err, ErrCorruptPage):
 			res.Found = append(res.Found, id)
 			telScrubFound.Inc()
-			healed, herr := s.heal(id)
-			if herr != nil {
-				return res, herr
+			if images == nil {
+				if images, err = s.healSource(); err != nil {
+					return res, err
+				}
+			}
+			healed := false
+			if img, ok := images.latest[id]; ok {
+				// HealPage re-checks the corruption under the disk latch.
+				if healed, err = s.fd.HealPage(id, img.Data, img.LSN); err != nil {
+					return res, err
+				}
 			}
 			s.mu.Lock()
 			if healed {
@@ -133,66 +142,33 @@ func (s *Scrubber) runPass(cancel <-chan struct{}) (*ScrubResult, error) {
 	}
 	s.mu.Lock()
 	s.passes++
-	for id := range s.unhealed {
-		res.Unhealed = append(res.Unhealed, id)
-	}
-	telScrubUnhealed.Set(float64(len(s.unhealed)))
 	s.mu.Unlock()
-	sort.Slice(res.Unhealed, func(i, j int) bool { return res.Unhealed[i] < res.Unhealed[j] })
+	res.Unhealed = s.Unhealed()
+	telScrubUnhealed.Set(float64(len(res.Unhealed)))
 	telScrubPasses.Inc()
 	return res, nil
 }
 
-// heal looks for the latest committed image of id in the live WAL and
-// the archive, and applies the newest one found. The apply re-checks
-// the corruption under the disk latch (see FileDisk.HealPage).
-func (s *Scrubber) heal(id PageID) (bool, error) {
+// healSource folds the archive chain and the live log, as one history,
+// into the newest committed image of every page. A damaged or gapped
+// archive degrades the heal (whatever replayed before the damage still
+// counts), it does not fail the scrub. Without a WAL the source is empty:
+// corruption is found and reported, never healed. The source is as old
+// as the pass's first finding, so an image may predate a page a writer
+// has rewritten since — HealPage leaves any page that reads clean alone.
+func (s *Scrubber) healSource() (*imageLog, error) {
 	if s.w == nil {
-		return false, nil
-	}
-	var (
-		best    WALRecord
-		haveImg bool
-	)
-	consider := func(recs []WALRecord) {
-		committed := map[uint64]bool{}
-		for _, r := range recs {
-			if r.Kind == RecCommit {
-				committed[r.Txn] = true
-			}
-		}
-		for _, r := range recs {
-			if r.Kind == RecPageImage && r.Page == id && committed[r.Txn] {
-				if !haveImg || r.LSN > best.LSN {
-					best, haveImg = r, true
-				}
-			}
-		}
-	}
-	// Archive first (older history), then the live log — newest LSN wins
-	// regardless of order. A damaged or gapped archive degrades the heal
-	// (whatever replayed before the damage is still considered), it does
-	// not fail the scrub.
-	if arch := s.w.Archive(); arch != nil {
-		var all []WALRecord
-		err := arch.Replay(0, ^uint64(0), func(r WALRecord) error {
-			all = append(all, r)
-			return nil
-		})
-		if err != nil && !errors.Is(err, ErrArchiveCorrupt) && !errors.Is(err, ErrArchiveGap) {
-			return false, err
-		}
-		consider(all)
+		return &imageLog{}, nil
 	}
 	recs, _, err := s.w.Records()
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	consider(recs)
-	if !haveImg {
-		return false, nil
+	images, err := foldImageLog(s.w.Archive(), recs, 0)
+	if err != nil && !errors.Is(err, ErrArchiveCorrupt) && !errors.Is(err, ErrArchiveGap) {
+		return nil, err
 	}
-	return s.fd.HealPage(id, best.Data, best.LSN)
+	return images, nil
 }
 
 // Start launches the background loop: one pass now, then one every
@@ -205,7 +181,7 @@ func (s *Scrubber) Start() {
 				if _, err := s.runPass(s.stop); err != nil {
 					// Scrubbing is advisory: an IO error ends the pass,
 					// not the process. The next tick retries.
-					_ = err
+					telScrubPassErrors.Inc()
 				}
 				if s.cfg.Interval <= 0 {
 					return

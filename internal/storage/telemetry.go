@@ -49,9 +49,10 @@ var (
 	telRestoreRuns    = telemetry.Default().Counter("backup_restores_total")
 	telRestoreHealed  = telemetry.Default().Counter("backup_restore_healed_pages_total")
 
-	telScrubChecked  = telemetry.Default().Counter("scrub_pages_checked_total")
-	telScrubFound    = telemetry.Default().Counter("scrub_corruptions_found_total")
-	telScrubHealed   = telemetry.Default().Counter("scrub_corruptions_healed_total")
-	telScrubPasses   = telemetry.Default().Counter("scrub_passes_total")
-	telScrubUnhealed = telemetry.Default().Gauge("scrub_unhealed_pages")
+	telScrubChecked    = telemetry.Default().Counter("scrub_pages_checked_total")
+	telScrubFound      = telemetry.Default().Counter("scrub_corruptions_found_total")
+	telScrubHealed     = telemetry.Default().Counter("scrub_corruptions_healed_total")
+	telScrubPasses     = telemetry.Default().Counter("scrub_passes_total")
+	telScrubPassErrors = telemetry.Default().Counter("scrub_pass_errors_total")
+	telScrubUnhealed   = telemetry.Default().Gauge("scrub_unhealed_pages")
 )
