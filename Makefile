@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-compare benchmark-smoke vet repro ci crash-matrix server-smoke chaos-smoke backup-smoke loc
+.PHONY: all build test race bench bench-smoke benchmark-smoke vet repro ci crash-matrix server-smoke chaos-smoke backup-smoke loc
 
 all: build test
 
@@ -24,22 +24,9 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Smoke-test the instrumented path end to end: one tiny asrbench
-# experiment (EXPLAIN ANALYZE calibration) with a telemetry snapshot,
-# then the perf snapshot + diff.
+# experiment (EXPLAIN ANALYZE calibration) with a telemetry snapshot.
 bench-smoke:
 	$(GO) run ./cmd/asrbench -experiment explain-calib -metrics
-	$(MAKE) bench-compare
-
-# Refresh the machine-readable perf+startup snapshot (BENCH_9.json),
-# diff it against the PR-4 era snapshot (informational — wall times on
-# shared runners are noisy), then run the trajectory gate: the new
-# snapshot's tree-shape metrics must be within -gate-threshold of the
-# best of the last -gate-keep snapshots in bench-history/, or the target
-# exits nonzero (wall times are recorded, and gated by BENCHMARK.json).
-# A pass records the snapshot into the history. CI caches bench-history/ across runs and
-# uploads it as an artifact (docs/PERFORMANCE.md, "Trajectory gate").
-bench-compare:
-	$(GO) run ./cmd/asrbench -snapshot BENCH_9.json -compare BENCH_4.json -gate bench-history
 
 # Smoke-test the repository's yardstick (BENCHMARK.json, benchmark/):
 # all four workloads, untraced then traced, on scale-4 fixtures for one

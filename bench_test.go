@@ -301,10 +301,8 @@ func BenchmarkQueryParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkASRBuild compares the bottom-up bulk loader (asr.Build) with
-// the incremental top-down reference build (asr.BuildIncremental) over
-// the same ≥10k-row extension — the tentpole build-path optimization.
-// The acceptance bar is bulk ≥ 2× faster.
+// BenchmarkASRBuild times the bottom-up bulk loader (asr.Build) over a
+// ≥10k-row extension.
 func BenchmarkASRBuild(b *testing.B) {
 	db, err := gendb.Generate(gendb.Spec{
 		N:    3,
@@ -331,15 +329,6 @@ func BenchmarkASRBuild(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pool := storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU)
 			if _, err := asr.Build(db.Base, db.Path, asr.Full, dec, pool); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("incremental", func(b *testing.B) {
-		b.ReportMetric(float64(rows), "rows")
-		for i := 0; i < b.N; i++ {
-			pool := storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU)
-			if _, err := asr.BuildIncremental(db.Base, db.Path, asr.Full, dec, pool); err != nil {
 				b.Fatal(err)
 			}
 		}

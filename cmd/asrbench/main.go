@@ -8,15 +8,14 @@
 //	asrbench -experiment fig6      # run one experiment
 //	asrbench -all                  # run everything
 //	asrbench -experiment fig6 -csv # machine-readable output
-//	asrbench -snapshot BENCH_9.json                         # perf+startup snapshot
-//	asrbench -snapshot BENCH_9.json -compare BENCH_4.json   # informational diff
-//	asrbench -snapshot BENCH_9.json -gate bench-history     # trajectory gate (CI)
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"unicode/utf8"
 
 	"asr/internal/bench"
 	"asr/internal/telemetry"
@@ -29,12 +28,6 @@ func main() {
 		all     = flag.Bool("all", false, "run every experiment")
 		csv     = flag.Bool("csv", false, "emit CSV instead of an aligned table")
 		metrics = flag.Bool("metrics", false, "emit a telemetry snapshot (Prometheus text) after each experiment")
-		snap    = flag.String("snapshot", "", "run the perf+startup experiments and write a machine-readable snapshot to this file")
-		compare = flag.String("compare", "", "with -snapshot: diff the fresh snapshot against this previous snapshot file")
-		gateDir = flag.String("gate", "", "with -snapshot: trajectory-gate the snapshot against the history in this directory (fails on regression)")
-		gateThr = flag.Float64("gate-threshold", 25, "max allowed regression (percent) for pinned sections before the gate fails")
-		gatePin = flag.String("gate-pin", "shape", "comma-separated snapshot sections the gate enforces; others are recorded but informational")
-		gateN   = flag.Int("gate-keep", 5, "number of history snapshots to retain in the gate directory")
 	)
 	flag.Usage = func() {
 		fmt.Fprint(flag.CommandLine.Output(), `asrbench — run the paper-reproduction experiments.
@@ -43,54 +36,21 @@ usage:
   asrbench -list                       enumerate experiments (fig/tab ids)
   asrbench -experiment ID [-csv] [-metrics]
   asrbench -all
-  asrbench -snapshot OUT.json [-compare PREV.json]   perf+startup snapshot + diff
-  asrbench -snapshot OUT.json -gate DIR              snapshot, then gate against
-                                                     the last -gate-keep history
-                                                     snapshots; exits 1 if a
-                                                     pinned section regresses
-                                                     more than -gate-threshold %
 
 flags:
 `)
 		flag.PrintDefaults()
 		fmt.Fprint(flag.CommandLine.Output(), `
-docs: EXPERIMENTS.md (measured output per paper claim), docs/PERFORMANCE.md
-      (perf experiment + snapshots), docs/OBSERVABILITY.md (-metrics,
-      explain-calib calibration).
+docs: EXPERIMENTS.md (measured output per paper claim), docs/OBSERVABILITY.md
+      (-metrics, explain-calib calibration), docs/PERFORMANCE.md (how the
+      system's speed is measured: BENCHMARK.json, go run ./benchmark).
 `)
 	}
 	flag.Parse()
 
 	switch {
-	case *snap != "":
-		cur, err := takeSnapshot()
-		if err != nil {
-			fail(err)
-		}
-		if err := writeSnapshot(cur, *snap); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s (%d metrics)\n", *snap, len(cur.Metrics))
-		if *compare != "" {
-			if err := compareSnapshots(*compare, cur); err != nil {
-				fail(err)
-			}
-		}
-		if *gateDir != "" {
-			cfg := gateConfig{dir: *gateDir, threshold: *gateThr, pinned: *gatePin, keep: *gateN}
-			failures, err := runGate(cfg, cur)
-			if err != nil {
-				fail(err)
-			}
-			if len(failures) > 0 {
-				os.Exit(1)
-			}
-		}
 	case *list:
-		fmt.Printf("%-14s %-12s %s\n", "id", "paper ref", "title")
-		for _, e := range bench.All() {
-			fmt.Printf("%-14s %-12s %s\n", e.ID, shorten(e.Ref), e.Title)
-		}
+		printList(os.Stdout, bench.All())
 	case *all:
 		for _, e := range bench.All() {
 			if err := runOne(e, *csv, *metrics); err != nil {
@@ -135,12 +95,17 @@ func runOne(e bench.Experiment, csv, metrics bool) error {
 	return nil
 }
 
-func shorten(ref string) string {
-	r := []rune(ref)
-	if len(r) > 12 {
-		return string(r[:12])
+// printList prints one line per experiment, the paper-reference column
+// as wide as its longest entry.
+func printList(w io.Writer, all []bench.Experiment) {
+	width := len("paper ref")
+	for _, e := range all {
+		width = max(width, utf8.RuneCountInString(e.Ref))
 	}
-	return ref
+	fmt.Fprintf(w, "%-14s %-*s %s\n", "id", width, "paper ref", "title")
+	for _, e := range all {
+		fmt.Fprintf(w, "%-14s %-*s %s\n", e.ID, width, e.Ref, e.Title)
+	}
 }
 
 func fail(err error) {

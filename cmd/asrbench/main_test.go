@@ -28,16 +28,24 @@ func TestEveryRegisteredExperimentRunsViaCLIHelper(t *testing.T) {
 	}
 }
 
-func TestShorten(t *testing.T) {
-	if got := shorten("Figure 6, §5.9.1"); len([]rune(got)) != 12 {
-		t.Errorf("shorten = %q (%d runes)", got, len([]rune(got)))
+// TestListPrintsFullReference: -list sizes the paper-reference column
+// from the data, so no reference is cut and titles stay aligned.
+func TestListPrintsFullReference(t *testing.T) {
+	var b strings.Builder
+	printList(&b, bench.All())
+	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
+	if len(lines) != len(bench.All())+1 {
+		t.Fatalf("%d lines for %d experiments", len(lines), len(bench.All()))
 	}
-	if got := shorten("short"); got != "short" {
-		t.Errorf("shorten = %q", got)
-	}
-	// Multi-byte boundary must not split a rune.
-	if got := shorten("§§§§§§§§§§§§§§"); len([]rune(got)) != 12 {
-		t.Errorf("shorten = %q", got)
+	titleCol := strings.Index(lines[0], "title")
+	for i, e := range bench.All() {
+		line := lines[i+1]
+		if !strings.Contains(line, e.Ref) {
+			t.Errorf("%s: reference %q cut in %q", e.ID, e.Ref, line)
+		}
+		if got := len([]rune(line[:strings.Index(line, e.Title)])); got != titleCol {
+			t.Errorf("%s: title starts at rune %d, header at %d", e.ID, got, titleCol)
+		}
 	}
 }
 

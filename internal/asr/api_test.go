@@ -151,8 +151,8 @@ func TestNewPartitionIncrementalPath(t *testing.T) {
 
 func TestQuerySpansOutsidePartitions(t *testing.T) {
 	// Queries whose span endpoints fall strictly inside partitions of a
-	// coarse decomposition exercise the scan paths of partitionAt /
-	// partitionAtFromRight.
+	// coarse decomposition exercise partitionEntering and scanInterior
+	// in both directions.
 	c := paperdb.BuildCompany()
 	ix, err := Build(c.Base, c.Path, Full, NoDecomposition(5), newPool())
 	if err != nil {

@@ -158,42 +158,6 @@ func Build(ob *gom.ObjectBase, path *gom.PathExpression, ext Extension, dec Deco
 	return build(ob, path, ext, dec, pool, nil)
 }
 
-// BuildIncremental materializes the same index as Build but inserts
-// every projected row top-down, one key at a time — the pre-bulk-load
-// reference path. It exists for equivalence tests and as the baseline
-// side of the build benchmarks; production callers should use Build.
-func BuildIncremental(ob *gom.ObjectBase, path *gom.PathExpression, ext Extension, dec Decomposition, pool *storage.BufferPool) (*Index, error) {
-	m := path.Arity() - 1
-	if err := dec.Validate(m); err != nil {
-		return nil, err
-	}
-	g, err := newPathGraph(ob, path)
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index{ob: ob, path: path, ext: ext, dec: dec, graph: g, pool: pool}
-	rows := g.allRows(ext)
-	for p := 0; p < dec.NumPartitions(); p++ {
-		lo, hi := dec.Partition(p)
-		part, err := NewPartition(pool, fmt.Sprintf("E_%s^%d,%d", ext, lo, hi), hi-lo+1)
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range rows {
-			proj := row[lo : hi+1]
-			if proj.IsAllNull() {
-				continue
-			}
-			if err := part.AddProjected(proj); err != nil {
-				return nil, err
-			}
-		}
-		part.acquire()
-		ix.parts = append(ix.parts, PlacedPartition{Lo: lo, Hi: hi, Part: part})
-	}
-	return ix, nil
-}
-
 // build optionally accepts preset partitions keyed by partition index —
 // used for physical sharing between overlapping paths (§5.4). Preset
 // partitions receive this index's projected rows on top of whatever they

@@ -1,10 +1,14 @@
 package bench
 
 import (
+	"errors"
+	"math"
+	"path/filepath"
 	"testing"
 
 	"asr/internal/asr"
 	"asr/internal/gendb"
+	"asr/internal/gom"
 	"asr/internal/storage"
 )
 
@@ -69,5 +73,77 @@ func TestModelTreeShapeMatchesBuiltPartitions(t *testing.T) {
 			t.Logf("%-5v partition %d: leaves %4d (model ap %4.0f, ratio %.2f), ht %g (model %g), rows %d",
 				pair.a, p, st.LeafPages, predAp, ratio, actualHt, predHt, st.Entries)
 		}
+	}
+}
+
+// TestGoldenTreeShape pins the stored geometry of one undecomposed full
+// extension — one partition with full composite-OID keys, the layout
+// prefix compression targets — after a save and a cold reopen through
+// storage.Recover and asr.OpenFrom. The numbers are structural: they
+// move only when the page format, the key encoding or the bulk loader's
+// fill strategy changes, and such a change edits them here.
+func TestGoldenTreeShape(t *testing.T) {
+	spec := gendb.Spec{
+		N:    3,
+		C:    []int{300, 800, 1500, 3000},
+		D:    []int{270, 650, 1200},
+		Fan:  []int{3, 2, 2},
+		Seed: 17,
+	}
+	pages := filepath.Join(t.TempDir(), "pages")
+	man := pages + ".manifest"
+	// open is one process start: a fresh ObjectBase over the recovered
+	// page file and log.
+	open := func() (*gom.ObjectBase, *gom.PathExpression, *storage.BufferPool, func()) {
+		t.Helper()
+		db, err := gendb.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd, w, _, err := storage.Recover(pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := storage.NewBufferPool(fd, 0, storage.LRU)
+		pool.AttachWAL(w)
+		return db.Base, db.Path, pool, func() {
+			if err := errors.Join(fd.Close(), w.Close()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	ob, path, pool, shut := open()
+	mgr := asr.NewManager(ob, pool)
+	if _, err := mgr.CreateIndex(path, asr.Full, asr.NoDecomposition(path.Arity()-1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.SaveTo(man); err != nil {
+		t.Fatal(err)
+	}
+	shut()
+
+	ob, _, pool, shut = open()
+	defer shut()
+	mgr, err := asr.OpenFrom(ob, pool, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := mgr.Indexes()[0]
+	if ix.Quarantined() {
+		t.Fatalf("reopened index quarantined: %v", ix.QuarantineReason())
+	}
+	st, err := ix.Partitions()[0].Part.Forward().ComputeStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := ix.TotalRows()[0]; rows != 4403 || st.Height != 3 || st.LeafPages != 72 {
+		t.Errorf("rows %d, forward height %d, leaf pages %d; want 4403, 3, 72", rows, st.Height, st.LeafPages)
+	}
+	if got, want := st.KeysPerLeaf(), 61.15277777777778; math.Abs(got-want) > 1e-9 {
+		t.Errorf("keys/leaf %.12f, want %.12f", got, want)
+	}
+	if got, want := float64(st.UsedBytes)/float64(st.UncompressedBytes), 0.8193098003624123; math.Abs(got-want) > 1e-9 {
+		t.Errorf("stored/uncompressed %.12f, want %.12f", got, want)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"asr/internal/costmodel"
 	"asr/internal/engine"
 	"asr/internal/gendb"
-	"asr/internal/gom"
 	"asr/internal/storage"
 )
 
@@ -47,7 +46,7 @@ func ValidateDesign(p costmodel.Profile, d costmodel.Design, mx costmodel.Mix, s
 	e := engine.New(place)
 
 	ix, err := asr.Build(db.Base, db.Path, asr.Extension(d.Ext),
-		stepDecToColumns(db.Path, d.Dec), newIndexPool())
+		asr.ColumnsOf(db.Path, d.Dec), newIndexPool())
 	if err != nil {
 		return nil, err
 	}
@@ -157,16 +156,6 @@ func scaledProfile(p costmodel.Profile, scale int) costmodel.Profile {
 	}
 	for i := range out.D {
 		out.D[i] = math.Max(1, math.Min(math.Floor(out.D[i]/float64(scale)), out.C[i]))
-	}
-	return out
-}
-
-// stepDecToColumns converts a step-space decomposition into the path's
-// column space (set-object columns stay inside their partition).
-func stepDecToColumns(path *gom.PathExpression, dec costmodel.Decomposition) asr.Decomposition {
-	out := make(asr.Decomposition, len(dec))
-	for i, s := range dec {
-		out[i] = path.ObjectColumn(s)
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"asr/internal/asr"
 	"asr/internal/costmodel"
 	"asr/internal/gom"
 	"asr/internal/telemetry"
@@ -160,7 +161,7 @@ func (e *Engine) Explain(q *Query) (*Explanation, error) {
 				if err != nil {
 					return nil, err
 				}
-				dec := stepDecomposition(ix.Path(), ix.Decomposition())
+				dec := asr.StepsOf(ix.Path(), ix.Decomposition())
 				pages := m.Q(costmodel.Extension(ix.Extension()), costmodel.Backward,
 					0, composed.Len(), dec)
 				x.Routes = append(x.Routes, PathCost{
@@ -207,7 +208,7 @@ func (e *Engine) Explain(q *Query) (*Explanation, error) {
 					if err != nil {
 						return nil, err
 					}
-					dec := stepDecomposition(ix.Path(), ix.Decomposition())
+					dec := asr.StepsOf(ix.Path(), ix.Decomposition())
 					pages := anchorsEst * m.QsupForward(costmodel.Extension(ix.Extension()),
 						0, composed.Len(), dec)
 					x.Routes = append(x.Routes, PathCost{
@@ -283,16 +284,20 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, q *Query) (*Analysis, error
 
 // modelFor derives a cost model for the path from the live object base:
 // extent sizes, defined-attribute counts, fan-outs and sharing are
-// counted, not assumed. Object sizes are set to the page size so the
-// non-supported formulas count object fetches (op_i = c_i); the page
-// size is the index pool's when a manager is attached. Model warnings
-// are appended to the explanation.
+// counted, not assumed (asr.Profile). Object sizes are set to the page
+// size so the non-supported formulas count object fetches (op_i = c_i);
+// the page size is the index pool's when a manager is attached. Model
+// warnings are appended to the explanation.
 func (e *Engine) modelFor(path *gom.PathExpression, x *Explanation) (*costmodel.Model, error) {
 	sys := costmodel.DefaultSystem()
 	if e.mgr != nil {
 		sys.PageSize = float64(e.mgr.Pool().Disk().PageSize())
 	}
-	prof, err := e.deriveProfile(path, sys.PageSize)
+	sizes := make([]float64, path.Len()+1)
+	for i := range sizes {
+		sizes[i] = sys.PageSize
+	}
+	prof, err := asr.Profile(e.ob, path, sizes)
 	if err != nil {
 		return nil, err
 	}
@@ -302,102 +307,4 @@ func (e *Engine) modelFor(path *gom.PathExpression, x *Explanation) (*costmodel.
 	}
 	x.Warnings = append(x.Warnings, m.Warnings...)
 	return m, nil
-}
-
-// deriveProfile counts the profile quantities of Figure 3 for the path
-// by walking the object base: c_i from extents (distinct values for an
-// atomic final level), d_i and fan_i from the defined attributes, and
-// shar_i from the distinct referenced objects, so e_i comes out exactly
-// empirical.
-func (e *Engine) deriveProfile(path *gom.PathExpression, pageSize float64) (costmodel.Profile, error) {
-	n := path.Len()
-	prof := costmodel.Profile{
-		N:    n,
-		C:    make([]float64, n+1),
-		D:    make([]float64, n),
-		Fan:  make([]float64, n),
-		Size: make([]float64, n+1),
-		Shar: make([]float64, n),
-	}
-	for i := range prof.Size {
-		prof.Size[i] = pageSize
-	}
-	for i := 0; i < n; i++ {
-		t := path.Root()
-		if i > 0 {
-			t = path.Step(i).Range
-		}
-		ext := e.ob.Extent(t, true)
-		prof.C[i] = float64(len(ext))
-		if len(ext) == 0 {
-			return prof, fmt.Errorf("query: cannot derive profile: extent of %s is empty", t.Name())
-		}
-		step := path.Step(i + 1)
-		var defined, refs float64
-		distinct := map[string]bool{}
-		for _, id := range ext {
-			o, ok := e.ob.Get(id)
-			if !ok {
-				continue
-			}
-			v, _ := o.Attr(step.Attr)
-			if v == nil {
-				continue
-			}
-			if step.IsSetOccurrence() {
-				sref, ok := v.(gom.Ref)
-				if !ok {
-					continue
-				}
-				so, ok := e.ob.Get(sref.OID())
-				if !ok || so.Len() == 0 {
-					continue
-				}
-				defined++
-				for _, elem := range so.Elements() {
-					refs++
-					distinct[gom.ValueString(elem)] = true
-				}
-			} else {
-				defined++
-				refs++
-				distinct[gom.ValueString(v)] = true
-			}
-		}
-		prof.D[i] = defined
-		if defined > 0 {
-			prof.Fan[i] = refs / defined
-		}
-		if len(distinct) > 0 {
-			prof.Shar[i] = refs / float64(len(distinct))
-		}
-		// The next level's cardinality: for an atomic final level the
-		// model's c_n is the number of distinct values; for object levels
-		// it is overwritten by the extent count on the next iteration.
-		prof.C[i+1] = float64(len(distinct))
-	}
-	last := path.Step(n)
-	if last.Range.Kind() != gom.AtomicType {
-		prof.C[n] = float64(len(e.ob.Extent(last.Range, true)))
-	}
-	if prof.C[n] == 0 {
-		return prof, fmt.Errorf("query: cannot derive profile: no values at level %d of %s", n, path)
-	}
-	return prof, nil
-}
-
-// stepDecomposition converts an index's decomposition from relation
-// columns (which include set-object identifier columns) to the cost
-// model's object-step positions 0..n, the paper's no-set-sharing
-// simplification ("read n as m", §3). A boundary on a set column maps
-// to the owning step; coinciding boundaries collapse.
-func stepDecomposition(path *gom.PathExpression, dec []int) costmodel.Decomposition {
-	var out costmodel.Decomposition
-	for _, col := range dec {
-		s, _ := path.StepOfColumn(col)
-		if len(out) == 0 || out[len(out)-1] != s {
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -185,5 +186,87 @@ func TestScrubStartCountsFailedPass(t *testing.T) {
 	}
 	if sc.Passes() != 0 {
 		t.Fatalf("a failed pass was counted as completed (%d)", sc.Passes())
+	}
+}
+
+// TestTxnIDsUniqueAcrossRestart: an uncommitted tail that recovery
+// sealed into the archive must stay uncommitted for good. Process 1
+// commits page A (txn 1) and crashes with an image of page B logged but
+// no marker (txn 2); process 2 recovers, sealing that tail and
+// resetting the log; process 3 opens the empty log and commits two
+// transactions. Were ids or LSNs handed out again, process 3's second
+// marker would adopt the archived image of B.
+func TestTxnIDsUniqueAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "pages")
+	arch, err := OpenArchive(filepath.Join(dir, "archive"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pageA, pageB, pageC = PageID(1), PageID(2), PageID(3)
+	open := func() (*FileDisk, *WAL) {
+		t.Helper()
+		fd, w, _, err := RecoverArchived(path, arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fd, w
+	}
+	shut := func(fd *FileDisk, w *WAL) {
+		t.Helper()
+		if err := errors.Join(w.Close(), fd.Close()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logTxn := func(fd *FileDisk, w *WAL, commit bool, pages ...PageID) {
+		t.Helper()
+		txn := w.Begin()
+		for _, id := range pages {
+			img := bytes.Repeat([]byte{byte(txn)}, fd.PageSize())
+			if _, err := w.AppendPageImage(txn, id, img); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if commit {
+			if err := w.Commit(txn); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	fd, w := open() // process 1
+	logTxn(fd, w, true, pageA)
+	logTxn(fd, w, false, pageB)
+	shut(fd, w) // Close flushes the tail: the crash left it on disk
+
+	fd, w = open() // process 2: recovery seals the tail, resets the log
+	shut(fd, w)
+	archived, err := arch.MaxLSN()
+	if err != nil || archived == 0 {
+		t.Fatalf("archive after recovery: max LSN %d, err %v", archived, err)
+	}
+
+	fd, w = open() // process 3
+	defer shut(fd, w)
+	logTxn(fd, w, true, pageA)
+	logTxn(fd, w, true, pageC)
+	live, _, err := w.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range live {
+		if r.LSN <= archived {
+			t.Errorf("live record txn %d has LSN %d, the archive already holds up to %d", r.Txn, r.LSN, archived)
+		}
+	}
+	images, err := foldImageLog(arch, live, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img, ok := images.latest[pageB]; ok {
+		t.Errorf("fold adopted the uncommitted image of page B (txn %d, LSN %d)", img.Txn, img.LSN)
+	}
+	if images.committed != 3 || images.discarded != 1 {
+		t.Errorf("fold: %d committed, %d discarded, want 3 and 1", images.committed, images.discarded)
 	}
 }

@@ -121,6 +121,15 @@ func RecoverArchived(path string, arch *Archive) (_ *FileDisk, _ *WAL, _ *Recove
 	if err := w.Reset(); err != nil {
 		return nil, nil, nil, err
 	}
+	if arch != nil {
+		// An uncommitted tail sealed by an earlier recovery never reached
+		// the page file; its LSNs are taken all the same.
+		archived, err := arch.MaxLSN()
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		maxLSN = max(maxLSN, archived)
+	}
 	w.SetNextLSN(maxLSN + 1)
 	return fd, w, info, nil
 }

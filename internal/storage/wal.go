@@ -160,7 +160,10 @@ type WAL struct {
 // OpenWAL opens (or creates) a log file, scanning it to find the valid
 // prefix and to seat the LSN and transaction counters above everything
 // already logged. A damaged tail is ignored (it is overwritten by the
-// next append).
+// next append). The transaction counter never starts below the LSN
+// counter: every transaction consumes at least one LSN, so an id handed
+// out after a restart is above every id logged before it even when the
+// log it was logged in has since been reset.
 func OpenWAL(path string) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -182,6 +185,7 @@ func OpenWAL(path string) (*WAL, error) {
 			w.nextTxn = r.Txn + 1
 		}
 	}
+	w.nextTxn = max(w.nextTxn, w.nextLSN)
 	w.appendedLSN = w.nextLSN - 1
 	w.syncedLSN = w.appendedLSN
 	return w, nil
@@ -243,12 +247,14 @@ func (w *WAL) Stats() WALStats {
 	return s
 }
 
-// SetNextLSN raises the LSN counter (never lowers it); Recover uses it
-// to keep LSNs monotonic across a log truncation.
+// SetNextLSN raises the LSN counter (never lowers it), and the
+// transaction counter with it; Recover uses it to keep LSNs and
+// transaction ids monotonic across a log truncation.
 func (w *WAL) SetNextLSN(lsn uint64) {
 	w.mu.Lock()
 	if lsn > w.nextLSN {
 		w.nextLSN = lsn
+		w.nextTxn = max(w.nextTxn, lsn)
 		w.appendedLSN = lsn - 1
 		w.syncedLSN = lsn - 1
 	}

@@ -6,10 +6,11 @@
 // automatically adjust the physical database design."
 //
 // The tuner (a) measures the application-specific parameters of §4.1
-// (c_i, d_i, fan_i, shar_i) directly from a live object base, (b)
-// records the executed operation mix through the asr.Manager query hook
-// and a gom.Observer for updates, and (c) runs the analytical design
-// sweep to recommend — and optionally apply — the cheapest extension and
+// (c_i, d_i, fan_i, shar_i) directly from a live object base
+// (asr.Profile, with its estimated object sizes), (b) records the
+// executed operation mix through the asr.Manager query hook and a
+// gom.Observer for updates, and (c) runs the analytical design sweep to
+// recommend — and optionally apply — the cheapest extension and
 // decomposition per indexed path.
 package tuner
 
@@ -23,117 +24,6 @@ import (
 	"asr/internal/costmodel"
 	"asr/internal/gom"
 )
-
-// ProfileFromBase measures the §4.1 application parameters for a path
-// over a live object base. Object sizes are estimated per level as
-// baseSize bytes plus 8 per reference slot when sizes is nil; pass
-// explicit per-level sizes to override.
-func ProfileFromBase(ob *gom.ObjectBase, path *gom.PathExpression, sizes []float64) (costmodel.Profile, error) {
-	n := path.Len()
-	p := costmodel.Profile{
-		N:    n,
-		C:    make([]float64, n+1),
-		D:    make([]float64, n),
-		Fan:  make([]float64, n),
-		Shar: make([]float64, n),
-		Size: make([]float64, n+1),
-	}
-	const baseSize = 64
-	for step := 1; step <= n; step++ {
-		st := path.Step(step)
-		extent := ob.Extent(st.Domain, true)
-		p.C[step-1] = float64(len(extent))
-		totalRefs := 0
-		distinct := map[string]bool{}
-		defined := 0
-		for _, id := range extent {
-			o, ok := ob.Get(id)
-			if !ok {
-				continue
-			}
-			targets := stepTargets(ob, o, st)
-			if len(targets) == 0 {
-				continue
-			}
-			defined++
-			totalRefs += len(targets)
-			for _, tg := range targets {
-				distinct[gom.ValueString(tg)] = true
-			}
-		}
-		p.D[step-1] = float64(defined)
-		if defined > 0 {
-			p.Fan[step-1] = float64(totalRefs) / float64(defined)
-		}
-		if len(distinct) > 0 {
-			// Measured average sharing: total references per distinct
-			// referenced object — more faithful than the Fig. 3 default.
-			p.Shar[step-1] = float64(totalRefs) / float64(len(distinct))
-		}
-	}
-	last := path.Step(n)
-	if last.Range.Kind() == gom.AtomicType {
-		// Count the distinct reachable values' carrier: the domain
-		// extent bounds it; for the model c_n only scales e_n.
-		p.C[n] = float64(max(1, len(ob.Extent(last.Domain, true))))
-	} else {
-		p.C[n] = float64(max(1, len(ob.Extent(last.Range, true))))
-	}
-	if sizes != nil {
-		if len(sizes) != n+1 {
-			return costmodel.Profile{}, fmt.Errorf("tuner: %d sizes for %d levels", len(sizes), n+1)
-		}
-		copy(p.Size, sizes)
-	} else {
-		for i := 0; i <= n; i++ {
-			fan := 1.0
-			if i < n {
-				fan = p.Fan[i]
-			}
-			p.Size[i] = baseSize + 8*fan
-		}
-	}
-	for i := 0; i <= n; i++ {
-		if p.C[i] == 0 {
-			p.C[i] = 1 // the model requires positive populations
-		}
-	}
-	return p, nil
-}
-
-// stepTargets lists the live values one attribute step leads to.
-func stepTargets(ob *gom.ObjectBase, o *gom.Object, st gom.PathStep) []gom.Value {
-	v, _ := o.Attr(st.Attr)
-	if v == nil {
-		return nil
-	}
-	if st.IsSetOccurrence() {
-		ref, ok := v.(gom.Ref)
-		if !ok {
-			return nil
-		}
-		setObj, ok := ob.Get(ref.OID())
-		if !ok {
-			return nil
-		}
-		var out []gom.Value
-		for _, e := range setObj.Elements() {
-			if r, ok := e.(gom.Ref); ok {
-				if _, live := ob.Get(r.OID()); !live {
-					continue
-				}
-			}
-			out = append(out, e)
-		}
-		return out
-	}
-	if r, ok := v.(gom.Ref); ok {
-		if _, live := ob.Get(r.OID()); !live {
-			return nil
-		}
-	}
-	return []gom.Value{v}
-}
 
 // Workload accumulates the executed operations per path — the recorded
 // usage pattern of §7.
@@ -369,7 +259,7 @@ func (t *Tuner) Recommend(path *gom.PathExpression) (Recommendation, error) {
 	if err != nil {
 		return Recommendation{}, err
 	}
-	profile, err := ProfileFromBase(t.ob, path, nil)
+	profile, err := asr.Profile(t.ob, path, nil)
 	if err != nil {
 		return Recommendation{}, err
 	}
@@ -405,40 +295,11 @@ func (t *Tuner) currentDesign(path *gom.PathExpression) *costmodel.Design {
 		}
 		d := costmodel.Design{
 			Ext: costmodel.Extension(ix.Extension()),
-			Dec: columnsToSteps(path, ix.Decomposition()),
+			Dec: asr.StepsOf(path, ix.Decomposition()),
 		}
 		return &d
 	}
 	return nil
-}
-
-// columnsToSteps converts a column-space decomposition to step space by
-// keeping boundaries that land on object columns.
-func columnsToSteps(path *gom.PathExpression, dec asr.Decomposition) costmodel.Decomposition {
-	colToStep := map[int]int{}
-	for s := 0; s <= path.Len(); s++ {
-		colToStep[path.ObjectColumn(s)] = s
-	}
-	var out costmodel.Decomposition
-	for _, c := range dec {
-		if s, ok := colToStep[c]; ok {
-			out = append(out, s)
-		}
-	}
-	if len(out) < 2 || out[0] != 0 || out[len(out)-1] != path.Len() {
-		return costmodel.NoDecomposition(path.Len())
-	}
-	return out
-}
-
-// stepsToColumns converts a step-space decomposition (from the model)
-// into the index's column space.
-func stepsToColumns(path *gom.PathExpression, dec costmodel.Decomposition) asr.Decomposition {
-	out := make(asr.Decomposition, len(dec))
-	for i, s := range dec {
-		out[i] = path.ObjectColumn(s)
-	}
-	return out
 }
 
 // Autotune recommends and applies: for every watched path whose best
@@ -477,7 +338,7 @@ func (t *Tuner) Autotune(minGain float64) ([]Recommendation, error) {
 			}
 		}
 		if _, err := t.manager.CreateIndex(path,
-			asr.Extension(rec.Best.Ext), stepsToColumns(path, rec.Best.Dec)); err != nil {
+			asr.Extension(rec.Best.Ext), asr.ColumnsOf(path, rec.Best.Dec)); err != nil {
 			return out, err
 		}
 	}

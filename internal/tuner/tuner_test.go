@@ -15,53 +15,6 @@ func newPool() *storage.BufferPool {
 	return storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU)
 }
 
-func TestProfileFromBaseMeasuresCompany(t *testing.T) {
-	c := paperdb.BuildCompany()
-	p, err := ProfileFromBase(c.Base, c.Path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Levels: Division(3), Product(3), BasePart(2), Name values.
-	if p.N != 3 {
-		t.Fatalf("N = %d", p.N)
-	}
-	if p.C[0] != 3 || p.C[1] != 3 || p.C[2] != 2 {
-		t.Errorf("C = %v", p.C)
-	}
-	// d_0: Auto and Truck have Manufactures with non-empty sets = 2.
-	if p.D[0] != 2 {
-		t.Errorf("D[0] = %g, want 2", p.D[0])
-	}
-	// d_1: 560SEC and Sausage have Compositions = 2 (MBTrak NULL).
-	if p.D[1] != 2 {
-		t.Errorf("D[1] = %g, want 2", p.D[1])
-	}
-	// d_2: both parts have names.
-	if p.D[2] != 2 {
-		t.Errorf("D[2] = %g, want 2", p.D[2])
-	}
-	// fan_0: Auto→{560SEC}, Truck→{560SEC, MBTrak} → 3 refs / 2 = 1.5.
-	if math.Abs(p.Fan[0]-1.5) > 1e-9 {
-		t.Errorf("Fan[0] = %g, want 1.5", p.Fan[0])
-	}
-	// shar_0: 3 references over 2 distinct products = 1.5.
-	if math.Abs(p.Shar[0]-1.5) > 1e-9 {
-		t.Errorf("Shar[0] = %g, want 1.5", p.Shar[0])
-	}
-	// The measured profile must feed the model without error.
-	if _, err := costmodel.New(costmodel.DefaultSystem(), p); err != nil {
-		t.Fatal(err)
-	}
-	// Explicit sizes are honored; wrong lengths rejected.
-	p2, err := ProfileFromBase(c.Base, c.Path, []float64{100, 100, 100, 100})
-	if err != nil || p2.Size[0] != 100 {
-		t.Errorf("explicit sizes: %v %v", p2.Size, err)
-	}
-	if _, err := ProfileFromBase(c.Base, c.Path, []float64{100}); err == nil {
-		t.Error("short sizes accepted")
-	}
-}
-
 func TestWorkloadMix(t *testing.T) {
 	w := NewWorkload()
 	pathName := "Division.Manufactures.Composition.Name"
