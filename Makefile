@@ -1,13 +1,24 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke benchmark-smoke vet repro ci crash-matrix server-smoke chaos-smoke backup-smoke loc
+.PHONY: all build test race bench bench-smoke benchmark-smoke vet repro ci ci-steps crash-matrix server-smoke chaos-smoke backup-smoke loc
 
 all: build test
 
 # What CI runs (.github/workflows/ci.yml): build, vet, tests, race
 # suite, crash matrix, bench smoke, benchmark smoke, server smoke, chaos
-# smoke, backup smoke.
-ci: build vet test race crash-matrix bench-smoke benchmark-smoke server-smoke chaos-smoke backup-smoke
+# smoke, backup smoke — and then the check that none of it wrote a
+# tracked file or left an untracked, un-ignored one behind: `git status
+# --porcelain` must read the same after the steps as before them.
+ci:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	git status --porcelain > "$$tmp/before" && \
+	$(MAKE) ci-steps && \
+	git status --porcelain > "$$tmp/after" && \
+	if ! diff "$$tmp/before" "$$tmp/after"; then \
+		echo "make ci changed the working tree (git status --porcelain: < before, > after)"; exit 1; \
+	fi
+
+ci-steps: build vet test race crash-matrix bench-smoke benchmark-smoke server-smoke chaos-smoke backup-smoke
 
 build:
 	$(GO) build ./...

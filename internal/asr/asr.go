@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"asr/internal/costmodel"
 	"asr/internal/gom"
 	"asr/internal/relation"
 	"asr/internal/storage"
@@ -55,9 +56,10 @@ type Index struct {
 	graph *pathGraph
 	pool  *storage.BufferPool
 
-	quarantined atomic.Bool
-	quarMu      sync.Mutex // guards quarErr
-	quarErr     error
+	// quarReason holds why the index is out of service, nil while it is
+	// usable: the one record of a failed index (Maintainer.Err and
+	// Manager.Healthy read it).
+	quarReason atomic.Pointer[error]
 
 	nQueries     atomic.Uint64
 	nRowsScanned atomic.Uint64
@@ -90,7 +92,7 @@ type IndexStats struct {
 //	Quarantined ⇒ Rollbacks ≥ 1
 //	Retries ≤ Rollbacks
 func (ix *Index) Stats() IndexStats {
-	quarantined := ix.quarantined.Load()
+	quarantined := ix.Quarantined()
 	retries := ix.nRetries.Load()
 	rollbacks := ix.nRollbacks.Load()
 	return IndexStats{
@@ -113,31 +115,24 @@ func (ix *Index) addRowsScanned(n uint64) {
 
 // Quarantined reports whether the index is quarantined (stale after an
 // unrecoverable maintenance failure). Safe for concurrent use.
-func (ix *Index) Quarantined() bool { return ix.quarantined.Load() }
+func (ix *Index) Quarantined() bool { return ix.quarReason.Load() != nil }
 
 // QuarantineReason returns the error that quarantined the index, or nil.
 func (ix *Index) QuarantineReason() error {
-	ix.quarMu.Lock()
-	defer ix.quarMu.Unlock()
-	return ix.quarErr
+	if reason := ix.quarReason.Load(); reason != nil {
+		return *reason
+	}
+	return nil
 }
 
 // quarantine marks the index unusable for queries until Repair.
 func (ix *Index) quarantine(err error) {
-	ix.quarMu.Lock()
-	ix.quarErr = err
-	ix.quarMu.Unlock()
-	ix.quarantined.Store(true)
+	ix.quarReason.Store(&err)
 	telMaintQuarantines.Inc()
 }
 
 // clearQuarantine lifts the quarantine (Repair succeeded).
-func (ix *Index) clearQuarantine() {
-	ix.quarMu.Lock()
-	ix.quarErr = nil
-	ix.quarMu.Unlock()
-	ix.quarantined.Store(false)
-}
+func (ix *Index) clearQuarantine() { ix.quarReason.Store(nil) }
 
 // ResetStats zeroes every activity counter — the read counters and the
 // maintenance fault counters. The quarantine flag is state, not a
@@ -244,7 +239,7 @@ func (ix *Index) Pool() *storage.BufferPool { return ix.pool }
 // Supports reports whether the index can evaluate Q_{i,j} (object steps
 // 0 ≤ i < j ≤ n), per eq. (35).
 func (ix *Index) Supports(i, j int) bool {
-	return SupportsQuery(ix.ext, ix.path.Len(), i, j)
+	return costmodel.Supported(ix.ext, ix.path.Len(), i, j)
 }
 
 // edges returns the column a walk in the given direction enters the
@@ -318,7 +313,7 @@ func (ix *Index) query(ctx context.Context, fwd bool, i, j, workers int, vals []
 	if !ix.Supports(i, j) {
 		return nil, ErrNotSupported
 	}
-	if ix.quarantined.Load() {
+	if ix.Quarantined() {
 		return nil, fmt.Errorf("asr: index on %s: %w", ix.path, ErrQuarantined)
 	}
 	ix.mu.RLock()

@@ -63,7 +63,6 @@ func TestMaintainerCancellationSkipsBackoff(t *testing.T) {
 	if _, err := r.ix.Repair(); err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
-	r.mt.ClearErr()
 	r.fi.Schedule(storage.Fault{Op: storage.OpWrite}) // one-shot: retriable
 	src, dst := r.mutableSource(t)
 	r.db.Base.MustSetAttr(src, "Next", gom.Ref(dst))

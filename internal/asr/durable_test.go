@@ -237,6 +237,9 @@ func TestVerifyDetectsCorruptPartitionPage(t *testing.T) {
 	if !r.ix.Quarantined() {
 		t.Fatal("index not quarantined after failed physical verification")
 	}
+	if err := r.mgr.Healthy(); !errors.Is(err, storage.ErrCorruptPage) {
+		t.Fatalf("Healthy with an index quarantined by Verify = %v, want the quarantine reason", err)
+	}
 
 	// Queries still answer via fallback, against the live base.
 	checkAgainstNaive(t, r.mgr, r.db.Base, r.db.Path, r.db.Extents[0][:5])

@@ -19,44 +19,31 @@ package asr
 import (
 	"fmt"
 
+	"asr/internal/costmodel"
 	"asr/internal/gom"
 	"asr/internal/relation"
 )
 
 // Extension selects how much (partial) path information an access
-// support relation keeps (§3).
-type Extension int
+// support relation keeps (§3). It is the cost model's type: the relation
+// that is built and the formulas that price it name their extension
+// with one set of values.
+type Extension = costmodel.Extension
 
 // The four extensions of Definitions 3.4–3.7.
 const (
 	// Canonical keeps only complete paths from t_0 to t_n.
-	Canonical Extension = iota
+	Canonical = costmodel.Canonical
 	// Full keeps every maximal partial path.
-	Full
+	Full = costmodel.Full
 	// LeftComplete keeps partial paths originating in t_0.
-	LeftComplete
+	LeftComplete = costmodel.LeftComplete
 	// RightComplete keeps partial paths reaching t_n.
-	RightComplete
+	RightComplete = costmodel.RightComplete
 )
 
 // Extensions lists all four extensions, for sweeps.
-var Extensions = []Extension{Canonical, Full, LeftComplete, RightComplete}
-
-// String names the extension as the paper abbreviates it.
-func (e Extension) String() string {
-	switch e {
-	case Canonical:
-		return "can"
-	case Full:
-		return "full"
-	case LeftComplete:
-		return "left"
-	case RightComplete:
-		return "right"
-	default:
-		return fmt.Sprintf("Extension(%d)", int(e))
-	}
-}
+var Extensions = costmodel.Extensions
 
 // BuildExtension composes the auxiliary relations into the chosen
 // extension of the access support relation:
@@ -80,29 +67,6 @@ func BuildExtension(ext Extension, name string, aux []*relation.Relation) (*rela
 		return relation.JoinChain(relation.RightOuterJoin, name, false, aux...)
 	default:
 		return nil, fmt.Errorf("asr: BuildExtension: unknown extension %v", ext)
-	}
-}
-
-// SupportsQuery reports whether an access support relation in extension
-// ext over a path of length n can evaluate a query spanning object steps
-// i..j (0 ≤ i < j ≤ n), per the usability rules of §5.3 / eq. (35):
-// canonical supports only complete spans, left-complete requires i = 0,
-// right-complete requires j = n, and full supports everything.
-func SupportsQuery(ext Extension, n, i, j int) bool {
-	if i < 0 || j > n || i >= j {
-		return false
-	}
-	switch ext {
-	case Canonical:
-		return i == 0 && j == n
-	case Full:
-		return true
-	case LeftComplete:
-		return i == 0
-	case RightComplete:
-		return j == n
-	default:
-		return false
 	}
 }
 

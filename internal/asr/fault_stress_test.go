@@ -108,7 +108,6 @@ func TestStressMaintenanceUnderInjectedFaults(t *testing.T) {
 			if _, err := ix.Repair(); err != nil {
 				t.Fatalf("op %d: repair: %v", op, err)
 			}
-			mt.ClearErr()
 			fi.FailProbabilistically(0, 0.3)
 		}
 	}
@@ -120,7 +119,6 @@ func TestStressMaintenanceUnderInjectedFaults(t *testing.T) {
 		if _, err := ix.Repair(); err != nil {
 			t.Fatal(err)
 		}
-		mt.ClearErr()
 	}
 	if err := mt.Err(); err != nil {
 		t.Fatalf("maintainer error after storm + repair: %v", err)

@@ -21,10 +21,13 @@ import (
 // path-graph edges it adds or removes; the logical rows passing through
 // any endpoint of a changed edge are enumerated before and after the
 // change, and the difference is applied to every partition (whose
-// reference counts absorb shared projections). Errors encountered inside
-// observer callbacks are retained and reported by Err — the object base
+// reference counts absorb shared projections). An update that cannot be
+// applied quarantines the index, and Err reports why — the object base
 // update itself has already happened, matching the paper's model where
-// the object update precedes index maintenance.
+// the object update precedes index maintenance. The quarantine reason
+// on the Index is the only record of the failure: whatever lifts the
+// quarantine (Repair, Rematerialize) is all that is needed for
+// maintenance to resume with the next update.
 //
 // Each update's row diff is applied transactionally: a storage-level
 // undo transaction makes a partial failure — a device write fault
@@ -41,8 +44,7 @@ import (
 // so concurrent index readers see atomic transitions.
 type Maintainer struct {
 	ix      *Index
-	errMu   sync.Mutex
-	errs    []error
+	mu      sync.Mutex // guards the retry policy
 	retries int
 	backoff time.Duration
 	ctx     context.Context
@@ -61,8 +63,8 @@ func NewMaintainer(ix *Index) *Maintainer {
 // context.Background() to remove a bound. Call from the same goroutine
 // that drives the object-base updates.
 func (m *Maintainer) SetContext(ctx context.Context) {
-	m.errMu.Lock()
-	defer m.errMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -73,51 +75,30 @@ func (m *Maintainer) SetContext(ctx context.Context) {
 // retried: up to retries re-attempts per update, sleeping backoff,
 // 2·backoff, 4·backoff, … between them. retries = 0 disables retrying.
 func (m *Maintainer) SetRetryPolicy(retries int, backoff time.Duration) {
-	m.errMu.Lock()
-	defer m.errMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if retries < 0 {
 		retries = 0
 	}
 	m.retries, m.backoff = retries, backoff
 }
 
-// Err returns every retained maintenance error joined into one (see
-// errors.Join), or nil. A non-nil Err means at least one update could
-// not be applied and the index is quarantined; after a successful
-// Repair, call ClearErr. Safe for concurrent use.
-func (m *Maintainer) Err() error {
-	m.errMu.Lock()
-	defer m.errMu.Unlock()
-	return errors.Join(m.errs...)
-}
-
-// ClearErr discards the retained maintenance errors — call it after
-// Index.Repair (or Manager.Repair, which does both) has restored the
-// index. Safe for concurrent use.
-func (m *Maintainer) ClearErr() {
-	m.errMu.Lock()
-	defer m.errMu.Unlock()
-	m.errs = nil
-}
-
-func (m *Maintainer) fail(err error) {
-	if err == nil {
-		return
-	}
-	m.errMu.Lock()
-	defer m.errMu.Unlock()
-	m.errs = append(m.errs, err)
-}
+// Err returns why the index is quarantined — the maintenance failure,
+// or whatever else took it out of service (damage found at open or by
+// Verify) — or nil while it is being maintained. Safe for concurrent
+// use.
+func (m *Maintainer) Err() error { return m.ix.QuarantineReason() }
 
 // retryPolicy snapshots the current policy. Safe for concurrent use.
 func (m *Maintainer) retryPolicy() (int, time.Duration, context.Context) {
-	m.errMu.Lock()
-	defer m.errMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.retries, m.backoff, m.ctx
 }
 
 // apply runs one update's edge changes through the index with the
-// maintainer's retry policy, retaining any terminal error. While the
+// maintainer's retry policy; a terminal error quarantines the index,
+// which records it. While the
 // index is quarantined its graph no longer tracks the object base, so
 // further incremental maintenance would only compound the drift —
 // updates are skipped until Repair resynchronizes everything from the
@@ -127,7 +108,7 @@ func (m *Maintainer) apply(changes []edgeChange) {
 		return
 	}
 	retries, backoff, ctx := m.retryPolicy()
-	m.fail(m.ix.applyChanges(ctx, changes, retries, backoff))
+	m.ix.applyChanges(ctx, changes, retries, backoff)
 }
 
 // edgeChange is one path-graph edge addition or removal at column col
@@ -271,15 +252,15 @@ func (m *Maintainer) isSetColumn(c int) bool {
 // rolled back and retried up to retries times with exponential backoff
 // starting at backoff. If every attempt fails, the effective graph
 // mutations are reversed too (restoring the exact pre-update state) and
-// the index is quarantined: its stored rows are consistent with the
-// pre-update object base, which no longer exists, so only Repair can
-// bring it back.
-func (ix *Index) applyChanges(ctx context.Context, changes []edgeChange, retries int, backoff time.Duration) error {
+// the index is quarantined with the attempts' errors as its reason: its
+// stored rows are consistent with the pre-update object base, which no
+// longer exists, so only Repair can bring it back.
+func (ix *Index) applyChanges(ctx context.Context, changes []edgeChange, retries int, backoff time.Duration) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if len(changes) == 0 {
-		return nil
+		return
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -343,7 +324,7 @@ func (ix *Index) applyChanges(ctx context.Context, changes []edgeChange, retries
 	for attempt := 0; ; attempt++ {
 		err := ix.applyDiffTxn(removes, adds)
 		if err == nil {
-			return nil
+			return
 		}
 		attempts = append(attempts, fmt.Errorf("attempt %d: %w", attempt+1, err))
 		if attempt >= retries {
@@ -376,10 +357,8 @@ func (ix *Index) applyChanges(ctx context.Context, changes []edgeChange, retries
 			ix.graph.addEdge(ch.col, ch.from, ch.to)
 		}
 	}
-	err := fmt.Errorf("asr: index on %s: maintenance failed after %d attempt(s), index quarantined: %w",
-		ix.path, len(attempts), errors.Join(attempts...))
-	ix.quarantine(err)
-	return err
+	ix.quarantine(fmt.Errorf("asr: index on %s: maintenance failed after %d attempt(s), index quarantined: %w",
+		ix.path, len(attempts), errors.Join(attempts...)))
 }
 
 // applyDiffTxn applies one update's row diff — removes, then adds — to

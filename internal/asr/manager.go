@@ -118,38 +118,37 @@ func (m *Manager) Indexes() []*Index {
 	return out
 }
 
-// Repair resynchronizes a quarantined managed index with the object
-// base (see Index.Repair) and clears its maintainer's retained errors,
-// so maintenance resumes with the next update. Must be called with
-// object-base mutation quiesced (the single-writer rule).
-func (m *Manager) Repair(ix *Index) (VerifyReport, error) {
+// managed reports an error unless ix is one of the manager's indexes.
+func (m *Manager) managed(ix *Index) error {
 	m.mu.RLock()
-	var entry *managedIndex
+	defer m.mu.RUnlock()
 	for _, e := range m.entries {
 		if e.ix == ix {
-			entry = e
-			break
+			return nil
 		}
 	}
-	m.mu.RUnlock()
-	if entry == nil {
-		return VerifyReport{}, fmt.Errorf("asr: index not managed: %s", ix)
-	}
-	rep, err := ix.Repair()
-	if err != nil {
-		return rep, err
-	}
-	entry.maintainer.ClearErr()
-	return rep, nil
+	return fmt.Errorf("asr: index not managed: %s", ix)
 }
 
-// Healthy reports the first maintenance error across all indexes, if
-// any.
+// Repair resynchronizes a quarantined managed index with the object
+// base (see Index.Repair); maintenance resumes with the next update.
+// Must be called with object-base mutation quiesced (the single-writer
+// rule).
+func (m *Manager) Repair(ix *Index) (VerifyReport, error) {
+	if err := m.managed(ix); err != nil {
+		return VerifyReport{}, err
+	}
+	return ix.Repair()
+}
+
+// Healthy reports the first quarantined index and why it is out of
+// service — a failed maintenance update, damage found at open or by
+// Verify — or nil when every index is usable.
 func (m *Manager) Healthy() error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	for _, e := range m.entries {
-		if err := e.maintainer.Err(); err != nil {
+		if err := e.ix.QuarantineReason(); err != nil {
 			return fmt.Errorf("asr: index %s: %w", e.ix, err)
 		}
 	}
@@ -275,14 +274,28 @@ func (m *Manager) query(ctx context.Context, fwd bool, path *gom.PathExpression,
 		m.nDegraded.Add(1)
 		telDegraded.Inc()
 	}
+	if i < 0 || j > path.Len() || i >= j {
+		return nil, fmt.Errorf("asr: bad query span (%d,%d) for path of length %d", i, j, path.Len())
+	}
+	// reach is Q_nas from a set of t_i values: the object base's one path
+	// closure (gom.ObjectBase.Reach), taken a step at a time so that
+	// cancellation is seen between steps. Read-only on the object base, so
+	// safe to call from multiple goroutines.
+	reach := func(from []gom.Value) (*valueSet, error) {
+		for s := i; s < j; s++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			from, _ = m.ob.Reach(path, s, s+1, from...)
+		}
+		return newValueSet(from...), nil
+	}
 	var (
 		sets []*valueSet
 		err  error
 	)
 	if fwd {
-		sets, err = FanOut("asr: traversal", workers, vals, func(chunk []gom.Value) (*valueSet, error) {
-			return m.traverseForward(ctx, path, i, j, chunk)
-		})
+		sets, err = FanOut("asr: traversal", workers, vals, reach)
 	} else {
 		// Exhaustive search: traverse forward from every t_i instance and
 		// keep the anchors whose closure hits an end value.
@@ -293,7 +306,7 @@ func (m *Manager) query(ctx context.Context, fwd bool, path *gom.PathExpression,
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				reached, err := m.traverseForward(ctx, path, i, j, []gom.Value{gom.Ref(id)})
+				reached, err := reach([]gom.Value{gom.Ref(id)})
 				if err != nil {
 					return nil, err
 				}
@@ -311,39 +324,6 @@ func (m *Manager) query(ctx context.Context, fwd bool, path *gom.PathExpression,
 		return nil, err
 	}
 	return mergeSets(sets).values(), nil
-}
-
-// traverseForward walks the object graph (no index) from the start
-// values at object step i to step j. Read-only on the object base, so
-// safe to call from multiple goroutines; checks ctx between steps.
-func (m *Manager) traverseForward(ctx context.Context, path *gom.PathExpression, i, j int, start []gom.Value) (*valueSet, error) {
-	if i < 0 || j > path.Len() || i >= j {
-		return nil, fmt.Errorf("asr: bad query span (%d,%d) for path of length %d", i, j, path.Len())
-	}
-	cur := newValueSet(start...)
-	var targets []gom.Value
-	for s := i + 1; s <= j; s++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		next := newValueSet()
-		for _, v := range cur.byKey {
-			ref, ok := v.(gom.Ref)
-			if !ok {
-				continue
-			}
-			o, ok := m.ob.Get(ref.OID())
-			if !ok {
-				continue
-			}
-			_, targets = o.Follow(path.Step(s), targets[:0])
-			for _, t := range targets {
-				next.add(t)
-			}
-		}
-		cur = next
-	}
-	return cur, nil
 }
 
 // ManagedIndexStats describes one managed index's activity inside a
@@ -413,18 +393,14 @@ func (m *Manager) Stats() ManagerStats {
 	for _, e := range m.entries {
 		ixStats := e.ix.Stats()
 		st.Indexes = append(st.Indexes, ManagedIndexStats{
-			Path:        e.ix.path.String(),
-			Ext:         e.ix.ext.String(),
-			Dec:         e.ix.dec.String(),
-			Rows:        totalRows(e.ix),
-			Hits:        e.hits.Load(),
-			Queries:     ixStats.Queries,
-			RowsScanned: ixStats.RowsScanned,
-			// Derived from the same index snapshot so a quarantined
-			// index is never reported maintenance-OK, even in the window
-			// between the quarantine flag and the maintainer retaining
-			// the error.
-			MaintenanceOK: e.maintainer.Err() == nil && !ixStats.Quarantined,
+			Path:          e.ix.path.String(),
+			Ext:           e.ix.ext.String(),
+			Dec:           e.ix.dec.String(),
+			Rows:          totalRows(e.ix),
+			Hits:          e.hits.Load(),
+			Queries:       ixStats.Queries,
+			RowsScanned:   ixStats.RowsScanned,
+			MaintenanceOK: !ixStats.Quarantined,
 			Quarantined:   ixStats.Quarantined,
 			Retries:       ixStats.Retries,
 			Rollbacks:     ixStats.Rollbacks,

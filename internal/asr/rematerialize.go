@@ -110,25 +110,11 @@ func (ix *Index) Rematerialize(dec Decomposition) error {
 }
 
 // Rematerialize re-cuts a managed index under a new decomposition (see
-// Index.Rematerialize) and clears its maintainer's retained errors so
-// maintenance resumes with the next update. Must be called with
-// object-base mutation quiesced (the single-writer rule).
+// Index.Rematerialize); maintenance resumes with the next update. Must
+// be called with object-base mutation quiesced (the single-writer rule).
 func (m *Manager) Rematerialize(ix *Index, dec Decomposition) error {
-	m.mu.RLock()
-	var entry *managedIndex
-	for _, e := range m.entries {
-		if e.ix == ix {
-			entry = e
-			break
-		}
-	}
-	m.mu.RUnlock()
-	if entry == nil {
-		return fmt.Errorf("asr: index not managed: %s", ix)
-	}
-	if err := ix.Rematerialize(dec); err != nil {
+	if err := m.managed(ix); err != nil {
 		return err
 	}
-	entry.maintainer.ClearErr()
-	return nil
+	return ix.Rematerialize(dec)
 }

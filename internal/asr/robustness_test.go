@@ -234,10 +234,9 @@ func TestMaintenanceFaultRollsBackAndQuarantines(t *testing.T) {
 		t.Fatalf("Verify after Repair: %s", rep)
 	}
 
-	// Maintenance resumes after ClearErr.
-	r.mt.ClearErr()
+	// Maintenance resumes after the repair alone.
 	if r.mt.Err() != nil {
-		t.Fatal("ClearErr left errors behind")
+		t.Fatal("Repair left the maintainer reporting an error")
 	}
 	src3, dst3 := r.mutableSource(t)
 	r.db.Base.MustSetAttr(src3, "Next", gom.Ref(dst3))
@@ -459,5 +458,36 @@ func TestQueryCtxCancellation(t *testing.T) {
 	defer dcancel()
 	if _, err := ix.QueryForwardCtx(dctx, 0, db.Path.Len(), 4, starts...); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline: %v", err)
+	}
+}
+
+// TestDirectRepairRestoresHealth: the quarantine reason is the only
+// record of a failed index, so whatever lifts the quarantine restores
+// Manager.Healthy — including Index.Repair called directly, with no
+// manager-side bookkeeping to remember.
+func TestDirectRepairRestoresHealth(t *testing.T) {
+	r := newFaultyRig(t, 37)
+	mgr := NewManager(r.db.Base, r.pool)
+	mgr.entries = append(mgr.entries, &managedIndex{ix: r.ix, maintainer: r.mt})
+
+	r.fi.Schedule(storage.Fault{Op: storage.OpWrite, Permanent: true})
+	src, dst := r.mutableSource(t)
+	r.db.Base.MustSetAttr(src, "Next", gom.Ref(dst))
+	if !r.ix.Quarantined() {
+		t.Fatal("index not quarantined by the permanent write fault")
+	}
+	if err := mgr.Healthy(); !errors.Is(err, storage.ErrInjectedFault) {
+		t.Fatalf("Healthy = %v, want the injected fault", err)
+	}
+
+	r.fi.Heal()
+	if _, err := r.ix.Repair(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Healthy(); err != nil {
+		t.Fatalf("Healthy after a direct Index.Repair = %v, want nil", err)
+	}
+	if st := mgr.Stats().Indexes[0]; !st.MaintenanceOK || st.Quarantined {
+		t.Fatalf("index stats after repair = %+v", st)
 	}
 }

@@ -89,10 +89,9 @@ func runSimUpdate() (*Table, error) {
 		}
 		measured := total / ops
 		results = append(results, result{ext, measured})
-		mExt := costmodel.Extension(ext)
 		t.AddRow(ext.String(), f1(measured),
-			f1(model.UpdateCost(mExt, insAt, costmodel.BinaryDecomposition(3))),
-			f1(model.Aup(mExt, insAt, costmodel.BinaryDecomposition(3))))
+			f1(model.UpdateCost(ext, insAt, costmodel.BinaryDecomposition(3))),
+			f1(model.Aup(ext, insAt, costmodel.BinaryDecomposition(3))))
 	}
 
 	// The measured column is the *index write traffic* of incremental

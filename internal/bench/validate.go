@@ -45,7 +45,7 @@ func ValidateDesign(p costmodel.Profile, d costmodel.Design, mx costmodel.Mix, s
 	}
 	e := engine.New(place)
 
-	ix, err := asr.Build(db.Base, db.Path, asr.Extension(d.Ext),
+	ix, err := asr.Build(db.Base, db.Path, d.Ext,
 		asr.ColumnsOf(db.Path, d.Dec), newIndexPool())
 	if err != nil {
 		return nil, err

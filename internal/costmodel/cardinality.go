@@ -5,10 +5,9 @@ import (
 	"math"
 )
 
-// Extension mirrors the four access-support-relation extensions. It is
-// redeclared here (rather than importing package asr) to keep the cost
-// model a dependency-free arithmetic core, exactly like the authors'
-// standalone Lisp program.
+// Extension selects how much (partial) path information an access
+// support relation keeps (§3); package asr builds relations in these
+// same four values (asr.Extension is an alias).
 type Extension int
 
 // The four extensions of §3.

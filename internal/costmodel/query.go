@@ -186,8 +186,15 @@ func (m *Model) Qsup(x Extension, kind QueryKind, i, j int, dec Decomposition) f
 	return m.QsupBackward(x, i, j, dec)
 }
 
-// Supported reports the usability rules of eq. 35.
+// Supported reports whether an access support relation in extension x
+// over a path of length n can evaluate a query spanning object steps
+// i..j (0 ≤ i < j ≤ n), per the usability rules of §5.3 / eq. (35):
+// canonical supports only complete spans, left-complete requires i = 0,
+// right-complete requires j = n, and full supports everything.
 func Supported(x Extension, n, i, j int) bool {
+	if i < 0 || j > n || i >= j {
+		return false
+	}
 	switch x {
 	case Canonical:
 		return i == 0 && j == n
@@ -209,11 +216,6 @@ func (m *Model) Q(x Extension, kind QueryKind, i, j int, dec Decomposition) floa
 	if Supported(x, m.N, i, j) {
 		return m.Qsup(x, kind, i, j, dec)
 	}
-	return m.Qnas(kind, i, j)
-}
-
-// QNoSupport is the cost with no access support relation at all.
-func (m *Model) QNoSupport(kind QueryKind, i, j int) float64 {
 	return m.Qnas(kind, i, j)
 }
 

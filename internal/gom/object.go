@@ -154,6 +154,48 @@ func (o *Object) Follow(step PathStep, dst []Value) (set Value, _ []Value) {
 	return v, ob.objects[ref.OID()].appendLiveLocked(dst)
 }
 
+// Reach evaluates steps i+1…j of path from the start values by object
+// traversal — the closure of Follow over those steps, which is how a
+// path query is answered when no access support relation covers it
+// (Q_nas, §5.6): the query engine's predicate re-check, projection and
+// dependent ranges, and asr.Manager's forward traversal and exhaustive
+// search all walk through here. It returns the values reached at step j,
+// each once, in discovery order, and the number of objects fetched from
+// the base on the way: one per live reference on a frontier — the
+// record-access unit eq. (31) predicts. Frontier values that are not
+// references, or refer to deleted objects, lead nowhere. The start
+// values are walked as given (not de-duplicated); the caller guarantees
+// 0 ≤ i ≤ j ≤ path.Len().
+func (ob *ObjectBase) Reach(path *PathExpression, i, j int, start ...Value) (reached []Value, fetches uint64) {
+	cur := start
+	var targets []Value
+	for s := i + 1; s <= j; s++ {
+		step := path.Step(s)
+		var next []Value
+		seen := map[string]bool{}
+		for _, v := range cur {
+			ref, ok := v.(Ref)
+			if !ok {
+				continue
+			}
+			o, ok := ob.Get(ref.OID())
+			if !ok {
+				continue
+			}
+			fetches++
+			_, targets = o.Follow(step, targets[:0])
+			for _, t := range targets {
+				if k := ValueString(t); !seen[k] {
+					seen[k] = true
+					next = append(next, t)
+				}
+			}
+		}
+		cur = next
+	}
+	return cur, fetches
+}
+
 // ElementOIDs returns the OIDs of all reference elements of a set or
 // list object, in deterministic order.
 func (o *Object) ElementOIDs() []OID {

@@ -13,11 +13,16 @@ import (
 	"asr/internal/telemetry"
 )
 
-// Engine evaluates parsed queries against an object base. With a
-// non-nil asr.Manager, where-predicates whose composed path expression
-// has a usable access support relation are rewritten into backward index
+// Engine evaluates parsed queries against an object base in three
+// stages: resolve binds the query to the schema, plan decides for every
+// where-predicate and for the projection whether it goes through an
+// access support relation (eq. 35 — the one place that is decided), and
+// run executes that plan: with a non-nil asr.Manager, predicates whose
+// composed path expression has a usable relation become backward index
 // queries that pre-filter the outer collection — the paper's intended
-// use of ASRs in query evaluation (§5).
+// use of ASRs in query evaluation (§5) — and everything else is walked
+// by gom.ObjectBase.Reach. Explain prices the same plan with the cost
+// model instead of running it.
 //
 // An Engine is stateless between calls and safe for concurrent use: any
 // number of goroutines may call Run and RunCtx simultaneously,
@@ -52,17 +57,37 @@ type boundRange struct {
 	parentIdx int
 }
 
-type resolved struct {
-	q      *Query
-	ranges []boundRange
-	byVar  map[string]int
-	// Per where-predicate resolved paths (anchored at the range var).
-	predPaths []*gom.PathExpression
-	projPath  *gom.PathExpression // nil for bare-var projection
+// route is eq. (35) decided for one path of a query: through ix when
+// the manager holds a usable access support relation over the composed
+// path (Q_sup, eqs. 33–34), by object traversal of path otherwise
+// (Q_nas, eq. 31).
+type route struct {
+	role string // "predicate" or "projection"
+	// path is anchored at the range variable: what the nested loop walks
+	// to re-check a predicate, and to project when ix is nil or fails.
+	path *gom.PathExpression
+	// composed leads from the outer collection's element type through the
+	// dependent-range chain to the same attribute; set only with ix.
+	composed *gom.PathExpression
+	ix       *asr.Index
 }
 
-func (e *Engine) resolve(q *Query) (*resolved, error) {
-	r := &resolved{q: q, byVar: map[string]int{}}
+// plan is a query bound to the schema (resolve) with every routing
+// decision taken (Engine.plan): run executes it, Explain prices it,
+// ExplainAnalyze does both to one value — so the plan reported is the
+// plan run.
+type plan struct {
+	ranges []boundRange
+	byVar  map[string]int
+	setObj *gom.Object // the outer collection
+	preds  []route     // one per where-predicate, in query order
+	proj   route       // path nil for a bare-variable projection
+}
+
+// resolve binds q's ranges and paths to the schema; the routes it
+// returns are not yet routed.
+func (e *Engine) resolve(q *Query) (*plan, error) {
+	r := &plan{byVar: map[string]int{}}
 	for idx, rng := range q.Ranges {
 		if _, dup := r.byVar[rng.Var]; dup {
 			return nil, fmt.Errorf("query: duplicate range variable %q", rng.Var)
@@ -116,7 +141,7 @@ func (e *Engine) resolve(q *Query) (*resolved, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.predPaths = append(r.predPaths, p)
+		r.preds = append(r.preds, route{role: "predicate", path: p})
 	}
 	idx, ok := r.byVar[q.Projection.Var]
 	if !ok {
@@ -127,7 +152,7 @@ func (e *Engine) resolve(q *Query) (*resolved, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.projPath = p
+		r.proj = route{role: "projection", path: p}
 	}
 	return r, nil
 }
@@ -136,7 +161,7 @@ func (e *Engine) resolve(q *Query) (*resolved, error) {
 // type through the dependent-range chain of var #idx, extended by extra
 // attributes; ok is false when the chain does not bottom out at range 0
 // or the composition does not resolve.
-func (r *resolved) composedPath(idx int, extra []string) (*gom.PathExpression, bool) {
+func (r *plan) composedPath(idx int, extra []string) (*gom.PathExpression, bool) {
 	var chain []string
 	for cur := idx; ; {
 		br := r.ranges[cur]
@@ -160,18 +185,65 @@ func (r *resolved) composedPath(idx int, extra []string) (*gom.PathExpression, b
 	return p, true
 }
 
-// runStats accumulates one evaluation's measured work. objectReads
-// counts the object-base fetches made while walking path expressions
-// (one per frontier object — the analog of a record read); usedASR
-// records the strategy choice. It is written by the planning phase and
-// the evaluation workers, read after they join.
-type runStats struct {
-	objectReads atomic.Uint64
-	usedASR     bool
+// usesASR reports whether any route goes through an index — the
+// "asr" strategy, as opposed to a pure nested-loop "traversal".
+func (p *plan) usesASR() bool {
+	for _, rt := range p.preds {
+		if rt.ix != nil {
+			return true
+		}
+	}
+	return p.proj.ix != nil
+}
+
+// plan resolves q (under a query.resolve span) and routes each of its
+// paths. It is the package's only caller of Manager.FindIndex.
+func (e *Engine) plan(ctx context.Context, q *Query) (*plan, error) {
+	_, rsp := telemetry.StartSpan(ctx, "query.resolve")
+	p, err := e.resolve(q)
+	rsp.End()
+	if err != nil {
+		return nil, err
+	}
+	if p.ranges[0].r.Dependent != nil {
+		return nil, fmt.Errorf("query: first range must iterate a collection")
+	}
+	setObj, ok := e.ob.Get(p.ranges[0].setOID)
+	if !ok {
+		return nil, fmt.Errorf("query: collection object deleted")
+	}
+	p.setObj = setObj
+	// via sends a route through an index when the path from range
+	// variable #idx composes back to the outer collection and the manager
+	// holds a usable index over the whole of it.
+	via := func(rt *route, idx int, attrs []string) {
+		if e.mgr == nil {
+			return
+		}
+		composed, ok := p.composedPath(idx, attrs)
+		if !ok {
+			return
+		}
+		if ix := e.mgr.FindIndex(composed, 0, composed.Len()); ix != nil {
+			rt.composed, rt.ix = composed, ix
+		}
+	}
+	// A routed predicate narrows the outer collection by a backward index
+	// query before the nested loop re-checks it; one on a dependent
+	// variable still prunes, since its composed path starts at the anchor.
+	for pi, pred := range q.Where {
+		via(&p.preds[pi], p.byVar[pred.Path.Var], pred.Path.Attrs)
+	}
+	// A routed projection replaces traversal by a forward index query per
+	// surviving anchor, so it must project the anchor variable itself.
+	if p.proj.path != nil && p.byVar[q.Projection.Var] == 0 {
+		via(&p.proj, 0, q.Projection.Attrs)
+	}
+	return p, nil
 }
 
 // Run evaluates the query.
-func (e *Engine) Run(q *Query) (*Result, error) { return e.run(context.Background(), q, 1, nil) }
+func (e *Engine) Run(q *Query) (*Result, error) { return e.RunCtx(context.Background(), q, 1) }
 
 // RunCtx is Run honoring ctx, with the outer collection's surviving
 // anchors fanned across up to workers goroutines (asr.FanOut). The
@@ -184,13 +256,16 @@ func (e *Engine) Run(q *Query) (*Result, error) { return e.run(context.Backgroun
 // aborts the index pre-filter, every evaluation worker, and the index-
 // backed projection probes, returning ctx's error.
 func (e *Engine) RunCtx(ctx context.Context, q *Query, workers int) (*Result, error) {
-	return e.run(ctx, q, workers, nil)
+	res, _, err := e.run(ctx, q, nil, workers)
+	return res, err
 }
 
-func (e *Engine) run(ctx context.Context, q *Query, workers int, st *runStats) (*Result, error) {
-	if st == nil {
-		st = &runStats{}
-	}
+// run executes p, the plan of q — built here, inside the run's span,
+// when the caller passes nil — and also returns the number of
+// object-base fetches the evaluation made (gom.ObjectBase.Reach's
+// count).
+func (e *Engine) run(ctx context.Context, q *Query, p *plan, workers int) (*Result, uint64, error) {
+	var objectReads atomic.Uint64 // flushed into by the evaluation workers
 	// Per-request resource accounting: when the context carries a
 	// telemetry.Tally (the server scopes one per request), flush this
 	// run's object fetches and the index pool's page-access delta into it
@@ -204,7 +279,7 @@ func (e *Engine) run(ctx context.Context, q *Query, workers int, st *runStats) (
 			pages0 = e.mgr.Pool().Stats().LogicalAccesses
 		}
 		defer func() {
-			tally.AddObjects(st.objectReads.Load())
+			tally.AddObjects(objectReads.Load())
 			if e.mgr != nil {
 				tally.AddPages(e.mgr.Pool().Stats().LogicalAccesses - pages0)
 			}
@@ -213,77 +288,52 @@ func (e *Engine) run(ctx context.Context, q *Query, workers int, st *runStats) (
 	started := time.Now()
 	ctx, root := telemetry.StartSpan(ctx, "query.run")
 	defer root.End()
-	_, rsp := telemetry.StartSpan(ctx, "query.resolve")
-	r, err := e.resolve(q)
-	rsp.End()
-	if err != nil {
-		return nil, err
+	if p == nil {
+		var err error
+		if p, err = e.plan(ctx, q); err != nil {
+			return nil, 0, err
+		}
 	}
-	if r.ranges[0].r.Dependent != nil {
-		return nil, fmt.Errorf("query: first range must iterate a collection")
-	}
-	setObj, ok := e.ob.Get(r.ranges[0].setOID)
-	if !ok {
-		return nil, fmt.Errorf("query: collection object deleted")
-	}
-	anchors := setObj.ElementOIDs()
+	anchors := p.setObj.ElementOIDs()
 	var planNotes []string
 
-	// Index pre-filter: a predicate whose anchor chains back to range 0
-	// composes into a path from the collection's element type; if the
-	// manager holds a usable index over it, a backward query narrows the
-	// anchors before the nested-loop evaluation.
-	if e.mgr != nil {
-		for pi, pred := range q.Where {
-			idx := r.byVar[pred.Path.Var]
-			composed, ok := r.composedPath(idx, pred.Path.Attrs)
-			if !ok {
-				continue
-			}
-			if ix := e.mgr.FindIndex(composed, 0, composed.Len()); ix != nil {
-				pctx, psp := telemetry.StartSpan(ctx, "query.prefilter")
-				psp.SetAttr("path", composed.String())
-				psp.SetAttr("anchors_before", len(anchors))
-				sat, err := e.mgr.QueryBackwardCtx(pctx, composed, 0, composed.Len(), 1, q.Where[pi].Literal)
-				if err != nil {
-					psp.End()
-					return nil, err
-				}
-				keep := map[gom.OID]bool{}
-				for _, id := range asr.OIDsOf(sat) {
-					keep[id] = true
-				}
-				var filtered []gom.OID
-				for _, a := range anchors {
-					if keep[a] {
-						filtered = append(filtered, a)
-					}
-				}
-				anchors = filtered
-				st.usedASR = true
-				psp.SetAttr("anchors_after", len(anchors))
-				psp.End()
-				planNotes = append(planNotes,
-					fmt.Sprintf("predicate %s = %s via ASR on %s (%d/%d anchors remain)",
-						pred.Path, gom.ValueString(pred.Literal), composed, len(anchors), setObj.Len()))
+	// Index pre-filter: a backward query over each routed predicate's
+	// composed path narrows the anchors before the nested-loop evaluation.
+	for pi, rt := range p.preds {
+		if rt.ix == nil {
+			continue
+		}
+		pred := q.Where[pi]
+		pctx, psp := telemetry.StartSpan(ctx, "query.prefilter")
+		psp.SetAttr("path", rt.composed.String())
+		psp.SetAttr("anchors_before", len(anchors))
+		sat, err := e.mgr.QueryBackwardCtx(pctx, rt.composed, 0, rt.composed.Len(), 1, pred.Literal)
+		if err != nil {
+			psp.End()
+			return nil, 0, err
+		}
+		keep := map[gom.OID]bool{}
+		for _, id := range asr.OIDsOf(sat) {
+			keep[id] = true
+		}
+		var filtered []gom.OID
+		for _, a := range anchors {
+			if keep[a] {
+				filtered = append(filtered, a)
 			}
 		}
+		anchors = filtered
+		psp.SetAttr("anchors_after", len(anchors))
+		psp.End()
+		planNotes = append(planNotes,
+			fmt.Sprintf("predicate %s = %s via ASR on %s (%d/%d anchors remain)",
+				pred.Path, gom.ValueString(pred.Literal), rt.composed, len(anchors), p.setObj.Len()))
 	}
-	// Index-backed projection: when the projection path composes from the
-	// outer collection and an ASR covers it, project each surviving
-	// anchor through a forward index query instead of traversal.
-	var projIx *asr.Index
-	var projComposed *gom.PathExpression
-	if e.mgr != nil && r.projPath != nil && r.byVar[q.Projection.Var] == 0 {
-		if composed, ok := r.composedPath(0, q.Projection.Attrs); ok {
-			if ix := e.mgr.FindIndex(composed, 0, composed.Len()); ix != nil {
-				projIx = ix
-				projComposed = composed
-				st.usedASR = true
-				planNotes = append(planNotes,
-					fmt.Sprintf("projection %s via ASR on %s", q.Projection, composed))
-			}
-		}
+	// Index-backed projection: each surviving anchor is projected through
+	// a forward index query instead of traversal.
+	if p.proj.ix != nil {
+		planNotes = append(planNotes,
+			fmt.Sprintf("projection %s via ASR on %s", q.Projection, p.proj.composed))
 	}
 	if len(planNotes) == 0 {
 		planNotes = append(planNotes, "nested-loop traversal (no usable access support relation)")
@@ -295,28 +345,35 @@ func (e *Engine) run(ctx context.Context, q *Query, workers int, st *runStats) (
 	// chunk per worker) go through it, so they agree by construction.
 	evalAnchors := func(chunk []gom.OID) (map[string]gom.Value, error) {
 		// Object reads accumulate in a chunk-local counter and flush to
-		// the shared stats once per chunk: workers never contend on the
+		// the shared one once per chunk: workers never contend on the
 		// atomic inside the traversal loop.
 		var reads uint64
-		defer func() { st.objectReads.Add(reads) }()
+		defer func() { objectReads.Add(reads) }()
+		// reach walks a path from one bound object: every value reachable
+		// over it (objects or atomic values).
+		reach := func(from gom.OID, path *gom.PathExpression) []gom.Value {
+			vals, n := e.ob.Reach(path, 0, path.Len(), gom.Ref(from))
+			reads += n
+			return vals
+		}
 		out := map[string]gom.Value{}
-		bindings := make([]gom.OID, len(r.ranges))
+		bindings := make([]gom.OID, len(p.ranges))
 		var loop func(depth int) error
 		loop = func(depth int) error {
-			if depth == len(r.ranges) {
-				for pi := range q.Where {
-					v := bindings[r.byVar[q.Where[pi].Path.Var]]
-					if !e.pathHasValue(&reads, v, r.predPaths[pi], q.Where[pi].Literal) {
+			if depth == len(p.ranges) {
+				for pi, rt := range p.preds {
+					pred := q.Where[pi]
+					if !hasValue(reach(bindings[p.byVar[pred.Path.Var]], rt.path), pred.Literal) {
 						return nil
 					}
 				}
-				projVar := bindings[r.byVar[q.Projection.Var]]
-				if r.projPath == nil {
+				projVar := bindings[p.byVar[q.Projection.Var]]
+				if p.proj.path == nil {
 					out[gom.Ref(projVar).String()] = gom.Ref(projVar)
 					return nil
 				}
-				if projIx != nil {
-					vals, err := projIx.QueryForwardCtx(ctx, 0, projComposed.Len(), 1, gom.Ref(projVar))
+				if p.proj.ix != nil {
+					vals, err := p.proj.ix.QueryForwardCtx(ctx, 0, p.proj.composed.Len(), 1, gom.Ref(projVar))
 					if err == nil {
 						for _, v := range vals {
 							out[gom.ValueString(v)] = v
@@ -330,12 +387,12 @@ func (e *Engine) run(ctx context.Context, q *Query, workers int, st *runStats) (
 					// quarantined index (asr.ErrQuarantined): traversal reads
 					// the object base directly, so the result stays correct.
 				}
-				for _, v := range e.evalPath(&reads, projVar, r.projPath) {
+				for _, v := range reach(projVar, p.proj.path) {
 					out[gom.ValueString(v)] = v
 				}
 				return nil
 			}
-			br := r.ranges[depth]
+			br := p.ranges[depth]
 			var members []gom.OID
 			if depth == 0 {
 				members = chunk
@@ -346,7 +403,7 @@ func (e *Engine) run(ctx context.Context, q *Query, workers int, st *runStats) (
 				}
 				members = so.ElementOIDs()
 			} else {
-				for _, v := range e.evalPath(&reads, bindings[br.parentIdx], br.path) {
+				for _, v := range reach(bindings[br.parentIdx], br.path) {
 					if ref, ok := v.(gom.Ref); ok {
 						members = append(members, ref.OID())
 					}
@@ -377,7 +434,7 @@ func (e *Engine) run(ctx context.Context, q *Query, workers int, st *runStats) (
 	defer xsp.End()
 	parts, err := asr.FanOut("query: evaluation", workers, anchors, evalAnchors)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if len(parts) > 1 {
 		planNotes = append(planNotes, fmt.Sprintf("parallel over %d workers", len(parts)))
@@ -402,57 +459,22 @@ func (e *Engine) run(ctx context.Context, q *Query, workers int, st *runStats) (
 	}
 
 	strategy, runs, secs := "traversal", telRunsTraversal, telSecsTraversal
-	if st.usedASR {
+	if p.usesASR() {
 		strategy, runs, secs = "asr", telRunsASR, telSecsASR
 	}
 	runs.Inc()
 	secs.Observe(time.Since(started).Seconds())
-	telObjectReads.Add(st.objectReads.Load())
+	telObjectReads.Add(objectReads.Load())
 	root.SetAttr("strategy", strategy)
 	root.SetAttr("rows", len(res.Values))
-	root.SetAttr("object_reads", st.objectReads.Load())
-	return res, nil
+	root.SetAttr("object_reads", objectReads.Load())
+	return res, objectReads.Load(), nil
 }
 
-// evalPath traverses a resolved path from one object, returning all
-// reachable final values (objects or atomic values). Each frontier
-// object fetched from the object base counts one read into reads — the
-// record-access unit the cost model's eq. (31) predicts. The counter is
-// goroutine-local; callers flush it into runStats when their chunk ends.
-func (e *Engine) evalPath(reads *uint64, start gom.OID, path *gom.PathExpression) []gom.Value {
-	cur := []gom.Value{gom.Ref(start)}
-	var targets []gom.Value
-	for s := 1; s <= path.Len(); s++ {
-		step := path.Step(s)
-		var next []gom.Value
-		seen := map[string]bool{}
-		for _, v := range cur {
-			ref, ok := v.(gom.Ref)
-			if !ok {
-				continue
-			}
-			o, ok := e.ob.Get(ref.OID())
-			if !ok {
-				continue
-			}
-			*reads++
-			_, targets = o.Follow(step, targets[:0])
-			for _, t := range targets {
-				if k := gom.ValueString(t); !seen[k] {
-					seen[k] = true
-					next = append(next, t)
-				}
-			}
-		}
-		cur = next
-	}
-	return cur
-}
-
-// pathHasValue reports whether any value reachable over path from the
-// object equals want (exists semantics over set-valued steps).
-func (e *Engine) pathHasValue(reads *uint64, start gom.OID, path *gom.PathExpression, want gom.Value) bool {
-	for _, v := range e.evalPath(reads, start, path) {
+// hasValue reports whether any of the reached values equals want
+// (exists semantics over set-valued steps).
+func hasValue(reached []gom.Value, want gom.Value) bool {
+	for _, v := range reached {
 		if gom.ValuesEqual(v, want) {
 			return true
 		}

@@ -14,11 +14,11 @@ import (
 )
 
 // Explain and ExplainAnalyze connect the query engine to the paper's
-// analytical cost model (§5): Explain reports the strategy the engine
-// would choose and the model's predicted access counts; ExplainAnalyze
-// additionally runs the query under scoped telemetry capture and puts
-// the measured counts from the very same run next to the predictions,
-// so the model's calibration error is a number, not an impression.
+// analytical cost model (§5): Explain builds the plan run would execute
+// (Engine.plan) and reports the model's predicted access counts for it;
+// ExplainAnalyze additionally runs that same plan under scoped telemetry
+// capture and puts the measured counts next to the predictions, so the
+// model's calibration error is a number, not an impression.
 //
 // Predictions come in the model's two currencies. Index work is
 // predicted in page accesses by the supported-query formulas
@@ -37,9 +37,9 @@ type PathCost struct {
 	Reads float64 // predicted object reads (traversal routes)
 }
 
-// Explanation is the static plan report: the strategy the engine's
-// routing would pick for each predicate and for the projection, with
-// the cost model's predictions.
+// Explanation is the static plan report: the route the plan takes for
+// each predicate and for the projection, with the cost model's
+// predictions.
 type Explanation struct {
 	Query    string
 	Strategy string // "asr" or "traversal"
@@ -130,127 +130,107 @@ func (a *Analysis) String() string {
 	return b.String()
 }
 
-// Explain resolves the query and reports, without running it, which
-// predicates and projections the engine's routing would send through an
-// access support relation, with the cost model's predicted access
-// counts for every route.
+// Explain plans the query and reports, without running it, which
+// predicates and projections go through an access support relation,
+// with the cost model's predicted access counts for every route.
 func (e *Engine) Explain(q *Query) (*Explanation, error) {
-	r, err := e.resolve(q)
+	p, err := e.plan(context.Background(), q)
 	if err != nil {
 		return nil, err
 	}
-	if r.ranges[0].r.Dependent != nil {
-		return nil, fmt.Errorf("query: first range must iterate a collection")
-	}
-	setObj, ok := e.ob.Get(r.ranges[0].setOID)
-	if !ok {
-		return nil, fmt.Errorf("query: collection object deleted")
-	}
-	x := &Explanation{Query: q.String(), Strategy: "traversal", Anchors: setObj.Len()}
+	return e.price(q, p)
+}
 
+// price puts the cost model's predictions on every route of p.
+func (e *Engine) price(q *Query, p *plan) (*Explanation, error) {
+	x := &Explanation{Query: q.String(), Strategy: "traversal", Anchors: p.setObj.Len()}
+	if p.usesASR() {
+		x.Strategy = "asr"
+	}
 	// anchorsEst tracks the expected surviving outer anchors as routed
 	// predicates narrow the collection.
 	anchorsEst := float64(x.Anchors)
-	for pi, pred := range q.Where {
-		idx := r.byVar[pred.Path.Var]
-		composed, ok := r.composedPath(idx, pred.Path.Attrs)
-		routed := false
-		if ok && e.mgr != nil {
-			if ix := e.mgr.FindIndex(composed, 0, composed.Len()); ix != nil {
-				m, err := e.modelFor(composed, x)
-				if err != nil {
-					return nil, err
-				}
-				dec := asr.StepsOf(ix.Path(), ix.Decomposition())
-				pages := m.Q(costmodel.Extension(ix.Extension()), costmodel.Backward,
-					0, composed.Len(), dec)
-				x.Routes = append(x.Routes, PathCost{
-					Path:  composed.String(),
-					Via:   fmt.Sprintf("asr(%s %s)", ix.Extension(), ix.Decomposition()),
-					Role:  "predicate",
-					Pages: pages,
-				})
-				x.PredictedIndexPages += pages
-				x.Strategy = "asr"
-				routed = true
-				// Survivors of an equality prefilter: the expected number
-				// of anchors reaching one specific final value (RefK).
-				anchorsEst = math.Min(anchorsEst, math.Ceil(m.RefK(0, composed.Len(), 1)))
+	for _, rt := range p.preds {
+		role := rt.role
+		if rt.ix != nil {
+			m, err := e.modelFor(rt.composed, x)
+			if err != nil {
+				return nil, err
 			}
+			n := rt.composed.Len()
+			x.viaASR(rt, m.Q(rt.ix.Extension(), costmodel.Backward, 0, n, rt.steps()))
+			// Survivors of an equality prefilter: the expected number
+			// of anchors reaching one specific final value (RefK).
+			anchorsEst = math.Min(anchorsEst, math.Ceil(m.RefK(0, n, 1)))
+			role = "recheck"
 		}
 		// Every predicate — routed or not — is re-checked by the
 		// nested-loop evaluation over the surviving anchors, walking the
 		// path from each of them (eq. 31 per anchor, in object reads).
-		evalPath := r.predPaths[pi]
-		pm, err := e.modelFor(evalPath, x)
+		m, err := e.modelFor(rt.path, x)
 		if err != nil {
 			return nil, err
 		}
-		reads := anchorsEst * pm.QnasForward(0, evalPath.Len())
-		role := "predicate"
-		if routed {
-			role = "recheck"
-		}
-		x.Routes = append(x.Routes, PathCost{
-			Path:  evalPath.String(),
-			Via:   "traversal",
-			Role:  role,
-			Reads: reads,
-		})
-		x.PredictedObjectReads += reads
+		x.byTraversal(rt, role, anchorsEst*m.QnasForward(0, rt.path.Len()))
 	}
-	if r.projPath != nil {
-		routed := false
-		if e.mgr != nil && r.byVar[q.Projection.Var] == 0 {
-			if composed, ok := r.composedPath(0, q.Projection.Attrs); ok {
-				if ix := e.mgr.FindIndex(composed, 0, composed.Len()); ix != nil {
-					m, err := e.modelFor(composed, x)
-					if err != nil {
-						return nil, err
-					}
-					dec := asr.StepsOf(ix.Path(), ix.Decomposition())
-					pages := anchorsEst * m.QsupForward(costmodel.Extension(ix.Extension()),
-						0, composed.Len(), dec)
-					x.Routes = append(x.Routes, PathCost{
-						Path:  composed.String(),
-						Via:   fmt.Sprintf("asr(%s %s)", ix.Extension(), ix.Decomposition()),
-						Role:  "projection",
-						Pages: pages,
-					})
-					x.PredictedIndexPages += pages
-					x.Strategy = "asr"
-					routed = true
-				}
-			}
+	if rt := p.proj; rt.ix != nil {
+		m, err := e.modelFor(rt.composed, x)
+		if err != nil {
+			return nil, err
 		}
-		if !routed {
-			pm, err := e.modelFor(r.projPath, x)
-			if err != nil {
-				return nil, err
-			}
-			reads := anchorsEst * pm.QnasForward(0, r.projPath.Len())
-			x.Routes = append(x.Routes, PathCost{
-				Path:  r.projPath.String(),
-				Via:   "traversal",
-				Role:  "projection",
-				Reads: reads,
-			})
-			x.PredictedObjectReads += reads
+		x.viaASR(rt, anchorsEst*m.QsupForward(rt.ix.Extension(), 0, rt.composed.Len(), rt.steps()))
+	} else if rt.path != nil {
+		m, err := e.modelFor(rt.path, x)
+		if err != nil {
+			return nil, err
 		}
+		x.byTraversal(rt, rt.role, anchorsEst*m.QnasForward(0, rt.path.Len()))
 	}
 	return x, nil
 }
 
-// ExplainAnalyze explains the query, then runs it once under scoped
-// telemetry capture with cold index caches, and reports predicted
-// versus measured access counts from that same run.
+// steps is the routed index's decomposition over path steps, the form
+// the cost model's formulas take.
+func (rt route) steps() costmodel.Decomposition {
+	return asr.StepsOf(rt.ix.Path(), rt.ix.Decomposition())
+}
+
+// viaASR records the index side of a routed path at its predicted
+// page accesses.
+func (x *Explanation) viaASR(rt route, pages float64) {
+	x.Routes = append(x.Routes, PathCost{
+		Path:  rt.composed.String(),
+		Via:   fmt.Sprintf("asr(%s %s)", rt.ix.Extension(), rt.ix.Decomposition()),
+		Role:  rt.role,
+		Pages: pages,
+	})
+	x.PredictedIndexPages += pages
+}
+
+// byTraversal records a path the nested loop walks at its predicted
+// object reads.
+func (x *Explanation) byTraversal(rt route, role string, reads float64) {
+	x.Routes = append(x.Routes, PathCost{Path: rt.path.String(), Via: "traversal", Role: role, Reads: reads})
+	x.PredictedObjectReads += reads
+}
+
+// ExplainAnalyze plans the query once, prices that plan, then runs it
+// under scoped telemetry capture with cold index caches, and reports
+// predicted versus measured access counts — both of the one plan. (The
+// captured query.resolve span therefore precedes query.run instead of
+// nesting in it.)
 //
 // Like engine.Engine's measurement harness, the cold-cache protocol
 // (DropClean + ResetStats on the index pool) is only meaningful when
 // nothing else touches the pool — call it from a single goroutine with
 // no concurrent queries in flight.
 func (e *Engine) ExplainAnalyze(ctx context.Context, q *Query) (*Analysis, error) {
-	exp, err := e.Explain(q)
+	ctx, capture := telemetry.WithCapture(ctx)
+	p, err := e.plan(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	exp, err := e.price(q, p)
 	if err != nil {
 		return nil, err
 	}
@@ -261,10 +241,8 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, q *Query) (*Analysis, error
 		}
 		pool.ResetStats()
 	}
-	ctx, capture := telemetry.WithCapture(ctx)
-	st := &runStats{}
 	started := time.Now()
-	res, err := e.run(ctx, q, 1, st)
+	res, reads, err := e.run(ctx, q, p, 1)
 	elapsed := time.Since(started)
 	if err != nil {
 		return nil, err
@@ -273,7 +251,7 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, q *Query) (*Analysis, error
 		Explanation:       exp,
 		Rows:              len(res.Values),
 		Elapsed:           elapsed,
-		ActualObjectReads: st.objectReads.Load(),
+		ActualObjectReads: reads,
 		Spans:             capture.Spans(),
 	}
 	if e.mgr != nil {

@@ -255,3 +255,48 @@ func TestAdminBackupCarriesUnsavedMutations(t *testing.T) {
 		}
 	}
 }
+
+// TestAdminReadyzDegradedByQuarantinedIndex: /readyz reports any
+// quarantined index — here one taken out of service by Index.Verify
+// finding a corrupt partition page, with no maintenance failure
+// involved — as 503 "degraded: …" while queries answer through
+// fallbacks, and returns to ready as soon as the quarantine is lifted,
+// by whatever lifts it (Index.Repair called directly).
+func TestAdminReadyzDegradedByQuarantinedIndex(t *testing.T) {
+	d := durableDatabase(t)
+	s := startServer(t, d.Engine, d, Config{AdminAddr: "127.0.0.1:0"})
+	get := func() (int, string) {
+		t.Helper()
+		resp, err := http.Get("http://" + s.AdminAddr() + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	if code, body := get(); code != http.StatusOK || !strings.HasPrefix(body, "ready\n") {
+		t.Fatalf("healthy /readyz: %d %q", code, body)
+	}
+
+	ix := d.Manager.Indexes()[0]
+	if err := d.Manager.Pool().DropClean(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Disk().CorruptPage(ix.Partitions()[0].Part.Forward().Root(), 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.Verify(); !errors.Is(err, storage.ErrCorruptPage) {
+		t.Fatalf("Verify on a corrupt partition page = %v, want ErrCorruptPage", err)
+	}
+	if code, body := get(); code != http.StatusServiceUnavailable || !strings.HasPrefix(body, "degraded: ") {
+		t.Fatalf("/readyz with a quarantined index: %d %q, want 503 degraded", code, body)
+	}
+
+	if _, err := ix.Repair(); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := get(); code != http.StatusOK || !strings.HasPrefix(body, "ready\n") {
+		t.Fatalf("/readyz after Index.Repair: %d %q", code, body)
+	}
+}

@@ -144,8 +144,7 @@ func NewRetryClient(addr string, cfg RetryConfig) *RetryClient {
 func (r *RetryClient) Retries() uint64 { return r.retries.Load() }
 
 // Stats snapshots this client's attempt/retry/reconnect counters and
-// the most recent failure. (The server-side stats snapshot is
-// ServerStats.)
+// the most recent failure.
 func (r *RetryClient) Stats() RetryStats {
 	r.lastErrMu.Lock()
 	last := r.lastErr
@@ -306,18 +305,4 @@ func (r *RetryClient) Ping(ctx context.Context) error {
 	return r.do(ctx, func(ctx context.Context, c *Client) error {
 		return c.Ping(ctx)
 	})
-}
-
-// ServerStats fetches the server's in-band stats snapshot with retries.
-func (r *RetryClient) ServerStats(ctx context.Context) (*Stats, error) {
-	var st *Stats
-	err := r.do(ctx, func(ctx context.Context, c *Client) error {
-		var err error
-		st, err = c.Stats(ctx)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
 }

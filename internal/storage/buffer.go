@@ -17,28 +17,20 @@ import (
 // transient condition of load, not a defect in the caller's request.
 var ErrPoolExhausted = errors.New("buffer pool shard exhausted")
 
-// ReplacementPolicy selects the buffer pool's victim strategy.
+// ReplacementPolicy names the buffer pool's victim strategy. LRU is the
+// only one: every pool outside this package's own tests asked for it.
+// The type remains because NewBufferPool's callers spell storage.LRU.
 type ReplacementPolicy int
 
-// Available replacement policies.
-const (
-	LRU ReplacementPolicy = iota
-	FIFO
-	Clock
-)
+// LRU evicts the least recently pinned unpinned frame.
+const LRU ReplacementPolicy = iota
 
 // String names the policy.
 func (p ReplacementPolicy) String() string {
-	switch p {
-	case LRU:
+	if p == LRU {
 		return "lru"
-	case FIFO:
-		return "fifo"
-	case Clock:
-		return "clock"
-	default:
-		return fmt.Sprintf("ReplacementPolicy(%d)", int(p))
 	}
+	return fmt.Sprintf("ReplacementPolicy(%d)", int(p))
 }
 
 // BufferStats counts buffer-pool activity. LogicalAccesses is the
@@ -68,14 +60,57 @@ func (s *BufferStats) add(o BufferStats) {
 	s.Pins += o.Pins
 }
 
+// shardCounters is one shard's BufferStats as atomics: the shard bumps
+// them under its mutex, Stats and ShardStats read them without it — a
+// shard's mutex is held across device reads, and the query engine
+// snapshots the pool twice per request. Each method is one pool event:
+// the shard's counter and the process-wide registry series together.
+type shardCounters struct {
+	logical, hits, misses, evictions, writeBacks, writeBackErrs, pins atomic.Uint64
+}
+
+func (c *shardCounters) access() { c.logical.Add(1) }
+func (c *shardCounters) hit()    { c.hits.Add(1); telPoolHits.Inc() }
+func (c *shardCounters) miss()   { c.misses.Add(1); telPoolMisses.Inc() }
+func (c *shardCounters) pin()    { c.pins.Add(1); telPoolPins.Inc() }
+func (c *shardCounters) evict()  { c.evictions.Add(1); telPoolEvictions.Inc() }
+
+// wroteBack records one dirty write-back, or the device's refusal of it.
+func (c *shardCounters) wroteBack(err error) {
+	if err != nil {
+		c.writeBackErrs.Add(1)
+		telPoolWriteBackErrs.Inc()
+		return
+	}
+	c.writeBacks.Add(1)
+	telPoolWriteBacks.Inc()
+}
+
+func (c *shardCounters) reset() {
+	for _, n := range []*atomic.Uint64{&c.logical, &c.hits, &c.misses, &c.evictions, &c.writeBacks, &c.writeBackErrs, &c.pins} {
+		n.Store(0)
+	}
+}
+
+func (c *shardCounters) snapshot() BufferStats {
+	return BufferStats{
+		LogicalAccesses: c.logical.Load(),
+		Hits:            c.hits.Load(),
+		Misses:          c.misses.Load(),
+		Evictions:       c.evictions.Load(),
+		WriteBacks:      c.writeBacks.Load(),
+		WriteBackErrors: c.writeBackErrs.Load(),
+		Pins:            c.pins.Load(),
+	}
+}
+
 type frame struct {
 	id      PageID
 	data    []byte
 	pins    int
 	dirty   bool
 	lsn     uint64        // LSN of the commit covering the dirty bytes
-	refBit  bool          // Clock
-	lruElem *list.Element // LRU / FIFO queue element
+	lruElem *list.Element // position in the shard's LRU queue
 }
 
 // Frame is a pinned page in the buffer pool. Callers must Unpin it when
@@ -115,8 +150,8 @@ func (fr *Frame) Unpin() {
 	s.mu.Unlock()
 }
 
-// shard is one lock stripe of the pool: its own frame table, replacement
-// structures and capacity slice, guarded by one mutex. Pages are
+// shard is one lock stripe of the pool: its own frame table, LRU queue
+// and capacity slice, guarded by one mutex. Pages are
 // distributed over shards by a page-id hash, so pins of unrelated pages
 // — parallel query workers descending different subtrees, a concurrent
 // index build — proceed without contending on a single pool mutex.
@@ -125,42 +160,31 @@ type shard struct {
 	mu       sync.Mutex
 	capacity int // frames this shard may hold; 0 = unbounded
 	frames   map[PageID]*frame
-	queue    *list.List // LRU order (front = coldest) or FIFO arrival order
-	clock    []*frame   // Clock policy ring
-	hand     int
-	stats    BufferStats // per-shard counters, guarded by mu
+	queue    *list.List // LRU order (front = coldest)
+	stats    shardCounters
 }
 
-// BufferPool caches disk pages with pin/unpin semantics and a pluggable
-// replacement policy, striped over N independently locked shards (page-
-// id hash). A capacity of 0 means unbounded (every page stays resident;
+// BufferPool caches disk pages with pin/unpin semantics and LRU
+// replacement, striped over N independently locked shards (page-id
+// hash). A capacity of 0 means unbounded (every page stays resident;
 // physical reads then count each page once); a positive capacity is
 // divided across the shards, each running its own eviction list, so
 // global replacement order is approximate — per-shard exact.
 //
 // A BufferPool is safe for concurrent use: each shard's frame table,
-// replacement structures and pin counts are guarded by that shard's
-// mutex, and the pool-wide activity counters are atomics, so Stats never
-// blocks page traffic. The measurement helpers ResetStats and DropClean
+// LRU queue and pin counts are guarded by that shard's mutex, and the
+// activity counters are per-shard atomics (the only copy — Stats sums
+// them), so Stats never blocks page traffic. The measurement helpers ResetStats and DropClean
 // change global state and are meant for single-threaded experiment
 // harnesses, not for use while other goroutines hold pins.
 type BufferPool struct {
 	dev      Device
 	capacity int
-	policy   ReplacementPolicy
 	shards   []*shard
 	shift    uint // 64 - log2(len(shards)), for the Fibonacci hash
 
 	undo atomic.Pointer[UndoTxn] // active undo transaction, nil outside maintenance
 	wal  atomic.Pointer[WAL]     // write-ahead log; nil for purely in-memory pools
-
-	nLogical       atomic.Uint64
-	nHits          atomic.Uint64
-	nMisses        atomic.Uint64
-	nEvictions     atomic.Uint64
-	nWriteBacks    atomic.Uint64
-	nWriteBackErrs atomic.Uint64
-	nPins          atomic.Uint64
 }
 
 // maxShards caps the automatic stripe count; minShardFrames is the
@@ -197,9 +221,9 @@ func autoShards(capacity int) int {
 }
 
 // NewBufferPool creates a pool over a page device with the given frame
-// capacity and policy. The shard count is chosen automatically (one
-// stripe per core up to 16, single-shard for small bounded pools); use
-// NewBufferPoolShards to fix it.
+// capacity (the policy can only be LRU). The shard count is chosen
+// automatically (one stripe per core up to 16, single-shard for small
+// bounded pools); use NewBufferPoolShards to fix it.
 func NewBufferPool(dev Device, capacity int, policy ReplacementPolicy) *BufferPool {
 	return NewBufferPoolShards(dev, capacity, policy, 0)
 }
@@ -207,7 +231,7 @@ func NewBufferPool(dev Device, capacity int, policy ReplacementPolicy) *BufferPo
 // NewBufferPoolShards creates a pool with an explicit shard count
 // (rounded up to a power of two, capped at the capacity when bounded;
 // ≤ 0 selects automatically).
-func NewBufferPoolShards(dev Device, capacity int, policy ReplacementPolicy, shards int) *BufferPool {
+func NewBufferPoolShards(dev Device, capacity int, _ ReplacementPolicy, shards int) *BufferPool {
 	if shards <= 0 {
 		shards = autoShards(capacity)
 	}
@@ -218,7 +242,6 @@ func NewBufferPoolShards(dev Device, capacity int, policy ReplacementPolicy, sha
 	b := &BufferPool{
 		dev:      dev,
 		capacity: capacity,
-		policy:   policy,
 		shards:   make([]*shard, shards),
 		shift:    uint(64 - bits.TrailingZeros(uint(shards))),
 	}
@@ -312,46 +335,30 @@ func (b *BufferPool) setLSN(id PageID, lsn uint64) {
 // NumShards returns the number of lock stripes.
 func (b *BufferPool) NumShards() int { return len(b.shards) }
 
-// Stats returns a snapshot of the pool-wide counters. Safe for
-// concurrent use; the snapshot is internally consistent only when the
-// pool is quiescent.
+// Stats returns the pool-wide counters: the sum of the shards'. Safe
+// for concurrent use and lock-free; the snapshot is internally
+// consistent only when the pool is quiescent.
 func (b *BufferPool) Stats() BufferStats {
-	return BufferStats{
-		LogicalAccesses: b.nLogical.Load(),
-		Hits:            b.nHits.Load(),
-		Misses:          b.nMisses.Load(),
-		Evictions:       b.nEvictions.Load(),
-		WriteBacks:      b.nWriteBacks.Load(),
-		WriteBackErrors: b.nWriteBackErrs.Load(),
-		Pins:            b.nPins.Load(),
+	var sum BufferStats
+	for _, s := range b.shards {
+		sum.add(s.stats.snapshot())
 	}
+	return sum
 }
 
 // ShardStats returns one counter snapshot per shard, in stripe order.
-// The per-shard counters sum to Stats() when the pool is quiescent.
 func (b *BufferPool) ShardStats() []BufferStats {
 	out := make([]BufferStats, len(b.shards))
 	for i, s := range b.shards {
-		s.mu.Lock()
-		out[i] = s.stats
-		s.mu.Unlock()
+		out[i] = s.stats.snapshot()
 	}
 	return out
 }
 
 // ResetStats zeroes the counters (resident pages stay resident).
 func (b *BufferPool) ResetStats() {
-	b.nLogical.Store(0)
-	b.nHits.Store(0)
-	b.nMisses.Store(0)
-	b.nEvictions.Store(0)
-	b.nWriteBacks.Store(0)
-	b.nWriteBackErrs.Store(0)
-	b.nPins.Store(0)
 	for _, s := range b.shards {
-		s.mu.Lock()
-		s.stats = BufferStats{}
-		s.mu.Unlock()
+		s.stats.reset()
 	}
 }
 
@@ -380,42 +387,29 @@ func (b *BufferPool) Get(id PageID) (*Frame, error) {
 	s := b.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b.nLogical.Add(1)
-	s.stats.LogicalAccesses++
+	s.stats.access()
 	if f, ok := s.frames[id]; ok {
-		b.nHits.Add(1)
-		s.stats.Hits++
-		telPoolHits.Inc()
-		b.nPins.Add(1)
-		s.stats.Pins++
-		telPoolPins.Inc()
+		s.stats.hit()
+		s.stats.pin()
 		f.pins++
-		f.refBit = true
-		if b.policy == LRU && f.lruElem != nil {
-			s.queue.MoveToBack(f.lruElem)
-		}
+		s.queue.MoveToBack(f.lruElem)
 		b.capture(f)
 		return &Frame{pool: b, f: f}, nil
 	}
-	b.nMisses.Add(1)
-	s.stats.Misses++
-	telPoolMisses.Inc()
+	s.stats.miss()
 	if s.capacity > 0 && len(s.frames) >= s.capacity {
 		if err := s.evictOne(); err != nil {
 			return nil, err
 		}
 	}
-	f := &frame{id: id, data: make([]byte, b.dev.PageSize()), pins: 1, refBit: true}
+	f := &frame{id: id, data: make([]byte, b.dev.PageSize()), pins: 1}
 	readStart := time.Now()
 	if err := b.dev.Read(id, f.data); err != nil {
 		return nil, err
 	}
 	telPoolReadSeconds.Observe(time.Since(readStart).Seconds())
 	b.capture(f)
-	b.nPins.Add(1)
-	s.stats.Pins++
-	telPoolPins.Inc()
-	s.frames[id] = f
+	s.stats.pin()
 	s.admit(f)
 	return &Frame{pool: b, f: f}, nil
 }
@@ -427,37 +421,27 @@ func (b *BufferPool) GetNew() (*Frame, error) {
 	s := b.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b.nLogical.Add(1)
-	s.stats.LogicalAccesses++
-	b.nMisses.Add(1)
-	s.stats.Misses++
-	telPoolMisses.Inc()
+	s.stats.access()
+	s.stats.miss()
 	if s.capacity > 0 && len(s.frames) >= s.capacity {
 		if err := s.evictOne(); err != nil {
 			return nil, err
 		}
 	}
-	f := &frame{id: id, data: make([]byte, b.dev.PageSize()), pins: 1, dirty: true, refBit: true}
+	f := &frame{id: id, data: make([]byte, b.dev.PageSize()), pins: 1, dirty: true}
 	if t := b.undo.Load(); t != nil {
 		t.addFresh(id)
 	}
-	b.nPins.Add(1)
-	s.stats.Pins++
-	telPoolPins.Inc()
-	s.frames[id] = f
+	s.stats.pin()
 	s.admit(f)
 	return &Frame{pool: b, f: f}, nil
 }
 
-// admit enrolls a new frame in the shard's replacement structure; must
-// be called with s.mu held.
+// admit makes a new frame resident, as the most recently used; must be
+// called with s.mu held.
 func (s *shard) admit(f *frame) {
-	switch s.pool.policy {
-	case LRU, FIFO:
-		f.lruElem = s.queue.PushBack(f)
-	case Clock:
-		s.clock = append(s.clock, f)
-	}
+	s.frames[f.id] = f
+	f.lruElem = s.queue.PushBack(f)
 }
 
 // evictOne must be called with s.mu held.
@@ -468,51 +452,25 @@ func (s *shard) evictOne() error {
 		return err
 	}
 	if victim.dirty {
-		if err := b.writeBack(victim); err != nil {
+		err := b.writeBack(victim)
+		s.stats.wroteBack(err)
+		if err != nil {
 			// The victim stays resident and dirty — nothing is lost, the
 			// caller sees the device error and the counter records it.
-			b.nWriteBackErrs.Add(1)
-			s.stats.WriteBackErrors++
-			telPoolWriteBackErrs.Inc()
 			return fmt.Errorf("storage: write-back of %v failed: %w", victim.id, err)
 		}
-		b.nWriteBacks.Add(1)
-		s.stats.WriteBacks++
-		telPoolWriteBacks.Inc()
 	}
 	s.dropFrame(victim)
-	b.nEvictions.Add(1)
-	s.stats.Evictions++
-	telPoolEvictions.Inc()
+	s.stats.evict()
 	return nil
 }
 
-// pickVictim must be called with s.mu held.
+// pickVictim returns the coldest frame that is neither pinned nor held
+// dirty by the active transaction; must be called with s.mu held.
 func (s *shard) pickVictim() (*frame, error) {
-	b := s.pool
-	switch b.policy {
-	case LRU, FIFO:
-		for e := s.queue.Front(); e != nil; e = e.Next() {
-			f := e.Value.(*frame)
-			if f.pins == 0 && !(f.dirty && b.heldByTxn(f.id)) {
-				return f, nil
-			}
-		}
-	case Clock:
-		// Two sweeps: clear reference bits on the first pass.
-		for sweep := 0; sweep < 2*len(s.clock); sweep++ {
-			if len(s.clock) == 0 {
-				break
-			}
-			f := s.clock[s.hand%len(s.clock)]
-			s.hand = (s.hand + 1) % len(s.clock)
-			if f.pins > 0 || (f.dirty && b.heldByTxn(f.id)) {
-				continue
-			}
-			if f.refBit {
-				f.refBit = false
-				continue
-			}
+	for e := s.queue.Front(); e != nil; e = e.Next() {
+		f := e.Value.(*frame)
+		if f.pins == 0 && !(f.dirty && s.pool.heldByTxn(f.id)) {
 			return f, nil
 		}
 	}
@@ -522,19 +480,7 @@ func (s *shard) pickVictim() (*frame, error) {
 // dropFrame must be called with s.mu held.
 func (s *shard) dropFrame(f *frame) {
 	delete(s.frames, f.id)
-	if f.lruElem != nil {
-		s.queue.Remove(f.lruElem)
-		f.lruElem = nil
-	}
-	for i, cf := range s.clock {
-		if cf == f {
-			s.clock = append(s.clock[:i], s.clock[i+1:]...)
-			if s.hand > i {
-				s.hand--
-			}
-			break
-		}
-	}
+	s.queue.Remove(f.lruElem)
 }
 
 // Discard drops a page from the pool without writing it back — used
@@ -586,17 +532,13 @@ func (s *shard) flushLocked() error {
 			// until the transaction's WAL commit covers them.
 			continue
 		}
-		if err := b.writeBack(f); err != nil {
-			b.nWriteBackErrs.Add(1)
-			s.stats.WriteBackErrors++
-			telPoolWriteBackErrs.Inc()
+		err := b.writeBack(f)
+		s.stats.wroteBack(err)
+		if err != nil {
 			errs = append(errs, fmt.Errorf("storage: flush of %v failed: %w", f.id, err))
 			continue
 		}
 		f.dirty = false
-		b.nWriteBacks.Add(1)
-		s.stats.WriteBacks++
-		telPoolWriteBacks.Inc()
 	}
 	return errors.Join(errs...)
 }
@@ -634,8 +576,6 @@ func (b *BufferPool) DropClean() error {
 		}
 		s.frames = make(map[PageID]*frame)
 		s.queue.Init()
-		s.clock = nil
-		s.hand = 0
 		s.mu.Unlock()
 	}
 	return errors.Join(errs...)

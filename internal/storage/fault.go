@@ -152,30 +152,12 @@ type FaultInjector struct {
 	pRead, pWrite float64
 	faults        []*Fault
 	stats         FaultStats
-	cp            *Crashpoint // only when the inner device is not crashable itself
-}
-
-// ScheduleCrashpoint arms a crashpoint. When the wrapped device manages
-// its own crash simulation (FileDisk), the crashpoint is installed
-// there so physical torn writes land in the real file; otherwise the
-// injector gates its own Read/Write calls.
-func (f *FaultInjector) ScheduleCrashpoint(cp *Crashpoint) {
-	if c, ok := f.dev.(interface{ SetCrashpoint(*Crashpoint) }); ok {
-		c.SetCrashpoint(cp)
-		return
-	}
-	f.mu.Lock()
-	f.cp = cp
-	f.mu.Unlock()
 }
 
 // NewFaultInjector wraps dev; seed drives the probabilistic mode.
 func NewFaultInjector(dev Device, seed int64) *FaultInjector {
 	return &FaultInjector{dev: dev, rng: rand.New(rand.NewSource(seed))}
 }
-
-// Inner returns the wrapped device.
-func (f *FaultInjector) Inner() Device { return f.dev }
 
 // Schedule adds a fault to the schedule.
 func (f *FaultInjector) Schedule(fault Fault) {
@@ -259,10 +241,6 @@ func (f *FaultInjector) ResetStats() { f.dev.ResetStats() }
 // read fault fires.
 func (f *FaultInjector) Read(id PageID, buf []byte) error {
 	f.mu.Lock()
-	if f.cp != nil && f.cp.Crashed() {
-		f.mu.Unlock()
-		return fmt.Errorf("storage: Read(%v): %w", id, ErrCrashed)
-	}
 	ft, prob := f.fire(OpRead, id)
 	if ft != nil || prob {
 		f.stats.ReadFaults++
@@ -286,26 +264,10 @@ func (f *FaultInjector) Write(id PageID, buf []byte) error {
 
 // WriteLSN implements LSNWriter, forwarding the LSN to the inner device
 // when it supports LSN-stamped writes (dropping it otherwise) and
-// applying the same fault schedule as Write. A crashpoint gated here
-// (simulated inner device) persists the torn prefix at the payload
-// level; a FileDisk inner device handles its own crashpoint and tears
-// the physical record instead.
+// applying the same fault schedule as Write. (Crash simulation is the
+// inner FileDisk's: see FileDisk.SetCrashpoint.)
 func (f *FaultInjector) WriteLSN(id PageID, buf []byte, lsn uint64) error {
 	f.mu.Lock()
-	if f.cp != nil {
-		allowed, cerr := f.cp.admit(len(buf))
-		if cerr != nil {
-			f.mu.Unlock()
-			if allowed > 0 {
-				cur := make([]byte, f.dev.PageSize())
-				if err := f.dev.Read(id, cur); err == nil {
-					copy(cur[:allowed], buf[:allowed])
-					_ = f.innerWrite(id, cur, lsn)
-				}
-			}
-			return fmt.Errorf("storage: Write(%v): %w", id, cerr)
-		}
-	}
 	ft, prob := f.fire(OpWrite, id)
 	if ft == nil && !prob {
 		f.mu.Unlock()

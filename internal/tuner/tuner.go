@@ -294,7 +294,7 @@ func (t *Tuner) currentDesign(path *gom.PathExpression) *costmodel.Design {
 			continue
 		}
 		d := costmodel.Design{
-			Ext: costmodel.Extension(ix.Extension()),
+			Ext: ix.Extension(),
 			Dec: asr.StepsOf(path, ix.Decomposition()),
 		}
 		return &d
@@ -338,7 +338,7 @@ func (t *Tuner) Autotune(minGain float64) ([]Recommendation, error) {
 			}
 		}
 		if _, err := t.manager.CreateIndex(path,
-			asr.Extension(rec.Best.Ext), asr.ColumnsOf(path, rec.Best.Dec)); err != nil {
+			rec.Best.Ext, asr.ColumnsOf(path, rec.Best.Dec)); err != nil {
 			return out, err
 		}
 	}

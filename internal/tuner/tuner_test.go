@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"asr/internal/asr"
-	"asr/internal/costmodel"
 	"asr/internal/gom"
 	"asr/internal/paperdb"
 	"asr/internal/storage"
@@ -77,25 +76,6 @@ func TestUpdateRecorderMapsEvents(t *testing.T) {
 	for _, u := range mix.Updates {
 		if math.Abs(u.W-want[u.I]) > 1e-9 {
 			t.Errorf("update %+v, want weight %g", u, want[u.I])
-		}
-	}
-}
-
-func TestExtensionEnumsAligned(t *testing.T) {
-	// The tuner converts between asr.Extension and costmodel.Extension by
-	// value; the enums must stay aligned.
-	pairs := []struct {
-		a asr.Extension
-		c costmodel.Extension
-	}{
-		{asr.Canonical, costmodel.Canonical},
-		{asr.Full, costmodel.Full},
-		{asr.LeftComplete, costmodel.LeftComplete},
-		{asr.RightComplete, costmodel.RightComplete},
-	}
-	for _, p := range pairs {
-		if int(p.a) != int(p.c) || p.a.String() != p.c.String() {
-			t.Errorf("enum drift: asr %v=%d vs costmodel %v=%d", p.a, p.a, p.c, p.c)
 		}
 	}
 }
