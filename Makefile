@@ -49,10 +49,12 @@ benchmark-smoke:
 # Durability suite under the race detector: crash the page file and WAL
 # at every admitted physical write (storage level) and across the
 # managed-index mutation schedule (asr level), and fuzz the WAL record
-# codec briefly. Deterministic seeds — failures reproduce exactly.
+# codec and the B⁺-tree's in-place page search briefly. Deterministic
+# seeds — failures reproduce exactly.
 crash-matrix:
 	$(GO) test -race -count=1 -run 'Crash|Recover|SaveOpen|OpenFrom|Torn|WAL' ./internal/storage/ ./internal/asr/
 	$(GO) test -run=FuzzWALRecordDecode -fuzz=FuzzWALRecordDecode -fuzztime=10s ./internal/storage/
+	$(GO) test -run=FuzzPageSearch -fuzz=FuzzPageSearch -fuzztime=10s ./internal/btree/
 
 # Service-layer gate under the race detector (docs/SERVICE.md): boot
 # gomd in-process on ephemeral ports, burst 30 connections, deliver a

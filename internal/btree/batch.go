@@ -46,67 +46,56 @@ func (t *Tree) ScanPrefixes(prefixes [][]byte, fn VisitIndexed) error {
 		return bytes.Compare(prefixes[order[a]], prefixes[order[b]]) < 0
 	})
 
-	// Cursor: the currently pinned leaf, or fr == nil between leaves.
-	// passed is the largest key in any leaf the cursor has moved beyond
-	// — keys ≤ passed live strictly before the current leaf.
+	// The currently pinned leaf and the cursor over it, or fr == nil
+	// between leaves. passed is the largest key in any leaf the scan has
+	// moved beyond — keys ≤ passed live strictly before the current leaf.
+	// key holds the one materialized key handed to fn; no stored key is
+	// longer than maxKey, so it never grows. sought reports that the leaf
+	// was opened for — its cursor stands at — the prefix now being probed.
 	var (
 		fr     *storage.Frame
-		n      *node
+		c      cursor
+		sought bool
 		passed []byte
+		key    = make([]byte, 0, t.maxKey)
 	)
 	release := func() {
 		if fr != nil {
 			fr.Unpin()
-			fr, n = nil, nil
+			fr = nil
 		}
 	}
 	defer release()
 
-	// descend repositions the cursor at the leaf that would contain the
+	// descend repositions the scan at the leaf that would contain the
 	// first key ≥ start, mirroring scanFrom's descent.
-	descend := func(start []byte) error {
+	descend := func(start []byte) (err error) {
 		release()
 		passed = nil
-		pid := t.root
-		for {
-			f, nd, err := t.load(pid)
-			if err != nil {
-				return err
-			}
-			if nd.isLeaf() {
-				fr, n = f, nd
-				return nil
-			}
-			pos, _ := findKey(nd.keys, start)
-			if pos < len(nd.keys) && bytes.Equal(nd.keys[pos], start) {
-				pos++
-			}
-			next := nd.children[pos]
-			f.Unpin()
-			pid = next
-		}
+		fr, c, err = t.leafFor(start)
+		sought = true
+		return err
 	}
-	// advance moves the cursor to the next non-empty leaf in the chain,
-	// leaving fr == nil at the end of the chain. Empty leaves left
-	// behind by deletion are hopped over for free — they never count
-	// against the maxBatchHops budget, only against the telemetry
-	// counter that makes the deferred-compaction cost observable.
-	advance := func() error {
+	// advance moves to the next non-empty leaf in the chain, leaving
+	// fr == nil at the end of the chain. Empty leaves left behind by
+	// deletion are hopped over for free — they never count against the
+	// maxBatchHops budget, only against the telemetry counter that makes
+	// the deferred-compaction cost observable.
+	advance := func(p []byte) (err error) {
 		for {
-			if len(n.keys) > 0 {
-				passed = append(passed[:0], n.keys[len(n.keys)-1]...)
+			if c.cnt > 0 {
+				passed = c.appendKey(passed[:0], c.last)
 			}
-			next := n.next
+			next := c.ptr0
 			release()
 			if next.IsNil() {
 				return nil
 			}
-			f, nd, err := t.load(next)
-			if err != nil {
+			if fr, c, err = t.open(next, p); err != nil {
 				return err
 			}
-			fr, n = f, nd
-			if len(nd.keys) > 0 {
+			sought = true
+			if c.cnt > 0 {
 				return nil
 			}
 			telEmptyLeafHops.Inc()
@@ -127,10 +116,10 @@ func (t *Tree) ScanPrefixes(prefixes [][]byte, fn VisitIndexed) error {
 		// Hop forward while this leaf cannot contain a key ≥ p; bail
 		// into a root descent if the probe is far away.
 		for hops := 0; fr != nil; hops++ {
-			if len(n.keys) > 0 && bytes.Compare(n.keys[len(n.keys)-1], p) >= 0 {
+			if c.cnt > 0 && c.compare(c.last, p, lcp(p, c.low)) >= 0 {
 				break
 			}
-			if n.next.IsNil() {
+			if c.ptr0.IsNil() {
 				break // off the end of the chain: no match for p
 			}
 			if hops >= maxBatchHops {
@@ -139,7 +128,7 @@ func (t *Tree) ScanPrefixes(prefixes [][]byte, fn VisitIndexed) error {
 				}
 				break
 			}
-			if err := advance(); err != nil {
+			if err := advance(p); err != nil {
 				return err
 			}
 		}
@@ -155,22 +144,27 @@ func (t *Tree) ScanPrefixes(prefixes [][]byte, fn VisitIndexed) error {
 		// key past the matches — where the next sorted probe starts.
 		done := false
 		for !done && fr != nil {
-			pos, _ := findKey(n.keys, p)
-			for ; pos < len(n.keys); pos++ {
-				if !bytes.HasPrefix(n.keys[pos], p) {
+			if !sought {
+				c.seek(p) // the leaf an earlier prefix ended on
+			}
+			sought = false
+			for ok := c.i < c.cnt; ok; ok = c.next() {
+				key = c.appendKey(key[:0], c.entry)
+				if !bytes.HasPrefix(key, p) {
 					done = true
 					break
 				}
-				// Zero-copy: borrowed slices, valid while this leaf
-				// stays pinned (i.e. until fn returns).
-				if !fn(oi, n.keys[pos], n.vals[pos]) {
+				// Zero-copy: the value is borrowed from this leaf, which
+				// stays pinned until fn returns; the key from the scan's
+				// buffer.
+				if !fn(oi, key, c.val(c.entry)) {
 					return nil
 				}
 			}
 			if done {
 				break
 			}
-			if err := advance(); err != nil {
+			if err := advance(p); err != nil {
 				return err
 			}
 		}

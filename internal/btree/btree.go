@@ -26,7 +26,6 @@
 package btree
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -164,11 +163,17 @@ func (t *Tree) Height() int { return t.height }
 // Root returns the root page id.
 func (t *Tree) Root() storage.PageID { return t.root }
 
-// node is the in-memory form of a tree page. Decoded keys live in one
-// arena allocation per node; decoded leaf values alias the pinned
-// frame's bytes directly (zero-copy) and are valid only while the frame
-// stays pinned. writeNode serializes through a scratch buffer, so a
-// node whose values alias the very frame being rewritten is safe.
+// node is the decoded, mutable form of a tree page — what a page becomes
+// only where it is about to be rewritten (the leaf an Update changes, an
+// internal node a split posts a separator into, a page being built) or
+// inspected whole (ComputeStats, CheckInvariants, Drop). Lookups, scans
+// and the internal levels of an Update never build one: they search the
+// pinned frame in place through a cursor, which is also the only parser
+// a node is decoded by. Decoded keys live in one arena allocation per
+// node; decoded leaf values alias the pinned frame's bytes directly
+// (zero-copy) and are valid only while the frame stays pinned.
+// writeNode serializes through a scratch buffer, so a node whose values
+// alias the very frame being rewritten is safe.
 type node struct {
 	typ      byte
 	keys     [][]byte
@@ -248,104 +253,14 @@ func (n *node) uncompressedSize() int {
 	return s
 }
 
-func corruptNode(id storage.PageID, what string) error {
-	return fmt.Errorf("btree: page %v: corrupt node: %s", id, what)
-}
-
+// readNode decodes the page held by fr: the cursor's validation walk,
+// then one pass building the node.
 func readNode(fr *storage.Frame) (*node, error) {
-	data := fr.Data()
-	n := &node{}
-	switch data[0] {
-	case leafTag:
-		n.typ = leafNode
-	case internalTag:
-		n.typ = internalNode
-	case 0x00, 0x01:
-		return nil, fmt.Errorf("btree: page %v holds a format-v1 (uncompressed) node; rebuild the index: %w",
-			fr.ID(), ErrPageFormat)
-	default:
-		return nil, fmt.Errorf("btree: page %v: unknown node tag 0x%02x: %w", fr.ID(), data[0], ErrPageFormat)
+	c, err := openPage(fr, nil)
+	if err != nil {
+		return nil, err
 	}
-	cnt := int(binary.BigEndian.Uint16(data[1:3]))
-	ptr0 := storage.PageID(binary.BigEndian.Uint64(data[3:11]))
-
-	// Pass 1: walk the entry headers, validating bounds and summing the
-	// decoded key bytes so the arena is allocated exactly once (appends
-	// below must never reallocate: decoded keys reference it).
-	total := 0
-	off := headerSize
-	for i := 0; i < cnt; i++ {
-		if off+entryOverheadHdr(n.typ) > len(data) {
-			return nil, corruptNode(fr.ID(), "entry header past page end")
-		}
-		pl := int(binary.BigEndian.Uint16(data[off : off+2]))
-		sl := int(binary.BigEndian.Uint16(data[off+2 : off+4]))
-		body := sl
-		if n.isLeaf() {
-			body += int(binary.BigEndian.Uint16(data[off+4 : off+6]))
-		} else {
-			body += 8
-		}
-		off += entryOverheadHdr(n.typ)
-		if off+body > len(data) {
-			return nil, corruptNode(fr.ID(), "entry body past page end")
-		}
-		if i == 0 && pl != 0 {
-			return nil, corruptNode(fr.ID(), "low key stored with nonzero prefix length")
-		}
-		total += pl + sl
-		off += body
-	}
-
-	arena := make([]byte, 0, total)
-	var low []byte
-	n.keys = make([][]byte, cnt)
-	if n.isLeaf() {
-		n.next = ptr0
-		n.vals = make([][]byte, cnt)
-	} else {
-		n.children = make([]storage.PageID, cnt+1)
-		n.children[0] = ptr0
-	}
-	off = headerSize
-	for i := 0; i < cnt; i++ {
-		pl := int(binary.BigEndian.Uint16(data[off : off+2]))
-		sl := int(binary.BigEndian.Uint16(data[off+2 : off+4]))
-		vl := 0
-		if n.isLeaf() {
-			vl = int(binary.BigEndian.Uint16(data[off+4 : off+6]))
-		}
-		off += entryOverheadHdr(n.typ)
-		if pl > len(low) {
-			return nil, corruptNode(fr.ID(), "prefix length exceeds low key")
-		}
-		start := len(arena)
-		arena = append(arena, low[:pl]...)
-		arena = append(arena, data[off:off+sl]...)
-		k := arena[start:len(arena):len(arena)]
-		if i == 0 {
-			low = k
-		}
-		n.keys[i] = k
-		off += sl
-		if n.isLeaf() {
-			n.vals[i] = data[off : off+vl : off+vl]
-			off += vl
-		} else {
-			n.children[i+1] = storage.PageID(binary.BigEndian.Uint64(data[off : off+8]))
-			off += 8
-		}
-	}
-	return n, nil
-}
-
-// entryOverheadHdr returns the fixed per-entry header size preceding the
-// suffix bytes (the child pointer of internal entries trails the suffix).
-func entryOverheadHdr(typ byte) int {
-	if typ == leafNode {
-		return 6
-	}
-	return 4
+	return c.decode(), nil
 }
 
 // scratch pools serialization buffers: writeNode renders the node off to
@@ -412,19 +327,29 @@ func writeNode(fr *storage.Frame, n *node) {
 	fr.MarkDirty()
 }
 
-// load fetches and decodes a node, returning the pinned frame.
-func (t *Tree) load(pid storage.PageID) (*storage.Frame, *node, error) {
+// open pins the page, validates it whole and searches it for key,
+// returning a cursor over the frame's bytes; nothing is decoded.
+func (t *Tree) open(pid storage.PageID, key []byte) (*storage.Frame, cursor, error) {
 	telNodeReads.Inc()
 	fr, err := t.pool.Get(pid)
 	if err != nil {
-		return nil, nil, err
+		return nil, cursor{}, err
 	}
-	n, err := readNode(fr)
+	c, err := openPage(fr, key)
 	if err != nil {
 		fr.Unpin()
-		return nil, nil, fmt.Errorf("btree %s: %w", t.name, err)
+		return nil, cursor{}, fmt.Errorf("btree %s: %w", t.name, err)
 	}
-	return fr, n, nil
+	return fr, c, nil
+}
+
+// load fetches and decodes a node, returning the pinned frame.
+func (t *Tree) load(pid storage.PageID) (*storage.Frame, *node, error) {
+	fr, c, err := t.open(pid, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return fr, c.decode(), nil
 }
 
 type splitResult struct {
@@ -508,64 +433,68 @@ func (t *Tree) checkEntry(key, val []byte) error {
 // entry count (+1 inserted, −1 removed, 0 otherwise) and, when the node
 // at pid overflowed, the split to post into the parent.
 func (t *Tree) update(pid storage.PageID, key []byte, fn func([]byte, bool) ([]byte, bool)) (int, *splitResult, error) {
-	fr, n, err := t.load(pid)
+	fr, c, err := t.open(pid, key)
 	if err != nil {
 		return 0, nil, err
 	}
 	defer fr.Unpin()
 
-	if n.isLeaf() {
-		pos, found := findKey(n.keys, key)
-		var old []byte
-		if found {
-			old = n.vals[pos]
+	if !c.leaf {
+		// Internal levels are searched in place; the page is decoded only
+		// when the child's split posts a separator into it.
+		delta, childSplit, err := t.update(c.down, key, fn)
+		if err != nil || childSplit == nil {
+			return delta, nil, err
 		}
-		val, keep := fn(old, found)
-		if !keep {
-			if !found {
-				return 0, nil, nil
-			}
-			n.keys = append(n.keys[:pos], n.keys[pos+1:]...)
-			n.vals = append(n.vals[:pos], n.vals[pos+1:]...)
-			writeNode(fr, n)
-			return -1, nil, nil
+		// Internal separator semantics: child[i] covers keys < keys[i];
+		// equal keys go right.
+		pos := c.i
+		if c.equal {
+			pos++
 		}
-		if err := t.checkEntry(key, val); err != nil {
-			return 0, nil, err
-		}
-		delta := 0
-		if found {
-			n.vals[pos] = val
-		} else {
-			n.keys = insertBytes(n.keys, pos, append([]byte(nil), key...))
-			n.vals = insertBytes(n.vals, pos, val)
-			delta = 1
-		}
+		n := c.decode()
+		n.keys = insertBytes(n.keys, pos, childSplit.sep)
+		n.children = insertPages(n.children, pos+1, childSplit.right)
 		if n.size() <= t.pool.Disk().PageSize() {
 			writeNode(fr, n)
 			return delta, nil, nil
 		}
-		split, err := t.splitLeaf(fr, n)
+		split, err := t.splitInternal(fr, n)
 		return delta, split, err
 	}
 
-	pos, _ := findKey(n.keys, key)
-	// Internal separator semantics: child[i] covers keys < keys[i];
-	// equal keys go right.
-	if pos < len(n.keys) && bytes.Equal(n.keys[pos], key) {
-		pos++
+	pos, found := c.i, c.equal // where the search of the page left the cursor
+	n := c.decode()
+	var old []byte
+	if found {
+		old = n.vals[pos]
 	}
-	delta, childSplit, err := t.update(n.children[pos], key, fn)
-	if err != nil || childSplit == nil {
-		return delta, nil, err
+	val, keep := fn(old, found)
+	if !keep {
+		if !found {
+			return 0, nil, nil
+		}
+		n.keys = append(n.keys[:pos], n.keys[pos+1:]...)
+		n.vals = append(n.vals[:pos], n.vals[pos+1:]...)
+		writeNode(fr, n)
+		return -1, nil, nil
 	}
-	n.keys = insertBytes(n.keys, pos, childSplit.sep)
-	n.children = insertPages(n.children, pos+1, childSplit.right)
+	if err := t.checkEntry(key, val); err != nil {
+		return 0, nil, err
+	}
+	delta := 0
+	if found {
+		n.vals[pos] = val
+	} else {
+		n.keys = insertBytes(n.keys, pos, append([]byte(nil), key...))
+		n.vals = insertBytes(n.vals, pos, val)
+		delta = 1
+	}
 	if n.size() <= t.pool.Disk().PageSize() {
 		writeNode(fr, n)
 		return delta, nil, nil
 	}
-	split, err := t.splitInternal(fr, n)
+	split, err := t.splitLeaf(fr, n)
 	return delta, split, err
 }
 
@@ -661,41 +590,21 @@ func splitPoint(n *node) int {
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	pid := t.root
 	for {
-		fr, n, err := t.load(pid)
+		fr, c, err := t.open(pid, key)
 		if err != nil {
 			return nil, false, err
 		}
-		if n.isLeaf() {
-			pos, found := findKey(n.keys, key)
+		if c.leaf {
 			var v []byte
-			if found {
-				v = append([]byte(nil), n.vals[pos]...)
+			if c.equal {
+				v = append([]byte(nil), c.val(c.entry)...)
 			}
 			fr.Unpin()
-			return v, found, nil
+			return v, c.equal, nil
 		}
-		pos, _ := findKey(n.keys, key)
-		if pos < len(n.keys) && bytes.Equal(n.keys[pos], key) {
-			pos++
-		}
-		pid = n.children[pos]
+		pid = c.down
 		fr.Unpin()
 	}
-}
-
-// findKey returns the smallest index with keys[i] >= key and whether it
-// is an exact match.
-func findKey(keys [][]byte, key []byte) (int, bool) {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(keys[mid], key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(keys) && bytes.Equal(keys[lo], key)
 }
 
 func insertBytes(s [][]byte, i int, v []byte) [][]byte {

@@ -319,10 +319,10 @@ func TestEmptyLeafHopTelemetry(t *testing.T) {
 	}
 }
 
-// TestScanPrefixesPerTupleAllocs pins the zero-copy contract: the hot
-// loop must not allocate per visited tuple. Per-page costs (node
-// decode, arena) amortize over the dozens of entries each page holds,
-// so allocations per tuple must stay well under one.
+// TestScanPrefixesPerTupleAllocs pins the zero-copy contract: the scan
+// allocates neither per visited tuple nor per page — leaves are searched
+// in place — only per call (the probe order, the key buffer). Measured:
+// 22 allocations for 4000 tuples, 0.0055 per tuple.
 func TestScanPrefixesPerTupleAllocs(t *testing.T) {
 	var entries []KV
 	for g := 0; g < 8; g++ {
@@ -354,14 +354,14 @@ func TestScanPrefixesPerTupleAllocs(t *testing.T) {
 	}
 	perTuple := allocs / float64(visited)
 	t.Logf("%.0f allocs for %d tuples = %.3f/tuple (bytes seen %d)", allocs, visited, perTuple, bytesSeen)
-	if perTuple > 0.5 {
-		t.Errorf("%.3f allocations per tuple, want < 0.5 (zero-copy hot loop)", perTuple)
+	if perTuple > 0.01 {
+		t.Errorf("%.4f allocations per tuple, want < 0.01 (pages searched in place)", perTuple)
 	}
 }
 
 // BenchmarkScanPrefixesZeroCopy reports the per-tuple cost of the
 // batched zero-copy scan; run with -benchmem to see the allocation
-// profile (per-page decode only, nothing per tuple).
+// profile (per call only, nothing per page or per tuple).
 func BenchmarkScanPrefixesZeroCopy(b *testing.B) {
 	var entries []KV
 	for g := 0; g < 16; g++ {

@@ -14,9 +14,10 @@ import (
 // callback returns. Values are sub-slices of the pinned page frame —
 // the scan holds the pin across the callback and releases it when it
 // moves on; a retained value would alias whatever the buffer pool later
-// loads into that frame. Keys are materialized per page into a shared
-// arena and likewise must not be retained. Callers that keep data past
-// the callback wrap their visitor in Copied (or CopiedIndexed).
+// loads into that frame. The key is materialized into one buffer the
+// scan reuses for every entry and likewise must not be retained. Callers
+// that keep data past the callback wrap their visitor in Copied (or
+// CopiedIndexed).
 type Visit func(key, val []byte) bool
 
 // Copied wraps a visitor so it receives owned copies of each entry —
@@ -63,52 +64,55 @@ func (t *Tree) ScanPrefix(prefix []byte, fn Visit) error {
 	})
 }
 
-// scanFrom walks leaves left to right starting at the first key ≥ start,
-// yielding borrowed key/value slices (see Visit). The current leaf stays
-// pinned while fn runs.
-func (t *Tree) scanFrom(start []byte, fn Visit) error {
+// leafFor descends from the root to the leaf that would hold key (nil:
+// the leftmost leaf), searching every internal page in place, and
+// returns that leaf pinned, its cursor on the first entry ≥ key.
+func (t *Tree) leafFor(key []byte) (*storage.Frame, cursor, error) {
 	pid := t.root
-	// Descend to the leaf that would contain start.
 	for {
-		fr, n, err := t.load(pid)
-		if err != nil {
-			return err
+		fr, c, err := t.open(pid, key)
+		if err != nil || c.leaf {
+			return fr, c, err
 		}
-		if n.isLeaf() {
-			fr.Unpin()
-			break
+		pid = c.ptr0
+		if key != nil {
+			pid = c.down
 		}
-		pos := 0
-		if start != nil {
-			pos, _ = findKey(n.keys, start)
-			if pos < len(n.keys) && bytes.Equal(n.keys[pos], start) {
-				pos++
-			}
-		}
-		next := n.children[pos]
 		fr.Unpin()
-		pid = next
 	}
+}
+
+// scanFrom walks leaves left to right starting at the first key ≥ start,
+// yielding borrowed key/value slices (see Visit): the value aliases the
+// leaf, which stays pinned while fn runs, and the key is the one key the
+// scan has materialized, in a buffer the next entry overwrites.
+func (t *Tree) scanFrom(start []byte, fn Visit) error {
+	fr, c, err := t.leafFor(start)
+	if err != nil {
+		return err
+	}
+	// The loop below opens this leaf again: one page access more than the
+	// scan needs, kept because the page counts per operation are pinned.
+	pid := fr.ID()
+	fr.Unpin()
+	key := make([]byte, 0, t.maxKey) // no stored key is longer
 	for !pid.IsNil() {
-		fr, n, err := t.load(pid)
-		if err != nil {
+		if fr, c, err = t.open(pid, start); err != nil {
 			return err
 		}
-		if len(n.keys) == 0 && !n.next.IsNil() {
+		if c.cnt == 0 && !c.ptr0.IsNil() {
 			// Deletion leaves empty leaves in the chain; the hop over
 			// one is the deferred-compaction cost, made observable here.
 			telEmptyLeafHops.Inc()
 		}
-		for i, k := range n.keys {
-			if start != nil && bytes.Compare(k, start) < 0 {
-				continue
-			}
-			if !fn(k, n.vals[i]) {
+		for ok := c.i < c.cnt; ok; ok = c.next() {
+			key = c.appendKey(key[:0], c.entry)
+			if !fn(key, c.val(c.entry)) {
 				fr.Unpin()
 				return nil
 			}
 		}
-		pid = n.next
+		pid = c.ptr0
 		fr.Unpin()
 	}
 	return nil

@@ -2,6 +2,7 @@ package gom
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -106,6 +107,20 @@ func (o *Object) elementsLocked() []Value {
 	}
 }
 
+// AppendElements appends the elements of a set or list object to dst
+// and returns it: a list's in list order, a set's in no particular
+// order — what a caller that only iterates or re-sorts wants, since
+// Elements pays for a sort of the canonical keys.
+func (o *Object) AppendElements(dst []Value) []Value {
+	o.base.mu.RLock()
+	defer o.base.mu.RUnlock()
+	dst = slices.Grow(dst, len(o.set)+len(o.list))
+	for _, v := range o.set {
+		dst = append(dst, v)
+	}
+	return append(dst, o.list...)
+}
+
 // LiveElements is Elements with references to deleted objects left out:
 // a deleted object contributes no path information even while stale
 // references to it remain (GOM references are uni-directional, so the
@@ -113,12 +128,21 @@ func (o *Object) elementsLocked() []Value {
 func (o *Object) LiveElements() []Value {
 	o.base.mu.RLock()
 	defer o.base.mu.RUnlock()
-	return o.appendLiveLocked(nil)
+	return o.appendLiveLocked(nil, true)
 }
 
-// appendLiveLocked appends the live elements to dst; o.base.mu must be
-// held.
-func (o *Object) appendLiveLocked(dst []Value) []Value {
+// appendLiveLocked appends the live elements to dst — a set's in
+// Elements' order when ordered, else as the map yields them, which
+// neither sorts nor allocates; o.base.mu must be held.
+func (o *Object) appendLiveLocked(dst []Value, ordered bool) []Value {
+	if !ordered && o.typ.Kind() == SetType {
+		for _, e := range o.set {
+			if o.base.liveLocked(e) {
+				dst = append(dst, e)
+			}
+		}
+		return dst
+	}
 	for _, e := range o.elementsLocked() {
 		if o.base.liveLocked(e) {
 			dst = append(dst, e)
@@ -130,13 +154,19 @@ func (o *Object) appendLiveLocked(dst []Value) []Value {
 // Follow reads o.A_j for one path step the way Definition 3.3 does and
 // appends what the step leads to onto dst: the attribute's value for a
 // single-valued step, every live element of the referenced set object
-// for a set occurrence. A NULL attribute, a reference to a deleted
-// object and a set attribute holding anything but a reference (which
-// strong typing rules out) lead nowhere. For a set occurrence, set is
-// the reference to the live set object — reported even when nothing is
-// appended, because Definition 3.3 gives an empty set the row
-// (o, set, NULL) — and nil otherwise.
+// for a set occurrence, in Elements' order. A NULL attribute, a
+// reference to a deleted object and a set attribute holding anything but
+// a reference (which strong typing rules out) lead nowhere. For a set
+// occurrence, set is the reference to the live set object — reported
+// even when nothing is appended, because Definition 3.3 gives an empty
+// set the row (o, set, NULL) — and nil otherwise.
 func (o *Object) Follow(step PathStep, dst []Value) (set Value, _ []Value) {
+	return o.follow(step, dst, true)
+}
+
+// follow is Follow; with ordered false a set's elements come in no
+// particular order, for the caller that imposes its own (Walker.Reach).
+func (o *Object) follow(step PathStep, dst []Value, ordered bool) (set Value, _ []Value) {
 	ob := o.base
 	ob.mu.RLock()
 	defer ob.mu.RUnlock()
@@ -151,7 +181,7 @@ func (o *Object) Follow(step PathStep, dst []Value) (set Value, _ []Value) {
 	if !ok {
 		return nil, dst
 	}
-	return v, ob.objects[ref.OID()].appendLiveLocked(dst)
+	return v, ob.objects[ref.OID()].appendLiveLocked(dst, ordered)
 }
 
 // Reach evaluates steps i+1…j of path from the start values by object
@@ -160,37 +190,79 @@ func (o *Object) Follow(step PathStep, dst []Value) (set Value, _ []Value) {
 // (Q_nas, §5.6): the query engine's predicate re-check, projection and
 // dependent ranges, and asr.Manager's forward traversal and exhaustive
 // search all walk through here. It returns the values reached at step j,
-// each once, in discovery order, and the number of objects fetched from
+// each once, in no particular order, and the number of objects fetched from
 // the base on the way: one per live reference on a frontier — the
 // record-access unit eq. (31) predicts. Frontier values that are not
 // references, or refer to deleted objects, lead nowhere. The start
 // values are walked as given (not de-duplicated); the caller guarantees
-// 0 ≤ i ≤ j ≤ path.Len().
+// 0 ≤ i ≤ j ≤ path.Len(). The result is the caller's to keep; a caller
+// that walks from many objects in turn uses a Walker.
 func (ob *ObjectBase) Reach(path *PathExpression, i, j int, start ...Value) (reached []Value, fetches uint64) {
+	return ob.NewWalker().Reach(path, i, j, start...)
+}
+
+// Walker is Reach with its working storage kept from one call to the
+// next: the two frontiers a walk alternates between and, for the steps
+// that need it, the de-duplication state. A walk from one object costs
+// no allocation once the buffers have grown to the widest frontier, so
+// a loop over the anchors of a query allocates per chunk, not per
+// anchor. A Walker serves one goroutine.
+type Walker struct {
+	ob       *ObjectBase
+	frontier [2][]Value
+	targets  []Value
+	seen     map[string]bool
+	key      []byte
+}
+
+// NewWalker returns a Walker over ob.
+func (ob *ObjectBase) NewWalker() *Walker { return &Walker{ob: ob} }
+
+// Reach is ObjectBase.Reach into the Walker's buffers: the values
+// returned are BORROWED, valid until the Walker's next Reach.
+//
+// A value can reach a frontier twice only where two frontier objects
+// lead to it or a list holds it twice. A frontier of one value followed
+// over a single-valued attribute or into a set cannot repeat, so those
+// steps — every step of a linear path walked from one anchor — append
+// straight into the next frontier; the others de-duplicate by rendered
+// value, as before.
+func (w *Walker) Reach(path *PathExpression, i, j int, start ...Value) (reached []Value, fetches uint64) {
 	cur := start
-	var targets []Value
-	for s := i + 1; s <= j; s++ {
+	for s, k := i+1, 0; s <= j; s, k = s+1, k^1 {
 		step := path.Step(s)
-		var next []Value
-		seen := map[string]bool{}
+		next := w.frontier[k][:0]
+		dedup := len(cur) > 1 || (step.IsSetOccurrence() && step.Set.Kind() == ListType)
+		if dedup {
+			if w.seen == nil {
+				w.seen = map[string]bool{}
+			}
+			clear(w.seen)
+		}
 		for _, v := range cur {
 			ref, ok := v.(Ref)
 			if !ok {
 				continue
 			}
-			o, ok := ob.Get(ref.OID())
+			o, ok := w.ob.Get(ref.OID())
 			if !ok {
 				continue
 			}
 			fetches++
-			_, targets = o.Follow(step, targets[:0])
-			for _, t := range targets {
-				if k := ValueString(t); !seen[k] {
-					seen[k] = true
+			if !dedup {
+				_, next = o.follow(step, next, false)
+				continue
+			}
+			_, w.targets = o.follow(step, w.targets[:0], false)
+			for _, t := range w.targets {
+				w.key = AppendValueString(w.key[:0], t)
+				if !w.seen[string(w.key)] {
+					w.seen[string(w.key)] = true
 					next = append(next, t)
 				}
 			}
 		}
+		w.frontier[k] = next
 		cur = next
 	}
 	return cur, fetches
@@ -208,15 +280,21 @@ func (o *Object) ElementOIDs() []OID {
 	return out
 }
 
-// Contains reports whether a set object contains the given value.
+// Contains reports whether a set or list object holds the given value:
+// one hash probe for a set, a scan for a list.
 func (o *Object) Contains(v Value) bool {
 	o.base.mu.RLock()
 	defer o.base.mu.RUnlock()
-	if o.typ.Kind() != SetType {
-		return false
+	if o.typ.Kind() == SetType {
+		_, ok := o.set[valueKey(v)]
+		return ok
 	}
-	_, ok := o.set[valueKey(v)]
-	return ok
+	for _, e := range o.list {
+		if ValuesEqual(e, v) {
+			return true
+		}
+	}
+	return false
 }
 
 // String renders the object in the style of the paper's Figure 1/2

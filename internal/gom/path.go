@@ -28,6 +28,7 @@ func (s PathStep) IsSetOccurrence() bool { return s.Set != nil }
 type PathExpression struct {
 	root  *Type
 	steps []PathStep
+	str   string // dot notation, rendered once: every query names its paths
 }
 
 // ResolvePath validates attrs as a path expression anchored at root,
@@ -74,7 +75,7 @@ func ResolvePath(root *Type, attrs ...string) (*PathExpression, error) {
 		steps = append(steps, step)
 		cur = step.Range
 	}
-	return &PathExpression{root: root, steps: steps}, nil
+	return &PathExpression{root: root, steps: steps, str: pathString(root, attrs)}, nil
 }
 
 // ParsePath resolves a path written in dot notation, TYPE.Attr[.Attr...]
@@ -206,13 +207,7 @@ func (p *PathExpression) StepOfColumn(col int) (int, bool) {
 }
 
 // String renders the path in dot notation, t_0.A_1.….A_n.
-func (p *PathExpression) String() string {
-	attrs := make([]string, len(p.steps))
-	for i, s := range p.steps {
-		attrs[i] = s.Attr
-	}
-	return pathString(p.root, attrs)
-}
+func (p *PathExpression) String() string { return p.str }
 
 func pathString(root *Type, attrs []string) string {
 	return root.Name() + "." + strings.Join(attrs, ".")

@@ -1,0 +1,171 @@
+package gom
+
+import (
+	"fmt"
+	"sort"
+	"testing"
+)
+
+// walkerBase is a three-step path with one of each kind of step —
+// single-valued, through a set, through a list that repeats an element —
+// over a base in which two Groups share Items, so that a walk from one
+// object meets repeats only through the list and a walk from several
+// meets them at every step.
+func walkerBase(t *testing.T) (ob *ObjectBase, path *PathExpression, roots []Value) {
+	t.Helper()
+	s, _, err := ParseSchema(`
+		type Root is [Name: STRING, Group: Group];
+		type Group is [Items: ItemSET];
+		type ItemSET is {Item};
+		type Item is [Tags: TagLIST];
+		type TagLIST is <Tag>;
+		type Tag is [Name: STRING];
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob = NewObjectBase(s)
+	mk := func(typ string) OID { return ob.MustNew(s.MustLookup(typ)).ID() }
+	var tags []OID
+	for i := 0; i < 4; i++ {
+		tag := mk("Tag")
+		ob.MustSetAttr(tag, "Name", String(fmt.Sprintf("tag%d", i%3))) // tag0 twice
+		tags = append(tags, tag)
+	}
+	var items []OID
+	for i := 0; i < 3; i++ {
+		item, list := mk("Item"), mk("TagLIST")
+		for _, tag := range []OID{tags[i], tags[i+1], tags[i]} { // a repeat within the list
+			if err := ob.AppendToList(list, Ref(tag)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ob.MustSetAttr(item, "Tags", Ref(list))
+		items = append(items, item)
+	}
+	for i := 0; i < 3; i++ {
+		root, group, set := mk("Root"), mk("Group"), mk("ItemSET")
+		ob.MustInsertIntoSet(set, Ref(items[i]))
+		ob.MustInsertIntoSet(set, Ref(items[(i+1)%3])) // shared with the next group
+		ob.MustSetAttr(group, "Items", Ref(set))
+		ob.MustSetAttr(root, "Group", Ref(group))
+		roots = append(roots, Ref(root))
+	}
+	if err := ob.Delete(items[2]); err != nil { // a dangling set element
+		t.Fatal(err)
+	}
+	return ob, MustResolvePath(s.MustLookup("Root"), "Group", "Items", "Tags", "Name"), roots
+}
+
+func sortedStrings(vs []Value) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = ValueString(v)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestWalkerMatchesStepwiseClosure holds Reach — through one Walker
+// reused for every call, and through ObjectBase.Reach — to the closure
+// computed one Follow at a time with an explicit set per frontier: the
+// same values, each once, and the same number of fetches, from one start
+// object (the steps that skip de-duplication) and from several.
+func TestWalkerMatchesStepwiseClosure(t *testing.T) {
+	ob, path, roots := walkerBase(t)
+	w := ob.NewWalker()
+	starts := [][]Value{roots[:1], roots[1:2], roots[2:], roots, {roots[0], roots[0]}, {String("not a reference")}, nil}
+	for _, start := range starts {
+		for i := 0; i <= path.Len(); i++ {
+			for j := i; j <= path.Len(); j++ {
+				frontier, fetches := start, uint64(0)
+				for s := i + 1; s <= j; s++ {
+					seen := map[string]bool{}
+					var next []Value
+					for _, v := range frontier {
+						ref, ok := v.(Ref)
+						if !ok {
+							continue
+						}
+						o, ok := ob.Get(ref.OID())
+						if !ok {
+							continue
+						}
+						fetches++
+						_, targets := o.Follow(path.Step(s), nil)
+						for _, tgt := range targets {
+							if k := ValueString(tgt); !seen[k] {
+								seen[k] = true
+								next = append(next, tgt)
+							}
+						}
+					}
+					frontier = next
+				}
+				want := sortedStrings(frontier)
+				for name, reach := range map[string]func(*PathExpression, int, int, ...Value) ([]Value, uint64){
+					"Walker": w.Reach, "ObjectBase": ob.Reach,
+				} {
+					got, n := reach(path, i, j, start...)
+					if fmt.Sprint(sortedStrings(got)) != fmt.Sprint(want) || n != fetches {
+						t.Errorf("%s.Reach(%d,%d) from %v = %v in %d fetches, want %v in %d",
+							name, i, j, start, sortedStrings(got), n, want, fetches)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWalkerAllocatesPerChunkNotPerAnchor: once its buffers have grown,
+// a walk from one object over single-valued and set-valued steps
+// allocates nothing.
+func TestWalkerAllocatesPerChunkNotPerAnchor(t *testing.T) {
+	ob, path, roots := walkerBase(t)
+	w := ob.NewWalker()
+	start := roots[:1]
+	if allocs := testing.AllocsPerRun(100, func() {
+		if got, _ := w.Reach(path, 0, 2, start...); len(got) != 2 {
+			t.Fatalf("reached %v", got)
+		}
+	}); allocs != 0 {
+		t.Errorf("%.1f allocations per walk from one anchor, want 0", allocs)
+	}
+}
+
+// TestCollectionAccessors: AppendElements yields what Elements yields,
+// order aside, and Contains answers for sets and for lists.
+func TestCollectionAccessors(t *testing.T) {
+	ob, _, roots := walkerBase(t)
+	root, _ := ob.Get(roots[0].(Ref).OID())
+	group, _ := ob.Get(root.AttrOID("Group"))
+	set, _ := ob.Get(group.AttrOID("Items"))
+	var list *Object
+	for _, e := range set.Elements() {
+		if item, ok := ob.Get(e.(Ref).OID()); ok {
+			list, _ = ob.Get(item.AttrOID("Tags"))
+		}
+	}
+	if list == nil || list.Len() != 3 {
+		t.Fatal("no tag list found")
+	}
+	for _, coll := range []*Object{set, list} {
+		prefix := []Value{String("kept")}
+		got := coll.AppendElements(prefix)
+		if len(got) != 1+coll.Len() || got[0] != prefix[0] ||
+			fmt.Sprint(sortedStrings(got[1:])) != fmt.Sprint(sortedStrings(coll.Elements())) {
+			t.Errorf("%s: AppendElements = %v, Elements = %v", coll.Type().Name(), got, coll.Elements())
+		}
+		for _, e := range coll.Elements() {
+			if !coll.Contains(e) {
+				t.Errorf("%s does not contain its element %v", coll.Type().Name(), e)
+			}
+		}
+		if coll.Contains(roots[0]) || coll.Contains(nil) {
+			t.Errorf("%s contains a value it does not hold", coll.Type().Name())
+		}
+	}
+	if got := list.AppendElements(nil); fmt.Sprint(got) != fmt.Sprint(list.Elements()) {
+		t.Errorf("list order: AppendElements = %v, Elements = %v", got, list.Elements())
+	}
+}

@@ -19,10 +19,14 @@ import (
 // access support relation (eq. 35 — the one place that is decided), and
 // run executes that plan: with a non-nil asr.Manager, predicates whose
 // composed path expression has a usable relation become backward index
-// queries that pre-filter the outer collection — the paper's intended
-// use of ASRs in query evaluation (§5) — and everything else is walked
-// by gom.ObjectBase.Reach. Explain prices the same plan with the cost
-// model instead of running it.
+// queries whose answer is the candidate set — the paper's intended use
+// of ASRs in query evaluation (§5.3): the first one's result, tested for
+// membership in the outer collection, seeds the anchors of the nested
+// loop, later ones intersect, and the collection is enumerated only when
+// no predicate is routed, so a supported query costs its probe and its
+// survivors, not the collection. Every survivor is still re-checked, and
+// everything no relation covers is walked by gom.Walker.Reach. Explain
+// prices the same plan with the cost model instead of running it.
 //
 // An Engine is stateless between calls and safe for concurrent use: any
 // number of goroutines may call Run and RunCtx simultaneously,
@@ -247,7 +251,7 @@ func (e *Engine) Run(q *Query) (*Result, error) { return e.RunCtx(context.Backgr
 
 // RunCtx is Run honoring ctx, with the outer collection's surviving
 // anchors fanned across up to workers goroutines (asr.FanOut). The
-// resolution step, the ASR pre-filter and the plan are computed once,
+// resolution step, the plan and the index-seeded anchors are computed once,
 // exactly as in Run; each worker then evaluates the nested loop over
 // its anchor chunk into a private result set, and the sets are merged
 // and emitted in the same deterministic sorted order Run uses — so the
@@ -294,11 +298,15 @@ func (e *Engine) run(ctx context.Context, q *Query, p *plan, workers int) (*Resu
 			return nil, 0, err
 		}
 	}
-	anchors := p.setObj.ElementOIDs()
 	var planNotes []string
 
-	// Index pre-filter: a backward query over each routed predicate's
-	// composed path narrows the anchors before the nested-loop evaluation.
+	// The candidate set: a supported predicate's answer *is* the set of
+	// candidates (§5.3), so the first routed predicate's backward query
+	// seeds the anchors with those of its results the outer collection
+	// holds, and each later one intersects. The collection itself is
+	// materialized only when no predicate is routed.
+	var anchors []gom.Value
+	seeded := false
 	for pi, rt := range p.preds {
 		if rt.ix == nil {
 			continue
@@ -306,28 +314,29 @@ func (e *Engine) run(ctx context.Context, q *Query, p *plan, workers int) (*Resu
 		pred := q.Where[pi]
 		pctx, psp := telemetry.StartSpan(ctx, "query.prefilter")
 		psp.SetAttr("path", rt.composed.String())
-		psp.SetAttr("anchors_before", len(anchors))
+		if seeded {
+			psp.SetAttr("anchors_before", len(anchors))
+		} else {
+			psp.SetAttr("anchors_before", p.setObj.Len())
+		}
 		sat, err := e.mgr.QueryBackwardCtx(pctx, rt.composed, 0, rt.composed.Len(), 1, pred.Literal)
 		if err != nil {
 			psp.End()
 			return nil, 0, err
 		}
-		keep := map[gom.OID]bool{}
-		for _, id := range asr.OIDsOf(sat) {
-			keep[id] = true
+		if seeded {
+			anchors = keepIn(anchors, sat)
+		} else {
+			anchors, seeded = membersAmong(p.setObj, sat), true
 		}
-		var filtered []gom.OID
-		for _, a := range anchors {
-			if keep[a] {
-				filtered = append(filtered, a)
-			}
-		}
-		anchors = filtered
 		psp.SetAttr("anchors_after", len(anchors))
 		psp.End()
 		planNotes = append(planNotes,
 			fmt.Sprintf("predicate %s = %s via ASR on %s (%d/%d anchors remain)",
 				pred.Path, gom.ValueString(pred.Literal), rt.composed, len(anchors), p.setObj.Len()))
+	}
+	if !seeded {
+		anchors = refMembers(p.setObj)
 	}
 	// Index-backed projection: each surviving anchor is projected through
 	// a forward index query instead of traversal.
@@ -339,25 +348,46 @@ func (e *Engine) run(ctx context.Context, q *Query, p *plan, workers int) (*Resu
 		planNotes = append(planNotes, "nested-loop traversal (no usable access support relation)")
 	}
 
+	// Every inner range over a collection iterates the same members for
+	// every binding of the variables around it: they are resolved once.
+	inner := make([][]gom.Value, len(p.ranges))
+	for depth, br := range p.ranges {
+		if depth == 0 || br.r.Dependent != nil {
+			continue
+		}
+		so, ok := e.ob.Get(br.setOID)
+		if !ok {
+			return nil, 0, fmt.Errorf("query: collection object deleted")
+		}
+		inner[depth] = refMembers(so)
+	}
+
 	// evalAnchors runs the nested-loop evaluation over one chunk of the
 	// outer collection's anchors into a private result set; both the
 	// sequential path (one chunk: everything) and the parallel path (one
 	// chunk per worker) go through it, so they agree by construction.
-	evalAnchors := func(chunk []gom.OID) (map[string]gom.Value, error) {
+	evalAnchors := func(chunk []gom.Value) (map[string]gom.Value, error) {
 		// Object reads accumulate in a chunk-local counter and flush to
 		// the shared one once per chunk: workers never contend on the
 		// atomic inside the traversal loop.
 		var reads uint64
 		defer func() { objectReads.Add(reads) }()
 		// reach walks a path from one bound object: every value reachable
-		// over it (objects or atomic values).
-		reach := func(from gom.OID, path *gom.PathExpression) []gom.Value {
-			vals, n := e.ob.Reach(path, 0, path.Len(), gom.Ref(from))
+		// over it (objects or atomic values). One Walker serves the whole
+		// chunk, so what reach returns is good until the next reach.
+		walker := e.ob.NewWalker()
+		var start [1]gom.Value // Reach's variadic argument, one array per chunk instead of one per call
+		reach := func(from gom.Value, path *gom.PathExpression) []gom.Value {
+			start[0] = from
+			vals, n := walker.Reach(path, 0, path.Len(), start[:]...)
 			reads += n
 			return vals
 		}
 		out := map[string]gom.Value{}
-		bindings := make([]gom.OID, len(p.ranges))
+		bindings := make([]gom.Value, len(p.ranges))
+		// dependent[d] holds the members of dependent range d under the
+		// current binding of its parent, reused from one binding to the next.
+		dependent := make([][]gom.Value, len(p.ranges))
 		var loop func(depth int) error
 		loop = func(depth int) error {
 			if depth == len(p.ranges) {
@@ -369,11 +399,11 @@ func (e *Engine) run(ctx context.Context, q *Query, p *plan, workers int) (*Resu
 				}
 				projVar := bindings[p.byVar[q.Projection.Var]]
 				if p.proj.path == nil {
-					out[gom.Ref(projVar).String()] = gom.Ref(projVar)
+					out[projVar.String()] = projVar
 					return nil
 				}
 				if p.proj.ix != nil {
-					vals, err := p.proj.ix.QueryForwardCtx(ctx, 0, p.proj.composed.Len(), 1, gom.Ref(projVar))
+					vals, err := p.proj.ix.QueryForwardCtx(ctx, 0, p.proj.composed.Len(), 1, projVar)
 					if err == nil {
 						for _, v := range vals {
 							out[gom.ValueString(v)] = v
@@ -393,29 +423,25 @@ func (e *Engine) run(ctx context.Context, q *Query, p *plan, workers int) (*Resu
 				return nil
 			}
 			br := p.ranges[depth]
-			var members []gom.OID
+			members := inner[depth]
 			if depth == 0 {
 				members = chunk
-			} else if br.r.Dependent == nil {
-				so, ok := e.ob.Get(br.setOID)
-				if !ok {
-					return fmt.Errorf("query: collection object deleted")
-				}
-				members = so.ElementOIDs()
-			} else {
+			} else if br.r.Dependent != nil {
+				members = dependent[depth][:0]
 				for _, v := range reach(bindings[br.parentIdx], br.path) {
-					if ref, ok := v.(gom.Ref); ok {
-						members = append(members, ref.OID())
+					if _, ok := v.(gom.Ref); ok {
+						members = append(members, v)
 					}
 				}
+				dependent[depth] = members
 			}
-			for _, id := range members {
+			for _, m := range members {
 				if depth == 0 {
 					if err := ctx.Err(); err != nil {
 						return err
 					}
 				}
-				bindings[depth] = id
+				bindings[depth] = m
 				if err := loop(depth + 1); err != nil {
 					return err
 				}
@@ -469,6 +495,52 @@ func (e *Engine) run(ctx context.Context, q *Query, p *plan, workers int) (*Resu
 	root.SetAttr("rows", len(res.Values))
 	root.SetAttr("object_reads", objectReads.Load())
 	return res, objectReads.Load(), nil
+}
+
+// refMembers returns the reference elements of a collection object, a
+// set's in no particular order: run sorts what it emits.
+func refMembers(coll *gom.Object) []gom.Value {
+	all := coll.AppendElements(nil)
+	refs := all[:0]
+	for _, v := range all {
+		if _, ok := v.(gom.Ref); ok {
+			refs = append(refs, v)
+		}
+	}
+	return refs
+}
+
+// membersAmong returns the members of the collection object coll that
+// are among vals — distinct values, an index query's answer. A set walks
+// the smaller side and probes the larger, so a selective answer costs
+// its own length, not the collection's; a list counts a member once per
+// occurrence and is filtered as a whole.
+func membersAmong(coll *gom.Object, vals []gom.Value) []gom.Value {
+	if coll.Type().Kind() == gom.ListType || len(vals) >= coll.Len() {
+		return keepIn(refMembers(coll), vals)
+	}
+	held := vals[:0]
+	for _, v := range vals {
+		if _, ok := v.(gom.Ref); ok && coll.Contains(v) {
+			held = append(held, v)
+		}
+	}
+	return held
+}
+
+// keepIn filters anchors in place down to those among vals.
+func keepIn(anchors, vals []gom.Value) []gom.Value {
+	keep := make(map[gom.Value]struct{}, len(vals))
+	for _, v := range vals {
+		keep[v] = struct{}{}
+	}
+	kept := anchors[:0]
+	for _, a := range anchors {
+		if _, ok := keep[a]; ok {
+			kept = append(kept, a)
+		}
+	}
+	return kept
 }
 
 // hasValue reports whether any of the reached values equals want
