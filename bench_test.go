@@ -7,7 +7,11 @@ package repro
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -160,6 +164,7 @@ func BenchmarkASRMaintainInsert(b *testing.B) {
 	}
 	setID := v.(gom.Ref).OID()
 	dst := gom.Ref(db.Extents[3][len(db.Extents[3])-1])
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%2 == 0 {
@@ -465,6 +470,138 @@ func TestReadLargeAllocationBudget(t *testing.T) {
 		if allocs > tc.maxAl || bytes > tc.maxBytes {
 			t.Errorf("%s: %.0f allocations and %.1f KB per Engine.Run, budget %.0f and %.0f KB",
 				tc.shape, allocs, bytes/1024, tc.maxAl, tc.maxBytes/1024)
+		}
+	}
+}
+
+// maintainedUpdates is a fixed update stream over a demo base in
+// write_durable's mix: 40 % retarget a T2.Next, 20 % a T0.Next, 20 % a
+// T1.Next set gains or loses an element, 20 % rename a T3.Payload. Every
+// op changes the base; the ops are built before any is applied.
+func maintainedUpdates(tb testing.TB, ob *gom.ObjectBase, n int) []func() error {
+	tb.Helper()
+	var lvl [4][]gom.OID
+	for i := range lvl {
+		typ, ok := ob.Schema().Lookup(fmt.Sprintf("T%d", i))
+		if !ok {
+			tb.Fatalf("demo base has no type T%d", i)
+		}
+		lvl[i] = ob.Extent(typ, false)
+	}
+	var sets []gom.OID
+	members := map[gom.OID][]gom.OID{}
+	for _, id := range lvl[1] {
+		o, _ := ob.Get(id)
+		if s, ok := ob.Get(o.AttrOID("Next")); ok {
+			sets = append(sets, s.ID())
+			members[s.ID()] = s.ElementOIDs()
+		}
+	}
+	rng := rand.New(rand.NewSource(27))
+	pick := func(l int) gom.OID { return lvl[l][rng.Intn(len(lvl[l]))] }
+	ops := make([]func() error, n)
+	for i := range ops {
+		switch r := rng.Intn(100); {
+		case r < 40:
+			obj, ref := pick(2), gom.Ref(pick(3))
+			ops[i] = func() error { return ob.SetAttr(obj, "Next", ref) }
+		case r < 60:
+			obj, ref := pick(0), gom.Ref(pick(1))
+			ops[i] = func() error { return ob.SetAttr(obj, "Next", ref) }
+		case r < 80:
+			set := sets[rng.Intn(len(sets))]
+			m := members[set]
+			if len(m) < 2 || (len(m) == 2 && rng.Intn(2) == 0) {
+				e := pick(2)
+				for slices.Contains(m, e) {
+					e = pick(2)
+				}
+				members[set] = append(m, e)
+				ops[i] = func() error { return ob.InsertIntoSet(set, gom.Ref(e)) }
+			} else {
+				j := rng.Intn(len(m))
+				e := m[j]
+				members[set] = append(m[:j:j], m[j+1:]...)
+				ops[i] = func() error { return ob.RemoveFromSet(set, gom.Ref(e)) }
+			}
+		default:
+			obj, text := pick(3), gom.String(fmt.Sprintf("R-%d", i))
+			ops[i] = func() error { return ob.SetAttr(obj, "Payload", text) }
+		}
+	}
+	return ops
+}
+
+// TestMaintainedUpdateBudget pins what one maintained update costs on a
+// durable demo base (write_durable's scale, a file-backed pool with its
+// WAL, one fsync per commit) — counts that repeat exactly, unlike times.
+// An update writes each partition's net row change once, rewrites
+// surviving reference counts in place and frames each dirtied page
+// straight into the log buffer: 17.3 logical page accesses, 8.0 WAL
+// records, 28.6 KB of log, 141 KB of heap in 748 allocations per
+// update, where pushing every affected row through every partition as
+// a remove and an add cost 67.0, 16.6, 63.9 KB, and 1 174 KB in 1 067.
+func TestMaintainedUpdateBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and saves the scale-256 demo base")
+	}
+	mem, err := server.DemoDatabase(256, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "base")
+	db, err := mem.SaveAs(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const n = 400
+	ops := maintainedUpdates(t, db.Base, n)
+	pool, wal := db.Manager.Pool(), db.WAL()
+	logSize := func() int64 {
+		st, err := os.Stat(base + ".pages.wal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+
+	pool0, wal0, log0 := pool.Stats(), wal.Stats(), logSize()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, op := range ops {
+		if err := op(); err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	pool1, wal1, log1 := pool.Stats(), wal.Stats(), logSize()
+	if err := db.Manager.Healthy(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range db.Manager.Indexes() {
+		if rep, err := ix.Verify(); err != nil || !rep.Clean() {
+			t.Fatalf("after the stream: %v %v", rep, err)
+		}
+	}
+
+	per := func(a, b uint64) float64 { return float64(b-a) / n }
+	got := []struct {
+		name       string
+		value, max float64
+		unit       string
+	}{
+		{"logical page accesses", per(pool0.LogicalAccesses, pool1.LogicalAccesses), 20, ""},
+		{"WAL records", per(wal0.Records, wal1.Records), 9, ""},
+		{"WAL syncs", per(wal0.Syncs, wal1.Syncs), 1, ""},
+		{"WAL bytes", float64(log1-log0) / n, 30000, " B"},
+		{"heap bytes", per(before.TotalAlloc, after.TotalAlloc), 160 << 10, " B"},
+		{"allocations", per(before.Mallocs, after.Mallocs), 850, ""},
+	}
+	for _, g := range got {
+		t.Logf("%-22s %10.2f%s per update (budget %.0f)", g.name, g.value, g.unit, g.max)
+		if g.value > g.max {
+			t.Errorf("%s: %.2f%s per update, budget %.0f", g.name, g.value, g.unit, g.max)
 		}
 	}
 }

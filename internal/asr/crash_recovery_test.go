@@ -20,7 +20,10 @@ import (
 // the crash, plus at most the one in flight (whose commit marker may
 // have become durable in the very write that crashed).
 
-const crashSceneMutations = 12
+// Netted maintenance makes about one physical write per retarget, so the
+// scene runs enough mutations for the matrix to sample at least 36 crash
+// points.
+const crashSceneMutations = 20
 
 func crashSceneSpec() gendb.Spec {
 	return gendb.Spec{
@@ -240,7 +243,7 @@ func TestCrashRecoveryCommittedPrefix(t *testing.T) {
 		t.Fatalf("reference run completed %d/%d mutations", completed, crashSceneMutations)
 	}
 	total := ref.Writes()
-	if total < 16 {
+	if total < 36 {
 		t.Fatalf("reference run made only %d post-setup writes", total)
 	}
 

@@ -142,7 +142,7 @@ func encodeTuple(t relation.Tuple, clusterCol int) ([]byte, error) {
 	if clusterCol < 0 || clusterCol >= len(t) {
 		return nil, fmt.Errorf("asr: cluster column %d out of range for arity %d", clusterCol, len(t))
 	}
-	var out []byte
+	out := make([]byte, 0, 16*len(t)) // an OID column encodes to 11 bytes
 	var err error
 	if out, err = appendValue(out, t[clusterCol]); err != nil {
 		return nil, err

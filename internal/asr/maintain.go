@@ -1,9 +1,11 @@
 package asr
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -20,14 +22,14 @@ import (
 // Maintenance is incremental: an update is translated into the set of
 // path-graph edges it adds or removes; the logical rows passing through
 // any endpoint of a changed edge are enumerated before and after the
-// change, and the difference is applied to every partition (whose
-// reference counts absorb shared projections). An update that cannot be
-// applied quarantines the index, and Err reports why — the object base
-// update itself has already happened, matching the paper's model where
-// the object update precedes index maintenance. The quarantine reason
-// on the Index is the only record of the failure: whatever lifts the
-// quarantine (Repair, Rematerialize) is all that is needed for
-// maintenance to resume with the next update.
+// change, and the difference is netted per partition — only the
+// projected rows whose reference count moves are written. An update
+// that cannot be applied quarantines the index, and Err reports why —
+// the object base update itself has already happened, matching the
+// paper's model where the object update precedes index maintenance.
+// The quarantine reason on the Index is the only record of the failure:
+// whatever lifts the quarantine (Repair, Rematerialize) is all that is
+// needed for maintenance to resume with the next update.
 //
 // Each update's row diff is applied transactionally: a storage-level
 // undo transaction makes a partial failure — a device write fault
@@ -361,8 +363,13 @@ func (ix *Index) applyChanges(ctx context.Context, changes []edgeChange, retries
 		ix.path, len(attempts), errors.Join(attempts...)))
 }
 
-// applyDiffTxn applies one update's row diff — removes, then adds — to
-// every partition atomically. Every row and count lives in B⁺-tree
+// applyDiffTxn applies one update's logical row diff to every partition
+// atomically, as each partition's net change (§6's aup): the removed
+// and added rows are projected onto the partition's window and summed,
+// so a projection both removed and re-added — the partitions an update
+// does not reach — costs nothing, and each row whose count does move is
+// adjusted once, by its net delta. A partition left with no net change
+// is never marked or locked. Every row and count lives in B⁺-tree
 // pages, so the storage UndoTxn capturing the page mutations is the
 // whole rollback; the only state outside the pages is each tree's
 // root/height/count, marked per partition on first touch. Any failure
@@ -370,7 +377,15 @@ func (ix *Index) applyChanges(ctx context.Context, changes []edgeChange, retries
 // partitions' write locks, so concurrent readers of shared partitions
 // never observe a torn state.
 func (ix *Index) applyDiffTxn(removes, adds []relation.Tuple) (err error) {
-	if len(removes) == 0 && len(adds) == 0 {
+	nets := make([][]netRow, len(ix.parts))
+	work := false
+	for i, pp := range ix.parts {
+		if nets[i], err = netDiff(pp, removes, adds); err != nil {
+			return err
+		}
+		work = work || len(nets[i]) > 0
+	}
+	if !work {
 		return nil
 	}
 	txn, err := ix.pool.BeginUndo()
@@ -380,35 +395,18 @@ func (ix *Index) applyDiffTxn(removes, adds []relation.Tuple) (err error) {
 	marks := map[*Partition]treeMarks{}
 	var order []*Partition // marks in first-touch order
 
-	apply := func(row relation.Tuple, add bool) error {
-		for _, pp := range ix.parts {
-			if _, ok := marks[pp.Part]; !ok {
-				marks[pp.Part] = pp.Part.marks()
-				order = append(order, pp.Part)
-			}
-			proj := row[pp.Lo : pp.Hi+1]
-			var err error
-			if add {
-				err = pp.Part.AddProjected(proj)
-			} else {
-				err = pp.Part.RemoveProjected(proj)
-			}
-			if err != nil {
-				return err
-			}
+apply:
+	for i, pp := range ix.parts {
+		if len(nets[i]) == 0 {
+			continue
 		}
-		return nil
-	}
-
-	for _, row := range removes {
-		if err = apply(row, false); err != nil {
-			break
+		if _, ok := marks[pp.Part]; !ok {
+			marks[pp.Part] = pp.Part.marks()
+			order = append(order, pp.Part)
 		}
-	}
-	if err == nil {
-		for _, row := range adds {
-			if err = apply(row, true); err != nil {
-				break
+		for _, r := range nets[i] {
+			if err = pp.Part.adjust(r.row, r.delta); err != nil {
+				break apply
 			}
 		}
 	}
@@ -441,4 +439,58 @@ func (ix *Index) applyDiffTxn(removes, adds []relation.Tuple) (err error) {
 		return fmt.Errorf("asr: rollback after %w: %w", err, rbErr)
 	}
 	return err
+}
+
+// netRow is one projected row whose reference count an update moves.
+type netRow struct {
+	fk    []byte // forward-tree key, the order rows are applied in
+	row   relation.Tuple
+	delta int
+}
+
+// netDiff projects an update's removed and added logical rows onto pp's
+// window and sums each projection's ±1. All-NULL projections (no path
+// segment) and projections whose sum is zero drop out; the rest come
+// back net removals first, each group in forward-key order.
+func netDiff(pp PlacedPartition, removes, adds []relation.Tuple) ([]netRow, error) {
+	var rows []netRow
+	at := map[string]int{}
+	tally := func(logical []relation.Tuple, d int) error {
+		for _, row := range logical {
+			proj := row[pp.Lo : pp.Hi+1]
+			if proj.IsAllNull() {
+				continue
+			}
+			fk, err := encodeTuple(proj, 0)
+			if err != nil {
+				return err
+			}
+			if i, ok := at[string(fk)]; ok {
+				rows[i].delta += d
+				continue
+			}
+			at[string(fk)] = len(rows)
+			rows = append(rows, netRow{fk: fk, row: proj, delta: d})
+		}
+		return nil
+	}
+	if err := tally(removes, -1); err != nil {
+		return nil, err
+	}
+	if err := tally(adds, +1); err != nil {
+		return nil, err
+	}
+	moved := rows[:0]
+	for _, r := range rows {
+		if r.delta != 0 {
+			moved = append(moved, r)
+		}
+	}
+	sort.Slice(moved, func(i, j int) bool {
+		if ri, rj := moved[i].delta < 0, moved[j].delta < 0; ri != rj {
+			return ri
+		}
+		return bytes.Compare(moved[i].fk, moved[j].fk) < 0
+	})
+	return moved, nil
 }

@@ -407,10 +407,14 @@ func (p *Partition) RemoveProjected(row relation.Tuple) error {
 	return p.adjust(row, -1)
 }
 
-// adjust moves a projected row's stored reference count by delta (±1)
-// in one read-modify-write descent of the forward tree; only a row
-// being born or dying also touches the backward tree. A count rewritten
-// in place keeps its length, so no node splits on that path.
+// adjust moves a projected row's stored reference count by delta — an
+// update's net change to the row, of any size — in one read-modify-
+// write descent of the forward tree; only a row being born or dying
+// also touches the backward tree. A surviving count keeps its 4-byte
+// length, so the B⁺-tree rewrites it in place on the leaf: no decode, no
+// split. A delta taking the count below zero removes a row the
+// partition does not track: the tree is left as it was and the error
+// fails the maintenance transaction.
 func (p *Partition) adjust(row relation.Tuple, delta int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -219,8 +219,14 @@ func TestResetStatsZeroesEveryCounterField(t *testing.T) {
 	if _, err := mgr.QueryForward(db.Path, 1, 2, gom.Ref(db.Extents[1][0])); err != nil {
 		t.Fatal(err)
 	}
-	fi.FailProbabilistically(0, 1.0) // every write faults: rollback, retries, quarantine
-	db.Base.MustSetAttr(db.Extents[0][0], "Next", gom.Ref(db.Extents[1][1]))
+	// Every device write faults: rollback, retries, quarantine. A write
+	// happens only when an eviction writes a dirty page back, so retarget
+	// until the pool runs out of clean victims — a bounded number of
+	// updates, each dirtying only the pages its net change reaches.
+	fi.FailProbabilistically(0, 1.0)
+	for k := 0; k < len(db.Extents[0]) && !ix.Quarantined(); k++ {
+		db.Base.MustSetAttr(db.Extents[0][k], "Next", gom.Ref(db.Extents[1][(k+1)%len(db.Extents[1])]))
+	}
 	fi.FailProbabilistically(0, 0)
 	if _, err := mgr.QueryForward(db.Path, 0, db.Path.Len(), gom.Ref(start)); err != nil {
 		t.Fatal(err) // degraded traversal while quarantined

@@ -275,17 +275,30 @@ func TestAblationShapes(t *testing.T) {
 	}
 }
 
+// TestSimUpdateShape holds maintenance to the model's aup: measured
+// churn follows aup's left ≤ right ordering, and no extension churns
+// more than it did while every affected row was removed from and re-added
+// to every partition (the ceilings below, in pages per update).
 func TestSimUpdateShape(t *testing.T) {
 	tab := runExperiment(t, "sim-update")
+	ceiling := map[string]float64{"can": 6.7, "left": 13.7, "right": 17.9, "full": 35.8}
 	byExt := map[string]float64{}
 	for _, row := range tab.Rows {
 		byExt[row[0]] = num(t, row[1])
-	}
-	full := byExt["full"]
-	for _, ext := range []string{"can", "left", "right"} {
-		if byExt[ext] > full {
-			t.Errorf("%s churn %g exceeds full %g", ext, byExt[ext], full)
+		if aup, ratio := num(t, row[3]), num(t, row[4]); aup <= 0 || ratio <= 0 {
+			t.Errorf("%s: model aup %g, measured ÷ aup %g — both must be positive", row[0], aup, ratio)
 		}
+	}
+	for ext, limit := range ceiling {
+		got, ok := byExt[ext]
+		if !ok {
+			t.Errorf("no %s row in %v", ext, tab.Rows)
+		} else if got > limit {
+			t.Errorf("%s churn %g pages/op exceeds the un-netted %g", ext, got, limit)
+		}
+	}
+	if byExt["left"] > byExt["right"] {
+		t.Errorf("left churn %g exceeds right %g, against the model's aup", byExt["left"], byExt["right"])
 	}
 	if !strings.Contains(tab.Note, "holds") {
 		t.Errorf("churn ordering violated: %s", tab.Note)

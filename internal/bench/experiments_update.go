@@ -12,15 +12,15 @@ import (
 
 // sim-update: empirical maintenance cost. The paper's §6 costs are
 // analytical; here the simulator performs real ins_i operations against
-// maintained indexes and counts the index page traffic, then compares
-// the per-extension ordering with the model's aup+search predictions.
+// maintained indexes and counts the index page traffic, then sets it
+// beside the model's aup — the access-relation tuples an update changes.
 
 func init() {
 	register(Experiment{
 		ID:          "sim-update",
 		Title:       "Measured maintenance page traffic per extension",
 		Ref:         "§6 (validation)",
-		Description: "Performs real ins_i updates against maintained indexes and measures index page accesses; the per-extension ordering must match the analytical update-cost ordering.",
+		Description: "Performs real ins_i updates against maintained indexes and measures index page accesses per update against the model's aup; the measured ordering must follow aup's.",
 		Run:         runSimUpdate,
 	})
 }
@@ -48,14 +48,12 @@ func runSimUpdate() (*Table, error) {
 		ID:      "sim-update",
 		Title:   "ins_2 maintenance: measured index page accesses vs model",
 		Ref:     "§6 validation",
-		Columns: []string{"extension", "measured pages/op", "model total", "model aup"},
+		Columns: []string{"extension", "measured pages/op", "model total", "model aup", "measured ÷ aup"},
 	}
 	const insAt = 2 // edge t_2 → t_3: the right end of the path
-	type result struct {
-		ext      asr.Extension
-		measured float64
-	}
-	var results []result
+	dec := costmodel.BinaryDecomposition(3)
+	measured := map[asr.Extension]float64{}
+	ratio := map[asr.Extension]float64{}
 	for _, ext := range asr.Extensions {
 		// Fresh database per extension so each sees identical updates.
 		db, err := gendb.Generate(spec)
@@ -87,33 +85,31 @@ func runSimUpdate() (*Table, error) {
 			}
 			total += float64(meas.LogicalAccesses)
 		}
-		measured := total / ops
-		results = append(results, result{ext, measured})
-		t.AddRow(ext.String(), f1(measured),
-			f1(model.UpdateCost(ext, insAt, costmodel.BinaryDecomposition(3))),
-			f1(model.Aup(ext, insAt, costmodel.BinaryDecomposition(3))))
+		aup := model.Aup(ext, insAt, dec)
+		measured[ext] = total / ops
+		ratio[ext] = measured[ext] / aup
+		t.AddRow(ext.String(), f1(measured[ext]), f1(model.UpdateCost(ext, insAt, dec)), f1(aup), f2(ratio[ext]))
 	}
 
-	// The measured column is the *index write traffic* of incremental
-	// maintenance. The model's canonical/right totals are dominated by
+	// The measured column is the index page traffic of incremental
+	// maintenance, which writes each partition's net row change — the
+	// model's aup. The model's canonical/right totals are dominated by
 	// searching the object representation (the simulator resolves that
-	// search from its in-memory path graph, charging no pages), so the
-	// comparable shape is row churn: extensions that store more partial
-	// paths must rewrite more — can, left, right all churn less than
-	// full, which holds maximal information (§3).
-	byExt := map[asr.Extension]float64{}
-	for _, r := range results {
-		byExt[r.ext] = r.measured
-	}
+	// search from its in-memory path graph, charging no pages), so aup is
+	// the comparable column, and its ordering at ins_2 is left ≤ right:
+	// a right-complete relation also stores the partial paths that start
+	// past the anchor, and an edge at the path's right end extends every
+	// one of them.
 	ordering := "holds"
-	if !(byExt[asr.Canonical] <= byExt[asr.Full] &&
-		byExt[asr.LeftComplete] <= byExt[asr.Full] &&
-		byExt[asr.RightComplete] <= byExt[asr.Full]) {
+	if measured[asr.LeftComplete] > measured[asr.RightComplete] {
 		ordering = "VIOLATED"
 	}
 	t.Note = fmt.Sprintf(
-		"churn ordering (can/left/right ≤ full) %s: can %.1f, left %.1f, right %.1f, full %.1f; "+
-			"the model's canonical/right totals are search-dominated — the simulator answers that search from memory, so only index-write traffic is measured",
-		ordering, byExt[asr.Canonical], byExt[asr.LeftComplete], byExt[asr.RightComplete], byExt[asr.Full])
+		"churn ordering left ≤ right (model aup %.0f ≤ %.0f) %s: can %.1f, left %.1f, right %.1f, full %.1f pages/op; "+
+			"measured ÷ aup can %.2f, left %.2f, right %.2f, full %.2f — full's excess over aup is not yet attributed to a §6 term; "+
+			"the model's canonical/right totals are search-dominated — the simulator answers that search from memory, so only index traffic is measured",
+		model.Aup(asr.LeftComplete, insAt, dec), model.Aup(asr.RightComplete, insAt, dec), ordering,
+		measured[asr.Canonical], measured[asr.LeftComplete], measured[asr.RightComplete], measured[asr.Full],
+		ratio[asr.Canonical], ratio[asr.LeftComplete], ratio[asr.RightComplete], ratio[asr.Full])
 	return t, nil
 }

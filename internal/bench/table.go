@@ -126,7 +126,8 @@ func IDs() []string {
 	return out
 }
 
-// f0, f1, f2 format floats with 0–2 decimals.
+// f0, f1, f2, f3 format floats with 0–3 decimals.
 func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
+func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }

@@ -370,8 +370,9 @@ type splitResult struct {
 // old is BORROWED (it aliases the pinned leaf, see Visit) and valid only
 // until fn returns, though fn may hand it back as val. A read-modify-
 // write such as a reference-count bump therefore costs one descent, not
-// a Get followed by an Insert. Insert and Delete are Update with a
-// constant decision.
+// a Get followed by an Insert, and — when the new value has the old
+// one's length — rewrites the value's bytes in place without decoding
+// the leaf. Insert and Delete are Update with a constant decision.
 func (t *Tree) Update(key []byte, fn func(old []byte, found bool) (val []byte, keep bool)) error {
 	delta, split, err := t.update(t.root, key, fn)
 	if err != nil {
@@ -463,17 +464,27 @@ func (t *Tree) update(pid storage.PageID, key []byte, fn func([]byte, bool) ([]b
 		return delta, split, err
 	}
 
+	// fn decides on the value borrowed straight off the frame. A same-
+	// length replacement — every reference-count bump — is copied into
+	// the entry's bytes where they lie, and an absent key fn does not keep
+	// leaves the page alone; only inserts, deletes and splits decode it.
 	pos, found := c.i, c.equal // where the search of the page left the cursor
-	n := c.decode()
 	var old []byte
 	if found {
-		old = n.vals[pos]
+		old = c.val(c.entry)
 	}
 	val, keep := fn(old, found)
+	if found && keep && len(val) == len(old) {
+		telNodeWrites.Inc()
+		copy(old, val)
+		fr.MarkDirty()
+		return 0, nil, nil
+	}
+	if !found && !keep {
+		return 0, nil, nil
+	}
+	n := c.decode()
 	if !keep {
-		if !found {
-			return 0, nil, nil
-		}
 		n.keys = append(n.keys[:pos], n.keys[pos+1:]...)
 		n.vals = append(n.vals[:pos], n.vals[pos+1:]...)
 		writeNode(fr, n)

@@ -182,15 +182,17 @@ func (c *cursor) seek(key []byte) {
 }
 
 // decode builds the in-memory node of the page: every key into one
-// exactly-sized arena, leaf values aliasing the frame.
+// exactly-sized arena, leaf values aliasing the frame. The entry slices
+// keep room for one more entry — a page is decoded to take an insert or
+// a posted separator, which then needs no second allocation.
 func (c *cursor) decode() *node {
-	n := &node{typ: internalNode, keys: make([][]byte, c.cnt)}
+	n := &node{typ: internalNode, keys: make([][]byte, c.cnt, c.cnt+1)}
 	if c.leaf {
 		n.typ = leafNode
 		n.next = c.ptr0
-		n.vals = make([][]byte, c.cnt)
+		n.vals = make([][]byte, c.cnt, c.cnt+1)
 	} else {
-		n.children = make([]storage.PageID, c.cnt+1)
+		n.children = make([]storage.PageID, c.cnt+1, c.cnt+2)
 		n.children[0] = c.ptr0
 	}
 	size := 0 // of the arena: a search does not pay for what only a decode needs

@@ -185,3 +185,104 @@ func TestUpdateRejectsOversizedEntries(t *testing.T) {
 	}
 	checkAgainstModel(t, tr, map[string]string{string(key(1)): "v"})
 }
+
+// leafOf returns the page id of the leaf key's search ends on.
+func leafOf(t *testing.T, tr *Tree, k []byte) storage.PageID {
+	t.Helper()
+	pid := tr.Root()
+	for {
+		fr, c, err := tr.open(pid, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.Unpin()
+		if c.leaf {
+			return pid
+		}
+		pid = c.down
+	}
+}
+
+// TestUpdateInPlaceRewrite: a same-length replacement — a reference-count
+// bump — is written into the leaf where the value lies. The page must
+// then hold exactly the bytes a decode-and-rewrite of it produces, and
+// the rewrite must allocate nothing: no node, no arena, no scratch.
+func TestUpdateInPlaceRewrite(t *testing.T) {
+	tr := newTestTree(t, 512)
+	for i := 0; i < 400; i++ {
+		if _, err := tr.Insert(key(i), []byte{0, 0, 0, byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Height() < 2 {
+		t.Fatalf("height %d: want the rewrite below an internal level", tr.Height())
+	}
+	// A second pool of the same page size to render the reference bytes.
+	ref := storage.NewBufferPool(storage.NewDisk(512), 0, storage.LRU)
+	refFr, err := ref.GetNew()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer refFr.Unpin()
+
+	val := []byte{0xA, 0xB, 0xC, 0xD}
+	bump := func(old []byte, found bool) ([]byte, bool) { return val, true }
+	for _, i := range []int{0, 1, 137, 255, 399} {
+		k := key(i)
+		if err := tr.Update(k, bump); err != nil {
+			t.Fatal(err)
+		}
+		fr, err := tr.pool.Get(leafOf(t, tr, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := readNode(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeNode(refFr, n)
+		if !bytes.Equal(fr.Data(), refFr.Data()) {
+			t.Errorf("key %d: the rewritten page differs from writeNode(decode(page))", i)
+		}
+		fr.Unpin()
+		if got, _, _ := tr.Get(k); !bytes.Equal(got, val) {
+			t.Errorf("key %d reads %x after the rewrite, want %x", i, got, val)
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	k := key(200)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := tr.Update(k, bump); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("in-place rewrite made %.1f allocations, want 0", allocs)
+	}
+	if tr.Len() != 400 {
+		t.Errorf("Len = %d after rewrites, want 400", tr.Len())
+	}
+}
+
+// TestUpdateAbsentNoOpDecodesNothing: an absent key fn declines to keep
+// is decided off the search alone — no node is decoded, so nothing is
+// allocated.
+func TestUpdateAbsentNoOpDecodesNothing(t *testing.T) {
+	tr := newTestTree(t, 512)
+	for i := 0; i < 400; i++ {
+		if _, err := tr.Insert(key(2*i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := key(301)
+	decline := func(old []byte, found bool) ([]byte, bool) { return nil, false }
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := tr.Update(k, decline); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("absent no-op Update made %.1f allocations, want 0", allocs)
+	}
+}

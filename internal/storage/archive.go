@@ -194,7 +194,7 @@ func (a *Archive) SealTail(walPath string) (SegmentInfo, bool, error) {
 			continue
 		}
 		fresh = append(fresh, r)
-		payload = append(payload, EncodeWALRecord(r)...)
+		payload = appendWALRecord(payload, r)
 	}
 	if len(fresh) == 0 {
 		return SegmentInfo{}, false, nil

@@ -111,10 +111,13 @@ type frame struct {
 	dirty   bool
 	lsn     uint64        // LSN of the commit covering the dirty bytes
 	lruElem *list.Element // position in the shard's LRU queue
+	handle  Frame         // what every pin hands out: immutable, so shared
 }
 
 // Frame is a pinned page in the buffer pool. Callers must Unpin it when
-// done and MarkDirty after mutating Data.
+// done and MarkDirty after mutating Data. Every pin of a resident page
+// returns the same handle — it carries no per-pin state, so pinning
+// allocates nothing — and each Unpin releases one pin.
 //
 // Pinned frames may be shared by concurrent readers; the page bytes
 // themselves are not synchronized by the pool, so writers to Data must
@@ -394,7 +397,7 @@ func (b *BufferPool) Get(id PageID) (*Frame, error) {
 		f.pins++
 		s.queue.MoveToBack(f.lruElem)
 		b.capture(f)
-		return &Frame{pool: b, f: f}, nil
+		return &f.handle, nil
 	}
 	s.stats.miss()
 	if s.capacity > 0 && len(s.frames) >= s.capacity {
@@ -411,7 +414,7 @@ func (b *BufferPool) Get(id PageID) (*Frame, error) {
 	b.capture(f)
 	s.stats.pin()
 	s.admit(f)
-	return &Frame{pool: b, f: f}, nil
+	return &f.handle, nil
 }
 
 // GetNew allocates a fresh page on disk and pins it without a read. The
@@ -434,12 +437,13 @@ func (b *BufferPool) GetNew() (*Frame, error) {
 	}
 	s.stats.pin()
 	s.admit(f)
-	return &Frame{pool: b, f: f}, nil
+	return &f.handle, nil
 }
 
 // admit makes a new frame resident, as the most recently used; must be
 // called with s.mu held.
 func (s *shard) admit(f *frame) {
+	f.handle = Frame{pool: s.pool, f: f}
 	s.frames[f.id] = f
 	f.lruElem = s.queue.PushBack(f)
 }

@@ -139,11 +139,13 @@ func (t *UndoTxn) Commit() error {
 }
 
 // logTo writes the transaction's page images and commit marker. Frames
-// are read under their shard mutex but appended outside it, keeping
-// the lock order shard.mu → wal.mu one-way.
+// are copied out under their shard mutex — into one scratch page reused
+// for every image — and appended outside it, so the shard and log
+// mutexes are never held together.
 func (t *UndoTxn) logTo(w *WAL) error {
 	b := t.pool
 	txn := w.Begin()
+	var data []byte
 	for _, id := range t.touchedPages() {
 		s := b.shardOf(id)
 		s.mu.Lock()
@@ -154,7 +156,7 @@ func (t *UndoTxn) logTo(w *WAL) error {
 			s.mu.Unlock()
 			continue
 		}
-		data := append([]byte(nil), f.data...)
+		data = append(data[:0], f.data...)
 		s.mu.Unlock()
 		lsn, err := w.AppendPageImage(txn, id, data)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -28,6 +29,11 @@ const (
 	walFrameSize  = 8             // len + crc
 	walBodyHeader = 8 + 8 + 1 + 8 // lsn + txn + kind + page
 	maxWALRecord  = 1 << 24       // sanity cap against garbage length fields
+
+	// maxReusedWALBuf bounds the log buffer a flush hands back for reuse:
+	// a maintenance transaction's few pages are kept, a bulk load's
+	// megabytes are not held for the life of the log.
+	maxReusedWALBuf = 1 << 20
 )
 
 // Errors the record codec reports. ErrWALTruncated means the bytes end
@@ -48,18 +54,25 @@ type WALRecord struct {
 }
 
 // EncodeWALRecord renders a record in the on-disk framing.
-func EncodeWALRecord(rec WALRecord) []byte {
-	body := make([]byte, walBodyHeader+len(rec.Data))
+func EncodeWALRecord(rec WALRecord) []byte { return appendWALRecord(nil, rec) }
+
+// appendWALRecord frames rec onto dst — the codec's one encoder. The
+// payload is copied once, straight into place; the checksum is taken
+// over the body where it lies.
+func appendWALRecord(dst []byte, rec WALRecord) []byte {
+	start := len(dst)
+	n := walFrameSize + walBodyHeader + len(rec.Data)
+	dst = slices.Grow(dst, n)[:start+n]
+	frame := dst[start:]
+	body := frame[walFrameSize:]
 	binary.LittleEndian.PutUint64(body[0:], rec.LSN)
 	binary.LittleEndian.PutUint64(body[8:], rec.Txn)
 	body[16] = rec.Kind
 	binary.LittleEndian.PutUint64(body[17:], uint64(rec.Page))
 	copy(body[walBodyHeader:], rec.Data)
-	out := make([]byte, walFrameSize+len(body))
-	binary.LittleEndian.PutUint32(out[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(out[4:], crc32.Checksum(body, castagnoli))
-	copy(out[walFrameSize:], body)
-	return out
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(body, castagnoli))
+	return dst
 }
 
 // DecodeWALRecord parses one record from the front of b, returning the
@@ -272,12 +285,12 @@ func (w *WAL) Begin() uint64 {
 	return id
 }
 
-// append encodes rec with the next LSN and buffers it; must be called
-// with w.mu held.
+// append frames rec with the next LSN straight into the buffer; must be
+// called with w.mu held.
 func (w *WAL) appendLocked(rec WALRecord) uint64 {
 	rec.LSN = w.nextLSN
 	w.nextLSN++
-	w.buf = append(w.buf, EncodeWALRecord(rec)...)
+	w.buf = appendWALRecord(w.buf, rec)
 	w.appendedLSN = rec.LSN
 	w.stats.Records++
 	telWALRecords.Inc()
@@ -285,15 +298,16 @@ func (w *WAL) appendLocked(rec WALRecord) uint64 {
 }
 
 // AppendPageImage logs the page's post-image under txn and returns the
-// record's LSN. The record is buffered; durability comes with the next
-// Sync (every Commit syncs).
+// record's LSN. The record is buffered — data is copied into the log
+// buffer and not retained; durability comes with the next Sync (every
+// Commit syncs).
 func (w *WAL) AppendPageImage(txn uint64, id PageID, data []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.cp != nil && w.cp.Crashed() {
 		return 0, fmt.Errorf("storage: wal append: %w", ErrCrashed)
 	}
-	return w.appendLocked(WALRecord{Txn: txn, Kind: RecPageImage, Page: id, Data: append([]byte(nil), data...)}), nil
+	return w.appendLocked(WALRecord{Txn: txn, Kind: RecPageImage, Page: id, Data: data}), nil
 }
 
 // Commit appends the commit marker for txn and makes it durable,
@@ -334,6 +348,9 @@ func (w *WAL) Sync(upTo uint64) error {
 	w.mu.Lock()
 	w.inFlush = false
 	if err == nil {
+		if w.buf == nil && cap(buf) <= maxReusedWALBuf {
+			w.buf = buf[:0] // written out: the next transaction frames into it
+		}
 		w.syncedLSN = target
 		w.stats.Syncs++
 		telWALSyncs.Inc()

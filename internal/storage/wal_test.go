@@ -215,21 +215,87 @@ func TestWALResetKeepsLSNsMonotonic(t *testing.T) {
 	}
 }
 
+// walSeedCorpus is FuzzWALRecordDecode's seed corpus: valid records of
+// both kinds, two back to back, a torn tail, a bit flip, nothing, and
+// garbage.
+func walSeedCorpus() [][]byte {
+	img := EncodeWALRecord(WALRecord{LSN: 3, Txn: 1, Kind: RecPageImage, Page: 12, Data: []byte("payload bytes")})
+	commit := EncodeWALRecord(WALRecord{LSN: 4, Txn: 1, Kind: RecCommit})
+	flipped := append([]byte{}, img...)
+	flipped[walFrameSize+3] ^= 0x40 // bit flip inside the body
+	return [][]byte{
+		img,
+		commit,
+		append(append([]byte{}, img...), commit...),
+		img[:len(img)/2], // torn tail
+		flipped,
+		{},
+		bytes.Repeat([]byte{0xFF}, 64),
+	}
+}
+
+// TestAppendWALRecordMatchesEncode: framing a record onto a buffer that
+// already holds bytes appends exactly EncodeWALRecord's bytes and leaves
+// the prefix alone, for every record the seed corpus decodes to.
+func TestAppendWALRecordMatchesEncode(t *testing.T) {
+	prefix := []byte("earlier records")
+	checked := 0
+	for _, b := range walSeedCorpus() {
+		recs, _, _ := scanWALBytes(b)
+		for _, rec := range recs {
+			dst := append(make([]byte, 0, len(prefix)+1), prefix...) // forces appendWALRecord to grow
+			got := appendWALRecord(dst, rec)
+			if !bytes.Equal(got[:len(prefix)], prefix) {
+				t.Fatalf("LSN %d: the prefix changed to %q", rec.LSN, got[:len(prefix)])
+			}
+			if want := EncodeWALRecord(rec); !bytes.Equal(got[len(prefix):], want) {
+				t.Fatalf("LSN %d: appended %x, EncodeWALRecord %x", rec.LSN, got[len(prefix):], want)
+			}
+			checked++
+		}
+	}
+	if checked < 3 {
+		t.Fatalf("the corpus decoded to %d records, want the image, the commit and the pair", checked)
+	}
+}
+
+// TestAppendPageImageAllocatesNothing: once the log buffer has grown to
+// hold a transaction — and across the commit that flushes it — logging a
+// page image is one copy into it: no clone of the page, no framed record
+// built on the side, no fresh buffer per transaction.
+func TestAppendPageImageAllocatesNothing(t *testing.T) {
+	w, err := OpenWAL(filepath.Join(t.TempDir(), "log.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	page := bytes.Repeat([]byte{0x5A}, DefaultPageSize)
+	txn := w.Begin()
+	for i := 0; i < 64; i++ { // grow the buffer
+		if _, err := w.AppendPageImage(txn, PageID(i+1), page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit(txn); err != nil {
+		t.Fatal(err)
+	}
+	txn = w.Begin()
+	if allocs := testing.AllocsPerRun(32, func() {
+		if _, err := w.AppendPageImage(txn, 1, page); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("AppendPageImage made %.1f allocations per call, want 0", allocs)
+	}
+}
+
 // FuzzWALRecordDecode feeds arbitrary bytes — including truncated tails
 // and bit-flipped valid records — to the record decoder, which must
 // reject them cleanly (typed error, zero consumed) and never panic.
 func FuzzWALRecordDecode(f *testing.F) {
-	img := EncodeWALRecord(WALRecord{LSN: 3, Txn: 1, Kind: RecPageImage, Page: 12, Data: []byte("payload bytes")})
-	commit := EncodeWALRecord(WALRecord{LSN: 4, Txn: 1, Kind: RecCommit})
-	f.Add(img)
-	f.Add(commit)
-	f.Add(append(append([]byte{}, img...), commit...))
-	f.Add(img[:len(img)/2]) // torn tail
-	flipped := append([]byte{}, img...)
-	flipped[walFrameSize+3] ^= 0x40 // bit flip inside the body
-	f.Add(flipped)
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	for _, b := range walSeedCorpus() {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec, n, err := DecodeWALRecord(b)
 		if err != nil {
