@@ -5,6 +5,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -18,6 +19,7 @@ import (
 	"asr/internal/asr"
 	"asr/internal/bench"
 	"asr/internal/costmodel"
+	"asr/internal/dump"
 	"asr/internal/engine"
 	"asr/internal/gendb"
 	"asr/internal/gom"
@@ -471,6 +473,43 @@ func TestReadLargeAllocationBudget(t *testing.T) {
 			t.Errorf("%s: %.0f allocations and %.1f KB per Engine.Run, budget %.0f and %.0f KB",
 				tc.shape, allocs, bytes/1024, tc.maxAl, tc.maxBytes/1024)
 		}
+	}
+}
+
+// TestObjectBaseHeapBudget pins what an object costs in the heap: the
+// scale-1024 demo base (59 393 objects), dump-loaded the way a durable
+// base is opened, measured as live heap after a forced GC. A dense OID
+// table, slotted tuples and slice-backed sets hold it to ~200 B an
+// object, where a map per tuple and per set and a map for the OID table
+// cost 510 B.
+func TestObjectBaseHeapBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the scale-1024 demo base")
+	}
+	var dumped bytes.Buffer
+	if err := dump.Save(readLargeDB(t).Base, &dumped); err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		runtime.GC() // twice: the first only moves sync.Pool caches to their victim lists
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	ob, err := dump.Load(bytes.NewReader(dumped.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := heap()
+	runtime.KeepAlive(&dumped) // live across both readings, so its bytes cancel out
+	n := ob.Count()
+	per := float64(after-before) / float64(n)
+	t.Logf("%d objects, %.0f B of heap each", n, per)
+	const budget = 240
+	if per > budget {
+		t.Errorf("%.0f B of heap per object, budget %d B", per, budget)
 	}
 }
 

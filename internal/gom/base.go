@@ -36,21 +36,29 @@ type Observer interface {
 // pointers in the object representation; backward traversal without an
 // access support relation therefore requires exhaustive search.
 //
+// Objects live in a dense table indexed by OID: OIDs are issued densely
+// from 1 and never reused, so fetching an object is one bounds-checked
+// slice load, and a deleted object leaves a nil slot behind.
+//
 // An ObjectBase is safe for concurrent use under a readers/writer
 // discipline: any number of goroutines may call the read-only methods
-// (Get, Extent, Var, Count, CheckIntegrity, and every Object accessor)
-// concurrently with each other and with at most one mutating goroutine.
-// Mutations (New, SetAttr, InsertIntoSet, RemoveFromSet, AppendToList,
-// Delete, BindVar, AddObserver, RemoveObserver) take the write lock and
-// are internally serialized; observer callbacks run after the lock is
-// released.
+// (Get, Extent, Var, Count, CheckIntegrity, Reach, and every Object
+// accessor) concurrently with each other and with at most one mutating
+// goroutine. Mutations (New, SetAttr, InsertIntoSet, RemoveFromSet,
+// AppendToList, Delete, BindVar, AddObserver, RemoveObserver) take the
+// write lock and are internally serialized; observer callbacks run after
+// the lock is released. A walk (Walker.Reach) holds the read lock from
+// its first fetch to its last, so it sees one state of the base and a
+// writer waits for at most one walk per reader; no read lock is ever
+// taken while another is held, since a queued writer would deadlock the
+// inner one.
 type ObjectBase struct {
 	mu        sync.RWMutex
 	schema    *Schema
-	objects   map[OID]*Object
+	objects   []*Object       // indexed by OID; slot 0 (NilOID) and deleted objects are nil
+	live      int             // non-nil slots of objects
 	extents   map[*Type][]OID // exact-type extents, in creation order
 	vars      map[string]OID  // named roots, e.g. "OurRobots"
-	nextOID   OID
 	observers []Observer
 }
 
@@ -58,10 +66,9 @@ type ObjectBase struct {
 func NewObjectBase(schema *Schema) *ObjectBase {
 	return &ObjectBase{
 		schema:  schema,
-		objects: make(map[OID]*Object),
+		objects: []*Object{NilOID: nil},
 		extents: make(map[*Type][]OID),
 		vars:    make(map[string]OID),
-		nextOID: 1,
 	}
 }
 
@@ -110,15 +117,12 @@ func (ob *ObjectBase) New(t *Type) (*Object, error) {
 	}
 	ob.mu.Lock()
 	defer ob.mu.Unlock()
-	o := &Object{id: ob.nextOID, typ: t, base: ob}
-	ob.nextOID++
-	switch t.Kind() {
-	case TupleType:
-		o.attrs = make(map[string]Value)
-	case SetType:
-		o.set = make(map[string]Value)
+	o := &Object{id: OID(len(ob.objects)), typ: t, base: ob}
+	if t.Kind() == TupleType {
+		o.attrs = make([]Value, len(t.Attributes()))
 	}
-	ob.objects[o.id] = o
+	ob.objects = append(ob.objects, o)
+	ob.live++
 	ob.extents[t] = append(ob.extents[t], o.id)
 	return o, nil
 }
@@ -136,15 +140,23 @@ func (ob *ObjectBase) MustNew(t *Type) *Object {
 func (ob *ObjectBase) Get(id OID) (*Object, bool) {
 	ob.mu.RLock()
 	defer ob.mu.RUnlock()
-	o, ok := ob.objects[id]
-	return o, ok
+	return ob.getLocked(id)
+}
+
+// getLocked is Get without locking; ob.mu must be held.
+func (ob *ObjectBase) getLocked(id OID) (*Object, bool) {
+	if id >= OID(len(ob.objects)) {
+		return nil, false
+	}
+	o := ob.objects[id]
+	return o, o != nil
 }
 
 // Count returns the number of live objects.
 func (ob *ObjectBase) Count() int {
 	ob.mu.RLock()
 	defer ob.mu.RUnlock()
-	return len(ob.objects)
+	return ob.live
 }
 
 // Extent returns the OIDs of all instances whose exact type is t, or —
@@ -170,7 +182,7 @@ func (ob *ObjectBase) Extent(t *Type, includeSubtypes bool) []OID {
 func (ob *ObjectBase) BindVar(name string, id OID) error {
 	ob.mu.Lock()
 	defer ob.mu.Unlock()
-	if _, ok := ob.objects[id]; !ok && !id.IsNil() {
+	if _, ok := ob.getLocked(id); !ok && !id.IsNil() {
 		return fmt.Errorf("gom: BindVar(%q): unknown object %s", name, id)
 	}
 	ob.vars[name] = id
@@ -210,7 +222,7 @@ func (ob *ObjectBase) checkAssignable(want *Type, v Value) error {
 		if want.Kind() == AtomicType {
 			return fmt.Errorf("gom: cannot store reference in %s slot", want.Name())
 		}
-		target, live := ob.objects[r.OID()]
+		target, live := ob.getLocked(r.OID())
 		if !live {
 			return fmt.Errorf("gom: dangling reference %s", r.OID())
 		}
@@ -233,7 +245,7 @@ func (ob *ObjectBase) checkAssignable(want *Type, v Value) error {
 // reference to a deleted object. Must be called with ob.mu held.
 func (ob *ObjectBase) liveLocked(v Value) bool {
 	if r, ok := v.(Ref); ok {
-		_, live := ob.objects[r.OID()]
+		_, live := ob.getLocked(r.OID())
 		return live
 	}
 	return v != nil
@@ -243,7 +255,7 @@ func (ob *ObjectBase) liveLocked(v Value) bool {
 // nil) and notifies observers.
 func (ob *ObjectBase) SetAttr(id OID, attr string, v Value) error {
 	ob.mu.Lock()
-	o, ok := ob.objects[id]
+	o, ok := ob.getLocked(id)
 	if !ok {
 		ob.mu.Unlock()
 		return fmt.Errorf("gom: SetAttr: unknown object %s", id)
@@ -252,21 +264,17 @@ func (ob *ObjectBase) SetAttr(id OID, attr string, v Value) error {
 		ob.mu.Unlock()
 		return fmt.Errorf("gom: SetAttr: %s is %s-structured, not a tuple", id, o.typ.Kind())
 	}
-	a, ok := o.typ.Attribute(attr)
+	slot, ok := o.typ.attrIndex[attr]
 	if !ok {
 		ob.mu.Unlock()
 		return fmt.Errorf("gom: SetAttr: type %s has no attribute %q", o.typ.Name(), attr)
 	}
-	if err := ob.checkAssignable(a.Type, v); err != nil {
+	if err := ob.checkAssignable(o.typ.allAttrs[slot].Type, v); err != nil {
 		ob.mu.Unlock()
 		return fmt.Errorf("gom: SetAttr %s.%s: %w", o.typ.Name(), attr, err)
 	}
-	old := o.attrs[attr]
-	if v == nil {
-		delete(o.attrs, attr)
-	} else {
-		o.attrs[attr] = v
-	}
+	old := o.attrs[slot]
+	o.attrs[slot] = v
 	changed := !ValuesEqual(old, v)
 	var obs []Observer
 	if changed {
@@ -291,7 +299,7 @@ func (ob *ObjectBase) MustSetAttr(id OID, attr string, v Value) {
 // update operation ins_i of §6.
 func (ob *ObjectBase) InsertIntoSet(id OID, v Value) error {
 	ob.mu.Lock()
-	o, ok := ob.objects[id]
+	o, ok := ob.getLocked(id)
 	if !ok {
 		ob.mu.Unlock()
 		return fmt.Errorf("gom: InsertIntoSet: unknown object %s", id)
@@ -308,12 +316,11 @@ func (ob *ObjectBase) InsertIntoSet(id OID, v Value) error {
 		ob.mu.Unlock()
 		return fmt.Errorf("gom: InsertIntoSet into %s: %w", o.typ.Name(), err)
 	}
-	k := valueKey(v)
-	if _, dup := o.set[k]; dup {
+	if o.find(v) >= 0 {
 		ob.mu.Unlock()
 		return nil
 	}
-	o.set[k] = v
+	o.insert(v)
 	obs := ob.watchers()
 	ob.mu.Unlock()
 	for _, w := range obs {
@@ -333,7 +340,7 @@ func (ob *ObjectBase) MustInsertIntoSet(id OID, v Value) {
 // notifies observers.
 func (ob *ObjectBase) RemoveFromSet(id OID, v Value) error {
 	ob.mu.Lock()
-	o, ok := ob.objects[id]
+	o, ok := ob.getLocked(id)
 	if !ok {
 		ob.mu.Unlock()
 		return fmt.Errorf("gom: RemoveFromSet: unknown object %s", id)
@@ -342,12 +349,12 @@ func (ob *ObjectBase) RemoveFromSet(id OID, v Value) error {
 		ob.mu.Unlock()
 		return fmt.Errorf("gom: RemoveFromSet: %s is %s-structured, not a set", id, o.typ.Kind())
 	}
-	k := valueKey(v)
-	if _, present := o.set[k]; !present {
+	i := o.find(v)
+	if i < 0 {
 		ob.mu.Unlock()
 		return nil
 	}
-	delete(o.set, k)
+	o.removeAt(i)
 	obs := ob.watchers()
 	ob.mu.Unlock()
 	for _, w := range obs {
@@ -359,7 +366,7 @@ func (ob *ObjectBase) RemoveFromSet(id OID, v Value) error {
 // AppendToList appends v to list object id.
 func (ob *ObjectBase) AppendToList(id OID, v Value) error {
 	ob.mu.Lock()
-	o, ok := ob.objects[id]
+	o, ok := ob.getLocked(id)
 	if !ok {
 		ob.mu.Unlock()
 		return fmt.Errorf("gom: AppendToList: unknown object %s", id)
@@ -372,7 +379,7 @@ func (ob *ObjectBase) AppendToList(id OID, v Value) error {
 		ob.mu.Unlock()
 		return fmt.Errorf("gom: AppendToList into %s: %w", o.typ.Name(), err)
 	}
-	o.list = append(o.list, v)
+	o.elems = append(o.elems, v)
 	obs := ob.watchers()
 	ob.mu.Unlock()
 	// List insertion is reported through the set-insertion hook: access
@@ -389,12 +396,13 @@ func (ob *ObjectBase) AppendToList(id OID, v Value) error {
 // clear referrers first (CheckIntegrity finds violations).
 func (ob *ObjectBase) Delete(id OID) error {
 	ob.mu.Lock()
-	o, ok := ob.objects[id]
+	o, ok := ob.getLocked(id)
 	if !ok {
 		ob.mu.Unlock()
 		return fmt.Errorf("gom: Delete: unknown object %s", id)
 	}
-	delete(ob.objects, id)
+	ob.objects[id] = nil
+	ob.live--
 	ext := ob.extents[o.typ]
 	for i, e := range ext {
 		if e == id {
@@ -410,36 +418,28 @@ func (ob *ObjectBase) Delete(id OID) error {
 	return nil
 }
 
-// CheckIntegrity scans the whole base and returns every dangling
-// reference as an error slice (empty means consistent).
+// CheckIntegrity scans the whole base in OID order and returns every
+// dangling reference as an error slice (empty means consistent).
 func (ob *ObjectBase) CheckIntegrity() []error {
 	ob.mu.RLock()
 	defer ob.mu.RUnlock()
 	var errs []error
-	check := func(where string, v Value) {
-		r, ok := v.(Ref)
-		if !ok {
-			return
-		}
-		if _, live := ob.objects[r.OID()]; !live {
-			errs = append(errs, fmt.Errorf("gom: dangling reference %s at %s", r.OID(), where))
-		}
+	dangling := func(v Value) bool {
+		_, ok := v.(Ref)
+		return ok && !ob.liveLocked(v)
 	}
-	ids := make([]OID, 0, len(ob.objects))
-	for id := range ob.objects {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		o := ob.objects[id]
-		switch o.typ.Kind() {
-		case TupleType:
-			for name, v := range o.attrs {
-				check(fmt.Sprintf("%s.%s", id, name), v)
+	for _, o := range ob.objects {
+		if o == nil {
+			continue
+		}
+		for i, v := range o.attrs {
+			if dangling(v) {
+				errs = append(errs, fmt.Errorf("gom: dangling reference %s at %s.%s", v, o.id, o.typ.allAttrs[i].Name))
 			}
-		case SetType, ListType:
-			for _, v := range o.elementsLocked() {
-				check(fmt.Sprintf("%s element", id), v)
+		}
+		for _, v := range o.elementsLocked() {
+			if dangling(v) {
+				errs = append(errs, fmt.Errorf("gom: dangling reference %s at %s element", v, o.id))
 			}
 		}
 	}

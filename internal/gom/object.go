@@ -3,7 +3,6 @@ package gom
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -14,6 +13,13 @@ import (
 // typing and notifies registered observers (used for incremental access
 // support relation maintenance).
 //
+// A tuple is slotted: one Value per position of Type.Attributes(), found
+// through the type's attribute index, nil for NULL — types are frozen
+// before any instance exists, so the layout cannot change under an
+// object. A set or list keeps its elements in one slice; a set holds no
+// two elements with the same canonical key, scans a small set for a
+// member and keeps a key → position index beside a large one.
+//
 // Object accessors share the owning ObjectBase's readers/writer lock:
 // they are safe to call from any number of goroutines concurrently with
 // each other and with base mutations (ID and Type are immutable and
@@ -23,9 +29,9 @@ type Object struct {
 	typ  *Type
 	base *ObjectBase
 
-	attrs map[string]Value // tuple objects; absent key == NULL
-	set   map[string]Value // set objects, keyed by canonical value key
-	list  []Value          // list objects
+	attrs []Value        // tuple objects: one slot per Type.Attributes() position
+	elems []Value        // set and list objects
+	index map[string]int // large set objects: valueKey → position in elems
 }
 
 // ID returns the object identifier.
@@ -45,13 +51,11 @@ func (o *Object) Attr(name string) (Value, bool) {
 
 // attrLocked is Attr without locking; o.base.mu must be held.
 func (o *Object) attrLocked(name string) (Value, bool) {
-	if o.typ.Kind() != TupleType {
+	slot, ok := o.typ.attrIndex[name] // only a tuple type has an attribute index
+	if !ok {
 		return nil, false
 	}
-	if _, ok := o.typ.Attribute(name); !ok {
-		return nil, false
-	}
-	return o.attrs[name], true
+	return o.attrs[slot], true
 }
 
 // AttrOID returns the OID stored in a reference-valued attribute, or
@@ -68,14 +72,7 @@ func (o *Object) AttrOID(name string) OID {
 func (o *Object) Len() int {
 	o.base.mu.RLock()
 	defer o.base.mu.RUnlock()
-	switch o.typ.Kind() {
-	case SetType:
-		return len(o.set)
-	case ListType:
-		return len(o.list)
-	default:
-		return 0
-	}
+	return len(o.elems)
 }
 
 // Elements returns the elements of a set object in a deterministic order
@@ -88,23 +85,11 @@ func (o *Object) Elements() []Value {
 
 // elementsLocked is Elements without locking; o.base.mu must be held.
 func (o *Object) elementsLocked() []Value {
-	switch o.typ.Kind() {
-	case SetType:
-		keys := make([]string, 0, len(o.set))
-		for k := range o.set {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		out := make([]Value, len(keys))
-		for i, k := range keys {
-			out[i] = o.set[k]
-		}
-		return out
-	case ListType:
-		return append([]Value(nil), o.list...)
-	default:
-		return nil
+	out := slices.Clone(o.elems)
+	if o.typ.Kind() == SetType {
+		slices.SortFunc(out, compareKeys)
 	}
+	return out
 }
 
 // AppendElements appends the elements of a set or list object to dst
@@ -114,11 +99,7 @@ func (o *Object) elementsLocked() []Value {
 func (o *Object) AppendElements(dst []Value) []Value {
 	o.base.mu.RLock()
 	defer o.base.mu.RUnlock()
-	dst = slices.Grow(dst, len(o.set)+len(o.list))
-	for _, v := range o.set {
-		dst = append(dst, v)
-	}
-	return append(dst, o.list...)
+	return append(dst, o.elems...)
 }
 
 // LiveElements is Elements with references to deleted objects left out:
@@ -132,21 +113,17 @@ func (o *Object) LiveElements() []Value {
 }
 
 // appendLiveLocked appends the live elements to dst — a set's in
-// Elements' order when ordered, else as the map yields them, which
-// neither sorts nor allocates; o.base.mu must be held.
+// Elements' order when ordered, else in the order the set stores them,
+// which does not sort; o.base.mu must be held.
 func (o *Object) appendLiveLocked(dst []Value, ordered bool) []Value {
-	if !ordered && o.typ.Kind() == SetType {
-		for _, e := range o.set {
-			if o.base.liveLocked(e) {
-				dst = append(dst, e)
-			}
-		}
-		return dst
-	}
-	for _, e := range o.elementsLocked() {
+	n := len(dst)
+	for _, e := range o.elems {
 		if o.base.liveLocked(e) {
 			dst = append(dst, e)
 		}
+	}
+	if ordered && o.typ.Kind() == SetType {
+		slices.SortFunc(dst[n:], compareKeys)
 	}
 	return dst
 }
@@ -161,15 +138,16 @@ func (o *Object) appendLiveLocked(dst []Value, ordered bool) []Value {
 // even when nothing is appended, because Definition 3.3 gives an empty
 // set the row (o, set, NULL) — and nil otherwise.
 func (o *Object) Follow(step PathStep, dst []Value) (set Value, _ []Value) {
-	return o.follow(step, dst, true)
+	o.base.mu.RLock()
+	defer o.base.mu.RUnlock()
+	return o.followLocked(step, dst, true)
 }
 
-// follow is Follow; with ordered false a set's elements come in no
-// particular order, for the caller that imposes its own (Walker.Reach).
-func (o *Object) follow(step PathStep, dst []Value, ordered bool) (set Value, _ []Value) {
+// followLocked is Follow without locking; with ordered false a set's
+// elements come in no particular order, for the caller that imposes its
+// own (Walker.Reach). o.base.mu must be held.
+func (o *Object) followLocked(step PathStep, dst []Value, ordered bool) (set Value, _ []Value) {
 	ob := o.base
-	ob.mu.RLock()
-	defer ob.mu.RUnlock()
 	v, _ := o.attrLocked(step.Attr)
 	if !ob.liveLocked(v) {
 		return nil, dst
@@ -181,7 +159,8 @@ func (o *Object) follow(step PathStep, dst []Value, ordered bool) (set Value, _ 
 	if !ok {
 		return nil, dst
 	}
-	return v, ob.objects[ref.OID()].appendLiveLocked(dst, ordered)
+	setObj, _ := ob.getLocked(ref.OID())
+	return v, setObj.appendLiveLocked(dst, ordered)
 }
 
 // Reach evaluates steps i+1…j of path from the start values by object
@@ -206,7 +185,8 @@ func (ob *ObjectBase) Reach(path *PathExpression, i, j int, start ...Value) (rea
 // that need it, the de-duplication state. A walk from one object costs
 // no allocation once the buffers have grown to the widest frontier, so
 // a loop over the anchors of a query allocates per chunk, not per
-// anchor. A Walker serves one goroutine.
+// anchor. A Walker serves one goroutine; each Reach holds the base's
+// read lock once, for the whole walk.
 type Walker struct {
 	ob       *ObjectBase
 	frontier [2][]Value
@@ -228,6 +208,9 @@ func (ob *ObjectBase) NewWalker() *Walker { return &Walker{ob: ob} }
 // straight into the next frontier; the others de-duplicate by rendered
 // value, as before.
 func (w *Walker) Reach(path *PathExpression, i, j int, start ...Value) (reached []Value, fetches uint64) {
+	ob := w.ob
+	ob.mu.RLock()
+	defer ob.mu.RUnlock()
 	cur := start
 	for s, k := i+1, 0; s <= j; s, k = s+1, k^1 {
 		step := path.Step(s)
@@ -244,16 +227,16 @@ func (w *Walker) Reach(path *PathExpression, i, j int, start ...Value) (reached 
 			if !ok {
 				continue
 			}
-			o, ok := w.ob.Get(ref.OID())
+			o, ok := ob.getLocked(ref.OID())
 			if !ok {
 				continue
 			}
 			fetches++
 			if !dedup {
-				_, next = o.follow(step, next, false)
+				_, next = o.followLocked(step, next, false)
 				continue
 			}
-			_, w.targets = o.follow(step, w.targets[:0], false)
+			_, w.targets = o.followLocked(step, w.targets[:0], false)
 			for _, t := range w.targets {
 				w.key = AppendValueString(w.key[:0], t)
 				if !w.seen[string(w.key)] {
@@ -281,15 +264,15 @@ func (o *Object) ElementOIDs() []OID {
 }
 
 // Contains reports whether a set or list object holds the given value:
-// one hash probe for a set, a scan for a list.
+// a set by canonical key (a scan of a small set, one probe of a large
+// one's index), a list by a scan.
 func (o *Object) Contains(v Value) bool {
 	o.base.mu.RLock()
 	defer o.base.mu.RUnlock()
 	if o.typ.Kind() == SetType {
-		_, ok := o.set[valueKey(v)]
-		return ok
+		return o.find(v) >= 0
 	}
-	for _, e := range o.list {
+	for _, e := range o.elems {
 		if ValuesEqual(e, v) {
 			return true
 		}
@@ -311,7 +294,7 @@ func (o *Object) String() string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "%s: %s", a.Name, ValueString(o.attrs[a.Name]))
+			fmt.Fprintf(&b, "%s: %s", a.Name, ValueString(o.attrs[i]))
 		}
 		b.WriteString("]")
 	case SetType:
@@ -325,7 +308,7 @@ func (o *Object) String() string {
 		b.WriteString("}")
 	case ListType:
 		b.WriteString("<")
-		for i, v := range o.list {
+		for i, v := range o.elems {
 			if i > 0 {
 				b.WriteString(", ")
 			}
@@ -334,30 +317,4 @@ func (o *Object) String() string {
 		b.WriteString(">")
 	}
 	return b.String()
-}
-
-// valueKey canonicalizes a value for set membership. Distinct kinds get
-// distinct prefixes so e.g. Integer(1) and Decimal(1) do not collide.
-func valueKey(v Value) string {
-	if v == nil {
-		return "N"
-	}
-	switch w := v.(type) {
-	case Ref:
-		return "r" + OID(w).String()
-	case String:
-		return "s" + string(w)
-	case Integer:
-		return "i" + fmt.Sprint(int64(w))
-	case Decimal:
-		return "d" + fmt.Sprint(float64(w))
-	case Bool:
-		return "b" + fmt.Sprint(bool(w))
-	case Char:
-		// Numeric form: string(rune) folds invalid runes to U+FFFD, which
-		// would collide distinct values.
-		return "c" + fmt.Sprint(int32(w))
-	default:
-		return "?" + v.String()
-	}
 }

@@ -5,9 +5,8 @@
 // chains. It is the substrate on which access support relations
 // (package asr) are defined.
 //
-// Like most embedded storage engines, an ObjectBase and the indexes over
-// it are not safe for concurrent use; callers that share one across
-// goroutines must serialize access themselves.
+// An ObjectBase serves any number of reading goroutines beside one
+// writer; see ObjectBase for the locking rules.
 package gom
 
 import (

@@ -2,8 +2,10 @@ package gom
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
+	"time"
 )
 
 // walkerBase is a three-step path with one of each kind of step —
@@ -167,5 +169,114 @@ func TestCollectionAccessors(t *testing.T) {
 	}
 	if got := list.AppendElements(nil); fmt.Sprint(got) != fmt.Sprint(list.Elements()) {
 		t.Errorf("list order: AppendElements = %v, Elements = %v", got, list.Elements())
+	}
+}
+
+// TestWalksBesideAWriter: readers walk Root.Items.Name — through a set —
+// while one writer inserts, removes, renames and deletes the Items they
+// walk, growing each set past the scan size and shrinking it back. Every
+// walk must finish: a walk holds the base's read lock throughout, and
+// anything inside it that took the lock again would deadlock as soon as
+// the writer queued. Item names are unique and never NULL, so each walk
+// reaches one name per live Item it fetched besides its Root.
+func TestWalksBesideAWriter(t *testing.T) {
+	s, _, err := ParseSchema(`
+		type Root is [Items: ItemSET];
+		type ItemSET is {Item};
+		type Item is [Name: STRING];
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob := NewObjectBase(s)
+	path := MustResolvePath(s.MustLookup("Root"), "Items", "Name")
+	named := 0
+	newItem := func() Value {
+		item := ob.MustNew(s.MustLookup("Item")).ID()
+		named++
+		ob.MustSetAttr(item, "Name", String(fmt.Sprintf("n%d", named)))
+		return Ref(item)
+	}
+	const nRoots = 4
+	var roots [nRoots]Value
+	var sets [nRoots]OID
+	var members [nRoots][]Value // the writer's own record of each set
+	for r := range roots {
+		root, set := ob.MustNew(s.MustLookup("Root")).ID(), ob.MustNew(s.MustLookup("ItemSET")).ID()
+		ob.MustSetAttr(root, "Items", Ref(set))
+		roots[r], sets[r] = Ref(root), set
+		for i := 0; i < setScanMax/2; i++ {
+			members[r] = append(members[r], newItem())
+			ob.MustInsertIntoSet(set, members[r][i])
+		}
+	}
+
+	stop := make(chan struct{})
+	var walks [4]int
+	done := make(chan struct{}, len(walks)+1)
+	for g := range walks {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			w := ob.NewWalker()
+			for k := 0; ; k++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				names, fetches := w.Reach(path, 0, 2, roots[k%nRoots])
+				if fetches != 1+uint64(len(names)) {
+					t.Errorf("walk reached %d names in %d fetches, want one Root and one Item per name", len(names), fetches)
+					return
+				}
+				walks[g]++
+			}
+		}()
+	}
+	go func() {
+		defer func() { done <- struct{}{} }()
+		defer close(stop)
+		rng := rand.New(rand.NewSource(1))
+		for op := 0; op < 4000; op++ {
+			r := rng.Intn(nRoots)
+			m := members[r]
+			grow := (op/500)%2 == 0 // alternate phases: sets grow past setScanMax, then shrink
+			switch k := rng.Intn(10); {
+			case len(m) == 0 || (grow && k < 5) || (!grow && k < 2):
+				v := newItem()
+				ob.MustInsertIntoSet(sets[r], v)
+				members[r] = append(m, v)
+			case k < 7:
+				i := rng.Intn(len(m))
+				if err := ob.RemoveFromSet(sets[r], m[i]); err != nil {
+					t.Error(err)
+					return
+				}
+				members[r] = append(m[:i], m[i+1:]...)
+			case k < 9:
+				named++
+				ob.MustSetAttr(m[rng.Intn(len(m))].(Ref).OID(), "Name", String(fmt.Sprintf("n%d", named)))
+			default: // leaves a dangling element behind, which walks skip
+				i := rng.Intn(len(m))
+				if err := ob.Delete(m[i].(Ref).OID()); err != nil {
+					t.Error(err)
+					return
+				}
+				members[r] = append(m[:i], m[i+1:]...)
+			}
+		}
+	}()
+	deadline := time.After(30 * time.Second)
+	for range len(walks) + 1 {
+		select {
+		case <-done:
+		case <-deadline:
+			t.Fatal("walks and writer still running after 30 s: a lock taken inside a walk deadlocks behind the queued writer")
+		}
+	}
+	for g, n := range walks {
+		if n == 0 {
+			t.Errorf("reader %d finished no walk", g)
+		}
 	}
 }
