@@ -48,11 +48,13 @@ benchmark-smoke:
 
 # Durability suite under the race detector: crash the page file and WAL
 # at every admitted physical write (storage level) and across the
-# managed-index mutation schedule (asr level), and fuzz the WAL record
+# managed-index mutation schedule (asr level), test the fault schedule
+# the crashpoint is built on (internal/fault), and fuzz the WAL record
 # codec and the B⁺-tree's in-place page search briefly. Deterministic
 # seeds — failures reproduce exactly.
 crash-matrix:
 	$(GO) test -race -count=1 -run 'Crash|Recover|SaveOpen|OpenFrom|Torn|WAL' ./internal/storage/ ./internal/asr/
+	$(GO) test -race -count=1 ./internal/fault/
 	$(GO) test -run=FuzzWALRecordDecode -fuzz=FuzzWALRecordDecode -fuzztime=10s ./internal/storage/
 	$(GO) test -run=FuzzPageSearch -fuzz=FuzzPageSearch -fuzztime=10s ./internal/btree/
 
@@ -75,12 +77,13 @@ server-smoke:
 # chaos"): the fixed-seed saturation suite (32 connections under
 # continuous network + disk fault injection; every response
 # byte-identical or typed, zero hangs, zero goroutine leaks), the
-# server-protection and retry suites, then one randomized-seed
-# saturation pass so new fault schedules are explored on every run —
-# the seed is logged and reproduces a failure exactly.
+# server-protection suite, the fault-schedule, chaos and retry suites,
+# then one randomized-seed saturation pass so new fault schedules are
+# explored on every run — the seed is logged and reproduces a failure
+# exactly.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaos|TestRequestDeadline|TestClientCancelBeats|TestIdleWatchdog|TestSlowReader' ./internal/server/
-	$(GO) test -race -count=1 ./internal/server/chaos/ ./internal/server/client/
+	$(GO) test -race -count=1 ./internal/fault/ ./internal/server/chaos/ ./internal/server/client/
 	CHAOS_SEED=$$$$ $(GO) test -race -count=1 -short -run 'TestChaosSaturation' -v ./internal/server/
 
 # Backup/PITR/scrub gate under the race detector (docs/ROBUSTNESS.md,

@@ -32,6 +32,7 @@ import (
 	"syscall"
 	"time"
 
+	"asr/internal/fault"
 	"asr/internal/server"
 	"asr/internal/storage"
 )
@@ -210,7 +211,7 @@ const chaosPoolFrames = 32
 // indexes are built — construction is clean; armChaos starts the
 // faults once the database is open.
 func chaosPool(seed int64) (*storage.FaultInjector, *storage.BufferPool) {
-	inj := storage.NewFaultInjector(storage.NewDisk(0), seed)
+	inj := storage.NewFaultInjector(storage.NewDisk(0), fault.New(seed))
 	return inj, storage.NewBufferPool(inj, chaosPoolFrames, storage.LRU)
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"asr/internal/dump"
+	"asr/internal/fault"
 	"asr/internal/gendb"
 	"asr/internal/gom"
 	"asr/internal/storage"
@@ -237,7 +238,7 @@ func TestCrashRecoveryCommittedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := storage.NewCrashpoint(0, 0) // count-only reference run
+	ref := storage.NewCrashpoint(fault.New(0), 0, 0) // count-only reference run
 	completed, _ := runDurableScene(t, t.TempDir(), ref)
 	if completed != crashSceneMutations {
 		t.Fatalf("reference run completed %d/%d mutations", completed, crashSceneMutations)
@@ -251,7 +252,7 @@ func TestCrashRecoveryCommittedPrefix(t *testing.T) {
 		for at := int64(1); at <= total; at++ {
 			t.Run(fmt.Sprintf("torn=%v/write=%d", torn, at), func(t *testing.T) {
 				dir := t.TempDir()
-				cp := storage.NewCrashpoint(at, torn)
+				cp := storage.NewCrashpoint(fault.New(0), at, torn)
 				completed, pairs := runDurableScene(t, dir, cp)
 				if !cp.Crashed() {
 					t.Fatalf("crashpoint %d did not fire (completed %d mutations)", at, completed)

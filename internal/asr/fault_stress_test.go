@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"asr/internal/fault"
 	"asr/internal/gendb"
 	"asr/internal/gom"
 	"asr/internal/storage"
@@ -34,7 +35,7 @@ func TestStressMaintenanceUnderInjectedFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	disk := storage.NewDisk(256)
-	fi := storage.NewFaultInjector(disk, 7)
+	fi := storage.NewFaultInjector(disk, fault.New(7))
 	pool := storage.NewBufferPool(fi, 16, storage.LRU)
 	mcol := db.Path.Arity() - 1
 	ix, err := Build(db.Base, db.Path, Full, BinaryDecomposition(mcol), pool)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"asr/internal/dump"
+	"asr/internal/fault"
 	"asr/internal/gendb"
 	"asr/internal/gom"
 	"asr/internal/storage"
@@ -186,7 +187,7 @@ func TestPITREndToEnd(t *testing.T) {
 	}
 
 	// Crash: the very next physical write tears and freezes the files.
-	cp := storage.NewCrashpoint(1, 0.5)
+	cp := storage.NewCrashpoint(fault.New(0), 1, 0.5)
 	fd.SetCrashpoint(cp)
 	w.SetCrashpoint(cp)
 	db.Base.MustSetAttr(pairs[0][0], "Next", gom.Ref(pairs[0][1])) // dies mid-maintenance

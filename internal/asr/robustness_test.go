@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"asr/internal/fault"
 	"asr/internal/gendb"
 	"asr/internal/gom"
 	"asr/internal/storage"
@@ -40,7 +41,7 @@ func newFaultyRig(t *testing.T, seed int64) *faultyRig {
 		t.Fatal(err)
 	}
 	disk := storage.NewDisk(256)
-	fi := storage.NewFaultInjector(disk, seed)
+	fi := storage.NewFaultInjector(disk, fault.New(seed))
 	pool := storage.NewBufferPool(fi, 8, storage.LRU)
 	mcol := db.Path.Arity() - 1
 	ix, err := Build(db.Base, db.Path, Full, BinaryDecomposition(mcol), pool)
@@ -307,7 +308,7 @@ func TestManagerRoutesAroundQuarantineAndRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	disk := storage.NewDisk(256)
-	fi := storage.NewFaultInjector(disk, 31)
+	fi := storage.NewFaultInjector(disk, fault.New(31))
 	pool := storage.NewBufferPool(fi, 8, storage.LRU)
 	mgr := NewManager(db.Base, pool)
 	mcol := db.Path.Arity() - 1

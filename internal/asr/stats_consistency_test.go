@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"asr/internal/fault"
 	"asr/internal/gendb"
 	"asr/internal/gom"
 	"asr/internal/storage"
@@ -31,7 +32,7 @@ func TestManagerStatsConsistentUnderConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	disk := storage.NewDisk(256)
-	fi := storage.NewFaultInjector(disk, 11)
+	fi := storage.NewFaultInjector(disk, fault.New(11))
 	pool := storage.NewBufferPool(fi, 16, storage.LRU)
 	mgr := NewManager(db.Base, pool)
 	ix, err := mgr.CreateIndex(db.Path, Full, BinaryDecomposition(db.Path.Arity()-1))
@@ -198,7 +199,7 @@ func TestResetStatsZeroesEveryCounterField(t *testing.T) {
 		t.Fatal(err)
 	}
 	disk := storage.NewDisk(256)
-	fi := storage.NewFaultInjector(disk, 3)
+	fi := storage.NewFaultInjector(disk, fault.New(3))
 	pool := storage.NewBufferPool(fi, 16, storage.LRU)
 	mgr := NewManager(db.Base, pool)
 	ix, err := mgr.CreateIndex(db.Path, Full, BinaryDecomposition(db.Path.Arity()-1))

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"asr/internal/asr"
+	"asr/internal/fault"
 	"asr/internal/gendb"
 	"asr/internal/gom"
 	"asr/internal/storage"
@@ -40,7 +41,7 @@ func runFaults() (*Table, error) {
 	// write-backs during maintenance, which is where injected write
 	// faults bite (an unbounded pool defers all writes to FlushAll).
 	disk := storage.NewDisk(512)
-	fi := storage.NewFaultInjector(disk, 42)
+	fi := storage.NewFaultInjector(disk, fault.New(42))
 	pool := storage.NewBufferPool(fi, 64, storage.LRU)
 	mgr := asr.NewManager(db.Base, pool)
 	span := db.Path.Len()

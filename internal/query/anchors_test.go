@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"asr/internal/asr"
+	"asr/internal/fault"
 	"asr/internal/gendb"
 	"asr/internal/gom"
 	"asr/internal/storage"
@@ -254,7 +255,7 @@ func TestListCollectionCountsOccurrences(t *testing.T) {
 // the traversal engine's, on the updated base.
 func TestIndexQuarantinedMidQuery(t *testing.T) {
 	db := newAnchorsDB(t, 4)
-	fi := storage.NewFaultInjector(storage.NewDisk(256), 4)
+	fi := storage.NewFaultInjector(storage.NewDisk(256), fault.New(4))
 	mgr := db.manager(t, storage.NewBufferPool(fi, 8, storage.LRU))
 	indexed, naive := New(db.Base, mgr), New(db.Base, nil)
 

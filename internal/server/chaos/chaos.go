@@ -1,17 +1,16 @@
 // Package chaos injects network faults between gomd and its clients:
-// connection resets, torn frame writes, read/write stalls, added
-// latency, and accept-time refusals. It wraps net.Listener / net.Conn
-// the same way storage.FaultInjector wraps a storage.Device — faults
-// come from an explicit schedule or from a seeded RNG, so a failing
-// chaos run reproduces exactly from its seed and operation order
-// (docs/ROBUSTNESS.md, "Network chaos harness").
+// connection resets, torn frame writes, read/write stalls and
+// accept-time refusals. It wraps net.Listener / net.Conn and asks a
+// fault.Schedule — the one schedule behind every injector in the tree
+// (docs/ROBUSTNESS.md, "Fault schedule") — what to do to each accept,
+// read and write, so a failing chaos run reproduces exactly from its
+// seed and operation order.
 //
-// One Injector holds the fault source; any number of listeners and
-// connections share it, so the schedule spans the whole server in
-// arrival order — exactly like one Crashpoint spanning a page file and
-// its WAL. Wrap a server's listener via server.Config.WrapListener:
+// One Injector serves any number of listeners and connections, so the
+// schedule spans the whole server in arrival order. Wrap a server's
+// listener via server.Config.WrapListener:
 //
-//	inj := chaos.NewInjector(seed, chaos.Probabilities{ResetOnWrite: 0.01})
+//	inj := chaos.NewInjector(fault.New(seed), chaos.Probabilities{ResetOnWrite: 0.01})
 //	cfg.WrapListener = func(ln net.Listener) net.Listener { return inj.Listener(ln) }
 //
 // Every injected fault increments chaos_faults_injected_total{kind=…}
@@ -22,93 +21,41 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
-	"sync"
 	"time"
+
+	"asr/internal/fault"
 )
 
 // ErrInjected is wrapped by every error the injector produces, so
 // callers and tests can tell injected network faults from genuine ones
-// with errors.Is — mirroring storage.ErrInjectedFault.
+// with errors.Is.
 var ErrInjected = errors.New("injected network fault")
 
-// Op selects which connection operation a scheduled fault intercepts.
-type Op int
-
-// The interceptable operations.
+// The interceptable operations and the network fault kinds: Reset
+// closes the connection, Torn delivers a prefix of a write then resets,
+// Stall delays the operation by StallFor, Refuse closes an accepted
+// connection before the server sees it.
 const (
-	OpAccept Op = iota // Listener.Accept
-	OpRead             // Conn.Read
-	OpWrite            // Conn.Write
+	OpAccept = fault.NetAccept
+	OpRead   = fault.NetRead
+	OpWrite  = fault.NetWrite
+
+	Reset  = fault.Reset
+	Torn   = fault.Torn
+	Stall  = fault.Stall
+	Refuse = fault.Refuse
 )
 
-// String names the operation.
-func (op Op) String() string {
-	switch op {
-	case OpAccept:
-		return "accept"
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	default:
-		return fmt.Sprintf("Op(%d)", int(op))
-	}
-}
+// Fault is one scheduled network fault: Skip lets that many matching
+// operations through before the fault fires; a transient fault clears
+// after firing once, a Permanent one keeps firing on every later match.
+// TornFraction (writes, Kind Torn) is the fraction of the buffer
+// delivered before the reset.
+type Fault = fault.Entry
 
-// Kind is what an injected fault does to the operation.
-type Kind int
-
-const (
-	// Reset closes the connection and fails the operation with a
-	// connection-reset error — the peer sees a dropped connection.
-	Reset Kind = iota
-	// Torn applies to writes: a prefix of the buffer reaches the peer,
-	// then the connection resets — a torn frame, the network twin of
-	// storage's torn page write.
-	Torn
-	// Stall delays the operation by the injector's StallFor before
-	// letting it proceed — a slow network or a wedged peer, bounded so
-	// tests never hang.
-	Stall
-	// Refuse applies to accepts: the connection is accepted and
-	// immediately closed, as a full backlog or a dropping middlebox
-	// would present to the client.
-	Refuse
-)
-
-// String names the fault kind.
-func (k Kind) String() string {
-	switch k {
-	case Reset:
-		return "reset"
-	case Torn:
-		return "torn"
-	case Stall:
-		return "stall"
-	case Refuse:
-		return "refuse"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// Fault is one scheduled network fault, mirroring storage.Fault: Skip
-// lets that many matching operations through before the fault fires; a
-// transient fault clears after firing once, a Permanent one keeps
-// firing on every later match. TornFraction (writes, Kind Torn) is the
-// fraction of the buffer delivered before the reset.
-type Fault struct {
-	Op           Op
-	Kind         Kind
-	Skip         int
-	Permanent    bool
-	TornFraction float64
-}
-
-// Probabilities draws faults from the injector's seeded RNG instead of
-// (or in addition to) the explicit schedule; every field is a
+// Probabilities draws faults from the schedule's seeded source instead
+// of (or in addition to) the explicit entries; every field is a
 // per-operation probability in [0,1]. Zero value: no probabilistic
 // faults.
 type Probabilities struct {
@@ -120,143 +67,49 @@ type Probabilities struct {
 	StallWrite   float64 // write delayed by StallFor
 }
 
-// Stats counts injected faults by kind.
+// Stats counts injected faults by kind. The embedded fault.Stats is the
+// whole schedule's, shared with any other injector built over it.
 type Stats struct {
-	Resets       uint64
-	TornWrites   uint64
-	Stalls       uint64
-	Refusals     uint64
-	LatencyAdded uint64 // operations delayed by the latency jitter
+	Resets     uint64
+	TornWrites uint64
+	Stalls     uint64
+	Refusals   uint64
+	fault.Stats
 }
 
-// Total sums every category.
-func (s Stats) Total() uint64 {
-	return s.Resets + s.TornWrites + s.Stalls + s.Refusals
-}
-
-// Injector is the shared fault source for any number of chaos
-// listeners and connections. Safe for concurrent use; the RNG draw
-// order is the cross-connection operation arrival order, so a fixed
-// seed reproduces the same fault decisions for the same schedule of
-// operations.
+// Injector applies a fault schedule to any number of chaos listeners
+// and connections. Safe for concurrent use.
 type Injector struct {
-	mu     sync.Mutex
-	rng    *rand.Rand
-	probs  Probabilities
-	faults []*Fault
-	stats  Stats
+	s *fault.Schedule
 
 	// StallFor bounds every injected stall; zero disables stalls even
 	// when scheduled (a stall of zero is a no-op, not a hang).
 	StallFor time.Duration
-	// Latency, when positive, adds a uniform random delay in
-	// [0, Latency) to every read and write — background jitter under
-	// the fault schedule.
-	Latency time.Duration
 }
 
-// NewInjector returns an injector seeded for reproducibility.
-func NewInjector(seed int64, probs Probabilities) *Injector {
-	return &Injector{rng: rand.New(rand.NewSource(seed)), probs: probs}
+// NewInjector returns an injector drawing from s, with probs as its
+// probabilistic faults.
+func NewInjector(s *fault.Schedule, probs Probabilities) *Injector {
+	s.Draw(OpAccept, Refuse, probs.AcceptRefuse)
+	s.Draw(OpRead, Reset, probs.ResetOnRead)
+	s.Draw(OpRead, Stall, probs.StallRead)
+	s.Draw(OpWrite, Reset, probs.ResetOnWrite)
+	s.Draw(OpWrite, Torn, probs.TornWrite)
+	s.Draw(OpWrite, Stall, probs.StallWrite)
+	return &Injector{s: s}
 }
 
 // Schedule adds an explicit fault to the schedule.
-func (in *Injector) Schedule(f Fault) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	fc := f
-	in.faults = append(in.faults, &fc)
-}
+func (in *Injector) Schedule(f Fault) { in.s.Add(f) }
 
-// Heal clears the schedule and the probabilities — the network is
-// repaired; latency and stall bounds are left as configured.
-func (in *Injector) Heal() {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.faults = nil
-	in.probs = Probabilities{}
-}
+// Heal clears the network's scheduled faults and probabilities — the
+// network is repaired; the stall bound is left as configured.
+func (in *Injector) Heal() { in.s.Heal(OpAccept, OpRead, OpWrite) }
 
-// Stats returns a copy of the injection counters.
+// Stats returns the injection counters.
 func (in *Injector) Stats() Stats {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.stats
-}
-
-// fire decides the fault for one operation: the first matching
-// scheduled fault wins, then the probabilistic draws, in a fixed order
-// so a seed replays. It returns the kind to inject, the torn fraction
-// for torn writes, and whether anything fired. Must be called with
-// in.mu held.
-func (in *Injector) fire(op Op) (Kind, float64, bool) {
-	for i, f := range in.faults {
-		if f.Op != op {
-			continue
-		}
-		if f.Skip > 0 {
-			f.Skip--
-			continue
-		}
-		if !f.Permanent {
-			in.faults = append(in.faults[:i], in.faults[i+1:]...)
-		}
-		return f.Kind, f.TornFraction, true
-	}
-	switch op {
-	case OpAccept:
-		if p := in.probs.AcceptRefuse; p > 0 && in.rng.Float64() < p {
-			return Refuse, 0, true
-		}
-	case OpRead:
-		if p := in.probs.ResetOnRead; p > 0 && in.rng.Float64() < p {
-			return Reset, 0, true
-		}
-		if p := in.probs.StallRead; p > 0 && in.rng.Float64() < p {
-			return Stall, 0, true
-		}
-	case OpWrite:
-		if p := in.probs.ResetOnWrite; p > 0 && in.rng.Float64() < p {
-			return Reset, 0, true
-		}
-		if p := in.probs.TornWrite; p > 0 && in.rng.Float64() < p {
-			return Torn, in.rng.Float64(), true
-		}
-		if p := in.probs.StallWrite; p > 0 && in.rng.Float64() < p {
-			return Stall, 0, true
-		}
-	}
-	return 0, 0, false
-}
-
-// latency draws this operation's background jitter (0 when disabled).
-func (in *Injector) latency() time.Duration {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.Latency <= 0 {
-		return 0
-	}
-	d := time.Duration(in.rng.Int63n(int64(in.Latency)))
-	if d > 0 {
-		in.stats.LatencyAdded++
-	}
-	return d
-}
-
-// count records one injected fault of the given kind; must be called
-// with in.mu held.
-func (in *Injector) count(k Kind) {
-	switch k {
-	case Reset:
-		in.stats.Resets++
-	case Torn:
-		in.stats.TornWrites++
-	case Stall:
-		in.stats.Stalls++
-	case Refuse:
-		in.stats.Refusals++
-	}
-	faultCounter(k).Inc()
+	st := in.s.Stats()
+	return Stats{Resets: st.Fired[Reset], TornWrites: st.Fired[Torn], Stalls: st.Fired[Stall], Refusals: st.Fired[Refuse], Stats: st}
 }
 
 // Listener wraps ln: accepted connections pass through the injector's
@@ -287,13 +140,7 @@ func (l *listener) Accept() (net.Conn, error) {
 		if err != nil {
 			return nil, err
 		}
-		l.in.mu.Lock()
-		kind, _, fired := l.in.fire(OpAccept)
-		if fired {
-			l.in.count(kind)
-		}
-		l.in.mu.Unlock()
-		if fired {
+		if _, fired := l.in.s.Fire(OpAccept, 0); fired {
 			c.Close()
 			continue
 		}
@@ -311,20 +158,10 @@ type conn struct {
 }
 
 func (c *conn) Read(p []byte) (int, error) {
-	if d := c.in.latency(); d > 0 {
-		time.Sleep(d)
-	}
-	c.in.mu.Lock()
-	kind, _, fired := c.in.fire(OpRead)
-	if fired {
-		c.in.count(kind)
-	}
-	stall := c.in.StallFor
-	c.in.mu.Unlock()
-	if fired {
-		switch kind {
+	if f, fired := c.in.s.Fire(OpRead, 0); fired {
+		switch f.Kind {
 		case Stall:
-			time.Sleep(stall)
+			time.Sleep(c.in.StallFor)
 		default: // Reset
 			c.Conn.Close()
 			return 0, fmt.Errorf("chaos: read on %v: reset: %w", c.RemoteAddr(), ErrInjected)
@@ -334,24 +171,14 @@ func (c *conn) Read(p []byte) (int, error) {
 }
 
 func (c *conn) Write(p []byte) (int, error) {
-	if d := c.in.latency(); d > 0 {
-		time.Sleep(d)
-	}
-	c.in.mu.Lock()
-	kind, torn, fired := c.in.fire(OpWrite)
-	if fired {
-		c.in.count(kind)
-	}
-	stall := c.in.StallFor
-	c.in.mu.Unlock()
-	if fired {
-		switch kind {
+	if f, fired := c.in.s.Fire(OpWrite, 0); fired {
+		switch f.Kind {
 		case Stall:
-			time.Sleep(stall)
+			time.Sleep(c.in.StallFor)
 		case Torn:
 			// Deliver a prefix, then reset: the peer reads a torn frame
 			// and then an unexpected EOF.
-			n := int(torn * float64(len(p)))
+			n := int(f.TornFraction * float64(len(p)))
 			if n > 0 {
 				c.Conn.Write(p[:n])
 			}

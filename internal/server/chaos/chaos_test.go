@@ -7,6 +7,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"asr/internal/fault"
 )
 
 // pair returns a connected loopback TCP pair, the server side wrapped
@@ -47,7 +49,7 @@ func pair(t *testing.T, in *Injector) (clientSide, serverSide net.Conn) {
 // number of writes, then fails with ErrInjected and drops the
 // connection so the peer sees EOF — both sides observe the fault.
 func TestScheduledReset(t *testing.T) {
-	in := NewInjector(1, Probabilities{})
+	in := NewInjector(fault.New(1), Probabilities{})
 	in.Schedule(Fault{Op: OpWrite, Kind: Reset, Skip: 1})
 	cs, ss := pair(t, in)
 
@@ -74,7 +76,7 @@ func TestScheduledReset(t *testing.T) {
 // TestTornWrite: a torn write delivers exactly the configured prefix
 // before the reset — the peer reads a torn frame, then EOF.
 func TestTornWrite(t *testing.T) {
-	in := NewInjector(1, Probabilities{})
+	in := NewInjector(fault.New(1), Probabilities{})
 	in.Schedule(Fault{Op: OpWrite, Kind: Torn, TornFraction: 0.5})
 	cs, ss := pair(t, in)
 
@@ -98,7 +100,7 @@ func TestTornWrite(t *testing.T) {
 // TestAcceptRefuse: a scheduled refusal closes the accepted connection
 // before the server sees it; the next connection goes through.
 func TestAcceptRefuse(t *testing.T) {
-	in := NewInjector(1, Probabilities{})
+	in := NewInjector(fault.New(1), Probabilities{})
 	in.Schedule(Fault{Op: OpAccept, Kind: Refuse})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -147,7 +149,7 @@ func TestAcceptRefuse(t *testing.T) {
 // TestStallBounded: an injected stall delays the operation by StallFor
 // and then lets it proceed — a slow network, not a hang.
 func TestStallBounded(t *testing.T) {
-	in := NewInjector(1, Probabilities{})
+	in := NewInjector(fault.New(1), Probabilities{})
 	in.StallFor = 50 * time.Millisecond
 	in.Schedule(Fault{Op: OpRead, Kind: Stall})
 	cs, ss := pair(t, in)
@@ -174,12 +176,10 @@ func TestStallBounded(t *testing.T) {
 // property that makes a failing chaos run replayable.
 func TestSeedReproducible(t *testing.T) {
 	decisions := func(seed int64) []bool {
-		in := NewInjector(seed, Probabilities{ResetOnWrite: 0.3})
+		in := NewInjector(fault.New(seed), Probabilities{ResetOnWrite: 0.3})
 		var out []bool
 		for i := 0; i < 200; i++ {
-			in.mu.Lock()
-			_, _, fired := in.fire(OpWrite)
-			in.mu.Unlock()
+			_, fired := in.s.Fire(OpWrite, 0)
 			out = append(out, fired)
 		}
 		return out
@@ -213,7 +213,7 @@ func TestSeedReproducible(t *testing.T) {
 // TestHealStopsFaults: Heal clears both the schedule and the
 // probabilities; operations proceed cleanly afterwards.
 func TestHealStopsFaults(t *testing.T) {
-	in := NewInjector(1, Probabilities{ResetOnWrite: 1})
+	in := NewInjector(fault.New(1), Probabilities{ResetOnWrite: 1})
 	in.Schedule(Fault{Op: OpWrite, Kind: Reset, Permanent: true})
 	in.Heal()
 	cs, ss := pair(t, in)

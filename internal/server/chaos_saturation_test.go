@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"asr/internal/fault"
 	"asr/internal/server/chaos"
 	"asr/internal/server/client"
 	"asr/internal/storage"
@@ -45,7 +46,7 @@ func chaosDemoDatabase(t *testing.T, seed int64, pRead float64) (*Database, []st
 	// cache and the injector sees a continuous read stream. (A pool the
 	// index fits in re-caches everything after one clean pass and the
 	// disk goes quiet.)
-	dev := storage.NewFaultInjector(storage.NewDisk(0), seed)
+	dev := storage.NewFaultInjector(storage.NewDisk(0), fault.New(seed))
 	pool := storage.NewBufferPool(dev, 4, storage.LRU)
 	d, err := DemoDatabaseWith(2, 42, pool)
 	if err != nil {
@@ -92,7 +93,7 @@ func TestChaosSaturation(t *testing.T) {
 	seed := chaosSeed(t)
 	d, queries, want, disk := chaosDemoDatabase(t, seed, 0.08)
 
-	netInj := chaos.NewInjector(seed, chaos.Probabilities{
+	netInj := chaos.NewInjector(fault.New(seed), chaos.Probabilities{
 		AcceptRefuse: 0.02 * pNet,
 		ResetOnRead:  0.01 * pNet,
 		ResetOnWrite: 0.01 * pNet,
@@ -200,7 +201,7 @@ func TestChaosScheduledDeterministic(t *testing.T) {
 	}
 	queries, want, _ := demoQuerySet(t, d)
 
-	netInj := chaos.NewInjector(99, chaos.Probabilities{})
+	netInj := chaos.NewInjector(fault.New(99), chaos.Probabilities{})
 	// A burst of faults spread across the run's write/read stream.
 	for _, skip := range []int{2, 9, 17, 25} {
 		netInj.Schedule(chaos.Fault{Op: chaos.OpWrite, Kind: chaos.Reset, Skip: skip})

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"asr/internal/fault"
 	"asr/internal/gom"
 	"asr/internal/query"
 	"asr/internal/server"
@@ -52,7 +53,7 @@ func fastRetry() RetryConfig {
 // RetryClient reconnects, reissues, and the caller sees only the
 // result.
 func TestRetryRecoversFromReset(t *testing.T) {
-	inj := chaos.NewInjector(1, chaos.Probabilities{})
+	inj := chaos.NewInjector(fault.New(1), chaos.Probabilities{})
 	// Write 1 is the HelloOK of the first connection; write 2 — the
 	// first query response — is reset. The reconnect's writes are clean.
 	inj.Schedule(chaos.Fault{Op: chaos.OpWrite, Kind: chaos.Reset, Skip: 1})
@@ -81,7 +82,7 @@ func TestRetryRecoversFromReset(t *testing.T) {
 // delivered, then reset) must surface as a typed connection loss and
 // recover the same way — the client never sees a corrupt result.
 func TestRetryRecoversFromTornFrame(t *testing.T) {
-	inj := chaos.NewInjector(1, chaos.Probabilities{})
+	inj := chaos.NewInjector(fault.New(1), chaos.Probabilities{})
 	inj.Schedule(chaos.Fault{Op: chaos.OpWrite, Kind: chaos.Torn, Skip: 1, TornFraction: 0.5})
 	s := startStubServer(t, server.Config{
 		WrapListener: func(ln net.Listener) net.Listener { return inj.Listener(ln) },
@@ -104,7 +105,7 @@ func TestRetryRecoversFromTornFrame(t *testing.T) {
 // TestRetryRecoversFromAcceptRefusal: the first connection attempt is
 // refused at accept time; the retry dials again and succeeds.
 func TestRetryRecoversFromAcceptRefusal(t *testing.T) {
-	inj := chaos.NewInjector(1, chaos.Probabilities{})
+	inj := chaos.NewInjector(fault.New(1), chaos.Probabilities{})
 	inj.Schedule(chaos.Fault{Op: chaos.OpAccept, Kind: chaos.Refuse})
 	s := startStubServer(t, server.Config{
 		WrapListener: func(ln net.Listener) net.Listener { return inj.Listener(ln) },
@@ -198,7 +199,7 @@ func TestRetryableClassification(t *testing.T) {
 // reconnects, and the most recent failure — the client-side view of
 // retry churn, per client rather than the process-wide registry.
 func TestRetryClientStats(t *testing.T) {
-	inj := chaos.NewInjector(1, chaos.Probabilities{})
+	inj := chaos.NewInjector(fault.New(1), chaos.Probabilities{})
 	inj.Schedule(chaos.Fault{Op: chaos.OpWrite, Kind: chaos.Reset, Skip: 1})
 	s := startStubServer(t, server.Config{
 		WrapListener: func(ln net.Listener) net.Listener { return inj.Listener(ln) },
@@ -249,7 +250,7 @@ func TestRetryClientStats(t *testing.T) {
 // TestRetryClientConcurrent: many goroutines share one RetryClient
 // through a flaky network; every request must end in a result.
 func TestRetryClientConcurrent(t *testing.T) {
-	inj := chaos.NewInjector(7, chaos.Probabilities{ResetOnWrite: 0.05})
+	inj := chaos.NewInjector(fault.New(7), chaos.Probabilities{ResetOnWrite: 0.05})
 	s := startStubServer(t, server.Config{
 		MaxInflight:  64,
 		WrapListener: func(ln net.Listener) net.Listener { return inj.Listener(ln) },

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"asr/internal/fault"
 )
 
 // walStream renders records in the on-disk WAL framing, the payload
@@ -306,7 +308,7 @@ func TestArchiveTornSealLeavesNoSegment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp := NewCrashpoint(1, torn)
+		cp := NewCrashpoint(fault.New(0), 1, torn)
 		arch.SetCrashpoint(cp)
 		if _, err := arch.Seal(raw); err == nil {
 			t.Fatalf("torn=%v: seal under a crashpoint succeeded", torn)

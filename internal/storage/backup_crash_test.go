@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"asr/internal/fault"
 )
 
 // TestBackupCrashMidManifestLeavesNoBackup tears the BACKUP.json write
@@ -24,7 +26,7 @@ func TestBackupCrashMidManifestLeavesNoBackup(t *testing.T) {
 
 	// Nothing else writes through the disk during a quiesced backup: the
 	// first admitted write is the manifest.
-	s.fd.SetCrashpoint(NewCrashpoint(1, 0.5))
+	s.fd.SetCrashpoint(NewCrashpoint(fault.New(0), 1, 0.5))
 	if _, err := Backup(s.fd, s.w, bdir, nil); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("backup under a crashpoint: %v, want ErrCrashed", err)
 	}

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"asr/internal/fault"
 )
 
 // backupScene is a deterministic WAL-attached workload with archiving
@@ -347,7 +349,7 @@ func TestRestoreCrashMidwayRerun(t *testing.T) {
 	for at := int64(1); ; at++ {
 		for _, torn := range []float64{0, 0.5} {
 			dst := filepath.Join(s.dir, "restored")
-			cp := NewCrashpoint(at, torn)
+			cp := NewCrashpoint(fault.New(0), at, torn)
 			_, err := restoreWith(cp, bdir, s.arch.Dir(), dst, 0)
 			if err == nil {
 				continue // crashpoint past the restore's write schedule
@@ -368,7 +370,7 @@ func TestRestoreCrashMidwayRerun(t *testing.T) {
 		}
 		// Probe whether the schedule is exhausted: a clean run under a
 		// never-firing crashpoint means every write point was covered.
-		cp := NewCrashpoint(at, 0)
+		cp := NewCrashpoint(fault.New(0), at, 0)
 		if _, err := restoreWith(cp, bdir, s.arch.Dir(), filepath.Join(s.dir, "probe"), 0); err == nil {
 			break
 		}

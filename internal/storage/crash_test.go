@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+
+	"asr/internal/fault"
 )
 
 // crashWorkload runs a fixed, deterministic sequence of undo
@@ -124,7 +126,7 @@ func stateMatches(fd *FileDisk, snap map[PageID][]byte) bool {
 // transaction whose Commit returned, or the next one (whose commit
 // marker may have become durable in the very write that crashed).
 func TestCrashRecoveryAtEveryWritePoint(t *testing.T) {
-	ref := NewCrashpoint(0, 0) // count-only: measures the write schedule
+	ref := NewCrashpoint(fault.New(0), 0, 0) // count-only: measures the write schedule
 	refSnaps, err := crashWorkload(t.TempDir(), ref)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
@@ -137,7 +139,7 @@ func TestCrashRecoveryAtEveryWritePoint(t *testing.T) {
 		for at := int64(1); at <= total; at++ {
 			t.Run(fmt.Sprintf("torn=%v/write=%d", torn, at), func(t *testing.T) {
 				dir := t.TempDir()
-				cp := NewCrashpoint(at, torn)
+				cp := NewCrashpoint(fault.New(0), at, torn)
 				snaps, werr := crashWorkload(dir, cp)
 				if !cp.Crashed() {
 					t.Fatalf("crashpoint %d did not fire (run err: %v)", at, werr)
@@ -210,14 +212,14 @@ func TestCrashRecoveryAtEveryWritePoint(t *testing.T) {
 // during checkpoint: the torn page fails its checksum on reopen, and
 // Recover heals it from the committed WAL image.
 func TestRecoverHealsTornDataPage(t *testing.T) {
-	ref := NewCrashpoint(0, 0)
+	ref := NewCrashpoint(fault.New(0), 0, 0)
 	if _, err := crashWorkload(t.TempDir(), ref); err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
 	healed := false
 	for at := int64(1); at <= ref.Writes(); at++ {
 		dir := t.TempDir()
-		cp := NewCrashpoint(at, 0.5)
+		cp := NewCrashpoint(fault.New(0), at, 0.5)
 		crashWorkload(dir, cp)
 		path := filepath.Join(dir, "pages")
 

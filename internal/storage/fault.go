@@ -3,9 +3,9 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
-	"sync"
+
+	"asr/internal/fault"
 )
 
 // ErrInjectedFault is wrapped by every error a FaultInjector produces,
@@ -27,56 +27,35 @@ var ErrCrashed = errors.New("simulated crash")
 //
 // One Crashpoint may be shared by several files (the page file and its
 // WAL): the counter spans them in arrival order, so a crash can land on
-// either.
-type Crashpoint struct {
-	mu      sync.Mutex
-	at      int64
-	torn    float64
-	writes  int64
-	crashed bool
-}
+// either. It is one Crash entry on a fault.Schedule, so the schedule it
+// shares may also drive a FaultInjector and a chaos.Injector.
+type Crashpoint struct{ s *fault.Schedule }
 
-// NewCrashpoint schedules a crash on the at-th write (at ≤ 0: never),
-// persisting torn (clamped to [0,1]) of that write's bytes.
-func NewCrashpoint(at int64, torn float64) *Crashpoint {
-	if torn < 0 {
-		torn = 0
+// NewCrashpoint schedules on s a crash on the at-th physical write (at
+// ≤ 0: never), persisting torn (clamped to [0,1]) of that write's
+// bytes.
+func NewCrashpoint(s *fault.Schedule, at int64, torn float64) *Crashpoint {
+	if at > 0 {
+		s.Add(fault.Entry{Op: fault.FileWrite, Kind: fault.Crash, Skip: int(at - 1), TornFraction: min(max(torn, 0), 1)})
 	}
-	if torn > 1 {
-		torn = 1
-	}
-	return &Crashpoint{at: at, torn: torn}
+	return &Crashpoint{s}
 }
 
 // Crashed reports whether the crashpoint has fired.
-func (c *Crashpoint) Crashed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.crashed
-}
+func (c *Crashpoint) Crashed() bool { return c.s.Crashed() }
 
 // Writes returns the number of write operations observed so far.
-func (c *Crashpoint) Writes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.writes
-}
+func (c *Crashpoint) Writes() int64 { return int64(c.s.Stats().Seen[fault.FileWrite]) }
 
 // admit gates one physical write of n bytes: it returns how many bytes
 // may reach the file and ErrCrashed when the crash fires on (or fired
 // before) this write.
 func (c *Crashpoint) admit(n int) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.crashed {
-		return 0, ErrCrashed
-	}
-	c.writes++
-	if c.at <= 0 || c.writes < c.at {
+	e, crashed := c.s.Fire(fault.FileWrite, 0)
+	if !crashed {
 		return n, nil
 	}
-	c.crashed = true
-	return int(c.torn * float64(n)), ErrCrashed
+	return int(e.TornFraction * float64(n)), ErrCrashed
 }
 
 // writeAt performs one gated physical write of b to f at off — the one
@@ -95,26 +74,11 @@ func (c *Crashpoint) writeAt(f *os.File, b []byte, off int64) error {
 	return crashErr
 }
 
-// FaultOp selects which device operation a scheduled fault intercepts.
-type FaultOp int
-
-// The interceptable operations.
+// The device operations a scheduled fault intercepts.
 const (
-	OpRead FaultOp = iota
-	OpWrite
+	OpRead  = fault.DiskRead
+	OpWrite = fault.DiskWrite
 )
-
-// String names the operation.
-func (op FaultOp) String() string {
-	switch op {
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	default:
-		return fmt.Sprintf("FaultOp(%d)", int(op))
-	}
-}
 
 // Fault is one scheduled device fault. The zero Page matches any page;
 // Skip lets that many matching operations through before the fault
@@ -123,136 +87,87 @@ func (op FaultOp) String() string {
 // persists that fraction of the page before failing — the classic torn
 // write, leaving the stored page half-old half-new.
 type Fault struct {
-	Op           FaultOp
+	Op           fault.Op
 	Page         PageID  // NilPage matches any page
 	Skip         int     // matching operations to let through first
 	Permanent    bool    // keep firing after the first hit
 	TornFraction float64 // writes only: fraction of buf persisted before the failure
 }
 
-// FaultStats counts injected faults by kind.
+// FaultStats counts injected faults by kind; WriteFaults includes the
+// torn ones.
 type FaultStats struct {
 	ReadFaults  uint64
 	WriteFaults uint64
 	TornWrites  uint64
 }
 
-// FaultInjector wraps a Device and fails operations on a deterministic
-// schedule, so every storage error path is testable. Faults are either
-// scheduled explicitly (Schedule) or drawn from a seeded RNG
-// (FailProbabilistically); both are reproducible for a fixed seed and
-// operation order. Heal removes all fault sources, modelling a repaired
-// device.
+// FaultInjector wraps a Device and fails its reads and writes as a
+// fault.Schedule decides, so every storage error path is testable.
+// Faults are either scheduled explicitly (Schedule) or drawn from the
+// schedule's seeded source (FailProbabilistically); both are
+// reproducible for a fixed seed and operation order. Heal removes both,
+// modelling a repaired device. Every other Device method passes
+// straight through and never faults: rollback must be able to reclaim
+// pages even on a sick device.
 //
 // A FaultInjector is safe for concurrent use.
 type FaultInjector struct {
-	mu            sync.Mutex
-	dev           Device
-	rng           *rand.Rand
-	pRead, pWrite float64
-	faults        []*Fault
-	stats         FaultStats
+	Device
+	s *fault.Schedule
 }
 
-// NewFaultInjector wraps dev; seed drives the probabilistic mode.
-func NewFaultInjector(dev Device, seed int64) *FaultInjector {
-	return &FaultInjector{dev: dev, rng: rand.New(rand.NewSource(seed))}
+// NewFaultInjector wraps dev, drawing its faults from s.
+func NewFaultInjector(dev Device, s *fault.Schedule) *FaultInjector {
+	return &FaultInjector{Device: dev, s: s}
 }
 
 // Schedule adds a fault to the schedule.
-func (f *FaultInjector) Schedule(fault Fault) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	fc := fault
-	f.faults = append(f.faults, &fc)
+func (f *FaultInjector) Schedule(ft Fault) {
+	kind := fault.Read
+	if ft.Op == OpWrite {
+		kind = fault.Write
+		if ft.TornFraction > 0 {
+			kind = fault.TornPage
+		}
+	}
+	f.s.Add(fault.Entry{Op: ft.Op, Kind: kind, Target: uint64(ft.Page), Skip: ft.Skip, Permanent: ft.Permanent, TornFraction: ft.TornFraction})
 }
 
 // FailProbabilistically makes each read fail with probability pRead and
 // each write with probability pWrite (transient: the same operation
-// retried may succeed). Drawn from the injector's seeded RNG.
+// retried may succeed).
 func (f *FaultInjector) FailProbabilistically(pRead, pWrite float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.pRead, f.pWrite = pRead, pWrite
+	f.s.Draw(OpRead, fault.Read, pRead)
+	f.s.Draw(OpWrite, fault.Write, pWrite)
 }
 
-// Heal clears every scheduled fault and the failure probabilities.
-func (f *FaultInjector) Heal() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.faults = nil
-	f.pRead, f.pWrite = 0, 0
-}
+// Heal clears every scheduled device fault and the failure
+// probabilities.
+func (f *FaultInjector) Heal() { f.s.Heal(OpRead, OpWrite) }
 
-// FaultStats returns a copy of the injection counters.
+// FaultStats returns the injection counters.
 func (f *FaultInjector) FaultStats() FaultStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
+	st := f.s.Stats()
+	torn := st.Fired[fault.TornPage]
+	return FaultStats{ReadFaults: st.Fired[fault.Read], WriteFaults: st.Fired[fault.Write] + torn, TornWrites: torn}
 }
 
-// fire decides whether the operation faults; it must be called with
-// f.mu held. It returns the matched fault (nil when the operation
-// should proceed normally) and whether a probabilistic fault fired.
-func (f *FaultInjector) fire(op FaultOp, id PageID) (*Fault, bool) {
-	for i, ft := range f.faults {
-		if ft.Op != op || (ft.Page != NilPage && ft.Page != id) {
-			continue
-		}
-		if ft.Skip > 0 {
-			ft.Skip--
-			return nil, false
-		}
-		if !ft.Permanent {
-			f.faults = append(f.faults[:i], f.faults[i+1:]...)
-		}
-		return ft, false
+// lasting names how long a fired fault lasts, for error messages.
+func lasting(e fault.Entry) string {
+	if e.Permanent {
+		return "permanent"
 	}
-	p := f.pRead
-	if op == OpWrite {
-		p = f.pWrite
-	}
-	if p > 0 && f.rng.Float64() < p {
-		return nil, true
-	}
-	return nil, false
+	return "transient"
 }
-
-// PageSize implements Device.
-func (f *FaultInjector) PageSize() int { return f.dev.PageSize() }
-
-// NumPages implements Device.
-func (f *FaultInjector) NumPages() int { return f.dev.NumPages() }
-
-// Allocate implements Device; allocations never fault.
-func (f *FaultInjector) Allocate() PageID { return f.dev.Allocate() }
-
-// Free implements Device; frees never fault (rollback must be able to
-// reclaim pages even on a sick device).
-func (f *FaultInjector) Free(id PageID) error { return f.dev.Free(id) }
-
-// Stats implements Device.
-func (f *FaultInjector) Stats() DiskStats { return f.dev.Stats() }
-
-// ResetStats implements Device.
-func (f *FaultInjector) ResetStats() { f.dev.ResetStats() }
 
 // Read implements Device, failing when a scheduled or probabilistic
 // read fault fires.
 func (f *FaultInjector) Read(id PageID, buf []byte) error {
-	f.mu.Lock()
-	ft, prob := f.fire(OpRead, id)
-	if ft != nil || prob {
-		f.stats.ReadFaults++
-		kind := "transient"
-		if ft != nil && ft.Permanent {
-			kind = "permanent"
-		}
-		f.mu.Unlock()
-		return fmt.Errorf("storage: Read(%v): %s %w", id, kind, ErrInjectedFault)
+	if e, ok := f.s.Fire(OpRead, uint64(id)); ok {
+		return fmt.Errorf("storage: Read(%v): %s %w", id, lasting(e), ErrInjectedFault)
 	}
-	f.mu.Unlock()
-	return f.dev.Read(id, buf)
+	return f.Device.Read(id, buf)
 }
 
 // Write implements Device, failing when a scheduled or probabilistic
@@ -267,54 +182,36 @@ func (f *FaultInjector) Write(id PageID, buf []byte) error {
 // applying the same fault schedule as Write. (Crash simulation is the
 // inner FileDisk's: see FileDisk.SetCrashpoint.)
 func (f *FaultInjector) WriteLSN(id PageID, buf []byte, lsn uint64) error {
-	f.mu.Lock()
-	ft, prob := f.fire(OpWrite, id)
-	if ft == nil && !prob {
-		f.mu.Unlock()
+	e, ok := f.s.Fire(OpWrite, uint64(id))
+	if !ok {
 		return f.innerWrite(id, buf, lsn)
 	}
-	f.stats.WriteFaults++
-	kind := "transient"
-	torn := 0.0
-	if ft != nil {
-		if ft.Permanent {
-			kind = "permanent"
-		}
-		torn = ft.TornFraction
-	}
-	if torn > 0 {
-		f.stats.TornWrites++
-	}
-	f.mu.Unlock()
-	if torn > 0 {
+	if e.TornFraction > 0 {
 		// Persist a prefix of the new content over the old page, then fail.
-		cur := make([]byte, f.dev.PageSize())
-		if err := f.dev.Read(id, cur); err == nil {
-			n := int(torn * float64(len(buf)))
-			if n > len(buf) {
-				n = len(buf)
-			}
+		cur := make([]byte, f.Device.PageSize())
+		if err := f.Device.Read(id, cur); err == nil {
+			n := min(int(e.TornFraction*float64(len(buf))), len(buf))
 			copy(cur[:n], buf[:n])
 			_ = f.innerWrite(id, cur, lsn)
 		}
-		return fmt.Errorf("storage: Write(%v): torn after %d%%: %s %w", id, int(torn*100), kind, ErrInjectedFault)
+		return fmt.Errorf("storage: Write(%v): torn after %d%%: %s %w", id, int(e.TornFraction*100), lasting(e), ErrInjectedFault)
 	}
-	return fmt.Errorf("storage: Write(%v): %s %w", id, kind, ErrInjectedFault)
+	return fmt.Errorf("storage: Write(%v): %s %w", id, lasting(e), ErrInjectedFault)
 }
 
 // innerWrite forwards a write to the wrapped device, keeping the LSN
 // when the device understands it.
 func (f *FaultInjector) innerWrite(id PageID, buf []byte, lsn uint64) error {
-	if lw, ok := f.dev.(LSNWriter); ok {
+	if lw, ok := f.Device.(LSNWriter); ok {
 		return lw.WriteLSN(id, buf, lsn)
 	}
-	return f.dev.Write(id, buf)
+	return f.Device.Write(id, buf)
 }
 
 // Sync forwards to the wrapped device when it is durable; syncing a
 // purely simulated device is a no-op.
 func (f *FaultInjector) Sync() error {
-	if s, ok := f.dev.(Syncer); ok {
+	if s, ok := f.Device.(Syncer); ok {
 		return s.Sync()
 	}
 	return nil

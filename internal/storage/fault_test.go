@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"asr/internal/fault"
 )
 
 func TestFaultInjectorScheduledReadWrite(t *testing.T) {
 	d := NewDisk(64)
-	fi := NewFaultInjector(d, 1)
+	fi := NewFaultInjector(d, fault.New(1))
 	id := fi.Allocate()
 	buf := make([]byte, 64)
 
@@ -45,7 +47,7 @@ func TestFaultInjectorScheduledReadWrite(t *testing.T) {
 
 func TestFaultInjectorSkipCountsMatches(t *testing.T) {
 	d := NewDisk(64)
-	fi := NewFaultInjector(d, 1)
+	fi := NewFaultInjector(d, fault.New(1))
 	id := fi.Allocate()
 	buf := make([]byte, 64)
 	fi.Schedule(Fault{Op: OpWrite, Skip: 2})
@@ -59,9 +61,32 @@ func TestFaultInjectorSkipCountsMatches(t *testing.T) {
 	}
 }
 
+// TestFaultInjectorSkipEntriesCountTogether: every matching entry
+// counts an operation against its Skip, and the first with none left
+// fires — so Skip 2 and Skip 5 fire on writes 3 and 7, the write the
+// first fires on not counting for the second.
+func TestFaultInjectorSkipEntriesCountTogether(t *testing.T) {
+	fi := NewFaultInjector(NewDisk(64), fault.New(1))
+	id := fi.Allocate()
+	buf := make([]byte, 64)
+	fi.Schedule(Fault{Op: OpWrite, Skip: 2})
+	fi.Schedule(Fault{Op: OpWrite, Skip: 5})
+	var fired []int
+	for w := 1; w <= 10; w++ {
+		if err := fi.Write(id, buf); errors.Is(err, ErrInjectedFault) {
+			fired = append(fired, w)
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(fired) != 2 || fired[0] != 3 || fired[1] != 7 {
+		t.Fatalf("faults fired on writes %v, want [3 7]", fired)
+	}
+}
+
 func TestFaultInjectorTornWrite(t *testing.T) {
 	d := NewDisk(64)
-	fi := NewFaultInjector(d, 1)
+	fi := NewFaultInjector(d, fault.New(1))
 	id := fi.Allocate()
 	old := bytes.Repeat([]byte{0xAA}, 64)
 	if err := fi.Write(id, old); err != nil {
@@ -87,7 +112,7 @@ func TestFaultInjectorTornWrite(t *testing.T) {
 func TestFaultInjectorProbabilisticDeterminism(t *testing.T) {
 	run := func() []bool {
 		d := NewDisk(64)
-		fi := NewFaultInjector(d, 42)
+		fi := NewFaultInjector(d, fault.New(42))
 		fi.FailProbabilistically(0, 0.5)
 		id := fi.Allocate()
 		buf := make([]byte, 64)
@@ -114,7 +139,7 @@ func TestFaultInjectorProbabilisticDeterminism(t *testing.T) {
 
 func TestBufferPoolWriteBackErrorCounted(t *testing.T) {
 	d := NewDisk(64)
-	fi := NewFaultInjector(d, 1)
+	fi := NewFaultInjector(d, fault.New(1))
 	pool := NewBufferPool(fi, 0, LRU)
 	fr, err := pool.GetNew()
 	if err != nil {
@@ -144,7 +169,7 @@ func TestBufferPoolWriteBackErrorCounted(t *testing.T) {
 
 func TestBufferPoolFlushAllContinuesPastFailures(t *testing.T) {
 	d := NewDisk(64)
-	fi := NewFaultInjector(d, 1)
+	fi := NewFaultInjector(d, fault.New(1))
 	pool := NewBufferPool(fi, 0, LRU)
 	var ids []PageID
 	for i := 0; i < 4; i++ {

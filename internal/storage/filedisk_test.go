@@ -4,6 +4,8 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
+
+	"asr/internal/fault"
 )
 
 func TestFileDiskRoundTripAndPersistence(t *testing.T) {
@@ -135,7 +137,7 @@ func TestFileDiskCrashpointTearsWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Second admitted write is torn halfway and the file freezes.
-	cp := NewCrashpoint(2, 0.5)
+	cp := NewCrashpoint(fault.New(0), 2, 0.5)
 	d.SetCrashpoint(cp)
 	for i := range buf {
 		buf[i] = 0xEE

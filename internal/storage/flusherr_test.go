@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"asr/internal/fault"
 )
 
 // dirtyPages pins, marks and unpins n freshly allocated pages so they
@@ -29,7 +31,7 @@ func dirtyPages(t *testing.T, pool *BufferPool, n int) []PageID {
 // joined into the returned error and counted, and the frames stay
 // dirty for a later retry.
 func TestFlushAllJoinsEveryWriteBackError(t *testing.T) {
-	inj := NewFaultInjector(NewDisk(64), 1)
+	inj := NewFaultInjector(NewDisk(64), fault.New(1))
 	pool := NewBufferPool(inj, 0, LRU)
 	ids := dirtyPages(t, pool, 3)
 	for _, id := range ids {
@@ -71,7 +73,7 @@ func TestFlushAllJoinsEveryWriteBackError(t *testing.T) {
 // as errors (not silently counted), and a failing shard keeps its
 // frames so nothing is lost.
 func TestDropCleanSurfacesShardErrors(t *testing.T) {
-	inj := NewFaultInjector(NewDisk(64), 1)
+	inj := NewFaultInjector(NewDisk(64), fault.New(1))
 	pool := NewBufferPool(inj, 0, LRU)
 	ids := dirtyPages(t, pool, 2)
 

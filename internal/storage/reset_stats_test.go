@@ -3,6 +3,8 @@ package storage
 import (
 	"reflect"
 	"testing"
+
+	"asr/internal/fault"
 )
 
 // Stats/ResetStats pairs must zero every counter. The assertions
@@ -12,7 +14,7 @@ import (
 // setup is required to make every existing counter nonzero first, so a
 // ResetStats that forgets a field fails rather than vacuously passing.
 func TestBufferPoolResetStatsZeroesEveryField(t *testing.T) {
-	fi := NewFaultInjector(NewDisk(128), 1)
+	fi := NewFaultInjector(NewDisk(128), fault.New(1))
 	pool := NewBufferPool(fi, 2, LRU)
 
 	// Misses and pins via GetNew; evictions and write-backs by dirtying

@@ -387,25 +387,15 @@ func (w *WAL) syncLockedTail(upTo uint64) error {
 // flush performs the guarded physical write + fsync; called without
 // w.mu so appends proceed during the fsync.
 func (w *WAL) flush(buf []byte, off int64) error {
-	allowed := len(buf)
-	var crashErr error
 	w.mu.Lock()
 	cp := w.cp
 	w.mu.Unlock()
-	if cp != nil {
-		if len(buf) > 0 {
-			allowed, crashErr = cp.admit(len(buf))
-		} else if cp.Crashed() {
-			crashErr = ErrCrashed
-		}
-	}
-	if allowed > 0 {
-		if _, err := w.f.WriteAt(buf[:allowed], off); err != nil {
+	if len(buf) > 0 {
+		if err := cp.writeAt(w.f, buf, off); err != nil {
 			return fmt.Errorf("storage: wal write: %w", err)
 		}
-	}
-	if crashErr != nil {
-		return fmt.Errorf("storage: wal sync: %w", crashErr)
+	} else if cp != nil && cp.Crashed() {
+		return fmt.Errorf("storage: wal sync: %w", ErrCrashed)
 	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("storage: wal sync: %w", err)
