@@ -108,12 +108,12 @@ vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; fi
 
-# Non-test Go lines per package (wc -l over *.go minus *_test.go) — the
-# figure simplicity PRs report in CHANGES.md.
+# Non-test Go lines per package (wc -l over *.go minus *_test.go) and
+# their total — the figures simplicity PRs report in CHANGES.md.
 loc:
 	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
 		printf '%6d %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l) .$${d#$(CURDIR)}; \
-	done
+	done | awk '{ print; n += $$1 } END { printf "%6d total\n", n }'
 
 # Regenerate every paper table/figure (EXPERIMENTS.md numbers).
 repro:

@@ -34,9 +34,8 @@ func TestIndexAccessors(t *testing.T) {
 	if ix.Decomposition()[0] != 0 {
 		t.Error("Decomposition aliases internal storage")
 	}
-	logical := ix.LogicalRelation()
-	if logical.Cardinality() != 3 { // the left extension of the fixture
-		t.Errorf("LogicalRelation = %d rows", logical.Cardinality())
+	if logical := logicalRelation(t, ix); logical.Cardinality() != 3 { // the left extension of the fixture
+		t.Errorf("logical extension = %d rows", logical.Cardinality())
 	}
 	if s := ix.String(); !strings.Contains(s, "left") || !strings.Contains(s, "(0, 2, 5)") {
 		t.Errorf("String = %q", s)

@@ -36,8 +36,8 @@ type PlacedPartition struct {
 
 // Index is a materialized access support relation over one path
 // expression: the chosen extension, decomposed per Definition 3.8, each
-// partition stored in two clustered B⁺-trees, kept consistent with the
-// object base by the Maintainer.
+// partition stored in two clustered B⁺-trees — the only copy of its
+// rows — and kept consistent with the object base by the Maintainer.
 //
 // An Index is safe for concurrent readers: QueryForward, QueryBackward,
 // their Ctx forms, TotalRows, Stats and the accessor methods may be
@@ -47,13 +47,12 @@ type PlacedPartition struct {
 // index stays safe even when a partition it reads is shared with —
 // and maintained through — another index (§5.4).
 type Index struct {
-	mu    sync.RWMutex // guards parts (release) and graph (maintenance)
+	mu    sync.RWMutex // guards parts; maintenance holds it across an update
 	ob    *gom.ObjectBase
 	path  *gom.PathExpression
 	ext   Extension
 	dec   Decomposition
 	parts []PlacedPartition
-	graph *pathGraph
 	pool  *storage.BufferPool
 
 	// quarReason holds why the index is out of service, nil while it is
@@ -71,7 +70,8 @@ type Index struct {
 // last ResetStats): queries answered and stored rows inspected while
 // answering them (rows returned by clustered probes plus rows filtered
 // by interior-column partition scans), plus the maintenance fault
-// counters — transient-fault retries, rolled-back update transactions,
+// counters — transient-fault retries, failed update attempts (each
+// rolled back, or abandoned by its search before it wrote anything),
 // and whether the index is currently quarantined.
 type IndexStats struct {
 	Queries     uint64
@@ -162,17 +162,16 @@ func build(ob *gom.ObjectBase, path *gom.PathExpression, ext Extension, dec Deco
 	if err := dec.Validate(m); err != nil {
 		return nil, err
 	}
-	g, err := newPathGraph(ob, path)
+	rows, err := extensionRows(ob, path, ext)
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{ob: ob, path: path, ext: ext, dec: dec, graph: g, pool: pool}
+	ix := &Index{ob: ob, path: path, ext: ext, dec: dec, pool: pool}
 
 	// Fresh partitions are bulk-loaded from the reference-counted
 	// projections (one sequential tree build instead of a random insert
 	// per row). Preset partitions — physically shared with another index
 	// (§5.4) — already hold rows and are merged incrementally instead.
-	rows := g.allRows(ext)
 	projRows, refcnt := projectRows(rows, dec)
 
 	for p := 0; p < dec.NumPartitions(); p++ {
@@ -445,40 +444,6 @@ func (ix *Index) TotalRows() []int {
 		out[i] = pp.Part.Rows()
 	}
 	return out
-}
-
-// LogicalRelation materializes the undecomposed logical extension —
-// primarily for tests and the §3 golden tables.
-func (ix *Index) LogicalRelation() *relation.Relation {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	rel := relation.New("E_"+ix.ext.String(), columnNamesFor(ix.path)...)
-	for _, row := range ix.graph.allRows(ix.ext) {
-		rel.MustInsert(row)
-	}
-	return rel
-}
-
-// CheckConsistent validates every partition's stored trees — rows,
-// reference counts and tree invariants — against a fresh enumeration of
-// the logical extension. It assumes the index's partitions are not
-// shared with another index (shared partitions legitimately hold foreign
-// rows). Intended for tests.
-func (ix *Index) CheckConsistent() error {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	_, want := projectRows(ix.graph.allRows(ix.ext), ix.dec)
-	for i, pp := range ix.parts {
-		d, err := pp.Part.drift(want[i])
-		if err != nil {
-			return err
-		}
-		if d.Drifted() {
-			return fmt.Errorf("asr: partition %s: %d rows missing, %d extra, %d with a wrong reference count",
-				d.Name, d.Missing, d.Extra, d.Wrong)
-		}
-	}
-	return nil
 }
 
 // String summarizes the index.

@@ -67,12 +67,27 @@ func assertSameIndexContents(t *testing.T, label string, a, b *Index) {
 	assertSameQueryResults(t, label, a, b)
 }
 
+// logicalRelation is the undecomposed extension an index stores, by the
+// paper's joins over the live object base.
+func logicalRelation(t *testing.T, ix *Index) *relation.Relation {
+	t.Helper()
+	aux, err := BuildAuxiliaryRelations(ix.ob, ix.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := BuildExtension(ix.ext, "E_"+ix.ext.String(), aux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
 // assertSameQueryResults runs every supported span forward and backward
 // — sequential and parallel — from every value in the logical extension
 // and compares result sets.
 func assertSameQueryResults(t *testing.T, label string, a, b *Index) {
 	t.Helper()
-	logical := a.LogicalRelation()
+	logical := logicalRelation(t, a)
 	n := a.Path().Len()
 	colVals := make(map[int][]gom.Value)
 	logical.Each(func(row relation.Tuple) bool {
@@ -148,12 +163,11 @@ func buildIncremental(ob *gom.ObjectBase, path *gom.PathExpression, ext Extensio
 	if err := dec.Validate(m); err != nil {
 		return nil, err
 	}
-	g, err := newPathGraph(ob, path)
+	rows, err := extensionRows(ob, path, ext)
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{ob: ob, path: path, ext: ext, dec: dec, graph: g, pool: pool}
-	rows := g.allRows(ext)
+	ix := &Index{ob: ob, path: path, ext: ext, dec: dec, pool: pool}
 	for p := 0; p < dec.NumPartitions(); p++ {
 		lo, hi := dec.Partition(p)
 		part, err := NewPartition(pool, fmt.Sprintf("E_%s^%d,%d", ext, lo, hi), hi-lo+1)
@@ -190,10 +204,10 @@ func TestBuildEqualsBuildIncremental(t *testing.T) {
 				}
 				label := ext.String() + dec.String()
 				assertSameIndexContents(t, label, bulk, incr)
-				if err := bulk.CheckConsistent(); err != nil {
+				if err := verifyClean(bulk); err != nil {
 					t.Fatalf("%s: bulk: %v", label, err)
 				}
-				if err := incr.CheckConsistent(); err != nil {
+				if err := verifyClean(incr); err != nil {
 					t.Fatalf("%s: incr: %v", label, err)
 				}
 			}
@@ -214,7 +228,7 @@ func TestRematerializeSwitchesDecomposition(t *testing.T) {
 		if ix.Decomposition().String() != dec.String() {
 			t.Fatalf("decomposition not updated: %v", ix.Decomposition())
 		}
-		if err := ix.CheckConsistent(); err != nil {
+		if err := verifyClean(ix); err != nil {
 			t.Fatalf("after rematerialize %v: %v", dec, err)
 		}
 		fresh, err := Build(ob, path, Full, dec, newPool())
@@ -295,7 +309,7 @@ func TestManagerRematerialize(t *testing.T) {
 	if err := mgr.Rematerialize(ix, Decomposition{0, 2, 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.CheckConsistent(); err != nil {
+	if err := verifyClean(ix); err != nil {
 		t.Fatal(err)
 	}
 	// Maintenance keeps working against the re-cut partitions.
@@ -305,7 +319,7 @@ func TestManagerRematerialize(t *testing.T) {
 	if err := mgr.Healthy(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.CheckConsistent(); err != nil {
+	if err := verifyClean(ix); err != nil {
 		t.Fatalf("after maintained update: %v", err)
 	}
 	// Unmanaged indexes are rejected.

@@ -69,7 +69,7 @@ func TestMaintainerCancellationSkipsBackoff(t *testing.T) {
 	if err := r.mt.Err(); err != nil {
 		t.Fatalf("maintenance with restored context failed: %v", err)
 	}
-	if err := r.ix.CheckConsistent(); err != nil {
+	if err := verifyClean(r.ix); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -140,7 +140,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	if err := mgr.Healthy(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.CheckConsistent(); err != nil {
+	if err := verifyClean(ix); err != nil {
 		t.Fatalf("index inconsistent after concurrent storm: %v", err)
 	}
 

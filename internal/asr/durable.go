@@ -172,11 +172,7 @@ func OpenFrom(ob *gom.ObjectBase, pool *storage.BufferPool, path string) (*Manag
 		if err := dec.Validate(pe.Arity() - 1); err != nil {
 			return nil, fmt.Errorf("asr: open %s: index on %s: %w", path, mi.Path, err)
 		}
-		g, err := newPathGraph(ob, pe)
-		if err != nil {
-			return nil, fmt.Errorf("asr: open %s: index on %s: %w", path, mi.Path, err)
-		}
-		ix := &Index{ob: ob, path: pe, ext: ext, dec: dec, graph: g, pool: pool}
+		ix := &Index{ob: ob, path: pe, ext: ext, dec: dec, pool: pool}
 		var damaged error
 		for _, pl := range mi.Parts {
 			if pl.Part < 0 || pl.Part >= len(parts) {

@@ -410,7 +410,7 @@ func TestReopenThenMaintainBehindTinyPool(t *testing.T) {
 	if after.Misses == before.Misses || after.Evictions == before.Evictions {
 		t.Fatalf("maintenance never left the pool: %+v -> %+v", before, after)
 	}
-	if err := ix.CheckConsistent(); err != nil {
+	if err := verifyClean(ix); err != nil {
 		t.Fatal(err)
 	}
 	if rep, err := ix.Verify(); err != nil || !rep.Clean() {

@@ -70,6 +70,21 @@ func BuildExtension(ext Extension, name string, aux []*relation.Relation) (*rela
 	}
 }
 
+// extensionRows enumerates the logical extension of path over ob the
+// paper's way, the only way this package does: the chosen join over the
+// auxiliary relations.
+func extensionRows(ob *gom.ObjectBase, path *gom.PathExpression, ext Extension) ([]relation.Tuple, error) {
+	aux, err := BuildAuxiliaryRelations(ob, path)
+	if err != nil {
+		return nil, err
+	}
+	rel, err := BuildExtension(ext, "E_"+ext.String(), aux)
+	if err != nil {
+		return nil, err
+	}
+	return rel.Tuples(), nil
+}
+
 // ExtensionContains reports the paper's containment structure on
 // complete-path information: every extension's complete rows coincide,
 // and can ⊆ left,right ⊆ full as row sets. Used by property tests.
@@ -89,6 +104,3 @@ func AuxiliaryNames(n int) []string {
 	}
 	return out
 }
-
-// columnNamesFor derives relation column headers from the path.
-func columnNamesFor(p *gom.PathExpression) []string { return p.ColumnNames() }

@@ -124,7 +124,7 @@ func TestStressMaintenanceUnderInjectedFaults(t *testing.T) {
 	if err := mt.Err(); err != nil {
 		t.Fatalf("maintainer error after storm + repair: %v", err)
 	}
-	if err := ix.CheckConsistent(); err != nil {
+	if err := verifyClean(ix); err != nil {
 		t.Fatalf("inconsistent after fault storm: %v", err)
 	}
 	// The surviving trees must also flush cleanly to the healed device.

@@ -241,24 +241,6 @@ func TestBinaryDecompositionMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestGraphEnumerationEqualsJoinConstruction(t *testing.T) {
-	c, aux := companyFixture(t)
-	for _, ext := range Extensions {
-		joined, err := BuildExtension(ext, "E", aux)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enumerated, err := ExtensionRelation(c.Base, c.Path, ext)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !joined.Equal(enumerated) {
-			t.Errorf("%v: join construction and graph enumeration diverge:\njoin:\n%v\nenum:\n%v",
-				ext, joined, enumerated)
-		}
-	}
-}
-
 func TestRobotLinearPathExtensions(t *testing.T) {
 	r := paperdb.BuildRobots()
 	aux, err := BuildAuxiliaryRelations(r.Base, r.Path)

@@ -87,7 +87,7 @@ func TestBuildIndexAndGoldenQueries(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v %v: %v", ext, dec, err)
 			}
-			if err := ix.CheckConsistent(); err != nil {
+			if err := verifyClean(ix); err != nil {
 				t.Fatalf("%v %v: %v", ext, dec, err)
 			}
 			// Query 2 (§2.3): which Division uses a BasePart named "Door"?

@@ -91,6 +91,11 @@ func TestListPathMaintenance(t *testing.T) {
 			t.Fatalf("%v: %v", ext, m.Err())
 		}
 		assertEqualsRebuild(t, ix, ext.String()+"/list-append")
+		// A list may hold an element twice; the second append adds no edge.
+		if err := ob.AppendToList(stops, gom.Ref(mannheim)); err != nil {
+			t.Fatal(err)
+		}
+		assertEqualsRebuild(t, ix, ext.String()+"/list-append-again")
 
 		routes, err := ix.QueryBackward(0, 2, gom.String("Mannheim"))
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -19,25 +20,25 @@ import (
 //	m := asr.NewMaintainer(ix)
 //	ob.AddObserver(m)
 //
-// Maintenance is incremental: an update is translated into the set of
-// path-graph edges it adds or removes; the logical rows passing through
-// any endpoint of a changed edge are enumerated before and after the
-// change, and the difference is netted per partition — only the
-// projected rows whose reference count moves are written. An update
-// that cannot be applied quarantines the index, and Err reports why —
-// the object base update itself has already happened, matching the
-// paper's model where the object update precedes index maintenance.
-// The quarantine reason on the Index is the only record of the failure:
-// whatever lifts the quarantine (Repair, Rematerialize) is all that is
-// needed for maintenance to resume with the next update.
+// Maintenance is incremental: an update is translated into the
+// path-graph edges it adds or removes, §6's search finds the logical
+// rows they change (search.go), and the difference is netted per
+// partition, so only the projected rows whose reference count moves are
+// written. An update that cannot be applied quarantines the index, and
+// Err reports why — the object base update itself has already happened,
+// matching the paper's model where the object update precedes index
+// maintenance. The quarantine reason on the Index is the only record of
+// the failure: whatever lifts the quarantine (Repair, Rematerialize) is
+// all that is needed for maintenance to resume with the next update.
 //
 // Each update's row diff is applied transactionally: a storage-level
 // undo transaction makes a partial failure — a device write fault
 // halfway through the partitions — roll back to the exact pre-update
-// pages, and the path graph is reversed to match. Transient faults
-// are retried with exponential backoff per SetRetryPolicy; when the
-// retries are exhausted the index is quarantined (queries fail with
-// ErrQuarantined and the Manager routes around it) until Repair.
+// pages; a fault in the search fails the attempt before anything is
+// written. Transient faults are retried with exponential backoff per
+// SetRetryPolicy; when the retries are exhausted the index is
+// quarantined (queries fail with ErrQuarantined and the Manager routes
+// around it) until Repair.
 //
 // A Maintainer's callbacks must be driven by a single writer goroutine
 // at a time (the object base serializes mutations, so this holds
@@ -98,84 +99,20 @@ func (m *Maintainer) retryPolicy() (int, time.Duration, context.Context) {
 	return m.retries, m.backoff, m.ctx
 }
 
-// apply runs one update's edge changes through the index with the
-// maintainer's retry policy; a terminal error quarantines the index,
-// which records it. While the
-// index is quarantined its graph no longer tracks the object base, so
-// further incremental maintenance would only compound the drift —
-// updates are skipped until Repair resynchronizes everything from the
-// base.
-func (m *Maintainer) apply(changes []edgeChange) {
-	if m.ix.Quarantined() {
-		return
-	}
-	retries, backoff, ctx := m.retryPolicy()
-	m.ix.applyChanges(ctx, changes, retries, backoff)
-}
-
-// edgeChange is one path-graph edge addition or removal at column col
-// (edge from col to col+1).
-type edgeChange struct {
-	col      int
-	from, to gom.Value
-	add      bool
-}
-
-// AttrAssigned implements gom.Observer.
+// AttrAssigned implements gom.Observer: the o → old edge goes and the
+// o → new edge comes at every step of the path A_j = attr whose domain
+// o belongs to.
 func (m *Maintainer) AttrAssigned(o *gom.Object, attr string, old, new gom.Value) {
-	for j := 1; j <= m.ix.path.Len(); j++ {
-		step := m.ix.path.Step(j)
-		if step.Attr != attr || !o.Type().IsSubtypeOf(step.Domain) {
-			continue
-		}
-		domCol := m.ix.path.ObjectColumn(j - 1)
-		u := gom.Value(gom.Ref(o.ID()))
-		var changes []edgeChange
-		if step.IsSetOccurrence() {
-			changes = m.setAttrChanges(domCol, u, old, new)
-		} else {
-			if old != nil {
-				changes = append(changes, edgeChange{domCol, u, old, false})
-			}
-			if new != nil {
-				changes = append(changes, edgeChange{domCol, u, new, true})
-			}
-		}
-		m.apply(changes)
-	}
-}
-
-// setAttrChanges computes the edge changes for reassigning a set-valued
-// attribute from set object old to set object new: the o→set edge moves,
-// and element edges of a set object exist in the graph only while the
-// set is referenced from within the path (Definition 3.3 pairs set
-// elements with a referencing object).
-func (m *Maintainer) setAttrChanges(domCol int, u, old, new gom.Value) []edgeChange {
-	g := m.ix.graph
+	path := m.ix.path
+	u := gom.Value(gom.Ref(o.ID()))
 	var changes []edgeChange
-	if old != nil {
-		changes = append(changes, edgeChange{domCol, u, old, false})
-		// If u was the only referencer, the old set's element edges die.
-		if preds := g.predecessors(domCol+1, old); len(preds) == 1 && gom.ValuesEqual(preds[0], u) {
-			for _, e := range g.successors(domCol+1, old) {
-				changes = append(changes, edgeChange{domCol + 1, old, e, false})
-			}
+	for j := 1; j <= path.Len(); j++ {
+		if step := path.Step(j); step.Attr == attr && o.Type().IsSubtypeOf(step.Domain) {
+			col := path.ObjectColumn(j - 1)
+			changes = append(changes, edgeChange{col, u, old, false}, edgeChange{col, u, new, true})
 		}
 	}
-	if new != nil {
-		// If the new set was unreferenced, its element edges come alive.
-		if !g.referenced(domCol+1, new) {
-			if ref, ok := new.(gom.Ref); ok {
-				if setObj, ok := m.ix.ob.Get(ref.OID()); ok {
-					for _, e := range setObj.LiveElements() {
-						changes = append(changes, edgeChange{domCol + 1, new, e, true})
-					}
-				}
-			}
-		}
-		changes = append(changes, edgeChange{domCol, u, new, true})
-	}
-	return changes
+	m.apply(changes, nil)
 }
 
 // SetInserted implements gom.Observer: the paper's characteristic update
@@ -190,141 +127,59 @@ func (m *Maintainer) SetRemoved(set *gom.Object, elem gom.Value) {
 }
 
 func (m *Maintainer) setElementChanged(set *gom.Object, elem gom.Value, add bool) {
-	for j := 1; j <= m.ix.path.Len(); j++ {
-		step := m.ix.path.Step(j)
-		if !step.IsSetOccurrence() || step.Set != set.Type() {
-			continue
+	if add && set.Type().Kind() == gom.ListType {
+		if elems := set.AppendElements(nil); slices.ContainsFunc(elems[:len(elems)-1], elem.Equal) {
+			return // the list held elem already: appending it again adds no edge
 		}
-		setCol := m.ix.path.ObjectColumn(j-1) + 1
-		s := gom.Value(gom.Ref(set.ID()))
-		// Element edges only exist while the set is referenced within the
-		// path; an unreferenced set contributes no rows.
-		if !m.ix.graph.referenced(setCol, s) {
-			continue
-		}
-		m.apply([]edgeChange{{setCol, s, elem, add}})
 	}
-}
-
-// ObjectDeleted implements gom.Observer: every edge adjacent to the
-// deleted object disappears, with the set-element cascade applied where
-// the object referenced a set it was the last referencer of.
-func (m *Maintainer) ObjectDeleted(o *gom.Object) {
-	g := m.ix.graph
-	v := gom.Value(gom.Ref(o.ID()))
+	path := m.ix.path
+	s := gom.Value(gom.Ref(set.ID()))
 	var changes []edgeChange
-	for c := 0; c <= g.m; c++ {
-		for _, to := range g.successors(c, v) {
-			changes = append(changes, edgeChange{c, v, to, false})
-			// Cascade: o may have been the only path reference keeping a
-			// set object's element edges alive.
-			if c+1 <= g.m {
-				if preds := g.predecessors(c+1, to); len(preds) == 1 && gom.ValuesEqual(preds[0], v) && m.isSetColumn(c+1) {
-					for _, e := range g.successors(c+1, to) {
-						changes = append(changes, edgeChange{c + 1, to, e, false})
-					}
-				}
-			}
-		}
-		for _, from := range g.predecessors(c, v) {
-			changes = append(changes, edgeChange{c - 1, from, v, false})
+	for j := 1; j <= path.Len(); j++ {
+		if step := path.Step(j); step.IsSetOccurrence() && step.Set == set.Type() {
+			changes = append(changes, edgeChange{path.ObjectColumn(j-1) + 1, s, elem, add})
 		}
 	}
-	m.apply(changes)
+	m.apply(changes, nil)
 }
 
-// isSetColumn reports whether relation column c holds set-object OIDs.
-func (m *Maintainer) isSetColumn(c int) bool {
-	if c == 0 {
-		return false
-	}
-	_, isSet := m.ix.path.StepOfColumn(c)
-	return isSet
-}
+// ObjectDeleted implements gom.Observer: every edge at the deleted
+// object disappears; the search finds them.
+func (m *Maintainer) ObjectDeleted(o *gom.Object) { m.apply(nil, o) }
 
-// applyChanges performs the diff protocol: enumerate affected rows
-// before the graph mutation, mutate, enumerate after, and apply the row
-// difference to all partitions transactionally. It takes the index's
-// write lock, so concurrent queries see either the whole change or none
-// of it.
+// apply runs one update — its edge changes, or the deletion of dead —
+// through the index: search the rows it removes and adds (rowDiff) and
+// apply the difference to all partitions transactionally, under the
+// index's write lock, so concurrent queries see either the whole change
+// or none of it.
 //
-// The partition updates run under a storage undo transaction
-// (applyDiffTxn). A failed attempt — typically an
-// injected or real device fault during a B⁺-tree page write-back — is
-// rolled back and retried up to retries times with exponential backoff
-// starting at backoff. If every attempt fails, the effective graph
-// mutations are reversed too (restoring the exact pre-update state) and
-// the index is quarantined with the attempts' errors as its reason: its
-// stored rows are consistent with the pre-update object base, which no
-// longer exists, so only Repair can bring it back.
-func (ix *Index) applyChanges(ctx context.Context, changes []edgeChange, retries int, backoff time.Duration) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(changes) == 0 {
+// The search writes nothing, so it runs before the storage undo
+// transaction of applyDiffTxn. A failed attempt — typically an injected
+// or real device fault, in the search or a B⁺-tree page write-back — is
+// rolled back and retried, search included, per the retry policy. If
+// every attempt fails the index is quarantined with the attempts' errors
+// as its reason: its stored rows match the pre-update object base, which
+// no longer exists, so only Repair can bring it back. While the index is
+// quarantined, updates are skipped: the search would read rows that no
+// longer track the base as the state before each update.
+func (m *Maintainer) apply(changes []edgeChange, dead *gom.Object) {
+	ix := m.ix
+	if ix.Quarantined() || (len(changes) == 0 && dead == nil) {
 		return
 	}
+	retries, backoff, ctx := m.retryPolicy()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	// Affected (column, value) endpoints, deduplicated.
-	type cv struct {
-		col int
-		key string
-	}
-	affected := map[cv]gom.Value{}
-	addAffected := func(col int, v gom.Value) {
-		if v != nil {
-			affected[cv{col, gom.ValueString(v)}] = v
-		}
-	}
-	for _, ch := range changes {
-		addAffected(ch.col, ch.from)
-		addAffected(ch.col+1, ch.to)
-	}
-
-	collect := func() map[string]relation.Tuple {
-		rows := map[string]relation.Tuple{}
-		for k, v := range affected {
-			for _, row := range ix.graph.rowsThrough(ix.ext, k.col, v) {
-				rows[row.Key()] = row
-			}
-		}
-		return rows
-	}
-
-	before := collect()
-	// Mutate the graph, recording which mutations took effect (addEdge
-	// deduplicates, removeEdge reports existence) so a terminal failure
-	// can reverse exactly those.
-	effective := make([]edgeChange, 0, len(changes))
-	for _, ch := range changes {
-		if ch.add {
-			if ix.graph.addEdge(ch.col, ch.from, ch.to) {
-				effective = append(effective, ch)
-			}
-		} else {
-			if ix.graph.removeEdge(ch.col, ch.from, ch.to) {
-				effective = append(effective, ch)
-			}
-		}
-	}
-	after := collect()
-
-	var removes, adds []relation.Tuple
-	for k, row := range before {
-		if _, still := after[k]; !still {
-			removes = append(removes, row)
-		}
-	}
-	for k, row := range after {
-		if _, was := before[k]; !was {
-			adds = append(adds, row)
-		}
-	}
-
 	var attempts []error
 	for attempt := 0; ; attempt++ {
-		err := ix.applyDiffTxn(removes, adds)
+		removes, adds, err := ix.rowDiff(changes, dead)
+		if err != nil {
+			// The search wrote nothing: the attempt is rolled back as is.
+			ix.nRollbacks.Add(1)
+			telMaintRollbacks.Inc()
+		} else {
+			err = ix.applyDiffTxn(removes, adds)
+		}
 		if err == nil {
 			return
 		}
@@ -346,18 +201,6 @@ func (ix *Index) applyChanges(ctx context.Context, changes []edgeChange, retries
 			continue
 		}
 		break
-	}
-
-	// Terminal failure: every attempt rolled the partitions back to the
-	// pre-update state, so reverse the graph mutations to match and
-	// quarantine the index.
-	for i := len(effective) - 1; i >= 0; i-- {
-		ch := effective[i]
-		if ch.add {
-			ix.graph.removeEdge(ch.col, ch.from, ch.to)
-		} else {
-			ix.graph.addEdge(ch.col, ch.from, ch.to)
-		}
 	}
 	ix.quarantine(fmt.Errorf("asr: index on %s: maintenance failed after %d attempt(s), index quarantined: %w",
 		ix.path, len(attempts), errors.Join(attempts...)))

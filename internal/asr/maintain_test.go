@@ -1,6 +1,7 @@
 package asr
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,11 +9,22 @@ import (
 	"asr/internal/paperdb"
 )
 
+// verifyClean fails unless Verify finds every partition's stored rows
+// and reference counts equal to the extension recomputed from the
+// object base.
+func verifyClean(ix *Index) error {
+	rep, err := ix.Verify()
+	if err == nil && !rep.Clean() {
+		err = fmt.Errorf("%s", rep)
+	}
+	return err
+}
+
 // assertEqualsRebuild verifies that the incrementally maintained index
 // holds exactly the rows a from-scratch rebuild would hold.
 func assertEqualsRebuild(t *testing.T, ix *Index, label string) {
 	t.Helper()
-	if err := ix.CheckConsistent(); err != nil {
+	if err := verifyClean(ix); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	fresh, err := Build(ix.ob, ix.path, ix.ext, ix.dec, newPool())
@@ -263,6 +275,65 @@ func TestMaintainSharedPartition(t *testing.T) {
 	for _, pp := range pair.P.parts {
 		if err := pp.Part.CheckConsistent(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// Deleting any object on the path — a division, a product, a part or a
+// set object at either set column — leaves every extension ×
+// decomposition equal to a rebuild: the search finds the references to
+// the deleted object and the element edges of the sets it was the last
+// to reference, interleaved with retargets that share sets and make
+// them unreferenced or referenced again.
+func TestMaintainDeletionsMatchRebuild(t *testing.T) {
+	for seed := int64(0); seed < 3; seed++ {
+		ob, path := randomCompany(t, 300+seed, 6, 10, 8)
+		var ixs []*Index
+		for _, ext := range Extensions {
+			for _, dec := range []Decomposition{BinaryDecomposition(5), NoDecomposition(5), {0, 2, 5}} {
+				ix, err := Build(ob, path, ext, dec, newPool())
+				if err != nil {
+					t.Fatal(err)
+				}
+				ob.AddObserver(NewMaintainer(ix))
+				ixs = append(ixs, ix)
+			}
+		}
+		schema := ob.Schema()
+		types := []*gom.Type{schema.MustLookup("Division"), schema.MustLookup("ProdSET"),
+			schema.MustLookup("Product"), schema.MustLookup("BasePartSET"), schema.MustLookup("BasePart")}
+		rng := rand.New(rand.NewSource(seed))
+		pick := func(typ *gom.Type) gom.OID {
+			ext := ob.Extent(typ, true)
+			if len(ext) == 0 {
+				return gom.NilOID
+			}
+			return ext[rng.Intn(len(ext))]
+		}
+		for op := 0; op < 40; op++ {
+			label := "delete"
+			switch typ := types[rng.Intn(len(types))]; {
+			case rng.Intn(3) == 0 && typ == types[0]:
+				label = "retarget Division.Manufactures"
+				if d, s := pick(types[0]), pick(types[1]); !d.IsNil() && !s.IsNil() {
+					ob.MustSetAttr(d, "Manufactures", gom.Ref(s))
+				}
+			case rng.Intn(3) == 0 && typ == types[2]:
+				label = "retarget Product.Composition"
+				if p, s := pick(types[2]), pick(types[3]); !p.IsNil() && !s.IsNil() {
+					ob.MustSetAttr(p, "Composition", gom.Ref(s))
+				}
+			default:
+				if id := pick(typ); !id.IsNil() {
+					label = "delete " + typ.Name()
+					if err := ob.Delete(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, ix := range ixs {
+				assertEqualsRebuild(t, ix, fmt.Sprintf("seed %d op %d (%s): %s %s", seed, op, label, ix.ext, ix.dec))
+			}
 		}
 	}
 }

@@ -152,7 +152,7 @@ func TestManagerMaintainsIndexesOnUpdate(t *testing.T) {
 	if err := mgr.Healthy(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.CheckConsistent(); err != nil {
+	if err := verifyClean(ix); err != nil {
 		t.Fatal(err)
 	}
 	prods, err := mgr.QueryBackward(c.Path, 1, 3, gom.String("Door"))

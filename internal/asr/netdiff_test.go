@@ -61,13 +61,31 @@ func (tp treePools) accesses() [3]uint64 {
 	return [3]uint64{tp.fwd.Stats().LogicalAccesses, tp.bwd.Stats().LogicalAccesses, tp.meta.Stats().LogicalAccesses}
 }
 
+// writeBacks flushes the three pools and returns how many pages each has
+// written back so far: a page dirtied since the last flush counts.
+func (tp treePools) writeBacks(t *testing.T) [3]uint64 {
+	t.Helper()
+	var out [3]uint64
+	for i, p := range []*storage.BufferPool{tp.fwd, tp.bwd, tp.meta} {
+		if err := p.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = p.Stats().WriteBacks
+	}
+	return out
+}
+
 // TestMaintenanceMatchesRebuildAfterEveryOp is the differential check of
 // netted maintenance: every extension × {binary, none, mixed}
 // decomposition plus a §5.4 shared pair, maintained under one seeded
 // update stream. After every op each partition's stored (row, count)
 // pairs equal a fresh Build's, Verify is clean, and a partition whose
-// stored pairs the op did not change was not touched: not one page of
-// its trees or its meta page was pinned.
+// stored pairs the op did not change was not written: not one page of
+// its trees or its meta page was dirtied (so none was written back or
+// logged). A Full design finds an update's rows by probing its
+// partitions' backward trees (§6), so it may read an untouched
+// partition; in every other design, which searches the object base, an
+// untouched partition was not even pinned.
 func TestMaintenanceMatchesRebuildAfterEveryOp(t *testing.T) {
 	decs := []Decomposition{BinaryDecomposition(5), NoDecomposition(5), {0, 3, 5}}
 	for seed := int64(0); seed < 2; seed++ {
@@ -102,13 +120,15 @@ func TestMaintenanceMatchesRebuildAfterEveryOp(t *testing.T) {
 			all = append(all, d.ix)
 		}
 		pools := map[*Partition]treePools{}
-		var parts []*Partition // every distinct partition, in a fixed order
+		probed := map[*Partition]bool{} // read by a Full design's search
+		var parts []*Partition          // every distinct partition, in a fixed order
 		for _, ix := range all {
 			for _, pp := range ix.parts {
 				if _, ok := pools[pp.Part]; !ok {
 					pools[pp.Part] = isolateTrees(t, pp.Part)
 					parts = append(parts, pp.Part)
 				}
+				probed[pp.Part] = probed[pp.Part] || ix.ext == Full
 			}
 		}
 
@@ -126,15 +146,16 @@ func TestMaintenanceMatchesRebuildAfterEveryOp(t *testing.T) {
 			return ext[rng.Intn(len(ext))]
 		}
 
-		untouched := 0 // partitions an op left alone, proven unpinned
+		untouched := 0 // partitions an op left alone, proven unwritten
 		for op := 0; op < 30; op++ {
 			before := make([]map[string]int, len(parts))
 			for i, p := range parts {
 				before[i] = storedCounts(t, p)
 			}
 			acc0 := make([][3]uint64, len(parts))
+			wb0 := make([][3]uint64, len(parts))
 			for i, p := range parts {
-				acc0[i] = pools[p].accesses()
+				acc0[i], wb0[i] = pools[p].accesses(), pools[p].writeBacks(t)
 			}
 			var label string
 			switch rng.Intn(5) {
@@ -172,14 +193,19 @@ func TestMaintenanceMatchesRebuildAfterEveryOp(t *testing.T) {
 				}
 			}
 			acc1 := make([][3]uint64, len(parts))
+			wb1 := make([][3]uint64, len(parts))
 			for i, p := range parts {
-				acc1[i] = pools[p].accesses()
+				acc1[i], wb1[i] = pools[p].accesses(), pools[p].writeBacks(t)
 			}
 			for i, p := range parts {
 				if !maps.Equal(before[i], storedCounts(t, p)) {
 					continue
 				}
-				if acc := acc1[i]; acc != acc0[i] {
+				if wb := wb1[i]; wb != wb0[i] {
+					t.Errorf("seed %d op %d (%s): partition %s did not change, yet its fwd/bwd/meta pools wrote back %d/%d/%d dirtied pages",
+						seed, op, label, p.name, wb[0]-wb0[i][0], wb[1]-wb0[i][1], wb[2]-wb0[i][2])
+				}
+				if acc := acc1[i]; acc != acc0[i] && !probed[p] {
 					t.Errorf("seed %d op %d (%s): partition %s did not change, yet its fwd/bwd/meta pools saw %d/%d/%d logical accesses",
 						seed, op, label, p.name, acc[0]-acc0[i][0], acc[1]-acc0[i][1], acc[2]-acc0[i][2])
 				}

@@ -9,7 +9,7 @@ import (
 
 // Recursive schemas make the same type occur at several path positions
 // (Definition 3.1 explicitly allows it: "not necessarily distinct
-// types"). These tests stress the column-indexed path graph: one object
+// types"). These tests stress the column-indexed search: one object
 // appears at multiple columns, and one update touches several steps.
 
 func partsFixture(t *testing.T, seed int64, nParts int) (*gom.ObjectBase, *gom.PathExpression, []gom.OID) {
@@ -60,7 +60,7 @@ func TestRecursivePathIndexBuildsAndQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", ext, err)
 		}
-		if err := ix.CheckConsistent(); err != nil {
+		if err := verifyClean(ix); err != nil {
 			t.Fatalf("%v: %v", ext, err)
 		}
 		// Results must match a naive traversal.

@@ -10,8 +10,8 @@ import (
 // logical rows under dec — one (rows, refcnt) pair per partition, both
 // keyed by Tuple.Key. It is the one statement of what a partition should
 // hold: Build, Rematerialize and Repair bulk-load from it
-// (NewPartitionBulk, reloadBulk), Verify, Repair and CheckConsistent
-// diff the stored trees against it (Partition.drift).
+// (NewPartitionBulk, reloadBulk), Verify and Repair diff the stored
+// trees against it (Partition.drift).
 func projectRows(rows []relation.Tuple, dec Decomposition) ([]map[string]relation.Tuple, []map[string]int) {
 	outRows := make([]map[string]relation.Tuple, dec.NumPartitions())
 	refcnt := make([]map[string]int, dec.NumPartitions())
@@ -69,11 +69,11 @@ func (ix *Index) Rematerialize(dec Decomposition) error {
 				ix.path, pp.Part.Name())
 		}
 	}
-	g, err := newPathGraph(ix.ob, ix.path)
+	logical, err := extensionRows(ix.ob, ix.path, ix.ext)
 	if err != nil {
 		return err
 	}
-	rows, refcnt := projectRows(g.allRows(ix.ext), dec)
+	rows, refcnt := projectRows(logical, dec)
 
 	// Build the replacement partitions first; only a complete set
 	// displaces the old one.
@@ -98,13 +98,13 @@ func (ix *Index) Rematerialize(dec Decomposition) error {
 			// The new partitions are complete and correct; losing the
 			// old pages is a leak, not corruption. Install the new set
 			// and report the reclamation failure.
-			ix.parts, ix.dec, ix.graph = newParts, dec, g
+			ix.parts, ix.dec = newParts, dec
 			ix.clearQuarantine()
 			return fmt.Errorf("asr: rematerialize of index on %s: reclaiming old partition %s: %w",
 				ix.path, pp.Part.Name(), err)
 		}
 	}
-	ix.parts, ix.dec, ix.graph = newParts, dec, g
+	ix.parts, ix.dec = newParts, dec
 	ix.clearQuarantine()
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"reflect"
 	"testing"
 	"time"
@@ -224,7 +225,7 @@ func TestMaintenanceFaultRollsBackAndQuarantines(t *testing.T) {
 	if r.ix.Quarantined() {
 		t.Fatal("quarantine not lifted by Repair")
 	}
-	if err := r.ix.CheckConsistent(); err != nil {
+	if err := verifyClean(r.ix); err != nil {
 		t.Fatalf("index inconsistent after Repair: %v", err)
 	}
 	rep, err = r.ix.Verify()
@@ -244,7 +245,7 @@ func TestMaintenanceFaultRollsBackAndQuarantines(t *testing.T) {
 	if err := r.mt.Err(); err != nil {
 		t.Fatalf("maintenance after repair failed: %v", err)
 	}
-	if err := r.ix.CheckConsistent(); err != nil {
+	if err := verifyClean(r.ix); err != nil {
 		t.Fatal(err)
 	}
 
@@ -287,7 +288,7 @@ func TestTransientFaultIsRetriedAndSucceeds(t *testing.T) {
 		// and a write-heavy update that would be surprising.
 		t.Fatalf("stats = %+v, expected at least one retry", st)
 	}
-	if err := r.ix.CheckConsistent(); err != nil {
+	if err := verifyClean(r.ix); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -490,5 +491,46 @@ func TestDirectRepairRestoresHealth(t *testing.T) {
 	}
 	if st := mgr.Stats().Indexes[0]; !st.MaintenanceOK || st.Quarantined {
 		t.Fatalf("index stats after repair = %+v", st)
+	}
+}
+
+// TestSearchReadFaultQuarantines: a device read fault during §6's
+// search fails the attempt before anything is written — it is retried,
+// counted as a rolled-back attempt, and once the retries are spent the
+// index quarantines exactly as after a write fault, with the stored rows
+// still those before the update.
+func TestSearchReadFaultQuarantines(t *testing.T) {
+	r := newFaultyRig(t, 41)
+	stored := make([]map[string]int, len(r.ix.parts))
+	for i, pp := range r.ix.parts {
+		stored[i] = storedCounts(t, pp.Part)
+	}
+	if err := r.pool.DropClean(); err != nil { // the search must read the device
+		t.Fatal(err)
+	}
+	writes := r.disk.Stats().Writes
+	r.fi.Schedule(storage.Fault{Op: storage.OpRead, Permanent: true})
+	src, dst := r.mutableSource(t)
+	r.db.Base.MustSetAttr(src, "Next", gom.Ref(dst))
+	if !r.ix.Quarantined() || r.mt.Err() == nil {
+		t.Fatal("a search that cannot read did not quarantine the index")
+	}
+	if st := r.ix.Stats(); st.Retries != 1 || st.Rollbacks != 2 {
+		t.Fatalf("stats = %+v, want 1 retry and 2 rolled-back attempts", st)
+	}
+	if got := r.disk.Stats().Writes; got != writes {
+		t.Fatalf("the failed search wrote %d pages", got-writes)
+	}
+	r.fi.Heal()
+	for i, pp := range r.ix.parts {
+		if got := storedCounts(t, pp.Part); !maps.Equal(got, stored[i]) {
+			t.Fatalf("partition %s changed under a failed search", pp.Part.Name())
+		}
+	}
+	if _, err := r.ix.Repair(); err != nil {
+		t.Fatal(err)
+	}
+	if err := verifyClean(r.ix); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,8 @@
 package asr
 
 import (
+	"maps"
+	"math/rand"
 	"testing"
 
 	"asr/internal/gom"
@@ -136,5 +138,73 @@ func TestPlanSharingRejectsDisjointPaths(t *testing.T) {
 	other := gom.MustResolvePath(ob.Schema().MustLookup("PERSON"), "Age")
 	if _, err := PlanSharing(p, other); err == nil {
 		t.Error("disjoint paths accepted")
+	}
+}
+
+// A Full pair sharing an interior partition is maintained by probing
+// that partition, which the first maintainer of an update has already
+// moved on while the second still expects the rows before it. Under
+// retargets at every step, renames and deletions, both sides stay equal
+// to a fresh BuildShared.
+func TestMiddleSegmentSharedMaintenance(t *testing.T) {
+	ob, p, q := middleFixture(t)
+	schema := ob.Schema()
+	rng := rand.New(rand.NewSource(9))
+	types := map[string]*gom.Type{}
+	for _, n := range []string{"PERSON", "CITY", "DEPT", "EMP", "GUEST"} {
+		types[n] = schema.MustLookup(n)
+		for i := 0; i < 6; i++ {
+			ob.MustNew(types[n])
+		}
+	}
+	pick := func(n string) gom.OID {
+		ext := ob.Extent(types[n], false)
+		return ext[rng.Intn(len(ext))]
+	}
+	attrs := [][3]string{{"EMP", "WorksIn", "DEPT"}, {"GUEST", "Visits", "DEPT"}, {"DEPT", "LocatedIn", "CITY"}, {"CITY", "Mayor", "PERSON"}}
+	for _, a := range attrs {
+		for _, id := range ob.Extent(types[a[0]], false) {
+			ob.MustSetAttr(id, a[1], gom.Ref(pick(a[2])))
+		}
+	}
+	for _, id := range ob.Extent(types["PERSON"], false) {
+		ob.MustSetAttr(id, "Name", gom.String(partName(rng)))
+		ob.MustSetAttr(id, "Age", gom.Integer(int64(rng.Intn(3))))
+	}
+	pair, err := BuildShared(ob, p, q, newPool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob.AddObserver(NewMaintainer(pair.P))
+	ob.AddObserver(NewMaintainer(pair.Q))
+	for op := 0; op < 60; op++ {
+		switch r := rng.Intn(6); {
+		case r < 4:
+			a := attrs[r]
+			ob.MustSetAttr(pick(a[0]), a[1], gom.Ref(pick(a[2])))
+		case r == 4:
+			ob.MustSetAttr(pick("PERSON"), "Age", gom.Integer(int64(rng.Intn(3))))
+		default:
+			n := []string{"CITY", "DEPT", "PERSON"}[rng.Intn(3)]
+			if len(ob.Extent(types[n], false)) > 2 {
+				if err := ob.Delete(pick(n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		fresh, err := BuildShared(ob, p, q, newPool())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, side := range [][2]*Index{{pair.P, fresh.P}, {pair.Q, fresh.Q}} {
+			if err := side[0].QuarantineReason(); err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+			for i, pp := range side[0].parts {
+				if got, want := storedCounts(t, pp.Part), storedCounts(t, side[1].parts[i].Part); !maps.Equal(got, want) {
+					t.Fatalf("op %d: %s partition %d stores %v, a rebuild %v", op, side[0].path, i, got, want)
+				}
+			}
+		}
 	}
 }

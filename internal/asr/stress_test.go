@@ -99,7 +99,7 @@ func TestStressLargeDatabaseWithUpdates(t *testing.T) {
 	}
 
 	for ext, ix := range ixs {
-		if err := ix.CheckConsistent(); err != nil {
+		if err := verifyClean(ix); err != nil {
 			t.Fatalf("%v after storm: %v", ext, err)
 		}
 	}

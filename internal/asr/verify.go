@@ -73,11 +73,11 @@ func (ix *Index) Verify() (VerifyReport, error) {
 	if len(ix.parts) == 0 {
 		return VerifyReport{}, fmt.Errorf("asr: index on %s: pages released", ix.path)
 	}
-	g, err := newPathGraph(ix.ob, ix.path)
+	rows, err := extensionRows(ix.ob, ix.path, ix.ext)
 	if err != nil {
 		return VerifyReport{}, err
 	}
-	_, want := projectRows(g.allRows(ix.ext), ix.dec)
+	_, want := projectRows(rows, ix.dec)
 	var rep VerifyReport
 	for i, pp := range ix.parts {
 		if pp.Part.Owners() > 1 {
@@ -102,7 +102,7 @@ func (ix *Index) Verify() (VerifyReport, error) {
 }
 
 // Repair resynchronizes the index with the live object base and lifts
-// its quarantine: the path graph is rebuilt from scratch, every drifted
+// its quarantine: the extension is recomputed from scratch, every drifted
 // partition is bulk-reloaded from the recomputed extension (partitions
 // that still match are left untouched, so an interrupted Repair
 // converges when re-run), and the quarantine flag is cleared. The
@@ -123,11 +123,11 @@ func (ix *Index) Repair() (VerifyReport, error) {
 	if len(ix.parts) == 0 {
 		return VerifyReport{}, fmt.Errorf("asr: index on %s: pages released", ix.path)
 	}
-	g, err := newPathGraph(ix.ob, ix.path)
+	logical, err := extensionRows(ix.ob, ix.path, ix.ext)
 	if err != nil {
 		return VerifyReport{}, err
 	}
-	rows, want := projectRows(g.allRows(ix.ext), ix.dec)
+	rows, want := projectRows(logical, ix.dec)
 	var rep VerifyReport
 	for i, pp := range ix.parts {
 		// A physically damaged partition (the diff could not read its
@@ -147,7 +147,6 @@ func (ix *Index) Repair() (VerifyReport, error) {
 		}
 		rep.Partitions = append(rep.Partitions, d)
 	}
-	ix.graph = g
 	ix.clearQuarantine()
 	return rep, nil
 }

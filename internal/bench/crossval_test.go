@@ -38,7 +38,11 @@ func modelFor(t *testing.T, spec gendb.Spec) *costmodel.Model {
 
 func actualCardinality(t *testing.T, db *gendb.Database, ext asr.Extension) float64 {
 	t.Helper()
-	rel, err := asr.ExtensionRelation(db.Base, db.Path, ext)
+	aux, err := asr.BuildAuxiliaryRelations(db.Base, db.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := asr.BuildExtension(ext, "E", aux)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,7 +178,8 @@ func runSimMix() (*Table, error) {
 	}
 	t.Note = "each row executes the same deterministic stream of " + fmt.Sprint(streamLen) +
 		" operations against fresh databases for both designs; the measured update side counts index " +
-		"write traffic (the in-memory path search is free), so absolute levels sit below the model while " +
-		"the query-side fallbacks (left cannot evaluate Q1,2) show up in both"
+		"traffic — full's search probes its partitions, left's searches the objects, which costs no index " +
+		"pages — so left sits below the model and full above it, while the query-side fallbacks (left " +
+		"cannot evaluate Q1,2) show up in both"
 	return t, nil
 }

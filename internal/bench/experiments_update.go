@@ -92,22 +92,24 @@ func runSimUpdate() (*Table, error) {
 	}
 
 	// The measured column is the index page traffic of incremental
-	// maintenance, which writes each partition's net row change — the
-	// model's aup. The model's canonical/right totals are dominated by
-	// searching the object representation (the simulator resolves that
-	// search from its in-memory path graph, charging no pages), so aup is
-	// the comparable column, and its ordering at ins_2 is left ≤ right:
-	// a right-complete relation also stores the partial paths that start
-	// past the anchor, and an edge at the path's right end extends every
-	// one of them.
+	// maintenance: §6's search plus writing each partition's net row
+	// change — the model's aup. A full extension stores every edge, so
+	// its search probes the backward trees of the partitions left of the
+	// changed edge and is counted; the others keep only some partial
+	// paths and search the object representation exhaustively, which
+	// costs object reads, not index pages. The model's canonical/right
+	// totals are dominated by that search, so aup is the comparable
+	// column, and its ordering at ins_2 is left ≤ right: a right-complete
+	// relation also stores the partial paths that start past the anchor,
+	// and an edge at the path's right end extends every one of them.
 	ordering := "holds"
 	if measured[asr.LeftComplete] > measured[asr.RightComplete] {
 		ordering = "VIOLATED"
 	}
 	t.Note = fmt.Sprintf(
 		"churn ordering left ≤ right (model aup %.0f ≤ %.0f) %s: can %.1f, left %.1f, right %.1f, full %.1f pages/op; "+
-			"measured ÷ aup can %.2f, left %.2f, right %.2f, full %.2f — full's excess over aup is not yet attributed to a §6 term; "+
-			"the model's canonical/right totals are search-dominated — the simulator answers that search from memory, so only index traffic is measured",
+			"measured ÷ aup can %.2f, left %.2f, right %.2f, full %.2f — full's count includes its search, backward probes of the partitions; "+
+			"the others search the object representation, which costs object reads, not index pages",
 		model.Aup(asr.LeftComplete, insAt, dec), model.Aup(asr.RightComplete, insAt, dec), ordering,
 		measured[asr.Canonical], measured[asr.LeftComplete], measured[asr.RightComplete], measured[asr.Full],
 		ratio[asr.Canonical], ratio[asr.LeftComplete], ratio[asr.RightComplete], ratio[asr.Full])

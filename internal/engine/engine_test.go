@@ -157,8 +157,8 @@ func TestInsertWithASRMaintains(t *testing.T) {
 	if meas.LogicalAccesses == 0 {
 		t.Error("maintenance charged no page accesses")
 	}
-	if err := ix.CheckConsistent(); err != nil {
-		t.Fatal(err)
+	if rep, err := ix.Verify(); err != nil || !rep.Clean() {
+		t.Fatal(rep, err)
 	}
 	// The new edge is immediately visible through the index.
 	got, _, err := e.ForwardASR(ix, src, 2, 3)
@@ -210,8 +210,8 @@ func TestInsertWithASRFanOneAndFreshSet(t *testing.T) {
 	if _, err := e.InsertWithASR(ix, src, dst, maint); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.CheckConsistent(); err != nil {
-		t.Fatal(err)
+	if rep, err := ix.Verify(); err != nil || !rep.Clean() {
+		t.Fatal(rep, err)
 	}
 	// Fan>1 source without a set object yet: a fresh set is created.
 	spec2 := gendb.Spec{N: 2, C: []int{20, 20, 20}, D: []int{1, 10}, Fan: []int{3, 2}, Seed: 4}
@@ -233,7 +233,7 @@ func TestInsertWithASRFanOneAndFreshSet(t *testing.T) {
 	if _, err := e2.InsertWithASR(ix2, bare, db2.Extents[1][0], maint2); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix2.CheckConsistent(); err != nil {
-		t.Fatal(err)
+	if rep, err := ix2.Verify(); err != nil || !rep.Clean() {
+		t.Fatal(rep, err)
 	}
 }
