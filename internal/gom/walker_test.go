@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 )
@@ -214,9 +215,15 @@ func TestWalksBesideAWriter(t *testing.T) {
 	stop := make(chan struct{})
 	var walks [4]int
 	done := make(chan struct{}, len(walks)+1)
+	// The writer starts once every reader has finished a walk: on a single
+	// CPU it would otherwise run all its operations, and stop the readers,
+	// before any of them is scheduled.
+	var started sync.WaitGroup
+	started.Add(len(walks))
 	for g := range walks {
 		go func() {
-			defer func() { done <- struct{}{} }()
+			first := sync.OnceFunc(started.Done)
+			defer func() { first(); done <- struct{}{} }()
 			w := ob.NewWalker()
 			for k := 0; ; k++ {
 				select {
@@ -230,12 +237,14 @@ func TestWalksBesideAWriter(t *testing.T) {
 					return
 				}
 				walks[g]++
+				first()
 			}
 		}()
 	}
 	go func() {
 		defer func() { done <- struct{}{} }()
 		defer close(stop)
+		started.Wait()
 		rng := rand.New(rand.NewSource(1))
 		for op := 0; op < 4000; op++ {
 			r := rng.Intn(nRoots)
