@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke benchmark-smoke vet repro ci ci-steps crash-matrix server-smoke chaos-smoke backup-smoke loc
+.PHONY: all build test single-cpu race bench bench-smoke benchmark-smoke vet repro ci ci-steps crash-matrix server-smoke chaos-smoke backup-smoke loc
 
 all: build test
 
-# What CI runs (.github/workflows/ci.yml): build, vet, tests, race
-# suite, crash matrix, bench smoke, benchmark smoke, server smoke, chaos
-# smoke, backup smoke — and then the check that none of it wrote a
-# tracked file or left an untracked, un-ignored one behind: `git status
-# --porcelain` must read the same after the steps as before them.
+# What CI runs (.github/workflows/ci.yml): build, vet, tests, the tests
+# again on one CPU, race suite, crash matrix, bench smoke, benchmark
+# smoke, server smoke, chaos smoke, backup smoke — and then the check
+# that none of it wrote a tracked file or left an untracked, un-ignored
+# one behind: `git status --porcelain` must read the same after the
+# steps as before them.
 ci:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	git status --porcelain > "$$tmp/before" && \
@@ -18,13 +19,19 @@ ci:
 		echo "make ci changed the working tree (git status --porcelain: < before, > after)"; exit 1; \
 	fi
 
-ci-steps: build vet test race crash-matrix bench-smoke benchmark-smoke server-smoke chaos-smoke backup-smoke
+ci-steps: build vet test single-cpu race crash-matrix bench-smoke benchmark-smoke server-smoke chaos-smoke backup-smoke
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The whole tree on one CPU: catches tests that pass only when goroutines
+# are scheduled in parallel, and anything sized by GOMAXPROCS (the
+# buffer pool's automatic shard count).
+single-cpu:
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
 
 # Concurrency suite: the whole tree under the race detector, including
 # the reader/writer stress tests in internal/asr and internal/query.

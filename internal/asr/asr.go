@@ -381,18 +381,19 @@ func (ix *Index) scanInterior(ctx context.Context, part *Partition, frontier *va
 
 // probeBatchSize is how many frontier values each sorted batch probe
 // carries; it also bounds the stretch between context checks. Within a
-// batch the partition sorts the encoded probe keys so the B⁺-tree walk
-// is near-sequential (btree.ScanPrefixes).
+// batch the partition sorts the encoded probe keys, so a probe landing
+// in the leaf the previous one left pinned costs no page and every
+// other costs one descent (btree.ScanPrefixes).
 const probeBatchSize = 256
 
 // probeAll resolves the clustered probes for a whole frontier — fanned
 // across up to workers goroutines when the frontier is wide enough —
 // and merges column off of every matching row into one deduplicated
 // set. Probes go to the partition in sorted sub-batches of
-// probeBatchSize (Partition.LookupBatch), which turns random per-value
-// descents into near-sequential leaf walks. The merge is order-
-// insensitive, so the result is the same for every worker count.
-// Cancellation of ctx stops every worker between sub-batches.
+// probeBatchSize (Partition.LookupBatch), so values sharing a leaf
+// share its descent. The merge is order-insensitive, so the result is
+// the same for every worker count. Cancellation of ctx stops every
+// worker between sub-batches.
 func (ix *Index) probeAll(ctx context.Context, part *Partition, fwd bool, vals []gom.Value, workers, off int) (*valueSet, error) {
 	sets, err := FanOut("asr: probe", workers, vals, func(chunk []gom.Value) (*valueSet, error) {
 		found := newValueSet()

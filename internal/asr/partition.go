@@ -567,9 +567,9 @@ func (p *Partition) lookupOne(fwd bool, v gom.Value) ([]relation.Tuple, error) {
 
 // LookupBatch resolves many probes in one pass over the tree clustered
 // on the first column (fwd) or on the last (!fwd). The probes are
-// sorted by encoded key inside btree.ScanPrefixes, so adjacent probes
-// reuse the current leaf instead of each descending from the root — the
-// sorted-batch fast path for wide query frontiers. Results align with
+// sorted by encoded key inside btree.ScanPrefixes, so a probe landing in
+// the leaf the previous one left pinned costs no page and every other
+// costs one descent from the root. Results align with
 // vals; a value with no stored rows yields a nil slice, and the rows of
 // each slice come in the tree's key order.
 func (p *Partition) LookupBatch(fwd bool, vals []gom.Value) ([][]relation.Tuple, error) {

@@ -159,15 +159,14 @@ func (s *search) resolve(c int, vals []gom.Value) error {
 			continue
 		}
 		// Full keeps every edge, so the partition ending at c holds all
-		// edges into it. One descent per value: a frontier's values lie
-		// far apart, and a batch would walk the leaf chain between them.
-		for _, v := range todo {
-			rowsets, err := pp.Part.LookupBatch(false, []gom.Value{v})
-			if err != nil {
-				return err
-			}
-			for _, r := range rowsets[0] {
-				add(v, r[len(r)-2])
+		// edges into it: one sorted batch probe for the column's values.
+		rowsets, err := pp.Part.LookupBatch(false, todo)
+		if err != nil {
+			return err
+		}
+		for i, rows := range rowsets {
+			for _, r := range rows {
+				add(todo[i], r[len(r)-2])
 			}
 		}
 		return nil

@@ -40,9 +40,12 @@ func runFaults() (*Table, error) {
 	// A bounded pool over the fault injector: evictions force page
 	// write-backs during maintenance, which is where injected write
 	// faults bite (an unbounded pool defers all writes to FlushAll).
+	// One 32-frame shard, whatever GOMAXPROCS is: the automatic shard
+	// count follows the CPUs, and one 64-frame shard never evicts a
+	// dirty page during the updates below.
 	disk := storage.NewDisk(512)
 	fi := storage.NewFaultInjector(disk, fault.New(42))
-	pool := storage.NewBufferPool(fi, 64, storage.LRU)
+	pool := storage.NewBufferPoolShards(fi, 32, storage.LRU, 1)
 	mgr := asr.NewManager(db.Base, pool)
 	span := db.Path.Len()
 	ix, err := mgr.CreateIndex(db.Path, asr.Full, asr.BinaryDecomposition(db.Path.Arity()-1))

@@ -7,13 +7,6 @@ import (
 	"asr/internal/storage"
 )
 
-// maxBatchHops bounds how many leaf-chain hops a batch scan takes to
-// reach the next probe before giving up and re-descending from the
-// root. Sorted probes over a clustered tree usually land on the same
-// or the next leaf; widely spaced probes fall back to an ordinary
-// O(height) descent.
-const maxBatchHops = 4
-
 // VisitIndexed is called with the index of the matching prefix and each
 // matching entry; returning false stops the whole scan. Key and value
 // slices are BORROWED under the same zero-copy contract as Visit: valid
@@ -29,11 +22,12 @@ type VisitIndexed func(i int, key, val []byte) bool
 // overlapping prefixes are allowed; each input index receives its full
 // match set.
 //
-// The scan keeps its current leaf pinned between probes: an adjacent
-// sorted probe that lands on the same or a nearby leaf is resolved by
-// at most maxBatchHops leaf-chain hops instead of a root-to-leaf
-// descent. Sorting a batch of random probes thus turns O(batch·height)
-// page pins into a near-sequential walk of the touched leaves.
+// The scan keeps its current leaf pinned between probes: a sorted probe
+// that lands in that leaf costs no page at all; any other probe costs
+// one root-to-leaf descent plus the leaves holding its matches — the
+// price §5.2 and eq. 35 put on a clustered probe. The scan never walks
+// the leaf chain to reach a probe: the leaves between two far-apart
+// probes hold nothing either wants.
 func (t *Tree) ScanPrefixes(prefixes [][]byte, fn VisitIndexed) error {
 	if len(prefixes) == 0 || t.root.IsNil() {
 		return nil
@@ -78,9 +72,8 @@ func (t *Tree) ScanPrefixes(prefixes [][]byte, fn VisitIndexed) error {
 	}
 	// advance moves to the next non-empty leaf in the chain, leaving
 	// fr == nil at the end of the chain. Empty leaves left behind by
-	// deletion are hopped over for free — they never count against the
-	// maxBatchHops budget, only against the telemetry counter that makes
-	// the deferred-compaction cost observable.
+	// deletion are hopped over, counted by the telemetry counter that
+	// makes the deferred-compaction cost observable.
 	advance := func(p []byte) (err error) {
 		for {
 			if c.cnt > 0 {
@@ -104,35 +97,14 @@ func (t *Tree) ScanPrefixes(prefixes [][]byte, fn VisitIndexed) error {
 
 	for _, oi := range order {
 		p := prefixes[oi]
-		// A key matching p compares ≥ p, so matches can hide behind the
-		// cursor only when p ≤ passed (duplicate or overlapping
-		// prefixes whose earlier matches advanced the cursor past a
-		// leaf). Everything else is at or ahead of the current leaf.
-		if fr != nil && passed != nil && bytes.Compare(p, passed) <= 0 {
-			if err := descend(p); err != nil {
-				return err
-			}
-		}
-		// Hop forward while this leaf cannot contain a key ≥ p; bail
-		// into a root descent if the probe is far away.
-		for hops := 0; fr != nil; hops++ {
-			if c.cnt > 0 && c.compare(c.last, p, lcp(p, c.low)) >= 0 {
-				break
-			}
-			if c.ptr0.IsNil() {
-				break // off the end of the chain: no match for p
-			}
-			if hops >= maxBatchHops {
-				if err := descend(p); err != nil {
-					return err
-				}
-				break
-			}
-			if err := advance(p); err != nil {
-				return err
-			}
-		}
-		if fr == nil {
+		// The pinned leaf answers p when it holds a key ≥ p (or is the
+		// last leaf) and p lies past every key the scan has moved beyond:
+		// a key matching p compares ≥ p, so matches hide behind the
+		// cursor only when p ≤ passed (duplicate or overlapping prefixes
+		// whose earlier matches advanced it past a leaf). Any other probe
+		// re-descends from the root.
+		if fr == nil || passed != nil && bytes.Compare(p, passed) <= 0 ||
+			!c.ptr0.IsNil() && (c.cnt == 0 || c.compare(c.last, p, lcp(p, c.low)) < 0) {
 			if err := descend(p); err != nil {
 				return err
 			}

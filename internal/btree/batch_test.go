@@ -157,3 +157,89 @@ func TestScanPrefixesEarlyStop(t *testing.T) {
 		t.Fatalf("visited %d entries after early stop, want 10", calls)
 	}
 }
+
+// leafKeys returns every leaf's keys, in leaf-chain order.
+func leafKeys(t *testing.T, tr *Tree) [][][]byte {
+	t.Helper()
+	fr, _, err := tr.leafFor(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid := fr.ID()
+	fr.Unpin()
+	var leaves [][][]byte
+	for !pid.IsNil() {
+		fr, n, err := tr.load(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys [][]byte
+		for _, k := range n.keys {
+			keys = append(keys, bytes.Clone(k))
+		}
+		leaves = append(leaves, keys)
+		pid = n.next
+		fr.Unpin()
+	}
+	return leaves
+}
+
+// TestScanPrefixesPages pins what a sorted batch costs in pages on a
+// height-3 tree: a probe the pinned leaf cannot answer costs one
+// root-to-leaf descent, never a walk along the leaf chain, and a probe
+// the pinned leaf answers costs nothing.
+func TestScanPrefixesPages(t *testing.T) {
+	pool := bulkPool(256)
+	entries := make([]KV, 2000)
+	for i := range entries {
+		entries[i] = KV{Key: key(i), Val: key(i)}
+	}
+	tr, err := BulkLoad(pool, "pages", entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Height() != 3 {
+		t.Fatalf("height %d, want 3", tr.Height())
+	}
+	leaves := leafKeys(t, tr)
+	count := func(prefixes [][]byte) uint64 {
+		t.Helper()
+		pool.ResetStats()
+		n := 0
+		if err := tr.ScanPrefixes(prefixes, func(i int, k, v []byte) bool {
+			n++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n != len(prefixes) {
+			t.Fatalf("%d matches for %d exact-key probes", n, len(prefixes))
+		}
+		return pool.Stats().LogicalAccesses
+	}
+
+	// One probe in the middle of every fifth leaf: each finds its match
+	// inside the leaf it descended to, so each costs exactly a descent.
+	var far [][]byte
+	for l := 0; l < len(leaves); l += 5 {
+		keys := leaves[l]
+		far = append(far, keys[len(keys)/2])
+	}
+	if len(far) < 10 {
+		t.Fatalf("only %d far probes; want ≥ 10", len(far))
+	}
+	if got, budget := count(far), uint64(len(far)*tr.Height()); got > budget {
+		t.Errorf("%d probes ≥ 5 leaves apart cost %d pages, want ≤ %d (one descent each)", len(far), got, budget)
+	}
+
+	// Probes within one leaf, none on its last key (a match there looks
+	// at the next leaf for more): one descent for all of them.
+	keys := leaves[len(leaves)/2]
+	near := keys[1 : len(keys)-1]
+	if len(near) < 3 {
+		t.Fatalf("only %d probes fit in one leaf", len(near))
+	}
+	if got := count(near); got != uint64(tr.Height()) {
+		t.Errorf("%d probes within one leaf cost %d pages, want %d", len(near), got, tr.Height())
+	}
+}

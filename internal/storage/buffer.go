@@ -119,6 +119,11 @@ type frame struct {
 // returns the same handle — it carries no per-pin state, so pinning
 // allocates nothing — and each Unpin releases one pin.
 //
+// Data's bytes belong to the pool, not to the caller: on a bounded pool
+// an evicted frame's buffer is reused for the next page the shard
+// reads, so a slice of Data kept past Unpin may come to alias another
+// page. Copy what must outlive the pin.
+//
 // Pinned frames may be shared by concurrent readers; the page bytes
 // themselves are not synchronized by the pool, so writers to Data must
 // hold a higher-level lock (in this repository: the owning partition's
@@ -131,7 +136,7 @@ type Frame struct {
 // ID returns the framed page id.
 func (fr *Frame) ID() PageID { return fr.f.id }
 
-// Data returns the page bytes; valid while the frame is pinned.
+// Data returns the page bytes; valid only while the frame is pinned.
 func (fr *Frame) Data() []byte { return fr.f.data }
 
 // MarkDirty records that the page must be written back on eviction or
@@ -400,12 +405,11 @@ func (b *BufferPool) Get(id PageID) (*Frame, error) {
 		return &f.handle, nil
 	}
 	s.stats.miss()
-	if s.capacity > 0 && len(s.frames) >= s.capacity {
-		if err := s.evictOne(); err != nil {
-			return nil, err
-		}
+	data, err := s.makeRoom()
+	if err != nil {
+		return nil, err
 	}
-	f := &frame{id: id, data: make([]byte, b.dev.PageSize()), pins: 1}
+	f := &frame{id: id, data: data, pins: 1}
 	readStart := time.Now()
 	if err := b.dev.Read(id, f.data); err != nil {
 		return nil, err
@@ -426,12 +430,12 @@ func (b *BufferPool) GetNew() (*Frame, error) {
 	defer s.mu.Unlock()
 	s.stats.access()
 	s.stats.miss()
-	if s.capacity > 0 && len(s.frames) >= s.capacity {
-		if err := s.evictOne(); err != nil {
-			return nil, err
-		}
+	data, err := s.makeRoom()
+	if err != nil {
+		return nil, err
 	}
-	f := &frame{id: id, data: make([]byte, b.dev.PageSize()), pins: 1, dirty: true}
+	clear(data)
+	f := &frame{id: id, data: data, pins: 1, dirty: true}
 	if t := b.undo.Load(); t != nil {
 		t.addFresh(id)
 	}
@@ -448,12 +452,27 @@ func (s *shard) admit(f *frame) {
 	f.lruElem = s.queue.PushBack(f)
 }
 
-// evictOne must be called with s.mu held.
-func (s *shard) evictOne() error {
+// makeRoom returns the page buffer for a frame about to be admitted: on
+// a full bounded shard the buffer of the victim it evicts, otherwise a
+// fresh one. Its contents are undefined. Must be called with s.mu held.
+func (s *shard) makeRoom() ([]byte, error) {
+	if s.capacity > 0 && len(s.frames) >= s.capacity {
+		victim, err := s.evictOne()
+		if err != nil {
+			return nil, err
+		}
+		return victim.data, nil
+	}
+	return make([]byte, s.pool.dev.PageSize()), nil
+}
+
+// evictOne drops the coldest evictable frame, writing it back first if
+// dirty, and returns it; must be called with s.mu held.
+func (s *shard) evictOne() (*frame, error) {
 	b := s.pool
 	victim, err := s.pickVictim()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if victim.dirty {
 		err := b.writeBack(victim)
@@ -461,12 +480,12 @@ func (s *shard) evictOne() error {
 		if err != nil {
 			// The victim stays resident and dirty — nothing is lost, the
 			// caller sees the device error and the counter records it.
-			return fmt.Errorf("storage: write-back of %v failed: %w", victim.id, err)
+			return nil, fmt.Errorf("storage: write-back of %v failed: %w", victim.id, err)
 		}
 	}
 	s.dropFrame(victim)
 	s.stats.evict()
-	return nil
+	return victim, nil
 }
 
 // pickVictim returns the coldest frame that is neither pinned nor held

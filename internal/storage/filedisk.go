@@ -63,6 +63,7 @@ type FileDisk struct {
 	gen      uint64 // superblock generation, alternates slots
 	stats    DiskStats
 	cp       *Crashpoint
+	phys     []byte // readPhys's record buffer, guarded by mu
 }
 
 // physSize returns the on-file size of one page record.
@@ -307,8 +308,11 @@ func (d *FileDisk) Read(id PageID, buf []byte) error {
 // d.mu held. buf may be nil (header-only interest). Returns the
 // stored LSN and whether the page has ever been written.
 func (d *FileDisk) readPhys(id PageID, buf []byte) (lsn uint64, written bool, err error) {
-	phys, err := d.readRecord(id)
-	if err != nil {
+	if d.phys == nil {
+		d.phys = make([]byte, d.physSize())
+	}
+	phys := d.phys
+	if err := d.readRecord(id, phys); err != nil {
 		return 0, false, fmt.Errorf("storage: Read(%v): %w", id, err)
 	}
 	lsn, written, err = verifyPageRecord(id, phys)
@@ -323,14 +327,17 @@ func (d *FileDisk) readPhys(id PageID, buf []byte) (lsn uint64, written bool, er
 	return lsn, written, nil
 }
 
-// readRecord reads one raw page record, zero-filled past end of file;
-// must be called with d.mu held.
-func (d *FileDisk) readRecord(id PageID) ([]byte, error) {
-	phys := make([]byte, d.physSize())
-	if _, err := d.f.ReadAt(phys, d.pageOffset(id)); err != nil && err != io.EOF {
-		return nil, err
+// readRecord reads page id's raw record into phys, zero-filling what
+// lies past end of file — phys may hold an earlier record, and a page
+// allocated but never written reads as all zeros; must be called with
+// d.mu held.
+func (d *FileDisk) readRecord(id PageID, phys []byte) error {
+	n, err := d.f.ReadAt(phys, d.pageOffset(id))
+	if err != nil && err != io.EOF {
+		return err
 	}
-	return phys, nil
+	clear(phys[n:])
+	return nil
 }
 
 // encodePageRecord lays out the on-file record of page id — the header
@@ -490,8 +497,8 @@ func (d *FileDisk) SnapshotPage(id PageID) (phys []byte, ok bool, err error) {
 		// Allocated this run, never written: reads as zeros.
 		return make([]byte, d.physSize()), true, nil
 	}
-	phys, err = d.readRecord(id)
-	if err != nil {
+	phys = make([]byte, d.physSize())
+	if err := d.readRecord(id, phys); err != nil {
 		return nil, false, fmt.Errorf("storage: SnapshotPage(%v): %w", id, err)
 	}
 	_, _, verr := verifyPageRecord(id, phys)

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"asr/internal/fault"
@@ -169,4 +171,81 @@ func TestFileDiskCrashpointTearsWrite(t *testing.T) {
 	if err := d2.Read(id, buf); !errors.Is(err, ErrCorruptPage) {
 		t.Fatalf("read of torn page after reopen = %v, want ErrCorruptPage", err)
 	}
+}
+
+// TestBoundedPoolMissReusesBuffer cycles 64 pages of a FileDisk through
+// one 8-frame shard, so every Get misses: each returns its own page's
+// bytes although its buffer last held another page, a miss costs no
+// page-sized allocation, and a page allocated but never written, lying
+// past end of file, reads as zeros right after a full page was read —
+// as does a page GetNew hands out in a recycled buffer.
+func TestBoundedPoolMissReusesBuffer(t *testing.T) {
+	const pages, pageSize = 64, DefaultPageSize
+	path := filepath.Join(t.TempDir(), "pages")
+	d, err := OpenFileDisk(path, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := map[PageID][]byte{}
+	var ids []PageID
+	for range pages {
+		id := d.Allocate()
+		content[id] = bytes.Repeat([]byte{byte(id), byte(id >> 8), 0xA5}, pageSize/3+1)[:pageSize]
+		if err := d.Write(id, content[id]); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	unwritten := d.Allocate()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Reopened, the disk no longer knows the unwritten page as fresh: its
+	// read goes to the file, past its end.
+	if d, err = OpenFileDisk(path, pageSize); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	pool := NewBufferPoolShards(d, 8, LRU, 1)
+
+	get := func(id PageID, want []byte) {
+		t.Helper()
+		fr, err := pool.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fr.Data(), want) {
+			t.Fatalf("page %v: Get returned another page's bytes", id)
+		}
+		fr.Unpin()
+	}
+	const rounds = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		for _, id := range ids {
+			get(id, content[id])
+		}
+	}
+	runtime.ReadMemStats(&after)
+	st := pool.Stats()
+	if st.Hits != 0 || st.Misses != rounds*pages {
+		t.Fatalf("%d hits, %d misses; want every Get to miss", st.Hits, st.Misses)
+	}
+	perMiss := (after.TotalAlloc - before.TotalAlloc) / (rounds * pages)
+	t.Logf("%d B allocated per miss", perMiss)
+	if perMiss > 256 {
+		t.Errorf("a pool miss allocates %d B, want ≤ 256 (buffers reused)", perMiss)
+	}
+
+	get(ids[0], content[ids[0]])
+	get(unwritten, make([]byte, pageSize))
+	fr, err := pool.GetNew()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fr.Data(), make([]byte, pageSize)) {
+		t.Fatal("GetNew returned a page holding an evicted page's bytes")
+	}
+	fr.Unpin()
 }
