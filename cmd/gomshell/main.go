@@ -228,7 +228,7 @@ func (sh *shell) help() {
                                    index topology to BASE.manifest
   \open BASE                       crash-recover BASE.pages via the WAL and
                                    reopen the session (objects, indexes, vars)
-  \checkpoint                      flush dirty pages, sync, truncate the WAL
+  \checkpoint                      flush dirty pages, sync, recycle the WAL
   \backup DIR                      online backup of the durable session into DIR
                                    (page file + manifest + dump + watermarks)
   \restore BK ARCH BASE [LSN]      lay backup BK down at BASE and replay the WAL
@@ -607,7 +607,7 @@ func (sh *shell) cmdOpenBase(args []string) error {
 }
 
 // cmdCheckpoint flushes every dirty page to the device, syncs it, and —
-// with no transaction in flight — truncates the WAL, bounding the work a
+// with no transaction in flight — recycles the WAL, bounding the work a
 // future \open has to redo. An in-memory session has nothing to flush to.
 func (sh *shell) cmdCheckpoint() error {
 	if err := sh.db.Checkpoint(); err != nil {

@@ -66,7 +66,7 @@ func ParseExtension(s string) (Extension, error) {
 // SaveTo makes the managed indexes durable: it checkpoints the buffer
 // pool (every dirty frame reaches the page file, the device syncs, and
 // — when a WAL is attached and no transaction is active — the log
-// truncates) and then writes the index topology manifest to path,
+// is recycled) and then writes the index topology manifest to path,
 // atomically via a temp file and rename.
 //
 // Must be called with object-base mutation quiesced (the single-writer

@@ -89,7 +89,7 @@ func (d *Database) Backup(dstDir string) (*storage.BackupInfo, error) {
 	return info, nil
 }
 
-// Checkpoint flushes dirty pages to the device, syncs, and truncates
+// Checkpoint flushes dirty pages to the device, syncs, and recycles
 // the WAL (durable databases); it is a no-op for in-memory databases.
 func (d *Database) Checkpoint() error {
 	if !d.Durable() {

@@ -98,7 +98,7 @@ type Config struct {
 	Name string
 	// OnDrain runs during Shutdown after the last admitted query has
 	// answered and before sessions close — gomd checkpoints the page
-	// file and truncates the WAL here.
+	// file and recycles the WAL here.
 	OnDrain func() error
 	// Logger receives the server's structured log stream (session
 	// lifecycle, drain progress, slow queries — request lines carry

@@ -164,6 +164,48 @@ func TestArchiveCheckpointSealing(t *testing.T) {
 	}
 }
 
+// TestResetSealsTheLivePrefix: a recycled log holds the earlier
+// intervals' stale records past its live ones; a checkpoint seals only
+// the live records — the segment covers the interval since the last
+// reset, byte for byte — and never the stale bytes behind them.
+func TestResetSealsTheLivePrefix(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(filepath.Join(dir, "log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	arch, err := OpenArchive(filepath.Join(dir, "archive"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetArchive(arch)
+	commitTxns(t, w, 20, 200) // a long interval: its records go stale below
+	if err := w.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	first := w.AppendedLSN() + 1
+	last := commitTxns(t, w, 2, 200)
+	raw, err := os.ReadFile(w.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, live, _ := scanWALBytes(raw)
+	if live >= int64(len(raw))/2 {
+		t.Fatalf("live prefix %d of a %d-byte log: no stale records behind it", live, len(raw))
+	}
+	if err := w.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _, err := arch.Segments()
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("%d segments, err %v; want 2", len(segs), err)
+	}
+	if s := segs[1]; s.First != first || s.Last != last || s.Records != 4 || s.Bytes != live {
+		t.Fatalf("second segment %+v, want LSNs %d..%d, 4 records, %d bytes", s, first, last, live)
+	}
+}
+
 func TestArchiveSealTail(t *testing.T) {
 	dir := t.TempDir()
 	arch, err := OpenArchive(filepath.Join(dir, "archive"))

@@ -604,16 +604,20 @@ func (b *BufferPool) DropClean() error {
 	return errors.Join(errs...)
 }
 
-// Checkpoint makes the current committed state durable and truncates
+// Checkpoint makes the current committed state durable and recycles
 // the log: flush every dirty frame (WAL-first per frame), sync the
 // device (superblock + fsync for a FileDisk), then reset the WAL —
-// after which recovery starts from the data file alone. Nothing is
-// truncated if any earlier step failed; the joined errors are
+// after which recovery starts from the data file alone. The reset
+// rewrites the log's start frame in place and frees no blocks, so a
+// checkpoint costs its flush and two fsyncs, not the log's length.
+// Nothing is reset if any earlier step failed; the joined errors are
 // returned and the log keeps its records.
 //
 // Safe to call with an undo transaction active: its frames are
 // skipped (no-steal) and stay covered by the log they will commit to.
 func (b *BufferPool) Checkpoint() error {
+	start := time.Now()
+	defer func() { telCheckpointSeconds.Observe(time.Since(start).Seconds()) }()
 	var errs []error
 	if err := b.FlushAll(); err != nil {
 		errs = append(errs, err)
@@ -631,7 +635,7 @@ func (b *BufferPool) Checkpoint() error {
 		return nil
 	}
 	// With an active transaction the log still covers its eventual
-	// commit; truncating would orphan those images.
+	// commit; a reset would orphan those images.
 	if b.undo.Load() != nil {
 		telCheckpoints.Inc()
 		return nil

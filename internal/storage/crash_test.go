@@ -11,11 +11,14 @@ import (
 
 // crashWorkload runs a fixed, deterministic sequence of undo
 // transactions against a WAL-attached pool over a FileDisk in dir —
-// each transaction allocates a page and rewrites recent ones, with a
-// checkpoint partway through. It returns one committed-state snapshot
-// (page id → payload) per transaction whose Commit returned nil; the
-// error is whatever stopped the run (nil on a clean run ending in a
-// checkpoint and close).
+// each transaction allocates a page and rewrites recent ones, with two
+// checkpoints partway through. Each checkpoint recycles the log, and
+// the second and third intervals log the same record sizes from the
+// same offset, so every log write of the third lands on the second's
+// stale records, which still decode. It returns one committed-state
+// snapshot (page id → payload) per transaction whose Commit returned
+// nil; the error is whatever stopped the run (nil on a clean run ending
+// in a checkpoint and close).
 //
 // Because the schedule is deterministic, snapshot j describes the
 // state after transaction j in every run — a crash run's recovered
@@ -50,7 +53,7 @@ func crashWorkload(dir string, cp *Crashpoint) ([]map[PageID][]byte, error) {
 	var snaps []map[PageID][]byte
 	var ids []PageID
 
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 12; i++ {
 		txn, err := pool.BeginUndo()
 		if err != nil {
 			return snaps, err
@@ -88,7 +91,7 @@ func crashWorkload(dir string, cp *Crashpoint) ([]map[PageID][]byte, error) {
 			return abort(err)
 		}
 		snaps = append(snaps, snapshot())
-		if i == 3 {
+		if i == 3 || i == 7 {
 			if err := pool.Checkpoint(); err != nil {
 				return snaps, err
 			}

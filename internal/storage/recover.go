@@ -44,8 +44,9 @@ func (r *RecoveryInfo) String() string {
 //  4. Quarantine: pages still failing checksum after redo (corrupt and
 //     never covered by a committed image) are reported for the caller
 //     to route to Index.Repair.
-//  5. Checkpoint the result: superblock sync, log truncation, LSN
-//     counters seated above everything seen.
+//  5. Checkpoint the result: superblock sync, LSN counters seated
+//     above everything seen, then the log recycled (WAL.Reset) with
+//     that LSN as its watermark.
 //
 // The returned FileDisk and WAL are ready for use: attach them to a
 // BufferPool with AttachWAL.
@@ -118,9 +119,6 @@ func RecoverArchived(path string, arch *Archive) (_ *FileDisk, _ *WAL, _ *Recove
 	if err := fd.Sync(); err != nil {
 		return nil, nil, nil, err
 	}
-	if err := w.Reset(); err != nil {
-		return nil, nil, nil, err
-	}
 	if arch != nil {
 		// An uncommitted tail sealed by an earlier recovery never reached
 		// the page file; its LSNs are taken all the same.
@@ -131,5 +129,8 @@ func RecoverArchived(path string, arch *Archive) (_ *FileDisk, _ *WAL, _ *Recove
 		maxLSN = max(maxLSN, archived)
 	}
 	w.SetNextLSN(maxLSN + 1)
+	if err := w.Reset(); err != nil {
+		return nil, nil, nil, err
+	}
 	return fd, w, info, nil
 }

@@ -27,6 +27,7 @@ var (
 	telWALTruncations      = telemetry.Default().Counter("storage_wal_truncations_total")
 	telWALBatch            = telemetry.Default().Histogram("storage_wal_group_commit_batch", []float64{1, 2, 4, 8, 16, 32, 64, 128})
 	telCheckpoints         = telemetry.Default().Counter("storage_checkpoints_total")
+	telCheckpointSeconds   = telemetry.Default().Histogram("storage_checkpoint_seconds", telemetry.LatencyBuckets)
 	telChecksumFailures    = telemetry.Default().Counter("storage_page_checksum_failures_total")
 	telRecoveryRedone      = telemetry.Default().Counter("storage_recovery_pages_redone_total")
 	telRecoveryCommitted   = telemetry.Default().Counter("storage_recovery_committed_txns_total")

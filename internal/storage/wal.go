@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 const (
 	RecPageImage byte = 1 // full physical page image
 	RecCommit    byte = 2 // transaction commit marker
+	RecStart     byte = 3 // start frame: the log's LSN watermark, at offset 0 only
 )
 
 // WAL record framing:
@@ -21,10 +23,19 @@ const (
 //	len u32 | crc u32 | body
 //	body = lsn u64 | txn u64 | kind u8 | page u64 | payload
 //
-// len counts body bytes, crc is CRC32C over body. Scanning stops at
-// the first record that is short or fails its checksum — exactly the
-// torn tail a crash mid-append leaves — and everything before it is
-// trusted.
+// len counts body bytes, crc is CRC32C over body.
+//
+// The log file is recycled, not truncated: a checkpoint writes a start
+// frame (a RecStart record whose LSN is the watermark) at offset 0 and
+// the next records overwrite the old ones in place, so the bytes past
+// the live records are stale records of earlier intervals — many still
+// decode. Every flush therefore ends with an end frame (walEnd), which
+// the next flush overwrites, and a record is trusted only if its LSN is
+// at or above the watermark and above its predecessor's, which no stale
+// record's is. Scanning stops cleanly at the end frame; a record that
+// is short, fails its checksum or fails the LSN rule is the torn tail a
+// crash mid-append leaves, and everything before it is trusted. A log
+// without a start frame (never recycled) has watermark 0.
 const (
 	walFrameSize  = 8             // len + crc
 	walBodyHeader = 8 + 8 + 1 + 8 // lsn + txn + kind + page
@@ -35,6 +46,10 @@ const (
 	// megabytes are not held for the life of the log.
 	maxReusedWALBuf = 1 << 20
 )
+
+// walEnd is the end frame: body length zero, and a fixed mark in the
+// checksum field so that zeroed bytes never read as one.
+var walEnd = [walFrameSize]byte{4: 'E', 5: 'N', 6: 'D', 7: '.'}
 
 // Errors the record codec reports. ErrWALTruncated means the bytes end
 // mid-record (a torn tail); ErrWALCorrupt means framing or checksum is
@@ -103,9 +118,9 @@ func DecodeWALRecord(b []byte) (WALRecord, int, error) {
 	switch rec.Kind {
 	case RecPageImage:
 		rec.Data = append([]byte(nil), body[walBodyHeader:]...)
-	case RecCommit:
+	case RecCommit, RecStart:
 		if ln != walBodyHeader {
-			return WALRecord{}, 0, fmt.Errorf("%w: commit with payload", ErrWALCorrupt)
+			return WALRecord{}, 0, fmt.Errorf("%w: kind %d with payload", ErrWALCorrupt, rec.Kind)
 		}
 	default:
 		return WALRecord{}, 0, fmt.Errorf("%w: unknown kind %d", ErrWALCorrupt, rec.Kind)
@@ -113,15 +128,31 @@ func DecodeWALRecord(b []byte) (WALRecord, int, error) {
 	return rec, walFrameSize + int(ln), nil
 }
 
-// scanWALBytes decodes records until the bytes run out or a torn/
-// corrupt tail stops the scan; tailDamaged reports whether trailing
-// bytes were discarded. validLen is the byte length of the trusted
-// prefix.
+// walWatermark reads the start frame at the front of b: the LSN
+// watermark and the frame's length, both 0 when b starts with none.
+func walWatermark(b []byte) (mark uint64, n int) {
+	rec, n, err := DecodeWALRecord(b)
+	if err != nil || rec.Kind != RecStart {
+		return 0, 0
+	}
+	return rec.LSN, n
+}
+
+// scanWALBytes decodes the live records of a log (or of a sealed
+// segment's payload) under the rules above: past the start frame, until
+// the end frame, the bytes running out, or an untrusted record.
+// tailDamaged reports the last — trailing bytes were discarded. validLen
+// is the byte length of the trusted prefix, start frame included: the
+// offset the next record is written at.
 func scanWALBytes(b []byte) (recs []WALRecord, validLen int64, tailDamaged bool) {
-	off := 0
+	mark, off := walWatermark(b)
 	for off < len(b) {
+		if bytes.HasPrefix(b[off:], walEnd[:]) {
+			return recs, int64(off), false
+		}
 		rec, n, err := DecodeWALRecord(b[off:])
-		if err != nil {
+		if err != nil || rec.Kind == RecStart || rec.LSN < mark ||
+			(len(recs) > 0 && rec.LSN <= recs[len(recs)-1].LSN) {
 			return recs, int64(off), true
 		}
 		recs = append(recs, rec)
@@ -133,6 +164,7 @@ func scanWALBytes(b []byte) (recs []WALRecord, validLen int64, tailDamaged bool)
 // WALStats counts log activity. Commits counts commit records appended
 // (durability is decided by the sync that follows); Syncs counts
 // physical fsync batches, so Commits/Syncs is the group-commit ratio.
+// Truncations counts resets: checkpoints that recycled the log.
 type WALStats struct {
 	Records     uint64
 	Commits     uint64
@@ -156,7 +188,7 @@ type WAL struct {
 	path     string
 
 	buf      []byte // appended, not yet flushed
-	bufStart int64  // file offset of buf[0]
+	bufStart int64  // file offset of buf[0], where the end frame lies
 
 	nextLSN        uint64
 	nextTxn        uint64
@@ -172,11 +204,13 @@ type WAL struct {
 
 // OpenWAL opens (or creates) a log file, scanning it to find the valid
 // prefix and to seat the LSN and transaction counters above everything
-// already logged. A damaged tail is ignored (it is overwritten by the
-// next append). The transaction counter never starts below the LSN
-// counter: every transaction consumes at least one LSN, so an id handed
-// out after a restart is above every id logged before it even when the
-// log it was logged in has since been reset.
+// already logged and at or above the start frame's watermark — which
+// keeps every stale record below the next reset's watermark. A damaged
+// tail is ignored (it is overwritten by the next append). The
+// transaction counter never starts below the LSN counter: every
+// transaction consumes at least one LSN, so an id handed out after a
+// restart is above every id logged before it even when the log it was
+// logged in has since been reset.
 func OpenWAL(path string) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -188,7 +222,8 @@ func OpenWAL(path string) (*WAL, error) {
 		return nil, err
 	}
 	recs, validLen, _ := scanWALBytes(raw)
-	w := &WAL{f: f, path: path, bufStart: validLen, nextLSN: 1, nextTxn: 1}
+	mark, _ := walWatermark(raw)
+	w := &WAL{f: f, path: path, bufStart: validLen, nextLSN: max(mark, 1), nextTxn: 1}
 	w.flushing.L = &w.mu
 	for _, r := range recs {
 		if r.LSN >= w.nextLSN {
@@ -217,8 +252,8 @@ func (w *WAL) SetCrashpoint(cp *Crashpoint) {
 }
 
 // SetArchive attaches (or detaches, with nil) a WAL segment archive.
-// With an archive attached, Reset — the truncation every checkpoint
-// performs — first seals the log's record prefix into the archive, so
+// With an archive attached, Reset — the recycling every checkpoint
+// performs — first seals the log's live records into the archive, so
 // history survives checkpoints and point-in-time recovery stays
 // possible from the last backup forward.
 func (w *WAL) SetArchive(a *Archive) {
@@ -262,7 +297,7 @@ func (w *WAL) Stats() WALStats {
 
 // SetNextLSN raises the LSN counter (never lowers it), and the
 // transaction counter with it; Recover uses it to keep LSNs and
-// transaction ids monotonic across a log truncation.
+// transaction ids monotonic across a log reset.
 func (w *WAL) SetNextLSN(lsn uint64) {
 	w.mu.Lock()
 	if lsn > w.nextLSN {
@@ -337,9 +372,14 @@ func (w *WAL) Sync(upTo uint64) error {
 		}
 		w.flushing.Wait()
 	}
-	// Become the flusher for everything appended so far.
+	// Become the flusher for everything appended so far. The write ends
+	// with the end frame, at the offset the next flush starts from.
 	buf, start, target, batch := w.buf, w.bufStart, w.appendedLSN, w.pendingCommits
-	w.buf, w.bufStart, w.pendingCommits = nil, start+int64(len(buf)), 0
+	n := len(buf)
+	if n > 0 {
+		buf = append(buf, walEnd[:]...)
+	}
+	w.buf, w.bufStart, w.pendingCommits = nil, start+int64(n), 0
 	w.inFlush = true
 	w.mu.Unlock()
 
@@ -360,7 +400,7 @@ func (w *WAL) Sync(upTo uint64) error {
 	} else {
 		// Put the unflushed bytes back so a later retry re-covers them
 		// (idempotent: rewriting the same offsets is safe).
-		w.buf = append(buf, w.buf...)
+		w.buf = append(buf[:n], w.buf...)
 		w.bufStart = start
 		w.pendingCommits += batch
 	}
@@ -415,42 +455,51 @@ func (w *WAL) Records() (recs []WALRecord, tailDamaged bool, err error) {
 	return recs, tailDamaged, nil
 }
 
-// Reset rotates the log after a checkpoint has made every logged
-// effect durable in the page file: with an archive attached the
-// record prefix is first sealed into it (nothing is truncated if the
-// seal fails — the log keeps its records and the archive keeps its
-// chain); without one the records are discarded, the pre-archiving
-// behaviour. LSN and transaction counters keep counting (LSNs stay
-// monotonic for the life of the database).
+// Reset recycles the log after a checkpoint has made every logged
+// effect durable in the page file: with an archive attached the live
+// records are first sealed into it (nothing is reset if the seal fails
+// — the log keeps its records and the archive keeps its chain); without
+// one they are discarded. The file keeps its length and frees no
+// blocks: Reset writes and fsyncs a start frame carrying the next LSN
+// as the watermark, followed by an end frame, at offset 0, and the
+// next record overwrites that end frame. LSN and transaction counters
+// keep counting (LSNs stay monotonic for the life of the database), so
+// every record left behind is stale: below the watermark.
 func (w *WAL) Reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	for w.inFlush { // a flush in progress writes at the old offsets
+		w.flushing.Wait()
+	}
 	if w.cp != nil && w.cp.Crashed() {
 		return fmt.Errorf("storage: wal reset: %w", ErrCrashed)
 	}
 	if w.arch != nil {
-		raw, err := os.ReadFile(w.path)
-		if err != nil {
+		live := make([]byte, w.bufStart)
+		if _, err := w.f.ReadAt(live, 0); err != nil {
 			return fmt.Errorf("storage: wal archive: %w", err)
 		}
-		recs, validLen, _ := scanWALBytes(raw)
+		recs, validLen, _ := scanWALBytes(live)
 		if len(recs) > 0 {
 			if w.cp != nil {
 				w.arch.SetCrashpoint(w.cp)
 			}
-			if _, err := w.arch.seal(raw[:validLen], recs); err != nil {
+			if _, err := w.arch.seal(live[:validLen], recs); err != nil {
 				return fmt.Errorf("storage: wal archive: %w", err)
 			}
 		}
 	}
-	if err := w.f.Truncate(0); err != nil {
-		return fmt.Errorf("storage: wal truncate: %w", err)
+	frames := append(appendWALRecord(nil, WALRecord{LSN: w.nextLSN, Kind: RecStart}), walEnd[:]...)
+	if err := w.cp.writeAt(w.f, frames, 0); err != nil {
+		return fmt.Errorf("storage: wal reset: %w", err)
 	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("storage: wal truncate: %w", err)
-	}
-	w.buf, w.bufStart = nil, 0
+	// The file now reads as recycled: later records go behind the start
+	// frame even if this fsync fails.
+	w.buf, w.bufStart = nil, int64(len(frames)-len(walEnd))
 	w.syncedLSN = w.appendedLSN
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("storage: wal reset: %w", err)
+	}
 	w.stats.Truncations++
 	telWALTruncations.Inc()
 	return nil
