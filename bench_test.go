@@ -415,12 +415,18 @@ func readLargeQuery(tb testing.TB, shape string, k int) *query.Query {
 	return q
 }
 
-func benchReadLarge(b *testing.B, shape string) {
-	db := readLargeDB(b)
+// readLargeQueries is 64 queries of one shape, over as many targets.
+func readLargeQueries(b *testing.B, shape string) []*query.Query {
 	qs := make([]*query.Query, 64)
 	for k := range qs {
 		qs[k] = readLargeQuery(b, shape, k*97)
 	}
+	return qs
+}
+
+func benchReadLarge(b *testing.B, shape string) {
+	db := readLargeDB(b)
+	qs := readLargeQueries(b, shape)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -433,6 +439,25 @@ func benchReadLarge(b *testing.B, shape string) {
 func BenchmarkReadLargeIndexed(b *testing.B) { benchReadLarge(b, "indexed") }
 func BenchmarkReadLargeScan(b *testing.B)    { benchReadLarge(b, "scan") }
 func BenchmarkReadLargeForward(b *testing.B) { benchReadLarge(b, "forward") }
+
+// BenchmarkReadLargeScanParallel is BenchmarkReadLargeScan from
+// GOMAXPROCS goroutines at once, the way read_large's connections run
+// it: what one goroutine cannot show is what the scans cost each other
+// on the object base's shared read lock.
+func BenchmarkReadLargeScanParallel(b *testing.B) {
+	db := readLargeDB(b)
+	qs := readLargeQueries(b, "scan")
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if _, err := db.Engine.Run(qs[i%len(qs)]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
 
 // TestReadLargeAllocationBudget pins what one Engine.Run may allocate on
 // the read_large shapes — counts that repeat exactly, unlike times. An

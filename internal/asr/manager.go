@@ -277,47 +277,38 @@ func (m *Manager) query(ctx context.Context, fwd bool, path *gom.PathExpression,
 	if i < 0 || j > path.Len() || i >= j {
 		return nil, fmt.Errorf("asr: bad query span (%d,%d) for path of length %d", i, j, path.Len())
 	}
-	// reach is Q_nas from a set of t_i values: the object base's one path
-	// closure (gom.ObjectBase.Reach), taken a step at a time so that
-	// cancellation is seen between steps. Read-only on the object base, so
-	// safe to call from multiple goroutines.
-	reach := func(from []gom.Value) (*valueSet, error) {
-		for s := i; s < j; s++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			from, _ = m.ob.Reach(path, s, s+1, from...)
-		}
-		return newValueSet(from...), nil
-	}
 	var (
 		sets []*valueSet
 		err  error
 	)
 	if fwd {
-		sets, err = FanOut("asr: traversal", workers, vals, reach)
-	} else {
-		// Exhaustive search: traverse forward from every t_i instance and
-		// keep the anchors whose closure hits an end value.
-		anchors := m.ob.Extent(path.Step(i+1).Domain, true)
-		sets, err = FanOut("asr: search", workers, anchors, func(ids []gom.OID) (*valueSet, error) {
-			hits := newValueSet()
-			for _, id := range ids {
+		// Q_nas from a set of t_i values: the object base's one path
+		// closure (gom.ObjectBase.Reach), taken a step at a time so that
+		// cancellation is seen between steps.
+		sets, err = FanOut("asr: traversal", workers, vals, func(from []gom.Value) (*valueSet, error) {
+			for s := i; s < j; s++ {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				reached, err := reach([]gom.Value{gom.Ref(id)})
-				if err != nil {
-					return nil, err
-				}
-				for _, end := range vals {
-					if reached.contains(end) {
-						hits.add(gom.Ref(id))
-						break
-					}
-				}
+				from, _ = m.ob.Reach(path, s, s+1, from...)
 			}
-			return hits, nil
+			return newValueSet(from...), nil
+		})
+	} else {
+		// Exhaustive search: walk forward from every t_i instance and
+		// keep the anchors whose path reaches an end value, a block of
+		// anchors per read lock and per cancellation check.
+		extent := m.ob.Extent(path.Step(i+1).Domain, true)
+		anchors := make([]gom.Value, len(extent))
+		for k, id := range extent {
+			anchors[k] = gom.Ref(id)
+		}
+		sets, err = FanOut("asr: search", workers, anchors, func(chunk []gom.Value) (*valueSet, error) {
+			hits, _, err := m.ob.NewWalker().KeepReaching(ctx, chunk[:0], chunk, path, i, j, vals...)
+			if err != nil {
+				return nil, err
+			}
+			return newValueSet(hits...), nil
 		})
 	}
 	if err != nil {

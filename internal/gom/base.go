@@ -47,11 +47,11 @@ type Observer interface {
 // goroutine. Mutations (New, SetAttr, InsertIntoSet, RemoveFromSet,
 // AppendToList, Delete, BindVar, AddObserver, RemoveObserver) take the
 // write lock and are internally serialized; observer callbacks run after
-// the lock is released. A walk (Walker.Reach) holds the read lock from
-// its first fetch to its last, so it sees one state of the base and a
-// writer waits for at most one walk per reader; no read lock is ever
-// taken while another is held, since a queued writer would deadlock the
-// inner one.
+// the lock is released. A walk (Walker.Reach, or one block of anchors
+// in Walker.KeepReaching) holds the read lock from its first fetch to
+// its last, so it sees one state of the base and a writer waits for at
+// most one walk or block per reader; no read lock is ever taken while
+// another is held, since a queued writer would deadlock the inner one.
 type ObjectBase struct {
 	mu        sync.RWMutex
 	schema    *Schema

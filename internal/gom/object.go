@@ -1,6 +1,7 @@
 package gom
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -145,7 +146,7 @@ func (o *Object) Follow(step PathStep, dst []Value) (set Value, _ []Value) {
 
 // followLocked is Follow without locking; with ordered false a set's
 // elements come in no particular order, for the caller that imposes its
-// own (Walker.Reach). o.base.mu must be held.
+// own (Walker's walks). o.base.mu must be held.
 func (o *Object) followLocked(step PathStep, dst []Value, ordered bool) (set Value, _ []Value) {
 	ob := o.base
 	v, _ := o.attrLocked(step.Attr)
@@ -186,13 +187,15 @@ func (ob *ObjectBase) Reach(path *PathExpression, i, j int, start ...Value) (rea
 // no allocation once the buffers have grown to the widest frontier, so
 // a loop over the anchors of a query allocates per chunk, not per
 // anchor. A Walker serves one goroutine; each Reach holds the base's
-// read lock once, for the whole walk.
+// read lock once, for the whole walk, and KeepReaching once per block
+// of anchors.
 type Walker struct {
 	ob       *ObjectBase
 	frontier [2][]Value
 	targets  []Value
 	seen     map[string]bool
 	key      []byte
+	anchor   [1]Value // KeepReaching's start frontier
 }
 
 // NewWalker returns a Walker over ob.
@@ -200,6 +203,70 @@ func (ob *ObjectBase) NewWalker() *Walker { return &Walker{ob: ob} }
 
 // Reach is ObjectBase.Reach into the Walker's buffers: the values
 // returned are BORROWED, valid until the Walker's next Reach.
+func (w *Walker) Reach(path *PathExpression, i, j int, start ...Value) (reached []Value, fetches uint64) {
+	w.ob.mu.RLock()
+	defer w.ob.mu.RUnlock()
+	return w.reachLocked(path, i, j, start)
+}
+
+// walkBlock is how many anchors KeepReaching walks under one read lock
+// and one cancellation check: enough that neither is paid per anchor,
+// few enough that a writer waits for a short walk, not a whole
+// collection's.
+const walkBlock = 256
+
+// KeepReaching appends to dst, in order, every anchor from which steps
+// i+1…j of path reach a value equal to one of want (exists semantics
+// over set-valued steps): each anchor is walked exactly as Reach walks
+// it, and the fetches of all the walks are summed. The anchors are
+// walked walkBlock at a time, each block under one read lock, and ctx is
+// checked before each block; on cancellation it returns the anchors
+// kept so far with ctx's error. dst may be anchors[:0]: the filter then
+// runs in place.
+//
+// Nothing is called out of the package while the lock is held, so a
+// caller may probe an index or take other locks between calls.
+func (w *Walker) KeepReaching(ctx context.Context, dst, anchors []Value, path *PathExpression, i, j int, want ...Value) (kept []Value, fetches uint64, err error) {
+	for lo := 0; lo < len(anchors); lo += walkBlock {
+		if err := ctx.Err(); err != nil {
+			return dst, fetches, err
+		}
+		var n uint64
+		dst, n = w.keepBlock(dst, anchors[lo:min(lo+walkBlock, len(anchors))], path, i, j, want)
+		fetches += n
+	}
+	return dst, fetches, nil
+}
+
+// keepBlock is one block of KeepReaching, under one read lock.
+func (w *Walker) keepBlock(dst, block []Value, path *PathExpression, i, j int, want []Value) ([]Value, uint64) {
+	w.ob.mu.RLock()
+	defer w.ob.mu.RUnlock()
+	var fetches uint64
+	for _, a := range block {
+		w.anchor[0] = a
+		reached, n := w.reachLocked(path, i, j, w.anchor[:])
+		fetches += n
+		if reachesAny(reached, want) {
+			dst = append(dst, a)
+		}
+	}
+	return dst, fetches
+}
+
+// reachesAny reports whether a reached value equals one of want.
+func reachesAny(reached, want []Value) bool {
+	for _, v := range reached {
+		for _, t := range want {
+			if ValuesEqual(v, t) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// reachLocked is Reach without locking; ob.mu must be held.
 //
 // A value can reach a frontier twice only where two frontier objects
 // lead to it or a list holds it twice. A frontier of one value followed
@@ -207,10 +274,8 @@ func (ob *ObjectBase) NewWalker() *Walker { return &Walker{ob: ob} }
 // steps — every step of a linear path walked from one anchor — append
 // straight into the next frontier; the others de-duplicate by rendered
 // value, as before.
-func (w *Walker) Reach(path *PathExpression, i, j int, start ...Value) (reached []Value, fetches uint64) {
+func (w *Walker) reachLocked(path *PathExpression, i, j int, start []Value) (reached []Value, fetches uint64) {
 	ob := w.ob
-	ob.mu.RLock()
-	defer ob.mu.RUnlock()
 	cur := start
 	for s, k := i+1, 0; s <= j; s, k = s+1, k^1 {
 		step := path.Step(s)

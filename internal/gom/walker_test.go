@@ -1,8 +1,10 @@
 package gom
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -120,6 +122,53 @@ func TestWalkerMatchesStepwiseClosure(t *testing.T) {
 	}
 }
 
+// TestKeepReachingMatchesReach: over more than a block of anchors —
+// Roots, a dangling and a non-reference value among them — KeepReaching
+// keeps, in order, exactly the anchors whose Reach over the span hits
+// one of the targets, and counts the fetches of all those walks; a
+// filter in place keeps the same anchors.
+func TestKeepReachingMatchesReach(t *testing.T) {
+	ob, path, roots := walkerBase(t)
+	anchors := []Value{String("not a reference"), Ref(OID(1 << 20))}
+	for len(anchors) < walkBlock+7 {
+		anchors = append(anchors, roots[len(anchors)%len(roots)])
+	}
+	targets := [][]Value{{String("tag0")}, {String("tag2")}, {String("tag1"), String("tag2")}, {String("none")}, nil}
+	w := ob.NewWalker()
+	hits := 0
+	for i := 0; i <= path.Len(); i++ {
+		for j := i; j <= path.Len(); j++ {
+			for _, want := range targets {
+				var kept []Value
+				var fetches uint64
+				for _, a := range anchors {
+					reached, n := ob.Reach(path, i, j, a)
+					fetches += n
+					for _, v := range reached {
+						if slices.ContainsFunc(want, func(t Value) bool { return ValuesEqual(v, t) }) {
+							kept = append(kept, a)
+							break
+						}
+					}
+				}
+				got, n, err := w.KeepReaching(context.Background(), nil, anchors, path, i, j, want...)
+				if err != nil || fmt.Sprint(got) != fmt.Sprint(kept) || n != fetches {
+					t.Errorf("KeepReaching(%d,%d, %v) kept %d anchors in %d fetches (err %v), want %d in %d",
+						i, j, want, len(got), n, err, len(kept), fetches)
+				}
+				inPlace := slices.Clone(anchors)
+				if got, _, _ := w.KeepReaching(context.Background(), inPlace[:0], inPlace, path, i, j, want...); fmt.Sprint(got) != fmt.Sprint(kept) {
+					t.Errorf("KeepReaching(%d,%d, %v) in place kept %v, want %v", i, j, want, got, kept)
+				}
+				hits += len(kept)
+			}
+		}
+	}
+	if hits == 0 {
+		t.Error("no anchor reaches any target: the comparison is vacuous")
+	}
+}
+
 // TestWalkerAllocatesPerChunkNotPerAnchor: once its buffers have grown,
 // a walk from one object over single-valued and set-valued steps
 // allocates nothing.
@@ -179,7 +228,10 @@ func TestCollectionAccessors(t *testing.T) {
 // walk must finish: a walk holds the base's read lock throughout, and
 // anything inside it that took the lock again would deadlock as soon as
 // the writer queued. Item names are unique and never NULL, so each walk
-// reaches one name per live Item it fetched besides its Root.
+// reaches one name per live Item it fetched besides its Root. One
+// reader walks through KeepReaching instead: more than a block of
+// anchors, the Roots over and over, filtered by the name of an Item the
+// writer never touches, so exactly one Root's occurrences are kept.
 func TestWalksBesideAWriter(t *testing.T) {
 	s, _, err := ParseSchema(`
 		type Root is [Items: ItemSET];
@@ -210,6 +262,13 @@ func TestWalksBesideAWriter(t *testing.T) {
 			members[r] = append(members[r], newItem())
 			ob.MustInsertIntoSet(set, members[r][i])
 		}
+		pinned := ob.MustNew(s.MustLookup("Item")).ID()
+		ob.MustSetAttr(pinned, "Name", String(fmt.Sprintf("pin%d", r)))
+		ob.MustInsertIntoSet(set, Ref(pinned))
+	}
+	anchors := make([]Value, walkBlock+nRoots+1)
+	for k := range anchors {
+		anchors[k] = roots[k%nRoots]
 	}
 
 	stop := make(chan struct{})
@@ -225,16 +284,35 @@ func TestWalksBesideAWriter(t *testing.T) {
 			first := sync.OnceFunc(started.Done)
 			defer func() { first(); done <- struct{}{} }()
 			w := ob.NewWalker()
+			var kept []Value
 			for k := 0; ; k++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				names, fetches := w.Reach(path, 0, 2, roots[k%nRoots])
-				if fetches != 1+uint64(len(names)) {
-					t.Errorf("walk reached %d names in %d fetches, want one Root and one Item per name", len(names), fetches)
-					return
+				r := k % nRoots
+				if g == len(walks)-1 {
+					var fetches uint64
+					var err error
+					kept, fetches, err = w.KeepReaching(context.Background(), kept[:0], anchors, path, 0, 2, String(fmt.Sprintf("pin%d", r)))
+					if err != nil || len(kept) != (len(anchors)-r+nRoots-1)/nRoots || fetches < 2*uint64(len(anchors)) {
+						t.Errorf("kept %d of %d anchors in %d fetches (err %v), want every occurrence of Root %d and at least a Root and an Item per anchor",
+							len(kept), len(anchors), fetches, err, r)
+						return
+					}
+					for _, a := range kept {
+						if a != roots[r] {
+							t.Errorf("kept %v for pin%d, want only %v", a, r, roots[r])
+							return
+						}
+					}
+				} else {
+					names, fetches := w.Reach(path, 0, 2, roots[r])
+					if fetches != 1+uint64(len(names)) {
+						t.Errorf("walk reached %d names in %d fetches, want one Root and one Item per name", len(names), fetches)
+						return
+					}
 				}
 				walks[g]++
 				first()

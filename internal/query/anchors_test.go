@@ -302,6 +302,11 @@ func TestIndexQuarantinedMidQuery(t *testing.T) {
 // binding of the variables around it. Over 300 × 300 members the run
 // allocated 11.9 MB; resolving B once (and walking through one Walker)
 // must stay under a tenth of that, with the same Values.
+//
+// Each predicate is checked where its variable is bound, so x's prunes
+// A to one binding before B is walked at all: 300 walks of x and 300 of
+// y plus the projection, 601 object reads, where checking both at the
+// innermost depth read 90 301 (referenceRun's count).
 func TestInnerCollectionResolvedOncePerRun(t *testing.T) {
 	db, err := gendb.Generate(gendb.Spec{N: 1, C: []int{300, 300}, D: []int{0}, Fan: []int{1}, Seed: 1})
 	if err != nil {
@@ -339,5 +344,15 @@ func TestInnerCollectionResolvedOncePerRun(t *testing.T) {
 			alloc/1e6, parentBytes/1e6)
 	} else {
 		t.Logf("one run allocated %.3f MB", alloc/1e6)
+	}
+	a, err := e.ExplainAnalyze(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, innermost := referenceRun(t, db.Base, q)
+	if a.ActualObjectReads > 700 {
+		t.Errorf("one run read %d objects, want about 600 (innermost checks read %d)", a.ActualObjectReads, innermost)
+	} else {
+		t.Logf("one run read %d objects; innermost checks read %d", a.ActualObjectReads, innermost)
 	}
 }

@@ -25,8 +25,11 @@ import (
 // loop, later ones intersect, and the collection is enumerated only when
 // no predicate is routed, so a supported query costs its probe and its
 // survivors, not the collection. Every survivor is still re-checked, and
-// everything no relation covers is walked by gom.Walker.Reach. Explain
-// prices the same plan with the cost model instead of running it.
+// everything no relation covers is walked by a gom.Walker: each
+// predicate where its variable is bound, over all of that range's
+// members by Walker.KeepReaching, a block of members per read lock.
+// Explain prices the same plan with the cost model instead of running
+// it.
 //
 // An Engine is stateless between calls and safe for concurrent use: any
 // number of goroutines may call Run and RunCtx simultaneously,
@@ -67,6 +70,7 @@ type boundRange struct {
 // (Q_nas, eq. 31).
 type route struct {
 	role string // "predicate" or "projection"
+	at   int    // the range variable's index: the depth that binds it
 	// path is anchored at the range variable: what the nested loop walks
 	// to re-check a predicate, and to project when ix is nil or fails.
 	path *gom.PathExpression
@@ -82,7 +86,6 @@ type route struct {
 // plan run.
 type plan struct {
 	ranges []boundRange
-	byVar  map[string]int
 	setObj *gom.Object // the outer collection
 	preds  []route     // one per where-predicate, in query order
 	proj   route       // path nil for a bare-variable projection
@@ -91,9 +94,10 @@ type plan struct {
 // resolve binds q's ranges and paths to the schema; the routes it
 // returns are not yet routed.
 func (e *Engine) resolve(q *Query) (*plan, error) {
-	r := &plan{byVar: map[string]int{}}
+	r := &plan{}
+	byVar := map[string]int{}
 	for idx, rng := range q.Ranges {
-		if _, dup := r.byVar[rng.Var]; dup {
+		if _, dup := byVar[rng.Var]; dup {
 			return nil, fmt.Errorf("query: duplicate range variable %q", rng.Var)
 		}
 		br := boundRange{r: rng}
@@ -113,7 +117,7 @@ func (e *Engine) resolve(q *Query) (*plan, error) {
 			br.setOID = id
 			br.elemType = setObj.Type().Elem()
 		} else {
-			parent, ok := r.byVar[rng.Dependent.Var]
+			parent, ok := byVar[rng.Dependent.Var]
 			if !ok {
 				return nil, fmt.Errorf("query: range %q depends on undefined variable %q", rng.Var, rng.Dependent.Var)
 			}
@@ -130,11 +134,11 @@ func (e *Engine) resolve(q *Query) (*plan, error) {
 			br.parentIdx = parent
 			br.elemType = last.Range
 		}
-		r.byVar[rng.Var] = idx
+		byVar[rng.Var] = idx
 		r.ranges = append(r.ranges, br)
 	}
 	for _, pred := range q.Where {
-		idx, ok := r.byVar[pred.Path.Var]
+		idx, ok := byVar[pred.Path.Var]
 		if !ok {
 			return nil, fmt.Errorf("query: predicate references undefined variable %q", pred.Path.Var)
 		}
@@ -145,18 +149,19 @@ func (e *Engine) resolve(q *Query) (*plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.preds = append(r.preds, route{role: "predicate", path: p})
+		r.preds = append(r.preds, route{role: "predicate", at: idx, path: p})
 	}
-	idx, ok := r.byVar[q.Projection.Var]
+	idx, ok := byVar[q.Projection.Var]
 	if !ok {
 		return nil, fmt.Errorf("query: projection references undefined variable %q", q.Projection.Var)
 	}
+	r.proj = route{role: "projection", at: idx}
 	if len(q.Projection.Attrs) > 0 {
 		p, err := gom.ResolvePath(r.ranges[idx].elemType, q.Projection.Attrs...)
 		if err != nil {
 			return nil, err
 		}
-		r.proj = route{role: "projection", path: p}
+		r.proj.path = p
 	}
 	return r, nil
 }
@@ -236,11 +241,11 @@ func (e *Engine) plan(ctx context.Context, q *Query) (*plan, error) {
 	// query before the nested loop re-checks it; one on a dependent
 	// variable still prunes, since its composed path starts at the anchor.
 	for pi, pred := range q.Where {
-		via(&p.preds[pi], p.byVar[pred.Path.Var], pred.Path.Attrs)
+		via(&p.preds[pi], p.preds[pi].at, pred.Path.Attrs)
 	}
 	// A routed projection replaces traversal by a forward index query per
 	// surviving anchor, so it must project the anchor variable itself.
-	if p.proj.path != nil && p.byVar[q.Projection.Var] == 0 {
+	if p.proj.path != nil && p.proj.at == 0 {
 		via(&p.proj, 0, q.Projection.Attrs)
 	}
 	return p, nil
@@ -362,10 +367,19 @@ func (e *Engine) run(ctx context.Context, q *Query, p *plan, workers int) (*Resu
 		inner[depth] = refMembers(so)
 	}
 
+	// predsAt[d] lists the where-predicates on range variable d: each is
+	// checked where its variable is bound, so a binding that fails one
+	// prunes every range nested inside it.
+	predsAt := make([][]int, len(p.ranges))
+	for pi, rt := range p.preds {
+		predsAt[rt.at] = append(predsAt[rt.at], pi)
+	}
+
 	// evalAnchors runs the nested-loop evaluation over one chunk of the
 	// outer collection's anchors into a private result set; both the
 	// sequential path (one chunk: everything) and the parallel path (one
-	// chunk per worker) go through it, so they agree by construction.
+	// chunk per worker) go through it, so they agree by construction. The
+	// chunk is the run's own and is filtered in place.
 	evalAnchors := func(chunk []gom.Value) (map[string]gom.Value, error) {
 		// Object reads accumulate in a chunk-local counter and flush to
 		// the shared one once per chunk: workers never contend on the
@@ -383,21 +397,33 @@ func (e *Engine) run(ctx context.Context, q *Query, p *plan, workers int) (*Resu
 			reads += n
 			return vals
 		}
+		// keep narrows the members of range depth to the bindings that
+		// satisfy its predicates, one block walk per predicate, appending
+		// into dst (which may be members[:0]).
+		keep := func(depth int, dst, members []gom.Value) ([]gom.Value, error) {
+			for _, pi := range predsAt[depth] {
+				path := p.preds[pi].path
+				kept, n, err := walker.KeepReaching(ctx, dst, members, path, 0, path.Len(), q.Where[pi].Literal)
+				reads += n
+				if err != nil {
+					return nil, err
+				}
+				members, dst = kept, kept[:0]
+			}
+			return members, nil
+		}
 		out := map[string]gom.Value{}
 		bindings := make([]gom.Value, len(p.ranges))
 		// dependent[d] holds the members of dependent range d under the
-		// current binding of its parent, reused from one binding to the next.
+		// current binding of its parent, and filtered[d] those of inner
+		// collection range d that pass its predicates, each reused from
+		// one binding to the next.
 		dependent := make([][]gom.Value, len(p.ranges))
+		filtered := make([][]gom.Value, len(p.ranges))
 		var loop func(depth int) error
 		loop = func(depth int) error {
 			if depth == len(p.ranges) {
-				for pi, rt := range p.preds {
-					pred := q.Where[pi]
-					if !hasValue(reach(bindings[p.byVar[pred.Path.Var]], rt.path), pred.Literal) {
-						return nil
-					}
-				}
-				projVar := bindings[p.byVar[q.Projection.Var]]
+				projVar := bindings[p.proj.at]
 				if p.proj.path == nil {
 					out[projVar.String()] = projVar
 					return nil
@@ -423,17 +449,28 @@ func (e *Engine) run(ctx context.Context, q *Query, p *plan, workers int) (*Resu
 				return nil
 			}
 			br := p.ranges[depth]
-			members := inner[depth]
-			if depth == 0 {
-				members = chunk
-			} else if br.r.Dependent != nil {
+			var members []gom.Value
+			var err error
+			switch {
+			case depth == 0:
+				members, err = keep(depth, chunk[:0], chunk)
+			case br.r.Dependent != nil:
 				members = dependent[depth][:0]
 				for _, v := range reach(bindings[br.parentIdx], br.path) {
 					if _, ok := v.(gom.Ref); ok {
 						members = append(members, v)
 					}
 				}
+				members, err = keep(depth, members[:0], members)
 				dependent[depth] = members
+			case len(predsAt[depth]) > 0: // inner[depth] is shared: filter into a buffer of this chunk's
+				members, err = keep(depth, filtered[depth][:0], inner[depth])
+				filtered[depth] = members
+			default:
+				members = inner[depth]
+			}
+			if err != nil {
+				return err
 			}
 			for _, m := range members {
 				if depth == 0 {
@@ -541,15 +578,4 @@ func keepIn(anchors, vals []gom.Value) []gom.Value {
 		}
 	}
 	return kept
-}
-
-// hasValue reports whether any of the reached values equals want
-// (exists semantics over set-valued steps).
-func hasValue(reached []gom.Value, want gom.Value) bool {
-	for _, v := range reached {
-		if gom.ValuesEqual(v, want) {
-			return true
-		}
-	}
-	return false
 }

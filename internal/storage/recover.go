@@ -33,8 +33,9 @@ func (r *RecoveryInfo) String() string {
 // only, which suffices because the buffer pool is no-steal under a WAL
 // (uncommitted dirty pages never reach the data file):
 //
-//  1. Scan the log's valid prefix (a torn tail marks the crash point;
-//     everything before it is checksummed and trusted).
+//  1. Scan the log's valid prefix — once, the scan OpenWAL seats the
+//     counters from (a torn tail marks the crash point; everything
+//     before it is checksummed and trusted).
 //  2. Collect the transactions with a commit marker; images of any
 //     other transaction are discarded.
 //  3. Redo: for each committed page image (last one per page wins),
@@ -64,7 +65,7 @@ func RecoverArchived(path string, arch *Archive) (_ *FileDisk, _ *WAL, _ *Recove
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	w, err := OpenWAL(path + ".wal")
+	w, scan, err := openWAL(path + ".wal")
 	if err != nil {
 		fd.Close()
 		return nil, nil, nil, err
@@ -78,17 +79,13 @@ func RecoverArchived(path string, arch *Archive) (_ *FileDisk, _ *WAL, _ *Recove
 	if arch != nil {
 		w.SetArchive(arch)
 	}
-	recs, tailDamaged, err := w.Records()
-	if err != nil {
-		return nil, nil, nil, err
-	}
 	// The archive is not folded in: everything it holds was checkpointed
 	// into the page file before it was sealed.
-	images, _ := foldImageLog(nil, recs, 0) // no archive, no replay error
+	images, _ := foldImageLog(nil, scan.recs, 0) // no archive, no replay error
 	info := &RecoveryInfo{
 		CommittedTxns:  images.committed,
 		DiscardedTxns:  images.discarded,
-		WALTailDamaged: tailDamaged,
+		WALTailDamaged: scan.tailDamaged,
 	}
 
 	// Redo when the stored page is older than the log (or corrupt). A

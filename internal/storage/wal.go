@@ -1,11 +1,13 @@
 package storage
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"slices"
 	"sync"
@@ -138,27 +140,92 @@ func walWatermark(b []byte) (mark uint64, n int) {
 	return rec.LSN, n
 }
 
-// scanWALBytes decodes the live records of a log (or of a sealed
-// segment's payload) under the rules above: past the start frame, until
-// the end frame, the bytes running out, or an untrusted record.
-// tailDamaged reports the last — trailing bytes were discarded. validLen
-// is the byte length of the trusted prefix, start frame included: the
-// offset the next record is written at.
-func scanWALBytes(b []byte) (recs []WALRecord, validLen int64, tailDamaged bool) {
-	mark, off := walWatermark(b)
-	for off < len(b) {
-		if bytes.HasPrefix(b[off:], walEnd[:]) {
-			return recs, int64(off), false
+// walScanChunk is how much of a log one read brings in. A scan reads
+// the log in chunks and stops at the end frame, so the stale tail of a
+// recycled log — as long as its longest interval — is never read.
+const walScanChunk = 64 << 10
+
+// walScan is what a scan of a log found: the live records, the start
+// frame's watermark (0 without one), and validLen and tailDamaged as
+// scanWALBytes reports them.
+type walScan struct {
+	recs        []WALRecord
+	mark        uint64
+	validLen    int64
+	tailDamaged bool
+}
+
+// scanWAL decodes the live records of the first size bytes of r under
+// the rules above: past the start frame, until the end frame, the bytes
+// running out, or an untrusted record. It reads r in walScanChunk
+// pieces and holds one record at a time besides the records it returns.
+// An error is a failed read, never a damaged log.
+func scanWAL(r io.ReaderAt, size int64) (s walScan, err error) {
+	br := bufio.NewReaderSize(io.NewSectionReader(r, 0, size), int(min(size, walScanChunk)))
+	var frame []byte // the record being decoded, reused
+	for s.validLen < size {
+		head, err := br.Peek(walFrameSize)
+		if err != nil && err != io.EOF {
+			return s, err
 		}
-		rec, n, err := DecodeWALRecord(b[off:])
-		if err != nil || rec.Kind == RecStart || rec.LSN < mark ||
-			(len(recs) > 0 && rec.LSN <= recs[len(recs)-1].LSN) {
-			return recs, int64(off), true
+		if bytes.Equal(head, walEnd[:]) {
+			return s, nil
 		}
-		recs = append(recs, rec)
-		off += n
+		// A length field out of bounds leaves the frame header alone to
+		// fail decoding.
+		n := int64(walFrameSize)
+		if len(head) == walFrameSize {
+			if ln := binary.LittleEndian.Uint32(head); ln <= maxWALRecord {
+				n += int64(ln)
+			}
+		}
+		if s.validLen+n > size { // ends mid-record
+			s.tailDamaged = true
+			return s, nil
+		}
+		frame = slices.Grow(frame[:0], int(n))[:n]
+		if _, err := io.ReadFull(br, frame); err != nil {
+			return s, err
+		}
+		if s.validLen == 0 {
+			if mark, m := walWatermark(frame); m > 0 {
+				s.mark, s.validLen = mark, int64(m)
+				continue
+			}
+		}
+		rec, _, err := DecodeWALRecord(frame)
+		if err != nil || rec.Kind == RecStart || rec.LSN < s.mark ||
+			(len(s.recs) > 0 && rec.LSN <= s.recs[len(s.recs)-1].LSN) {
+			s.tailDamaged = true
+			return s, nil
+		}
+		s.recs = append(s.recs, rec)
+		s.validLen += n
 	}
-	return recs, int64(off), false
+	return s, nil
+}
+
+// scanWALBytes is scanWAL over a log (or a sealed segment's payload)
+// held in memory. tailDamaged reports that trailing bytes were
+// discarded. validLen is the byte length of the trusted prefix, start
+// frame included: the offset the next record is written at.
+func scanWALBytes(b []byte) (recs []WALRecord, validLen int64, tailDamaged bool) {
+	s, _ := scanWAL(bytes.NewReader(b), int64(len(b))) // reading memory cannot fail
+	return s.recs, s.validLen, s.tailDamaged
+}
+
+// scanWALFile is scanWAL over the log file at path.
+func scanWALFile(path string) (walScan, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return walScan{}, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return walScan{}, err
+	}
+	return scanWAL(f, st.Size())
 }
 
 // WALStats counts log activity. Commits counts commit records appended
@@ -212,20 +279,25 @@ type WAL struct {
 // restart is above every id logged before it even when the log it was
 // logged in has since been reset.
 func OpenWAL(path string) (*WAL, error) {
+	w, _, err := openWAL(path)
+	return w, err
+}
+
+// openWAL is OpenWAL also returning the scan it seated the counters
+// from, so that recovery reads the log once.
+func openWAL(path string) (*WAL, walScan, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("storage: open wal %s: %w", path, err)
+		return nil, walScan{}, fmt.Errorf("storage: open wal %s: %w", path, err)
 	}
-	raw, err := os.ReadFile(path)
+	scan, err := scanWALFile(path)
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, walScan{}, err
 	}
-	recs, validLen, _ := scanWALBytes(raw)
-	mark, _ := walWatermark(raw)
-	w := &WAL{f: f, path: path, bufStart: validLen, nextLSN: max(mark, 1), nextTxn: 1}
+	w := &WAL{f: f, path: path, bufStart: scan.validLen, nextLSN: max(scan.mark, 1), nextTxn: 1}
 	w.flushing.L = &w.mu
-	for _, r := range recs {
+	for _, r := range scan.recs {
 		if r.LSN >= w.nextLSN {
 			w.nextLSN = r.LSN + 1
 		}
@@ -236,7 +308,7 @@ func OpenWAL(path string) (*WAL, error) {
 	w.nextTxn = max(w.nextTxn, w.nextLSN)
 	w.appendedLSN = w.nextLSN - 1
 	w.syncedLSN = w.appendedLSN
-	return w, nil
+	return w, scan, nil
 }
 
 // Path returns the backing file path.
@@ -444,15 +516,11 @@ func (w *WAL) flush(buf []byte, off int64) error {
 }
 
 // Records re-scans the durable file and returns the valid record
-// prefix; tailDamaged reports a torn or corrupt tail. Recovery's view
-// of the log.
+// prefix; tailDamaged reports a torn or corrupt tail: the view of the
+// log recovery took when the log was opened.
 func (w *WAL) Records() (recs []WALRecord, tailDamaged bool, err error) {
-	raw, err := os.ReadFile(w.path)
-	if err != nil {
-		return nil, false, err
-	}
-	recs, _, tailDamaged = scanWALBytes(raw)
-	return recs, tailDamaged, nil
+	scan, err := scanWALFile(w.path)
+	return scan.recs, scan.tailDamaged, err
 }
 
 // Reset recycles the log after a checkpoint has made every logged

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"syscall"
 	"testing"
@@ -458,6 +459,86 @@ func TestCheckpointFreesNoBlocks(t *testing.T) {
 	if bound := largest + int64(startFrameLen+walFrameSize); size > bound {
 		t.Fatalf("log is %d bytes after 20 checkpoints, want ≤ %d (largest interval %d + frames)", size, bound, largest)
 	}
+}
+
+// TestRecycledLogReadsItsLivePrefixOnly: a recycled log keeps the
+// length of its largest interval, and everything past its end frame is
+// stale. Behind a live prefix of three transactions lies a 64 MiB sparse
+// tail here; opening the log and recovering the base each read the
+// prefix in chunks, stop at the end frame, and allocate under 1 MiB,
+// where reading the whole file allocated it whole (twice in Recover).
+func TestRecycledLogReadsItsLivePrefixOnly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages")
+	fd, err := OpenFileDisk(path, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenWAL(path + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewBufferPool(fd, 0, LRU)
+	pool.AttachWAL(w)
+	for i := byte(0); i < 4; i++ {
+		if i == 1 {
+			if err := pool.Checkpoint(); err != nil { // recycles the log
+				t.Fatal(err)
+			}
+		}
+		txn, err := pool.BeginUndo()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := pool.GetNew()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.Data()[0] = i
+		fr.MarkDirty()
+		fr.Unpin()
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := errors.Join(w.Close(), fd.Close()); err != nil {
+		t.Fatal(err)
+	}
+	const tail = 64 << 20
+	if err := os.Truncate(path+".wal", tail); err != nil {
+		t.Fatal(err)
+	}
+
+	allocates := func(name string, fn func() error) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := fn(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s over a %d MiB log allocated %.1f MiB, want under 1 MiB", name, tail>>20, float64(alloc)/(1<<20))
+		} else {
+			t.Logf("%s over a %d MiB log allocated %.1f KiB", name, tail>>20, float64(alloc)/(1<<10))
+		}
+	}
+	allocates("OpenWAL", func() error {
+		w, err := OpenWAL(path + ".wal")
+		if err != nil {
+			return err
+		}
+		return w.Close()
+	})
+	allocates("Recover", func() error {
+		fd, w, info, err := Recover(path)
+		if err != nil {
+			return err
+		}
+		if info.CommittedTxns != 3 || info.WALTailDamaged {
+			t.Errorf("recovery: %s, want the 3 transactions after the checkpoint and no torn tail", info)
+		}
+		return errors.Join(w.Close(), fd.Close())
+	})
 }
 
 // walSeedCorpus is FuzzWALRecordDecode's seed corpus: valid records of
