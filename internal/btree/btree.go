@@ -83,11 +83,16 @@ type Tree struct {
 // size. maxKey applies to the full (uncompressed) key: a page's low key
 // is always stored without a prefix, so the limit must hold even when
 // compression saves nothing — a quarter page keeps several separators
-// per internal node in the worst case. maxItem bounds one stored leaf
-// entry at prefixLen 0 (key + value + overhead on an otherwise empty
-// page).
+// per internal node in the worst case. maxItem bounds one leaf entry
+// stored at prefixLen 0 (key + value + overhead) to half a page's entry
+// space, so a leaf one edit overflowed always has a split point where
+// both halves fit (splitPoint). A new low key goes left alone, the old
+// page right. Otherwise, with the edited entry E bytes and the page's
+// entries before and after it A and T bytes (H + A + T ≤ P): either the
+// left half can take the entry (H + A + E ≤ P), or T < E and the right
+// half starting at the entry takes H + E + T < H + 2E ≤ P bytes.
 func derivedLimits(pageSize int) (maxKey, maxItem int) {
-	return pageSize / 4, pageSize - headerSize - entryOverheadLeaf
+	return pageSize / 4, (pageSize - headerSize) / 2
 }
 
 // New creates an empty tree whose pages come from pool. Keys are limited
@@ -164,14 +169,16 @@ func (t *Tree) Height() int { return t.height }
 func (t *Tree) Root() storage.PageID { return t.root }
 
 // node is the decoded, mutable form of a tree page — what a page becomes
-// only where it is about to be rewritten (the leaf an Update changes, an
-// internal node a split posts a separator into, a page being built) or
-// inspected whole (ComputeStats, CheckInvariants, Drop). Lookups, scans
-// and the internal levels of an Update never build one: they search the
-// pinned frame in place through a cursor, which is also the only parser
-// a node is decoded by. Decoded keys live in one arena allocation per
-// node; decoded leaf values alias the pinned frame's bytes directly
-// (zero-copy) and are valid only while the frame stays pinned.
+// only where it is rewritten whole (a leaf an Update gives a new low key
+// or splits, an internal node a split posts a separator into, a page
+// being built) or inspected whole (ComputeStats, CheckInvariants, Drop).
+// Lookups, scans and the internal levels of an Update never build one:
+// they search the pinned frame in place through a cursor, which is also
+// the only parser a node is decoded by; every other leaf edit is spliced
+// into the frame's bytes (splice). Decoded keys live in one arena
+// allocation per node; decoded leaf values alias the pinned frame's
+// bytes directly (zero-copy) and are valid only while the frame stays
+// pinned.
 // writeNode serializes through a scratch buffer, so a node whose values
 // alias the very frame being rewritten is safe.
 type node struct {
@@ -217,24 +224,29 @@ func shortestSeparator(last, first []byte) []byte {
 
 // size returns the serialized byte size under prefix truncation against
 // the node's current low key.
-func (n *node) size() int {
+func (n *node) size() int { return n.sizeOf(0, len(n.keys)) }
+
+// sizeOf returns the serialized byte size of a node holding entries
+// [lo, hi) of n, keys[lo] its low key.
+func (n *node) sizeOf(lo, hi int) int {
 	s := headerSize
-	if len(n.keys) == 0 {
-		return s
-	}
-	low := n.keys[0]
-	for i, k := range n.keys {
+	for i := lo; i < hi; i++ {
 		pl := 0
-		if i > 0 {
-			pl = lcp(low, k)
+		if i > lo {
+			pl = lcp(n.keys[lo], n.keys[i])
 		}
-		if n.isLeaf() {
-			s += entryOverheadLeaf + len(k) - pl + len(n.vals[i])
-		} else {
-			s += entryOverheadInternal + len(k) - pl
-		}
+		s += n.entrySize(i, pl)
 	}
 	return s
+}
+
+// entrySize returns the serialized size of entry i stored with prefix
+// length pl.
+func (n *node) entrySize(i, pl int) int {
+	if n.isLeaf() {
+		return entryOverheadLeaf + len(n.keys[i]) - pl + len(n.vals[i])
+	}
+	return entryOverheadInternal + len(n.keys[i]) - pl
 }
 
 // uncompressedSize returns what the node would occupy without prefix
@@ -292,27 +304,15 @@ func writeNode(fr *storage.Frame, n *node) {
 	if len(n.keys) > 0 {
 		low = n.keys[0]
 	}
-	var u16 [2]byte
-	put16 := func(v int) {
-		binary.BigEndian.PutUint16(u16[:], uint16(v))
-		buf = append(buf, u16[:]...)
-	}
 	for i, k := range n.keys {
 		pl := 0
 		if i > 0 {
 			pl = lcp(low, k)
 		}
-		put16(pl)
-		put16(len(k) - pl)
 		if n.isLeaf() {
-			put16(len(n.vals[i]))
-			buf = append(buf, k[pl:]...)
-			buf = append(buf, n.vals[i]...)
+			buf = appendEntry(buf, true, k, pl, n.vals[i], 0)
 		} else {
-			buf = append(buf, k[pl:]...)
-			var c [8]byte
-			binary.BigEndian.PutUint64(c[:], uint64(n.children[i+1]))
-			buf = append(buf, c[:]...)
+			buf = appendEntry(buf, false, k, pl, nil, n.children[i+1])
 		}
 	}
 	if len(buf) > len(data) {
@@ -325,6 +325,84 @@ func writeNode(fr *storage.Frame, n *node) {
 	*bufp = buf[:0]
 	scratch.Put(bufp)
 	fr.MarkDirty()
+}
+
+// appendEntry appends one entry in the on-page format to dst: key
+// stored as its pl bytes shared with the page's low key plus the rest,
+// followed by val on a leaf or by child on an internal node. It is the
+// format's one encoder — writeNode renders every entry of a page
+// through it, splice the one entry it edits in place.
+func appendEntry(dst []byte, leaf bool, key []byte, pl int, val []byte, child storage.PageID) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(pl))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(key)-pl))
+	if !leaf {
+		dst = append(dst, key[pl:]...)
+		return binary.BigEndian.AppendUint64(dst, uint64(child))
+	}
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(val)))
+	dst = append(dst, key[pl:]...)
+	return append(dst, val...)
+}
+
+// splice applies one leaf edit to the page c was opened on, in the
+// frame's bytes: the entry at c's position is inserted (!found), removed
+// (!keep) or given val, the rest of the page is shifted by the size
+// difference and the freed tail zeroed. It declines, writing nothing,
+// where the page's other entries would need re-encoding — an insert
+// below the low key or removal of the low key of a page that keeps
+// other entries — or where the result overflows the page; both are left
+// to decode and writeNode or a split. Every other page it leaves
+// byte-identical to writeNode(decode(page)) after the same edit.
+//
+// val may alias the page only as (part of) the entry's own value, as
+// the value Update's fn borrowed and handed back.
+func splice(c *cursor, key, val []byte, found, keep bool) bool {
+	pos, data := c.i, c.data
+	if pos == 0 && (!found && c.cnt > 0 || !keep && c.cnt > 1) {
+		return false // a new low key: every prefix length may change
+	}
+	used := headerSize
+	if c.cnt > 0 {
+		used = c.last.end
+	}
+	at, oldLen := used, 0 // where the entry's header starts, its length
+	if pos < c.cnt {
+		at = c.at - entryOverheadLeaf
+	}
+	if found {
+		oldLen = c.end - at
+	}
+	pl, newLen := 0, 0
+	if keep {
+		if pos > 0 {
+			pl = lcp(c.low, key)
+		}
+		newLen = entryOverheadLeaf + len(key) - pl + len(val)
+	}
+	end := used + newLen - oldLen
+	if end > len(data) {
+		return false
+	}
+	// A grown entry needs its room before it is written; a shrunk one is
+	// written before the tail moves left over what val may still alias.
+	if newLen > oldLen {
+		copy(data[at+newLen:end], data[at+oldLen:used])
+	}
+	if keep {
+		appendEntry(data[:at], true, key, pl, val, 0)
+	}
+	if newLen <= oldLen {
+		copy(data[at+newLen:end], data[at+oldLen:used])
+		clear(data[end:used])
+	}
+	cnt := c.cnt
+	if !found {
+		cnt++
+	} else if !keep {
+		cnt--
+	}
+	binary.BigEndian.PutUint16(data[1:3], uint16(cnt))
+	return true
 }
 
 // open pins the page, validates it whole and searches it for key,
@@ -370,9 +448,11 @@ type splitResult struct {
 // old is BORROWED (it aliases the pinned leaf, see Visit) and valid only
 // until fn returns, though fn may hand it back as val. A read-modify-
 // write such as a reference-count bump therefore costs one descent, not
-// a Get followed by an Insert, and — when the new value has the old
-// one's length — rewrites the value's bytes in place without decoding
-// the leaf. Insert and Delete are Update with a constant decision.
+// a Get followed by an Insert. The leaf is not decoded: the edit is
+// spliced into its bytes — a same-length value overwritten where it
+// lies, an inserted, removed or resized entry shifting the page's tail —
+// unless it changes the leaf's low key or overflows the page. Insert and
+// Delete are Update with a constant decision.
 func (t *Tree) Update(key []byte, fn func(old []byte, found bool) (val []byte, keep bool)) error {
 	delta, split, err := t.update(t.root, key, fn)
 	if err != nil {
@@ -464,42 +544,47 @@ func (t *Tree) update(pid storage.PageID, key []byte, fn func([]byte, bool) ([]b
 		return delta, split, err
 	}
 
-	// fn decides on the value borrowed straight off the frame. A same-
-	// length replacement — every reference-count bump — is copied into
-	// the entry's bytes where they lie, and an absent key fn does not keep
-	// leaves the page alone; only inserts, deletes and splits decode it.
+	// fn decides on the value borrowed straight off the frame. An absent
+	// key fn does not keep leaves the page alone; any other edit is
+	// spliced into the frame's bytes where the page's low key survives it
+	// and the page still holds it. Only an edit of the low key and a split
+	// decode the page.
 	pos, found := c.i, c.equal // where the search of the page left the cursor
 	var old []byte
 	if found {
 		old = c.val(c.entry)
 	}
 	val, keep := fn(old, found)
-	if found && keep && len(val) == len(old) {
-		telNodeWrites.Inc()
-		copy(old, val)
-		fr.MarkDirty()
-		return 0, nil, nil
-	}
 	if !found && !keep {
 		return 0, nil, nil
 	}
-	n := c.decode()
-	if !keep {
-		n.keys = append(n.keys[:pos], n.keys[pos+1:]...)
-		n.vals = append(n.vals[:pos], n.vals[pos+1:]...)
-		writeNode(fr, n)
-		return -1, nil, nil
-	}
-	if err := t.checkEntry(key, val); err != nil {
-		return 0, nil, err
+	if keep {
+		if err := t.checkEntry(key, val); err != nil {
+			return 0, nil, err
+		}
 	}
 	delta := 0
-	if found {
+	if !found {
+		delta = 1
+	} else if !keep {
+		delta = -1
+	}
+	if splice(&c, key, val, found, keep) {
+		telNodeWrites.Inc()
+		telLeafSplices.Inc()
+		fr.MarkDirty()
+		return delta, nil, nil
+	}
+	n := c.decode()
+	switch {
+	case !keep:
+		n.keys = append(n.keys[:pos], n.keys[pos+1:]...)
+		n.vals = append(n.vals[:pos], n.vals[pos+1:]...)
+	case found:
 		n.vals[pos] = val
-	} else {
+	default:
 		n.keys = insertBytes(n.keys, pos, append([]byte(nil), key...))
 		n.vals = insertBytes(n.vals, pos, val)
-		delta = 1
 	}
 	if n.size() <= t.pool.Disk().PageSize() {
 		writeNode(fr, n)
@@ -514,7 +599,7 @@ func (t *Tree) update(pid storage.PageID, key []byte, fn func([]byte, bool) ([]b
 // left node's last key and at most the right node's first key.
 func (t *Tree) splitLeaf(fr *storage.Frame, n *node) (*splitResult, error) {
 	telSplits.Inc()
-	mid := splitPoint(n)
+	mid := splitPoint(n, t.pool.Disk().PageSize())
 	rightFr, err := t.pool.GetNew()
 	if err != nil {
 		return nil, err
@@ -541,13 +626,7 @@ func (t *Tree) splitLeaf(fr *storage.Frame, n *node) (*splitResult, error) {
 // extreme keys no tighter truncation is possible.
 func (t *Tree) splitInternal(fr *storage.Frame, n *node) (*splitResult, error) {
 	telSplits.Inc()
-	mid := splitPoint(n)
-	if mid >= len(n.keys) {
-		mid = len(n.keys) - 1
-	}
-	if mid < 1 {
-		mid = 1
-	}
+	mid := splitPoint(n, t.pool.Disk().PageSize())
 	sep := append([]byte(nil), n.keys[mid]...)
 	rightFr, err := t.pool.GetNew()
 	if err != nil {
@@ -566,11 +645,43 @@ func (t *Tree) splitInternal(fr *storage.Frame, n *node) (*splitResult, error) {
 	return &splitResult{sep: sep, right: rightFr.ID()}, nil
 }
 
-// splitPoint picks the index at which the serialized (compressed) first
-// half is nearest to half the node size. Entry sizes use prefix lengths
-// against the current low key — exact for the left half, conservative
-// for the right (its prefixes only grow against its new low key).
-func splitPoint(n *node) int {
+// splitPoint picks where an overflowing node splits: a leaf keeps
+// entries [0, mid) and moves the rest right; an internal node keeps
+// [0, mid), promotes keys[mid] and moves the rest right. The first
+// choice puts the serialized (compressed) left half nearest to half the
+// node size, pricing entries against the current low key — exact for
+// the left half, conservative for the right (its prefixes only grow
+// against its new low key). A low key sharing little with the keys
+// after it — a short key inserted below a page of long shared-prefix
+// keys — inflates the whole node and can push that left half past the
+// page; the split then moves to the nearest point where both halves
+// fit, which the entry limits guarantee exists (derivedLimits).
+func splitPoint(n *node, pageSize int) int {
+	mid := balancedSplit(n)
+	if !n.isLeaf() {
+		mid = min(max(mid, 1), len(n.keys)-1)
+	}
+	fits := func(m int) bool {
+		right := m
+		if !n.isLeaf() {
+			right++ // keys[m] moves up, not right
+		}
+		return n.sizeOf(0, m) <= pageSize && n.sizeOf(right, len(n.keys)) <= pageSize
+	}
+	for d := 0; d < len(n.keys); d++ {
+		if m := mid - d; m >= 1 && fits(m) {
+			return m
+		}
+		if m := mid + d; m < len(n.keys) && fits(m) {
+			return m
+		}
+	}
+	return mid // unreachable within the entry limits; writeNode reports the overflow
+}
+
+// balancedSplit returns the index at which the compressed first half is
+// nearest to half the node size, measured against the current low key.
+func balancedSplit(n *node) int {
 	total := n.size() - headerSize
 	half := total / 2
 	low := n.keys[0]
@@ -580,11 +691,7 @@ func splitPoint(n *node) int {
 		if i > 0 {
 			pl = lcp(low, k)
 		}
-		if n.isLeaf() {
-			acc += entryOverheadLeaf + len(k) - pl + len(n.vals[i])
-		} else {
-			acc += entryOverheadInternal + len(k) - pl
-		}
+		acc += n.entrySize(i, pl)
 		if acc >= half {
 			// Keep at least one entry on each side.
 			if i+1 >= len(n.keys) {

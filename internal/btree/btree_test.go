@@ -292,3 +292,41 @@ func TestVariableLengthKeys(t *testing.T) {
 		return true
 	})
 }
+
+// TestSplitBelowSharedPrefixFits: a short key inserted below a full leaf
+// of long shared-prefix keys becomes its low key, and with it every
+// other key loses its compression — the node grows to several pages'
+// worth. The split must still find two halves that each fit a page.
+func TestSplitBelowSharedPrefixFits(t *testing.T) {
+	long := func(i int) []byte { return []byte(fmt.Sprintf("%s%03d", bytes.Repeat([]byte{'P'}, 56), i)) }
+	tr := newTestTree(t, 256)
+	model := map[string]string{}
+	insert := func(k []byte) {
+		t.Helper()
+		if _, err := tr.Insert(k, []byte("vvvvv")); err != nil {
+			t.Fatal(err)
+		}
+		model[string(k)] = "vvvvv"
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Fill the root leaf until the next long key would not fit.
+	for i := 0; ; i++ {
+		fr, c, err := tr.open(tr.Root(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		used := c.last.end
+		fr.Unpin()
+		if used+entryOverheadLeaf+3+5 > 256 {
+			break
+		}
+		insert(long(i))
+	}
+	insert([]byte("A"))
+	if tr.Height() != 2 {
+		t.Fatalf("height %d, want the root leaf split once", tr.Height())
+	}
+	checkAgainstModel(t, tr, model)
+}

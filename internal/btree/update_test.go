@@ -217,14 +217,6 @@ func TestUpdateInPlaceRewrite(t *testing.T) {
 	if tr.Height() < 2 {
 		t.Fatalf("height %d: want the rewrite below an internal level", tr.Height())
 	}
-	// A second pool of the same page size to render the reference bytes.
-	ref := storage.NewBufferPool(storage.NewDisk(512), 0, storage.LRU)
-	refFr, err := ref.GetNew()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer refFr.Unpin()
-
 	val := []byte{0xA, 0xB, 0xC, 0xD}
 	bump := func(old []byte, found bool) ([]byte, bool) { return val, true }
 	for _, i := range []int{0, 1, 137, 255, 399} {
@@ -232,19 +224,7 @@ func TestUpdateInPlaceRewrite(t *testing.T) {
 		if err := tr.Update(k, bump); err != nil {
 			t.Fatal(err)
 		}
-		fr, err := tr.pool.Get(leafOf(t, tr, k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := readNode(fr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		writeNode(refFr, n)
-		if !bytes.Equal(fr.Data(), refFr.Data()) {
-			t.Errorf("key %d: the rewritten page differs from writeNode(decode(page))", i)
-		}
-		fr.Unpin()
+		checkLeafRewritten(t, tr, k)
 		if got, _, _ := tr.Get(k); !bytes.Equal(got, val) {
 			t.Errorf("key %d reads %x after the rewrite, want %x", i, got, val)
 		}
@@ -284,5 +264,38 @@ func TestUpdateAbsentNoOpDecodesNothing(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("absent no-op Update made %.1f allocations, want 0", allocs)
+	}
+}
+
+// TestSpliceAllocatesNothing: inserting a key inside a leaf and deleting
+// it again are each spliced into the pinned frame — no node, no arena,
+// no scratch buffer. Allocation counts add up, so a pair making none
+// means neither edit makes one.
+func TestSpliceAllocatesNothing(t *testing.T) {
+	tr := newTestTree(t, 512)
+	for i := 0; i < 400; i++ {
+		if _, err := tr.Insert(key(2*i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := key(301)
+	if leafOf(t, tr, key(300)) != leafOf(t, tr, k) {
+		t.Fatal("key 301 would be its leaf's low key: test premise broken")
+	}
+	val := []byte("value")
+	insert := func(old []byte, found bool) ([]byte, bool) { return val, true }
+	remove := func(old []byte, found bool) ([]byte, bool) { return nil, false }
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := tr.Update(k, insert); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Update(k, remove); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("an in-place insert and delete made %.1f allocations, want 0", allocs)
+	}
+	if tr.Len() != 400 {
+		t.Errorf("Len = %d, want 400", tr.Len())
 	}
 }

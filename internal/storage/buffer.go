@@ -193,6 +193,9 @@ type BufferPool struct {
 
 	undo atomic.Pointer[UndoTxn] // active undo transaction, nil outside maintenance
 	wal  atomic.Pointer[WAL]     // write-ahead log; nil for purely in-memory pools
+
+	spareMu sync.Mutex // guards spare; no other lock is taken under it
+	spare   [][]byte   // pre-image buffers of finished undo transactions, ≤ undoSpareMax
 }
 
 // maxShards caps the automatic stripe count; minShardFrames is the

@@ -13,7 +13,10 @@ import (
 // every page at its first pin and records every page allocated through
 // GetNew; Rollback restores the pre-images and frees the fresh pages,
 // Commit discards the captures. One page copy per touched page is the
-// whole cost — there is no redo log and no disk I/O on the commit path.
+// whole cost — there is no redo log and no disk I/O on the commit path —
+// and the copy lands in a buffer an earlier transaction of the pool
+// captured into: a finished transaction hands its pre-image buffers
+// back to the pool (recycle), up to undoSpareMax of them.
 //
 // Rollback deliberately performs no device writes: pre-images are
 // restored into (or reinstated as) resident dirty frames, which reach
@@ -63,7 +66,43 @@ func (t *UndoTxn) capture(id PageID, data []byte) {
 	if _, ok := t.pre[id]; ok {
 		return
 	}
-	t.pre[id] = append([]byte(nil), data...)
+	t.pre[id] = append(t.pool.spareBuf(), data...)
+}
+
+// undoSpareMax caps the pre-image buffers a pool keeps between undo
+// transactions: enough for a maintained update's pages (a few dozen)
+// to be captured without allocating, while a bulk transaction's
+// thousands of pre-images go to the garbage collector instead of
+// staying pinned.
+const undoSpareMax = 32
+
+// spareBuf returns an empty buffer with a page's capacity left by a
+// finished transaction, or nil when there is none.
+func (b *BufferPool) spareBuf() []byte {
+	b.spareMu.Lock()
+	defer b.spareMu.Unlock()
+	n := len(b.spare)
+	if n == 0 {
+		return nil
+	}
+	buf := b.spare[n-1]
+	b.spare[n-1] = nil
+	b.spare = b.spare[:n-1]
+	return buf[:0]
+}
+
+// recycle keeps a finished transaction's pre-image buffers for the
+// next one's captures, up to undoSpareMax. The transaction must no
+// longer read them.
+func (b *BufferPool) recycle(pre map[PageID][]byte) {
+	b.spareMu.Lock()
+	defer b.spareMu.Unlock()
+	for _, buf := range pre {
+		if len(b.spare) >= undoSpareMax {
+			return
+		}
+		b.spare = append(b.spare, buf)
+	}
 }
 
 // addFresh records a page allocated during the transaction.
@@ -133,8 +172,11 @@ func (t *UndoTxn) Commit() error {
 		return nil
 	}
 	t.done = true
+	pre := t.pre
+	t.pre = nil
 	t.mu.Unlock()
-	t.pool.undo.CompareAndSwap(t, nil)
+	b.recycle(pre)
+	b.undo.CompareAndSwap(t, nil)
 	return nil
 }
 
@@ -180,6 +222,7 @@ func (t *UndoTxn) Rollback() error {
 	}
 	t.done = true
 	pre, fresh := t.pre, t.fresh
+	t.pre = nil
 	t.mu.Unlock()
 	b := t.pool
 	b.undo.CompareAndSwap(t, nil)
@@ -221,5 +264,6 @@ func (t *UndoTxn) Rollback() error {
 		s.admit(&frame{id: id, data: append([]byte(nil), pre...), dirty: true})
 		s.mu.Unlock()
 	}
+	b.recycle(pre)
 	return errors.Join(errs...)
 }
