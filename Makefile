@@ -117,12 +117,18 @@ vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; fi
 
-# Non-test Go lines per package (wc -l over *.go minus *_test.go) and
-# their total — the figures simplicity PRs report in CHANGES.md.
+# Go lines per package: non-test (*.go minus *_test.go), then test
+# (*_test.go), and their totals — the figures simplicity PRs report in
+# CHANGES.md. Code moved into a _test.go file shows as a move between
+# the columns, not as a cut.
 loc:
-	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
-		printf '%6d %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l) .$${d#$(CURDIR)}; \
-	done | awk '{ print; n += $$1 } END { printf "%6d total\n", n }'
+	@printf '%6s %6s %s\n' code test package; \
+	for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		printf '%6d %6d %s\n' \
+			$$(cat /dev/null $$(ls $$d/*.go | grep -v '_test\.go$$') | wc -l) \
+			$$(cat /dev/null $$(ls $$d/*_test.go 2>/dev/null) | wc -l) \
+			.$${d#$(CURDIR)}; \
+	done | awk '{ print; n += $$1; t += $$2 } END { printf "%6d %6d total\n", n, t }'
 
 # Regenerate every paper table/figure (EXPERIMENTS.md numbers).
 repro:

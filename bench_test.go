@@ -671,11 +671,12 @@ func maintainedUpdates(tb testing.TB, ob *gom.ObjectBase, n int) []func() error 
 // The §6 search for the affected rows is paid in pages too: it probes
 // the backward trees of the partitions left of each changed edge, 10.1
 // accesses more, 27.0 in all — hence the budget of 30. Heap and
-// allocations per update: 21.8 KB in 395. A row born or dying in a
+// allocations per update: 17.7 KB in 394. A row born or dying in a
 // partition is spliced into its leaf's bytes rather than decoding and
 // re-encoding the leaf, and the undo transaction captures its pre-images
-// into the buffers the previous update's transaction gave back; with
-// neither, an update allocated 130.8 KB in 426.
+// and frames its commit into the buffers the previous update's
+// transaction gave back; with none of that, an update allocated 130.8 KB
+// in 426, and with a fresh commit scratch page 21.8 KB.
 func TestMaintainedUpdateBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and saves the scale-256 demo base")
@@ -730,7 +731,7 @@ func TestMaintainedUpdateBudget(t *testing.T) {
 		{"WAL records", per(wal0.Records, wal1.Records), 9, ""},
 		{"WAL syncs", per(wal0.Syncs, wal1.Syncs), 1, ""},
 		{"WAL bytes", float64(log1-log0) / n, 30000, " B"},
-		{"heap bytes", per(before.TotalAlloc, after.TotalAlloc), 32 << 10, " B"},
+		{"heap bytes", per(before.TotalAlloc, after.TotalAlloc), 20 << 10, " B"},
 		{"allocations", per(before.Mallocs, after.Mallocs), 435, ""},
 	}
 	for _, g := range got {

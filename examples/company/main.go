@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	c := paperdb.BuildCompany()
 	fmt.Println("extension (Figure 2):")
 	fmt.Print(indent(c.Describe()))
@@ -62,7 +64,7 @@ func main() {
 	c.Base.AddObserver(asr.NewMaintainer(ix))
 
 	query2 := func() []string {
-		divs, err := ix.QueryBackward(0, 3, gom.String("Door"))
+		divs, err := ix.Query(ctx, false, 0, 3, gom.String("Door"))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -76,7 +78,7 @@ func main() {
 	}
 	fmt.Println("Query 2 — divisions using a BasePart named 'Door':", query2())
 
-	names, err := ix.QueryForward(0, 3, gom.Ref(c.DivAuto))
+	names, err := ix.Query(ctx, true, 0, 3, gom.Ref(c.DivAuto))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func main() {
 
 	// Partial-span query through the full extension: which products
 	// contain a part named "Pepper"? (i=1, j=3 — only full supports it.)
-	prods, err := ix.QueryBackward(1, 3, gom.String("Pepper"))
+	prods, err := ix.Query(ctx, false, 1, 3, gom.String("Pepper"))
 	if err != nil {
 		log.Fatal(err)
 	}

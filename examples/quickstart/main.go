@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// 1. Define the schema in the paper's declaration syntax.
 	schema, _, err := gom.ParseSchema(`
 		type CITY     is [Name: STRING];
@@ -56,7 +58,7 @@ func main() {
 	// 5. Backward query: which employees work in Karlsruhe? This is the
 	//    paper's functional join — solved by index lookup instead of an
 	//    exhaustive search over uni-directional references.
-	anchors, err := index.QueryBackward(0, path.Len(), gom.String("Karlsruhe"))
+	anchors, err := index.Query(ctx, false, 0, path.Len(), gom.String("Karlsruhe"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func main() {
 	}
 
 	// 6. Forward query: where does the first employee's company sit?
-	cities, err := index.QueryForward(0, path.Len(), gom.Ref(employees[0]))
+	cities, err := index.Query(ctx, true, 0, path.Len(), gom.Ref(employees[0]))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func main() {
 
 	// 7. Updates propagate into the index automatically.
 	ob.MustSetAttr(city.ID(), "Name", gom.String("Munich"))
-	anchors, _ = index.QueryBackward(0, path.Len(), gom.String("Munich"))
+	anchors, _ = index.Query(ctx, false, 0, path.Len(), gom.String("Munich"))
 	fmt.Printf("after the city was renamed, %d employees match Munich\n", len(anchors))
 
 	fmt.Println("index layout:", index)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	r := paperdb.BuildRobots()
 	fmt.Println("schema (§2.2):")
 	for _, t := range r.Schema.Types() {
@@ -45,7 +47,7 @@ func main() {
 			canonical = ix
 			r.Base.AddObserver(asr.NewMaintainer(ix))
 		}
-		robots, err := ix.QueryBackward(0, r.Path.Len(), gom.String("Utopia"))
+		robots, err := ix.Query(ctx, false, 0, r.Path.Len(), gom.String("Utopia"))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -62,7 +64,7 @@ func main() {
 	// follows incrementally.
 	fmt.Println("\nswapping Robi's tool to the welder...")
 	r.Base.MustSetAttr(r.ArmRobi, "MountedTool", gom.Ref(r.Welder))
-	robots, err := canonical.QueryBackward(0, r.Path.Len(), gom.String("Utopia"))
+	robots, err := canonical.Query(ctx, false, 0, r.Path.Len(), gom.String("Utopia"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func main() {
 	r.Base.MustSetAttr(acme.ID(), "Location", gom.String("Elsewhere"))
 	r.Base.MustSetAttr(r.Gripper, "ManufacturedBy", gom.Ref(acme.ID()))
 
-	robots, _ = canonical.QueryBackward(0, r.Path.Len(), gom.String("Utopia"))
+	robots, _ = canonical.Query(ctx, false, 0, r.Path.Len(), gom.String("Utopia"))
 	fmt.Printf("after the gripper moved to Acme/Elsewhere: %d robots use Utopia tools\n", len(robots))
 	for _, id := range asr.OIDsOf(robots) {
 		o, _ := r.Base.Get(id)

@@ -1,6 +1,7 @@
 package asr
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -51,15 +52,6 @@ func TestIndexAccessors(t *testing.T) {
 }
 
 func TestDecompositionHelpers(t *testing.T) {
-	if !BinaryDecomposition(4).IsBinary() {
-		t.Error("binary decomposition not binary")
-	}
-	if NoDecomposition(4).IsBinary() {
-		t.Error("no-dec flagged binary")
-	}
-	if (Decomposition{0, 2, 4}).IsBinary() {
-		t.Error("coarse decomposition flagged binary")
-	}
 	bad := []Decomposition{
 		nil,
 		{0},
@@ -76,16 +68,6 @@ func TestDecompositionHelpers(t *testing.T) {
 }
 
 func TestExtensionContainsAndNames(t *testing.T) {
-	if !ExtensionContains(Full, Canonical) || !ExtensionContains(Full, LeftComplete) {
-		t.Error("full must contain everything")
-	}
-	if !ExtensionContains(LeftComplete, Canonical) || ExtensionContains(LeftComplete, RightComplete) {
-		t.Error("containment misreported")
-	}
-	names := AuxiliaryNames(3)
-	if len(names) != 3 || names[0] != "E_0" || names[2] != "E_2" {
-		t.Errorf("AuxiliaryNames = %v", names)
-	}
 	if Extension(42).String() == "" {
 		t.Error("unknown extension has empty name")
 	}
@@ -115,7 +97,7 @@ func TestNewPartitionIncrementalPath(t *testing.T) {
 	if err := p.AddProjected(rows[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RemoveProjected(rows[0]); err != nil {
+	if err := p.adjust(rows[0], -1); err != nil {
 		t.Fatal(err)
 	}
 	if p.Rows() != 3 {
@@ -130,7 +112,7 @@ func TestNewPartitionIncrementalPath(t *testing.T) {
 		t.Fatalf("LookupBackward = %v %v", bwd, err)
 	}
 	// Removing an untracked row errors.
-	if err := p.RemoveProjected(relation.Tuple{gom.Ref(9), gom.Ref(9)}); err == nil {
+	if err := p.adjust(relation.Tuple{gom.Ref(9), gom.Ref(9)}, -1); err == nil {
 		t.Error("untracked removal accepted")
 	}
 	// Wrong arity rejected.
@@ -159,7 +141,7 @@ func TestQuerySpansOutsidePartitions(t *testing.T) {
 	}
 	// i=1 (column 2) is strictly inside the single partition (0,5):
 	// forward from Product.
-	vals, err := ix.QueryForward(1, 3, gom.Ref(c.Prod560SEC))
+	vals, err := ix.Query(context.Background(), true, 1, 3, gom.Ref(c.Prod560SEC))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +149,7 @@ func TestQuerySpansOutsidePartitions(t *testing.T) {
 		t.Errorf("forward inside partition = %v", vals)
 	}
 	// j=2 (column 4) strictly inside: backward to BasePart.
-	anchors, err := ix.QueryBackward(1, 2, gom.Ref(c.PartDoor))
+	anchors, err := ix.Query(context.Background(), false, 1, 2, gom.Ref(c.PartDoor))
 	if err != nil {
 		t.Fatal(err)
 	}

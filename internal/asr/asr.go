@@ -265,50 +265,20 @@ func (ix *Index) partitionEntering(col int, fwd bool) (PlacedPartition, error) {
 	return PlacedPartition{}, fmt.Errorf("asr: no partition covers column %d", col)
 }
 
-// QueryForward evaluates Q_{i,j}(fw): the distinct column values at
-// object step j reachable from the given start values at object step i,
-// following stored rows left to right across partitions (§5.7.1). When
-// a step's column is a partition's first column the clustered forward
-// tree is probed per value; when it falls inside a partition the whole
-// partition is scanned and filtered — exactly the two cases of eq. (33).
-// Safe for concurrent use.
-func (ix *Index) QueryForward(i, j int, start ...gom.Value) ([]gom.Value, error) {
-	return ix.query(context.Background(), true, i, j, 1, start)
-}
-
-// QueryForwardCtx is QueryForward honoring ctx, with the per-value
-// clustered probes of each partition hop fanned across up to workers
-// goroutines (FanOut). The partition hops themselves stay sequential
-// (each hop consumes the previous hop's frontier); interior-column scans
-// are one tree pass and also stay sequential. Results are identical for
-// every worker count — the probes deduplicate into a value set that is
-// emitted in sorted order. Cancellation or deadline expiry aborts the
-// evaluation, including every probe worker, and returns ctx's error.
-func (ix *Index) QueryForwardCtx(ctx context.Context, i, j, workers int, start ...gom.Value) ([]gom.Value, error) {
-	return ix.query(ctx, true, i, j, workers, start)
-}
-
-// QueryBackward evaluates Q_{i,j}(bw): the distinct column values at
-// object step i from which some given end value at object step j is
-// reachable, following stored rows right to left via the backward-
-// clustered trees (§5.7.2). Safe for concurrent use.
-func (ix *Index) QueryBackward(i, j int, end ...gom.Value) ([]gom.Value, error) {
-	return ix.query(context.Background(), false, i, j, 1, end)
-}
-
-// QueryBackwardCtx is QueryBackward honoring ctx and fanning probes
-// across up to workers goroutines; see QueryForwardCtx.
-func (ix *Index) QueryBackwardCtx(ctx context.Context, i, j, workers int, end ...gom.Value) ([]gom.Value, error) {
-	return ix.query(ctx, false, i, j, workers, end)
-}
-
-// query is the one evaluation body of Q_{i,j}: it walks the frontier
-// vals from the column of step i towards that of step j (forward) or
-// the other way round (backward), one partition per hop. A hop that
-// starts on the edge its partition is entered by probes the tree
-// clustered on that edge; one that starts inside the window scans the
-// partition and filters on the interior column.
-func (ix *Index) query(ctx context.Context, fwd bool, i, j, workers int, vals []gom.Value) ([]gom.Value, error) {
+// Query evaluates Q_{i,j}. Forward (fwd) it returns the distinct column
+// values at object step j reachable from the given values at object
+// step i, following stored rows left to right across partitions
+// (§5.7.1); backward it returns the values at step i from which some
+// given value at step j is reachable, right to left through the
+// backward-clustered trees (§5.7.2). It walks the frontier from the
+// column of the start step towards the goal's, one partition per hop. A
+// hop that starts on the edge its partition is entered by probes the
+// tree clustered on that edge per value; one that starts inside the
+// window scans the partition and filters on the interior column —
+// exactly the two cases of eq. (33). Cancellation or deadline expiry
+// aborts the evaluation and returns ctx's error. Safe for concurrent
+// use.
+func (ix *Index) Query(ctx context.Context, fwd bool, i, j int, vals ...gom.Value) ([]gom.Value, error) {
 	if !ix.Supports(i, j) {
 		return nil, ErrNotSupported
 	}
@@ -341,7 +311,7 @@ func (ix *Index) query(ctx context.Context, fwd bool, i, j, workers int, vals []
 		}
 		var next *valueSet
 		if col == enter {
-			next, err = ix.probeAll(ctx, pp.Part, fwd, cur.values(), workers, target-pp.Lo)
+			next, err = ix.probeAll(ctx, pp.Part, fwd, cur.values(), target-pp.Lo)
 		} else {
 			next, err = ix.scanInterior(ctx, pp.Part, cur, col-pp.Lo, target-pp.Lo)
 		}
@@ -386,40 +356,31 @@ func (ix *Index) scanInterior(ctx context.Context, part *Partition, frontier *va
 // other costs one descent (btree.ScanPrefixes).
 const probeBatchSize = 256
 
-// probeAll resolves the clustered probes for a whole frontier — fanned
-// across up to workers goroutines when the frontier is wide enough —
-// and merges column off of every matching row into one deduplicated
-// set. Probes go to the partition in sorted sub-batches of
-// probeBatchSize (Partition.LookupBatch), so values sharing a leaf
-// share its descent. The merge is order-insensitive, so the result is
-// the same for every worker count. Cancellation of ctx stops every
-// worker between sub-batches.
-func (ix *Index) probeAll(ctx context.Context, part *Partition, fwd bool, vals []gom.Value, workers, off int) (*valueSet, error) {
-	sets, err := FanOut("asr: probe", workers, vals, func(chunk []gom.Value) (*valueSet, error) {
-		found := newValueSet()
-		var scanned uint64
-		defer func() { ix.addRowsScanned(scanned) }()
-		for lo := 0; lo < len(chunk); lo += probeBatchSize {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			rowsets, err := part.LookupBatch(fwd, chunk[lo:min(lo+probeBatchSize, len(chunk))])
-			if err != nil {
-				return nil, err
-			}
-			for _, rows := range rowsets {
-				scanned += uint64(len(rows))
-				for _, r := range rows {
-					found.add(r[off])
-				}
+// probeAll resolves the clustered probes for a whole frontier and
+// collects column off of every matching row into one deduplicated set.
+// Probes go to the partition in sorted batches of probeBatchSize
+// (Partition.LookupBatch), so values sharing a leaf share its descent.
+// Cancellation of ctx stops the probes between batches.
+func (ix *Index) probeAll(ctx context.Context, part *Partition, fwd bool, vals []gom.Value, off int) (*valueSet, error) {
+	found := newValueSet()
+	var scanned uint64
+	defer func() { ix.addRowsScanned(scanned) }()
+	for lo := 0; lo < len(vals); lo += probeBatchSize {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		rowsets, err := part.LookupBatch(fwd, vals[lo:min(lo+probeBatchSize, len(vals))])
+		if err != nil {
+			return nil, err
+		}
+		for _, rows := range rowsets {
+			scanned += uint64(len(rows))
+			for _, r := range rows {
+				found.add(r[off])
 			}
 		}
-		return found, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return mergeSets(sets), nil
+	return found, nil
 }
 
 // OIDsOf filters reference values down to their OIDs, in sorted order —

@@ -105,29 +105,29 @@ func assertSameQueryResults(t *testing.T, label string, a, b *Index) {
 				continue
 			}
 			for _, v := range colVals[i] {
-				fa, errA := a.QueryForward(i, j, v)
-				fb, errB := b.QueryForward(i, j, v)
+				fa, errA := a.Query(context.Background(), true, i, j, v)
+				fb, errB := b.Query(context.Background(), true, i, j, v)
 				if (errA == nil) != (errB == nil) {
 					t.Fatalf("%s: fwd %d→%d: errors diverge: %v vs %v", label, i, j, errA, errB)
 				}
 				if !sameValueSet(fa, fb) {
 					t.Fatalf("%s: fwd %d→%d from %v: %v vs %v", label, i, j, v, fa, fb)
 				}
-				fp, err := a.QueryForwardCtx(context.Background(), i, j, 4, v)
+				fp, err := a.Query(context.Background(), true, i, j, v)
 				if err != nil || !sameValueSet(fa, fp) {
 					t.Fatalf("%s: fwd parallel %d→%d from %v: %v (%v)", label, i, j, v, fp, err)
 				}
 			}
 			for _, v := range colVals[j] {
-				ba, errA := a.QueryBackward(i, j, v)
-				bb, errB := b.QueryBackward(i, j, v)
+				ba, errA := a.Query(context.Background(), false, i, j, v)
+				bb, errB := b.Query(context.Background(), false, i, j, v)
 				if (errA == nil) != (errB == nil) {
 					t.Fatalf("%s: bwd %d→%d: errors diverge: %v vs %v", label, i, j, errA, errB)
 				}
 				if !sameValueSet(ba, bb) {
 					t.Fatalf("%s: bwd %d→%d from %v: %v vs %v", label, i, j, v, ba, bb)
 				}
-				bp, err := a.QueryBackwardCtx(context.Background(), i, j, 4, v)
+				bp, err := a.Query(context.Background(), false, i, j, v)
 				if err != nil || !sameValueSet(ba, bp) {
 					t.Fatalf("%s: bwd parallel %d→%d from %v: %v (%v)", label, i, j, v, bp, err)
 				}

@@ -64,16 +64,6 @@ func (d Decomposition) NumPartitions() int { return len(d) - 1 }
 // Partition returns the column bounds [lo, hi] of partition p.
 func (d Decomposition) Partition(p int) (lo, hi int) { return d[p], d[p+1] }
 
-// IsBinary reports whether every partition is binary.
-func (d Decomposition) IsBinary() bool {
-	for i := 1; i < len(d); i++ {
-		if d[i]-d[i-1] != 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the decomposition in the paper's (0, i_1, …, m)
 // notation.
 func (d Decomposition) String() string {
@@ -85,28 +75,6 @@ func (d Decomposition) String() string {
 		s += fmt.Sprint(b)
 	}
 	return s + ")"
-}
-
-// EnumerateDecompositions yields every decomposition of an (m+1)-column
-// relation — all 2^(m-1) subsets of the interior boundaries {1..m-1} —
-// in a deterministic order. The physical-design advisor sweeps these.
-func EnumerateDecompositions(m int) []Decomposition {
-	if m < 1 {
-		return nil
-	}
-	interior := m - 1
-	out := make([]Decomposition, 0, 1<<uint(interior))
-	for mask := 0; mask < 1<<uint(interior); mask++ {
-		d := Decomposition{0}
-		for b := 1; b < m; b++ {
-			if mask&(1<<uint(b-1)) != 0 {
-				d = append(d, b)
-			}
-		}
-		d = append(d, m)
-		out = append(out, d)
-	}
-	return out
 }
 
 // Decompose materializes the partitions of rel under d by projection

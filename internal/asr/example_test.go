@@ -1,6 +1,7 @@
 package asr_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,7 +44,7 @@ func Example() {
 	}
 	ob.AddObserver(asr.NewMaintainer(index))
 
-	robots, err := index.QueryBackward(0, path.Len(), gom.String("Utopia"))
+	robots, err := index.Query(context.Background(), false, 0, path.Len(), gom.String("Utopia"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,9 +81,9 @@ func ExampleNewMaintainer() {
 	// The person moves; the index follows.
 	ob.MustSetAttr(p.ID(), "Lives", gom.Ref(berlin.ID()))
 
-	hits, _ := index.QueryBackward(0, 2, gom.String("Berlin"))
+	hits, _ := index.Query(context.Background(), false, 0, 2, gom.String("Berlin"))
 	fmt.Println("people in Berlin:", len(hits))
-	hits, _ = index.QueryBackward(0, 2, gom.String("Bonn"))
+	hits, _ = index.Query(context.Background(), false, 0, 2, gom.String("Bonn"))
 	fmt.Println("people in Bonn:", len(hits))
 	// Output:
 	// people in Berlin: 1

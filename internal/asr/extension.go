@@ -84,23 +84,3 @@ func extensionRows(ob *gom.ObjectBase, path *gom.PathExpression, ext Extension) 
 	}
 	return rel.Tuples(), nil
 }
-
-// ExtensionContains reports the paper's containment structure on
-// complete-path information: every extension's complete rows coincide,
-// and can ⊆ left,right ⊆ full as row sets. Used by property tests.
-func ExtensionContains(outer, inner Extension) bool {
-	if outer == inner || outer == Full {
-		return true
-	}
-	return inner == Canonical
-}
-
-// AuxiliaryNames returns display names E_0 … E_{n-1} for a path of
-// length n.
-func AuxiliaryNames(n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("E_%d", i)
-	}
-	return out
-}

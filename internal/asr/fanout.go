@@ -8,9 +8,9 @@ import (
 // FanOut runs fn over items split into at most workers contiguous,
 // near-equal chunks and returns the chunks' results in chunk order, so
 // whatever the caller merges out of them never depends on scheduling.
-// It is the one worker pool of the read path: index probes, the
-// traversal and exhaustive-search fallbacks and the query engine's
-// nested loop all go through it.
+// It is the one worker pool of the read path: the Manager's
+// exhaustive-search fallback and the query engine's nested loop go
+// through it.
 //
 // With workers ≤ 1 or fewer than two items fn runs once, over all of
 // items, on the caller's goroutine — no goroutine is started and no

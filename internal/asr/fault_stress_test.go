@@ -43,7 +43,6 @@ func TestStressMaintenanceUnderInjectedFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	mt := NewMaintainer(ix)
-	mt.SetRetryPolicy(2, 10*time.Microsecond)
 	db.Base.AddObserver(mt)
 
 	// Readers: query concurrently with the storm; a quarantined index
@@ -65,7 +64,7 @@ func TestStressMaintenanceUnderInjectedFaults(t *testing.T) {
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 				start := db.Extents[0][rng.Intn(len(db.Extents[0]))]
-				_, _ = ix.QueryForwardCtx(ctx, 0, db.Path.Len(), 2, gom.Ref(start))
+				_, _ = ix.Query(ctx, true, 0, db.Path.Len(), gom.Ref(start))
 				cancel()
 				reads.Add(1)
 			}
@@ -133,7 +132,7 @@ func TestStressMaintenanceUnderInjectedFaults(t *testing.T) {
 	}
 	for _, start := range db.Extents[0][:10] {
 		want := naiveForward(db.Base, db.Path, start, 0, db.Path.Len())
-		got, err := ix.QueryForward(0, db.Path.Len(), gom.Ref(start))
+		got, err := ix.Query(context.Background(), true, 0, db.Path.Len(), gom.Ref(start))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package asr
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -93,7 +94,7 @@ func TestBuildIndexAndGoldenQueries(t *testing.T) {
 			// Query 2 (§2.3): which Division uses a BasePart named "Door"?
 			// That's backward over the whole path: supported by every
 			// extension.
-			divs, err := ix.QueryBackward(0, 3, gom.String("Door"))
+			divs, err := ix.Query(context.Background(), false, 0, 3, gom.String("Door"))
 			if err != nil {
 				t.Fatalf("%v %v: backward: %v", ext, dec, err)
 			}
@@ -102,7 +103,7 @@ func TestBuildIndexAndGoldenQueries(t *testing.T) {
 				t.Errorf("%v %v: Query 2 = %v, want [Auto Truck]", ext, dec, got)
 			}
 			// Query 3: all BasePart names of division Auto — forward 0→3.
-			names, err := ix.QueryForward(0, 3, gom.Ref(c.DivAuto))
+			names, err := ix.Query(context.Background(), true, 0, 3, gom.Ref(c.DivAuto))
 			if err != nil {
 				t.Fatalf("%v %v: forward: %v", ext, dec, err)
 			}
@@ -134,7 +135,7 @@ func TestPartialSpanSupportRules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = ix.QueryForward(cse.i, cse.j, gom.Ref(c.DivAuto))
+		_, err = ix.Query(context.Background(), true, cse.i, cse.j, gom.Ref(c.DivAuto))
 		if gotErr := err == ErrNotSupported; gotErr != cse.wantErr {
 			t.Errorf("%v Q(%d,%d): err=%v, wantErr=%v", cse.ext, cse.i, cse.j, err, cse.wantErr)
 		}
@@ -149,7 +150,7 @@ func TestPartialSpanQueryResults(t *testing.T) {
 	}
 	// Forward 1→2: products of which base-part sets... step 1 = Product,
 	// step 2 = BasePart. From 560SEC we reach Door.
-	parts, err := ix.QueryForward(1, 2, gom.Ref(c.Prod560SEC))
+	parts, err := ix.Query(context.Background(), true, 1, 2, gom.Ref(c.Prod560SEC))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestPartialSpanQueryResults(t *testing.T) {
 		t.Errorf("forward 1→2 = %v", got)
 	}
 	// Backward 1→3: which products contain a part named "Pepper"?
-	prods, err := ix.QueryBackward(1, 3, gom.String("Pepper"))
+	prods, err := ix.Query(context.Background(), false, 1, 3, gom.String("Pepper"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestPartialSpanQueryResults(t *testing.T) {
 		t.Errorf("backward 1→3 = %v", got)
 	}
 	// Backward 2→3 within the last partition.
-	ps, err := ix.QueryBackward(2, 3, gom.String("Door"))
+	ps, err := ix.Query(context.Background(), false, 2, 3, gom.String("Door"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestQueriesAgainstNaiveTraversalRandomized(t *testing.T) {
 			for j := 1; j <= 3; j++ {
 				want := naiveForward(ob, path, div, 0, j)
 				for name, ix := range map[string]*Index{"full": ixFull, "left": ixLeft} {
-					got, err := ix.QueryForward(0, j, gom.Ref(div))
+					got, err := ix.Query(context.Background(), true, 0, j, gom.Ref(div))
 					if err != nil {
 						t.Fatalf("seed %d %s: %v", seed, name, err)
 					}
@@ -266,7 +267,7 @@ func TestBackwardAgainstNaiveRandomized(t *testing.T) {
 					want[gom.Ref(div).String()] = true
 				}
 			}
-			got, err := ix.QueryBackward(0, 3, gom.String(name))
+			got, err := ix.Query(context.Background(), false, 0, 3, gom.String(name))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -389,14 +390,14 @@ func TestSharingPlanAndBuild(t *testing.T) {
 		t.Fatal("partitions not physically shared")
 	}
 	// Queries through both indexes still give correct answers.
-	divs, err := pair.P.QueryBackward(0, 3, gom.String("Door"))
+	divs, err := pair.P.Query(context.Background(), false, 0, 3, gom.String("Door"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := OIDsOf(divs); len(got) != 2 {
 		t.Errorf("shared P backward = %v", got)
 	}
-	prods, err := pair.Q.QueryBackward(0, 2, gom.String("Pepper"))
+	prods, err := pair.Q.Query(context.Background(), false, 0, 2, gom.String("Pepper"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package asr
 
 import (
+	"context"
 	"testing"
 
 	"asr/internal/gom"
@@ -57,14 +58,14 @@ func TestListPathIndexAndQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	routes, err := ix.QueryBackward(0, 2, gom.String("Karlsruhe"))
+	routes, err := ix.Query(context.Background(), false, 0, 2, gom.String("Karlsruhe"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := OIDsOf(routes); len(got) != 1 || got[0] != route {
 		t.Errorf("backward over list = %v, want [%v]", got, route)
 	}
-	names, err := ix.QueryForward(0, 2, gom.Ref(route))
+	names, err := ix.Query(context.Background(), true, 0, 2, gom.Ref(route))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestListPathMaintenance(t *testing.T) {
 		}
 		assertEqualsRebuild(t, ix, ext.String()+"/list-append-again")
 
-		routes, err := ix.QueryBackward(0, 2, gom.String("Mannheim"))
+		routes, err := ix.Query(context.Background(), false, 0, 2, gom.String("Mannheim"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,12 +2,10 @@ package asr
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"asr/internal/gom"
@@ -35,10 +33,10 @@ import (
 // undo transaction makes a partial failure — a device write fault
 // halfway through the partitions — roll back to the exact pre-update
 // pages; a fault in the search fails the attempt before anything is
-// written. Transient faults are retried with exponential backoff per
-// SetRetryPolicy; when the retries are exhausted the index is
-// quarantined (queries fail with ErrQuarantined and the Manager routes
-// around it) until Repair.
+// written. Transient faults are retried with exponential backoff
+// (maintRetries, maintBackoff); when the retries are exhausted the
+// index is quarantined (queries fail with ErrQuarantined and the
+// Manager routes around it) until Repair.
 //
 // A Maintainer's callbacks must be driven by a single writer goroutine
 // at a time (the object base serializes mutations, so this holds
@@ -46,44 +44,19 @@ import (
 // from any goroutine; each applied change takes the index's write lock,
 // so concurrent index readers see atomic transitions.
 type Maintainer struct {
-	ix      *Index
-	mu      sync.Mutex // guards the retry policy
-	retries int
-	backoff time.Duration
-	ctx     context.Context
+	ix *Index
 }
 
-// NewMaintainer creates a maintainer for the index with the default
-// retry policy (2 retries, 200µs initial backoff).
+// Transient maintenance faults are retried up to maintRetries times per
+// update, sleeping maintBackoff, 2·maintBackoff, … between attempts.
+const (
+	maintRetries = 2
+	maintBackoff = 200 * time.Microsecond
+)
+
+// NewMaintainer creates a maintainer for the index.
 func NewMaintainer(ix *Index) *Maintainer {
-	return &Maintainer{ix: ix, retries: 2, backoff: 200 * time.Microsecond, ctx: context.Background()}
-}
-
-// SetContext bounds the retry/backoff loop: a cancelled context stops
-// further attempts between retries (the update is then a terminal
-// failure and the index quarantines, exactly as if the retries were
-// exhausted — a skipped update would silently drift otherwise). Pass
-// context.Background() to remove a bound. Call from the same goroutine
-// that drives the object-base updates.
-func (m *Maintainer) SetContext(ctx context.Context) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	m.ctx = ctx
-}
-
-// SetRetryPolicy configures how transient maintenance faults are
-// retried: up to retries re-attempts per update, sleeping backoff,
-// 2·backoff, 4·backoff, … between them. retries = 0 disables retrying.
-func (m *Maintainer) SetRetryPolicy(retries int, backoff time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if retries < 0 {
-		retries = 0
-	}
-	m.retries, m.backoff = retries, backoff
+	return &Maintainer{ix: ix}
 }
 
 // Err returns why the index is quarantined — the maintenance failure,
@@ -91,13 +64,6 @@ func (m *Maintainer) SetRetryPolicy(retries int, backoff time.Duration) {
 // Verify) — or nil while it is being maintained. Safe for concurrent
 // use.
 func (m *Maintainer) Err() error { return m.ix.QuarantineReason() }
-
-// retryPolicy snapshots the current policy. Safe for concurrent use.
-func (m *Maintainer) retryPolicy() (int, time.Duration, context.Context) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.retries, m.backoff, m.ctx
-}
 
 // AttrAssigned implements gom.Observer: the o → old edge goes and the
 // o → new edge comes at every step of the path A_j = attr whose domain
@@ -167,7 +133,6 @@ func (m *Maintainer) apply(changes []edgeChange, dead *gom.Object) {
 	if ix.Quarantined() || (len(changes) == 0 && dead == nil) {
 		return
 	}
-	retries, backoff, ctx := m.retryPolicy()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	var attempts []error
@@ -184,23 +149,12 @@ func (m *Maintainer) apply(changes []edgeChange, dead *gom.Object) {
 			return
 		}
 		attempts = append(attempts, fmt.Errorf("attempt %d: %w", attempt+1, err))
-		if attempt >= retries {
+		if attempt >= maintRetries {
 			break
 		}
-		// Honor cancellation between attempts: a cancelled context must
-		// not sleep through its backoff, and the update must not be
-		// retried under it — it becomes a terminal failure below.
-		timer := time.NewTimer(backoff << uint(attempt))
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			attempts = append(attempts, fmt.Errorf("retry abandoned: %w", ctx.Err()))
-		case <-timer.C:
-			ix.nRetries.Add(1)
-			telMaintRetries.Inc()
-			continue
-		}
-		break
+		time.Sleep(maintBackoff << uint(attempt))
+		ix.nRetries.Add(1)
+		telMaintRetries.Inc()
 	}
 	ix.quarantine(fmt.Errorf("asr: index on %s: maintenance failed after %d attempt(s), index quarantined: %w",
 		ix.path, len(attempts), errors.Join(attempts...)))

@@ -1,6 +1,7 @@
 package asr
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -76,7 +77,7 @@ func TestMaintainInsertIntoSetPaperExample(t *testing.T) {
 		}
 		assertEqualsRebuild(t, ix, ext.String()+"/ins")
 
-		divs, err := ix.QueryBackward(0, 3, gom.String("Pepper"))
+		divs, err := ix.Query(context.Background(), false, 0, 3, gom.String("Pepper"))
 		if err != nil {
 			t.Fatalf("%v: %v", ext, err)
 		}
@@ -150,7 +151,7 @@ func TestMaintainObjectDeletion(t *testing.T) {
 		}
 		assertEqualsRebuild(t, ix, ext.String()+"/delete-product")
 
-		divs, err := ix.QueryBackward(0, 3, gom.String("Door"))
+		divs, err := ix.Query(context.Background(), false, 0, 3, gom.String("Door"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +258,7 @@ func TestMaintainSharedPartition(t *testing.T) {
 	c.Base.MustInsertIntoSet(c.PartsSausage, gom.Ref(c.PartDoor))
 
 	// Both views answer correctly after the update.
-	prods, err := pair.Q.QueryBackward(0, 2, gom.String("Door"))
+	prods, err := pair.Q.Query(context.Background(), false, 0, 2, gom.String("Door"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestMaintainSharedPartition(t *testing.T) {
 	if len(got) != 2 { // 560SEC and Sausage now both contain a Door
 		t.Errorf("shared Q bw(Door) = %v", got)
 	}
-	divs, err := pair.P.QueryBackward(0, 3, gom.String("Door"))
+	divs, err := pair.P.Query(context.Background(), false, 0, 3, gom.String("Door"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,16 +218,6 @@ func (m *Manager) QueryForward(path *gom.PathExpression, i, j int, start ...gom.
 	return m.query(context.Background(), true, path, i, j, 1, start)
 }
 
-// QueryForwardCtx is QueryForward honoring ctx, with the work fanned
-// across up to workers goroutines (FanOut): index probes are split per
-// frontier value, the no-index traversal fallback splits the start
-// values. Results are identical for every worker count. Cancellation or
-// deadline expiry aborts the probes or the fallback and returns ctx's
-// error.
-func (m *Manager) QueryForwardCtx(ctx context.Context, path *gom.PathExpression, i, j, workers int, start ...gom.Value) ([]gom.Value, error) {
-	return m.query(ctx, true, path, i, j, workers, start)
-}
-
 // QueryBackward evaluates Q_{i,j}(bw) through the best index, or by
 // exhaustive search over the uni-directional references when none
 // applies (§5.6.2) or the matching indexes are all quarantined. Safe
@@ -236,11 +226,13 @@ func (m *Manager) QueryBackward(path *gom.PathExpression, i, j int, end ...gom.V
 	return m.query(context.Background(), false, path, i, j, 1, end)
 }
 
-// QueryBackwardCtx is QueryBackward honoring ctx and fanning the work
-// across up to workers goroutines; see QueryForwardCtx. The exhaustive-
-// search fallback — the expensive case, since uni-directional
-// references force a scan of the whole t_i extent — splits the
-// candidate anchors across the workers.
+// QueryBackwardCtx is QueryBackward honoring ctx. Cancellation or
+// deadline expiry aborts the index probes or the fallback and returns
+// ctx's error. The exhaustive-search fallback — the expensive case,
+// since uni-directional references force a scan of the whole t_i
+// extent — splits the candidate anchors across up to workers goroutines
+// (FanOut); an index answers on the caller's goroutine. Results are
+// identical for every worker count.
 func (m *Manager) QueryBackwardCtx(ctx context.Context, path *gom.PathExpression, i, j, workers int, end ...gom.Value) ([]gom.Value, error) {
 	return m.query(ctx, false, path, i, j, workers, end)
 }
@@ -257,7 +249,7 @@ func (m *Manager) query(ctx context.Context, fwd bool, path *gom.PathExpression,
 		m.nIndexHits.Add(1)
 		telIndexHits.Inc()
 		e.hits.Add(1)
-		return e.ix.query(ctx, fwd, i, j, workers, vals)
+		return e.ix.Query(ctx, fwd, i, j, vals...)
 	}
 	// Increment order matters for torn-free Stats snapshots: the
 	// category counter is bumped before the degraded counter, and Stats
@@ -277,40 +269,27 @@ func (m *Manager) query(ctx context.Context, fwd bool, path *gom.PathExpression,
 	if i < 0 || j > path.Len() || i >= j {
 		return nil, fmt.Errorf("asr: bad query span (%d,%d) for path of length %d", i, j, path.Len())
 	}
-	var (
-		sets []*valueSet
-		err  error
-	)
 	if fwd {
 		// Q_nas from a set of t_i values: the object base's one path
-		// closure (gom.ObjectBase.Reach), taken a step at a time so that
-		// cancellation is seen between steps.
-		sets, err = FanOut("asr: traversal", workers, vals, func(from []gom.Value) (*valueSet, error) {
-			for s := i; s < j; s++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				from, _ = m.ob.Reach(path, s, s+1, from...)
-			}
-			return newValueSet(from...), nil
-		})
-	} else {
-		// Exhaustive search: walk forward from every t_i instance and
-		// keep the anchors whose path reaches an end value, a block of
-		// anchors per read lock and per cancellation check.
-		extent := m.ob.Extent(path.Step(i+1).Domain, true)
-		anchors := make([]gom.Value, len(extent))
-		for k, id := range extent {
-			anchors[k] = gom.Ref(id)
-		}
-		sets, err = FanOut("asr: search", workers, anchors, func(chunk []gom.Value) (*valueSet, error) {
-			hits, _, err := m.ob.NewWalker().KeepReaching(ctx, chunk[:0], chunk, path, i, j, vals...)
-			if err != nil {
-				return nil, err
-			}
-			return newValueSet(hits...), nil
-		})
+		// closure (gom.ObjectBase.Reach).
+		reached, _ := m.ob.Reach(path, i, j, vals...)
+		return newValueSet(reached...).values(), nil
 	}
+	// Exhaustive search: walk forward from every t_i instance and keep
+	// the anchors whose path reaches an end value, a block of anchors per
+	// read lock and per cancellation check.
+	extent := m.ob.Extent(path.Step(i+1).Domain, true)
+	anchors := make([]gom.Value, len(extent))
+	for k, id := range extent {
+		anchors[k] = gom.Ref(id)
+	}
+	sets, err := FanOut("asr: search", workers, anchors, func(chunk []gom.Value) (*valueSet, error) {
+		hits, _, err := m.ob.NewWalker().KeepReaching(ctx, chunk[:0], chunk, path, i, j, vals...)
+		if err != nil {
+			return nil, err
+		}
+		return newValueSet(hits...), nil
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -259,7 +259,6 @@ func TestNetRemovalOfUntrackedRowQuarantines(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMaintainer(ix)
-	m.SetRetryPolicy(0, 0)
 	ob.AddObserver(m)
 
 	// Drop a stored Division → ProdSET edge row from partition 0 behind

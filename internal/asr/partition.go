@@ -36,11 +36,11 @@ import (
 // the buffer pool and priced in page accesses.
 //
 // A Partition is safe for concurrent use: the lookup and scan methods
-// take a read lock, the mutators (AddProjected, RemoveProjected, and the
-// ownership transitions) take the write lock. Because a partition may be
-// physically shared by two indexes (§5.4), this lock — not the owning
-// Index's — is what protects readers of one index from the maintainer of
-// another index sharing the same partition.
+// take a read lock, the mutators (AddProjected, maintenance's net row
+// adjustments, and the ownership transitions) take the write lock.
+// Because a partition may be physically shared by two indexes (§5.4),
+// this lock — not the owning Index's — is what protects readers of one
+// index from the maintainer of another index sharing the same partition.
 type Partition struct {
 	mu       sync.RWMutex
 	name     string
@@ -234,31 +234,6 @@ func emptyFormatReject(pool *storage.BufferPool, name string, arity int, meta st
 	}, ferr
 }
 
-// NewPartition creates an empty stored partition of the given arity
-// (≥ 2: at least one edge).
-func NewPartition(pool *storage.BufferPool, name string, arity int) (*Partition, error) {
-	if arity < 2 {
-		return nil, fmt.Errorf("asr: partition %s: arity %d, want ≥ 2", name, arity)
-	}
-	meta, err := allocMetaPage(pool)
-	if err != nil {
-		return nil, err
-	}
-	fwd, err := btree.New(pool, name+".fwd")
-	if err != nil {
-		return nil, err
-	}
-	bwd, err := btree.New(pool, name+".bwd")
-	if err != nil {
-		return nil, err
-	}
-	p := &Partition{name: name, arity: arity, pool: pool, meta: meta, fwd: fwd, bwd: bwd}
-	if err := p.syncMetaLocked(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // allocMetaPage reserves the partition's durable meta page — before
 // the trees, so the catalog page gets the lowest (and therefore most
 // stable across rebuilds) id of the partition's pages.
@@ -399,12 +374,6 @@ func (p *Partition) Backward() *btree.Tree { return p.bwd }
 // ignored (they describe no path segment).
 func (p *Partition) AddProjected(row relation.Tuple) error {
 	return p.adjust(row, +1)
-}
-
-// RemoveProjected decrements the reference count of a projected row,
-// deleting it from both trees when it dies.
-func (p *Partition) RemoveProjected(row relation.Tuple) error {
-	return p.adjust(row, -1)
 }
 
 // adjust moves a projected row's stored reference count by delta — an
@@ -624,20 +593,6 @@ func (p *Partition) ScanAll(fn func(relation.Tuple) bool) error {
 	return err
 }
 
-// AsRelation materializes the stored rows as an in-memory relation with
-// the given column names (len must equal Arity).
-func (p *Partition) AsRelation(cols []string) (*relation.Relation, error) {
-	if len(cols) != p.arity {
-		return nil, fmt.Errorf("asr: partition %s: %d column names for arity %d", p.name, len(cols), p.arity)
-	}
-	rel := relation.New(p.name, cols...)
-	err := p.ScanAll(func(t relation.Tuple) bool {
-		rel.MustInsert(t)
-		return true
-	})
-	return rel, err
-}
-
 // drift diffs the stored trees against want — the reference count every
 // row of the partition should carry, keyed by Tuple.Key — by streaming
 // the stored (row, count) pairs off the forward tree in one clustered
@@ -691,26 +646,4 @@ func (p *Partition) drift(want map[string]int) (PartitionDrift, error) {
 		return d, err
 	}
 	return d, p.bwd.CheckInvariants()
-}
-
-// CheckConsistent verifies that the backward tree holds exactly the
-// forward tree's rows, that every stored count is positive, and that
-// both trees satisfy their structural invariants; intended for tests.
-func (p *Partition) CheckConsistent() error {
-	stored := map[string]int{}
-	p.mu.RLock()
-	err := p.scanRows(p.fwd, 0, func(t relation.Tuple, v []byte) error {
-		cnt, err := decodeRefcnt(v)
-		if err == nil && cnt <= 0 {
-			err = fmt.Errorf("asr: partition %s: stored row %v has reference count %d", p.name, t, cnt)
-		}
-		stored[t.Key()] = cnt
-		return err
-	})
-	p.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	_, err = p.drift(stored)
-	return err
 }

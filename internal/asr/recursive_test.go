@@ -1,6 +1,7 @@
 package asr
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestRecursivePathIndexBuildsAndQueries(t *testing.T) {
 		// Results must match a naive traversal.
 		for _, root := range parts[:5] {
 			want := naiveForward(ob, path, root, 0, 3)
-			got, err := ix.QueryForward(0, 3, gom.Ref(root))
+			got, err := ix.Query(context.Background(), true, 0, 3, gom.Ref(root))
 			if err == ErrNotSupported {
 				continue
 			}

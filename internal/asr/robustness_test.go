@@ -50,7 +50,6 @@ func newFaultyRig(t *testing.T, seed int64) *faultyRig {
 		t.Fatal(err)
 	}
 	mt := NewMaintainer(ix)
-	mt.SetRetryPolicy(1, time.Microsecond)
 	db.Base.AddObserver(mt)
 	return &faultyRig{db: db, disk: disk, fi: fi, pool: pool, ix: ix, mt: mt}
 }
@@ -174,7 +173,7 @@ func TestMaintenanceFaultRollsBackAndQuarantines(t *testing.T) {
 	}
 
 	// Direct queries refuse with ErrQuarantined.
-	if _, err := r.ix.QueryForward(0, r.db.Path.Len(), gom.Ref(src)); !errors.Is(err, ErrQuarantined) {
+	if _, err := r.ix.Query(context.Background(), true, 0, r.db.Path.Len(), gom.Ref(src)); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("quarantined index answered a query: %v", err)
 	}
 
@@ -252,7 +251,7 @@ func TestMaintenanceFaultRollsBackAndQuarantines(t *testing.T) {
 	// Post-repair queries equal naive traversal.
 	for _, start := range r.db.Extents[0][:5] {
 		want := naiveForward(r.db.Base, r.db.Path, start, 0, r.db.Path.Len())
-		got, err := r.ix.QueryForward(0, r.db.Path.Len(), gom.Ref(start))
+		got, err := r.ix.Query(context.Background(), true, 0, r.db.Path.Len(), gom.Ref(start))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +270,6 @@ func TestMaintenanceFaultRollsBackAndQuarantines(t *testing.T) {
 // is absorbed by the retry loop — the update lands, no quarantine.
 func TestTransientFaultIsRetriedAndSucceeds(t *testing.T) {
 	r := newFaultyRig(t, 23)
-	r.mt.SetRetryPolicy(3, time.Microsecond)
 	r.fi.Schedule(storage.Fault{Op: storage.OpWrite})
 	src, dst := r.mutableSource(t)
 	r.db.Base.MustSetAttr(src, "Next", gom.Ref(dst))
@@ -436,29 +434,26 @@ func TestQueryCtxCancellation(t *testing.T) {
 	for _, id := range db.Extents[0] {
 		starts = append(starts, gom.Ref(id))
 	}
-	if _, err := ix.QueryForwardCtx(ctx, 0, db.Path.Len(), 4, starts...); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryForwardCtx on cancelled ctx: %v", err)
+	if _, err := ix.Query(ctx, true, 0, db.Path.Len(), starts...); !errors.Is(err, context.Canceled) {
+		t.Fatalf("forward Query on cancelled ctx: %v", err)
 	}
-	if _, err := ix.QueryBackwardCtx(ctx, 0, db.Path.Len(), 4, gom.Ref(db.Extents[3][0])); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryBackwardCtx on cancelled ctx: %v", err)
+	if _, err := ix.Query(ctx, false, 0, db.Path.Len(), gom.Ref(db.Extents[3][0])); !errors.Is(err, context.Canceled) {
+		t.Fatalf("backward Query on cancelled ctx: %v", err)
 	}
-	// Manager fallback paths (no index registered with the manager).
-	if _, err := mgr.QueryForwardCtx(ctx, db.Path, 0, db.Path.Len(), 4, starts...); !errors.Is(err, context.Canceled) {
-		t.Fatalf("manager forward fallback on cancelled ctx: %v", err)
-	}
+	// The manager's backward fallback (no index registered with it).
 	if _, err := mgr.QueryBackwardCtx(ctx, db.Path, 0, db.Path.Len(), 4, gom.Ref(db.Extents[3][0])); !errors.Is(err, context.Canceled) {
 		t.Fatalf("manager backward fallback on cancelled ctx: %v", err)
 	}
 
 	// A live context still answers.
-	if _, err := ix.QueryForwardCtx(context.Background(), 0, db.Path.Len(), 4, starts...); err != nil {
+	if _, err := ix.Query(context.Background(), true, 0, db.Path.Len(), starts...); err != nil {
 		t.Fatalf("live ctx query failed: %v", err)
 	}
 
 	// An expired deadline behaves like cancellation.
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	if _, err := ix.QueryForwardCtx(dctx, 0, db.Path.Len(), 4, starts...); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := ix.Query(dctx, true, 0, db.Path.Len(), starts...); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline: %v", err)
 	}
 }
@@ -515,8 +510,8 @@ func TestSearchReadFaultQuarantines(t *testing.T) {
 	if !r.ix.Quarantined() || r.mt.Err() == nil {
 		t.Fatal("a search that cannot read did not quarantine the index")
 	}
-	if st := r.ix.Stats(); st.Retries != 1 || st.Rollbacks != 2 {
-		t.Fatalf("stats = %+v, want 1 retry and 2 rolled-back attempts", st)
+	if st := r.ix.Stats(); st.Retries != maintRetries || st.Rollbacks != maintRetries+1 {
+		t.Fatalf("stats = %+v, want %d retries and %d rolled-back attempts", st, maintRetries, maintRetries+1)
 	}
 	if got := r.disk.Stats().Writes; got != writes {
 		t.Fatalf("the failed search wrote %d pages", got-writes)

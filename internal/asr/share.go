@@ -104,8 +104,3 @@ func BuildShared(ob *gom.ObjectBase, p, q *gom.PathExpression, pool *storage.Buf
 	}
 	return &SharedPair{Plan: plan, P: pIx, Q: qIx}, nil
 }
-
-// SharedPartition returns the physically shared partition.
-func (sp *SharedPair) SharedPartition() *Partition {
-	return sp.P.parts[sp.Plan.PPartIdx].Part
-}

@@ -1,6 +1,7 @@
 package asr
 
 import (
+	"context"
 	"maps"
 	"math/rand"
 	"testing"
@@ -77,14 +78,14 @@ func TestMiddleSegmentSharedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, err := pair.P.QueryBackward(0, 4, gom.String("Frank"))
+	names, err := pair.P.Query(context.Background(), false, 0, 4, gom.String("Frank"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := OIDsOf(names); len(got) != 1 {
 		t.Errorf("P backward = %v", got)
 	}
-	guests, err := pair.Q.QueryBackward(0, 4, gom.Integer(61))
+	guests, err := pair.Q.Query(context.Background(), false, 0, 4, gom.Integer(61))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestSharedPartitionSurvivesFirstDrop(t *testing.T) {
 		t.Fatalf("owners after first release = %d", shared.Owners())
 	}
 	// The second index still answers through the shared partition.
-	guests, err := pair.Q.QueryBackward(0, 4, gom.Integer(61))
+	guests, err := pair.Q.Query(context.Background(), false, 0, 4, gom.Integer(61))
 	if err != nil {
 		t.Fatal(err)
 	}

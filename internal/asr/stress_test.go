@@ -1,6 +1,7 @@
 package asr
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -107,7 +108,7 @@ func TestStressLargeDatabaseWithUpdates(t *testing.T) {
 	// Spot-check queries against naive traversal post-storm.
 	for _, start := range db.Extents[0][:10] {
 		want := naiveForward(db.Base, db.Path, start, 0, 4)
-		got, err := ixs[Full].QueryForward(0, 4, gom.Ref(start))
+		got, err := ixs[Full].Query(context.Background(), true, 0, 4, gom.Ref(start))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -309,10 +309,6 @@ func TestLookupAndIDs(t *testing.T) {
 	if _, ok := Lookup("nope"); ok {
 		t.Error("unknown experiment found")
 	}
-	ids := IDs()
-	if len(ids) != len(All()) {
-		t.Error("IDs/All mismatch")
-	}
 	tab := runExperiment(t, "fig6")
 	if csv := tab.CSV(); !strings.Contains(csv, "design,cost") {
 		t.Errorf("CSV header wrong: %q", csv)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"asr/internal/asr"
@@ -71,7 +72,7 @@ func runFig1() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	robots, err := ix.QueryBackward(0, 4, gom.String("Utopia"))
+	robots, err := ix.Query(context.Background(), false, 0, 4, gom.String("Utopia"))
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +103,7 @@ func runFig2() (*Table, error) {
 		Ref:     "Figure 2, §2.3",
 		Columns: []string{"query", "result"},
 	}
-	divs, err := ix.QueryBackward(0, 3, gom.String("Door"))
+	divs, err := ix.Query(context.Background(), false, 0, 3, gom.String("Door"))
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +115,7 @@ func runFig2() (*Table, error) {
 	}
 	t.AddRow("Q2: division using BasePart 'Door'", fmt.Sprint(names))
 
-	parts, err := ix.QueryForward(0, 3, gom.Ref(c.DivAuto))
+	parts, err := ix.Query(context.Background(), true, 0, 3, gom.Ref(c.DivAuto))
 	if err != nil {
 		return nil, err
 	}

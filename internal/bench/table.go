@@ -10,7 +10,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -116,13 +115,6 @@ func All() []Experiment {
 	for _, id := range order {
 		out = append(out, registry[id])
 	}
-	return out
-}
-
-// IDs returns the sorted experiment ids.
-func IDs() []string {
-	out := append([]string(nil), order...)
-	sort.Strings(out)
 	return out
 }
 

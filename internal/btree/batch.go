@@ -10,8 +10,8 @@ import (
 // VisitIndexed is called with the index of the matching prefix and each
 // matching entry; returning false stops the whole scan. Key and value
 // slices are BORROWED under the same zero-copy contract as Visit: valid
-// only until the callback returns, never retained. Wrap with
-// CopiedIndexed to receive owned copies.
+// only until the callback returns, never retained; copy what must be
+// kept.
 type VisitIndexed func(i int, key, val []byte) bool
 
 // ScanPrefixes visits, for every prefix, each entry whose key starts

@@ -703,28 +703,6 @@ func balancedSplit(n *node) int {
 	return len(n.keys) / 2
 }
 
-// Get returns the value stored under key. The returned slice is an
-// owned copy.
-func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	pid := t.root
-	for {
-		fr, c, err := t.open(pid, key)
-		if err != nil {
-			return nil, false, err
-		}
-		if c.leaf {
-			var v []byte
-			if c.equal {
-				v = append([]byte(nil), c.val(c.entry)...)
-			}
-			fr.Unpin()
-			return v, c.equal, nil
-		}
-		pid = c.down
-		fr.Unpin()
-	}
-}
-
 func insertBytes(s [][]byte, i int, v []byte) [][]byte {
 	s = append(s, nil)
 	copy(s[i+1:], s[i:])

@@ -161,15 +161,6 @@ func TestScanRangeAndPrefix(t *testing.T) {
 	if hits != 10 {
 		t.Errorf("prefix scan hits = %d, want 10", hits)
 	}
-	cnt, err := tr.CountPrefix(prefix)
-	if err != nil || cnt != 10 {
-		t.Errorf("CountPrefix = %d,%v", cnt, err)
-	}
-	var ranged int
-	tr.ScanRange(comp(3, 0), comp(5, 0), func(k, v []byte) bool { ranged++; return true })
-	if ranged != 20 {
-		t.Errorf("range scan = %d, want 20", ranged)
-	}
 	// Early stop.
 	var stopped int
 	tr.Scan(func(k, v []byte) bool { stopped++; return stopped < 5 })

@@ -216,12 +216,3 @@ func (c *cursor) decode() *node {
 func corruptNode(id storage.PageID, what string) error {
 	return fmt.Errorf("btree: page %v: corrupt node: %s", id, what)
 }
-
-// entryOverheadHdr returns the fixed per-entry header size preceding the
-// suffix bytes (the child pointer of internal entries trails the suffix).
-func entryOverheadHdr(leaf bool) int {
-	if leaf {
-		return 6
-	}
-	return 4
-}

@@ -16,8 +16,7 @@ import (
 // moves on; a retained value would alias whatever the buffer pool later
 // loads into that frame. The key is materialized into one buffer the
 // scan reuses for every entry and likewise must not be retained. Callers
-// that keep data past the callback wrap their visitor in Copied (or
-// CopiedIndexed).
+// that keep data past the callback wrap their visitor in Copied.
 type Visit func(key, val []byte) bool
 
 // Copied wraps a visitor so it receives owned copies of each entry —
@@ -29,27 +28,9 @@ func Copied(fn Visit) Visit {
 	}
 }
 
-// CopiedIndexed is Copied for batch visitors.
-func CopiedIndexed(fn VisitIndexed) VisitIndexed {
-	return func(i int, k, v []byte) bool {
-		return fn(i, append([]byte(nil), k...), append([]byte(nil), v...))
-	}
-}
-
 // Scan iterates all entries in key order.
 func (t *Tree) Scan(fn Visit) error {
 	return t.scanFrom(nil, func(k, v []byte) bool { return fn(k, v) })
-}
-
-// ScanRange iterates entries with lo ≤ key < hi (nil lo means from the
-// start; nil hi means to the end).
-func (t *Tree) ScanRange(lo, hi []byte, fn Visit) error {
-	return t.scanFrom(lo, func(k, v []byte) bool {
-		if hi != nil && bytes.Compare(k, hi) >= 0 {
-			return false
-		}
-		return fn(k, v)
-	})
 }
 
 // ScanPrefix iterates entries whose key starts with prefix — the
@@ -116,13 +97,6 @@ func (t *Tree) scanFrom(start []byte, fn Visit) error {
 		fr.Unpin()
 	}
 	return nil
-}
-
-// CountPrefix returns the number of entries whose key starts with prefix.
-func (t *Tree) CountPrefix(prefix []byte) (int, error) {
-	n := 0
-	err := t.ScanPrefix(prefix, func(k, v []byte) bool { n++; return true })
-	return n, err
 }
 
 // Stats summarizes the tree's physical shape, matching the cost-model

@@ -184,15 +184,6 @@ func New(sys SystemParams, p Profile) (*Model, error) {
 	return m, nil
 }
 
-// MustNew is New panicking on error; for tables of static profiles.
-func MustNew(sys SystemParams, p Profile) *Model {
-	m, err := New(sys, p)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Opp returns opp_i = ⌊PageSize/size_i⌋, the objects per page (eq. 17).
 func (m *Model) Opp(i int) float64 {
 	if m.Size[i] <= 0 {

@@ -2,6 +2,7 @@ package dump
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestRoundTripCompany(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	divs, err := ix.QueryBackward(0, 3, gom.String("Door"))
+	divs, err := ix.Query(context.Background(), false, 0, 3, gom.String("Door"))
 	if err != nil {
 		t.Fatal(err)
 	}

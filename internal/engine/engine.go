@@ -135,7 +135,7 @@ func (e *Engine) BackwardNoASR(target gom.OID, i, j int) ([]gom.OID, Measurement
 func (e *Engine) ForwardASR(ix *asr.Index, start gom.OID, i, j int) ([]gom.OID, Measurement, error) {
 	var result []gom.OID
 	m, err := e.measure("engine.forward_asr", ix.Pool(), func() error {
-		vals, err := ix.QueryForward(i, j, gom.Ref(start))
+		vals, err := ix.Query(context.Background(), true, i, j, gom.Ref(start))
 		if err != nil {
 			return err
 		}
@@ -149,7 +149,7 @@ func (e *Engine) ForwardASR(ix *asr.Index, start gom.OID, i, j int) ([]gom.OID, 
 func (e *Engine) BackwardASR(ix *asr.Index, target gom.OID, i, j int) ([]gom.OID, Measurement, error) {
 	var result []gom.OID
 	m, err := e.measure("engine.backward_asr", ix.Pool(), func() error {
-		vals, err := ix.QueryBackward(i, j, gom.Ref(target))
+		vals, err := ix.Query(context.Background(), false, i, j, gom.Ref(target))
 		if err != nil {
 			return err
 		}

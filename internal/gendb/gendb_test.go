@@ -145,7 +145,7 @@ func TestPlacement(t *testing.T) {
 	// op_i = ceil(c_i / floor(512/100)) = ceil(c_i/5).
 	for i, c := range db.Spec.C {
 		want := (c + 4) / 5
-		if got := place.LevelPages(i); got != want {
+		if got := place.Segments[i].NumPages(); got != want {
 			t.Errorf("level %d pages = %d, want %d", i, got, want)
 		}
 	}

@@ -118,6 +118,3 @@ func (p *Placement) levelOf(id gom.OID) int {
 	}
 	return 0
 }
-
-// LevelPages returns op_i, the page count of level i's segment.
-func (p *Placement) LevelPages(i int) int { return p.Segments[i].NumPages() }

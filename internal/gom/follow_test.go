@@ -94,10 +94,6 @@ func TestFollow(t *testing.T) {
 			}
 		}
 	}
-
-	if got := mustGet(t, ob, mixedSet.OID()).LiveElements(); len(got) != 1 || !ValuesEqual(got[0], live) {
-		t.Errorf("LiveElements = %v, want [%v]", got, live)
-	}
 }
 
 func mustGet(t *testing.T, ob *ObjectBase, id OID) *Object {

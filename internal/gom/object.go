@@ -103,16 +103,6 @@ func (o *Object) AppendElements(dst []Value) []Value {
 	return append(dst, o.elems...)
 }
 
-// LiveElements is Elements with references to deleted objects left out:
-// a deleted object contributes no path information even while stale
-// references to it remain (GOM references are uni-directional, so the
-// base cannot clear them eagerly).
-func (o *Object) LiveElements() []Value {
-	o.base.mu.RLock()
-	defer o.base.mu.RUnlock()
-	return o.appendLiveLocked(nil, true)
-}
-
 // appendLiveLocked appends the live elements to dst — a set's in
 // Elements' order when ordered, else in the order the set stores them,
 // which does not sort; o.base.mu must be held.

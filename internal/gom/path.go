@@ -102,9 +102,6 @@ func MustResolvePath(root *Type, attrs ...string) *PathExpression {
 	return p
 }
 
-// Root returns the anchor type t_0.
-func (p *PathExpression) Root() *Type { return p.root }
-
 // Len returns n, the number of attribute steps.
 func (p *PathExpression) Len() int { return len(p.steps) }
 
@@ -146,25 +143,6 @@ func (p *PathExpression) ColumnTypes() []*Type {
 		cols = append(cols, s.Range)
 	}
 	return cols
-}
-
-// ColumnNames returns readable names for the n+k+1 columns, in the style
-// of the paper's table headers (OID_Division, VALUE_Name, …).
-func (p *PathExpression) ColumnNames() []string {
-	types := p.ColumnTypes()
-	names := make([]string, len(types))
-	for i, t := range types {
-		prefix := "OID"
-		if t.Kind() == AtomicType {
-			prefix = "VALUE"
-		}
-		names[i] = prefix + "_" + t.Name()
-	}
-	// The last column is named after the final attribute when atomic.
-	if last := p.steps[len(p.steps)-1]; last.Range.Kind() == AtomicType {
-		names[len(names)-1] = "VALUE_" + last.Attr
-	}
-	return names
 }
 
 // ObjectColumn maps step index i (0 ≤ i ≤ n, where 0 is the anchor) to

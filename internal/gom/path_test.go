@@ -102,10 +102,6 @@ func TestSetPathResolution(t *testing.T) {
 			t.Errorf("StepOfColumn(%d) = (%d,%v), want (%d,%v)", col, step, isSet, want.step, want.isSet)
 		}
 	}
-	names := p.ColumnNames()
-	if names[0] != "OID_Division" || names[5] != "VALUE_Name" {
-		t.Errorf("ColumnNames = %v", names)
-	}
 }
 
 func TestPathValidationErrors(t *testing.T) {

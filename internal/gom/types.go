@@ -2,7 +2,6 @@ package gom
 
 import (
 	"fmt"
-	"sort"
 )
 
 // TypeKind classifies a GOM type by its outer type constructor (§2.1).
@@ -76,12 +75,6 @@ func (t *Type) AtomicKind() AtomicKind {
 // Elem returns the element type of a set or list type, or nil.
 func (t *Type) Elem() *Type { return t.elem }
 
-// Supertypes returns the direct supertypes of a tuple type.
-func (t *Type) Supertypes() []*Type { return t.supertypes }
-
-// OwnAttributes returns the attributes declared directly on t.
-func (t *Type) OwnAttributes() []Attribute { return t.ownAttrs }
-
 // Attributes returns all attributes of a tuple type including inherited
 // ones, supertype attributes first, in a deterministic order.
 func (t *Type) Attributes() []Attribute { return t.allAttrs }
@@ -111,22 +104,6 @@ func (t *Type) IsSubtypeOf(s *Type) bool {
 		}
 	}
 	return false
-}
-
-// AcceptsValue reports whether a value v may be stored in a slot
-// constrained to type t: NULL is accepted everywhere, atomic values must
-// match the atomic kind exactly, and references must denote an instance
-// of t or a subtype of t (strong typing with substitutability, §2). The
-// reference check requires the owning ObjectBase, so it is performed by
-// ObjectBase; here a Ref is accepted structurally when t is constructed.
-func (t *Type) AcceptsValue(v Value) bool {
-	if v == nil {
-		return true
-	}
-	if t.kind == AtomicType {
-		return v.Kind() == t.atomic
-	}
-	return v.Kind() == KindRef
 }
 
 // String returns the type name.
@@ -329,17 +306,4 @@ func (s *Schema) DefineList(name string, elem *Type) (*Type, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// TupleTypes returns all tuple-structured types sorted by name; useful
-// for deterministic schema dumps.
-func (s *Schema) TupleTypes() []*Type {
-	var out []*Type
-	for _, t := range s.types {
-		if t.kind == TupleType {
-			out = append(out, t)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
 }

@@ -171,22 +171,3 @@ func TestTypeDefinitionRendering(t *testing.T) {
 		t.Errorf("set Definition() = %q", got)
 	}
 }
-
-func TestAcceptsValue(t *testing.T) {
-	s := NewSchema()
-	str := s.MustLookup("STRING")
-	integer := s.MustLookup("INTEGER")
-	if !str.AcceptsValue(nil) {
-		t.Error("NULL must be accepted by STRING")
-	}
-	if !str.AcceptsValue(String("x")) || str.AcceptsValue(Integer(1)) {
-		t.Error("atomic kind check broken for STRING")
-	}
-	if !integer.AcceptsValue(Integer(1)) || integer.AcceptsValue(String("x")) {
-		t.Error("atomic kind check broken for INTEGER")
-	}
-	tup := mustTuple(t, s, "T", nil, nil)
-	if !tup.AcceptsValue(Ref(7)) || tup.AcceptsValue(String("x")) {
-		t.Error("tuple slot must accept refs only")
-	}
-}

@@ -131,9 +131,6 @@ func (v Ref) String() string { return OID(v).String() }
 // OID returns the referenced object identifier.
 func (v Ref) OID() OID { return OID(v) }
 
-// IsNull reports whether v is the NULL value (a nil Value).
-func IsNull(v Value) bool { return v == nil }
-
 // ValuesEqual compares two possibly-NULL values. Two NULLs compare equal
 // here (this is identity of representation, not SQL three-valued logic).
 func ValuesEqual(a, b Value) bool {

@@ -429,7 +429,7 @@ func (e *Engine) run(ctx context.Context, q *Query, p *plan, workers int) (*Resu
 					return nil
 				}
 				if p.proj.ix != nil {
-					vals, err := p.proj.ix.QueryForwardCtx(ctx, 0, p.proj.composed.Len(), 1, projVar)
+					vals, err := p.proj.ix.Query(ctx, true, 0, p.proj.composed.Len(), projVar)
 					if err == nil {
 						for _, v := range vals {
 							out[gom.ValueString(v)] = v

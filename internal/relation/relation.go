@@ -72,17 +72,6 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// OIDs makes a tuple of references from OIDs; NilOID becomes NULL.
-func OIDs(ids ...gom.OID) Tuple {
-	t := make(Tuple, len(ids))
-	for i, id := range ids {
-		if !id.IsNil() {
-			t[i] = gom.Ref(id)
-		}
-	}
-	return t
-}
-
 // Relation is a named relation with set semantics over its tuples.
 type Relation struct {
 	name    string
@@ -122,16 +111,6 @@ func (r *Relation) MustInsert(t Tuple) {
 	if err := r.Insert(t); err != nil {
 		panic(err)
 	}
-}
-
-// Delete removes a tuple if present; it reports whether one was removed.
-func (r *Relation) Delete(t Tuple) bool {
-	k := t.Key()
-	if _, ok := r.rows[k]; !ok {
-		return false
-	}
-	delete(r.rows, k)
-	return true
 }
 
 // Contains reports whether the relation holds the tuple.
@@ -205,17 +184,6 @@ func (r *Relation) Project(name string, lo, hi int) (*Relation, error) {
 	return out, nil
 }
 
-// Select returns the rows for which pred holds.
-func (r *Relation) Select(name string, pred func(Tuple) bool) *Relation {
-	out := New(name, r.columns...)
-	for _, t := range r.rows {
-		if pred(t) {
-			out.rows[t.Key()] = t.Clone()
-		}
-	}
-	return out
-}
-
 // String renders the relation as an aligned table in the paper's style.
 func (r *Relation) String() string {
 	rows := r.Tuples()
@@ -236,21 +204,24 @@ func (r *Relation) String() string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s (%d tuples)\n", r.name, len(rows))
-	for i, c := range r.columns {
-		if i > 0 {
-			b.WriteString(" | ")
-		}
-		fmt.Fprintf(&b, "%-*s", width[i], c)
-	}
-	b.WriteString("\n")
-	for _, row := range cells {
+	// Every column but the last is padded to its width, so no line ends
+	// in spaces.
+	line := func(row []string) {
 		for i, s := range row {
 			if i > 0 {
 				b.WriteString(" | ")
 			}
-			fmt.Fprintf(&b, "%-*s", width[i], s)
+			if i < len(row)-1 {
+				fmt.Fprintf(&b, "%-*s", width[i], s)
+			} else {
+				b.WriteString(s)
+			}
 		}
 		b.WriteString("\n")
+	}
+	line(r.columns)
+	for _, row := range cells {
+		line(row)
 	}
 	return b.String()
 }

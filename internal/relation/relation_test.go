@@ -43,9 +43,6 @@ func TestRelationSetSemantics(t *testing.T) {
 	if !r.Contains(OIDs(1, 2)) || r.Contains(OIDs(9, 9)) {
 		t.Error("Contains broken")
 	}
-	if !r.Delete(OIDs(1, 2)) || r.Delete(OIDs(1, 2)) {
-		t.Error("Delete broken")
-	}
 	if err := r.Insert(OIDs(1)); err == nil {
 		t.Error("arity mismatch accepted")
 	}
@@ -227,15 +224,5 @@ func TestRelationEqualCloneString(t *testing.T) {
 	s := r.String()
 	if !strings.Contains(s, "i1") || !strings.Contains(s, "R (1 tuples)") {
 		t.Errorf("String = %q", s)
-	}
-}
-
-func TestSelect(t *testing.T) {
-	r := New("R", "A", "B")
-	r.MustInsert(OIDs(1, 2))
-	r.MustInsert(OIDs(3, 4))
-	s := r.Select("S", func(t Tuple) bool { return t[0].Equal(gom.Ref(1)) })
-	if s.Cardinality() != 1 || !s.Contains(OIDs(1, 2)) {
-		t.Errorf("Select = %v", s.Tuples())
 	}
 }

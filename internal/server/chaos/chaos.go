@@ -102,10 +102,6 @@ func NewInjector(s *fault.Schedule, probs Probabilities) *Injector {
 // Schedule adds an explicit fault to the schedule.
 func (in *Injector) Schedule(f Fault) { in.s.Add(f) }
 
-// Heal clears the network's scheduled faults and probabilities — the
-// network is repaired; the stall bound is left as configured.
-func (in *Injector) Heal() { in.s.Heal(OpAccept, OpRead, OpWrite) }
-
 // Stats returns the injection counters.
 func (in *Injector) Stats() Stats {
 	st := in.s.Stats()

@@ -209,19 +209,3 @@ func TestSeedReproducible(t *testing.T) {
 		t.Fatal("different seeds produced identical schedules")
 	}
 }
-
-// TestHealStopsFaults: Heal clears both the schedule and the
-// probabilities; operations proceed cleanly afterwards.
-func TestHealStopsFaults(t *testing.T) {
-	in := NewInjector(fault.New(1), Probabilities{ResetOnWrite: 1})
-	in.Schedule(Fault{Op: OpWrite, Kind: Reset, Permanent: true})
-	in.Heal()
-	cs, ss := pair(t, in)
-	if _, err := ss.Write([]byte("ok")); err != nil {
-		t.Fatalf("write after Heal: %v", err)
-	}
-	buf := make([]byte, 2)
-	if _, err := cs.Read(buf); err != nil {
-		t.Fatalf("read after Heal: %v", err)
-	}
-}

@@ -115,22 +115,7 @@ type RetryClient struct {
 	dialed bool    // true once any dial succeeded (reconnects counted after)
 	closed bool
 
-	retries    atomic.Uint64
-	attempts   atomic.Uint64
-	reconnects atomic.Uint64
-
-	lastErrMu sync.Mutex
-	lastErr   error
-}
-
-// RetryStats is a point-in-time snapshot of one RetryClient's behavior
-// — the client-side view of retry churn, observable without scraping
-// the server registry (which aggregates every client in the process).
-type RetryStats struct {
-	Attempts   uint64 // request attempts issued (first tries included)
-	Retries    uint64 // attempts beyond a request's first (Attempts - requests)
-	Reconnects uint64 // redials beyond the first successful connection
-	LastErr    error  // most recent attempt failure (nil if none, or cleared by a success)
+	retries atomic.Uint64
 }
 
 // NewRetryClient returns a lazily-dialing retry client for addr. It
@@ -142,26 +127,6 @@ func NewRetryClient(addr string, cfg RetryConfig) *RetryClient {
 
 // Retries reports how many retried attempts this client has made.
 func (r *RetryClient) Retries() uint64 { return r.retries.Load() }
-
-// Stats snapshots this client's attempt/retry/reconnect counters and
-// the most recent failure.
-func (r *RetryClient) Stats() RetryStats {
-	r.lastErrMu.Lock()
-	last := r.lastErr
-	r.lastErrMu.Unlock()
-	return RetryStats{
-		Attempts:   r.attempts.Load(),
-		Retries:    r.retries.Load(),
-		Reconnects: r.reconnects.Load(),
-		LastErr:    last,
-	}
-}
-
-func (r *RetryClient) noteErr(err error) {
-	r.lastErrMu.Lock()
-	r.lastErr = err
-	r.lastErrMu.Unlock()
-}
 
 // Close closes the current connection (if any); in-flight requests fail
 // with ErrConnClosed and are not retried.
@@ -195,7 +160,6 @@ func (r *RetryClient) conn(ctx context.Context) (*Client, error) {
 	}
 	if r.dialed {
 		telReconnects.Inc()
-		r.reconnects.Add(1)
 	}
 	r.dialed = true
 	r.c = c
@@ -249,7 +213,6 @@ func (r *RetryClient) do(ctx context.Context, op func(ctx context.Context, c *Cl
 				return err
 			}
 		}
-		r.attempts.Add(1)
 		c, err := r.conn(ctx)
 		if err == nil {
 			actx := ctx
@@ -265,7 +228,6 @@ func (r *RetryClient) do(ctx context.Context, op func(ctx context.Context, c *Cl
 				r.discard(c)
 			}
 		}
-		r.noteErr(err)
 		if err == nil {
 			return nil
 		}
@@ -298,11 +260,4 @@ func (r *RetryClient) QueryWorkers(ctx context.Context, sql string, workers int)
 		return nil, err
 	}
 	return res, nil
-}
-
-// Ping round-trips a liveness probe with retries.
-func (r *RetryClient) Ping(ctx context.Context) error {
-	return r.do(ctx, func(ctx context.Context, c *Client) error {
-		return c.Ping(ctx)
-	})
 }

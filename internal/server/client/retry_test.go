@@ -195,58 +195,6 @@ func TestRetryableClassification(t *testing.T) {
 	}
 }
 
-// TestRetryClientStats: the Stats snapshot tracks attempts, retries,
-// reconnects, and the most recent failure — the client-side view of
-// retry churn, per client rather than the process-wide registry.
-func TestRetryClientStats(t *testing.T) {
-	inj := chaos.NewInjector(fault.New(1), chaos.Probabilities{})
-	inj.Schedule(chaos.Fault{Op: chaos.OpWrite, Kind: chaos.Reset, Skip: 1})
-	s := startStubServer(t, server.Config{
-		WrapListener: func(ln net.Listener) net.Listener { return inj.Listener(ln) },
-	})
-
-	r := NewRetryClient(s.Addr(), fastRetry())
-	defer r.Close()
-	if st := r.Stats(); st != (RetryStats{}) {
-		t.Fatalf("fresh client stats = %+v, want zero", st)
-	}
-
-	// One request through a reset: attempt 1 fails, attempt 2 redials
-	// and succeeds. The success clears LastErr.
-	if _, err := r.Query(context.Background(), stubQuery); err != nil {
-		t.Fatalf("Query through reset: %v", err)
-	}
-	st := r.Stats()
-	if st.Attempts < 2 || st.Retries < 1 || st.Reconnects < 1 {
-		t.Fatalf("stats after recovered reset = %+v", st)
-	}
-	if st.Attempts != st.Retries+1 {
-		t.Fatalf("one request: attempts (%d) should be retries (%d) + 1", st.Attempts, st.Retries)
-	}
-	if st.LastErr != nil {
-		t.Fatalf("success should clear LastErr, got %v", st.LastErr)
-	}
-
-	// A client that never connects reports the terminal failure.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := ln.Addr().String()
-	ln.Close()
-	cfg := fastRetry()
-	cfg.MaxAttempts = 3
-	r2 := NewRetryClient(deadAddr, cfg)
-	defer r2.Close()
-	if _, err := r2.Query(context.Background(), stubQuery); err == nil {
-		t.Fatal("query against a dead address succeeded")
-	}
-	st2 := r2.Stats()
-	if st2.Attempts != 3 || st2.Retries != 2 || !errors.Is(st2.LastErr, ErrConnLost) {
-		t.Fatalf("stats after exhaustion = %+v", st2)
-	}
-}
-
 // TestRetryClientConcurrent: many goroutines share one RetryClient
 // through a flaky network; every request must end in a result.
 func TestRetryClientConcurrent(t *testing.T) {

@@ -62,9 +62,6 @@ const ProtoVersion = 2
 // HeaderSize is the fixed frame header length in bytes.
 const HeaderSize = 33
 
-// TraceIDSize is the width of the header's trace ID field.
-const TraceIDSize = 16
-
 // MaxPayload bounds a single frame's payload. Frames above it are a
 // protocol error on decode and a caller bug on encode; the bound keeps
 // a malformed or hostile length prefix from provoking a giant
@@ -78,7 +75,6 @@ type MsgType uint8
 // every request type receives exactly one response frame with the same
 // request ID.
 const (
-	MsgInvalid     MsgType = 0
 	MsgHello       MsgType = 1 // Hello        → MsgHelloOK | MsgError
 	MsgHelloOK     MsgType = 2
 	MsgQuery       MsgType = 3 // Query        → MsgResult | MsgError

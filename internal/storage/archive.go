@@ -156,19 +156,6 @@ func (a *Archive) seal(payload []byte, recs []WALRecord) (SegmentInfo, error) {
 	return a.sealLocked(payload, recs)
 }
 
-// Seal scans raw (a WAL record stream) and seals its valid prefix as
-// one segment. Trailing torn bytes are rejected — the caller seals only
-// fully trusted log prefixes.
-func (a *Archive) Seal(raw []byte) (SegmentInfo, error) {
-	recs, validLen, damaged := scanWALBytes(raw)
-	if damaged {
-		return SegmentInfo{}, fmt.Errorf("storage: archive seal: raw stream has a damaged tail at byte %d", validLen)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sealLocked(raw[:validLen], recs)
-}
-
 // SealTail archives the not-yet-archived tail of a WAL file — the
 // records in its valid prefix with LSNs above the archive's high-water
 // mark. This is the PITR step an operator runs over a crashed primary's
@@ -201,16 +188,6 @@ func (a *Archive) SealTail(walPath string) (SegmentInfo, bool, error) {
 	}
 	info, err := a.sealLocked(payload, fresh)
 	return info, err == nil, err
-}
-
-// Segments lists the sealed segments sorted by first LSN. Files with
-// the segment suffix whose header fails verification are returned in
-// damaged (and counted) rather than aborting the listing — one rotted
-// segment must not hide the healthy chain.
-func (a *Archive) Segments() (segs []SegmentInfo, damaged []string, err error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.segmentsLocked()
 }
 
 func (a *Archive) segmentsLocked() (segs []SegmentInfo, damaged []string, err error) {

@@ -186,7 +186,7 @@ func TestResetSealsTheLivePrefix(t *testing.T) {
 	}
 	first := w.AppendedLSN() + 1
 	last := commitTxns(t, w, 2, 200)
-	raw, err := os.ReadFile(w.Path())
+	raw, err := os.ReadFile(w.path)
 	if err != nil {
 		t.Fatal(err)
 	}

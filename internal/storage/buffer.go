@@ -301,9 +301,6 @@ func (b *BufferPool) Disk() Device { return b.dev }
 // write-back first syncs the log up to the frame's LSN — the WAL rule.
 func (b *BufferPool) AttachWAL(w *WAL) { b.wal.Store(w) }
 
-// WAL returns the attached log, nil when the pool is purely in-memory.
-func (b *BufferPool) WAL() *WAL { return b.wal.Load() }
-
 // heldByTxn reports whether a dirty frame belongs to the active undo
 // transaction of a WAL-backed pool — such frames hold uncommitted
 // bytes and must not reach the device (no-steal), or a crash would

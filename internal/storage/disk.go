@@ -17,10 +17,6 @@ import (
 const (
 	// DefaultPageSize is the net page size in bytes.
 	DefaultPageSize = 4056
-	// OIDSize is the stored size of an object identifier in bytes.
-	OIDSize = 8
-	// PagePointerSize is the stored size of a page pointer in bytes.
-	PagePointerSize = 4
 )
 
 // PageID identifies a disk page. The zero value is the nil page.

@@ -216,10 +216,3 @@ func (s *Scrubber) Unhealed() []PageID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// Passes returns how many full passes have completed.
-func (s *Scrubber) Passes() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.passes
-}

@@ -10,9 +10,6 @@ type RecordID struct {
 	Slot int
 }
 
-// IsNil reports whether the record id is unset.
-func (r RecordID) IsNil() bool { return r.Page.IsNil() }
-
 // Segment is a type-clustered sequence of fixed-size records, the
 // paper's object storage model (§5.5): objects are clustered by type, so
 // a type with c_i objects of size_i bytes occupies
@@ -25,8 +22,6 @@ type Segment struct {
 	perPage    int
 	pages      []PageID
 	nextSlot   int // next free slot on the last page
-	free       []RecordID
-	count      int
 }
 
 // NewSegment creates a record segment; recordSize must fit a page.
@@ -46,46 +41,29 @@ func NewSegment(pool *BufferPool, name string, recordSize int) (*Segment, error)
 	}, nil
 }
 
-// Name returns the segment name.
-func (s *Segment) Name() string { return s.name }
-
 // RecordSize returns the fixed record size in bytes.
 func (s *Segment) RecordSize() int { return s.recordSize }
-
-// RecordsPerPage returns floor(PageSize / recordSize), the paper's opp_i.
-func (s *Segment) RecordsPerPage() int { return s.perPage }
 
 // NumPages returns the allocated page count, the paper's op_i.
 func (s *Segment) NumPages() int { return len(s.pages) }
 
-// Count returns the live record count.
-func (s *Segment) Count() int { return s.count }
-
-// Insert stores a record (padded or truncated to the record size) and
-// returns its address. Freed slots are reused before new pages are
-// allocated.
+// Insert stores a record (padded to the record size) in the next slot
+// and returns its address.
 func (s *Segment) Insert(data []byte) (RecordID, error) {
-	var id RecordID
-	if n := len(s.free); n > 0 {
-		id = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		if len(s.pages) == 0 || s.nextSlot >= s.perPage {
-			fr, err := s.pool.GetNew()
-			if err != nil {
-				return RecordID{}, err
-			}
-			s.pages = append(s.pages, fr.ID())
-			s.nextSlot = 0
-			fr.Unpin()
+	if len(s.pages) == 0 || s.nextSlot >= s.perPage {
+		fr, err := s.pool.GetNew()
+		if err != nil {
+			return RecordID{}, err
 		}
-		id = RecordID{Page: s.pages[len(s.pages)-1], Slot: s.nextSlot}
-		s.nextSlot++
+		s.pages = append(s.pages, fr.ID())
+		s.nextSlot = 0
+		fr.Unpin()
 	}
+	id := RecordID{Page: s.pages[len(s.pages)-1], Slot: s.nextSlot}
+	s.nextSlot++
 	if err := s.Write(id, data); err != nil {
 		return RecordID{}, err
 	}
-	s.count++
 	return id, nil
 }
 
@@ -118,52 +96,6 @@ func (s *Segment) Write(id RecordID, data []byte) error {
 		slot[i] = 0
 	}
 	fr.MarkDirty()
-	return nil
-}
-
-// Touch charges one page access for the record without transferring
-// data; used by the query engine when only reference fields matter and
-// they are cached elsewhere.
-func (s *Segment) Touch(id RecordID) error {
-	fr, err := s.frameFor(id)
-	if err != nil {
-		return err
-	}
-	fr.Unpin()
-	return nil
-}
-
-// Delete frees the record's slot for reuse.
-func (s *Segment) Delete(id RecordID) error {
-	if err := s.validate(id); err != nil {
-		return err
-	}
-	s.free = append(s.free, id)
-	if s.count > 0 {
-		s.count--
-	}
-	return nil
-}
-
-// ScanPages performs a sequential scan: each allocated page is fetched
-// once and fn is called with the page's records. fn returning false
-// stops the scan early.
-func (s *Segment) ScanPages(fn func(page PageID, records [][]byte) bool) error {
-	for _, pid := range s.pages {
-		fr, err := s.pool.Get(pid)
-		if err != nil {
-			return err
-		}
-		recs := make([][]byte, s.perPage)
-		for i := 0; i < s.perPage; i++ {
-			recs[i] = fr.Data()[i*s.recordSize : (i+1)*s.recordSize]
-		}
-		cont := fn(pid, recs)
-		fr.Unpin()
-		if !cont {
-			return nil
-		}
-	}
 	return nil
 }
 

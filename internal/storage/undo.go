@@ -92,15 +92,19 @@ func (b *BufferPool) spareBuf() []byte {
 }
 
 // recycle keeps a finished transaction's pre-image buffers for the
-// next one's captures, up to undoSpareMax. The transaction must no
-// longer read them.
+// next one's captures and commit, up to undoSpareMax. The transaction
+// must no longer read them.
 func (b *BufferPool) recycle(pre map[PageID][]byte) {
+	for _, buf := range pre {
+		b.keepSpare(buf)
+	}
+}
+
+// keepSpare adds buf to the spare buffers unless undoSpareMax are kept.
+func (b *BufferPool) keepSpare(buf []byte) {
 	b.spareMu.Lock()
 	defer b.spareMu.Unlock()
-	for _, buf := range pre {
-		if len(b.spare) >= undoSpareMax {
-			return
-		}
+	if len(b.spare) < undoSpareMax {
 		b.spare = append(b.spare, buf)
 	}
 }
@@ -181,13 +185,19 @@ func (t *UndoTxn) Commit() error {
 }
 
 // logTo writes the transaction's page images and commit marker. Frames
-// are copied out under their shard mutex — into one scratch page reused
-// for every image — and appended outside it, so the shard and log
-// mutexes are never held together.
+// are copied out under their shard mutex — into one scratch page, a
+// spare buffer reused for every image and handed back to the spares —
+// and appended outside it, so the shard and log mutexes are never held
+// together.
 func (t *UndoTxn) logTo(w *WAL) error {
 	b := t.pool
 	txn := w.Begin()
-	var data []byte
+	data := b.spareBuf()
+	defer func() {
+		if data != nil {
+			b.keepSpare(data)
+		}
+	}()
 	for _, id := range t.touchedPages() {
 		s := b.shardOf(id)
 		s.mu.Lock()

@@ -70,9 +70,6 @@ type WALRecord struct {
 	Data []byte // page payload for RecPageImage, nil for RecCommit
 }
 
-// EncodeWALRecord renders a record in the on-disk framing.
-func EncodeWALRecord(rec WALRecord) []byte { return appendWALRecord(nil, rec) }
-
 // appendWALRecord frames rec onto dst — the codec's one encoder. The
 // payload is copied once, straight into place; the checksum is taken
 // over the body where it lies.
@@ -311,9 +308,6 @@ func openWAL(path string) (*WAL, walScan, error) {
 	return w, scan, nil
 }
 
-// Path returns the backing file path.
-func (w *WAL) Path() string { return w.path }
-
 // SetCrashpoint installs (or clears) the crashpoint guarding log
 // writes and fsyncs. Share one Crashpoint between the WAL and its
 // FileDisk so a simulated kill can land on either file.
@@ -348,13 +342,6 @@ func (w *WAL) AppendedLSN() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.appendedLSN
-}
-
-// SyncedLSN returns the LSN up to which the log is durable.
-func (w *WAL) SyncedLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.syncedLSN
 }
 
 // Stats returns a snapshot of the log counters.

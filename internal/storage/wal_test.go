@@ -398,7 +398,7 @@ func TestCheckpointFreesNoBlocks(t *testing.T) {
 	var ids []PageID
 	logFile := func() (size, blocks int64) {
 		t.Helper()
-		st, err := os.Stat(w.Path())
+		st, err := os.Stat(w.path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +433,7 @@ func TestCheckpointFreesNoBlocks(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		raw, err := os.ReadFile(w.Path())
+		raw, err := os.ReadFile(w.path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,45 +9,6 @@ import (
 	"testing"
 )
 
-// TestLabelEscaping: label values containing the characters the
-// Prometheus text format must escape (backslash, double quote, newline)
-// render escaped through the Labels helper and survive WriteTo intact.
-func TestLabelEscaping(t *testing.T) {
-	cases := map[string]string{
-		`plain`:        `plain`,
-		`has "quotes"`: `has \"quotes\"`,
-		`back\slash`:   `back\\slash`,
-		"line\nbreak":  `line\nbreak`,
-		`mix\"` + "\n": `mix\\\"\n`,
-	}
-	for in, want := range cases {
-		if got := EscapeLabelValue(in); got != want {
-			t.Errorf("EscapeLabelValue(%q) = %q, want %q", in, got, want)
-		}
-	}
-	if got := Labels("path", `a"b`, "kind", "x"); got != `{path="a\"b",kind="x"}` {
-		t.Fatalf("Labels = %q", got)
-	}
-	// Malformed pair lists degrade to "no label set", never a panic.
-	if Labels() != "" || Labels("odd") != "" || Labels("a", "b", "c") != "" {
-		t.Fatal("odd Labels inputs must render empty")
-	}
-
-	r := NewRegistry()
-	r.Counter(`esc_total` + Labels("val", `tricky "v\1"`)).Add(7)
-	var buf bytes.Buffer
-	if _, err := r.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := `esc_total{val="tricky \"v\\1\""} 7`
-	if !strings.Contains(buf.String(), want) {
-		t.Fatalf("export missing escaped series %q:\n%s", want, buf.String())
-	}
-	if strings.Count(buf.String(), "\n") != 2 { // TYPE line + sample
-		t.Fatalf("unexpected export shape:\n%q", buf.String())
-	}
-}
-
 // parseHistogram pulls one histogram's bucket/sum/count samples out of
 // an exposition page.
 func parseHistogram(t *testing.T, page, base string) (buckets []uint64, count uint64, haveInf bool) {
@@ -122,7 +83,7 @@ func TestHistogramExpositionConformance(t *testing.T) {
 func TestWriteToUnderConcurrentWrites(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("busy_seconds", []float64{0.001, 0.01, 0.1, 1})
-	c := r.Counter(`busy_total` + Labels("worker", `w"0`))
+	c := r.Counter(`busy_total{worker="w0"}`)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -168,7 +129,7 @@ func TestWriteToUnderConcurrentWrites(t *testing.T) {
 	if count != h.Count() {
 		t.Fatalf("quiescent count %d != histogram count %d", count, h.Count())
 	}
-	if !strings.Contains(buf.String(), fmt.Sprintf(`busy_total{worker="w\"0"} %d`, c.Value())) {
-		t.Fatalf("escaped counter series missing:\n%s", buf.String())
+	if !strings.Contains(buf.String(), fmt.Sprintf(`busy_total{worker="w0"} %d`, c.Value())) {
+		t.Fatalf("labelled counter series missing:\n%s", buf.String())
 	}
 }

@@ -81,9 +81,6 @@ var LatencyBuckets = []float64{
 	1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1, 5, 10,
 }
 
-// PageBuckets is the default bucket layout for page/object counts.
-var PageBuckets = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000, 10000}
-
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
 	// First bucket whose upper bound admits v; the overflow bucket
@@ -195,74 +192,6 @@ func (r *Registry) Reset() {
 		h.count.Store(0)
 		h.sumBits.Store(0)
 	}
-}
-
-// Snapshot returns every sample the registry would export, keyed by
-// series name (histograms contribute `name_count` and `name_sum`).
-// Intended for tests and programmatic checks.
-func (r *Registry) Snapshot() map[string]float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := map[string]float64{}
-	for name, c := range r.counters {
-		out[name] = float64(c.Value())
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		base, labels := splitName(name)
-		out[series(base+"_count", labels, "")] = float64(h.Count())
-		out[series(base+"_sum", labels, "")] = h.Sum()
-	}
-	return out
-}
-
-// EscapeLabelValue escapes a label value for the Prometheus text
-// exposition format: backslash, double quote and newline must be
-// escaped, everything else passes through. Use it (or Labels) whenever
-// a label value is not a known-clean literal.
-func EscapeLabelValue(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	var b strings.Builder
-	b.Grow(len(v) + 2)
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
-
-// Labels renders key/value pairs as an inline label set suitable for
-// appending to a metric name — `name + Labels("k", v)` — with values
-// escaped. Odd or empty pairs render as no label set.
-func Labels(pairs ...string) string {
-	if len(pairs) < 2 || len(pairs)%2 != 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i := 0; i < len(pairs); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(pairs[i])
-		b.WriteString(`="`)
-		b.WriteString(EscapeLabelValue(pairs[i+1]))
-		b.WriteString(`"`)
-	}
-	b.WriteByte('}')
-	return b.String()
 }
 
 // splitName separates an inline label set from the metric base name.

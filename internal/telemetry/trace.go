@@ -150,14 +150,6 @@ func (t *Tracer) Spans() []SpanRecord {
 	return out
 }
 
-// Reset discards the retained spans (span IDs keep increasing).
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.next = 0
-	t.total = 0
-}
-
 type ctxKey int
 
 const (

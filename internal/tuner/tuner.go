@@ -115,25 +115,6 @@ func (w *Workload) Mix(path string) (costmodel.Mix, error) {
 	return mix, nil
 }
 
-// Paths lists the paths with recorded activity.
-func (w *Workload) Paths() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	set := map[string]bool{}
-	for p := range w.nQuery {
-		set[p] = true
-	}
-	for p := range w.nUpdate {
-		set[p] = true
-	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // UpdateRecorder is a gom.Observer that maps object-base updates onto
 // ins_i positions of the registered paths and records them in the
 // workload — the update half of the usage pattern.
@@ -247,9 +228,6 @@ func (t *Tuner) Watch(paths ...*gom.PathExpression) {
 	}
 	t.ob.AddObserver(NewUpdateRecorder(t.work, paths...))
 }
-
-// Workload exposes the recorder (for tests and reports).
-func (t *Tuner) Workload() *Workload { return t.work }
 
 // Recommend evaluates the recorded mix of one path against the measured
 // profile and returns the design ranking's head along with the cost of

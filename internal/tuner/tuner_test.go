@@ -45,9 +45,6 @@ func TestWorkloadMix(t *testing.T) {
 	if _, err := w.Mix("unknown.path"); err == nil {
 		t.Error("unknown path accepted")
 	}
-	if got := w.Paths(); len(got) != 1 || got[0] != pathName {
-		t.Errorf("Paths = %v", got)
-	}
 }
 
 func TestUpdateRecorderMapsEvents(t *testing.T) {
