@@ -20,7 +20,6 @@ import (
 	"asr/internal/bench"
 	"asr/internal/costmodel"
 	"asr/internal/dump"
-	"asr/internal/engine"
 	"asr/internal/gendb"
 	"asr/internal/gom"
 	"asr/internal/query"
@@ -73,7 +72,7 @@ func BenchmarkAblationSharing(b *testing.B)           { benchExperiment(b, "abl-
 
 // Substrate micro-benchmarks.
 
-func newBenchDB(b *testing.B) (*gendb.Database, *gendb.Placement) {
+func newBenchDB(b *testing.B) *gendb.Database {
 	b.Helper()
 	db, err := gendb.Generate(gendb.Spec{
 		N:    3,
@@ -85,12 +84,7 @@ func newBenchDB(b *testing.B) (*gendb.Database, *gendb.Placement) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU)
-	place, err := gendb.Place(db, pool, []int{200, 200, 200, 200})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return db, place
+	return db
 }
 
 func newBenchIndex(b *testing.B, db *gendb.Database, ext asr.Extension) *asr.Index {
@@ -104,7 +98,7 @@ func newBenchIndex(b *testing.B, db *gendb.Database, ext asr.Extension) *asr.Ind
 }
 
 func BenchmarkASRBuildFull(b *testing.B) {
-	db, _ := newBenchDB(b)
+	db := newBenchDB(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pool := storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU)
@@ -115,45 +109,47 @@ func BenchmarkASRBuildFull(b *testing.B) {
 }
 
 func BenchmarkASRQueryForward(b *testing.B) {
-	db, place := newBenchDB(b)
+	db := newBenchDB(b)
 	ix := newBenchIndex(b, db, asr.Full)
-	e := engine.New(place)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		start := db.Extents[0][i%len(db.Extents[0])]
-		if _, _, err := e.ForwardASR(ix, start, 0, 3); err != nil {
+		start := gom.Ref(db.Extents[0][i%len(db.Extents[0])])
+		if _, err := ix.Query(ctx, true, 0, 3, start); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkASRQueryBackward(b *testing.B) {
-	db, place := newBenchDB(b)
+	db := newBenchDB(b)
 	ix := newBenchIndex(b, db, asr.RightComplete)
-	e := engine.New(place)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		target := db.Extents[3][i%len(db.Extents[3])]
-		if _, _, err := e.BackwardASR(ix, target, 0, 3); err != nil {
+		target := gom.Ref(db.Extents[3][i%len(db.Extents[3])])
+		if _, err := ix.Query(ctx, false, 0, 3, target); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkNoASRBackwardSearch times the Manager's exhaustive-search
+// fallback: with no index on the path, every t_0 object is walked.
 func BenchmarkNoASRBackwardSearch(b *testing.B) {
-	db, place := newBenchDB(b)
-	e := engine.New(place)
+	db := newBenchDB(b)
+	mgr := asr.NewManager(db.Base, storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		target := db.Extents[3][i%len(db.Extents[3])]
-		if _, _, err := e.BackwardNoASR(target, 0, 3); err != nil {
+		target := gom.Ref(db.Extents[3][i%len(db.Extents[3])])
+		if _, err := mgr.QueryBackward(db.Path, 0, 3, target); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkASRMaintainInsert(b *testing.B) {
-	db, _ := newBenchDB(b)
+	db := newBenchDB(b)
 	ix := newBenchIndex(b, db, asr.Full)
 	m := asr.NewMaintainer(ix)
 	db.Base.AddObserver(m)
@@ -350,7 +346,7 @@ func BenchmarkASRBuild(b *testing.B) {
 // one leaf-cursor walk over sorted keys) against the per-value descents
 // they replaced, on a wide random frontier.
 func BenchmarkBatchProbe(b *testing.B) {
-	db, _ := newBenchDB(b)
+	db := newBenchDB(b)
 	ix := newBenchIndex(b, db, asr.Full)
 	part := ix.Partitions()[0].Part
 	vals := make([]gom.Value, 0, len(db.Extents[0]))

@@ -181,3 +181,20 @@ func TestValidateDesignScalesLargeProfiles(t *testing.T) {
 		t.Fatalf("rows = %v", tab.Rows)
 	}
 }
+
+// TestValidateDesignRejectsOversizedObjects: object sizes come from the
+// advisor's input, and an object larger than a page cannot be placed.
+func TestValidateDesignRejectsOversizedObjects(t *testing.T) {
+	p := costmodel.Profile{
+		N:    2,
+		C:    []float64{100, 200, 300},
+		D:    []float64{80, 150},
+		Fan:  []float64{2, 2},
+		Size: []float64{5000, 200, 200},
+	}
+	mx := costmodel.Mix{Queries: []costmodel.WeightedQuery{{W: 1, Kind: costmodel.Backward, I: 0, J: 2}}}
+	d := costmodel.Design{Ext: costmodel.Full, Dec: costmodel.BinaryDecomposition(2)}
+	if tab, err := ValidateDesign(p, d, mx, 1); err == nil {
+		t.Fatalf("size_0 = 5000 accepted:\n%s", tab)
+	}
+}

@@ -1,14 +1,13 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
 	"asr/internal/asr"
 	"asr/internal/costmodel"
-	"asr/internal/engine"
 	"asr/internal/gendb"
-	"asr/internal/storage"
 )
 
 // sim-mix: the empirical counterpart of the §6.4 operation-mix analysis.
@@ -39,7 +38,15 @@ var mixSpec = gendb.Spec{
 	Seed: 7,
 }
 
-var mixSizes = []int{250, 250, 250, 250}
+func mixProfile() costmodel.Profile {
+	return costmodel.Profile{
+		N:    3,
+		C:    []float64{150, 400, 800, 1500},
+		D:    []float64{130, 350, 650},
+		Fan:  []float64{2, 2, 2},
+		Size: []float64{250, 250, 250, 250},
+	}
+}
 
 type mixOp struct {
 	isQuery bool
@@ -82,12 +89,10 @@ func runDesignStream(ext asr.Extension, ops []mixOp) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	pool := storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU)
-	place, err := gendb.Place(db, pool, mixSizes)
+	objects, err := newLayout(db, mixProfile().Size)
 	if err != nil {
 		return 0, err
 	}
-	e := engine.New(place)
 	mcol := db.Path.Arity() - 1
 	ix, err := asr.Build(db.Base, db.Path, ext, asr.BinaryDecomposition(mcol), newIndexPool())
 	if err != nil {
@@ -100,20 +105,15 @@ func runDesignStream(ext asr.Extension, ops []mixOp) (float64, error) {
 	var total float64
 	for _, op := range ops {
 		if op.isQuery {
-			var m engine.Measurement
-			var err error
-			if op.kind == costmodel.Backward {
-				target := db.Extents[op.j][rng.Intn(len(db.Extents[op.j]))]
-				_, m, err = e.BackwardASR(ix, target, op.i, op.j)
-				if err == asr.ErrNotSupported {
-					_, m, err = e.BackwardNoASR(target, op.i, op.j)
-				}
-			} else {
-				start := db.Extents[op.i][rng.Intn(len(db.Extents[op.i]))]
-				_, m, err = e.ForwardASR(ix, start, op.i, op.j)
-				if err == asr.ErrNotSupported {
-					_, m, err = e.ForwardNoASR(start, op.i, op.j)
-				}
+			fwd := op.kind == costmodel.Forward
+			from := db.Extents[op.j] // backward: draw an end object
+			if fwd {
+				from = db.Extents[op.i]
+			}
+			v := from[rng.Intn(len(from))]
+			m, err := indexQuery(ix, fwd, op.i, op.j, v)
+			if errors.Is(err, asr.ErrNotSupported) {
+				m, err = objects.unsupported(fwd, op.i, op.j, v), nil
 			}
 			if err != nil {
 				return 0, err
@@ -123,7 +123,7 @@ func runDesignStream(ext asr.Extension, ops []mixOp) (float64, error) {
 		}
 		src := db.Extents[op.i][rng.Intn(len(db.Extents[op.i]))]
 		dst := db.Extents[op.i+1][rng.Intn(len(db.Extents[op.i+1]))]
-		m, err := e.InsertWithASR(ix, src, dst, maint)
+		m, err := insert(db, ix, maint, op.i, src, dst)
 		if err != nil {
 			return 0, err
 		}
@@ -133,13 +133,7 @@ func runDesignStream(ext asr.Extension, ops []mixOp) (float64, error) {
 }
 
 func runSimMix() (*Table, error) {
-	model, err := costmodel.New(sys(), costmodel.Profile{
-		N:    3,
-		C:    []float64{150, 400, 800, 1500},
-		D:    []float64{130, 350, 650},
-		Fan:  []float64{2, 2, 2},
-		Size: []float64{250, 250, 250, 250},
-	})
+	model, err := costmodel.New(sys(), mixProfile())
 	if err != nil {
 		return nil, err
 	}

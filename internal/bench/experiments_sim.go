@@ -6,7 +6,6 @@ import (
 
 	"asr/internal/asr"
 	"asr/internal/costmodel"
-	"asr/internal/engine"
 	"asr/internal/gendb"
 	"asr/internal/gom"
 	"asr/internal/paperdb"
@@ -172,8 +171,6 @@ var simSpec = gendb.Spec{
 	Seed: 42,
 }
 
-var simSizes = []int{500, 400, 300, 300, 100}
-
 func simProfile() costmodel.Profile {
 	return costmodel.Profile{
 		N:    4,
@@ -189,13 +186,12 @@ func runSim() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU)
-	place, err := gendb.Place(db, pool, simSizes)
+	profile := simProfile()
+	objects, err := newLayout(db, profile.Size)
 	if err != nil {
 		return nil, err
 	}
-	e := engine.New(place)
-	model, err := costmodel.New(sys(), simProfile())
+	model, err := costmodel.New(sys(), profile)
 	if err != nil {
 		return nil, err
 	}
@@ -212,32 +208,24 @@ func runSim() (*Table, error) {
 		Columns: []string{"operation", "measured pages", "predicted", "measured/predicted"},
 	}
 
-	// Forward Q_{0,4}(fw), averaged over anchors with defined paths.
+	// Forward Q_{0,4}(fw), averaged over anchors.
 	var fwSum float64
-	var fwRuns int
-	for _, start := range db.Extents[0][:30] {
-		_, meas, err := e.ForwardNoASR(start, 0, 4)
-		if err != nil {
-			return nil, err
-		}
-		fwSum += float64(meas.DistinctPages)
-		fwRuns++
+	anchors := db.Extents[0][:30]
+	for _, start := range anchors {
+		fwSum += float64(objects.traverse(0, 4, gom.Ref(start)).DistinctPages)
 	}
-	fwMeasured := fwSum / float64(fwRuns)
+	fwMeasured := fwSum / float64(len(anchors))
 	fwPred := model.QnasForward(0, 4)
 	t.AddRow("Q0,4(fw) no support", f1(fwMeasured), f1(fwPred), f3(fwMeasured/fwPred))
 
 	// Backward Q_{0,4}(bw), no support: exhaustive search.
-	_, bwMeas, err := e.BackwardNoASR(db.Extents[4][0], 0, 4)
-	if err != nil {
-		return nil, err
-	}
+	bwMeas := objects.search(0, 4)
 	bwPred := model.QnasBackward(0, 4)
 	t.AddRow("Q0,4(bw) no support", f0(float64(bwMeas.DistinctPages)), f1(bwPred),
 		f3(float64(bwMeas.DistinctPages)/bwPred))
 
 	// Backward through the canonical ASR.
-	_, supMeas, err := e.BackwardASR(ix, db.Extents[4][0], 0, 4)
+	supMeas, err := indexQuery(ix, false, 0, 4, db.Extents[4][0])
 	if err != nil {
 		return nil, err
 	}
@@ -265,31 +253,21 @@ func runAblDualTree() (*Table, error) {
 	target := gom.Ref(db.Extents[4][0])
 
 	// With the backward-clustered tree.
-	if err := pool.DropClean(); err != nil {
+	withBwd, err := coldRun(pool, func() error {
+		_, err := part.LookupBackward(target)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	pool.ResetStats()
-	if _, err := part.LookupBackward(target); err != nil {
-		return nil, err
-	}
-	withBwd := pool.Stats().Misses
 
-	// Without it: scan the forward tree and filter on the last column.
-	if err := pool.DropClean(); err != nil {
+	// Without it, a backward lookup scans the whole forward tree.
+	withoutBwd, err := coldRun(pool, func() error {
+		return part.ScanAll(func(relation.Tuple) bool { return true })
+	})
+	if err != nil {
 		return nil, err
 	}
-	pool.ResetStats()
-	hits := 0
-	if err := part.ScanAll(func(row relation.Tuple) bool {
-		if gom.ValuesEqual(row[len(row)-1], target) {
-			hits++
-		}
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	withoutBwd := pool.Stats().Misses
-	_ = hits
 
 	t := &Table{
 		ID:      "abl-dualtree",
@@ -297,8 +275,8 @@ func runAblDualTree() (*Table, error) {
 		Ref:     "§5.2",
 		Columns: []string{"strategy", "distinct pages"},
 	}
-	t.AddRow("backward-clustered tree", fmt.Sprint(withBwd))
-	t.AddRow("forward-tree full scan", fmt.Sprint(withoutBwd))
+	t.AddRow("backward-clustered tree", fmt.Sprint(withBwd.DistinctPages))
+	t.AddRow("forward-tree full scan", fmt.Sprint(withoutBwd.DistinctPages))
 	t.Note = "the redundant reverse-clustered tree turns backward lookups from full scans into height+cluster accesses"
 	return t, nil
 }

@@ -5,9 +5,7 @@ import (
 
 	"asr/internal/asr"
 	"asr/internal/costmodel"
-	"asr/internal/engine"
 	"asr/internal/gendb"
-	"asr/internal/storage"
 )
 
 // sim-update: empirical maintenance cost. The paper's §6 costs are
@@ -60,12 +58,6 @@ func runSimUpdate() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		objPool := storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU)
-		place, err := gendb.Place(db, objPool, []int{200, 200, 200, 200})
-		if err != nil {
-			return nil, err
-		}
-		e := engine.New(place)
 		mcol := db.Path.Arity() - 1
 		ix, err := asr.Build(db.Base, db.Path, ext, asr.BinaryDecomposition(mcol), newIndexPool())
 		if err != nil {
@@ -79,7 +71,7 @@ func runSimUpdate() (*Table, error) {
 		for k := 0; k < ops; k++ {
 			src := db.Extents[insAt][k]
 			dst := db.Extents[insAt+1][len(db.Extents[insAt+1])-1-k]
-			meas, err := e.InsertWithASR(ix, src, dst, maint)
+			meas, err := insert(db, ix, maint, insAt, src, dst)
 			if err != nil {
 				return nil, err
 			}

@@ -1,14 +1,13 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"asr/internal/asr"
 	"asr/internal/costmodel"
-	"asr/internal/engine"
 	"asr/internal/gendb"
-	"asr/internal/storage"
 )
 
 // ValidateDesign closes the advisor's loop empirically: it generates a
@@ -26,24 +25,17 @@ func ValidateDesign(p costmodel.Profile, d costmodel.Design, mx costmodel.Mix, s
 	if err != nil {
 		return nil, err
 	}
-	sizes := make([]int, p.N+1)
+	sizes := make([]float64, p.N+1)
 	for i := range sizes {
-		sz := 100.0
+		sizes[i] = 100
 		if p.Size != nil && p.Size[i] > 0 {
-			sz = p.Size[i]
+			sizes[i] = p.Size[i]
 		}
-		need := 16
-		if i < p.N {
-			need = 16 + 8*spec.Fan[i]
-		}
-		sizes[i] = int(math.Max(sz, float64(need)))
 	}
-	objPool := storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU)
-	place, err := gendb.Place(db, objPool, sizes)
+	objects, err := newLayout(db, sizes)
 	if err != nil {
 		return nil, err
 	}
-	e := engine.New(place)
 
 	ix, err := asr.Build(db.Base, db.Path, d.Ext,
 		asr.ColumnsOf(db.Path, d.Dec), newIndexPool())
@@ -65,36 +57,19 @@ func ValidateDesign(p costmodel.Profile, d costmodel.Design, mx costmodel.Mix, s
 	for _, q := range mx.Queries {
 		var asrPages, noPages float64
 		const samples = 5
+		fwd := q.Kind == costmodel.Forward
+		from := db.Extents[q.J] // backward: sample end objects
+		if fwd {
+			from = db.Extents[q.I]
+		}
 		for s := 0; s < samples; s++ {
-			if q.Kind == costmodel.Forward {
-				start := db.Extents[q.I][s%len(db.Extents[q.I])]
-				_, m1, err := e.ForwardASR(ix, start, q.I, q.J)
-				if err == asr.ErrNotSupported {
-					m1.DistinctPages = 0
-				} else if err != nil {
-					return nil, err
-				}
-				_, m2, err := e.ForwardNoASR(start, q.I, q.J)
-				if err != nil {
-					return nil, err
-				}
-				asrPages += float64(m1.DistinctPages)
-				noPages += float64(m2.DistinctPages)
-			} else {
-				target := db.Extents[q.J][s%len(db.Extents[q.J])]
-				_, m1, err := e.BackwardASR(ix, target, q.I, q.J)
-				if err == asr.ErrNotSupported {
-					m1.DistinctPages = 0
-				} else if err != nil {
-					return nil, err
-				}
-				_, m2, err := e.BackwardNoASR(target, q.I, q.J)
-				if err != nil {
-					return nil, err
-				}
-				asrPages += float64(m1.DistinctPages)
-				noPages += float64(m2.DistinctPages)
+			v := from[s%len(from)]
+			withASR, err := indexQuery(ix, fwd, q.I, q.J, v)
+			if err != nil && !errors.Is(err, asr.ErrNotSupported) {
+				return nil, err
 			}
+			asrPages += float64(withASR.DistinctPages)
+			noPages += float64(objects.unsupported(fwd, q.I, q.J, v).DistinctPages)
 		}
 		t.AddRow(costmodel.QueryName(q.Kind, q.I, q.J),
 			f1(asrPages/samples), f1(noPages/samples),

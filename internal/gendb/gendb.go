@@ -291,12 +291,32 @@ func (db *Database) targetsOf(o *gom.Object) []gom.OID {
 	return []gom.OID{ref.OID()}
 }
 
-// Level returns which level a type belongs to, or -1.
-func (db *Database) Level(t *gom.Type) int {
-	for i, typ := range db.Types {
-		if typ == t {
-			return i
+// Insert performs the paper's characteristic update ins_i: a new
+// reference from src, a T_i object, to dst, a T_{i+1} object. A
+// single-valued step is reassigned; a set-valued step gains dst, in a
+// fresh set when src has none yet. The update goes through the object
+// base, so its observers (index maintainers) see it.
+func (db *Database) Insert(i int, src, dst gom.OID) error {
+	if i < 0 || i >= db.Spec.N {
+		return fmt.Errorf("gendb: ins_%d: no reference step leaves level %d", i, i)
+	}
+	o, ok := db.Base.Get(src)
+	if !ok || o.Type() != db.Types[i] {
+		return fmt.Errorf("gendb: ins_%d: %v is not a T%d object", i, src, i)
+	}
+	if db.Spec.Fan[i] == 1 {
+		return db.Base.SetAttr(src, "Next", gom.Ref(dst))
+	}
+	v, _ := o.Attr("Next")
+	if v == nil {
+		set, err := db.Base.New(db.Schema.MustLookup(fmt.Sprintf("T%dSET", i+1)))
+		if err != nil {
+			return err
+		}
+		v = gom.Ref(set.ID())
+		if err := db.Base.SetAttr(src, "Next", v); err != nil {
+			return err
 		}
 	}
-	return -1
+	return db.Base.InsertIntoSet(v.(gom.Ref).OID(), gom.Ref(dst))
 }

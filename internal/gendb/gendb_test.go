@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"asr/internal/gom"
-	"asr/internal/storage"
 )
 
 func smallSpec(seed int64) Spec {
@@ -132,48 +131,60 @@ func TestGenerateValidation(t *testing.T) {
 	}
 }
 
-func TestPlacement(t *testing.T) {
-	db, err := Generate(smallSpec(2))
+// reaches reports whether dst is among src's level-(i+1) targets.
+func reaches(db *Database, i int, src, dst gom.OID) bool {
+	got, _ := db.Base.Reach(db.Path, i, i+1, gom.Ref(src))
+	for _, v := range got {
+		if v == gom.Ref(dst) {
+			return true
+		}
+	}
+	return false
+}
+
+func TestInsert(t *testing.T) {
+	// Fan 1: the single-valued step is reassigned.
+	db, err := Generate(Spec{N: 2, C: []int{20, 20, 20}, D: []int{10, 10}, Fan: []int{1, 1}, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := storage.NewBufferPool(storage.NewDisk(512), 0, storage.LRU)
-	place, err := Place(db, pool, []int{100, 100, 100, 100})
+	src, dst := db.Extents[0][0], db.Extents[1][5]
+	if err := db.Insert(0, src, dst); err != nil {
+		t.Fatal(err)
+	}
+	if !reaches(db, 0, src, dst) {
+		t.Errorf("fan 1: %v does not reach %v", src, dst)
+	}
+
+	// Fan > 1: an existing set gains the target, a bare source gets a
+	// fresh set.
+	db, err = Generate(Spec{N: 2, C: []int{20, 20, 20}, D: []int{1, 10}, Fan: []int{3, 2}, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// op_i = ceil(c_i / floor(512/100)) = ceil(c_i/5).
-	for i, c := range db.Spec.C {
-		want := (c + 4) / 5
-		if got := place.Segments[i].NumPages(); got != want {
-			t.Errorf("level %d pages = %d, want %d", i, got, want)
+	count := db.Base.Count()
+	for _, src := range db.Extents[0] {
+		dst := db.Extents[1][19]
+		if err := db.Insert(0, src, dst); err != nil {
+			t.Fatal(err)
+		}
+		if !reaches(db, 0, src, dst) {
+			t.Errorf("%v does not reach %v", src, dst)
 		}
 	}
-	// Records round-trip the reference lists.
-	for i := 0; i < db.Spec.N; i++ {
-		for _, id := range db.Extents[i] {
-			o, _ := db.Base.Get(id)
-			want := db.targetsOf(o)
-			got, err := place.ReadRecord(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("object %v: %d refs stored, want %d", id, len(got), len(want))
-			}
-			seen := map[gom.OID]bool{}
-			for _, g := range got {
-				seen[g] = true
-			}
-			for _, w := range want {
-				if !seen[w] {
-					t.Fatalf("object %v: stored refs %v missing %v", id, got, w)
-				}
-			}
-		}
+	if got, want := db.Base.Count(), count+19; got != want {
+		t.Errorf("%d objects after the inserts, want %d: one fresh set per bare source", got, want)
 	}
-	// Undersized records rejected.
-	if _, err := Place(db, pool, []int{10, 100, 100, 100}); err == nil {
-		t.Error("undersized record accepted")
+
+	// Unknown source, a source of the wrong level, and the last level,
+	// which no reference step leaves.
+	if err := db.Insert(0, 999999, db.Extents[1][0]); err == nil {
+		t.Error("unknown source accepted")
+	}
+	if err := db.Insert(0, db.Extents[1][0], db.Extents[1][1]); err == nil {
+		t.Error("level-1 source accepted for ins_0")
+	}
+	if err := db.Insert(2, db.Extents[2][0], db.Extents[2][1]); err == nil {
+		t.Error("last-level source accepted")
 	}
 }

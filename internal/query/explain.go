@@ -220,10 +220,9 @@ func (x *Explanation) byTraversal(rt route, role string, reads float64) {
 // captured query.resolve span therefore precedes query.run instead of
 // nesting in it.)
 //
-// Like engine.Engine's measurement harness, the cold-cache protocol
-// (DropClean + ResetStats on the index pool) is only meaningful when
-// nothing else touches the pool — call it from a single goroutine with
-// no concurrent queries in flight.
+// The cold-cache protocol (DropClean + ResetStats on the index pool) is
+// only meaningful when nothing else touches the pool — call it from a
+// single goroutine with no concurrent queries in flight.
 func (e *Engine) ExplainAnalyze(ctx context.Context, q *Query) (*Analysis, error) {
 	ctx, capture := telemetry.WithCapture(ctx)
 	p, err := e.plan(ctx, q)

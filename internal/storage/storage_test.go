@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -177,50 +176,5 @@ func TestBufferUnboundedAndDropClean(t *testing.T) {
 	d.Read(ids[3], buf)
 	if buf[0] != 1 {
 		t.Error("DropClean lost dirty data")
-	}
-}
-
-func TestSegmentInsertReadWrite(t *testing.T) {
-	d := NewDisk(64)
-	pool := NewBufferPool(d, 0, LRU)
-	seg, err := NewSegment(pool, "parts", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []RecordID
-	for i := 0; i < 9; i++ {
-		id, err := seg.Insert([]byte{byte(i), 0xFF})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	if seg.NumPages() != 3 {
-		t.Fatalf("pages = %d, want ceil(9/4)=3", seg.NumPages())
-	}
-	buf := make([]byte, 16)
-	pool.ResetStats()
-	if err := seg.Read(ids[5], buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := pool.Stats().LogicalAccesses; got != 1 {
-		t.Errorf("Read charged %d page accesses, want 1", got)
-	}
-	if buf[0] != 5 || buf[1] != 0xFF || buf[2] != 0 {
-		t.Errorf("record 5 = %v", buf[:3])
-	}
-	// Overwrite pads with zeros.
-	if err := seg.Write(ids[5], []byte{0xAA}); err != nil {
-		t.Fatal(err)
-	}
-	seg.Read(ids[5], buf)
-	if buf[0] != 0xAA || buf[1] != 0 {
-		t.Errorf("after overwrite: %v", buf[:2])
-	}
-	if _, err := seg.Insert(bytes.Repeat([]byte{1}, 17)); err == nil {
-		t.Error("oversized record accepted")
-	}
-	if _, err := NewSegment(pool, "huge", 65); err == nil {
-		t.Error("record size > page size accepted")
 	}
 }
