@@ -43,15 +43,16 @@ func (t *Tree) ScanPrefixes(prefixes [][]byte, fn VisitIndexed) error {
 	// The currently pinned leaf and the cursor over it, or fr == nil
 	// between leaves. passed is the largest key in any leaf the scan has
 	// moved beyond — keys ≤ passed live strictly before the current leaf.
-	// key holds the one materialized key handed to fn; no stored key is
-	// longer than maxKey, so it never grows. sought reports that the leaf
+	// key holds the one materialized key handed to fn, grown to the
+	// longest handed so far rather than to maxKey: a probe materializes a
+	// few short keys, not a page's worth. sought reports that the leaf
 	// was opened for — its cursor stands at — the prefix now being probed.
 	var (
 		fr     *storage.Frame
 		c      cursor
 		sought bool
 		passed []byte
-		key    = make([]byte, 0, t.maxKey)
+		key    []byte
 	)
 	release := func() {
 		if fr != nil {

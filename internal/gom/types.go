@@ -91,6 +91,15 @@ func (t *Type) Attribute(name string) (Attribute, bool) {
 	return t.allAttrs[i], true
 }
 
+// slot returns the position of the named attribute among Attributes(),
+// or -1; only a tuple type has attributes.
+func (t *Type) slot(name string) int {
+	if i, ok := t.attrIndex[name]; ok {
+		return i
+	}
+	return -1
+}
+
 // IsSubtypeOf reports whether t is s or a (transitive) subtype of s.
 // Subtyping is defined only between tuple types; every type is a subtype
 // of itself.
