@@ -2,6 +2,8 @@ package query
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -73,6 +75,37 @@ func TestRunParallelMatchesRun(t *testing.T) {
 				if w > 1 && len(seq.Values) >= 2 && !strings.Contains(par.Plan, "parallel over") {
 					t.Errorf("%s w=%d: plan lacks fan-out note: %q", name, w, par.Plan)
 				}
+			}
+		}
+	}
+}
+
+// TestRunBoundsWorkersByTheCollection: a worker count far beyond any
+// collection — a wire request may ask for one — costs nothing: with the
+// outer collection walked in place, copied and split, or seeded by an
+// index, the run starts no more workers than the collection has members
+// and answers as it does with exactly that many.
+func TestRunBoundsWorkersByTheCollection(t *testing.T) {
+	r := paperdb.BuildRobots()
+	coll, _ := r.Base.Get(r.OurRobots)
+	mgr := asr.NewManager(r.Base, newPool())
+	if _, err := mgr.CreateIndex(r.Path, asr.Canonical, asr.NoDecomposition(r.Path.Arity()-1)); err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range map[string]*Engine{"naive": New(r.Base, nil), "indexed": New(r.Base, mgr)} {
+		for _, src := range parallelQueries {
+			q := MustParse(src)
+			want, err := e.RunCtx(context.Background(), q, coll.Len())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.RunCtx(context.Background(), q, math.MaxInt)
+			if err != nil {
+				t.Fatalf("%s %q: %v", name, src, err)
+			}
+			if fmt.Sprint(valueStrings(got.Values)) != fmt.Sprint(valueStrings(want.Values)) || got.Plan != want.Plan {
+				t.Errorf("%s %q with MaxInt workers:\n%v, plan %q\nwant (%d workers)\n%v, plan %q",
+					name, src, valueStrings(got.Values), got.Plan, coll.Len(), valueStrings(want.Values), want.Plan)
 			}
 		}
 	}

@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -239,5 +241,36 @@ func TestDrainDeadlineCancels(t *testing.T) {
 	}
 	if qerr := <-done; !errors.Is(qerr, client.ErrCanceled) && !errors.Is(qerr, client.ErrConnClosed) {
 		t.Fatalf("stuck query got %v, want ErrCanceled (or conn closed after drain)", qerr)
+	}
+}
+
+// workersEngine records the worker count each query reaches it with.
+type workersEngine struct{ got chan int }
+
+func (e workersEngine) RunCtx(ctx context.Context, q *query.Query, workers int) (*query.Result, error) {
+	e.got <- workers
+	return &query.Result{}, nil
+}
+
+// TestRequestWorkersAreCapped: a request's worker count reaches the
+// engine as asked up to the server's default or GOMAXPROCS, whichever is
+// more, and capped there beyond it; none asked means the default.
+func TestRequestWorkersAreCapped(t *testing.T) {
+	eng := workersEngine{got: make(chan int, 1)}
+	const def = 3
+	s := startServer(t, eng, nil, Config{QueryWorkers: def})
+	c, err := client.Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	limit := max(def, runtime.GOMAXPROCS(0))
+	for asked, want := range map[int]int{0: def, -1: def, 1: 1, limit: limit, limit + 1: limit, math.MaxInt: limit} {
+		if _, err := c.QueryWorkers(context.Background(), anyQuery, asked); err != nil {
+			t.Fatal(err)
+		}
+		if got := <-eng.got; got != want {
+			t.Errorf("asked for %d workers: engine ran %d, want %d", asked, got, want)
+		}
 	}
 }

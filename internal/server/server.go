@@ -74,7 +74,9 @@ type Config struct {
 	MaxInflight int
 	// QueryWorkers is the per-query evaluation fan-out used when a
 	// request does not choose its own; ≤ 0 means 1 (saturation comes
-	// from concurrent sessions, not from oversubscribing each query).
+	// from concurrent sessions, not from oversubscribing each query). A
+	// request's own choice is capped at QueryWorkers or GOMAXPROCS,
+	// whichever is more.
 	QueryWorkers int
 	// RequestTimeout, when positive, deadlines every query server-side:
 	// a query still running when it expires is canceled through the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -267,7 +268,9 @@ func (ss *session) handleQuery(f wire.Frame, clientSpan uint64) {
 			ss.replyErrorT(f, wire.CodeParse, err.Error(), trailer)
 			return
 		}
-		workers := req.Workers
+		// A request's own fan-out is bounded by the server's default or
+		// its cores, whichever is more: workers beyond them only queue.
+		workers := min(req.Workers, max(srv.cfg.QueryWorkers, runtime.GOMAXPROCS(0)))
 		if workers <= 0 {
 			workers = srv.cfg.QueryWorkers
 		}

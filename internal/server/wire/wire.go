@@ -259,7 +259,8 @@ type HelloOK struct {
 
 // Query asks the server to evaluate one select-from-where query in the
 // paper's notation. Workers ≤ 0 uses the server's configured per-query
-// fan-out.
+// fan-out; the server caps a larger one at that or at its GOMAXPROCS,
+// whichever is more.
 type Query struct {
 	SQL     string `json:"sql"`
 	Workers int    `json:"workers,omitempty"`
