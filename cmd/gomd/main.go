@@ -53,7 +53,6 @@ type options struct {
 	db             string
 	indexes        stringsFlag
 	maxInflight    int
-	workers        int
 	checkpoint     time.Duration
 	drainTimeout   time.Duration
 	requestTimeout time.Duration
@@ -81,7 +80,6 @@ func parseFlags(args []string, errw io.Writer) (options, error) {
 	fs.StringVar(&o.db, "db", "", "serve a durable base saved with gomshell \\save (BASE.{gom,pages,pages.wal,manifest})")
 	fs.Var(&o.indexes, "index", "index spec EXT:DEC:TYPE.A.B (can|full|left|right : binary|none), repeatable; with -load")
 	fs.IntVar(&o.maxInflight, "max-inflight", 0, "max concurrently executing queries before shedding with OVERLOADED (0 = 2×GOMAXPROCS)")
-	fs.IntVar(&o.workers, "workers", 1, "default per-query evaluation fan-out")
 	fs.DurationVar(&o.checkpoint, "checkpoint", 5*time.Minute, "periodic checkpoint cadence for durable bases (0 = only on drain)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "max time to wait for in-flight queries on shutdown before canceling them")
 	fs.DurationVar(&o.requestTimeout, "request-timeout", 0, "per-query server-side deadline; queries over it answer DEADLINE_EXCEEDED (0 disables)")
@@ -303,7 +301,6 @@ func run(opts options, out io.Writer, onReady func(*server.Server)) error {
 		Addr:               opts.addr,
 		AdminAddr:          opts.admin,
 		MaxInflight:        opts.maxInflight,
-		QueryWorkers:       opts.workers,
 		RequestTimeout:     opts.requestTimeout,
 		IdleTimeout:        opts.idleTimeout,
 		Name:               opts.name,

@@ -440,17 +440,6 @@ func (s *valueSet) add(v gom.Value) {
 	s.byKey[gom.ValueString(v)] = v
 }
 
-// mergeSets folds the per-chunk sets of a FanOut (never empty) into the
-// first one.
-func mergeSets(sets []*valueSet) *valueSet {
-	for _, other := range sets[1:] {
-		for k, v := range other.byKey {
-			sets[0].byKey[k] = v
-		}
-	}
-	return sets[0]
-}
-
 func (s *valueSet) contains(v gom.Value) bool {
 	if v == nil {
 		return false

@@ -11,7 +11,7 @@ import (
 )
 
 // Concurrency stress: many reader goroutines issue forward/backward
-// queries (sequential and parallel variants) through a Manager while a
+// queries (with and without a context) through a Manager while a
 // single writer goroutine mutates the object base, driving the
 // registered Maintainer. Run with -race; the assertions at the end
 // verify the index survived the interleaving consistent and that the
@@ -70,7 +70,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 				case 1:
 					_, err = mgr.QueryBackward(db.Path, 0, db.Path.Len(), end)
 				default:
-					_, err = mgr.QueryBackwardCtx(context.Background(), db.Path, 0, db.Path.Len(), 4, end)
+					_, err = mgr.QueryBackwardCtx(context.Background(), db.Path, 0, db.Path.Len(), 1, end)
 				}
 				if err != nil {
 					select {
@@ -167,65 +167,6 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 		t.Fatalf("index stats did not move: %+v", st.Indexes)
 	}
 	t.Logf("concurrent storm complete: %s", st)
-}
-
-// TestParallelQueryMatchesSequential checks the determinism contract:
-// the parallel query variants return exactly the sequential results for
-// every worker count, indexed and not.
-func TestParallelQueryMatchesSequential(t *testing.T) {
-	spec := gendb.Spec{
-		N:    3,
-		C:    []int{30, 60, 120, 240},
-		D:    []int{28, 50, 100},
-		Fan:  []int{2, 2, 2},
-		Seed: 3,
-	}
-	db, err := gendb.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr := NewManager(db.Base, newPool())
-	span := db.Path.Len()
-	starts := refsOf(db.Extents[0])
-	targets, err := mgr.QueryForward(db.Path, 0, span, starts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(targets) == 0 {
-		t.Fatal("no reachable targets")
-	}
-
-	check := func(label string) {
-		seqB, err := mgr.QueryBackward(db.Path, 0, span, targets[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{1, 2, 3, 8, 64} {
-			parB, err := mgr.QueryBackwardCtx(context.Background(), db.Path, 0, span, w, targets[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameValues(t, label, "backward", w, seqB, parB)
-		}
-	}
-
-	check("no index")
-	if _, err := mgr.CreateIndex(db.Path, Canonical, NoDecomposition(db.Path.Arity()-1)); err != nil {
-		t.Fatal(err)
-	}
-	check("canonical index")
-}
-
-func assertSameValues(t *testing.T, label, dir string, workers int, want, got []gom.Value) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s %s w=%d: %d values, want %d", label, dir, workers, len(got), len(want))
-	}
-	for i := range want {
-		if !gom.ValuesEqual(want[i], got[i]) {
-			t.Fatalf("%s %s w=%d: value %d = %v, want %v", label, dir, workers, i, got[i], want[i])
-		}
-	}
 }
 
 func refsOf(ids []gom.OID) []gom.Value {

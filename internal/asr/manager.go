@@ -215,7 +215,7 @@ func (m *Manager) fireHook(ev QueryEvent) {
 // object traversal when none applies (or the matching indexes are all
 // quarantined). Safe for concurrent use.
 func (m *Manager) QueryForward(path *gom.PathExpression, i, j int, start ...gom.Value) ([]gom.Value, error) {
-	return m.query(context.Background(), true, path, i, j, 1, start)
+	return m.query(context.Background(), true, path, i, j, start)
 }
 
 // QueryBackward evaluates Q_{i,j}(bw) through the best index, or by
@@ -223,24 +223,22 @@ func (m *Manager) QueryForward(path *gom.PathExpression, i, j int, start ...gom.
 // applies (§5.6.2) or the matching indexes are all quarantined. Safe
 // for concurrent use.
 func (m *Manager) QueryBackward(path *gom.PathExpression, i, j int, end ...gom.Value) ([]gom.Value, error) {
-	return m.query(context.Background(), false, path, i, j, 1, end)
+	return m.query(context.Background(), false, path, i, j, end)
 }
 
 // QueryBackwardCtx is QueryBackward honoring ctx. Cancellation or
 // deadline expiry aborts the index probes or the fallback and returns
-// ctx's error. The exhaustive-search fallback — the expensive case,
-// since uni-directional references force a scan of the whole t_i
-// extent — splits the candidate anchors across up to workers goroutines
-// (FanOut); an index answers on the caller's goroutine. Results are
-// identical for every worker count.
+// ctx's error. The query runs on the caller's goroutine; workers is
+// ignored — it remains for callers written when the exhaustive search
+// could fan out.
 func (m *Manager) QueryBackwardCtx(ctx context.Context, path *gom.PathExpression, i, j, workers int, end ...gom.Value) ([]gom.Value, error) {
-	return m.query(ctx, false, path, i, j, workers, end)
+	return m.query(ctx, false, path, i, j, end)
 }
 
 // query is the one routing body: report the event, pick the cheapest
 // healthy index, and answer through it or through the direction's
 // fallback strategy (§5.6).
-func (m *Manager) query(ctx context.Context, fwd bool, path *gom.PathExpression, i, j, workers int, vals []gom.Value) ([]gom.Value, error) {
+func (m *Manager) query(ctx context.Context, fwd bool, path *gom.PathExpression, i, j int, vals []gom.Value) ([]gom.Value, error) {
 	m.fireHook(QueryEvent{Path: path.String(), Forward: fwd, I: i, J: j})
 	m.nQueries.Add(1)
 	telQueries.Inc()
@@ -283,17 +281,11 @@ func (m *Manager) query(ctx context.Context, fwd bool, path *gom.PathExpression,
 	for k, id := range extent {
 		anchors[k] = gom.Ref(id)
 	}
-	sets, err := FanOut("asr: search", workers, anchors, func(chunk []gom.Value) (*valueSet, error) {
-		hits, _, err := m.ob.NewWalker().KeepReaching(ctx, chunk[:0], chunk, path, i, j, vals...)
-		if err != nil {
-			return nil, err
-		}
-		return newValueSet(hits...), nil
-	})
+	hits, _, err := m.ob.NewWalker().KeepReaching(ctx, anchors[:0], anchors, path, i, j, vals...)
 	if err != nil {
 		return nil, err
 	}
-	return mergeSets(sets).values(), nil
+	return newValueSet(hits...).values(), nil
 }
 
 // ManagedIndexStats describes one managed index's activity inside a

@@ -441,7 +441,7 @@ func TestQueryCtxCancellation(t *testing.T) {
 		t.Fatalf("backward Query on cancelled ctx: %v", err)
 	}
 	// The manager's backward fallback (no index registered with it).
-	if _, err := mgr.QueryBackwardCtx(ctx, db.Path, 0, db.Path.Len(), 4, gom.Ref(db.Extents[3][0])); !errors.Is(err, context.Canceled) {
+	if _, err := mgr.QueryBackwardCtx(ctx, db.Path, 0, db.Path.Len(), 1, gom.Ref(db.Extents[3][0])); !errors.Is(err, context.Canceled) {
 		t.Fatalf("manager backward fallback on cancelled ctx: %v", err)
 	}
 

@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync/atomic"
 )
 
 // Object is an object instance: the triple (identifier, value, type) of
@@ -180,7 +179,7 @@ func (ob *ObjectBase) Reach(path *PathExpression, i, j int, start ...Value) (rea
 // next: the two frontiers a walk alternates between and, for the steps
 // that need it, the de-duplication state. A walk from one object costs
 // no allocation once the buffers have grown to the widest frontier, so
-// a loop over the anchors of a query allocates per chunk, not per
+// a loop over the anchors of a query allocates per Walker, not per
 // anchor; an object of a step's domain type is read at the attribute
 // slot resolved with the path, not looked up by name. A Walker serves
 // one goroutine; each Reach holds the base's read lock once, for the
@@ -229,73 +228,46 @@ func (w *Walker) KeepReaching(ctx context.Context, dst, anchors []Value, path *P
 			return dst, fetches, err
 		}
 		var n uint64
-		dst, _, n = w.keepBlock(dst, anchors[lo:min(lo+walkBlock, len(anchors))], nil, path, i, j, want)
+		dst, n = w.keepBlock(dst, anchors[lo:min(lo+walkBlock, len(anchors))], nil, nil, path, i, j, want)
 		fetches += n
 	}
 	return dst, fetches, nil
 }
 
-// Members is a walk over the elements of a set or list object, read
-// where the object keeps them and shared by the KeepMembers calls that
-// take its blocks, from any number of goroutines: each block is the
-// elements before the last block taken, so the walk runs from the end
-// toward the start, and ends when a block comes up empty.
+// KeepMembers is KeepReaching over the elements of coll, a set or list
+// object, read where the object keeps them: nothing is copied but what
+// is kept, which is appended to dst in no particular order. The
+// elements are walked from the end toward the start, walkBlock at a
+// time, each block under one read lock and after one check of ctx.
 //
 // A set changes only by appending and by moving its last element into a
-// removed one's place, a list only by appending, and a block is taken
-// and walked under one read lock. So every element before the next
-// block's end is unwalked, an element can only move toward the start,
-// and one present for the whole walk is walked: at worst one moved out
-// of the part already walked is walked again. One added or removed
-// while the walk runs may be walked or not.
-type Members struct {
-	coll   *Object
-	block  int          // elements per block
-	blocks int          // how many blocks the object's elements made at the start
-	end    atomic.Int64 // where the next block ends
-}
-
-// Members starts a walk over the elements of a set or list object for
-// parts walkers, in blocks of at most walkBlock elements — and of fewer
-// where that leaves at least parts blocks, so that each walker can take
-// one.
-func (o *Object) Members(parts int) *Members {
-	n := o.Len()
-	block := min(walkBlock, max(1, n/max(parts, 1)))
-	m := &Members{coll: o, block: block, blocks: (n + block - 1) / block}
-	m.end.Store(math.MaxInt64)
-	return m
-}
-
-// Blocks returns how many blocks the walk held when it started: at
-// least the parts it was started for, or one per element of an object
-// with fewer elements, and none of an empty one.
-func (m *Members) Blocks() int { return m.blocks }
-
-// KeepMembers is KeepReaching over the blocks it takes from m until m
-// is walked: nothing is copied but what is kept, which is appended to
-// dst in no particular order — an element walked twice (see Members) is
-// kept twice.
-func (w *Walker) KeepMembers(ctx context.Context, dst []Value, m *Members, path *PathExpression, i, j int, want ...Value) (kept []Value, fetches uint64, err error) {
-	for more := true; more; {
+// removed one's place, a list only by appending. So between blocks every
+// element before the next block's end is unwalked, an element can only
+// move toward the start, and one present for the whole walk is walked:
+// at worst one moved out of the part already walked is walked, and kept,
+// twice. One added or removed while the walk runs may be walked or not.
+func (w *Walker) KeepMembers(ctx context.Context, dst []Value, coll *Object, path *PathExpression, i, j int, want ...Value) (kept []Value, fetches uint64, err error) {
+	for end := math.MaxInt; end > 0; {
 		if err := ctx.Err(); err != nil {
 			return dst, fetches, err
 		}
 		var n uint64
-		dst, more, n = w.keepBlock(dst, nil, m, path, i, j, want)
+		dst, n = w.keepBlock(dst, nil, coll, &end, path, i, j, want)
 		fetches += n
 	}
 	return dst, fetches, nil
 }
 
 // keepBlock is one block of KeepReaching or KeepMembers under one read
-// lock: the anchors block, or with m the next block of m's elements,
-// reporting whether there was one.
-func (w *Walker) keepBlock(dst, block []Value, m *Members, path *PathExpression, i, j int, want []Value) (_ []Value, took bool, fetches uint64) {
+// lock: the anchors block, or with coll the at most walkBlock elements
+// of coll before *end, moving *end to the first of them.
+func (w *Walker) keepBlock(dst, block []Value, coll *Object, end *int, path *PathExpression, i, j int, want []Value) (_ []Value, fetches uint64) {
 	w.ob.mu.RLock()
 	defer w.ob.mu.RUnlock()
-	if m != nil {
-		block = m.take()
+	if coll != nil {
+		hi := min(*end, len(coll.elems))
+		*end = max(hi-walkBlock, 0)
+		block = coll.elems[*end:hi]
 	}
 	for _, a := range block {
 		w.anchor[0] = a
@@ -305,20 +277,7 @@ func (w *Walker) keepBlock(dst, block []Value, m *Members, path *PathExpression,
 			dst = append(dst, a)
 		}
 	}
-	return dst, len(block) > 0, fetches
-}
-
-// take claims m's next block; ob.mu must be held.
-func (m *Members) take() []Value {
-	elems := m.coll.elems
-	for {
-		end := m.end.Load()
-		hi := int(min(end, int64(len(elems))))
-		lo := max(hi-m.block, 0)
-		if m.end.CompareAndSwap(end, int64(lo)) {
-			return elems[lo:hi]
-		}
-	}
+	return dst, fetches
 }
 
 // reachesAny reports whether a reached value equals one of want.

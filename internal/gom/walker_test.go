@@ -134,8 +134,7 @@ func TestWalkerMatchesStepwiseClosure(t *testing.T) {
 // filter in place keeps the same anchors. KeepMembers, over a set of
 // more than a block of Roots with a dangling member, a list of Roots
 // that repeats them and holds a NULL, and a list of strings, keeps the
-// members KeepReaching keeps over a copy of them, in the same fetches,
-// whatever the number of parts its blocks are cut for.
+// members KeepReaching keeps over a copy of them, in the same fetches.
 func TestKeepReachingMatchesReach(t *testing.T) {
 	ob, path, roots := walkerBase(t)
 	anchors := []Value{String("not a reference"), Ref(OID(1 << 20))}
@@ -182,12 +181,10 @@ func TestKeepReachingMatchesReach(t *testing.T) {
 			for j := i; j <= path.Len(); j++ {
 				for _, want := range targets {
 					kept, fetches, _ := w.KeepReaching(context.Background(), nil, members, path, i, j, want...)
-					for _, parts := range []int{0, 1, 3, 1 << 30} {
-						got, n, err := w.KeepMembers(context.Background(), nil, coll.Members(parts), path, i, j, want...)
-						if err != nil || fmt.Sprint(sortedStrings(got)) != fmt.Sprint(sortedStrings(kept)) || n != fetches {
-							t.Errorf("%s: KeepMembers(%d,%d, %v) in %d parts kept %d members in %d fetches (err %v), want %d in %d",
-								coll.Type().Name(), i, j, want, parts, len(got), n, err, len(kept), fetches)
-						}
+					got, n, err := w.KeepMembers(context.Background(), nil, coll, path, i, j, want...)
+					if err != nil || fmt.Sprint(sortedStrings(got)) != fmt.Sprint(sortedStrings(kept)) || n != fetches {
+						t.Errorf("%s: KeepMembers(%d,%d, %v) kept %d members in %d fetches (err %v), want %d in %d",
+							coll.Type().Name(), i, j, want, len(got), n, err, len(kept), fetches)
 					}
 					hits += len(kept)
 				}
@@ -426,16 +423,15 @@ func TestWalksBesideAWriter(t *testing.T) {
 	}
 }
 
-// TestKeepMembersBesideAWriter: two KeepMembers calls share one walk of
-// a set of eight blocks of Items, filtering it by Name, while one writer
-// removes members — each removal moves the set's last element into the
-// removed one's place — and inserts new ones. Each round starts from a
-// fresh set whose first block is the writer's to churn and whose last
-// seven are stable Items, half of them named "keep": the writer's
-// removals move stable Items from the end into the front block, where a
-// walk from the start would already have been. Between them the two
-// calls must keep every stable "keep" Item, and nothing not named
-// "keep".
+// TestKeepMembersBesideAWriter: one KeepMembers call walks a set of
+// eight blocks of Items, filtering it by Name, while one writer removes
+// members — each removal moves the set's last element into the removed
+// one's place — and inserts new ones. Each round starts from a fresh set
+// whose first block is the writer's to churn and whose last seven are
+// stable Items, half of them named "keep": the writer's removals move
+// stable Items from the end into the front block, where a walk from the
+// start would already have been. The call must keep every stable "keep"
+// Item, and nothing not named "keep".
 func TestKeepMembersBesideAWriter(t *testing.T) {
 	s, _, err := ParseSchema(`
 		type ItemSET is {Item};
@@ -497,37 +493,24 @@ func TestKeepMembersBesideAWriter(t *testing.T) {
 				churn = append(churn[:i], churn[i+1:]...)
 			}
 		}()
-		walk := coll.Members(2)
-		var kept [2][]Value
-		var errs [2]error
-		var walked sync.WaitGroup
-		walked.Add(len(kept))
 		started.Store(true)
-		for g := range kept {
-			go func() {
-				defer walked.Done()
-				kept[g], _, errs[g] = ob.NewWalker().KeepMembers(context.Background(), nil, walk, path, 0, 1, String("keep"))
-			}()
-		}
-		walked.Wait()
+		kept, _, err := ob.NewWalker().KeepMembers(context.Background(), nil, coll, path, 0, 1, String("keep"))
 		close(done)
 		wrote.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := map[Value]bool{}
-		for g := range kept {
-			if errs[g] != nil {
-				t.Fatal(errs[g])
-			}
-			for _, v := range kept[g] {
-				got[v] = true
-				if name, _ := ob.Reach(path, 0, 1, v); len(name) != 1 || name[0] != String("keep") {
-					t.Fatalf("round %d: kept %v, named %v", round, v, name)
-				}
+		for _, v := range kept {
+			got[v] = true
+			if name, _ := ob.Reach(path, 0, 1, v); len(name) != 1 || name[0] != String("keep") {
+				t.Fatalf("round %d: kept %v, named %v", round, v, name)
 			}
 		}
 		for _, v := range keep {
 			if !got[v] {
-				t.Fatalf("round %d: stable member %v named keep was not kept (%d and %d of %d kept)",
-					round, v, len(kept[0]), len(kept[1]), coll.Len())
+				t.Fatalf("round %d: stable member %v named keep was not kept (%d of %d kept)",
+					round, v, len(kept), coll.Len())
 			}
 		}
 	}
@@ -573,49 +556,6 @@ func TestWalkReadsASubtypesSlot(t *testing.T) {
 		o, _ := ob.Get(thing[0].(Ref).OID())
 		if _, got := o.Follow(path.Step(2), nil); len(got) != 1 || got[0] != String(want) {
 			t.Errorf("Follow on the %s = %v, want [%q]", want, got, want)
-		}
-	}
-}
-
-// TestMembersBlocks: a walk started for parts walkers hands out every
-// element once, in Blocks() blocks of at most walkBlock elements: at
-// least parts of them, or one per element of a smaller object.
-func TestMembersBlocks(t *testing.T) {
-	s, _, err := ParseSchema(`type NameLIST is <STRING>;`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ob := NewObjectBase(s)
-	list := ob.MustNew(s.MustLookup("NameLIST")).ID()
-	coll, _ := ob.Get(list)
-	for n := 0; n <= 3*walkBlock+1; n++ {
-		for _, parts := range []int{0, 1, 2, 3, 7, 1 << 40} {
-			m := coll.Members(parts)
-			if want := min(n, max(parts, 1)); m.Blocks() < want {
-				t.Fatalf("%d elements in %d parts: %d blocks, want at least %d", n, parts, m.Blocks(), want)
-			}
-			taken := 0
-			for blocks := 0; ; blocks++ {
-				ob.mu.RLock()
-				block := m.take()
-				ob.mu.RUnlock()
-				if len(block) == 0 {
-					if blocks != m.Blocks() {
-						t.Fatalf("%d elements in %d parts: took %d blocks, Blocks() = %d", n, parts, blocks, m.Blocks())
-					}
-					break
-				}
-				if len(block) > walkBlock {
-					t.Fatalf("%d elements in %d parts: a block of %d", n, parts, len(block))
-				}
-				taken += len(block)
-			}
-			if taken != n {
-				t.Fatalf("%d elements in %d parts: took %d", n, parts, taken)
-			}
-		}
-		if err := ob.AppendToList(list, String("x")); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

@@ -174,19 +174,17 @@ func TestIndexSeededAnchorsMatchTraversal(t *testing.T) {
 					}
 					satisfying = append(satisfying, [2]int{len(res.Values), collObj.Len()})
 				}
-				for _, workers := range []int{1, 4} {
-					got, err := indexed.RunCtx(context.Background(), q, workers)
-					if err != nil {
-						t.Fatalf("seed %d: %s: %v", seed, src, err)
-					}
-					if !sameValues(got.Values, want.Values) {
-						t.Errorf("seed %d workers %d: %s\nindexed   %v\ntraversal %v",
-							seed, workers, src, valueStrings(got.Values), valueStrings(want.Values))
-					}
-					if fmt.Sprint(remaining(got.Plan)) != fmt.Sprint(satisfying) {
-						t.Errorf("seed %d workers %d: %s\nplan %q reports %v, members satisfying are %v",
-							seed, workers, src, got.Plan, remaining(got.Plan), satisfying)
-					}
+				got, err := indexed.Run(q)
+				if err != nil {
+					t.Fatalf("seed %d: %s: %v", seed, src, err)
+				}
+				if !sameValues(got.Values, want.Values) {
+					t.Errorf("seed %d: %s\nindexed   %v\ntraversal %v",
+						seed, src, valueStrings(got.Values), valueStrings(want.Values))
+				}
+				if fmt.Sprint(remaining(got.Plan)) != fmt.Sprint(satisfying) {
+					t.Errorf("seed %d: %s\nplan %q reports %v, members satisfying are %v",
+						seed, src, got.Plan, remaining(got.Plan), satisfying)
 				}
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"asr/internal/asr"
@@ -256,18 +255,13 @@ func (e *Engine) plan(ctx context.Context, q *Query) (*plan, error) {
 // Run evaluates the query.
 func (e *Engine) Run(q *Query) (*Result, error) { return e.RunCtx(context.Background(), q, 1) }
 
-// RunCtx is Run honoring ctx, with the outer collection's surviving
-// anchors fanned across up to workers goroutines (asr.FanOut). The
-// resolution step, the plan and the index-seeded anchors are computed once,
-// exactly as in Run; each worker then evaluates the nested loop over
-// its anchor chunk into a private result set, and the sets are merged
-// and emitted in the same deterministic sorted order Run uses — so the
-// Values are the same for every query and worker count (the Plan
-// additionally records the fan-out). Cancellation or deadline expiry
-// aborts the index pre-filter, every evaluation worker, and the index-
-// backed projection probes, returning ctx's error.
+// RunCtx is Run honoring ctx: cancellation or deadline expiry aborts the
+// index pre-filter, the evaluation and the index-backed projection
+// probes, returning ctx's error. The query runs on the caller's
+// goroutine; concurrency comes from concurrent callers. workers is
+// ignored — it remains for callers written when a query could fan out.
 func (e *Engine) RunCtx(ctx context.Context, q *Query, workers int) (*Result, error) {
-	res, _, err := e.run(ctx, q, nil, workers)
+	res, _, err := e.run(ctx, q, nil)
 	return res, err
 }
 
@@ -275,8 +269,8 @@ func (e *Engine) RunCtx(ctx context.Context, q *Query, workers int) (*Result, er
 // when the caller passes nil — and also returns the number of
 // object-base fetches the evaluation made (gom.ObjectBase.Reach's
 // count).
-func (e *Engine) run(ctx context.Context, q *Query, p *plan, workers int) (*Result, uint64, error) {
-	var objectReads atomic.Uint64 // flushed into by the evaluation workers
+func (e *Engine) run(ctx context.Context, q *Query, p *plan) (*Result, uint64, error) {
+	var objectReads uint64
 	// Per-request resource accounting: when the context carries a
 	// telemetry.Tally (the server scopes one per request), flush this
 	// run's object fetches and the index pool's page-access delta into it
@@ -290,7 +284,7 @@ func (e *Engine) run(ctx context.Context, q *Query, p *plan, workers int) (*Resu
 			pages0 = e.mgr.Pool().Stats().LogicalAccesses
 		}
 		defer func() {
-			tally.AddObjects(objectReads.Load())
+			tally.AddObjects(objectReads)
 			if e.mgr != nil {
 				tally.AddPages(e.mgr.Pool().Stats().LogicalAccesses - pages0)
 			}
@@ -352,6 +346,43 @@ func (e *Engine) run(ctx context.Context, q *Query, p *plan, workers int) (*Resu
 		planNotes = append(planNotes, "nested-loop traversal (no usable access support relation)")
 	}
 
+	out, reads, err := e.evaluate(ctx, q, p, anchors, seeded)
+	objectReads += reads
+	if err != nil {
+		return nil, 0, err
+	}
+
+	keys := make([]string, 0, len(out))
+	for k := range out {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	res := &Result{Plan: strings.Join(planNotes, "; ")}
+	for _, k := range keys {
+		res.Values = append(res.Values, out[k])
+	}
+
+	strategy, runs, secs := "traversal", telRunsTraversal, telSecsTraversal
+	if p.usesASR() {
+		strategy, runs, secs = "asr", telRunsASR, telSecsASR
+	}
+	runs.Inc()
+	secs.Observe(time.Since(started).Seconds())
+	telObjectReads.Add(objectReads)
+	root.SetAttr("strategy", strategy)
+	root.SetAttr("rows", len(res.Values))
+	root.SetAttr("object_reads", objectReads)
+	return res, objectReads, nil
+}
+
+// evaluate runs the nested loop of p, the plan of q, from the outer
+// range's anchors — the index-seeded ones when seeded — and returns the
+// projected values keyed by their rendering, and the object-base fetches
+// it made, also when it fails. The result set is returned, not kept in
+// run's frame: a map the compiler can place on the goroutine's stack
+// made read_large's p99 four times worse (docs/PERFORMANCE.md).
+func (e *Engine) evaluate(ctx context.Context, q *Query, p *plan, anchors []gom.Value, seeded bool) (map[string]gom.Value, uint64, error) {
+	var reads uint64
 	// Every inner range over a collection iterates the same members for
 	// every binding of the variables around it: they are resolved once.
 	inner := make([][]gom.Value, len(p.ranges))
@@ -374,197 +405,134 @@ func (e *Engine) run(ctx context.Context, q *Query, p *plan, workers int) (*Resu
 		predsAt[rt.at] = append(predsAt[rt.at], pi)
 	}
 
-	// Unseeded, the outer range walks the collection itself. With a
-	// predicate on the outer variable, the evaluation workers share one
-	// walk of the collection's members where it keeps them (gom.Members)
-	// and each filters the blocks it takes by the first such predicate,
-	// so nothing is copied but the survivors; there are no more workers
-	// than blocks. A collection no predicate narrows is copied and split.
-	var outer *gom.Members
-	if !seeded {
-		if len(predsAt[0]) > 0 {
-			outer = p.setObj.Members(workers)
-		} else {
-			anchors = refMembers(p.setObj)
-		}
-	}
-
-	// evalAnchors runs the nested-loop evaluation over one chunk of the
-	// outer collection's anchors into a private result set; both the
-	// sequential path (one chunk: everything) and the parallel path (one
-	// chunk per worker) go through it, so they agree by construction. The
-	// chunk is the run's own and is filtered in place. With outer there is
-	// no chunk: the worker's anchors are the blocks it takes.
-	evalAnchors := func(chunk []gom.Value) (map[string]gom.Value, error) {
-		// Object reads accumulate in a chunk-local counter and flush to
-		// the shared one once per chunk: workers never contend on the
-		// atomic inside the traversal loop.
-		var reads uint64
-		defer func() { objectReads.Add(reads) }()
-		// reach walks a path from one bound object: every value reachable
-		// over it (objects or atomic values). One Walker serves the whole
-		// chunk, so what reach returns is good until the next reach.
-		walker := e.ob.NewWalker()
-		var start [1]gom.Value // Reach's variadic argument, one array per chunk instead of one per call
-		reach := func(from gom.Value, path *gom.PathExpression) []gom.Value {
-			start[0] = from
-			vals, n := walker.Reach(path, 0, path.Len(), start[:]...)
-			reads += n
-			return vals
-		}
-		// keep narrows members to the bindings that satisfy the predicates
-		// pis, one block walk per predicate, appending into dst (which may
-		// be members[:0]).
-		keep := func(pis []int, dst, members []gom.Value) ([]gom.Value, error) {
-			for _, pi := range pis {
-				path := p.preds[pi].path
-				kept, n, err := walker.KeepReaching(ctx, dst, members, path, 0, path.Len(), q.Where[pi].Literal)
-				reads += n
-				if err != nil {
-					return nil, err
-				}
-				members, dst = kept, kept[:0]
-			}
-			return members, nil
-		}
-		out := map[string]gom.Value{}
-		bindings := make([]gom.Value, len(p.ranges))
-		// dependent[d] holds the members of dependent range d under the
-		// current binding of its parent, and filtered[d] those of inner
-		// collection range d that pass its predicates, each reused from
-		// one binding to the next.
-		dependent := make([][]gom.Value, len(p.ranges))
-		filtered := make([][]gom.Value, len(p.ranges))
-		var loop func(depth int) error
-		loop = func(depth int) error {
-			if depth == len(p.ranges) {
-				projVar := bindings[p.proj.at]
-				if p.proj.path == nil {
-					out[projVar.String()] = projVar
-					return nil
-				}
-				if p.proj.ix != nil {
-					vals, err := p.proj.ix.Query(ctx, true, 0, p.proj.composed.Len(), projVar)
-					if err == nil {
-						for _, v := range vals {
-							out[gom.ValueString(v)] = v
-						}
-						return nil
-					}
-					if ctx.Err() != nil {
-						return ctx.Err()
-					}
-					// Fall back below on any other index error — including a
-					// quarantined index (asr.ErrQuarantined): traversal reads
-					// the object base directly, so the result stays correct.
-				}
-				for _, v := range reach(projVar, p.proj.path) {
-					out[gom.ValueString(v)] = v
-				}
-				return nil
-			}
-			br := p.ranges[depth]
-			var members []gom.Value
-			var err error
-			switch {
-			case depth == 0 && outer != nil:
-				pis := predsAt[0]
-				path := p.preds[pis[0]].path
-				var n uint64
-				members, n, err = walker.KeepMembers(ctx, nil, outer, path, 0, path.Len(), q.Where[pis[0]].Literal)
-				reads += n
-				if err == nil {
-					members, err = keep(pis[1:], members[:0], members)
-				}
-			case depth == 0:
-				members, err = keep(predsAt[0], chunk[:0], chunk)
-			case br.r.Dependent != nil:
-				members = dependent[depth][:0]
-				for _, v := range reach(bindings[br.parentIdx], br.path) {
-					if _, ok := v.(gom.Ref); ok {
-						members = append(members, v)
-					}
-				}
-				members, err = keep(predsAt[depth], members[:0], members)
-				dependent[depth] = members
-			case len(predsAt[depth]) > 0: // inner[depth] is shared: filter into a buffer of this chunk's
-				members, err = keep(predsAt[depth], filtered[depth][:0], inner[depth])
-				filtered[depth] = members
-			default:
-				members = inner[depth]
-			}
-			if err != nil {
-				return err
-			}
-			for _, m := range members {
-				if depth == 0 {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-				}
-				bindings[depth] = m
-				if err := loop(depth + 1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := loop(0); err != nil {
-			return nil, err
-		}
-		return out, nil
+	// Unseeded, the outer range walks the collection itself: in place,
+	// filtered by the first predicate on the outer variable
+	// (Walker.KeepMembers), so nothing is copied but the survivors, or
+	// copied whole when no predicate narrows it.
+	inPlace := !seeded && len(predsAt[0]) > 0
+	if !seeded && !inPlace {
+		anchors = refMembers(p.setObj)
 	}
 
 	_, xsp := telemetry.StartSpan(ctx, "query.execute")
-	xsp.SetAttr("workers", workers)
 	defer xsp.End()
-	var parts []map[string]gom.Value
-	var err error
-	if outer != nil {
-		xsp.SetAttr("blocks", outer.Blocks())
-		parts, err = asr.Parallel("query: evaluation", min(workers, outer.Blocks()), func(int) (map[string]gom.Value, error) {
-			return evalAnchors(nil)
-		})
+	if inPlace {
+		xsp.SetAttr("anchors", p.setObj.Len())
 	} else {
 		xsp.SetAttr("anchors", len(anchors))
-		parts, err = asr.FanOut("query: evaluation", workers, anchors, evalAnchors)
 	}
-	if err != nil {
-		return nil, 0, err
+	// reach walks a path from one bound object: every value reachable
+	// over it (objects or atomic values). One Walker serves the whole
+	// evaluation, so what reach returns is good until the next reach.
+	walker := e.ob.NewWalker()
+	var start [1]gom.Value // Reach's variadic argument, one array per run instead of one per call
+	reach := func(from gom.Value, path *gom.PathExpression) []gom.Value {
+		start[0] = from
+		vals, n := walker.Reach(path, 0, path.Len(), start[:]...)
+		reads += n
+		return vals
 	}
-	if len(parts) > 1 {
-		planNotes = append(planNotes, fmt.Sprintf("parallel over %d workers", len(parts)))
-	}
-	out := parts[0]
-	for _, part := range parts[1:] {
-		for k, v := range part {
-			out[k] = v
+	// keep narrows members to the bindings that satisfy the predicates
+	// pis, one block walk per predicate, appending into dst (which may be
+	// members[:0]).
+	keep := func(pis []int, dst, members []gom.Value) ([]gom.Value, error) {
+		for _, pi := range pis {
+			path := p.preds[pi].path
+			kept, n, err := walker.KeepReaching(ctx, dst, members, path, 0, path.Len(), q.Where[pi].Literal)
+			reads += n
+			if err != nil {
+				return nil, err
+			}
+			members, dst = kept, kept[:0]
 		}
+		return members, nil
 	}
-
-	xsp.End()
-
-	keys := make([]string, 0, len(out))
-	for k := range out {
-		keys = append(keys, k)
+	out := map[string]gom.Value{}
+	bindings := make([]gom.Value, len(p.ranges))
+	// dependent[d] holds the members of dependent range d under the
+	// current binding of its parent, and filtered[d] those of inner
+	// collection range d that pass its predicates, each reused from one
+	// binding to the next.
+	dependent := make([][]gom.Value, len(p.ranges))
+	filtered := make([][]gom.Value, len(p.ranges))
+	var loop func(depth int) error
+	loop = func(depth int) error {
+		if depth == len(p.ranges) {
+			projVar := bindings[p.proj.at]
+			if p.proj.path == nil {
+				out[projVar.String()] = projVar
+				return nil
+			}
+			if p.proj.ix != nil {
+				vals, err := p.proj.ix.Query(ctx, true, 0, p.proj.composed.Len(), projVar)
+				if err == nil {
+					for _, v := range vals {
+						out[gom.ValueString(v)] = v
+					}
+					return nil
+				}
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
+				// Fall back below on any other index error — including a
+				// quarantined index (asr.ErrQuarantined): traversal reads
+				// the object base directly, so the result stays correct.
+			}
+			for _, v := range reach(projVar, p.proj.path) {
+				out[gom.ValueString(v)] = v
+			}
+			return nil
+		}
+		br := p.ranges[depth]
+		var members []gom.Value
+		var err error
+		switch {
+		case depth == 0 && inPlace:
+			pis := predsAt[0]
+			path := p.preds[pis[0]].path
+			var n uint64
+			members, n, err = walker.KeepMembers(ctx, nil, p.setObj, path, 0, path.Len(), q.Where[pis[0]].Literal)
+			reads += n
+			if err == nil {
+				members, err = keep(pis[1:], members[:0], members)
+			}
+		case depth == 0: // the anchors are the run's own: filter them in place
+			members, err = keep(predsAt[0], anchors[:0], anchors)
+		case br.r.Dependent != nil:
+			members = dependent[depth][:0]
+			for _, v := range reach(bindings[br.parentIdx], br.path) {
+				if _, ok := v.(gom.Ref); ok {
+					members = append(members, v)
+				}
+			}
+			members, err = keep(predsAt[depth], members[:0], members)
+			dependent[depth] = members
+		case len(predsAt[depth]) > 0: // inner[depth] is shared by every binding: filter into a buffer
+			members, err = keep(predsAt[depth], filtered[depth][:0], inner[depth])
+			filtered[depth] = members
+		default:
+			members = inner[depth]
+		}
+		if err != nil {
+			return err
+		}
+		for _, m := range members {
+			if depth == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			bindings[depth] = m
+			if err := loop(depth + 1); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	sort.Strings(keys)
-	res := &Result{Plan: strings.Join(planNotes, "; ")}
-	for _, k := range keys {
-		res.Values = append(res.Values, out[k])
+	if err := loop(0); err != nil {
+		return nil, reads, err
 	}
-
-	strategy, runs, secs := "traversal", telRunsTraversal, telSecsTraversal
-	if p.usesASR() {
-		strategy, runs, secs = "asr", telRunsASR, telSecsASR
-	}
-	runs.Inc()
-	secs.Observe(time.Since(started).Seconds())
-	telObjectReads.Add(objectReads.Load())
-	root.SetAttr("strategy", strategy)
-	root.SetAttr("rows", len(res.Values))
-	root.SetAttr("object_reads", objectReads.Load())
-	return res, objectReads.Load(), nil
+	return out, reads, nil
 }
 
 // refMembers returns the reference elements of a collection object, a

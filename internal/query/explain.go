@@ -241,7 +241,7 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, q *Query) (*Analysis, error
 		pool.ResetStats()
 	}
 	started := time.Now()
-	res, reads, err := e.run(ctx, q, p, 1)
+	res, reads, err := e.run(ctx, q, p)
 	elapsed := time.Since(started)
 	if err != nil {
 		return nil, err

@@ -170,9 +170,8 @@ func randomNestedQuery(rng *rand.Rand) string {
 // TestPredicatesAtTheirDepthMatchInnermost: seeded random queries of two
 // to four ranges — dependent ranges over single- and set-valued steps,
 // inner collection ranges over sets and a list, a predicate on every
-// variable — return referenceRun's Values from a traversal engine at one
-// and three workers and from an indexed engine, whose routed predicates
-// seed the anchors.
+// variable — return referenceRun's Values from a traversal engine and
+// from an indexed engine, whose routed predicates seed the anchors.
 func TestPredicatesAtTheirDepthMatchInnermost(t *testing.T) {
 	db := newAnchorsDB(t, 7)
 	for k, id := range db.Extents[2] {
@@ -190,17 +189,13 @@ func TestPredicatesAtTheirDepthMatchInnermost(t *testing.T) {
 		if len(want) > 0 {
 			nonEmpty++
 		}
-		for _, c := range []struct {
-			name    string
-			e       *Engine
-			workers int
-		}{{"traversal", naive, 1}, {"traversal", naive, 3}, {"indexed", indexed, 1}} {
-			res, err := c.e.RunCtx(context.Background(), q, c.workers)
+		for name, e := range map[string]*Engine{"traversal": naive, "indexed": indexed} {
+			res, err := e.Run(q)
 			if err != nil {
-				t.Fatalf("%s: %s/%d: %v", src, c.name, c.workers, err)
+				t.Fatalf("%s: %s: %v", src, name, err)
 			}
 			if got := valueStrings(res.Values); strings.Join(got, "\x00") != strings.Join(want, "\x00") {
-				t.Errorf("%s\n%s/%d: %v\nreference:   %v", src, c.name, c.workers, got, want)
+				t.Errorf("%s\n%s: %v\nreference:   %v", src, name, got, want)
 			}
 		}
 	}

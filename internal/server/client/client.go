@@ -163,18 +163,12 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// Query evaluates one select-from-where query on the server with its
-// configured per-query fan-out. If ctx is canceled while the query is
-// in flight, a MsgCancel is sent and the server's CANCELED response is
-// awaited, so the request slot is accounted for before Query returns.
+// Query evaluates one select-from-where query on the server. If ctx is
+// canceled while the query is in flight, a MsgCancel is sent and the
+// server's CANCELED response is awaited, so the request slot is
+// accounted for before Query returns.
 func (c *Client) Query(ctx context.Context, sql string) (*Result, error) {
-	return c.QueryWorkers(ctx, sql, 0)
-}
-
-// QueryWorkers is Query with an explicit evaluation fan-out (≤ 0 uses
-// the server default).
-func (c *Client) QueryWorkers(ctx context.Context, sql string, workers int) (*Result, error) {
-	f, err := c.roundTrip(ctx, wire.MsgQuery, wire.Query{SQL: sql, Workers: workers}, c.cancelInflight)
+	f, err := c.roundTrip(ctx, wire.MsgQuery, wire.Query{SQL: sql}, c.cancelInflight)
 	if err != nil {
 		return nil, err
 	}

@@ -245,15 +245,10 @@ func (r *RetryClient) do(ctx context.Context, op func(ctx context.Context, c *Cl
 // Query evaluates one read-only query with retries; see Client.Query
 // for the single-attempt semantics.
 func (r *RetryClient) Query(ctx context.Context, sql string) (*Result, error) {
-	return r.QueryWorkers(ctx, sql, 0)
-}
-
-// QueryWorkers is Query with an explicit evaluation fan-out.
-func (r *RetryClient) QueryWorkers(ctx context.Context, sql string, workers int) (*Result, error) {
 	var res *Result
 	err := r.do(ctx, func(ctx context.Context, c *Client) error {
 		var err error
-		res, err = c.QueryWorkers(ctx, sql, workers)
+		res, err = c.Query(ctx, sql)
 		return err
 	})
 	if err != nil {

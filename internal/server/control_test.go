@@ -2,9 +2,10 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
-	"math"
-	"runtime"
+	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"asr/internal/gom"
 	"asr/internal/query"
 	"asr/internal/server/client"
+	"asr/internal/server/wire"
 )
 
 // blockingEngine is a QueryEngine whose queries park until released —
@@ -244,33 +246,57 @@ func TestDrainDeadlineCancels(t *testing.T) {
 	}
 }
 
-// workersEngine records the worker count each query reaches it with.
-type workersEngine struct{ got chan int }
-
-func (e workersEngine) RunCtx(ctx context.Context, q *query.Query, workers int) (*query.Result, error) {
-	e.got <- workers
-	return &query.Result{}, nil
-}
-
-// TestRequestWorkersAreCapped: a request's worker count reaches the
-// engine as asked up to the server's default or GOMAXPROCS, whichever is
-// more, and capped there beyond it; none asked means the default.
-func TestRequestWorkersAreCapped(t *testing.T) {
-	eng := workersEngine{got: make(chan int, 1)}
-	const def = 3
-	s := startServer(t, eng, nil, Config{QueryWorkers: def})
-	c, err := client.Dial(s.Addr())
+// TestRequestWorkersFieldIsIgnored: a Query frame from an older client
+// that still carries a "workers" field — 8, or 10⁹ — decodes and is
+// answered exactly as one without it: the same values and plan, those
+// of an in-process run.
+func TestRequestWorkersFieldIsIgnored(t *testing.T) {
+	d := robotsDatabase(t)
+	s := startServer(t, d.Engine, d, Config{})
+	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	limit := max(def, runtime.GOMAXPROCS(0))
-	for asked, want := range map[int]int{0: def, -1: def, 1: 1, limit: limit, limit + 1: limit, math.MaxInt: limit} {
-		if _, err := c.QueryWorkers(context.Background(), anyQuery, asked); err != nil {
+	defer conn.Close()
+	hello, err := wire.Marshal(wire.MsgHello, 1, wire.Hello{Proto: wire.ProtoVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, hello); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := wire.ReadFrame(conn); err != nil || f.Type != wire.MsgHelloOK {
+		t.Fatalf("handshake: frame %v err %v", f.Type, err)
+	}
+	reqID := uint32(1)
+	ask := func(payload string) (values []string, plan string) {
+		t.Helper()
+		reqID++
+		if err := wire.WriteFrame(conn, wire.Frame{Type: wire.MsgQuery, ReqID: reqID, Payload: []byte(payload)}); err != nil {
 			t.Fatal(err)
 		}
-		if got := <-eng.got; got != want {
-			t.Errorf("asked for %d workers: engine ran %d, want %d", asked, got, want)
+		f, err := wire.ReadFrame(conn)
+		if err != nil || f.Type != wire.MsgResult || f.ReqID != reqID {
+			t.Fatalf("%s: frame %v (request %d) err %v", payload, f.Type, f.ReqID, err)
+		}
+		var res wire.Result
+		if err := wire.Unmarshal(f, &res); err != nil {
+			t.Fatal(err)
+		}
+		return res.Values, res.Plan
+	}
+	for _, sql := range []string{
+		`select r.Name from r in OurRobots where r.Arm.MountedTool.ManufacturedBy.Location = "Utopia"`,
+		`select r.Name from r in OurRobots where r.Arm.MountedTool.Function = "welding"`,
+	} {
+		wantValues, wantPlan := renderInProcess(t, d, sql)
+		quoted, _ := json.Marshal(sql)
+		for _, extra := range []string{"", `, "workers": 8`, `, "workers": 1000000000`} {
+			payload := fmt.Sprintf(`{"sql": %s%s}`, quoted, extra)
+			values, plan := ask(payload)
+			if fmt.Sprint(values) != fmt.Sprint(wantValues) || plan != wantPlan {
+				t.Errorf("%s: %v, plan %q\nwant %v, plan %q", payload, values, plan, wantValues, wantPlan)
+			}
 		}
 	}
 }

@@ -55,7 +55,9 @@ var allErrorCodes = wire.Codes
 
 // QueryEngine evaluates parsed queries. *query.Engine satisfies it;
 // tests substitute stubs to make cancellation, overload and drain
-// schedules deterministic.
+// schedules deterministic. The server passes workers = 1; an engine
+// ignores it (query.Engine.RunCtx runs each query on its caller's
+// goroutine).
 type QueryEngine interface {
 	RunCtx(ctx context.Context, q *query.Query, workers int) (*query.Result, error)
 }
@@ -72,12 +74,6 @@ type Config struct {
 	// sessions; excess requests fail fast with OVERLOADED. ≤ 0 means
 	// 2×GOMAXPROCS.
 	MaxInflight int
-	// QueryWorkers is the per-query evaluation fan-out used when a
-	// request does not choose its own; ≤ 0 means 1 (saturation comes
-	// from concurrent sessions, not from oversubscribing each query). A
-	// request's own choice is capped at QueryWorkers or GOMAXPROCS,
-	// whichever is more.
-	QueryWorkers int
 	// RequestTimeout, when positive, deadlines every query server-side:
 	// a query still running when it expires is canceled through the
 	// RunCtx plumbing and answered with a typed DEADLINE_EXCEEDED — one
@@ -174,9 +170,6 @@ func New(engine QueryEngine, mgr *asr.Manager, cfg Config) *Server {
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 2 * runtime.GOMAXPROCS(0)
-	}
-	if cfg.QueryWorkers <= 0 {
-		cfg.QueryWorkers = 1
 	}
 	if cfg.Name == "" {
 		cfg.Name = "gomd"

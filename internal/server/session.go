@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -268,13 +267,7 @@ func (ss *session) handleQuery(f wire.Frame, clientSpan uint64) {
 			ss.replyErrorT(f, wire.CodeParse, err.Error(), trailer)
 			return
 		}
-		// A request's own fan-out is bounded by the server's default or
-		// its cores, whichever is more: workers beyond them only queue.
-		workers := min(req.Workers, max(srv.cfg.QueryWorkers, runtime.GOMAXPROCS(0)))
-		if workers <= 0 {
-			workers = srv.cfg.QueryWorkers
-		}
-		res, err := srv.engine.RunCtx(qctx, q, workers)
+		res, err := srv.engine.RunCtx(qctx, q, 1)
 		telQuerySeconds.Observe(time.Since(started).Seconds())
 		if err != nil {
 			code := queryErrorCode(qctx, err)

@@ -258,12 +258,11 @@ type HelloOK struct {
 }
 
 // Query asks the server to evaluate one select-from-where query in the
-// paper's notation. Workers ≤ 0 uses the server's configured per-query
-// fan-out; the server caps a larger one at that or at its GOMAXPROCS,
-// whichever is more.
+// paper's notation. A "workers" field sent by an older client is an
+// unknown field to the decoder and ignored: each query runs on one
+// goroutine.
 type Query struct {
-	SQL     string `json:"sql"`
-	Workers int    `json:"workers,omitempty"`
+	SQL string `json:"sql"`
 }
 
 // Trailer is the compact per-request resource accounting the server

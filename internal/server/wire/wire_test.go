@@ -94,7 +94,7 @@ func TestFrameTooLarge(t *testing.T) {
 }
 
 func TestMarshalUnmarshal(t *testing.T) {
-	f, err := Marshal(MsgQuery, 5, Query{SQL: "select r from r in OurRobots", Workers: 4})
+	f, err := Marshal(MsgQuery, 5, Query{SQL: "select r from r in OurRobots"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestMarshalUnmarshal(t *testing.T) {
 	if err := Unmarshal(f, &q); err != nil {
 		t.Fatal(err)
 	}
-	if q.SQL != "select r from r in OurRobots" || q.Workers != 4 {
+	if q.SQL != "select r from r in OurRobots" {
 		t.Fatalf("round trip: %+v", q)
 	}
 	// Empty-body messages carry no payload.

@@ -161,7 +161,7 @@ func (fr *Frame) Unpin() {
 // shard is one lock stripe of the pool: its own frame table, LRU queue
 // and capacity slice, guarded by one mutex. Pages are
 // distributed over shards by a page-id hash, so pins of unrelated pages
-// — parallel query workers descending different subtrees, a concurrent
+// — concurrent queries descending different subtrees, a concurrent
 // index build — proceed without contending on a single pool mutex.
 type shard struct {
 	pool     *BufferPool

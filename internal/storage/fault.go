@@ -74,6 +74,19 @@ func (c *Crashpoint) writeAt(f *os.File, b []byte, off int64) error {
 	return crashErr
 }
 
+// sync fsyncs f, unless a crashpoint guards it. A crashpoint simulates
+// a killed process, which loses nothing the operating system holds, so
+// a device flush would show the simulation nothing; skipping it keeps a
+// crash matrix, which replays its scene once per write, from stalling
+// every other writer on the device. A nil crashpoint (every production
+// file) always syncs.
+func (c *Crashpoint) sync(f *os.File) error {
+	if c != nil {
+		return nil
+	}
+	return f.Sync()
+}
+
 // The device operations a scheduled fault intercepts.
 const (
 	OpRead  = fault.DiskRead

@@ -442,7 +442,7 @@ func (d *FileDisk) Sync() error {
 	if d.cp != nil && d.cp.Crashed() {
 		return fmt.Errorf("storage: sync %s: %w", d.path, ErrCrashed)
 	}
-	if err := d.f.Sync(); err != nil {
+	if err := d.cp.sync(d.f); err != nil {
 		return fmt.Errorf("storage: sync %s: %w", d.path, err)
 	}
 	return nil

@@ -496,7 +496,7 @@ func (w *WAL) flush(buf []byte, off int64) error {
 	} else if cp != nil && cp.Crashed() {
 		return fmt.Errorf("storage: wal sync: %w", ErrCrashed)
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := cp.sync(w.f); err != nil {
 		return fmt.Errorf("storage: wal sync: %w", err)
 	}
 	return nil
@@ -552,7 +552,7 @@ func (w *WAL) Reset() error {
 	// frame even if this fsync fails.
 	w.buf, w.bufStart = nil, int64(len(frames)-len(walEnd))
 	w.syncedLSN = w.appendedLSN
-	if err := w.f.Sync(); err != nil {
+	if err := w.cp.sync(w.f); err != nil {
 		return fmt.Errorf("storage: wal reset: %w", err)
 	}
 	w.stats.Truncations++

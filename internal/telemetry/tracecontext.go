@@ -77,7 +77,7 @@ func TraceIDFrom(ctx context.Context) TraceID {
 // resource trailer reports. Layers add what they can attribute exactly
 // (the query evaluator's object fetches) or by bounded approximation
 // (index-pool page accesses observed during the request window); each
-// Add* is atomic, so concurrent evaluation workers share one tally.
+// Add* is atomic, so goroutines may share one tally.
 type Tally struct {
 	pages   atomic.Uint64
 	objects atomic.Uint64

@@ -115,6 +115,7 @@ type surfaceLoader struct {
 	modDir   string
 	pkgs     map[string]*types.Package  // by import path
 	checkers map[string]*surfaceChecker // module packages, by import path
+	xtests   []*types.Package           // external test packages
 	files    []surfaceFile              // module files, with what they use
 	ifaces   map[*types.Interface]bool  // every interface type seen
 	errs     []error
@@ -125,21 +126,32 @@ type surfaceFile struct {
 	dir  string // package directory, relative to the module root
 	test bool
 	uses []types.Object
+	defs []types.Object
 }
 
-func deadSurface(root string) ([]string, error) {
+// loadModule type-checks every package of the module rooted at root,
+// with its tests, and returns the loader and the package directories.
+func loadModule(root string) (*surfaceLoader, []string, error) {
 	l, err := newSurfaceLoader(root)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	dirs, err := l.packageDirs()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, dir := range dirs {
 		l.loadDir(dir)
 	}
 	if err := errors.Join(l.errs...); err != nil {
+		return nil, nil, err
+	}
+	return l, dirs, nil
+}
+
+func deadSurface(root string) ([]string, error) {
+	l, dirs, err := loadModule(root)
+	if err != nil {
 		return nil, err
 	}
 
@@ -333,7 +345,9 @@ func (l *surfaceLoader) loadDir(dir string) {
 		l.check(c, dir, bp.TestGoFiles)
 	}
 	if len(bp.XTestGoFiles) > 0 {
-		l.check(l.newChecker(bp.Name+"_test"), dir, bp.XTestGoFiles)
+		c := l.newChecker(bp.Name + "_test")
+		l.check(c, dir, bp.XTestGoFiles)
+		l.xtests = append(l.xtests, c.pkg)
 	}
 }
 
@@ -362,6 +376,7 @@ func (l *surfaceLoader) newChecker(ip string) *surfaceChecker {
 		info: &types.Info{
 			Types: map[ast.Expr]types.TypeAndValue{},
 			Uses:  map[*ast.Ident]types.Object{},
+			Defs:  map[*ast.Ident]types.Object{},
 		},
 	}
 	conf := &types.Config{Importer: l, Error: func(err error) { l.errs = append(l.errs, err) }}
@@ -390,6 +405,9 @@ func (l *surfaceLoader) check(c *surfaceChecker, dir string, names []string) {
 			if id, ok := n.(*ast.Ident); ok {
 				if obj := c.info.Uses[id]; obj != nil {
 					sf.uses = append(sf.uses, obj)
+				}
+				if obj := c.info.Defs[id]; obj != nil {
+					sf.defs = append(sf.defs, obj)
 				}
 			}
 			return true
