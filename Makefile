@@ -92,10 +92,12 @@ server-smoke:
 # chaos"): the fixed-seed saturation suite (32 connections under
 # continuous network + disk fault injection; every response
 # byte-identical or typed, zero hangs, zero goroutine leaks), the
-# server-protection suite, the fault-schedule, chaos and retry suites,
-# then one randomized-seed saturation pass so new fault schedules are
-# explored on every run — the seed is logged and reproduces a failure
-# exactly.
+# scheduled-fault run (each fault reaches the caller as a typed
+# transport loss, and a fresh connection answers again), the
+# server-protection suite, the fault-schedule, chaos-injector and client
+# error-mapping suites, then one randomized-seed saturation pass so new
+# fault schedules are explored on every run — the seed is logged and
+# reproduces a failure exactly.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaos|TestRequestDeadline|TestClientCancelBeats|TestIdleWatchdog|TestSlowReader' ./internal/server/
 	$(GO) test -race -count=1 ./internal/fault/ ./internal/server/chaos/ ./internal/server/client/

@@ -332,7 +332,7 @@ func BenchmarkBatchProbe(b *testing.B) {
 	b.Run("single", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, v := range vals {
-				if _, err := part.LookupForward(v); err != nil {
+				if _, err := part.LookupBatch(true, []gom.Value{v}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -103,9 +103,9 @@ func TestNewPartitionIncrementalPath(t *testing.T) {
 	if p.Rows() != 3 {
 		t.Fatalf("rows = %d", p.Rows())
 	}
-	fwd, err := p.LookupForward(gom.Ref(1))
-	if err != nil || len(fwd) != 2 {
-		t.Fatalf("LookupForward = %v %v", fwd, err)
+	fwd, err := p.LookupBatch(true, []gom.Value{gom.Ref(1)})
+	if err != nil || len(fwd[0]) != 2 {
+		t.Fatalf("LookupBatch(forward) = %v %v", fwd, err)
 	}
 	bwd, err := p.LookupBackward(gom.Ref(10))
 	if err != nil || len(bwd) != 2 {

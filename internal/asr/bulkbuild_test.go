@@ -17,10 +17,10 @@ import (
 func treeEntries(t *testing.T, tr *btree.Tree) [][2][]byte {
 	t.Helper()
 	var out [][2][]byte
-	if err := tr.Scan(btree.Copied(func(k, v []byte) bool {
-		out = append(out, [2][]byte{k, v})
+	if err := tr.Scan(func(k, v []byte) bool {
+		out = append(out, [2][]byte{bytes.Clone(k), bytes.Clone(v)})
 		return true
-	})); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return out

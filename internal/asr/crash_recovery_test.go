@@ -238,12 +238,13 @@ func TestCrashRecoveryCommittedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := storage.NewCrashpoint(fault.New(0), 0, 0) // count-only reference run
+	sched := fault.New(0)
+	ref := storage.NewCrashpoint(sched, 0, 0) // count-only reference run
 	completed, _ := runDurableScene(t, t.TempDir(), ref)
 	if completed != crashSceneMutations {
 		t.Fatalf("reference run completed %d/%d mutations", completed, crashSceneMutations)
 	}
-	total := ref.Writes()
+	total := int64(sched.Stats().Seen[fault.FileWrite])
 	if total < 36 {
 		t.Fatalf("reference run made only %d post-setup writes", total)
 	}

@@ -2,6 +2,7 @@ package asr
 
 import (
 	"fmt"
+	"testing"
 
 	"asr/internal/btree"
 	"asr/internal/relation"
@@ -10,6 +11,29 @@ import (
 
 // Helpers the package's tests use as references and fixtures; no
 // product code needs them.
+
+// diskImage copies every allocated page of d, keyed by id.
+func diskImage(t *testing.T, d *storage.Disk) map[storage.PageID][]byte {
+	t.Helper()
+	out := map[storage.PageID][]byte{}
+	for id := storage.PageID(1); len(out) < d.NumPages(); id++ {
+		buf := make([]byte, d.PageSize())
+		if d.Read(id, buf) == nil {
+			out[id] = buf
+		}
+	}
+	return out
+}
+
+// contains reports whether r holds t.
+func contains(r *relation.Relation, t relation.Tuple) bool {
+	found := false
+	r.Each(func(u relation.Tuple) bool {
+		found = u.Key() == t.Key()
+		return !found
+	})
+	return found
+}
 
 // NewPartition creates an empty stored partition of the given arity
 // (≥ 2: at least one edge).

@@ -337,7 +337,7 @@ func TestExtensionContainmentRandomized(t *testing.T) {
 		}
 		for _, p := range pairs {
 			rels[p.sub].Each(func(tu relation.Tuple) bool {
-				if !rels[p.super].Contains(tu) {
+				if !contains(rels[p.super], tu) {
 					t.Errorf("seed %d: %v row %v missing from %v", seed, p.sub, tu, p.super)
 				}
 				return true

@@ -151,7 +151,7 @@ func TestStepsColumnsRoundTrip(t *testing.T) {
 	onObjects := 0
 	for _, dec := range EnumerateDecompositions(m) {
 		steps := StepsOf(path, dec)
-		if err := steps.Validate(n); err != nil {
+		if err := Decomposition(steps).Validate(n); err != nil {
 			t.Errorf("StepsOf(%v) = %v: %v", dec, steps, err)
 		}
 		onObjectColumns := true

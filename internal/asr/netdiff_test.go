@@ -51,8 +51,8 @@ func isolateTrees(t *testing.T, p *Partition) treePools {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.fwd = btree.Open(tp.fwd, p.fwd.Name(), p.fwd.Root(), p.fwd.Height(), p.fwd.Len())
-	p.bwd = btree.Open(tp.bwd, p.bwd.Name(), p.bwd.Root(), p.bwd.Height(), p.bwd.Len())
+	p.fwd = btree.Open(tp.fwd, p.name+".fwd", p.fwd.Root(), p.fwd.Height(), p.fwd.Len())
+	p.bwd = btree.Open(tp.bwd, p.name+".bwd", p.bwd.Root(), p.bwd.Height(), p.bwd.Len())
 	p.pool = tp.meta
 	return tp
 }

@@ -514,20 +514,10 @@ func dropTolerant(t *btree.Tree) error {
 	return err
 }
 
-// LookupForward returns all stored rows whose first column equals v — a
-// clustered prefix scan on the forward tree.
-func (p *Partition) LookupForward(v gom.Value) ([]relation.Tuple, error) {
-	return p.lookupOne(true, v)
-}
-
 // LookupBackward returns all stored rows whose last column equals v — a
 // clustered prefix scan on the backward tree.
 func (p *Partition) LookupBackward(v gom.Value) ([]relation.Tuple, error) {
-	return p.lookupOne(false, v)
-}
-
-func (p *Partition) lookupOne(fwd bool, v gom.Value) ([]relation.Tuple, error) {
-	rowsets, err := p.LookupBatch(fwd, []gom.Value{v})
+	rowsets, err := p.LookupBatch(false, []gom.Value{v})
 	if err != nil {
 		return nil, err
 	}

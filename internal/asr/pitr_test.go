@@ -164,13 +164,25 @@ func TestPITREndToEnd(t *testing.T) {
 	if err := fd.CorruptPage(planted, 8); err != nil {
 		t.Fatal(err)
 	}
-	sc := storage.NewScrubber(fd, w, storage.ScrubConfig{})
-	res, err := sc.RunOnce()
-	if err != nil {
-		t.Fatal(err)
+	healed := make(chan bool, 1)
+	sc := storage.NewScrubber(fd, w, storage.ScrubConfig{OnCorrupt: func(id storage.PageID, ok bool) {
+		if id == planted {
+			select {
+			case healed <- ok:
+			default: // a later pass reporting it again
+			}
+		}
+	}})
+	sc.Start()
+	var ok bool
+	select {
+	case ok = <-healed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the scrubber never reached the planted page")
 	}
-	if len(res.Found) == 0 || len(res.Healed) != len(res.Found) || len(res.Unhealed) != 0 {
-		t.Fatalf("scrubber on planted corruption: found=%v healed=%v unhealed=%v", res.Found, res.Healed, res.Unhealed)
+	sc.Stop()
+	if !ok || len(sc.Unhealed()) != 0 {
+		t.Fatalf("scrubber on planted corruption: healed=%v unhealed=%v", ok, sc.Unhealed())
 	}
 
 	for k := 8; k < crashSceneMutations; k++ {
@@ -195,16 +207,20 @@ func TestPITREndToEnd(t *testing.T) {
 	fd.Close()
 	w.Close()
 
-	// Operator: archive the crashed log's surviving tail, then restore
-	// the backup to mid-stream targets and prove each against the oracle.
-	if _, _, err := arch.SealTail(filepath.Join(dir, "pages.wal")); err != nil {
+	// Restart: recovery with the archive attached seals the crashed
+	// log's surviving tail. Then restore the backup to mid-stream targets
+	// and prove each against the oracle.
+	rfd, rw, _, err := storage.RecoverArchived(filepath.Join(dir, "pages"), arch)
+	if err != nil {
 		t.Fatal(err)
 	}
+	rw.Close()
+	rfd.Close()
 	for _, k := range []int{5, 7, crashSceneMutations - 1} {
 		if lsns[k] < binfo.StartLSN {
 			t.Fatalf("scene bug: mutation %d (LSN %d) predates the backup start %d", k, lsns[k], binfo.StartLSN)
 		}
-		verifyPITR(t, dir, bdir, arch.Dir(), db, pairs, k, lsns[k])
+		verifyPITR(t, dir, bdir, filepath.Join(dir, "archive"), db, pairs, k, lsns[k])
 	}
 }
 

@@ -135,7 +135,7 @@ func TestMaintenanceFaultRollsBackAndQuarantines(t *testing.T) {
 		if err := r.pool.FlushAll(); err != nil {
 			t.Fatal(err)
 		}
-		preDisk = r.disk.Snapshot()
+		preDisk = diskImage(t, r.disk)
 		preRefs = r.refcountsSnapshot(t)
 		r.fi.Schedule(storage.Fault{Op: storage.OpWrite, Permanent: true})
 		src = pair[0]
@@ -190,7 +190,7 @@ func TestMaintenanceFaultRollsBackAndQuarantines(t *testing.T) {
 	if err := r.pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	postDisk := r.disk.Snapshot()
+	postDisk := diskImage(t, r.disk)
 	if len(postDisk) != len(preDisk) {
 		t.Fatalf("page count changed across rollback: %d -> %d", len(preDisk), len(postDisk))
 	}

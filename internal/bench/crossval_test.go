@@ -6,6 +6,7 @@ import (
 	"asr/internal/asr"
 	"asr/internal/costmodel"
 	"asr/internal/gendb"
+	"asr/internal/gom"
 )
 
 // Cross-validation: the analytical cardinality formulas (§4.2) against
@@ -106,10 +107,18 @@ func TestModelConnectivityMatchesGeneratedDatabase(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := modelFor(t, spec)
-	st := db.Measure()
+	refs := func(ids []gom.OID) []gom.Value {
+		vs := make([]gom.Value, len(ids))
+		for k, id := range ids {
+			vs[k] = gom.Ref(id)
+		}
+		return vs
+	}
 	for i := 1; i <= spec.N; i++ {
 		pred := m.RefBy(0, i)
-		got := float64(st.Reachable[i])
+		reachable, _ := db.Base.Reach(db.Path, 0, i, refs(db.Extents[0])...)
+		referenced, _ := db.Base.Reach(db.Path, i-1, i, refs(db.Extents[i-1])...)
+		got := float64(len(reachable))
 		if got == 0 || pred == 0 {
 			t.Fatalf("level %d: degenerate connectivity (got %g, pred %g)", i, got, pred)
 		}
@@ -117,7 +126,7 @@ func TestModelConnectivityMatchesGeneratedDatabase(t *testing.T) {
 			t.Errorf("level %d: reachable %g vs RefBy(0,%d) %g (ratio %.2f)", i, got, i, pred, r)
 		}
 		predRefd := m.E[i]
-		gotRefd := float64(st.Referenced[i])
+		gotRefd := float64(len(referenced))
 		if r := gotRefd / predRefd; r < 0.5 || r > 2.0 {
 			t.Errorf("level %d: referenced %g vs e_%d %g (ratio %.2f)", i, gotRefd, i, predRefd, r)
 		}

@@ -42,7 +42,7 @@ func runExplainCalib() (*Table, error) {
 			return nil, err
 		}
 	}
-	allType, err := db.Schema.DefineSet("ALL_T0", db.Types[0])
+	allType, err := db.Schema.DefineCollection("ALL_T0", gom.SetType, db.Types[0])
 	if err != nil {
 		return nil, err
 	}

@@ -130,9 +130,6 @@ func Open(pool *storage.BufferPool, name string, root storage.PageID, height, co
 	return t
 }
 
-// Name returns the tree name.
-func (t *Tree) Name() string { return t.name }
-
 // Mark is an opaque snapshot of a tree's mutable metadata (root page,
 // height, entry count). Together with a storage.UndoTxn capturing the
 // page mutations, restoring a Mark rewinds the tree to the state it had

@@ -73,31 +73,31 @@ func TestCompressedAnswersMatchModel(t *testing.T) {
 		bulk, incr := buildBoth(t, tc.pageSize, entries)
 		for _, tr := range []*Tree{bulk, incr} {
 			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("page %d: %s: %v", tc.pageSize, tr.Name(), err)
+				t.Fatalf("page %d: %s: %v", tc.pageSize, tr.name, err)
 			}
 			// Lookups: every present key plus misses around the edges.
 			for k, v := range model {
 				got, ok, err := tr.Get([]byte(k))
 				if err != nil || !ok || !bytes.Equal(got, v) {
-					t.Fatalf("page %d: %s: Get(%q) = %q,%v,%v want %q", tc.pageSize, tr.Name(), k, got, ok, err, v)
+					t.Fatalf("page %d: %s: Get(%q) = %q,%v,%v want %q", tc.pageSize, tr.name, k, got, ok, err, v)
 				}
 			}
 			for _, miss := range [][]byte{[]byte("a"), []byte(sharedPrefix), prefixedKey(12, 0), prefixedKey(3, 1)} {
 				if _, ok, _ := tr.Get(miss); ok {
-					t.Fatalf("page %d: %s: found absent key %q", tc.pageSize, tr.Name(), miss)
+					t.Fatalf("page %d: %s: found absent key %q", tc.pageSize, tr.name, miss)
 				}
 			}
 			// Full scan: byte-identical sequence.
 			i := 0
 			err := tr.Scan(func(k, v []byte) bool {
 				if i >= len(sortedKeys) || string(k) != sortedKeys[i] || !bytes.Equal(v, model[sortedKeys[i]]) {
-					t.Fatalf("page %d: %s: scan entry %d diverges", tc.pageSize, tr.Name(), i)
+					t.Fatalf("page %d: %s: scan entry %d diverges", tc.pageSize, tr.name, i)
 				}
 				i++
 				return true
 			})
 			if err != nil || i != len(sortedKeys) {
-				t.Fatalf("page %d: %s: scan %d entries, err %v", tc.pageSize, tr.Name(), i, err)
+				t.Fatalf("page %d: %s: scan %d entries, err %v", tc.pageSize, tr.name, i, err)
 			}
 			// Prefix probes, single and batched (hits, misses, the shared
 			// prefix itself, duplicates).
@@ -136,17 +136,17 @@ func TestMaxKeyBoundary(t *testing.T) {
 	bulk, incr := buildBoth(t, pageSize, entries)
 	for _, tr := range []*Tree{bulk, incr} {
 		if tr.Len() != 400 {
-			t.Fatalf("%s: Len = %d", tr.Name(), tr.Len())
+			t.Fatalf("%s: Len = %d", tr.name, tr.Len())
 		}
 		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("%s: %v", tr.Name(), err)
+			t.Fatalf("%s: %v", tr.name, err)
 		}
 		if tr.Height() < 2 {
-			t.Fatalf("%s: height %d — boundary keys never split", tr.Name(), tr.Height())
+			t.Fatalf("%s: height %d — boundary keys never split", tr.name, tr.Height())
 		}
 		v, ok, err := tr.Get(keyAt(123))
 		if err != nil || !ok || string(v) != "v" {
-			t.Fatalf("%s: Get boundary key = %q,%v,%v", tr.Name(), v, ok, err)
+			t.Fatalf("%s: Get boundary key = %q,%v,%v", tr.name, v, ok, err)
 		}
 	}
 	over := bytes.Repeat([]byte{'y'}, maxKey+1)

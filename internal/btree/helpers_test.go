@@ -24,6 +24,15 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	}
 }
 
+// Copied wraps a visitor so it receives owned copies of each entry, for
+// tests that retain keys or values past the callback (see the Visit
+// zero-copy contract).
+func Copied(fn Visit) Visit {
+	return func(k, v []byte) bool {
+		return fn(append([]byte(nil), k...), append([]byte(nil), v...))
+	}
+}
+
 // CopiedIndexed is Copied for batch visitors.
 func CopiedIndexed(fn VisitIndexed) VisitIndexed {
 	return func(i int, k, v []byte) bool {

@@ -16,17 +16,8 @@ import (
 // moves on; a retained value would alias whatever the buffer pool later
 // loads into that frame. The key is materialized into one buffer the
 // scan reuses for every entry and likewise must not be retained. Callers
-// that keep data past the callback wrap their visitor in Copied.
+// that keep data past the callback copy it.
 type Visit func(key, val []byte) bool
-
-// Copied wraps a visitor so it receives owned copies of each entry —
-// the fallback for callers that retain keys or values past the
-// callback (see the Visit zero-copy contract).
-func Copied(fn Visit) Visit {
-	return func(k, v []byte) bool {
-		return fn(append([]byte(nil), k...), append([]byte(nil), v...))
-	}
-}
 
 // Scan iterates all entries in key order.
 func (t *Tree) Scan(fn Visit) error {

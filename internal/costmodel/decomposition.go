@@ -19,19 +19,6 @@ func BinaryDecomposition(n int) Decomposition {
 	return d
 }
 
-// Validate checks the boundary conditions against path length n.
-func (d Decomposition) Validate(n int) error {
-	if len(d) < 2 || d[0] != 0 || d[len(d)-1] != n {
-		return fmt.Errorf("costmodel: decomposition %v must run from 0 to %d", d, n)
-	}
-	for i := 1; i < len(d); i++ {
-		if d[i] <= d[i-1] {
-			return fmt.Errorf("costmodel: decomposition %v not strictly increasing", d)
-		}
-	}
-	return nil
-}
-
 // NumPartitions returns the partition count.
 func (d Decomposition) NumPartitions() int { return len(d) - 1 }
 

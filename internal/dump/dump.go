@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -47,12 +48,15 @@ type varRecord struct {
 	ID   uint64 `json:"id"`
 }
 
-// valueRec is a tagged union over the GOM value kinds.
+// valueRec is a tagged union over the GOM value kinds. A DECIMAL -0
+// omits F like 0 does and sets Neg, so its sign survives a reload and
+// no other record's bytes change.
 type valueRec struct {
 	Kind string  `json:"kind"` // str, int, dec, bool, char, ref
 	S    string  `json:"s,omitempty"`
 	I    int64   `json:"i,omitempty"`
 	F    float64 `json:"f,omitempty"`
+	Neg  bool    `json:"neg,omitempty"`
 	B    bool    `json:"b,omitempty"`
 	R    uint64  `json:"r,omitempty"`
 }
@@ -64,7 +68,7 @@ func encodeValue(v gom.Value) (valueRec, error) {
 	case gom.Integer:
 		return valueRec{Kind: "int", I: int64(w)}, nil
 	case gom.Decimal:
-		return valueRec{Kind: "dec", F: float64(w)}, nil
+		return valueRec{Kind: "dec", F: float64(w), Neg: w == 0 && math.Signbit(float64(w))}, nil
 	case gom.Bool:
 		return valueRec{Kind: "bool", B: bool(w)}, nil
 	case gom.Char:
@@ -83,6 +87,9 @@ func (r valueRec) decode(remap map[uint64]gom.OID) (gom.Value, error) {
 	case "int":
 		return gom.Integer(r.I), nil
 	case "dec":
+		if r.Neg {
+			return gom.Decimal(math.Copysign(0, -1)), nil
+		}
 		return gom.Decimal(r.F), nil
 	case "bool":
 		return gom.Bool(r.B), nil

@@ -3,6 +3,7 @@ package dump
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -194,5 +195,55 @@ func TestSaveIsDeterministic(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Error("two saves of the same base differ")
+	}
+}
+
+// TestRoundTripDecimalZeros: -0 and 0 are two DECIMALs (their bits
+// differ), so a set may hold both and an attribute keeps its sign
+// through Save and Load. 0 is written as before, with no f and no neg.
+func TestRoundTripDecimalZeros(t *testing.T) {
+	schema, _, err := gom.ParseSchema(`type T is [D: DECIMAL]; type DS is {DECIMAL};`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	negZero := gom.Decimal(math.Copysign(0, -1))
+	ob := gom.NewObjectBase(schema)
+	neg, pos := ob.MustNew(schema.MustLookup("T")), ob.MustNew(schema.MustLookup("T"))
+	ob.MustSetAttr(neg.ID(), "D", negZero)
+	ob.MustSetAttr(pos.ID(), "D", gom.Decimal(0))
+	set := ob.MustNew(schema.MustLookup("DS"))
+	ob.MustInsertIntoSet(set.ID(), negZero)
+	ob.MustInsertIntoSet(set.ID(), gom.Decimal(0))
+	ob.BindVar("neg", neg.ID())
+	ob.BindVar("pos", pos.ID())
+	ob.BindVar("set", set.ID())
+
+	var buf bytes.Buffer
+	if err := Save(ob, &buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.String()
+	if strings.Count(saved, `"neg": true`) != 2 || strings.Contains(saved, `"f"`) {
+		t.Errorf("want neg on the two -0 records and no f anywhere:\n%s", saved)
+	}
+	back := roundTrip(t, ob)
+	for name, want := range map[string]gom.Value{"neg": negZero, "pos": gom.Decimal(0)} {
+		id, _ := back.Var(name)
+		o, _ := back.Get(id)
+		if v, _ := o.Attr("D"); !gom.ValuesEqual(v, want) {
+			t.Errorf("%s.D = %v after reload, want %v", name, v, want)
+		}
+	}
+	id, _ := back.Var("set")
+	o, _ := back.Get(id)
+	if o.Len() != 2 || !o.Contains(negZero) || !o.Contains(gom.Decimal(0)) {
+		t.Errorf("set after reload = %v, want both zeros", o.Elements())
+	}
+	var again bytes.Buffer
+	if err := Save(back, &again); err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != saved {
+		t.Error("saving the reloaded base changed its bytes")
 	}
 }

@@ -82,15 +82,6 @@ type Stats struct {
 	Fired [numKinds]uint64
 }
 
-// Total sums the fired faults of every kind.
-func (s Stats) Total() uint64 {
-	var n uint64
-	for _, f := range s.Fired {
-		n += f
-	}
-	return n
-}
-
 // Schedule decides the faults of any number of injectors. It is safe
 // for concurrent use; the draws follow the order in which operations
 // reach Fire.

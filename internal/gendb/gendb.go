@@ -115,7 +115,7 @@ func Generate(spec Spec) (*Database, error) {
 		if spec.Fan[i] == 1 {
 			attrs = append(attrs, gom.Attribute{Name: "Next", Type: types[i+1]})
 		} else {
-			setTypes[i], err = schema.DefineSet(fmt.Sprintf("T%dSET", i+1), types[i+1])
+			setTypes[i], err = schema.DefineCollection(fmt.Sprintf("T%dSET", i+1), gom.SetType, types[i+1])
 			if err != nil {
 				return nil, err
 			}
@@ -225,70 +225,6 @@ func pickTargets(rng *rand.Rand, mode SharingMode, pool []gom.OID, fan, srcIdx i
 		out = append(out, pool[idx])
 	}
 	return out
-}
-
-// Stats summarizes the realized connectivity of a generated database —
-// the empirical counterparts of the model's d_i, e_i, RefBy(0,i).
-type Stats struct {
-	Defined    []int // objects per level with a defined Next
-	Referenced []int // distinct objects per level referenced from the previous
-	Reachable  []int // objects per level reachable from level 0
-}
-
-// Measure computes the realized connectivity.
-func (db *Database) Measure() Stats {
-	n := db.Spec.N
-	st := Stats{
-		Defined:    make([]int, n),
-		Referenced: make([]int, n+1),
-		Reachable:  make([]int, n+1),
-	}
-	reach := make(map[gom.OID]bool, len(db.Extents[0]))
-	for _, id := range db.Extents[0] {
-		reach[id] = true
-	}
-	st.Reachable[0] = len(db.Extents[0])
-	for i := 0; i < n; i++ {
-		next := map[gom.OID]bool{}
-		refd := map[gom.OID]bool{}
-		for _, id := range db.Extents[i] {
-			o, _ := db.Base.Get(id)
-			targets := db.targetsOf(o)
-			if len(targets) > 0 {
-				st.Defined[i]++
-			}
-			for _, tgt := range targets {
-				refd[tgt] = true
-				if reach[id] {
-					next[tgt] = true
-				}
-			}
-		}
-		st.Referenced[i+1] = len(refd)
-		st.Reachable[i+1] = len(next)
-		reach = next
-	}
-	return st
-}
-
-// targetsOf returns the level-(i+1) objects referenced by o.
-func (db *Database) targetsOf(o *gom.Object) []gom.OID {
-	v, _ := o.Attr("Next")
-	if v == nil {
-		return nil
-	}
-	ref, ok := v.(gom.Ref)
-	if !ok {
-		return nil
-	}
-	tgt, ok := db.Base.Get(ref.OID())
-	if !ok {
-		return nil
-	}
-	if tgt.Type().Kind() == gom.SetType {
-		return tgt.ElementOIDs()
-	}
-	return []gom.OID{ref.OID()}
 }
 
 // Insert performs the paper's characteristic update ins_i: a new

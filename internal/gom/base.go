@@ -2,6 +2,7 @@ package gom
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -210,10 +211,12 @@ func (ob *ObjectBase) VarNames() []string {
 }
 
 // checkAssignable validates that v may be stored in a slot constrained to
-// type want: NULL always may; atomic kinds must match; references must
-// denote a live instance of want or a subtype (the constrained type is
-// only an upper bound, §2 "strong typing"). Must be called with ob.mu
-// held (read or write).
+// type want: NULL always may; atomic kinds must match, and a DECIMAL
+// must be a finite number (a NaN or an infinity has no decimal
+// rendering, and no dump could save it); references must denote a live
+// instance of want or a subtype (the constrained type is only an upper
+// bound, §2 "strong typing"). Must be called with ob.mu held (read or
+// write).
 func (ob *ObjectBase) checkAssignable(want *Type, v Value) error {
 	if v == nil {
 		return nil
@@ -237,6 +240,9 @@ func (ob *ObjectBase) checkAssignable(want *Type, v Value) error {
 	}
 	if v.Kind() != want.AtomicKind() {
 		return fmt.Errorf("gom: cannot store %s value in %s slot", v.Kind(), want.Name())
+	}
+	if d, ok := v.(Decimal); ok && (math.IsNaN(float64(d)) || math.IsInf(float64(d), 0)) {
+		return fmt.Errorf("gom: cannot store DECIMAL %v in %s slot: not a finite number", d, want.Name())
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package gom
 
 import (
+	"math"
 	"testing"
 )
 
@@ -11,7 +12,7 @@ func testSchema(t *testing.T) *Schema {
 	str := s.MustLookup("STRING")
 	dec := s.MustLookup("DECIMAL")
 	part := mustTuple(t, s, "BasePart", nil, []Attribute{{"Name", str}, {"Price", dec}})
-	partSet, err := s.DefineSet("BasePartSET", part)
+	partSet, err := s.DefineCollection("BasePartSET", SetType, part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestObserverNotifications(t *testing.T) {
 
 func TestListSemantics(t *testing.T) {
 	s := testSchema(t)
-	list, err := s.DefineList("PartList", s.MustLookup("BasePart"))
+	list, err := s.DefineCollection("PartList", ListType, s.MustLookup("BasePart"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,5 +279,32 @@ func TestListSemantics(t *testing.T) {
 	ids := l.ElementOIDs()
 	if len(ids) != 3 || ids[0] != p1.ID() || ids[1] != p2.ID() || ids[2] != p1.ID() {
 		t.Errorf("list order wrong: %v", ids)
+	}
+}
+
+// TestNonFiniteDecimalRejected: a NaN or an infinity is no DECIMAL.
+// SetAttr, InsertIntoSet and AppendToList refuse it with an error, so no
+// base holds a value that a dump could not save.
+func TestNonFiniteDecimalRejected(t *testing.T) {
+	s, _, err := ParseSchema(`type T is [D: DECIMAL]; type DS is {DECIMAL}; type DL is <DECIMAL>;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob := NewObjectBase(s)
+	o, set, list := ob.MustNew(s.MustLookup("T")), ob.MustNew(s.MustLookup("DS")), ob.MustNew(s.MustLookup("DL"))
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		v := Decimal(d)
+		if err := ob.SetAttr(o.ID(), "D", v); err == nil {
+			t.Errorf("SetAttr stored %v", v)
+		}
+		if err := ob.InsertIntoSet(set.ID(), v); err == nil {
+			t.Errorf("InsertIntoSet stored %v", v)
+		}
+		if err := ob.AppendToList(list.ID(), v); err == nil {
+			t.Errorf("AppendToList stored %v", v)
+		}
+	}
+	if v, _ := o.Attr("D"); v != nil || set.Len() != 0 || list.Len() != 0 {
+		t.Errorf("a refused value was stored: D=%v, set %v, list %v", v, set.Elements(), list.Elements())
 	}
 }

@@ -289,28 +289,20 @@ func (t *Type) resolveAttributes() error {
 	return nil
 }
 
-// DefineSet declares a set-structured type {elem} (§2.1). Powersets —
+// DefineCollection declares a set-structured type {elem} (kind SetType)
+// or a list-structured type <elem> (kind ListType) (§2.1). Powersets —
 // sets of sets — are rejected, matching the paper's footnote to Def. 3.1.
-func (s *Schema) DefineSet(name string, elem *Type) (*Type, error) {
-	if elem == nil {
-		return nil, fmt.Errorf("gom: set type %q: nil element type", name)
+func (s *Schema) DefineCollection(name string, kind TypeKind, elem *Type) (*Type, error) {
+	if kind != SetType && kind != ListType {
+		return nil, fmt.Errorf("gom: collection type %q: kind %v is not a set or a list", name, kind)
 	}
-	if elem.kind == SetType {
+	if elem == nil {
+		return nil, fmt.Errorf("gom: %v type %q: nil element type", kind, name)
+	}
+	if kind == SetType && elem.kind == SetType {
 		return nil, fmt.Errorf("gom: set type %q: powersets are not permitted", name)
 	}
-	t := &Type{name: name, kind: SetType, elem: elem}
-	if err := s.register(t); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// DefineList declares a list-structured type <elem> (§2.1).
-func (s *Schema) DefineList(name string, elem *Type) (*Type, error) {
-	if elem == nil {
-		return nil, fmt.Errorf("gom: list type %q: nil element type", name)
-	}
-	t := &Type{name: name, kind: ListType, elem: elem}
+	t := &Type{name: name, kind: kind, elem: elem}
 	if err := s.register(t); err != nil {
 		return nil, err
 	}

@@ -115,7 +115,7 @@ func TestMultipleInheritanceConflictRejected(t *testing.T) {
 
 func TestNonTupleSupertypeRejected(t *testing.T) {
 	s := NewSchema()
-	set, err := s.DefineSet("S", s.MustLookup("STRING"))
+	set, err := s.DefineCollection("S", SetType, s.MustLookup("STRING"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +126,15 @@ func TestNonTupleSupertypeRejected(t *testing.T) {
 
 func TestPowersetRejected(t *testing.T) {
 	s := NewSchema()
-	inner, err := s.DefineSet("INNER", s.MustLookup("STRING"))
+	inner, err := s.DefineCollection("INNER", SetType, s.MustLookup("STRING"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.DefineSet("OUTER", inner); err == nil {
+	if _, err := s.DefineCollection("OUTER", SetType, inner); err == nil {
 		t.Fatal("powerset accepted, paper forbids it")
+	}
+	if _, err := s.DefineCollection("TUPLE", TupleType, inner); err == nil {
+		t.Fatal("a tuple kind accepted as a collection")
 	}
 }
 
@@ -139,14 +142,14 @@ func TestSetAndListTypes(t *testing.T) {
 	s := NewSchema()
 	str := s.MustLookup("STRING")
 	part := mustTuple(t, s, "PART", nil, []Attribute{{"Name", str}})
-	set, err := s.DefineSet("PARTSET", part)
+	set, err := s.DefineCollection("PARTSET", SetType, part)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if set.Kind() != SetType || set.Elem() != part {
 		t.Errorf("set type wrong: kind=%v elem=%v", set.Kind(), set.Elem())
 	}
-	list, err := s.DefineList("PARTLIST", part)
+	list, err := s.DefineCollection("PARTLIST", ListType, part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +169,7 @@ func TestTypeDefinitionRendering(t *testing.T) {
 			t.Errorf("Definition() = %q, missing %q", def, want)
 		}
 	}
-	set, _ := s.DefineSet("BASESET", base)
+	set, _ := s.DefineCollection("BASESET", SetType, base)
 	if got := set.Definition(); got != "type BASESET is {BASE};" {
 		t.Errorf("set Definition() = %q", got)
 	}

@@ -2,6 +2,7 @@ package gom
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"unicode/utf8"
 )
@@ -98,8 +99,12 @@ func (v String) Equal(o Value) bool { w, ok := o.(String); return ok && v == w }
 // Equal implements Value.
 func (v Integer) Equal(o Value) bool { w, ok := o.(Integer); return ok && v == w }
 
-// Equal implements Value.
-func (v Decimal) Equal(o Value) bool { w, ok := o.(Decimal); return ok && v == w }
+// Equal implements Value. A DECIMAL's identity is its bits, as in a set
+// and in an index key: -0 and 0 are two values.
+func (v Decimal) Equal(o Value) bool {
+	w, ok := o.(Decimal)
+	return ok && math.Float64bits(float64(v)) == math.Float64bits(float64(w))
+}
 
 // Equal implements Value.
 func (v Bool) Equal(o Value) bool { w, ok := o.(Bool); return ok && v == w }

@@ -120,8 +120,8 @@ func TestObjectString(t *testing.T) {
 	s := NewSchema()
 	str := s.MustLookup("STRING")
 	part := mustTuple(t, s, "PART", nil, []Attribute{{"Name", str}})
-	set, _ := s.DefineSet("PARTSET", part)
-	list, _ := s.DefineList("PARTLIST", part)
+	set, _ := s.DefineCollection("PARTSET", SetType, part)
+	list, _ := s.DefineCollection("PARTLIST", ListType, part)
 	ob := NewObjectBase(s)
 
 	p := ob.MustNew(part)

@@ -56,11 +56,11 @@ func newAnchorsDB(t *testing.T, seed int64) *anchorsDB {
 	for k, id := range db.Extents[3] {
 		db.Base.MustSetAttr(id, "Payload", gom.String(fmt.Sprintf("P%d", k%7)))
 	}
-	setT, err := db.Schema.DefineSet("T0SET", db.Types[0])
+	setT, err := db.Schema.DefineCollection("T0SET", gom.SetType, db.Types[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	listT, err := db.Schema.DefineList("T0LIST", db.Types[0])
+	listT, err := db.Schema.DefineCollection("T0LIST", gom.ListType, db.Types[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestInnerCollectionResolvedOncePerRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lvl, name := range []string{"A", "B"} {
-		setT, err := db.Schema.DefineSet(name+"SET", db.Types[lvl])
+		setT, err := db.Schema.DefineCollection(name+"SET", gom.SetType, db.Types[lvl])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func calibDB(t *testing.T) (*gendb.Database, *gom.PathExpression) {
 	for k, id := range db.Extents[3] {
 		db.Base.MustSetAttr(id, "Payload", gom.String(fmt.Sprintf("P%d", k%10)))
 	}
-	allType, err := db.Schema.DefineSet("ALL_T0", db.Types[0])
+	allType, err := db.Schema.DefineCollection("ALL_T0", gom.SetType, db.Types[0])
 	if err != nil {
 		t.Fatal(err)
 	}

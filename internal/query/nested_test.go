@@ -230,7 +230,7 @@ func TestCanceledRunStopsWithinOneBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setT, err := db.Schema.DefineSet("ASET", db.Types[0])
+	setT, err := db.Schema.DefineCollection("ASET", gom.SetType, db.Types[0])
 	if err != nil {
 		t.Fatal(err)
 	}

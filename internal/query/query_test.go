@@ -1,6 +1,8 @@
 package query
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -300,5 +302,49 @@ func TestIndexBackedProjection(t *testing.T) {
 	}
 	if len(naive.Values) != len(res.Values) {
 		t.Errorf("naive %v != indexed %v", valueStrings(naive.Values), got)
+	}
+}
+
+// TestDecimalZerosSameWithIndex: a DECIMAL's identity is its bits — in
+// Equal, in a set and in an index key alike — so an index on the
+// predicate's path does not change which objects a comparison with 0
+// selects when the base holds both -0 and 0.
+func TestDecimalZerosSameWithIndex(t *testing.T) {
+	schema, _, err := gom.ParseSchema(`type T is [D: DECIMAL]; type TS is {T};`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob := gom.NewObjectBase(schema)
+	all := ob.MustNew(schema.MustLookup("TS"))
+	if err := ob.BindVar("All", all.ID()); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []float64{math.Copysign(0, -1), 0, 1} {
+		o := ob.MustNew(schema.MustLookup("T"))
+		ob.MustSetAttr(o.ID(), "D", gom.Decimal(d))
+		ob.MustInsertIntoSet(all.ID(), gom.Ref(o.ID()))
+	}
+	mgr := asr.NewManager(ob, newPool())
+	if _, err := mgr.CreateIndex(gom.MustResolvePath(schema.MustLookup("T"), "D"), asr.Full, asr.BinaryDecomposition(1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		`select x from x in All where x.D = 0.0`,
+		`select x from x in All where x.D = 1.0`,
+	} {
+		plain, err := New(ob, nil).Run(MustParse(sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexed, err := New(ob, mgr).Run(MustParse(sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(indexed.Plan, "via ASR") {
+			t.Fatalf("%s: the index was not used: %s", sql, indexed.Plan)
+		}
+		if got, want := valueStrings(indexed.Values), valueStrings(plain.Values); !slices.Equal(got, want) || len(got) != 1 {
+			t.Errorf("%s: indexed %v, traversal %v; want one and the same object", sql, got, want)
+		}
 	}
 }

@@ -14,3 +14,22 @@ func OIDs(ids ...gom.OID) Tuple {
 	}
 	return t
 }
+
+// Equal reports column-wise equality (NULL equals NULL).
+func (t Tuple) Equal(u Tuple) bool {
+	if len(t) != len(u) {
+		return false
+	}
+	for i := range t {
+		if !gom.ValuesEqual(t[i], u[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Contains reports whether the relation holds the tuple.
+func (r *Relation) Contains(t Tuple) bool {
+	_, ok := r.rows[t.Key()]
+	return ok
+}

@@ -37,19 +37,6 @@ func (t Tuple) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// Equal reports column-wise equality (NULL equals NULL).
-func (t Tuple) Equal(u Tuple) bool {
-	if len(t) != len(u) {
-		return false
-	}
-	for i := range t {
-		if !gom.ValuesEqual(t[i], u[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // IsAllNull reports whether every column is NULL.
 func (t Tuple) IsAllNull() bool {
 	for _, v := range t {
@@ -111,12 +98,6 @@ func (r *Relation) MustInsert(t Tuple) {
 	if err := r.Insert(t); err != nil {
 		panic(err)
 	}
-}
-
-// Contains reports whether the relation holds the tuple.
-func (r *Relation) Contains(t Tuple) bool {
-	_, ok := r.rows[t.Key()]
-	return ok
 }
 
 // Tuples returns all rows sorted by canonical key (deterministic).

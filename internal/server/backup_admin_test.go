@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -223,7 +224,7 @@ func TestAdminBackupCarriesUnsavedMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := t.TempDir() + "/restored"
-	if _, err := storage.Restore(bk, d.archive.Dir(), dst, info.EndLSN); err != nil {
+	if _, err := storage.Restore(bk, filepath.Dir(d.basePath)+"/archive", dst, info.EndLSN); err != nil {
 		t.Fatal(err)
 	}
 	r, rinfo, err := OpenDurableBase(dst, "")

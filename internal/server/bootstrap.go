@@ -158,7 +158,7 @@ func DemoDatabaseWith(scale int, seed int64, pool *storage.BufferPool) (*Databas
 			}
 		}
 	}
-	setT, err := db.Schema.DefineSet("ALL_T0", db.Types[0])
+	setT, err := db.Schema.DefineCollection("ALL_T0", gom.SetType, db.Types[0])
 	if err != nil {
 		return nil, err
 	}

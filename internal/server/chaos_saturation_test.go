@@ -65,12 +65,44 @@ func chaosDemoDatabase(t *testing.T, seed int64, pRead float64) (*Database, []st
 
 // typedChaosError reports whether err is one of the errors the chaos
 // contract allows a caller to see: a typed storage fault (INTERNAL), a
-// typed server deadline, or bounded-retry exhaustion. Anything else —
-// an untyped string, a raw EOF, a client-side hang — is a bug.
+// typed server deadline, a shed request (OVERLOADED), or a typed
+// transport loss (ErrConnLost, which matches ErrConnClosed). Anything
+// else — an untyped string, a raw EOF, a client-side hang — is a bug.
 func typedChaosError(err error) bool {
 	return errors.Is(err, client.ErrInternal) ||
 		errors.Is(err, client.ErrDeadlineExceeded) ||
-		errors.Is(err, client.ErrRetriesExhausted)
+		errors.Is(err, client.ErrOverloaded) ||
+		errors.Is(err, client.ErrConnClosed)
+}
+
+// chaosConn is one caller's connection to addr: it dials when it has
+// none and drops it after a transport error, so the next request dials
+// a fresh one. Nothing retries.
+type chaosConn struct {
+	addr string
+	c    *client.Client
+}
+
+func (cc *chaosConn) query(ctx context.Context, sql string) (*client.Result, error) {
+	if cc.c == nil {
+		c, err := client.DialContext(ctx, cc.addr)
+		if err != nil {
+			return nil, err
+		}
+		cc.c = c
+	}
+	res, err := cc.c.Query(ctx, sql)
+	if errors.Is(err, client.ErrConnClosed) {
+		cc.close()
+	}
+	return res, err
+}
+
+func (cc *chaosConn) close() {
+	if cc.c != nil {
+		cc.c.Close()
+		cc.c = nil
+	}
 }
 
 // TestChaosSaturation is the headline robustness proof: 32 connections
@@ -78,8 +110,10 @@ func typedChaosError(err error) bool {
 // stalls and refuses, and the disk injector fails page reads. Every
 // single request must end in either a byte-identical result (vs the
 // in-process oracle computed on the clean device) or a typed error —
-// zero hangs, zero unexplained failures, zero goroutine leaks. Run
-// under -race by `make chaos-smoke`.
+// zero hangs, zero unexplained failures, zero goroutine leaks. Each
+// worker holds one plain client.Client and dials a fresh one after a
+// transport error; nothing retries. Run under -race by `make
+// chaos-smoke`.
 func TestChaosSaturation(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 
@@ -121,20 +155,14 @@ func TestChaosSaturation(t *testing.T) {
 		wg.Add(1)
 		go func(conn int) {
 			defer wg.Done()
-			r := client.NewRetryClient(s.Addr(), client.RetryConfig{
-				MaxAttempts: 6,
-				BaseBackoff: time.Millisecond,
-				MaxBackoff:  20 * time.Millisecond,
-				DialTimeout: 5 * time.Second,
-				Seed:        int64(conn + 1),
-			})
-			defer r.Close()
+			cc := &chaosConn{addr: s.Addr()}
+			defer cc.close()
 			for j := 0; j < perConn; j++ {
 				sql := queries[(conn*perConn+j)%len(queries)]
 				// The guard context converts a hang into a test failure
 				// instead of a suite timeout.
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				res, err := r.Query(ctx, sql)
+				res, err := cc.query(ctx, sql)
 				cancel()
 				switch {
 				case err == nil:
@@ -191,9 +219,11 @@ func TestChaosSaturation(t *testing.T) {
 
 // TestChaosScheduledDeterministic is the fixed-schedule counterpart:
 // a known list of scheduled network faults — no probabilistic draws,
-// no disk faults — through which every request must fully succeed,
-// the retry layer absorbing each fault. This pins the recovery path
-// itself: if a scheduled reset ever leaks to a caller, this fails.
+// no disk faults. Each fault that hits a request — a reset, a torn
+// frame, a refused accept under the caller's dial — reaches the caller
+// as a typed transport error (ErrConnLost), never as a raw EOF or a
+// corrupt answer, and the next request, on a fresh connection, returns
+// the oracle's bytes unless a fault of its own fires.
 func TestChaosScheduledDeterministic(t *testing.T) {
 	d, err := DemoDatabase(1, 7)
 	if err != nil {
@@ -203,40 +233,50 @@ func TestChaosScheduledDeterministic(t *testing.T) {
 
 	netInj := chaos.NewInjector(fault.New(99), chaos.Probabilities{})
 	// A burst of faults spread across the run's write/read stream.
-	for _, skip := range []int{2, 9, 17, 25} {
+	writeResets := []int{2, 9, 17, 25}
+	for _, skip := range writeResets {
 		netInj.Schedule(chaos.Fault{Op: chaos.OpWrite, Kind: chaos.Reset, Skip: skip})
 	}
 	netInj.Schedule(chaos.Fault{Op: chaos.OpRead, Kind: chaos.Reset, Skip: 30})
 	netInj.Schedule(chaos.Fault{Op: chaos.OpWrite, Kind: chaos.Torn, Skip: 12, TornFraction: 0.3})
+	netInj.Schedule(chaos.Fault{Op: chaos.OpAccept, Kind: chaos.Refuse, Skip: 1}) // the first redial
+	fired := func() uint64 { st := netInj.Stats(); return st.Resets + st.TornWrites + st.Refusals }
 
 	s := startServer(t, d.Engine, d, Config{
 		MaxInflight:  16,
 		WrapListener: func(ln net.Listener) net.Listener { return netInj.Listener(ln) },
 	})
 
-	r := client.NewRetryClient(s.Addr(), client.RetryConfig{
-		MaxAttempts: 10,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  20 * time.Millisecond,
-		Seed:        5,
-	})
-	defer r.Close()
+	cc := &chaosConn{addr: s.Addr()}
+	defer cc.close()
+	lost, afterLoss := 0, false
 	for j := 0; j < 60; j++ {
 		sql := queries[j%len(queries)]
-		res, err := r.Query(context.Background(), sql)
-		if err != nil {
-			t.Fatalf("req %d: scheduled fault leaked to the caller: %v", j, err)
+		before := fired()
+		res, err := cc.query(context.Background(), sql)
+		switch {
+		case err == nil:
+			if got := strings.Join(res.Values, "\n"); got != want[sql] {
+				t.Fatalf("req %d: diverged from the oracle", j)
+			}
+		case !errors.Is(err, client.ErrConnLost):
+			t.Fatalf("req %d: scheduled fault reached the caller untyped: %v", j, err)
+		case afterLoss && fired() == before:
+			t.Fatalf("req %d: failed on a fresh connection that no fault hit: %v", j, err)
+		default:
+			lost++
 		}
-		if got := strings.Join(res.Values, "\n"); got != want[sql] {
-			t.Fatalf("req %d: diverged after recovery", j)
-		}
+		afterLoss = err != nil
 	}
+	// A write fault always lands on a response the caller awaits, and a
+	// refusal on the caller's dial; the read reset may instead hit a
+	// connection the caller has abandoned.
 	st := netInj.Stats()
-	if st.Resets == 0 || st.TornWrites == 0 {
-		t.Fatalf("schedule never fired: %+v", st)
+	if st.Resets != uint64(len(writeResets)+1) || st.TornWrites != 1 || st.Refusals != 1 {
+		t.Fatalf("schedule did not fire in full: %+v", st)
 	}
-	if r.Retries() == 0 {
-		t.Fatal("faults fired but nothing retried — recovery path untested")
+	if lost < len(writeResets)+2 || uint64(lost) > fired() {
+		t.Fatalf("%d transport errors from %+v, want one per write fault and refusal and none without a fault", lost, st)
 	}
-	t.Logf("deterministic chaos: %d retries absorbed %+v", r.Retries(), st)
+	t.Logf("deterministic chaos: %d transport errors from %+v", lost, st)
 }

@@ -105,9 +105,6 @@ type Result struct {
 	Trailer *wire.Trailer
 }
 
-// Stats is the in-band server stats snapshot (see wire.StatsResult).
-type Stats = wire.StatsResult
-
 // Client is one connection to a gomd server.
 type Client struct {
 	conn net.Conn
@@ -132,12 +129,14 @@ func Dial(addr string) (*Client, error) {
 	return DialContext(context.Background(), addr)
 }
 
-// DialContext is Dial honoring ctx for the connect and handshake.
+// DialContext is Dial honoring ctx for the connect and handshake. A
+// connect that fails is a transport loss like any other: the error
+// matches ErrConnLost, and ctx's error when ctx ended the dial.
 func DialContext(ctx context.Context, addr string) (*Client, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: dial %s: %w", ErrConnLost, addr, err)
 	}
 	c := &Client{conn: conn, pending: map[uint32]chan wire.Frame{}}
 	go c.readLoop()
@@ -180,32 +179,6 @@ func (c *Client) Query(ctx context.Context, sql string) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Values: res.Values, Plan: res.Plan, TraceID: f.Trace, Trailer: res.Trailer}, nil
-}
-
-// Ping round-trips an empty frame — connection liveness plus protocol
-// agreement.
-func (c *Client) Ping(ctx context.Context) error {
-	f, err := c.roundTrip(ctx, wire.MsgPing, nil, nil)
-	if err != nil {
-		return err
-	}
-	if f.Type != wire.MsgPong {
-		return fmt.Errorf("gomd: unexpected %s response to ping", f.Type)
-	}
-	return nil
-}
-
-// Stats fetches the server's in-band stats snapshot.
-func (c *Client) Stats(ctx context.Context) (*Stats, error) {
-	f, err := c.roundTrip(ctx, wire.MsgStats, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	var st wire.StatsResult
-	if err := wire.Unmarshal(f, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
 }
 
 // roundTrip sends one request frame and waits for its response. onCtx,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"testing"
 
 	"asr/internal/server/wire"
@@ -79,5 +80,19 @@ func TestConnLostSemantics(t *testing.T) {
 	}
 	if errors.Is(ErrConnClosed, ErrConnLost) {
 		t.Fatal("a deliberate Close must not read as a lost transport")
+	}
+}
+
+// TestDialFailureIsConnLost: a connect that fails reaches the caller
+// typed, as ErrConnLost, like a connection lost after the handshake.
+func TestDialFailureIsConnLost(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	if _, err := Dial(addr); !errors.Is(err, ErrConnLost) {
+		t.Fatalf("Dial of a closed port = %v, want ErrConnLost", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -126,11 +125,7 @@ func TestOverload(t *testing.T) {
 	if _, err := c.Query(context.Background(), anyQuery); err != nil {
 		t.Fatalf("query after release: %v", err)
 	}
-	st, err := c.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Overloads != 1 {
+	if st := s.Stats(); st.Overloads != 1 {
 		t.Fatalf("overloads = %d, want 1", st.Overloads)
 	}
 }
@@ -253,21 +248,7 @@ func TestDrainDeadlineCancels(t *testing.T) {
 func TestRequestWorkersFieldIsIgnored(t *testing.T) {
 	d := robotsDatabase(t)
 	s := startServer(t, d.Engine, d, Config{})
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello, err := wire.Marshal(wire.MsgHello, 1, wire.Hello{Proto: wire.ProtoVersion})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteFrame(conn, hello); err != nil {
-		t.Fatal(err)
-	}
-	if f, err := wire.ReadFrame(conn); err != nil || f.Type != wire.MsgHelloOK {
-		t.Fatalf("handshake: frame %v err %v", f.Type, err)
-	}
+	conn := rawSession(t, s.Addr())
 	reqID := uint32(1)
 	ask := func(payload string) (values []string, plan string) {
 		t.Helper()

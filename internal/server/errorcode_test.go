@@ -12,7 +12,7 @@ import (
 
 // TestQueryErrorCode pins the engine-failure → wire-code mapping: every
 // storage sentinel, however deeply wrapped, is the server's problem
-// (INTERNAL, which RetryClient retries); anything else the engine
+// (INTERNAL); anything else the engine
 // returns is the query's (QUERY); and the request context decides
 // between DEADLINE_EXCEEDED and CANCELED before the error is looked at.
 func TestQueryErrorCode(t *testing.T) {

@@ -74,9 +74,6 @@ func TestIdleWatchdogReaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Stats().SessionsOpen != 0 {
@@ -85,8 +82,10 @@ func TestIdleWatchdogReaps(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if err := c.Ping(context.Background()); !errors.Is(err, client.ErrConnClosed) {
-		t.Fatalf("ping after reap = %v, want ErrConnClosed", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := c.Query(ctx, anyQuery); !errors.Is(err, client.ErrConnClosed) {
+		t.Fatalf("query after reap = %v, want ErrConnClosed", err)
 	}
 }
 

@@ -223,9 +223,9 @@ func (s *Server) Start() error {
 	}
 	s.log.Info("server: listening on",
 		"addr", ln.Addr().String(), "max_inflight", s.cfg.MaxInflight)
-	if s.admin != nil {
+	if addr := s.AdminAddr(); addr != "" {
 		s.log.Info("server: admin endpoint on",
-			"url", "http://"+s.admin.Addr(),
+			"url", "http://"+addr,
 			"endpoints", "/metrics /healthz /readyz /traces /slowlog /debug/pprof")
 	}
 	return nil

@@ -17,6 +17,28 @@ import (
 	"asr/internal/server/wire"
 )
 
+// rawSession dials addr and completes the Hello handshake on a bare
+// connection, for tests that speak wire frames directly.
+func rawSession(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	hello, err := wire.Marshal(wire.MsgHello, 1, wire.Hello{Proto: wire.ProtoVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, hello); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := wire.ReadFrame(conn); err != nil || f.Type != wire.MsgHelloOK {
+		t.Fatalf("handshake: frame %v err %v", f.Type, err)
+	}
+	return conn
+}
+
 // startServer boots a server over the given engine and registers
 // cleanup. cfg.Addr defaults to an ephemeral loopback port.
 func startServer(t *testing.T, engine QueryEngine, d *Database, cfg Config) *Server {
@@ -75,9 +97,6 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("handshake: server=%q session=%d", c.Server, c.Session)
 	}
 	ctx := context.Background()
-	if err := c.Ping(ctx); err != nil {
-		t.Fatalf("Ping: %v", err)
-	}
 
 	// Index-routed query answers byte-identically to in-process.
 	sql := `select r.Name from r in OurRobots where r.Arm.MountedTool.ManufacturedBy.Location = "Utopia"`
@@ -119,12 +138,22 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("ServerError detail: %v", err)
 	}
 
-	// In-band stats.
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatalf("Stats: %v", err)
+	// Ping and in-band stats, on a second, bare session.
+	raw := rawSession(t, s.Addr())
+	if err := wire.WriteFrame(raw, wire.Frame{Type: wire.MsgPing, ReqID: 2}); err != nil {
+		t.Fatal(err)
 	}
-	if st.Queries < 4 || st.Errors < 2 || st.Indexes != 1 || st.SessionsOpen != 1 || st.Draining {
+	if f, err := wire.ReadFrame(raw); err != nil || f.Type != wire.MsgPong {
+		t.Fatalf("ping: frame %v err %v", f.Type, err)
+	}
+	if err := wire.WriteFrame(raw, wire.Frame{Type: wire.MsgStats, ReqID: 3}); err != nil {
+		t.Fatal(err)
+	}
+	var st wire.StatsResult
+	if f, err := wire.ReadFrame(raw); err != nil || f.Type != wire.MsgStatsResult || wire.Unmarshal(f, &st) != nil {
+		t.Fatalf("stats: frame %v err %v", f.Type, err)
+	}
+	if st.Queries < 4 || st.Errors < 2 || st.Indexes != 1 || st.SessionsOpen != 2 || st.Draining {
 		t.Fatalf("stats: %+v", st)
 	}
 	if st.ManagerIndexHits == 0 {

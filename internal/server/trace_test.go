@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -24,19 +23,7 @@ func TestServerGeneratesTrace(t *testing.T) {
 	d := robotsDatabase(t)
 	s := startServer(t, d.Engine, d, Config{})
 
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hf, _ := wire.Marshal(wire.MsgHello, 1, wire.Hello{Proto: wire.ProtoVersion})
-	if err := wire.WriteFrame(conn, hf); err != nil {
-		t.Fatal(err)
-	}
-	if f, err := wire.ReadFrame(conn); err != nil || f.Type != wire.MsgHelloOK {
-		t.Fatalf("handshake: %v %v", f.Type, err)
-	}
-
+	conn := rawSession(t, s.Addr())
 	qf, _ := wire.Marshal(wire.MsgQuery, 2, wire.Query{SQL: `select r.Name from r in OurRobots`})
 	if !qf.Trace.IsZero() {
 		t.Fatal("test premise broken: Marshal set a trace ID")

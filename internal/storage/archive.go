@@ -80,9 +80,6 @@ func OpenArchive(dir string) (*Archive, error) {
 	return &Archive{dir: dir}, nil
 }
 
-// Dir returns the archive directory.
-func (a *Archive) Dir() string { return a.dir }
-
 // SetCrashpoint installs (or clears) the crashpoint gating segment
 // writes, so crash tests can tear a seal mid-write.
 func (a *Archive) SetCrashpoint(cp *Crashpoint) {
@@ -156,40 +153,6 @@ func (a *Archive) seal(payload []byte, recs []WALRecord) (SegmentInfo, error) {
 	return a.sealLocked(payload, recs)
 }
 
-// SealTail archives the not-yet-archived tail of a WAL file — the
-// records in its valid prefix with LSNs above the archive's high-water
-// mark. This is the PITR step an operator runs over a crashed primary's
-// surviving log before Restore (the analogue of copying the last
-// partial pg_wal segment into the archive). It returns false when the
-// log holds nothing new.
-func (a *Archive) SealTail(walPath string) (SegmentInfo, bool, error) {
-	raw, err := os.ReadFile(walPath)
-	if err != nil {
-		return SegmentInfo{}, false, fmt.Errorf("storage: archive seal tail: %w", err)
-	}
-	recs, _, _ := scanWALBytes(raw) // a torn tail past the valid prefix is expected after a crash
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	high, _, err := a.maxLSNLocked()
-	if err != nil {
-		return SegmentInfo{}, false, err
-	}
-	var fresh []WALRecord
-	var payload []byte
-	for _, r := range recs {
-		if r.LSN <= high {
-			continue
-		}
-		fresh = append(fresh, r)
-		payload = appendWALRecord(payload, r)
-	}
-	if len(fresh) == 0 {
-		return SegmentInfo{}, false, nil
-	}
-	info, err := a.sealLocked(payload, fresh)
-	return info, err == nil, err
-}
-
 func (a *Archive) segmentsLocked() (segs []SegmentInfo, damaged []string, err error) {
 	ents, err := os.ReadDir(a.dir)
 	if err != nil {
@@ -220,27 +183,19 @@ func (a *Archive) segmentsLocked() (segs []SegmentInfo, damaged []string, err er
 	return segs, damaged, nil
 }
 
-// maxLSNLocked returns the highest archived LSN (0 when empty).
-func (a *Archive) maxLSNLocked() (uint64, int, error) {
-	segs, _, err := a.segmentsLocked()
-	if err != nil {
-		return 0, 0, err
-	}
-	var high uint64
-	for _, s := range segs {
-		if s.Last > high {
-			high = s.Last
-		}
-	}
-	return high, len(segs), nil
-}
-
 // MaxLSN returns the highest LSN the archive holds (0 when empty).
 func (a *Archive) MaxLSN() (uint64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	high, _, err := a.maxLSNLocked()
-	return high, err
+	segs, _, err := a.segmentsLocked()
+	if err != nil {
+		return 0, err
+	}
+	var high uint64
+	for _, s := range segs {
+		high = max(high, s.Last)
+	}
+	return high, nil
 }
 
 // readSegment loads and verifies one segment's records.

@@ -206,44 +206,74 @@ func TestResetSealsTheLivePrefix(t *testing.T) {
 	}
 }
 
+// TestArchiveSealTail: recovery with the archive attached seals a
+// crashed log's surviving tail. The archive holds what the last
+// checkpoint sealed; the log holds one committed transaction after it
+// and then a torn commit. Recovery must archive exactly that
+// transaction's records, and a second recovery has nothing new to seal.
 func TestArchiveSealTail(t *testing.T) {
 	dir := t.TempDir()
+	path := filepath.Join(dir, "pages")
 	arch, err := OpenArchive(filepath.Join(dir, "archive"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Archive already holds 1..4; the crashed log holds 1..8 plus a torn
-	// tail. SealTail must archive exactly 5..8.
-	old := testRecords(1, 1, 7, 7, 9) // LSNs 1..4
-	if _, err := arch.Seal(walStream(old)); err != nil {
+	recoverAndClose := func() {
+		t.Helper()
+		fd, w, _, err := RecoverArchived(path, arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := errors.Join(w.Close(), fd.Close()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fd, w, _, err := RecoverArchived(path, arch)
+	if err != nil {
 		t.Fatal(err)
 	}
-	tail := testRecords(5, 2, 7, 2, 4) // LSNs 5..8
-	logBytes := append(walStream(old), walStream(tail)...)
-	torn := EncodeWALRecord(WALRecord{LSN: 99, Txn: 9, Kind: RecPageImage, Page: 1, Data: []byte("torn")})
-	logBytes = append(logBytes, torn[:len(torn)/2]...)
-	walPath := filepath.Join(dir, "pages.wal")
-	if err := os.WriteFile(walPath, logBytes, 0o644); err != nil {
+	commit := func(pages ...PageID) error {
+		txn := w.Begin()
+		for _, id := range pages {
+			if _, err := w.AppendPageImage(txn, id, bytes.Repeat([]byte{byte(txn)}, fd.PageSize())); err != nil {
+				return err
+			}
+		}
+		return w.Commit(txn)
+	}
+	if err := commit(1); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.Reset(); err != nil { // the checkpoint's seal
+		t.Fatal(err)
+	}
+	if err := commit(2, 3); err != nil {
+		t.Fatal(err)
+	}
+	tail, _, err := w.Records()
+	if err != nil || len(tail) != 3 {
+		t.Fatalf("live log: %d records, err %v; want 3", len(tail), err)
+	}
+	cp := NewCrashpoint(fault.New(0), 1, 0.5)
+	fd.SetCrashpoint(cp)
+	w.SetCrashpoint(cp)
+	if err := commit(4); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("commit through the crashpoint = %v, want ErrCrashed", err)
+	}
+	fd.Close()
+	w.Close()
 
-	info, sealed, err := arch.SealTail(walPath)
-	if err != nil || !sealed {
-		t.Fatalf("SealTail: sealed=%v err=%v", sealed, err)
+	recoverAndClose()
+	segs, _, err := arch.Segments()
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("%d segments, err %v; want 2", len(segs), err)
 	}
-	if info.First != 5 || info.Last != 8 {
-		t.Fatalf("sealed %d..%d, want 5..8", info.First, info.Last)
+	if s := segs[1]; s.First != tail[0].LSN || s.Last != tail[2].LSN || s.Records != 3 {
+		t.Fatalf("sealed tail %+v, want LSNs %d..%d, 3 records", s, tail[0].LSN, tail[2].LSN)
 	}
-	// Idempotent: nothing new on a second call.
-	if _, sealed, err := arch.SealTail(walPath); err != nil || sealed {
-		t.Fatalf("second SealTail: sealed=%v err=%v, want false nil", sealed, err)
-	}
-	n := 0
-	if err := arch.Replay(0, 0, func(WALRecord) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if want := len(old) + len(tail); n != want {
-		t.Fatalf("replayed %d records, want %d", n, want)
+	recoverAndClose()
+	if segs, _, err := arch.Segments(); err != nil || len(segs) != 2 {
+		t.Fatalf("second recovery: %d segments, err %v; want 2", len(segs), err)
 	}
 }
 

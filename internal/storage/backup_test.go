@@ -101,20 +101,15 @@ func (s *backupScene) checkpoint() {
 	}
 }
 
-// shutdown closes the handles, sealing the live log's tail into the
-// archive so the full history is replayable.
+// shutdown checkpoints, which seals the live log's tail into the
+// archive so the full history is replayable, then closes the handles.
 func (s *backupScene) shutdown() {
 	s.t.Helper()
-	if err := s.pool.FlushAll(); err != nil {
-		s.t.Fatal(err)
-	}
+	s.checkpoint()
 	if err := s.fd.Close(); err != nil {
 		s.t.Fatal(err)
 	}
 	if err := s.w.Close(); err != nil {
-		s.t.Fatal(err)
-	}
-	if _, _, err := s.arch.SealTail(filepath.Join(s.dir, "pages.wal")); err != nil {
 		s.t.Fatal(err)
 	}
 }
@@ -149,7 +144,7 @@ func TestBackupRestoreLatest(t *testing.T) {
 	s.shutdown()
 
 	dst := filepath.Join(s.dir, "restored")
-	rinfo, err := Restore(bdir, s.arch.Dir(), dst, 0)
+	rinfo, err := Restore(bdir, s.arch.dir, dst, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +188,7 @@ func TestBackupFuzzyRestoreToMidStreamLSN(t *testing.T) {
 		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		rinfo, err := Restore(bdir, s.arch.Dir(), dst, lsn)
+		rinfo, err := Restore(bdir, s.arch.dir, dst, lsn)
 		if err != nil {
 			t.Fatalf("restore to snapshot %d (LSN %d): %v", j, lsn, err)
 		}
@@ -255,7 +250,7 @@ func TestRestoreHealsTornBackupPage(t *testing.T) {
 	}
 
 	dst := filepath.Join(s.dir, "restored")
-	rinfo, err := Restore(bdir, s.arch.Dir(), dst, 0)
+	rinfo, err := Restore(bdir, s.arch.dir, dst, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +285,7 @@ func TestRestoreCorruptArchiveSegmentTyped(t *testing.T) {
 	if err := os.WriteFile(segs[len(segs)-1].Path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Restore(bdir, s.arch.Dir(), filepath.Join(s.dir, "restored"), 0)
+	_, err = Restore(bdir, s.arch.dir, filepath.Join(s.dir, "restored"), 0)
 	if !errors.Is(err, ErrArchiveCorrupt) {
 		t.Fatalf("restore over a corrupt segment: %v, want ErrArchiveCorrupt", err)
 	}
@@ -309,10 +304,10 @@ func TestRestoreTargetValidation(t *testing.T) {
 	}
 	s.shutdown()
 
-	if _, err := Restore(bdir, s.arch.Dir(), filepath.Join(s.dir, "r1"), info.StartLSN-1); err == nil {
+	if _, err := Restore(bdir, s.arch.dir, filepath.Join(s.dir, "r1"), info.StartLSN-1); err == nil {
 		t.Fatal("restore to a pre-backup LSN succeeded")
 	}
-	_, err = Restore(bdir, s.arch.Dir(), filepath.Join(s.dir, "r2"), info.EndLSN+1000)
+	_, err = Restore(bdir, s.arch.dir, filepath.Join(s.dir, "r2"), info.EndLSN+1000)
 	if !errors.Is(err, ErrPastArchive) {
 		t.Fatalf("restore past the archive: %v, want ErrPastArchive", err)
 	}
@@ -350,7 +345,7 @@ func TestRestoreCrashMidwayRerun(t *testing.T) {
 		for _, torn := range []float64{0, 0.5} {
 			dst := filepath.Join(s.dir, "restored")
 			cp := NewCrashpoint(fault.New(0), at, torn)
-			_, err := restoreWith(cp, bdir, s.arch.Dir(), dst, 0)
+			_, err := restoreWith(cp, bdir, s.arch.dir, dst, 0)
 			if err == nil {
 				continue // crashpoint past the restore's write schedule
 			}
@@ -361,7 +356,7 @@ func TestRestoreCrashMidwayRerun(t *testing.T) {
 				t.Fatalf("at=%d torn=%v: crash modified the backup source", at, torn)
 			}
 			// Rerun over the half-written destination.
-			if _, err := Restore(bdir, s.arch.Dir(), dst, 0); err != nil {
+			if _, err := Restore(bdir, s.arch.dir, dst, 0); err != nil {
 				t.Fatalf("at=%d torn=%v: rerun failed: %v", at, torn, err)
 			}
 			if !stateMatches(openRestored(t, dst), s.snaps[len(s.snaps)-1]) {
@@ -371,7 +366,7 @@ func TestRestoreCrashMidwayRerun(t *testing.T) {
 		// Probe whether the schedule is exhausted: a clean run under a
 		// never-firing crashpoint means every write point was covered.
 		cp := NewCrashpoint(fault.New(0), at, 0)
-		if _, err := restoreWith(cp, bdir, s.arch.Dir(), filepath.Join(s.dir, "probe"), 0); err == nil {
+		if _, err := restoreWith(cp, bdir, s.arch.dir, filepath.Join(s.dir, "probe"), 0); err == nil {
 			break
 		}
 		if at > 10000 {
@@ -436,7 +431,7 @@ func TestRestoreZapsPastTargetPages(t *testing.T) {
 	// The spliced page has no committed image at or below the target
 	// (it was born later), so Restore cannot rewind it — only zap it.
 	dst := filepath.Join(s.dir, "restored")
-	rinfo, err := Restore(bdir, s.arch.Dir(), dst, target)
+	rinfo, err := Restore(bdir, s.arch.dir, dst, target)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,18 +150,6 @@ func (d *Disk) Free(id PageID) error {
 	return nil
 }
 
-// Snapshot returns a deep copy of every allocated page keyed by id —
-// the ground truth a test compares against after a rollback.
-func (d *Disk) Snapshot() map[PageID][]byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[PageID][]byte, len(d.pages))
-	for id, p := range d.pages {
-		out[id] = append([]byte(nil), p...)
-	}
-	return out
-}
-
 // Read copies the page contents into buf (which must be PageSize long).
 func (d *Disk) Read(id PageID, buf []byte) error {
 	d.mu.Lock()

@@ -44,9 +44,6 @@ func NewCrashpoint(s *fault.Schedule, at int64, torn float64) *Crashpoint {
 // Crashed reports whether the crashpoint has fired.
 func (c *Crashpoint) Crashed() bool { return c.s.Crashed() }
 
-// Writes returns the number of write operations observed so far.
-func (c *Crashpoint) Writes() int64 { return int64(c.s.Stats().Seen[fault.FileWrite]) }
-
 // admit gates one physical write of n bytes: it returns how many bytes
 // may reach the file and ErrCrashed when the crash fires on (or fired
 // before) this write.

@@ -1,6 +1,10 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+
+	"asr/internal/fault"
+)
 
 // Helpers the package's tests use; no product code needs them.
 
@@ -36,3 +40,24 @@ func (s *Scrubber) Passes() uint64 {
 
 // EncodeWALRecord renders a record in the on-disk framing.
 func EncodeWALRecord(rec WALRecord) []byte { return appendWALRecord(nil, rec) }
+
+// RunOnce performs one full scrub pass over the file. It is safe to call
+// concurrently with queries and maintenance on the same disk.
+func (s *Scrubber) RunOnce() (*ScrubResult, error) {
+	return s.runPass(nil)
+}
+
+// Snapshot returns a deep copy of every allocated page keyed by id —
+// the ground truth a test compares against after a rollback.
+func (d *Disk) Snapshot() map[PageID][]byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make(map[PageID][]byte, len(d.pages))
+	for id, p := range d.pages {
+		out[id] = append([]byte(nil), p...)
+	}
+	return out
+}
+
+// Writes returns the number of write operations observed so far.
+func (c *Crashpoint) Writes() int64 { return int64(c.s.Stats().Seen[fault.FileWrite]) }

@@ -144,7 +144,7 @@ func TestScrubHealsThreeFromArchiveOnlyHistory(t *testing.T) {
 		}
 	}
 	sc := NewScrubber(s.fd, s.w, ScrubConfig{OnCorrupt: func(PageID, bool) {
-		if err := os.RemoveAll(s.arch.Dir()); err != nil {
+		if err := os.RemoveAll(s.arch.dir); err != nil {
 			t.Error(err)
 		}
 	}})

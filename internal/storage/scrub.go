@@ -76,12 +76,6 @@ func NewScrubber(fd *FileDisk, w *WAL, cfg ScrubConfig) *Scrubber {
 	}
 }
 
-// RunOnce performs one full pass over the file. It is safe to call
-// concurrently with queries and maintenance on the same disk.
-func (s *Scrubber) RunOnce() (*ScrubResult, error) {
-	return s.runPass(nil)
-}
-
 func (s *Scrubber) runPass(cancel <-chan struct{}) (*ScrubResult, error) {
 	res := &ScrubResult{}
 	var images *imageLog // heal source, folded on the first corrupt page, dropped with the pass

@@ -6,10 +6,35 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
+
+	"asr/internal/telemetry"
 )
+
+// checkpointsObserved reads storage_checkpoint_seconds_count from the
+// process registry's exposition.
+func checkpointsObserved(t *testing.T) uint64 {
+	t.Helper()
+	var b bytes.Buffer
+	if _, err := telemetry.Default().WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "storage_checkpoint_seconds_count "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatal("storage_checkpoint_seconds_count is not exported")
+	return 0
+}
 
 func TestWALAppendCommitRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
@@ -442,11 +467,11 @@ func TestCheckpointFreesNoBlocks(t *testing.T) {
 		largest = max(largest, live-int64(start))
 
 		size0, blocks0 := logFile()
-		observed := telCheckpointSeconds.Count()
+		observed := checkpointsObserved(t)
 		if err := pool.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if n := telCheckpointSeconds.Count() - observed; n != 1 {
+		if n := checkpointsObserved(t) - observed; n != 1 {
 			t.Fatalf("checkpoint %d: storage_checkpoint_seconds observed %d times, want 1", cp, n)
 		}
 		size1, blocks1 := logFile()

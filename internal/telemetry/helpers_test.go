@@ -21,3 +21,12 @@ func (r *Registry) Snapshot() map[string]float64 {
 	}
 	return out
 }
+
+// Count returns the number of observations: the sum of the buckets.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}

@@ -71,7 +71,6 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 type Histogram struct {
 	bounds  []float64 // strictly increasing upper bounds; +Inf implicit
 	buckets []atomic.Uint64
-	count   atomic.Uint64
 	sumBits atomic.Uint64
 }
 
@@ -87,7 +86,6 @@ func (h *Histogram) Observe(v float64) {
 	// (index len(bounds)) is +Inf.
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		new := math.Float64bits(math.Float64frombits(old) + v)
@@ -96,9 +94,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -189,7 +184,6 @@ func (r *Registry) Reset() {
 		for i := range h.buckets {
 			h.buckets[i].Store(0)
 		}
-		h.count.Store(0)
 		h.sumBits.Store(0)
 	}
 }
@@ -256,11 +250,9 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		cum += h.buckets[len(h.bounds)].Load()
 		lines = append(lines, fmt.Sprintf("%s %d", series(base+"_bucket", labels, `le="+Inf"`), cum))
 		lines = append(lines, fmt.Sprintf("%s %s", series(base+"_sum", labels, ""), formatFloat(h.Sum())))
-		// The exposition format requires `le="+Inf"` == `_count`. The
-		// bucket loads and the count are separate atomics, so under
-		// concurrent Observes h.Count() can disagree with the cumulative
-		// sum just read; emit the cumulative value for both so every
-		// scrape is internally consistent.
+		// The exposition format requires `le="+Inf"` == `_count`: both
+		// are the cumulative sum just read, so every scrape is
+		// internally consistent under concurrent Observes.
 		lines = append(lines, fmt.Sprintf("%s %d", series(base+"_count", labels, ""), cum))
 		rows = append(rows, row{base, "histogram", lines})
 	}

@@ -16,11 +16,13 @@ import (
 	"testing"
 )
 
-// TestDeadSurface lists every declaration under internal/ that no
-// non-test file of the module references and no other package's test
-// references, and requires that list to equal the checked-in allowlist
-// testdata/surface_allow.txt: a new dead declaration fails the test, and
-// so does an allowlist entry that is no longer dead.
+// TestDeadSurface lists every exported declaration under internal/ that
+// no non-test file of the module references, and requires that list to
+// equal the checked-in allowlist testdata/surface_allow.txt: a new dead
+// declaration fails the test, and so does an allowlist entry that is no
+// longer dead. A test is not a caller, not even another package's test;
+// only a package that no non-test file imports (a test-support package)
+// has its exports exempt.
 func TestDeadSurface(t *testing.T) {
 	allow, err := readAllowlist("testdata/surface_allow.txt")
 	if err != nil {
@@ -31,7 +33,7 @@ func TestDeadSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range unlisted {
-		t.Errorf("%s: no product code and no other package's test references it; delete it (with its tests) or allowlist it with a reason", name)
+		t.Errorf("%s: no product code references it; delete it (with its tests), move it into its package's tests, or allowlist it with a reason", name)
 	}
 	for _, name := range stale {
 		t.Errorf("%s: allowlisted but no longer dead; remove it from testdata/surface_allow.txt", name)
@@ -49,8 +51,9 @@ func TestDeadSurfaceFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	// a.Dead is referenced by nothing; a.T.String satisfies fmt.Stringer;
-	// a.Helper is used only by package b's test; a.Own only by a's test.
-	if want := []string{"a.Dead", "a.Own"}; !slices.Equal(unlisted, want) {
+	// a.Helper is used only by package b's test; a.Own only by a's test;
+	// testkit, which only b's test imports, is test support.
+	if want := []string{"a.Dead", "a.Helper", "a.Own"}; !slices.Equal(unlisted, want) {
 		t.Errorf("flagged %q, want %q", unlisted, want)
 	}
 	if want := []string{"a.Gone"}; !slices.Equal(stale, want) {
@@ -123,10 +126,10 @@ type surfaceLoader struct {
 
 // surfaceFile is one type-checked module file.
 type surfaceFile struct {
-	dir  string // package directory, relative to the module root
-	test bool
-	uses []types.Object
-	defs []types.Object
+	test    bool
+	imports []string
+	uses    []types.Object
+	defs    []types.Object
 }
 
 // loadModule type-checks every package of the module rooted at root,
@@ -155,16 +158,23 @@ func deadSurface(root string) ([]string, error) {
 		return nil, err
 	}
 
-	// Candidates: exported package-level declarations, and exported
-	// methods of any named type, in the non-test files under internal/.
-	type decl struct {
-		name string
-		dir  string
+	// A package that no non-test file imports is test support.
+	imported := map[string]bool{}
+	for _, f := range l.files {
+		if !f.test {
+			for _, ip := range f.imports {
+				imported[ip] = true
+			}
+		}
 	}
-	cands := map[types.Object]decl{}
+
+	// Candidates: exported package-level declarations, and exported
+	// methods of any named type, in the non-test files of the product
+	// packages under internal/.
+	cands := map[types.Object]string{}
 	var named []*types.TypeName
 	for _, dir := range dirs {
-		if dir != "internal" && !strings.HasPrefix(dir, "internal/") {
+		if (dir != "internal" && !strings.HasPrefix(dir, "internal/")) || !imported[l.importPath(dir)] {
 			continue
 		}
 		pkg := l.pkgs[l.importPath(dir)]
@@ -175,7 +185,7 @@ func deadSurface(root string) ([]string, error) {
 				continue
 			}
 			if obj.Exported() {
-				cands[obj] = decl{pkg.Name() + "." + n, dir}
+				cands[obj] = pkg.Name() + "." + n
 			}
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -189,7 +199,7 @@ func deadSurface(root string) ([]string, error) {
 			for i := 0; i < nt.NumMethods(); i++ {
 				m := nt.Method(i)
 				if m.Exported() && !l.isTestPos(m.Pos()) {
-					cands[m] = decl{pkg.Name() + "." + n + "." + m.Name(), dir}
+					cands[m] = pkg.Name() + "." + n + "." + m.Name()
 				}
 			}
 		}
@@ -197,12 +207,11 @@ func deadSurface(root string) ([]string, error) {
 
 	used := map[types.Object]bool{}
 	for _, f := range l.files {
+		if f.test {
+			continue
+		}
 		for _, obj := range f.uses {
-			obj = origin(obj)
-			d, ok := cands[obj]
-			if ok && (!f.test || f.dir != d.dir) {
-				used[obj] = true
-			}
+			used[origin(obj)] = true
 		}
 	}
 	// A method that satisfies an interface may be called through it, by
@@ -228,9 +237,9 @@ func deadSurface(root string) ([]string, error) {
 	}
 
 	var dead []string
-	for obj, d := range cands {
+	for obj, name := range cands {
 		if !used[obj] {
-			dead = append(dead, d.name)
+			dead = append(dead, name)
 		}
 	}
 	slices.Sort(dead)
@@ -400,7 +409,10 @@ func (l *surfaceLoader) check(c *surfaceChecker, dir string, names []string) {
 	l.collectIfaces(c.info)
 	l.collectScopeIfaces(c.pkg)
 	for _, f := range files {
-		sf := surfaceFile{dir: dir, test: l.isTestPos(f.Pos())}
+		sf := surfaceFile{test: l.isTestPos(f.Pos())}
+		for _, spec := range f.Imports {
+			sf.imports = append(sf.imports, strings.Trim(spec.Path.Value, `"`))
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
 				if obj := c.info.Uses[id]; obj != nil {

@@ -11,7 +11,8 @@ func Dead() {}
 // Own is called only by a's own test: flagged.
 func Own() {}
 
-// Helper is called only by package b's test: kept as test harness.
+// Helper is called only by package b's test: flagged, since only
+// product code counts as a caller.
 func Helper() string { return "h" }
 
 // T is used by package b.

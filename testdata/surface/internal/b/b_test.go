@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"fixture/internal/a"
+	"fixture/internal/testkit"
 )
 
 func TestHelper(t *testing.T) {
-	if a.Helper() == "" {
+	if a.Helper() == "" || testkit.Fixture() == "" {
 		t.Fatal("empty helper")
 	}
 }
