@@ -45,7 +45,7 @@ func TestDocNamesFixture(t *testing.T) {
 		"`engine.Engine` `gom.Members` `asr.FanOut` `Config.QueryWorkers`\n" +
 		"`TestNoSuchTest` `Walker.NoSuchMethod` `query.Engine.NoSuchMethod()`\n" +
 		"`gom.Walker.KeepMembers` `query.Engine.RunCtx` `Config.SlowLogCapacity`\n" +
-		"`Engine.plan` `asr.Index.probeAll` `TestDocNames` `ExampleNewMaintainer`\n" +
+		"`Engine.plan` `asr.Index.probeAll` `TestDocNames` `ExampleManager`\n" +
 		"`BenchmarkQueryParallel/indexed/shards8` `context.Background()`\n" +
 		"`sync.RWMutex` `ctx.Err()` `query.execute` `asr.probe_us`\n" +
 		"`ROBOT.Arm.MountedTool` `BASE.gom` `go test ./...`\n"

@@ -57,11 +57,10 @@ func main() {
 
 	// Build a maintained index and run the §2.3 queries.
 	pool := storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU)
-	ix, err := asr.Build(c.Base, c.Path, asr.Full, asr.Decomposition{0, 2, 5}, pool)
+	ix, err := asr.NewManager(c.Base, pool).CreateIndex(c.Path, asr.Full, asr.Decomposition{0, 2, 5})
 	if err != nil {
 		log.Fatal(err)
 	}
-	c.Base.AddObserver(asr.NewMaintainer(ix))
 
 	query2 := func() []string {
 		divs, err := ix.Query(ctx, false, 0, 3, gom.String("Door"))

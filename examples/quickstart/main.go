@@ -47,13 +47,13 @@ func main() {
 	//    B+ trees on simulated pages.
 	path := gom.MustResolvePath(schema.MustLookup("EMPLOYEE"), "WorksFor", "SeatedIn", "Name")
 	pool := storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU)
-	index, err := asr.Build(ob, path, asr.Full, asr.BinaryDecomposition(path.Arity()-1), pool)
+
+	// 4. Create it through a Manager, the object base's observer, which
+	//    keeps it maintained under updates.
+	index, err := asr.NewManager(ob, pool).CreateIndex(path, asr.Full, asr.BinaryDecomposition(path.Arity()-1))
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// 4. Keep it maintained under updates.
-	ob.AddObserver(asr.NewMaintainer(index))
 
 	// 5. Backward query: which employees work in Karlsruhe? This is the
 	//    paper's functional join — solved by index lookup instead of an

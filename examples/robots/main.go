@@ -36,16 +36,15 @@ func main() {
 
 	// Query 1 through every extension; for the whole path all four are
 	// usable (§5.3) and must agree.
-	pool := storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU)
+	mgr := asr.NewManager(r.Base, storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU))
 	var canonical *asr.Index
 	for _, ext := range asr.Extensions {
-		ix, err := asr.Build(r.Base, r.Path, ext, asr.BinaryDecomposition(r.Path.Arity()-1), pool)
+		ix, err := mgr.CreateIndex(r.Path, ext, asr.BinaryDecomposition(r.Path.Arity()-1))
 		if err != nil {
 			log.Fatal(err)
 		}
 		if ext == asr.Canonical {
 			canonical = ix
-			r.Base.AddObserver(asr.NewMaintainer(ix))
 		}
 		robots, err := ix.Query(ctx, false, 0, r.Path.Len(), gom.String("Utopia"))
 		if err != nil {
@@ -60,8 +59,8 @@ func main() {
 		fmt.Printf("Query 1 via %-5s extension: %v\n", ext, names)
 	}
 
-	// Robi's gripper is swapped for the welder; the canonical index
-	// follows incrementally.
+	// Robi's gripper is swapped for the welder; the Manager maintains
+	// every index incrementally, and the canonical one answers.
 	fmt.Println("\nswapping Robi's tool to the welder...")
 	r.Base.MustSetAttr(r.ArmRobi, "MountedTool", gom.Ref(r.Welder))
 	robots, err := canonical.Query(ctx, false, 0, r.Path.Len(), gom.String("Utopia"))

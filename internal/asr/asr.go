@@ -37,13 +37,13 @@ type PlacedPartition struct {
 // Index is a materialized access support relation over one path
 // expression: the chosen extension, decomposed per Definition 3.8, each
 // partition stored in two clustered B⁺-trees — the only copy of its
-// rows — and kept consistent with the object base by the Maintainer.
+// rows — and kept consistent with the object base by its Manager.
 //
 // An Index is safe for concurrent readers: QueryForward, QueryBackward,
 // their Ctx forms, TotalRows, Stats and the accessor methods may be
 // called from any number of goroutines, concurrently with one
-// maintaining writer (the Maintainer's callbacks and ReleasePages take
-// the write lock). The physical partitions carry their own locks, so an
+// maintaining writer (the Manager's steps and ReleasePages take the
+// write lock). The physical partitions carry their own locks, so an
 // index stays safe even when a partition it reads is shared with —
 // and maintained through — another index (§5.4).
 type Index struct {
@@ -56,8 +56,8 @@ type Index struct {
 	pool  *storage.BufferPool
 
 	// quarReason holds why the index is out of service, nil while it is
-	// usable: the one record of a failed index (Maintainer.Err and
-	// Manager.Healthy read it).
+	// usable: the one record of a failed index (Manager.Healthy reads
+	// it).
 	quarReason atomic.Pointer[error]
 
 	nQueries     atomic.Uint64
@@ -146,6 +146,7 @@ func (ix *Index) ResetStats() {
 
 // Build materializes the access support relation for path over ob in the
 // given extension and decomposition, storing partitions on pool's pages.
+// The index is static; Manager.CreateIndex builds a maintained one.
 // Partition trees are bulk-loaded bottom-up from the sorted row set —
 // O(rows) sequential page writes per tree instead of a random top-down
 // insert per row.

@@ -276,7 +276,7 @@ func TestRematerializeAfterMutationAndQuarantine(t *testing.T) {
 func TestRematerializeRefusesSharedPartitions(t *testing.T) {
 	ob, p := randomCompany(t, 11, 6, 10, 12)
 	q := gom.MustResolvePath(ob.Schema().MustLookup("Product"), "Composition", "Name")
-	pair, err := BuildShared(ob, p, q, newPool())
+	pair, err := buildShared(ob, p, q, newPool())
 	if err != nil {
 		t.Fatal(err)
 	}

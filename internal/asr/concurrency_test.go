@@ -11,9 +11,10 @@ import (
 )
 
 // Concurrency stress: many reader goroutines issue forward/backward
-// queries (with and without a context) through a Manager while a
-// single writer goroutine mutates the object base, driving the
-// registered Maintainer. Run with -race; the assertions at the end
+// queries (with and without a context) through a Manager, and straight
+// to a second index, while a single writer goroutine mutates the object
+// base, driving the Manager's maintenance of both in one step per
+// mutation. Run with -race; the assertions at the end
 // verify the index survived the interleaving consistent and that the
 // observability counters moved.
 
@@ -32,6 +33,10 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	mcol := db.Path.Arity() - 1
 	mgr := NewManager(db.Base, newPool())
 	ix, err := mgr.CreateIndex(db.Path, Canonical, NoDecomposition(mcol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := mgr.CreateIndex(db.Path, Full, BinaryDecomposition(mcol))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +69,11 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 				start := gom.Ref(db.Extents[0][rng.Intn(len(db.Extents[0]))])
 				end := targets[rng.Intn(len(targets))]
 				var err error
-				switch rng.Intn(3) {
+				switch rng.Intn(4) {
 				case 0:
 					_, err = mgr.QueryForward(db.Path, 0, db.Path.Len(), start)
+				case 3:
+					_, err = full.Query(context.Background(), false, 0, db.Path.Len(), end)
 				case 1:
 					_, err = mgr.QueryBackward(db.Path, 0, db.Path.Len(), end)
 				default:
@@ -138,8 +145,10 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	if err := mgr.Healthy(); err != nil {
 		t.Fatal(err)
 	}
-	if err := verifyClean(ix); err != nil {
-		t.Fatalf("index inconsistent after concurrent storm: %v", err)
+	for _, ix := range []*Index{ix, full} {
+		if err := verifyClean(ix); err != nil {
+			t.Fatalf("%s inconsistent after concurrent storm: %v", ix, err)
+		}
 	}
 
 	// Post-storm queries must agree with naive traversal.
@@ -163,10 +172,10 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	if st.Queries == 0 || st.IndexHits == 0 {
 		t.Fatalf("stats did not move: %+v", st)
 	}
-	if len(st.Indexes) != 1 || st.Indexes[0].Queries == 0 || !st.Indexes[0].MaintenanceOK {
+	if len(st.Indexes) != 2 || st.Indexes[0].Queries+st.Indexes[1].Queries == 0 || !st.Indexes[0].MaintenanceOK || !st.Indexes[1].MaintenanceOK {
 		t.Fatalf("index stats did not move: %+v", st.Indexes)
 	}
-	t.Logf("concurrent storm complete: %s", st)
+	t.Logf("concurrent storm complete: %+v", st)
 }
 
 func refsOf(ids []gom.OID) []gom.Value {

@@ -14,12 +14,12 @@ import (
 )
 
 // The crash matrix runs one deterministic scene — a generated database
-// with a managed, durably stored index, mutated through the maintainer —
-// and freezes the files at sampled physical writes. After each crash the
-// recovered index must verify clean against a committed prefix of the
-// mutation sequence: every mutation whose maintenance completed before
-// the crash, plus at most the one in flight (whose commit marker may
-// have become durable in the very write that crashed).
+// with managed, durably stored indexes, mutated through the Manager —
+// and freezes the files at sampled physical writes. After each crash
+// every recovered index must verify clean against one committed prefix
+// of the mutation sequence: every mutation whose maintenance completed
+// before the crash, plus at most the one in flight (whose commit marker
+// may have become durable in the very write that crashed).
 
 // Netted maintenance makes about one physical write per retarget, so the
 // scene runs enough mutations for the matrix to sample at least 36 crash
@@ -35,6 +35,20 @@ func crashSceneSpec() gendb.Spec {
 		Seed: 7,
 	}
 }
+
+// crashDesign is one index of the crash scene, over the generated path.
+type crashDesign struct {
+	ext Extension
+	dec func(mcol int) Decomposition
+}
+
+// oneIndex is the scene's single full/binary index; twoIndexes adds a
+// left-complete/binary one on the same path, so every retarget changes
+// both.
+var (
+	oneIndex   = []crashDesign{{Full, BinaryDecomposition}}
+	twoIndexes = []crashDesign{{Full, BinaryDecomposition}, {LeftComplete, BinaryDecomposition}}
+)
 
 // retargetPairs pairs every T_0 object holding a Next reference in base
 // with a distinct T_1 retarget candidate, so each reassignment changes
@@ -70,11 +84,12 @@ func retargetPairs(t *testing.T, base *gom.ObjectBase, ext0, ext1 []gom.OID, n i
 }
 
 // runDurableScene builds the scene in dir — pre-mutation base dumped to
-// base.gom, index saved to a manifest over a checkpointed FileDisk+WAL —
+// base.gom, the designs' indexes saved to a manifest over a checkpointed
+// FileDisk+WAL —
 // then installs cp and applies the mutation sequence (with a mid-run
 // checkpoint) until it finishes or the crashpoint fires. It reports how
 // many mutations completed with healthy maintenance and the pairs used.
-func runDurableScene(t *testing.T, dir string, cp *storage.Crashpoint) (completed int, pairs [][2]gom.OID) {
+func runDurableScene(t *testing.T, dir string, designs []crashDesign, cp *storage.Crashpoint) (completed int, pairs [][2]gom.OID) {
 	t.Helper()
 	db, err := gendb.Generate(crashSceneSpec())
 	if err != nil {
@@ -101,8 +116,10 @@ func runDurableScene(t *testing.T, dir string, cp *storage.Crashpoint) (complete
 	pool.AttachWAL(w)
 	mgr := NewManager(db.Base, pool)
 	mcol := db.Path.Arity() - 1
-	if _, err := mgr.CreateIndex(db.Path, Full, BinaryDecomposition(mcol)); err != nil {
-		t.Fatal(err)
+	for _, d := range designs {
+		if _, err := mgr.CreateIndex(db.Path, d.ext, d.dec(mcol)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := mgr.SaveTo(filepath.Join(dir, "manifest")); err != nil {
 		t.Fatal(err)
@@ -157,11 +174,12 @@ func replayedBase(t *testing.T, dir string, pairs [][2]gom.OID, n int) *gom.Obje
 
 // verifyRecovered recovers the frozen files in dir and opens the saved
 // manifest against the candidate base (pre-mutation dump + n replayed
-// mutations). It returns false if the recovered index is consistent but
-// describes a different committed prefix; any recovery failure, damaged
-// page, or quarantine is fatal. On a match it additionally checks
-// queries against naive traversal and that maintenance still works.
-func verifyRecovered(t *testing.T, dir string, db0 *gendb.Database, pairs [][2]gom.OID, n int) bool {
+// mutations). It returns false if the recovered indexes are consistent
+// but one of them describes a different committed prefix; any recovery
+// failure, damaged page, or quarantine is fatal. On a match it
+// additionally checks queries against naive traversal and that
+// maintenance still works.
+func verifyRecovered(t *testing.T, dir string, db0 *gendb.Database, designs []crashDesign, pairs [][2]gom.OID, n int) bool {
 	t.Helper()
 	ob := replayedBase(t, dir, pairs, n)
 	fd, w, info, err := storage.Recover(filepath.Join(dir, "pages"))
@@ -180,23 +198,24 @@ func verifyRecovered(t *testing.T, dir string, db0 *gendb.Database, pairs [][2]g
 		t.Fatalf("OpenFrom: %v", err)
 	}
 	ixs := mgr.Indexes()
-	if len(ixs) != 1 {
-		t.Fatalf("reopened manager has %d indexes, want 1", len(ixs))
+	if len(ixs) != len(designs) {
+		t.Fatalf("reopened manager has %d indexes, want %d", len(ixs), len(designs))
 	}
-	ix := ixs[0]
-	if ix.Quarantined() {
-		t.Fatalf("recovered index quarantined: %v", ix.QuarantineReason())
-	}
-	rep, err := ix.Verify()
-	if err != nil {
-		t.Fatalf("Verify after recovery: %v", err)
-	}
-	if !rep.Clean() {
-		return false // consistent, but a different committed prefix
+	for _, ix := range ixs {
+		if ix.Quarantined() {
+			t.Fatalf("recovered index quarantined: %v", ix.QuarantineReason())
+		}
+		rep, err := ix.Verify()
+		if err != nil {
+			t.Fatalf("Verify after recovery: %v", err)
+		}
+		if !rep.Clean() {
+			return false // consistent, but a different committed prefix
+		}
 	}
 
 	// The matched state must actually answer queries.
-	path := ix.Path()
+	path := ixs[0].Path()
 	for _, start := range db0.Extents[0][:5] {
 		want := naiveForward(ob, path, start, 0, path.Len())
 		got, err := mgr.QueryForward(path, 0, path.Len(), gom.Ref(start))
@@ -216,15 +235,16 @@ func verifyRecovered(t *testing.T, dir string, db0 *gendb.Database, pairs [][2]g
 		t.Fatal("recovered queries did not hit the index")
 	}
 
-	// And absorb new updates: one more retarget through the maintainer.
+	// And absorb new updates: one more retarget through the Manager.
 	more := retargetPairs(t, ob, db0.Extents[0], db0.Extents[1], 1)
 	ob.MustSetAttr(more[0][0], "Next", gom.Ref(more[0][1]))
 	if err := mgr.Healthy(); err != nil {
 		t.Fatalf("maintenance after recovery: %v", err)
 	}
-	rep, err = ix.Verify()
-	if err != nil || !rep.Clean() {
-		t.Fatalf("Verify after post-recovery update: %v, %s", err, rep)
+	for _, ix := range ixs {
+		if rep, err := ix.Verify(); err != nil || !rep.Clean() {
+			t.Fatalf("Verify after post-recovery update: %v, %s", err, rep)
+		}
 	}
 	return true
 }
@@ -233,14 +253,28 @@ func verifyRecovered(t *testing.T, dir string, db0 *gendb.Database, pairs [][2]g
 // durable index stack: crash at sampled physical writes — clean cut and
 // torn — and the recovered, reopened index must verify clean against
 // replaying exactly the committed mutation prefix onto the saved base.
-func TestCrashRecoveryCommittedPrefix(t *testing.T) {
+func TestCrashRecoveryCommittedPrefix(t *testing.T) { crashMatrix(t, oneIndex) }
+
+// TestCrashRecoveryTwoIndexesOnePrefix crashes the scene with two
+// indexes that every mutation changes: at every crash point both
+// recovered indexes must verify clean against the same committed prefix,
+// which holds because the Manager commits a mutation's changes to all
+// its indexes at once. Committed index by index, a crash between an
+// update's two commits left one index a mutation ahead of the other.
+func TestCrashRecoveryTwoIndexesOnePrefix(t *testing.T) { crashMatrix(t, twoIndexes) }
+
+// crashMatrix runs the scene with the designs once to count its
+// post-setup writes, then once per write and tear fraction, crashing
+// there, and requires the recovered indexes to match one committed
+// prefix.
+func crashMatrix(t *testing.T, designs []crashDesign) {
 	db0, err := gendb.Generate(crashSceneSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched := fault.New(0)
 	ref := storage.NewCrashpoint(sched, 0, 0) // count-only reference run
-	completed, _ := runDurableScene(t, t.TempDir(), ref)
+	completed, _ := runDurableScene(t, t.TempDir(), designs, ref)
 	if completed != crashSceneMutations {
 		t.Fatalf("reference run completed %d/%d mutations", completed, crashSceneMutations)
 	}
@@ -254,7 +288,7 @@ func TestCrashRecoveryCommittedPrefix(t *testing.T) {
 			t.Run(fmt.Sprintf("torn=%v/write=%d", torn, at), func(t *testing.T) {
 				dir := t.TempDir()
 				cp := storage.NewCrashpoint(fault.New(0), at, torn)
-				completed, pairs := runDurableScene(t, dir, cp)
+				completed, pairs := runDurableScene(t, dir, designs, cp)
 				if !cp.Crashed() {
 					t.Fatalf("crashpoint %d did not fire (completed %d mutations)", at, completed)
 				}
@@ -263,13 +297,13 @@ func TestCrashRecoveryCommittedPrefix(t *testing.T) {
 					if n > len(pairs) {
 						break
 					}
-					if verifyRecovered(t, dir, db0, pairs, n) {
+					if verifyRecovered(t, dir, db0, designs, pairs, n) {
 						matched = n
 						break
 					}
 				}
 				if matched == -1 {
-					t.Fatalf("recovered index matches no committed prefix (completed %d)", completed)
+					t.Fatalf("recovered indexes match no one committed prefix (completed %d)", completed)
 				}
 			})
 		}

@@ -127,8 +127,8 @@ var manifestWriteHook func(stage string) error
 // partition is reopened from its durable meta page on pool (one
 // validating walk of both its trees; no row is retained — the trees
 // are the only copy), every index is reconstructed over the shared
-// partition set, and a Maintainer is registered for each so the indexes
-// track ob again.
+// partition set, and the Manager registers with ob (NewManager) so the
+// indexes track ob again; a failed open registers nothing.
 //
 // A partition whose stored rows fail that walk — a page failing its
 // checksum after a crash, typically one Recover reported in
@@ -157,7 +157,7 @@ func OpenFrom(ob *gom.ObjectBase, pool *storage.BufferPool, path string) (*Manag
 		}
 		parts[i], perrs[i] = p, perr
 	}
-	m := NewManager(ob, pool)
+	var entries []*managedIndex
 	schema := ob.Schema()
 	for _, mi := range man.Indexes {
 		pe, err := gom.ParsePath(schema, mi.Path)
@@ -189,9 +189,9 @@ func OpenFrom(ob *gom.ObjectBase, pool *storage.BufferPool, path string) (*Manag
 		if damaged != nil {
 			ix.quarantine(fmt.Errorf("asr: index on %s: opened with damaged partition (run Repair): %w", pe, damaged))
 		}
-		mt := NewMaintainer(ix)
-		ob.AddObserver(mt)
-		m.entries = append(m.entries, &managedIndex{ix: ix, maintainer: mt})
+		entries = append(entries, &managedIndex{ix: ix})
 	}
+	m := NewManager(ob, pool)
+	m.entries = entries
 	return m, nil
 }

@@ -64,7 +64,7 @@ func newDurableRig(t *testing.T, seed int64) *durableRig {
 	}
 }
 
-// mutate applies n retargets through the maintainer and fails the test
+// mutate applies n retargets through the Manager and fails the test
 // if any maintenance is unhealthy.
 func (r *durableRig) mutate(t *testing.T, n int) {
 	t.Helper()

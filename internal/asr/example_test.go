@@ -38,11 +38,10 @@ func Example() {
 	path := gom.MustResolvePath(schema.MustLookup("ROBOT"),
 		"Arm", "MountedTool", "ManufacturedBy", "Location")
 	pool := storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU)
-	index, err := asr.Build(ob, path, asr.Canonical, asr.NoDecomposition(path.Arity()-1), pool)
+	index, err := asr.NewManager(ob, pool).CreateIndex(path, asr.Canonical, asr.NoDecomposition(path.Arity()-1))
 	if err != nil {
 		log.Fatal(err)
 	}
-	ob.AddObserver(asr.NewMaintainer(index))
 
 	robots, err := index.Query(context.Background(), false, 0, path.Len(), gom.String("Utopia"))
 	if err != nil {
@@ -57,10 +56,10 @@ func Example() {
 	// robot in Utopia: "R2D2"
 }
 
-// ExampleNewMaintainer shows incremental maintenance: after an update
-// through the object base, the index answers the new truth without a
-// rebuild.
-func ExampleNewMaintainer() {
+// ExampleManager shows incremental maintenance: the Manager observes
+// the object base, so after an update the index it created answers the
+// new truth without a rebuild.
+func ExampleManager() {
 	schema, _, _ := gom.ParseSchema(`
 		type CITY is [Name: STRING];
 		type PERSON is [Lives: CITY];
@@ -75,8 +74,7 @@ func ExampleNewMaintainer() {
 
 	path := gom.MustResolvePath(schema.MustLookup("PERSON"), "Lives", "Name")
 	pool := storage.NewBufferPool(storage.NewDisk(0), 0, storage.LRU)
-	index, _ := asr.Build(ob, path, asr.Full, asr.BinaryDecomposition(2), pool)
-	ob.AddObserver(asr.NewMaintainer(index))
+	index, _ := asr.NewManager(ob, pool).CreateIndex(path, asr.Full, asr.BinaryDecomposition(2))
 
 	// The person moves; the index follows.
 	ob.MustSetAttr(p.ID(), "Lives", gom.Ref(berlin.ID()))

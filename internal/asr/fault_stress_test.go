@@ -38,12 +38,10 @@ func TestStressMaintenanceUnderInjectedFaults(t *testing.T) {
 	fi := storage.NewFaultInjector(disk, fault.New(7))
 	pool := storage.NewBufferPool(fi, 16, storage.LRU)
 	mcol := db.Path.Arity() - 1
-	ix, err := Build(db.Base, db.Path, Full, BinaryDecomposition(mcol), pool)
+	ix, err := NewManager(db.Base, pool).CreateIndex(db.Path, Full, BinaryDecomposition(mcol))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt := NewMaintainer(ix)
-	db.Base.AddObserver(mt)
 
 	// Readers: query concurrently with the storm; a quarantined index
 	// answering ErrQuarantined and cancelled contexts are both fine —
@@ -120,8 +118,8 @@ func TestStressMaintenanceUnderInjectedFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := mt.Err(); err != nil {
-		t.Fatalf("maintainer error after storm + repair: %v", err)
+	if err := ix.QuarantineReason(); err != nil {
+		t.Fatalf("maintenance error after storm + repair: %v", err)
 	}
 	if err := verifyClean(ix); err != nil {
 		t.Fatalf("inconsistent after fault storm: %v", err)

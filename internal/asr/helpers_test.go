@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"asr/internal/btree"
+	"asr/internal/gom"
 	"asr/internal/relation"
 	"asr/internal/storage"
 )
@@ -121,4 +122,23 @@ func EnumerateDecompositions(m int) []Decomposition {
 // SharedPartition returns the physically shared partition.
 func (sp *SharedPair) SharedPartition() *Partition {
 	return sp.P.parts[sp.Plan.PPartIdx].Part
+}
+
+// buildShared builds the §5.4 shared pair for p and q on pool, like
+// Manager.CreateShared but unmaintained: the rebuild a maintained pair
+// is compared against.
+func buildShared(ob *gom.ObjectBase, p, q *gom.PathExpression, pool *storage.BufferPool) (*SharedPair, error) {
+	plan, err := PlanSharing(p, q)
+	if err != nil {
+		return nil, err
+	}
+	pIx, err := build(ob, p, plan.Extension, plan.PDec, pool, nil)
+	if err != nil {
+		return nil, err
+	}
+	qIx, err := build(ob, q, plan.Extension, plan.QDec, pool, map[int]*Partition{plan.QPartIdx: pIx.parts[plan.PPartIdx].Part})
+	if err != nil {
+		return nil, err
+	}
+	return &SharedPair{Plan: plan, P: pIx, Q: qIx}, nil
 }

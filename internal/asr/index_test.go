@@ -381,7 +381,7 @@ func TestSharingPlanAndBuild(t *testing.T) {
 	if plan.Extension != RightComplete {
 		t.Errorf("expected RightComplete sharing, got %v", plan.Extension)
 	}
-	pair, err := BuildShared(c.Base, c.Path, q, newPool())
+	pair, err := buildShared(c.Base, c.Path, q, newPool())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,19 +77,17 @@ func TestListPathIndexAndQueries(t *testing.T) {
 func TestListPathMaintenance(t *testing.T) {
 	for _, ext := range Extensions {
 		ob, path, route, stops, mannheim := listFixture(t)
-		ix, err := Build(ob, path, ext, NoDecomposition(path.Arity()-1), newPool())
+		ix, err := NewManager(ob, newPool()).CreateIndex(path, ext, NoDecomposition(path.Arity()-1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := NewMaintainer(ix)
-		ob.AddObserver(m)
 
 		// Appending to the list fires the set-insertion hook.
 		if err := ob.AppendToList(stops, gom.Ref(mannheim)); err != nil {
 			t.Fatal(err)
 		}
-		if m.Err() != nil {
-			t.Fatalf("%v: %v", ext, m.Err())
+		if ix.QuarantineReason() != nil {
+			t.Fatalf("%v: %v", ext, ix.QuarantineReason())
 		}
 		assertEqualsRebuild(t, ix, ext.String()+"/list-append")
 		// A list may hold an element twice; the second append adds no edge.

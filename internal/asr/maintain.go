@@ -12,40 +12,19 @@ import (
 	"asr/internal/relation"
 )
 
-// Maintainer keeps an Index consistent under object-base updates (§6).
-// Register it as an observer on the object base:
-//
-//	m := asr.NewMaintainer(ix)
-//	ob.AddObserver(m)
-//
-// Maintenance is incremental: an update is translated into the
-// path-graph edges it adds or removes, §6's search finds the logical
-// rows they change (search.go), and the difference is netted per
-// partition, so only the projected rows whose reference count moves are
-// written. An update that cannot be applied quarantines the index, and
-// Err reports why — the object base update itself has already happened,
-// matching the paper's model where the object update precedes index
-// maintenance. The quarantine reason on the Index is the only record of
-// the failure: whatever lifts the quarantine (Repair, Rematerialize) is
-// all that is needed for maintenance to resume with the next update.
-//
-// Each update's row diff is applied transactionally: a storage-level
-// undo transaction makes a partial failure — a device write fault
-// halfway through the partitions — roll back to the exact pre-update
-// pages; a fault in the search fails the attempt before anything is
-// written. Transient faults are retried with exponential backoff
-// (maintRetries, maintBackoff); when the retries are exhausted the
-// index is quarantined (queries fail with ErrQuarantined and the
-// Manager routes around it) until Repair.
-//
-// A Maintainer's callbacks must be driven by a single writer goroutine
-// at a time (the object base serializes mutations, so this holds
-// whenever updates flow through one ObjectBase). Err is safe to call
-// from any goroutine; each applied change takes the index's write lock,
-// so concurrent index readers see atomic transitions.
-type Maintainer struct {
-	ix *Index
-}
+// The Manager is the object base's one index observer (§6): a mutation
+// is one step over every healthy index it touches. The step searches
+// each index's row diff (rowDiff, search.go) against the stored rows as
+// they were before the mutation, then applies all of them in one undo
+// transaction with one WAL commit (applyDiffTxn), under the indexes'
+// write locks taken in registry order: the stored relations change with
+// the object they derive from, a crash leaves all of them at one point
+// of the base's history, and readers see all of a step or none of it.
+// A failed attempt writes nothing or rolls back to the pre-update pages
+// and is retried; once the retries are spent, every index of the step
+// is quarantined with the attempts' errors, since the base has moved on
+// without it, until Repair lifts that. One writer at a time drives the
+// callbacks.
 
 // Transient maintenance faults are retried up to maintRetries times per
 // update, sleeping maintBackoff, 2·maintBackoff, … between attempts.
@@ -54,138 +33,171 @@ const (
 	maintBackoff = 200 * time.Microsecond
 )
 
-// NewMaintainer creates a maintainer for the index.
-func NewMaintainer(ix *Index) *Maintainer {
-	return &Maintainer{ix: ix}
-}
-
-// Err returns why the index is quarantined — the maintenance failure,
-// or whatever else took it out of service (damage found at open or by
-// Verify) — or nil while it is being maintained. Safe for concurrent
-// use.
-func (m *Maintainer) Err() error { return m.ix.QuarantineReason() }
-
 // AttrAssigned implements gom.Observer: the o → old edge goes and the
-// o → new edge comes at every step of the path A_j = attr whose domain
-// o belongs to.
-func (m *Maintainer) AttrAssigned(o *gom.Object, attr string, old, new gom.Value) {
-	path := m.ix.path
-	u := gom.Value(gom.Ref(o.ID()))
-	var changes []edgeChange
-	for j := 1; j <= path.Len(); j++ {
-		if step := path.Step(j); step.Attr == attr && o.Type().IsSubtypeOf(step.Domain) {
-			col := path.ObjectColumn(j - 1)
-			changes = append(changes, edgeChange{col, u, old, false}, edgeChange{col, u, new, true})
+// o → new edge comes at every step of a path A_j = attr whose domain o
+// belongs to.
+func (m *Manager) AttrAssigned(o *gom.Object, attr string, old, new gom.Value) {
+	m.maintain(nil, func(path *gom.PathExpression) (changes []edgeChange) {
+		for j := 1; j <= path.Len(); j++ {
+			if step := path.Step(j); step.Attr == attr && o.Type().IsSubtypeOf(step.Domain) {
+				col, u := path.ObjectColumn(j-1), gom.Value(gom.Ref(o.ID()))
+				changes = append(changes, edgeChange{col, u, old, false}, edgeChange{col, u, new, true})
+			}
 		}
-	}
-	m.apply(changes, nil)
+		return changes
+	})
 }
 
 // SetInserted implements gom.Observer: the paper's characteristic update
 // operation ins_i (§6).
-func (m *Maintainer) SetInserted(set *gom.Object, elem gom.Value) {
+func (m *Manager) SetInserted(set *gom.Object, elem gom.Value) {
 	m.setElementChanged(set, elem, true)
 }
 
 // SetRemoved implements gom.Observer.
-func (m *Maintainer) SetRemoved(set *gom.Object, elem gom.Value) {
+func (m *Manager) SetRemoved(set *gom.Object, elem gom.Value) {
 	m.setElementChanged(set, elem, false)
 }
 
-func (m *Maintainer) setElementChanged(set *gom.Object, elem gom.Value, add bool) {
+func (m *Manager) setElementChanged(set *gom.Object, elem gom.Value, add bool) {
 	if add && set.Type().Kind() == gom.ListType {
 		if elems := set.AppendElements(nil); slices.ContainsFunc(elems[:len(elems)-1], elem.Equal) {
 			return // the list held elem already: appending it again adds no edge
 		}
 	}
-	path := m.ix.path
-	s := gom.Value(gom.Ref(set.ID()))
-	var changes []edgeChange
-	for j := 1; j <= path.Len(); j++ {
-		if step := path.Step(j); step.IsSetOccurrence() && step.Set == set.Type() {
-			changes = append(changes, edgeChange{path.ObjectColumn(j-1) + 1, s, elem, add})
+	m.maintain(nil, func(path *gom.PathExpression) (changes []edgeChange) {
+		for j := 1; j <= path.Len(); j++ {
+			if step := path.Step(j); step.IsSetOccurrence() && step.Set == set.Type() {
+				changes = append(changes, edgeChange{path.ObjectColumn(j-1) + 1, gom.Ref(set.ID()), elem, add})
+			}
 		}
-	}
-	m.apply(changes, nil)
+		return changes
+	})
 }
 
 // ObjectDeleted implements gom.Observer: every edge at the deleted
-// object disappears; the search finds them.
-func (m *Maintainer) ObjectDeleted(o *gom.Object) { m.apply(nil, o) }
+// object disappears, in each path with a column of its type; the search
+// finds them.
+func (m *Manager) ObjectDeleted(o *gom.Object) { m.maintain(o, nil) }
 
-// apply runs one update — its edge changes, or the deletion of dead —
-// through the index: search the rows it removes and adds (rowDiff) and
-// apply the difference to all partitions transactionally, under the
-// index's write lock, so concurrent queries see either the whole change
-// or none of it.
-//
-// The search writes nothing, so it runs before the storage undo
-// transaction of applyDiffTxn. A failed attempt — typically an injected
-// or real device fault, in the search or a B⁺-tree page write-back — is
-// rolled back and retried, search included, per the retry policy. If
-// every attempt fails the index is quarantined with the attempts' errors
-// as its reason: its stored rows match the pre-update object base, which
-// no longer exists, so only Repair can bring it back. While the index is
-// quarantined, updates are skipped: the search would read rows that no
-// longer track the base as the state before each update.
-func (m *Maintainer) apply(changes []edgeChange, dead *gom.Object) {
-	ix := m.ix
-	if ix.Quarantined() || (len(changes) == 0 && dead == nil) {
+// maintStep is one index's share of a step: the edges the mutation
+// moves in its path and, once searched, the logical rows that go and
+// come.
+type maintStep struct {
+	ix            *Index
+	changes       []edgeChange
+	removes, adds []relation.Tuple
+}
+
+// maintain runs one step: the mutation's edge changes per path (edges),
+// or the deletion of dead, through every healthy index they touch.
+func (m *Manager) maintain(dead *gom.Object, edges func(*gom.PathExpression) []edgeChange) {
+	m.mu.RLock()
+	var buf [4]maintStep // most mutations touch few indexes
+	steps := buf[:0]
+	for _, e := range m.entries {
+		var changes []edgeChange
+		if edges != nil {
+			changes = edges(e.ix.path)
+		}
+		touched := len(changes) > 0 || dead != nil && slices.ContainsFunc(e.ix.path.ColumnTypes(), dead.Type().IsSubtypeOf)
+		if touched && !e.ix.Quarantined() {
+			steps = append(steps, maintStep{ix: e.ix, changes: changes})
+		}
+	}
+	m.mu.RUnlock()
+	live := steps[:0]
+	for _, st := range steps {
+		st.ix.mu.Lock()
+		if st.ix.parts != nil {
+			live = append(live, st)
+		} else {
+			st.ix.mu.Unlock() // dropped since the snapshot
+		}
+	}
+	steps = live
+	defer func() {
+		for _, st := range steps {
+			st.ix.mu.Unlock()
+		}
+	}()
+	if len(steps) == 0 {
 		return
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
+
 	var attempts []error
 	for attempt := 0; ; attempt++ {
-		removes, adds, err := ix.rowDiff(changes, dead)
-		if err != nil {
-			// The search wrote nothing: the attempt is rolled back as is.
-			ix.nRollbacks.Add(1)
-			telMaintRollbacks.Inc()
-		} else {
-			err = ix.applyDiffTxn(removes, adds)
+		var err error
+		for i := range steps {
+			st := &steps[i]
+			if st.removes, st.adds, err = st.ix.rowDiff(st.changes, dead); err != nil {
+				break // the searches wrote nothing
+			}
 		}
 		if err == nil {
-			return
+			if err = m.applyDiffTxn(steps); err == nil {
+				return
+			}
 		}
+		for _, st := range steps {
+			st.ix.nRollbacks.Add(1)
+		}
+		telMaintRollbacks.Inc()
 		attempts = append(attempts, fmt.Errorf("attempt %d: %w", attempt+1, err))
 		if attempt >= maintRetries {
 			break
 		}
 		time.Sleep(maintBackoff << uint(attempt))
-		ix.nRetries.Add(1)
+		for _, st := range steps {
+			st.ix.nRetries.Add(1)
+		}
 		telMaintRetries.Inc()
 	}
-	ix.quarantine(fmt.Errorf("asr: index on %s: maintenance failed after %d attempt(s), index quarantined: %w",
-		ix.path, len(attempts), errors.Join(attempts...)))
+	err := errors.Join(attempts...)
+	for _, st := range steps {
+		st.ix.quarantine(fmt.Errorf("asr: index on %s: maintenance failed after %d attempt(s), index quarantined: %w",
+			st.ix.path, len(attempts), err))
+	}
 }
 
-// applyDiffTxn applies one update's logical row diff to every partition
-// atomically, as each partition's net change (§6's aup): the removed
-// and added rows are projected onto the partition's window and summed,
-// so a projection both removed and re-added — the partitions an update
-// does not reach — costs nothing, and each row whose count does move is
-// adjusted once, by its net delta. A partition left with no net change
-// is never marked or locked. Every row and count lives in B⁺-tree
-// pages, so the storage UndoTxn capturing the page mutations is the
-// whole rollback; the only state outside the pages is each tree's
-// root/height/count, marked per partition on first touch. Any failure
-// restores the pages and rewinds the marks under the involved
-// partitions' write locks, so concurrent readers of shared partitions
-// never observe a torn state.
-func (ix *Index) applyDiffTxn(removes, adds []relation.Tuple) (err error) {
-	nets := make([][]netRow, len(ix.parts))
-	work := false
-	for i, pp := range ix.parts {
-		if nets[i], err = netDiff(pp, removes, adds); err != nil {
-			return err
-		}
-		work = work || len(nets[i]) > 0
+// partNet is one placed partition's net change within a step.
+type partNet struct {
+	p    *Partition
+	rows []netRow
+}
+
+// applyDiffTxn applies a step's row diffs atomically, as each
+// partition's net change (§6's aup): an index's removed and added rows
+// are projected onto the partition's window and summed, so each row
+// whose count moves is adjusted once, by its net delta, and a partition
+// the step does not reach is never marked or locked. A partition shared
+// by two indexes (§5.4) takes both net changes in the one transaction,
+// and a step that moves nothing opens none. Rows and counts live only in
+// B⁺-tree pages, so the storage UndoTxn is the whole rollback, beside
+// each tree's root/height/count, marked per partition on first touch;
+// a failure restores both under the touched partitions' write locks, so
+// readers of shared partitions never observe a torn state.
+func (m *Manager) applyDiffTxn(steps []maintStep) (err error) {
+	n := 0
+	for _, st := range steps {
+		n += len(st.ix.parts)
 	}
-	if !work {
+	nets := make([]partNet, 0, n)
+	for _, st := range steps {
+		for _, pp := range st.ix.parts {
+			rows, err := netDiff(pp, st.removes, st.adds)
+			if err != nil {
+				return err
+			}
+			if len(rows) > 0 {
+				nets = append(nets, partNet{pp.Part, rows})
+			}
+		}
+	}
+	if len(nets) == 0 {
 		return nil
 	}
-	txn, err := ix.pool.BeginUndo()
+	txn, err := m.pool.BeginUndo()
 	if err != nil {
 		return err
 	}
@@ -193,16 +205,13 @@ func (ix *Index) applyDiffTxn(removes, adds []relation.Tuple) (err error) {
 	var order []*Partition // marks in first-touch order
 
 apply:
-	for i, pp := range ix.parts {
-		if len(nets[i]) == 0 {
-			continue
+	for _, pn := range nets {
+		if _, ok := marks[pn.p]; !ok {
+			marks[pn.p] = pn.p.marks()
+			order = append(order, pn.p)
 		}
-		if _, ok := marks[pp.Part]; !ok {
-			marks[pp.Part] = pp.Part.marks()
-			order = append(order, pp.Part)
-		}
-		for _, r := range nets[i] {
-			if err = pp.Part.adjust(r.row, r.delta); err != nil {
+		for _, r := range pn.rows {
+			if err = pn.p.adjust(r.row, r.delta); err != nil {
 				break apply
 			}
 		}
@@ -220,8 +229,6 @@ apply:
 	// Roll back. Lock every touched partition first: the page restore
 	// and the tree-mark rewind must be invisible to concurrent readers
 	// (who lock the partition, not the index).
-	ix.nRollbacks.Add(1)
-	telMaintRollbacks.Inc()
 	for _, p := range order {
 		p.mu.Lock()
 	}

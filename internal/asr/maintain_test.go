@@ -61,19 +61,17 @@ func TestMaintainInsertIntoSetPaperExample(t *testing.T) {
 	// a set-valued attribute, here a new Product into Auto's ProdSET.
 	for _, ext := range Extensions {
 		c := paperdb.BuildCompany()
-		ix, err := Build(c.Base, c.Path, ext, BinaryDecomposition(5), newPool())
+		ix, err := NewManager(c.Base, newPool()).CreateIndex(c.Path, ext, BinaryDecomposition(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := NewMaintainer(ix)
-		c.Base.AddObserver(m)
 
 		// Sausage (previously unreachable from any division) joins Auto's
 		// product set: the right-complete partial path through Sausage
 		// must become a complete path.
 		c.Base.MustInsertIntoSet(c.ProdSetAuto, gom.Ref(c.ProdSausage))
-		if m.Err() != nil {
-			t.Fatalf("%v: %v", ext, m.Err())
+		if ix.QuarantineReason() != nil {
+			t.Fatalf("%v: %v", ext, ix.QuarantineReason())
 		}
 		assertEqualsRebuild(t, ix, ext.String()+"/ins")
 
@@ -89,8 +87,8 @@ func TestMaintainInsertIntoSetPaperExample(t *testing.T) {
 		if err := c.Base.RemoveFromSet(c.ProdSetAuto, gom.Ref(c.ProdSausage)); err != nil {
 			t.Fatal(err)
 		}
-		if m.Err() != nil {
-			t.Fatalf("%v: %v", ext, m.Err())
+		if ix.QuarantineReason() != nil {
+			t.Fatalf("%v: %v", ext, ix.QuarantineReason())
 		}
 		assertEqualsRebuild(t, ix, ext.String()+"/rem")
 	}
@@ -99,12 +97,10 @@ func TestMaintainInsertIntoSetPaperExample(t *testing.T) {
 func TestMaintainAttributeAssignment(t *testing.T) {
 	for _, ext := range Extensions {
 		c := paperdb.BuildCompany()
-		ix, err := Build(c.Base, c.Path, ext, Decomposition{0, 2, 5}, newPool())
+		ix, err := NewManager(c.Base, newPool()).CreateIndex(c.Path, ext, Decomposition{0, 2, 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := NewMaintainer(ix)
-		c.Base.AddObserver(m)
 
 		// Rename Door: the VALUE column changes.
 		c.Base.MustSetAttr(c.PartDoor, "Name", gom.String("Hatch"))
@@ -125,8 +121,8 @@ func TestMaintainAttributeAssignment(t *testing.T) {
 		c.Base.MustSetAttr(c.Prod560SEC, "Composition", nil)
 		assertEqualsRebuild(t, ix, ext.String()+"/null-composition")
 
-		if m.Err() != nil {
-			t.Fatalf("%v: %v", ext, m.Err())
+		if ix.QuarantineReason() != nil {
+			t.Fatalf("%v: %v", ext, ix.QuarantineReason())
 		}
 	}
 }
@@ -134,20 +130,18 @@ func TestMaintainAttributeAssignment(t *testing.T) {
 func TestMaintainObjectDeletion(t *testing.T) {
 	for _, ext := range Extensions {
 		c := paperdb.BuildCompany()
-		ix, err := Build(c.Base, c.Path, ext, BinaryDecomposition(5), newPool())
+		ix, err := NewManager(c.Base, newPool()).CreateIndex(c.Path, ext, BinaryDecomposition(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := NewMaintainer(ix)
-		c.Base.AddObserver(m)
 
 		// Delete the 560SEC product: Auto and Truck lose their complete
 		// paths.
 		if err := c.Base.Delete(c.Prod560SEC); err != nil {
 			t.Fatal(err)
 		}
-		if m.Err() != nil {
-			t.Fatalf("%v: %v", ext, m.Err())
+		if ix.QuarantineReason() != nil {
+			t.Fatalf("%v: %v", ext, ix.QuarantineReason())
 		}
 		assertEqualsRebuild(t, ix, ext.String()+"/delete-product")
 
@@ -163,7 +157,7 @@ func TestMaintainObjectDeletion(t *testing.T) {
 
 // Note: assertEqualsRebuild rebuilds against the post-delete object base,
 // whose aux relations skip deleted objects, so this validates the
-// maintainer's cascade logic end to end.
+// maintenance's cascade logic end to end.
 
 func TestMaintainRandomUpdateSequences(t *testing.T) {
 	// The central maintenance property: after an arbitrary update
@@ -174,13 +168,13 @@ func TestMaintainRandomUpdateSequences(t *testing.T) {
 		ob, path := randomCompany(t, 1000+seed, 8, 12, 10)
 		rng := rand.New(rand.NewSource(seed))
 
+		mgr := NewManager(ob, newPool())
 		var ixs []*Index
 		for _, ext := range Extensions {
-			ix, err := Build(ob, path, ext, decs[rng.Intn(len(decs))], newPool())
+			ix, err := mgr.CreateIndex(path, ext, decs[rng.Intn(len(decs))])
 			if err != nil {
 				t.Fatal(err)
 			}
-			ob.AddObserver(NewMaintainer(ix))
 			ixs = append(ixs, ix)
 		}
 
@@ -248,12 +242,10 @@ func TestMaintainSharedPartition(t *testing.T) {
 	c := paperdb.BuildCompany()
 	productT := c.Schema.MustLookup("Product")
 	q := gom.MustResolvePath(productT, "Composition", "Name")
-	pair, err := BuildShared(c.Base, c.Path, q, newPool())
+	pair, err := NewManager(c.Base, newPool()).CreateShared(c.Path, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Base.AddObserver(NewMaintainer(pair.P))
-	c.Base.AddObserver(NewMaintainer(pair.Q))
 
 	c.Base.MustInsertIntoSet(c.PartsSausage, gom.Ref(c.PartDoor))
 
@@ -289,14 +281,14 @@ func TestMaintainSharedPartition(t *testing.T) {
 func TestMaintainDeletionsMatchRebuild(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		ob, path := randomCompany(t, 300+seed, 6, 10, 8)
+		mgr := NewManager(ob, newPool())
 		var ixs []*Index
 		for _, ext := range Extensions {
 			for _, dec := range []Decomposition{BinaryDecomposition(5), NoDecomposition(5), {0, 2, 5}} {
-				ix, err := Build(ob, path, ext, dec, newPool())
+				ix, err := mgr.CreateIndex(path, ext, dec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ob.AddObserver(NewMaintainer(ix))
 				ixs = append(ixs, ix)
 			}
 		}

@@ -2,6 +2,7 @@ package asr
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -21,16 +22,17 @@ type QueryEvent struct {
 }
 
 // Manager owns the access support relations of one object base: it
-// builds and drops indexes (keeping a Maintainer registered for each),
-// routes path queries to the best usable index, and falls back to object
-// traversal (forward) or exhaustive search (backward) when no index
-// applies — the execution strategies of §5.6.
+// builds and drops indexes, maintains all of them as the base's one
+// index observer (maintain.go), routes path queries to the best usable
+// index, and falls back to object traversal (forward) or exhaustive
+// search (backward) when no index applies — the execution strategies of
+// §5.6.
 //
 // A Manager is safe for concurrent use: QueryForward, QueryBackward,
 // their Ctx forms, FindIndex, Indexes, Healthy and Stats may be called
 // from any number of goroutines, concurrently with at most one goroutine
 // mutating the underlying object base (whose updates drive the
-// registered Maintainers) and with CreateIndex/DropIndex, which take the
+// Manager's maintenance) and with CreateIndex/DropIndex, which take the
 // registry's write lock. The query-event hook may be invoked
 // concurrently and must be safe for that.
 type Manager struct {
@@ -48,14 +50,17 @@ type Manager struct {
 }
 
 type managedIndex struct {
-	ix         *Index
-	maintainer *Maintainer
-	hits       atomic.Uint64 // queries routed to this index
+	ix   *Index
+	hits atomic.Uint64 // queries routed to this index
 }
 
-// NewManager creates a manager whose indexes allocate pages from pool.
+// NewManager creates a manager whose indexes allocate pages from pool
+// and registers it as ob's observer, so every index it creates or opens
+// is maintained under ob's updates.
 func NewManager(ob *gom.ObjectBase, pool *storage.BufferPool) *Manager {
-	return &Manager{ob: ob, pool: pool}
+	m := &Manager{ob: ob, pool: pool}
+	ob.AddObserver(m)
+	return m
 }
 
 // Pool returns the buffer pool the managed indexes allocate from —
@@ -73,6 +78,32 @@ func (m *Manager) SetHook(fn func(QueryEvent)) {
 
 // CreateIndex builds and registers a maintained index.
 func (m *Manager) CreateIndex(path *gom.PathExpression, ext Extension, dec Decomposition) (*Index, error) {
+	return m.create(path, ext, dec, nil)
+}
+
+// CreateShared creates maintained indexes for both paths in the plan
+// PlanSharing picks, storing their common segment once, in one
+// reference-counted partition (§5.4) that every update maintains for
+// both in one step.
+func (m *Manager) CreateShared(p, q *gom.PathExpression) (*SharedPair, error) {
+	plan, err := PlanSharing(p, q)
+	if err != nil {
+		return nil, err
+	}
+	pIx, err := m.create(p, plan.Extension, plan.PDec, nil)
+	if err != nil {
+		return nil, err
+	}
+	qIx, err := m.create(q, plan.Extension, plan.QDec, map[int]*Partition{plan.QPartIdx: pIx.parts[plan.PPartIdx].Part})
+	if err != nil {
+		return nil, errors.Join(err, m.DropIndex(pIx))
+	}
+	return &SharedPair{Plan: plan, P: pIx, Q: qIx}, nil
+}
+
+// create builds an index, over the preset partitions build takes, and
+// registers it unless the manager has it already.
+func (m *Manager) create(path *gom.PathExpression, ext Extension, dec Decomposition, preset map[int]*Partition) (*Index, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, e := range m.entries {
@@ -80,17 +111,15 @@ func (m *Manager) CreateIndex(path *gom.PathExpression, ext Extension, dec Decom
 			return nil, fmt.Errorf("asr: index %s %s %s already exists", path, ext, dec)
 		}
 	}
-	ix, err := Build(m.ob, path, ext, dec, m.pool)
+	ix, err := build(m.ob, path, ext, dec, m.pool, preset)
 	if err != nil {
 		return nil, err
 	}
-	mt := NewMaintainer(ix)
-	m.ob.AddObserver(mt)
-	m.entries = append(m.entries, &managedIndex{ix: ix, maintainer: mt})
+	m.entries = append(m.entries, &managedIndex{ix: ix})
 	return ix, nil
 }
 
-// DropIndex unregisters an index and its maintainer and reclaims the
+// DropIndex unregisters an index, ending its maintenance, and reclaims the
 // pages of every partition not shared with another index (§5.4 sharing
 // keeps shared partitions alive until their last owner is dropped).
 // Queries already running against the index finish first.
@@ -99,7 +128,6 @@ func (m *Manager) DropIndex(ix *Index) error {
 	defer m.mu.Unlock()
 	for i, e := range m.entries {
 		if e.ix == ix {
-			m.ob.RemoveObserver(e.maintainer)
 			m.entries = append(m.entries[:i], m.entries[i+1:]...)
 			return ix.ReleasePages()
 		}
@@ -313,20 +341,6 @@ type ManagerStats struct {
 	ExhaustiveSearches uint64 // backward fallback: exhaustive search
 	DegradedQueries    uint64 // fallbacks forced by a quarantined index
 	Indexes            []ManagedIndexStats
-}
-
-// String renders the snapshot compactly.
-func (s ManagerStats) String() string {
-	out := fmt.Sprintf("queries=%d index=%d traversal=%d exhaustive=%d degraded=%d",
-		s.Queries, s.IndexHits, s.Traversals, s.ExhaustiveSearches, s.DegradedQueries)
-	for _, ix := range s.Indexes {
-		out += fmt.Sprintf("\n  %s ext=%s dec=%s rows=%d hits=%d queries=%d rowsScanned=%d",
-			ix.Path, ix.Ext, ix.Dec, ix.Rows, ix.Hits, ix.Queries, ix.RowsScanned)
-		if ix.Quarantined {
-			out += " QUARANTINED"
-		}
-	}
-	return out
 }
 
 // Stats returns a snapshot of routing counters and per-index activity.

@@ -162,7 +162,7 @@ func TestManagerMaintainsIndexesOnUpdate(t *testing.T) {
 	if got := OIDsOf(prods); len(got) != 2 {
 		t.Errorf("after update, products with Door = %v", got)
 	}
-	// Dropping unregisters the maintainer and reclaims the index's pages.
+	// Dropping ends the index's maintenance and reclaims its pages.
 	disk := ix.Pool().Disk()
 	allocatedBefore := disk.NumPages()
 	if err := mgr.DropIndex(ix); err != nil {
@@ -174,7 +174,7 @@ func TestManagerMaintainsIndexesOnUpdate(t *testing.T) {
 	if len(ix.Partitions()) != 0 {
 		t.Error("dropped index still holds partitions")
 	}
-	// Further updates must not fail against the dropped maintainer.
+	// Further updates must not fail against the dropped index.
 	c.Base.MustInsertIntoSet(c.PartsSausage, gom.Ref(c.PartPepper))
 	if err := mgr.Healthy(); err != nil {
 		t.Fatal(err)

@@ -95,25 +95,25 @@ func TestMaintenanceMatchesRebuildAfterEveryOp(t *testing.T) {
 			dec Decomposition
 			ix  *Index
 		}
+		mgr := NewManager(ob, newPool())
 		var designs []design
 		for _, ext := range Extensions {
 			for _, dec := range decs {
-				ix, err := Build(ob, path, ext, dec, newPool())
+				ix, err := mgr.CreateIndex(path, ext, dec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ob.AddObserver(NewMaintainer(ix))
 				designs = append(designs, design{ext, dec, ix})
 			}
 		}
 		schema := ob.Schema()
 		q := gom.MustResolvePath(schema.MustLookup("Product"), "Composition", "Name")
-		pair, err := BuildShared(ob, path, q, newPool())
+		// The pair's right-complete (0, 3, 5) designs are among the
+		// designs above, so a second Manager maintains it.
+		pair, err := NewManager(ob, newPool()).CreateShared(path, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ob.AddObserver(NewMaintainer(pair.P))
-		ob.AddObserver(NewMaintainer(pair.Q))
 
 		all := []*Index{pair.P, pair.Q}
 		for _, d := range designs {
@@ -231,7 +231,7 @@ func TestMaintenanceMatchesRebuildAfterEveryOp(t *testing.T) {
 					}
 				}
 			}
-			freshPair, err := BuildShared(ob, path, q, newPool())
+			freshPair, err := buildShared(ob, path, q, newPool())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,15 +254,13 @@ func TestMaintenanceMatchesRebuildAfterEveryOp(t *testing.T) {
 // the refusal quarantines the index, netting or not.
 func TestNetRemovalOfUntrackedRowQuarantines(t *testing.T) {
 	ob, path := randomCompany(t, 77, 6, 10, 8)
-	ix, err := Build(ob, path, Full, BinaryDecomposition(5), newPool())
+	ix, err := NewManager(ob, newPool()).CreateIndex(path, Full, BinaryDecomposition(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMaintainer(ix)
-	ob.AddObserver(m)
 
 	// Drop a stored Division → ProdSET edge row from partition 0 behind
-	// the maintainer's back, then remove that edge from the base.
+	// maintenance's back, then remove that edge from the base.
 	p := ix.parts[0].Part
 	var row relation.Tuple
 	var cnt int

@@ -40,7 +40,7 @@ import (
 // adjustments, and the ownership transitions) take the write lock.
 // Because a partition may be physically shared by two indexes (§5.4),
 // this lock — not the owning Index's — is what protects readers of one
-// index from the maintainer of another index sharing the same partition.
+// index from the maintenance of another index sharing the same partition.
 type Partition struct {
 	mu       sync.RWMutex
 	name     string

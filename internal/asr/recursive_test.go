@@ -90,13 +90,13 @@ func TestRecursivePathMaintenance(t *testing.T) {
 	for seed := int64(10); seed < 14; seed++ {
 		ob, path, parts := partsFixture(t, seed, 16)
 		m := path.Arity() - 1
+		mgr := NewManager(ob, newPool())
 		var ixs []*Index
 		for _, ext := range Extensions {
-			ix, err := Build(ob, path, ext, Decomposition{0, 2, m}, newPool())
+			ix, err := mgr.CreateIndex(path, ext, Decomposition{0, 2, m})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ob.AddObserver(NewMaintainer(ix))
 			ixs = append(ixs, ix)
 		}
 		rng := rand.New(rand.NewSource(seed * 7))

@@ -25,8 +25,8 @@ type faultyRig struct {
 	disk *storage.Disk
 	fi   *storage.FaultInjector
 	pool *storage.BufferPool
+	mgr  *Manager
 	ix   *Index
-	mt   *Maintainer
 }
 
 func newFaultyRig(t *testing.T, seed int64) *faultyRig {
@@ -45,13 +45,12 @@ func newFaultyRig(t *testing.T, seed int64) *faultyRig {
 	fi := storage.NewFaultInjector(disk, fault.New(seed))
 	pool := storage.NewBufferPool(fi, 8, storage.LRU)
 	mcol := db.Path.Arity() - 1
-	ix, err := Build(db.Base, db.Path, Full, BinaryDecomposition(mcol), pool)
+	mgr := NewManager(db.Base, pool)
+	ix, err := mgr.CreateIndex(db.Path, Full, BinaryDecomposition(mcol))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt := NewMaintainer(ix)
-	db.Base.AddObserver(mt)
-	return &faultyRig{db: db, disk: disk, fi: fi, pool: pool, ix: ix, mt: mt}
+	return &faultyRig{db: db, disk: disk, fi: fi, pool: pool, mgr: mgr, ix: ix}
 }
 
 // mutableSources returns every T_0 object with a defined Next paired
@@ -118,7 +117,7 @@ func (r *faultyRig) refcountsSnapshot(t *testing.T) []map[string]int {
 // maintenance fail after retries; the failure must leave every
 // partition exactly in its pre-update state (reference counts now, disk
 // bytes after healing and flushing), quarantine the index, surface the
-// error through Maintainer.Err, and Repair must bring the index back.
+// error through Index.QuarantineReason, and Repair must bring the index back.
 func TestMaintenanceFaultRollsBackAndQuarantines(t *testing.T) {
 	r := newFaultyRig(t, 11)
 
@@ -140,7 +139,7 @@ func TestMaintenanceFaultRollsBackAndQuarantines(t *testing.T) {
 		r.fi.Schedule(storage.Fault{Op: storage.OpWrite, Permanent: true})
 		src = pair[0]
 		r.db.Base.MustSetAttr(src, "Next", gom.Ref(pair[1]))
-		if r.mt.Err() != nil {
+		if r.ix.QuarantineReason() != nil {
 			tripped = true
 			break
 		}
@@ -148,7 +147,7 @@ func TestMaintenanceFaultRollsBackAndQuarantines(t *testing.T) {
 	if !tripped {
 		t.Fatal("no update's maintenance hit the faulty device; shrink the pool capacity")
 	}
-	err := r.mt.Err()
+	err := r.ix.QuarantineReason()
 	if !errors.Is(err, storage.ErrInjectedFault) {
 		t.Fatalf("maintenance error does not wrap the injected fault: %v", err)
 	}
@@ -236,12 +235,12 @@ func TestMaintenanceFaultRollsBackAndQuarantines(t *testing.T) {
 	}
 
 	// Maintenance resumes after the repair alone.
-	if r.mt.Err() != nil {
-		t.Fatal("Repair left the maintainer reporting an error")
+	if r.ix.QuarantineReason() != nil {
+		t.Fatal("Repair left the index reporting an error")
 	}
 	src3, dst3 := r.mutableSource(t)
 	r.db.Base.MustSetAttr(src3, "Next", gom.Ref(dst3))
-	if err := r.mt.Err(); err != nil {
+	if err := r.ix.QuarantineReason(); err != nil {
 		t.Fatalf("maintenance after repair failed: %v", err)
 	}
 	if err := verifyClean(r.ix); err != nil {
@@ -273,7 +272,7 @@ func TestTransientFaultIsRetriedAndSucceeds(t *testing.T) {
 	r.fi.Schedule(storage.Fault{Op: storage.OpWrite})
 	src, dst := r.mutableSource(t)
 	r.db.Base.MustSetAttr(src, "Next", gom.Ref(dst))
-	if err := r.mt.Err(); err != nil {
+	if err := r.ix.QuarantineReason(); err != nil {
 		t.Fatalf("transient fault not absorbed: %v", err)
 	}
 	if r.ix.Quarantined() {
@@ -294,7 +293,7 @@ func TestTransientFaultIsRetriedAndSucceeds(t *testing.T) {
 // TestManagerRoutesAroundQuarantineAndRepairs: the Manager must fall
 // back to traversal/exhaustive search while an index is quarantined —
 // with correct results — count those degraded queries, and
-// Manager.Repair must restore index routing and maintainer health.
+// Manager.Repair must restore index routing and maintenance health.
 func TestManagerRoutesAroundQuarantineAndRepairs(t *testing.T) {
 	db, err := gendb.Generate(gendb.Spec{
 		N:    3,
@@ -383,7 +382,7 @@ func TestManagerRoutesAroundQuarantineAndRepairs(t *testing.T) {
 		t.Fatal("ManagerStats does not mark the quarantined index")
 	}
 
-	// Repair through the manager: quarantine lifted, maintainer cleared,
+	// Repair through the manager: quarantine lifted, reason cleared,
 	// routing restored.
 	fi.Heal()
 	if _, err := mgr.Repair(ix); err != nil {
@@ -464,8 +463,7 @@ func TestQueryCtxCancellation(t *testing.T) {
 // manager-side bookkeeping to remember.
 func TestDirectRepairRestoresHealth(t *testing.T) {
 	r := newFaultyRig(t, 37)
-	mgr := NewManager(r.db.Base, r.pool)
-	mgr.entries = append(mgr.entries, &managedIndex{ix: r.ix, maintainer: r.mt})
+	mgr := r.mgr
 
 	r.fi.Schedule(storage.Fault{Op: storage.OpWrite, Permanent: true})
 	src, dst := r.mutableSource(t)
@@ -507,7 +505,7 @@ func TestSearchReadFaultQuarantines(t *testing.T) {
 	r.fi.Schedule(storage.Fault{Op: storage.OpRead, Permanent: true})
 	src, dst := r.mutableSource(t)
 	r.db.Base.MustSetAttr(src, "Next", gom.Ref(dst))
-	if !r.ix.Quarantined() || r.mt.Err() == nil {
+	if !r.ix.Quarantined() || r.ix.QuarantineReason() == nil {
 		t.Fatal("a search that cannot read did not quarantine the index")
 	}
 	if st := r.ix.Stats(); st.Retries != maintRetries || st.Rollbacks != maintRetries+1 {
@@ -527,5 +525,62 @@ func TestSearchReadFaultQuarantines(t *testing.T) {
 	}
 	if err := verifyClean(r.ix); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStepFailureQuarantinesEveryChangedIndex: one mutation maintains
+// two indexes on the rig's path in one transaction, so a permanent write
+// fault rolls back both — their stored rows stay the pre-update ones —
+// and quarantines both with the joined attempt errors, while an index
+// whose path the mutation does not touch stays in service.
+func TestStepFailureQuarantinesEveryChangedIndex(t *testing.T) {
+	r := newFaultyRig(t, 11)
+	mcol := r.db.Path.Arity() - 1
+	left, err := r.mgr.CreateIndex(r.db.Path, LeftComplete, BinaryDecomposition(mcol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := gom.MustResolvePath(r.db.Types[2], "Next") // no T_0.Next step
+	other, err := r.mgr.CreateIndex(tail, Full, BinaryDecomposition(tail.Arity()-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := []*Index{r.ix, left}
+	snapshot := func() (out []map[string]int) {
+		for _, ix := range changed {
+			for _, pp := range ix.parts {
+				out = append(out, storedCounts(t, pp.Part))
+			}
+		}
+		return out
+	}
+
+	var pre []map[string]int
+	for _, pair := range r.mutableSources(t) {
+		r.fi.Heal()
+		pre = snapshot()
+		r.fi.Schedule(storage.Fault{Op: storage.OpWrite, Permanent: true})
+		r.db.Base.MustSetAttr(pair[0], "Next", gom.Ref(pair[1]))
+		if r.ix.Quarantined() || left.Quarantined() {
+			break
+		}
+	}
+	r.fi.Heal()
+	for _, ix := range changed {
+		if err := ix.QuarantineReason(); !errors.Is(err, storage.ErrInjectedFault) {
+			t.Fatalf("%s: quarantine reason %v, want the injected fault", ix, err)
+		}
+		if st := ix.Stats(); st.Rollbacks != maintRetries+1 || st.Retries != maintRetries {
+			t.Fatalf("%s: stats = %+v, want %d retries and %d rolled-back attempts", ix, st, maintRetries, maintRetries+1)
+		}
+	}
+	if got := snapshot(); !reflect.DeepEqual(got, pre) {
+		t.Fatal("a failed step left some partition changed")
+	}
+	if err := other.QuarantineReason(); err != nil {
+		t.Fatalf("an index the mutation does not touch was quarantined: %v", err)
+	}
+	if st := other.Stats(); st.Rollbacks != 0 {
+		t.Fatalf("untouched index stats = %+v", st)
 	}
 }

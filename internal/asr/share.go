@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"asr/internal/gom"
-	"asr/internal/storage"
 )
 
 // SharingPlan describes how two path expressions can share one physical
@@ -76,31 +75,8 @@ func segmentDecomposition(p *gom.PathExpression, start, length int) (Decompositi
 }
 
 // SharedPair is two indexes over overlapping paths that physically share
-// the partition covering their common segment: rows contributed by both
-// paths are merged by reference counting, so the shared trees are stored
-// once.
+// the partition covering their common segment (Manager.CreateShared).
 type SharedPair struct {
 	Plan *SharingPlan
 	P, Q *Index
-}
-
-// BuildShared builds indexes for both paths in the plan's extension with
-// the plan's decompositions, wiring the shared segment to one physical
-// partition. Both indexes must be maintained (two Maintainers) for the
-// shared partition to stay consistent under updates.
-func BuildShared(ob *gom.ObjectBase, p, q *gom.PathExpression, pool *storage.BufferPool) (*SharedPair, error) {
-	plan, err := PlanSharing(p, q)
-	if err != nil {
-		return nil, err
-	}
-	pIx, err := build(ob, p, plan.Extension, plan.PDec, pool, nil)
-	if err != nil {
-		return nil, err
-	}
-	shared := pIx.parts[plan.PPartIdx].Part
-	qIx, err := build(ob, q, plan.Extension, plan.QDec, pool, map[int]*Partition{plan.QPartIdx: shared})
-	if err != nil {
-		return nil, err
-	}
-	return &SharedPair{Plan: plan, P: pIx, Q: qIx}, nil
 }

@@ -74,7 +74,7 @@ func TestMiddleSegmentSharingRequiresFull(t *testing.T) {
 
 func TestMiddleSegmentSharedQueries(t *testing.T) {
 	ob, p, q := middleFixture(t)
-	pair, err := BuildShared(ob, p, q, newPool())
+	pair, err := buildShared(ob, p, q, newPool())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestMiddleSegmentSharedQueries(t *testing.T) {
 func TestSharedPartitionSurvivesFirstDrop(t *testing.T) {
 	ob, p, q := middleFixture(t)
 	pool := newPool()
-	pair, err := BuildShared(ob, p, q, pool)
+	pair, err := buildShared(ob, p, q, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +143,10 @@ func TestPlanSharingRejectsDisjointPaths(t *testing.T) {
 }
 
 // A Full pair sharing an interior partition is maintained by probing
-// that partition, which the first maintainer of an update has already
-// moved on while the second still expects the rows before it. Under
-// retargets at every step, renames and deletions, both sides stay equal
-// to a fresh BuildShared.
+// that partition, and both sides' searches of an update must read it as
+// it was before the update: the Manager searches both before it writes
+// either. Under retargets at every step, renames and deletions, both
+// sides stay equal to a fresh build of the pair.
 func TestMiddleSegmentSharedMaintenance(t *testing.T) {
 	ob, p, q := middleFixture(t)
 	schema := ob.Schema()
@@ -172,12 +172,10 @@ func TestMiddleSegmentSharedMaintenance(t *testing.T) {
 		ob.MustSetAttr(id, "Name", gom.String(partName(rng)))
 		ob.MustSetAttr(id, "Age", gom.Integer(int64(rng.Intn(3))))
 	}
-	pair, err := BuildShared(ob, p, q, newPool())
+	pair, err := NewManager(ob, newPool()).CreateShared(p, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ob.AddObserver(NewMaintainer(pair.P))
-	ob.AddObserver(NewMaintainer(pair.Q))
 	for op := 0; op < 60; op++ {
 		switch r := rng.Intn(6); {
 		case r < 4:
@@ -193,7 +191,7 @@ func TestMiddleSegmentSharedMaintenance(t *testing.T) {
 				}
 			}
 		}
-		fresh, err := BuildShared(ob, p, q, newPool())
+		fresh, err := buildShared(ob, p, q, newPool())
 		if err != nil {
 			t.Fatal(err)
 		}

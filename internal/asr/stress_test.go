@@ -38,13 +38,13 @@ func TestStressLargeDatabaseWithUpdates(t *testing.T) {
 		LeftComplete:  {0, 3, mcol},
 		RightComplete: {0, 5, mcol},
 	}
+	mgr := NewManager(db.Base, newPool())
 	ixs := map[Extension]*Index{}
 	for ext, dec := range decs {
-		ix, err := Build(db.Base, db.Path, ext, dec, newPool())
+		ix, err := mgr.CreateIndex(db.Path, ext, dec)
 		if err != nil {
 			t.Fatalf("%v: %v", ext, err)
 		}
-		db.Base.AddObserver(NewMaintainer(ix))
 		ixs[ext] = ix
 	}
 

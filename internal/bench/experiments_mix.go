@@ -94,12 +94,10 @@ func runDesignStream(ext asr.Extension, ops []mixOp) (float64, error) {
 		return 0, err
 	}
 	mcol := db.Path.Arity() - 1
-	ix, err := asr.Build(db.Base, db.Path, ext, asr.BinaryDecomposition(mcol), newIndexPool())
+	ix, err := asr.NewManager(db.Base, newIndexPool()).CreateIndex(db.Path, ext, asr.BinaryDecomposition(mcol))
 	if err != nil {
 		return 0, err
 	}
-	maint := asr.NewMaintainer(ix)
-	db.Base.AddObserver(maint)
 
 	rng := rand.New(rand.NewSource(mixSpec.Seed * 31))
 	var total float64
@@ -123,7 +121,7 @@ func runDesignStream(ext asr.Extension, ops []mixOp) (float64, error) {
 		}
 		src := db.Extents[op.i][rng.Intn(len(db.Extents[op.i]))]
 		dst := db.Extents[op.i+1][rng.Intn(len(db.Extents[op.i+1]))]
-		m, err := insert(db, ix, maint, op.i, src, dst)
+		m, err := insert(db, ix, op.i, src, dst)
 		if err != nil {
 			return 0, err
 		}

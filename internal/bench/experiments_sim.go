@@ -287,7 +287,7 @@ func runAblSharing() (*Table, error) {
 	q := gom.MustResolvePath(productT, "Composition", "Name")
 
 	sharedPool := newIndexPool()
-	pair, err := asr.BuildShared(c.Base, c.Path, q, sharedPool)
+	pair, err := asr.NewManager(c.Base, sharedPool).CreateShared(c.Path, q)
 	if err != nil {
 		return nil, err
 	}

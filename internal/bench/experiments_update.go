@@ -59,19 +59,17 @@ func runSimUpdate() (*Table, error) {
 			return nil, err
 		}
 		mcol := db.Path.Arity() - 1
-		ix, err := asr.Build(db.Base, db.Path, ext, asr.BinaryDecomposition(mcol), newIndexPool())
+		ix, err := asr.NewManager(db.Base, newIndexPool()).CreateIndex(db.Path, ext, asr.BinaryDecomposition(mcol))
 		if err != nil {
 			return nil, err
 		}
-		maint := asr.NewMaintainer(ix)
-		db.Base.AddObserver(maint)
 
 		var total float64
 		const ops = 20
 		for k := 0; k < ops; k++ {
 			src := db.Extents[insAt][k]
 			dst := db.Extents[insAt+1][len(db.Extents[insAt+1])-1-k]
-			meas, err := insert(db, ix, maint, insAt, src, dst)
+			meas, err := insert(db, ix, insAt, src, dst)
 			if err != nil {
 				return nil, err
 			}

@@ -124,15 +124,15 @@ func indexQuery(ix *asr.Index, fwd bool, i, j int, v gom.OID) (measurement, erro
 }
 
 // insert performs ins_i from src to dst through the object base, so the
-// registered maintainer updates ix, and measures it: the index pool's
-// traffic plus one access to src's page, the one object record the
-// update rewrites.
-func insert(db *gendb.Database, ix *asr.Index, maint *asr.Maintainer, i int, src, dst gom.OID) (measurement, error) {
+// Manager that created ix maintains it, and measures it: the index
+// pool's traffic plus one access to src's page, the one object record
+// the update rewrites.
+func insert(db *gendb.Database, ix *asr.Index, i int, src, dst gom.OID) (measurement, error) {
 	m, err := coldRun(ix.Pool(), func() error {
 		if err := db.Insert(i, src, dst); err != nil {
 			return err
 		}
-		return maint.Err()
+		return ix.QuarantineReason()
 	})
 	if err != nil {
 		return measurement{}, err

@@ -50,13 +50,14 @@ func buildIndex(t *testing.T, db *gendb.Database, ext asr.Extension, dec asr.Dec
 	return ix
 }
 
-// maintained builds ix over db and registers its maintainer.
-func maintained(t *testing.T, db *gendb.Database, ext asr.Extension, dec asr.Decomposition) (*asr.Index, *asr.Maintainer) {
+// maintained creates ix over db through a Manager, which maintains it.
+func maintained(t *testing.T, db *gendb.Database, ext asr.Extension, dec asr.Decomposition) *asr.Index {
 	t.Helper()
-	ix := buildIndex(t, db, ext, dec)
-	maint := asr.NewMaintainer(ix)
-	db.Base.AddObserver(maint)
-	return ix, maint
+	ix, err := asr.NewManager(db.Base, newIndexPool()).CreateIndex(db.Path, ext, dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
 }
 
 func indexAnswer(t *testing.T, ix *asr.Index, fwd bool, i, j int, v gom.OID) []gom.OID {
@@ -198,10 +199,10 @@ func TestLayoutPagesMatchModel(t *testing.T) {
 
 func TestInsertWithASRMaintains(t *testing.T) {
 	db := generate(t, measureSpec)
-	ix, maint := maintained(t, db, asr.Full, asr.BinaryDecomposition(db.Path.Arity()-1))
+	ix := maintained(t, db, asr.Full, asr.BinaryDecomposition(db.Path.Arity()-1))
 	src := db.Extents[2][0]
 	dst := db.Extents[3][len(db.Extents[3])-1]
-	meas, err := insert(db, ix, maint, 2, src, dst)
+	meas, err := insert(db, ix, 2, src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +219,9 @@ func TestInsertWithASRMaintains(t *testing.T) {
 func TestInsertWithASRFanOneAndFreshSet(t *testing.T) {
 	// Fan-1 chains take the single-valued assignment path.
 	db := generate(t, gendb.Spec{N: 2, C: []int{20, 20, 20}, D: []int{10, 10}, Fan: []int{1, 1}, Seed: 4})
-	ix, maint := maintained(t, db, asr.Full, asr.BinaryDecomposition(db.Path.Arity()-1))
+	ix := maintained(t, db, asr.Full, asr.BinaryDecomposition(db.Path.Arity()-1))
 	src, dst := db.Extents[0][0], db.Extents[1][0]
-	if _, err := insert(db, ix, maint, 0, src, dst); err != nil {
+	if _, err := insert(db, ix, 0, src, dst); err != nil {
 		t.Fatal(err)
 	}
 	verify(t, ix)
@@ -230,7 +231,7 @@ func TestInsertWithASRFanOneAndFreshSet(t *testing.T) {
 
 	// Fan>1 source without a set object yet: a fresh set is created.
 	db = generate(t, gendb.Spec{N: 2, C: []int{20, 20, 20}, D: []int{1, 10}, Fan: []int{3, 2}, Seed: 4})
-	ix, maint = maintained(t, db, asr.Full, asr.NoDecomposition(db.Path.Arity()-1))
+	ix = maintained(t, db, asr.Full, asr.NoDecomposition(db.Path.Arity()-1))
 	var bare gom.OID
 	for _, id := range db.Extents[0] {
 		o, _ := db.Base.Get(id)
@@ -243,7 +244,7 @@ func TestInsertWithASRFanOneAndFreshSet(t *testing.T) {
 		t.Fatal("no bare source found")
 	}
 	dst = db.Extents[1][0]
-	if _, err := insert(db, ix, maint, 0, bare, dst); err != nil {
+	if _, err := insert(db, ix, 0, bare, dst); err != nil {
 		t.Fatal(err)
 	}
 	verify(t, ix)
@@ -254,8 +255,8 @@ func TestInsertWithASRFanOneAndFreshSet(t *testing.T) {
 
 func TestMeasureErrorPaths(t *testing.T) {
 	db := generate(t, measureSpec)
-	ix, maint := maintained(t, db, asr.Canonical, asr.NoDecomposition(db.Path.Arity()-1))
-	if _, err := insert(db, ix, maint, 0, 999999, db.Extents[1][0]); err == nil {
+	ix := maintained(t, db, asr.Canonical, asr.NoDecomposition(db.Path.Arity()-1))
+	if _, err := insert(db, ix, 0, 999999, db.Extents[1][0]); err == nil {
 		t.Error("unknown source accepted")
 	}
 	// Partial spans on canonical indexes surface ErrNotSupported, which

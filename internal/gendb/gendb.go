@@ -231,7 +231,7 @@ func pickTargets(rng *rand.Rand, mode SharingMode, pool []gom.OID, fan, srcIdx i
 // reference from src, a T_i object, to dst, a T_{i+1} object. A
 // single-valued step is reassigned; a set-valued step gains dst, in a
 // fresh set when src has none yet. The update goes through the object
-// base, so its observers (index maintainers) see it.
+// base, so its observers (index Managers) see it.
 func (db *Database) Insert(i int, src, dst gom.OID) error {
 	if i < 0 || i >= db.Spec.N {
 		return fmt.Errorf("gendb: ins_%d: no reference step leaves level %d", i, i)

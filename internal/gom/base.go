@@ -46,9 +46,9 @@ type Observer interface {
 // (Get, Extent, Var, Count, CheckIntegrity, Reach, and every Object
 // accessor) concurrently with each other and with at most one mutating
 // goroutine. Mutations (New, SetAttr, InsertIntoSet, RemoveFromSet,
-// AppendToList, Delete, BindVar, AddObserver, RemoveObserver) take the
-// write lock and are internally serialized; observer callbacks run after
-// the lock is released. A walk (Walker.Reach, or one block of anchors
+// AppendToList, Delete, BindVar, AddObserver) take the write lock and
+// are internally serialized; observer callbacks run after the lock is
+// released. A walk (Walker.Reach, or one block of anchors
 // in Walker.KeepReaching) holds the read lock from its first fetch to
 // its last, so it sees one state of the base and a writer waits for at
 // most one walk or block per reader; no read lock is ever taken while
@@ -81,18 +81,6 @@ func (ob *ObjectBase) AddObserver(obs Observer) {
 	ob.mu.Lock()
 	defer ob.mu.Unlock()
 	ob.observers = append(ob.observers, obs)
-}
-
-// RemoveObserver unregisters a previously added observer.
-func (ob *ObjectBase) RemoveObserver(obs Observer) {
-	ob.mu.Lock()
-	defer ob.mu.Unlock()
-	for i, o := range ob.observers {
-		if o == obs {
-			ob.observers = append(ob.observers[:i], ob.observers[i+1:]...)
-			return
-		}
-	}
 }
 
 // watchers snapshots the observer list; must be called with ob.mu held.

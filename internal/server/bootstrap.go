@@ -277,7 +277,7 @@ func (d *Database) moveTo(base string) (_ *Database, err error) {
 	defer func() {
 		if err != nil {
 			for _, ix := range mgr.Indexes() {
-				mgr.DropIndex(ix) // unhook its maintainer from d.Base; the pages die with the files
+				mgr.DropIndex(ix) // end its maintenance; the pages die with the files
 			}
 			wal.Close()
 			fd.Close()

@@ -19,21 +19,28 @@ import (
 	"asr/internal/storage"
 )
 
-// chaosSeed returns the run's fault-schedule seed: 1 by default (the
-// fixed-seed CI gate), or CHAOS_SEED from the environment — the
+// defaultChaosSeed is the fixed-seed CI gate's seed. Its accept-refusal
+// schedule refuses the very first accept, at both the full run's and
+// the -short run's probability, so the gate drives the refused-accept
+// path every time: a run makes at least one accept per connection.
+// Seed 1 would refuse none of its first 32.
+const defaultChaosSeed = 9
+
+// chaosSeed returns the run's fault-schedule seed and whether it is the
+// fixed one: defaultChaosSeed, or CHAOS_SEED from the environment — the
 // randomized pass of `make chaos-smoke` sets it, and the log line
 // below is what reproduces a failing run.
-func chaosSeed(t *testing.T) int64 {
+func chaosSeed(t *testing.T) (seed int64, fixed bool) {
 	s := os.Getenv("CHAOS_SEED")
 	if s == "" {
-		return 1
+		return defaultChaosSeed, true
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
 		t.Fatalf("CHAOS_SEED=%q is not an integer: %v", s, err)
 	}
 	t.Logf("chaos seed %d (rerun with CHAOS_SEED=%d to reproduce)", n, n)
-	return n
+	return n, false
 }
 
 // chaosDemoDatabase builds the demo database over a fault-injected
@@ -124,11 +131,15 @@ func TestChaosSaturation(t *testing.T) {
 	if testing.Short() {
 		conns, perConn, pNet = 8, 12, 4.0
 	}
-	seed := chaosSeed(t)
+	seed, fixed := chaosSeed(t)
 	d, queries, want, disk := chaosDemoDatabase(t, seed, 0.08)
 
+	// Accept refusals draw from a schedule of their own. Accepts come
+	// from one goroutine, so the k-th accept's fate then depends on the
+	// seed alone, not on how the sessions' reads and writes interleave
+	// with the accepts — which is what lets a fixed seed promise one.
+	refuser := chaos.NewInjector(fault.New(seed), chaos.Probabilities{AcceptRefuse: 0.02 * pNet})
 	netInj := chaos.NewInjector(fault.New(seed), chaos.Probabilities{
-		AcceptRefuse: 0.02 * pNet,
 		ResetOnRead:  0.01 * pNet,
 		ResetOnWrite: 0.01 * pNet,
 		TornWrite:    0.005 * pNet,
@@ -141,7 +152,7 @@ func TestChaosSaturation(t *testing.T) {
 		MaxInflight:    2 * conns,
 		RequestTimeout: 5 * time.Second,
 		WriteTimeout:   2 * time.Second,
-		WrapListener:   func(ln net.Listener) net.Listener { return netInj.Listener(ln) },
+		WrapListener:   func(ln net.Listener) net.Listener { return refuser.Listener(netInj.Listener(ln)) },
 	})
 
 	var succeeded, typedErrs, failures atomic.Int64
@@ -191,12 +202,16 @@ func TestChaosSaturation(t *testing.T) {
 	if succeeded.Load() == 0 {
 		t.Fatal("no request succeeded — the workload proved nothing")
 	}
+	refusals := refuser.Stats().Refusals
 	if netInj.Stats().Resets == 0 || disk.FaultStats().ReadFaults == 0 {
-		t.Fatalf("chaos never fired (net %+v, disk %+v) — the run proved nothing",
-			netInj.Stats(), disk.FaultStats())
+		t.Fatalf("chaos never fired (net %+v, %d refusals, disk %+v) — the run proved nothing",
+			netInj.Stats(), refusals, disk.FaultStats())
 	}
-	t.Logf("chaos saturation: %d ok, %d typed errors; net %+v; disk %+v",
-		succeeded.Load(), typedErrs.Load(), netInj.Stats(), disk.FaultStats())
+	if fixed && refusals == 0 {
+		t.Fatalf("seed %d refused no accept (net %+v) — the refused-accept path went untested", seed, netInj.Stats())
+	}
+	t.Logf("chaos saturation: %d ok, %d typed errors; net %+v, %d refusals; disk %+v",
+		succeeded.Load(), typedErrs.Load(), netInj.Stats(), refusals, disk.FaultStats())
 
 	// Everything client-side is closed; drain the server and require the
 	// goroutine count to return to baseline — no leaked sessions,

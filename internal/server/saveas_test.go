@@ -32,7 +32,7 @@ func TestSaveAsMovesThenSavesInPlace(t *testing.T) {
 		t.Fatalf("moved database: durable=%v sameBase=%v indexes=%d", nd.Durable(), nd.Base == d.Base, len(nd.Manager.Indexes()))
 	}
 	if len(d.Manager.Indexes()) != 0 {
-		t.Fatal("the move left the old database's indexes (and maintainers) registered")
+		t.Fatal("the move left the old database's indexes registered (and maintained)")
 	}
 
 	t3, _ := nd.Base.Schema().Lookup("T3")

@@ -129,7 +129,7 @@ type Config struct {
 type Server struct {
 	cfg    Config
 	engine QueryEngine
-	mgr    *asr.Manager // optional; enriches MsgStats
+	mgr    *asr.Manager // optional; enriches Stats
 
 	ln      net.Listener
 	baseCtx context.Context
@@ -161,8 +161,8 @@ type Server struct {
 	admin *adminServer
 }
 
-// New creates a server over engine. mgr may be nil; when set, MsgStats
-// responses include its routing counters and /readyz reflects index
+// New creates a server over engine. mgr may be nil; when set, Stats
+// snapshots include its routing counters and /readyz reflects index
 // health.
 func New(engine QueryEngine, mgr *asr.Manager, cfg Config) *Server {
 	if cfg.Addr == "" {
@@ -409,8 +409,7 @@ func (s *Server) sessionCount() int {
 	return len(s.sessions)
 }
 
-// Stats snapshots the server-level counters — the same numbers a
-// MsgStats request returns over the wire.
+// Stats snapshots the server-level counters.
 func (s *Server) Stats() wire.StatsResult {
 	st := wire.StatsResult{
 		Server:        s.cfg.Name,

@@ -138,21 +138,20 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("ServerError detail: %v", err)
 	}
 
-	// Ping and in-band stats, on a second, bare session.
+	// The reserved ping (6) and stats (9) types, on a second, bare
+	// session, are answered like any unknown type.
 	raw := rawSession(t, s.Addr())
-	if err := wire.WriteFrame(raw, wire.Frame{Type: wire.MsgPing, ReqID: 2}); err != nil {
-		t.Fatal(err)
+	for id, typ := range map[uint32]wire.MsgType{2: 6, 3: 9} {
+		if err := wire.WriteFrame(raw, wire.Frame{Type: typ, ReqID: id}); err != nil {
+			t.Fatal(err)
+		}
+		var eb wire.ErrorBody
+		if f, err := wire.ReadFrame(raw); err != nil || f.Type != wire.MsgError || f.ReqID != id ||
+			wire.Unmarshal(f, &eb) != nil || eb.Code != wire.CodeBadRequest {
+			t.Fatalf("reserved type %d: frame %v err %v body %+v", typ, f.Type, err, eb)
+		}
 	}
-	if f, err := wire.ReadFrame(raw); err != nil || f.Type != wire.MsgPong {
-		t.Fatalf("ping: frame %v err %v", f.Type, err)
-	}
-	if err := wire.WriteFrame(raw, wire.Frame{Type: wire.MsgStats, ReqID: 3}); err != nil {
-		t.Fatal(err)
-	}
-	var st wire.StatsResult
-	if f, err := wire.ReadFrame(raw); err != nil || f.Type != wire.MsgStatsResult || wire.Unmarshal(f, &st) != nil {
-		t.Fatalf("stats: frame %v err %v", f.Type, err)
-	}
+	st := s.Stats()
 	if st.Queries < 4 || st.Errors < 2 || st.Indexes != 1 || st.SessionsOpen != 2 || st.Draining {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -218,7 +217,7 @@ func TestHelloRequiredAndVersionCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.Frame{Type: wire.MsgPing, ReqID: 1}); err != nil {
+	if err := wire.WriteFrame(conn, wire.Frame{Type: wire.MsgCancel, ReqID: 1}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := wire.ReadFrame(conn)

@@ -121,8 +121,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		switch f.Type {
 		case wire.MsgHello:
 			ss.handleHello(f)
-		case wire.MsgPing:
-			ss.reply(wire.MsgPong, f, nil)
 		case wire.MsgQuery:
 			ss.handleQuery(f, clientSpan)
 		case wire.MsgCancel:
@@ -133,8 +131,6 @@ func (s *Server) serveConn(conn net.Conn) {
 				cancelReq()
 			}
 			ss.inflightMu.Unlock()
-		case wire.MsgStats:
-			ss.reply(wire.MsgStatsResult, f, s.Stats())
 		default:
 			ss.replyError(f, wire.CodeBadRequest, "unexpected message type "+f.Type.String())
 		}
@@ -332,7 +328,7 @@ func admissionMessage(code string, maxInflight int) string {
 // reply answers the request frame req: the response echoes req's
 // request ID and trace ID, and carries req.Span as its span field —
 // handleQuery sets that to its server-side root span ID before
-// replying; span-less responses (pong, hello_ok, stats) carry zero.
+// replying; span-less responses (hello_ok) carry zero.
 func (ss *session) reply(t wire.MsgType, req wire.Frame, body any) {
 	f, err := wire.Marshal(t, req.ReqID, body)
 	if err != nil {

@@ -4,8 +4,8 @@ import "asr/internal/telemetry"
 
 // Registry instruments for the network layer, following the repo's
 // convention: process-cumulative counters in the Default registry, with
-// the scoped per-session numbers available via the in-band MsgStats
-// request and the Server.Stats snapshot. The admin /metrics endpoint
+// the scoped per-session numbers available via the Server.Stats
+// snapshot. The admin /metrics endpoint
 // exports these alongside every other layer's series, so one scrape
 // covers the full stack: server → query → asr → btree → storage.
 var (
@@ -15,9 +15,7 @@ var (
 	telRequests = map[string]*telemetry.Counter{
 		"hello":  telemetry.Default().Counter(`server_requests_total{type="hello"}`),
 		"query":  telemetry.Default().Counter(`server_requests_total{type="query"}`),
-		"ping":   telemetry.Default().Counter(`server_requests_total{type="ping"}`),
 		"cancel": telemetry.Default().Counter(`server_requests_total{type="cancel"}`),
-		"stats":  telemetry.Default().Counter(`server_requests_total{type="stats"}`),
 		"other":  telemetry.Default().Counter(`server_requests_total{type="other"}`),
 	}
 

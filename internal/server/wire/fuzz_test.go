@@ -21,12 +21,12 @@ func FuzzFrameDecode(f *testing.F) {
 	qb, _ := EncodeFrame(q)
 	e, _ := Marshal(MsgError, 7, ErrorBody{Code: CodeParse, Message: "no"})
 	eb, _ := EncodeFrame(e)
-	ping, _ := EncodeFrame(Frame{Type: MsgPing, ReqID: 1})
+	cancel, _ := EncodeFrame(Frame{Type: MsgCancel, ReqID: 1})
 	f.Add(qb)
 	f.Add(eb)
-	f.Add(ping)
-	f.Add(append(append([]byte{}, qb...), ping...)) // two frames back to back
-	f.Add(qb[:len(qb)/2])                           // torn tail
+	f.Add(cancel)
+	f.Add(append(append([]byte{}, qb...), cancel...)) // two frames back to back
+	f.Add(qb[:len(qb)/2])                             // torn tail
 	flipped := append([]byte{}, qb...)
 	flipped[HeaderSize+2] ^= 0x20 // bit flip inside the body
 	f.Add(flipped)

@@ -73,18 +73,16 @@ type MsgType uint8
 
 // Message types. Requests are client→server, responses server→client;
 // every request type receives exactly one response frame with the same
-// request ID.
+// request ID. Types 6 and 7 (ping, pong) and 9 and 10 (stats,
+// stats_result) are reserved: they were dropped for want of a client,
+// and a server answers them like any unknown type, with CodeBadRequest.
 const (
-	MsgHello       MsgType = 1 // Hello        → MsgHelloOK | MsgError
-	MsgHelloOK     MsgType = 2
-	MsgQuery       MsgType = 3 // Query        → MsgResult | MsgError
-	MsgResult      MsgType = 4
-	MsgError       MsgType = 5
-	MsgPing        MsgType = 6 // empty        → MsgPong
-	MsgPong        MsgType = 7
-	MsgCancel      MsgType = 8 // empty; references an in-flight request ID
-	MsgStats       MsgType = 9 // empty        → MsgStatsResult | MsgError
-	MsgStatsResult MsgType = 10
+	MsgHello   MsgType = 1 // Hello        → MsgHelloOK | MsgError
+	MsgHelloOK MsgType = 2
+	MsgQuery   MsgType = 3 // Query        → MsgResult | MsgError
+	MsgResult  MsgType = 4
+	MsgError   MsgType = 5
+	MsgCancel  MsgType = 8 // empty; references an in-flight request ID
 )
 
 // String names the message type.
@@ -100,16 +98,8 @@ func (t MsgType) String() string {
 		return "result"
 	case MsgError:
 		return "error"
-	case MsgPing:
-		return "ping"
-	case MsgPong:
-		return "pong"
 	case MsgCancel:
 		return "cancel"
-	case MsgStats:
-		return "stats"
-	case MsgStatsResult:
-		return "stats_result"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
@@ -300,9 +290,9 @@ type ErrorBody struct {
 	Trailer *Trailer `json:"trailer,omitempty"`
 }
 
-// StatsResult is a server-level observability snapshot (MsgStats
-// response). The full metric surface is the admin /metrics endpoint;
-// this is the in-band summary a client can poll cheaply.
+// StatsResult is a server-level observability snapshot
+// (Server.Stats). The full metric surface is the admin /metrics
+// endpoint; this is the summary an in-process caller can poll cheaply.
 type StatsResult struct {
 	Server        string `json:"server"`
 	Draining      bool   `json:"draining"`

@@ -16,7 +16,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: MsgHello, ReqID: 1, Payload: []byte(`{"proto":1}`)},
 		{Type: MsgQuery, ReqID: 0xDEADBEEF, Trace: trace, Span: 0x0102030405060708,
 			Payload: []byte(`{"sql":"select r from r in OurRobots"}`)},
-		{Type: MsgPing, ReqID: 7, Span: 99},
+		{Type: MsgHelloOK, ReqID: 7, Span: 99},
 		{Type: MsgCancel, ReqID: 42, Trace: trace},
 		{Type: MsgError, ReqID: 3, Payload: []byte(`{"code":"PARSE","message":"x"}`)},
 	}
@@ -106,7 +106,7 @@ func TestMarshalUnmarshal(t *testing.T) {
 		t.Fatalf("round trip: %+v", q)
 	}
 	// Empty-body messages carry no payload.
-	if f, err := Marshal(MsgPing, 1, nil); err != nil || len(f.Payload) != 0 {
+	if f, err := Marshal(MsgCancel, 1, nil); err != nil || len(f.Payload) != 0 {
 		t.Fatalf("nil body: payload %d bytes, err %v", len(f.Payload), err)
 	}
 	// Garbage payloads fail with a wrapped error, not a panic.
