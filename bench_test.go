@@ -514,6 +514,47 @@ func TestObjectBaseHeapBudget(t *testing.T) {
 	}
 }
 
+// TestSnapshotBudget pins what the object-base snapshot (package dump)
+// costs on the demo base: at scale 256 its bytes per object and the
+// allocations dump.Load makes per object, and at scale 1024 —
+// read_large's base — its size. A reference is a one- to three-byte
+// ordinal and a payload string its length and bytes; the JSON dump the
+// snapshot replaced spent ~172 B and ~14.6 allocations an object.
+func TestSnapshotBudget(t *testing.T) {
+	mem, err := server.DemoDatabase(256, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := dump.Save(mem.Base, &snap); err != nil {
+		t.Fatal(err)
+	}
+	n := float64(mem.Base.Count())
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := dump.Load(bytes.NewReader(snap.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("scale 256: %.0f objects, %.2f B and %.2f Load allocations each", n, float64(snap.Len())/n, allocs/n)
+	if per := float64(snap.Len()) / n; per > 16 {
+		t.Errorf("%.2f B of snapshot per object, budget 16 B", per)
+	}
+	if per := allocs / n; per > 6.5 {
+		t.Errorf("%.2f allocations per object in dump.Load, budget 6.5", per)
+	}
+	if testing.Short() {
+		return
+	}
+	snap.Reset()
+	if err := dump.Save(readLargeDB(t).Base, &snap); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("scale 1024: %d B", snap.Len())
+	if snap.Len() > 1_000_000 {
+		t.Errorf("scale-1024 snapshot is %d B, budget 1 000 000 B", snap.Len())
+	}
+}
+
 // heap returns the live heap after a forced collection.
 func heap() uint64 {
 	runtime.GC() // twice: the first only moves sync.Pool caches to their victim lists

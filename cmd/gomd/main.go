@@ -9,7 +9,7 @@
 // Exactly one database mode must be chosen:
 //
 //	gomd -demo                 generated demo database (see -scale, -seed)
-//	gomd -load FILE.gom        logical dump (gomshell `save` / \save)
+//	gomd -load FILE.gom        binary snapshot (gomshell `save` / \save)
 //	gomd -db BASE              durable base saved with gomshell \save:
 //	                           BASE.{gom,pages,pages.wal,manifest};
 //	                           crash-recovered on start, checkpointed on
@@ -76,7 +76,7 @@ func parseFlags(args []string, errw io.Writer) (options, error) {
 	fs.BoolVar(&o.demo, "demo", false, "serve a generated demo database")
 	fs.IntVar(&o.scale, "scale", 4, "demo database scale factor (with -demo)")
 	fs.Int64Var(&o.seed, "seed", 42, "demo database generation seed (with -demo)")
-	fs.StringVar(&o.load, "load", "", "serve a logical dump FILE.gom (build indexes with -index)")
+	fs.StringVar(&o.load, "load", "", "serve a binary object-base snapshot FILE.gom (build indexes with -index)")
 	fs.StringVar(&o.db, "db", "", "serve a durable base saved with gomshell \\save (BASE.{gom,pages,pages.wal,manifest})")
 	fs.Var(&o.indexes, "index", "index spec EXT:DEC:TYPE.A.B (can|full|left|right : binary|none), repeatable; with -load")
 	fs.IntVar(&o.maxInflight, "max-inflight", 0, "max concurrently executing queries before shedding with OVERLOADED (0 = 2×GOMAXPROCS)")

@@ -190,7 +190,7 @@ func TestGomdSmoke(t *testing.T) {
 	t.Logf("smoke: %d completed, %d typed rejections across %d connections", succeeded.Load(), rejected.Load(), conns)
 }
 
-// TestGomdLoadMode boots gomd from a logical dump with a -index flag
+// TestGomdLoadMode boots gomd from a binary snapshot with a -index flag
 // and queries it over the wire.
 func TestGomdLoadMode(t *testing.T) {
 	d, err := server.DemoDatabase(1, 5)
@@ -331,7 +331,7 @@ func (l *lockedBuffer) String() string {
 }
 
 // saveDurableBase persists a demo database the way gomshell \save does
-// (logical dump + page file + WAL + manifest) and returns its base path.
+// (binary snapshot + page file + WAL + manifest) and returns its base path.
 func saveDurableBase(t *testing.T, dir string) string {
 	t.Helper()
 	d, err := server.DemoDatabase(1, 17)

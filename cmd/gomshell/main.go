@@ -527,7 +527,8 @@ func (sh *shell) cmdSelect(line string) error {
 	return nil
 }
 
-// cmdSave dumps the object base (schema, objects, vars) to a JSON file.
+// cmdSave writes the object base (schema, objects, vars) to a binary
+// snapshot file.
 func (sh *shell) cmdSave(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: save FILE")
@@ -539,8 +540,8 @@ func (sh *shell) cmdSave(args []string) error {
 	return nil
 }
 
-// cmdLoad restores an object base from a JSON dump; indexes must be
-// re-declared afterwards (they are derived data).
+// cmdLoad restores an object base from a binary snapshot; indexes must
+// be re-declared afterwards (they are derived data).
 func (sh *shell) cmdLoad(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: load FILE")

@@ -3,7 +3,10 @@ package dump
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -19,9 +22,17 @@ func roundTrip(t *testing.T, ob *gom.ObjectBase) *gom.ObjectBase {
 	if err := Save(ob, &buf); err != nil {
 		t.Fatal(err)
 	}
+	saved := bytes.Clone(buf.Bytes())
 	back, err := Load(&buf)
 	if err != nil {
-		t.Fatalf("load: %v\ndump:\n%s", err, buf.String())
+		t.Fatalf("load: %v", err)
+	}
+	var again bytes.Buffer
+	if err := Save(back, &again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), saved) {
+		t.Error("saving the reloaded base changed its bytes")
 	}
 	return back
 }
@@ -69,13 +80,16 @@ func TestRoundTripCompany(t *testing.T) {
 	}
 }
 
-func TestRoundTripAllValueKinds(t *testing.T) {
+// allKinds is a base holding a value of every kind, a reference, a list
+// and a bound variable.
+func allKinds(tb testing.TB) *gom.ObjectBase {
+	tb.Helper()
 	schema, _, err := gom.ParseSchema(`
 		type T is [S: STRING, N: INTEGER, D: DECIMAL, B: BOOL, C: CHAR, Next: T];
 		type TL is <T>;
 	`)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	ob := gom.NewObjectBase(schema)
 	a := ob.MustNew(schema.MustLookup("T"))
@@ -86,12 +100,16 @@ func TestRoundTripAllValueKinds(t *testing.T) {
 	ob.MustSetAttr(a.ID(), "B", gom.Bool(true))
 	ob.MustSetAttr(a.ID(), "C", gom.Char('ß'))
 	ob.MustSetAttr(a.ID(), "Next", gom.Ref(b.ID()))
+	ob.MustSetAttr(b.ID(), "B", gom.Bool(false))
 	lst := ob.MustNew(schema.MustLookup("TL"))
 	ob.AppendToList(lst.ID(), gom.Ref(b.ID()))
 	ob.AppendToList(lst.ID(), gom.Ref(a.ID()))
 	ob.BindVar("root", a.ID())
+	return ob
+}
 
-	back := roundTrip(t, ob)
+func TestRoundTripAllValueKinds(t *testing.T) {
+	back := roundTrip(t, allKinds(t))
 	rootID, ok := back.Var("root")
 	if !ok {
 		t.Fatal("root var lost")
@@ -165,23 +183,165 @@ func TestRoundTripInheritance(t *testing.T) {
 	}
 }
 
-func TestLoadErrors(t *testing.T) {
-	bad := []string{
-		``,
-		`{"version": 99, "schema": ""}`,
-		`{"version": 1, "schema": "type A is [X: NOPE];"}`,
-		`{"version": 1, "schema": "type A is [X: STRING];", "objects": [{"id": 1, "type": "NOPE"}]}`,
-		`{"version": 1, "schema": "type A is [X: STRING];", "objects": [{"id": 1, "type": "A"}, {"id": 1, "type": "A"}]}`,
-		`{"version": 1, "schema": "type A is [B: A];", "objects": [{"id": 1, "type": "A", "attrs": {"B": {"kind": "ref", "r": 99}}}]}`,
-		`{"version": 1, "schema": "type A is [X: STRING];", "objects": [{"id": 1, "type": "A", "attrs": {"X": {"kind": "wat"}}}]}`,
-		`{"version": 1, "schema": "type A is [X: STRING];", "vars": [{"name": "v", "id": 99}]}`,
-		`{"version": 1, "schema": "type A is [X: STRING];", "objects": [{"id": 1, "type": "A", "elems": [{"kind": "int", "i": 1}]}]}`,
+// forge assembles a snapshot field by field; seal appends a valid
+// checksum, so that a case fails on the fault it plants and not on the
+// CRC.
+type forge []byte
+
+func (f forge) u(xs ...uint64) forge {
+	for _, x := range xs {
+		f = binary.AppendUvarint(f, x)
 	}
-	for i, src := range bad {
-		if _, err := Load(strings.NewReader(src)); err == nil {
-			t.Errorf("case %d accepted", i)
+	return f
+}
+
+func (f forge) s(strs ...string) forge {
+	for _, s := range strs {
+		f = append(f.u(uint64(len(s))), s...)
+	}
+	return f
+}
+
+func (f forge) raw(b ...byte) forge { return append(f, b...) }
+
+func (f forge) seal() []byte {
+	return binary.LittleEndian.AppendUint32(f, crc32.Checksum(f, castagnoli))
+}
+
+// head is a snapshot's magic, version, schema text and type-name table.
+func head(schema string, types ...string) forge {
+	return forge(magic).u(formatVersion).s(schema).u(uint64(len(types))).s(types...)
+}
+
+// TestLoadErrors plants one fault per case in an otherwise well-formed
+// snapshot and checks Load refuses it for that fault.
+func TestLoadErrors(t *testing.T) {
+	const str, self = "type A is [X: STRING];", "type A is [B: A];"
+	one := func(schema string) forge { return head(schema, "A").u(1, 0) } // one A object
+	cases := []struct {
+		name, want string
+		data       []byte
+	}{
+		{"empty", "bad magic", nil},
+		{"bad magic", "bad magic", forge("GOMSNAQ").u(formatVersion).s("").u(0, 0, 0).seal()},
+		{"json", "format-1 JSON dump", []byte(`{"version": 1, "schema": ""}`)},
+		{"bad version", "unsupported format version 99", forge(magic).u(99).s("").u(0, 0, 0).seal()},
+		{"bad schema text", "schema", head("type A is [X: NOPE];").u(0, 0).seal()},
+		{"unknown type name", `unknown type "NOPE"`, head(str, "NOPE").u(0, 0).seal()},
+		{"type index out of range", "type index 1 out of range", head(str, "A").u(1, 1).u(0, 0, 0).seal()},
+		{"reference ordinal out of range", "object ordinal 99 out of range", one(self).u(1, 0).raw(kindRef).u(99).u(0, 0).seal()},
+		{"unknown value kind", "unknown value kind 119", one(str).u(1, 0).raw(119).u(0, 0).seal()},
+		{"attribute slot out of range", "attribute slot 3 out of range", one(str).u(1, 3).raw(kindString).s("x").u(0, 0).seal()},
+		{"elements on a tuple type", "elements on tuple-structured type A", one(str).u(0, 1).raw(kindString).s("x").u(0).seal()},
+		{"variable bound to an unknown object", "object ordinal 99 out of range", head(str, "A").u(0, 1).s("v").u(99).seal()},
+		{"wrong value type", "cannot store INTEGER value", one(str).u(1, 0).raw(kindInteger).u(2).u(0, 0).seal()},
+		{"NaN", "not a finite number", head("type A is [D: DECIMAL];", "A").u(1, 0, 1, 0).raw(kindDecimal).raw(binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN()))...).u(0, 0).seal()},
+		{"CHAR out of range", "CHAR 4294967296 out of range", head("type A is [C: CHAR];", "A").u(1, 0, 1, 0).raw(kindChar).raw(binary.AppendVarint(nil, 1<<32)...).u(0, 0).seal()},
+		{"checksum", "checksum mismatch", append(one(str).u(0, 0, 0), 0, 0, 0, 0)},
+		{"trailing bytes", "bytes after the checksum", append(one(str).u(0, 0, 0).seal(), 0)},
+	}
+	for _, tc := range cases {
+		_, err := Load(bytes.NewReader(tc.data))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Load = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
+	// The forged pieces do make a snapshot once the fault is gone.
+	if _, err := Load(bytes.NewReader(one(self).u(1, 0).raw(kindRef).u(0).u(0, 1).s("v").u(0).seal())); err != nil {
+		t.Errorf("well-formed forged snapshot: %v", err)
+	}
+}
+
+// TestLoadRefusesDamage: a snapshot cut short anywhere, or with any one
+// byte changed, is refused — the checksum covers what the structure
+// does not.
+func TestLoadRefusesDamage(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Save(paperdb.BuildCompany().Base, &buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	for n := range len(good) {
+		if _, err := Load(bytes.NewReader(good[:n])); err == nil {
+			t.Fatalf("the %d-byte prefix of a %d-byte snapshot loaded", n, len(good))
+		}
+	}
+	bad := bytes.Clone(good)
+	for i := range bad {
+		for _, flip := range []byte{0x01, 0x80, 0xff} {
+			bad[i] ^= flip
+			if _, err := Load(bytes.NewReader(bad)); err == nil {
+				t.Fatalf("byte %d xor %#x loaded", i, flip)
+			}
+			bad[i] ^= flip
+		}
+	}
+}
+
+// hugeClaims are snapshots whose counts or lengths claim 2⁶⁰ items.
+func hugeClaims() map[string][]byte {
+	const huge = 1 << 60
+	str := "type A is [X: STRING]; type AS is {A};"
+	return map[string][]byte{
+		"schema length": forge(magic).u(formatVersion, huge).seal(),
+		"type count":    head(str).u(huge).seal(),
+		"object count":  head(str, "A").u(huge, 0).seal(),
+		"attr count":    head(str, "A").u(1, 0, huge).seal(),
+		"string length": head(str, "A").u(1, 0, 1, 0).raw(kindString).u(huge).raw('x').seal(),
+		"element count": head(str, "AS").u(1, 0, 0, huge).seal(),
+		"var count":     head(str).u(0, 0, huge).seal(),
+	}
+}
+
+// TestLoadHugeClaims: a count or length claiming 2⁶⁰ fails on the bytes
+// that are not there, after allocating what the bytes that are there
+// need, not what the claim would.
+func TestLoadHugeClaims(t *testing.T) {
+	for name, data := range hugeClaims() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Load(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: loaded", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: Load allocated %d bytes for a %d-byte input", name, grew, len(data))
+		}
+	}
+}
+
+// FuzzLoad: no input panics Load, and an input it accepts re-saves to a
+// snapshot that reloads to an equal base (one that saves to the same
+// bytes again).
+func FuzzLoad(f *testing.F) {
+	for _, ob := range []*gom.ObjectBase{paperdb.BuildCompany().Base, allKinds(f)} {
+		var buf bytes.Buffer
+		if err := Save(ob, &buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, data := range hugeClaims() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ob, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := Save(ob, &once); err != nil {
+			t.Fatalf("an accepted snapshot does not re-save: %v", err)
+		}
+		back, err := Load(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("a re-saved snapshot does not load: %v", err)
+		}
+		if err := Save(back, &twice); err != nil || !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("the reloaded base differs from the accepted one (err %v)", err)
+		}
+	})
 }
 
 func TestSaveIsDeterministic(t *testing.T) {
@@ -199,8 +359,8 @@ func TestSaveIsDeterministic(t *testing.T) {
 }
 
 // TestRoundTripDecimalZeros: -0 and 0 are two DECIMALs (their bits
-// differ), so a set may hold both and an attribute keeps its sign
-// through Save and Load. 0 is written as before, with no f and no neg.
+// differ), so a set may hold both and an attribute keeps its sign —
+// its bits — through Save and Load.
 func TestRoundTripDecimalZeros(t *testing.T) {
 	schema, _, err := gom.ParseSchema(`type T is [D: DECIMAL]; type DS is {DECIMAL};`)
 	if err != nil {
@@ -218,32 +378,18 @@ func TestRoundTripDecimalZeros(t *testing.T) {
 	ob.BindVar("pos", pos.ID())
 	ob.BindVar("set", set.ID())
 
-	var buf bytes.Buffer
-	if err := Save(ob, &buf); err != nil {
-		t.Fatal(err)
-	}
-	saved := buf.String()
-	if strings.Count(saved, `"neg": true`) != 2 || strings.Contains(saved, `"f"`) {
-		t.Errorf("want neg on the two -0 records and no f anywhere:\n%s", saved)
-	}
-	back := roundTrip(t, ob)
-	for name, want := range map[string]gom.Value{"neg": negZero, "pos": gom.Decimal(0)} {
+	back := roundTrip(t, ob) // and the re-save is byte-identical
+	for name, want := range map[string]gom.Decimal{"neg": negZero, "pos": 0} {
 		id, _ := back.Var(name)
 		o, _ := back.Get(id)
-		if v, _ := o.Attr("D"); !gom.ValuesEqual(v, want) {
-			t.Errorf("%s.D = %v after reload, want %v", name, v, want)
+		v, _ := o.Attr("D")
+		if d, ok := v.(gom.Decimal); !ok || math.Float64bits(float64(d)) != math.Float64bits(float64(want)) {
+			t.Errorf("%s.D = %#v after reload, want the bits of %v", name, v, want)
 		}
 	}
 	id, _ := back.Var("set")
 	o, _ := back.Get(id)
 	if o.Len() != 2 || !o.Contains(negZero) || !o.Contains(gom.Decimal(0)) {
 		t.Errorf("set after reload = %v, want both zeros", o.Elements())
-	}
-	var again bytes.Buffer
-	if err := Save(back, &again); err != nil {
-		t.Fatal(err)
-	}
-	if again.String() != saved {
-		t.Error("saving the reloaded base changed its bytes")
 	}
 }

@@ -3,6 +3,7 @@ package gom
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -46,9 +47,9 @@ type Observer interface {
 // (Get, Extent, Var, Count, CheckIntegrity, Reach, and every Object
 // accessor) concurrently with each other and with at most one mutating
 // goroutine. Mutations (New, SetAttr, InsertIntoSet, RemoveFromSet,
-// AppendToList, Delete, BindVar, AddObserver) take the write lock and
-// are internally serialized; observer callbacks run after the lock is
-// released. A walk (Walker.Reach, or one block of anchors
+// AppendToList, Delete, BindVar, AddObserver, RemoveObserver) take the
+// write lock and are internally serialized; observer callbacks run after
+// the lock is released. A walk (Walker.Reach, or one block of anchors
 // in Walker.KeepReaching) holds the read lock from its first fetch to
 // its last, so it sees one state of the base and a writer waits for at
 // most one walk or block per reader; no read lock is ever taken while
@@ -81,6 +82,14 @@ func (ob *ObjectBase) AddObserver(obs Observer) {
 	ob.mu.Lock()
 	defer ob.mu.Unlock()
 	ob.observers = append(ob.observers, obs)
+}
+
+// RemoveObserver unregisters obs: a mutation that starts after it
+// returns does not reach obs.
+func (ob *ObjectBase) RemoveObserver(obs Observer) {
+	ob.mu.Lock()
+	defer ob.mu.Unlock()
+	ob.observers = slices.DeleteFunc(ob.observers, func(o Observer) bool { return o == obs })
 }
 
 // watchers snapshots the observer list; must be called with ob.mu held.

@@ -98,8 +98,11 @@ func (d *Database) Checkpoint() error {
 	return d.Manager.Pool().Checkpoint()
 }
 
-// Close checkpoints (best effort) and releases file handles.
+// Close retires the database: its Manager stops observing the object
+// base, and a durable database checkpoints (best effort) and releases
+// its file handles.
 func (d *Database) Close() error {
+	d.Base.RemoveObserver(d.Manager)
 	if !d.Durable() {
 		return nil
 	}
@@ -181,10 +184,10 @@ func DemoDatabaseWith(scale int, seed int64, pool *storage.BufferPool) (*Databas
 	return d, nil
 }
 
-// LoadDumpFile restores a logical JSON dump (gomshell `save`, package
-// dump) over pool (nil: a fresh unbounded in-memory pool) and rebuilds
-// the requested indexes — dumps carry no index pages; indexes are
-// derived data (docs/ARCHITECTURE.md).
+// LoadDumpFile restores a binary object-base snapshot (gomshell `save`,
+// package dump) over pool (nil: a fresh unbounded in-memory pool) and
+// rebuilds the requested indexes — snapshots carry no index pages;
+// indexes are derived data (docs/ARCHITECTURE.md).
 func LoadDumpFile(path string, indexSpecs []string, pool *storage.BufferPool) (*Database, error) {
 	ob, err := dump.LoadFile(path)
 	if err != nil {
@@ -245,8 +248,8 @@ func OpenDurableBase(base, archiveDir string) (_ *Database, _ *storage.RecoveryI
 // and the returned Database, which shares d.Base, keeps running
 // file-backed, so later maintenance is WAL-logged. A failed move leaves
 // d untouched and returns nil. A successful one retires d (indexes
-// dropped, storage closed); an error beside the non-nil Database
-// reports only a failure doing that.
+// dropped, Manager no longer observing d.Base, storage closed); an error
+// beside the non-nil Database reports only a failure doing that.
 func (d *Database) SaveAs(base string) (*Database, error) {
 	if d.basePath == base {
 		return d, d.Save()
@@ -277,8 +280,9 @@ func (d *Database) moveTo(base string) (_ *Database, err error) {
 	defer func() {
 		if err != nil {
 			for _, ix := range mgr.Indexes() {
-				mgr.DropIndex(ix) // end its maintenance; the pages die with the files
+				mgr.DropIndex(ix) // the pages die with the files
 			}
+			d.Base.RemoveObserver(mgr)
 			wal.Close()
 			fd.Close()
 		}

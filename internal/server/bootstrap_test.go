@@ -95,7 +95,7 @@ func TestLoadDumpFile(t *testing.T) {
 }
 
 // TestOpenDurableBase persists a demo base the way gomshell \save does
-// (logical dump + file-backed index pages + WAL + manifest), reopens it
+// (binary snapshot + file-backed index pages + WAL + manifest), reopens it
 // through the crash-recovery path, and checks the reopened database
 // answers byte-identically without rebuilding indexes.
 func TestOpenDurableBase(t *testing.T) {
