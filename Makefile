@@ -65,15 +65,17 @@ benchmark-smoke:
 # the crashpoint is built on (internal/fault), and fuzz the WAL record
 # codec, the object-base snapshot loader (no panic, no allocation sized
 # by an unchecked count, an accepted snapshot re-saves to one that
-# reloads equal), the B⁺-tree's in-place page search and its in-place
-# leaf edits (every spliced leaf byte-identical to a decode-and-rewrite)
-# briefly.
+# reloads equal), the in-place key check OpenFrom runs (it accepts
+# exactly what the key decoder accepts), the B⁺-tree's in-place page
+# search and its in-place leaf edits (every spliced leaf byte-identical
+# to a decode-and-rewrite) briefly.
 # Deterministic seeds — failures reproduce exactly.
 crash-matrix:
 	$(GO) test -race -count=1 -run 'Crash|Recover|SaveOpen|OpenFrom|Torn|WAL' ./internal/storage/ ./internal/asr/
 	$(GO) test -race -count=1 ./internal/fault/
 	$(GO) test -run=FuzzWALRecordDecode -fuzz=FuzzWALRecordDecode -fuzztime=10s ./internal/storage/
 	$(GO) test -run=FuzzLoad -fuzz=FuzzLoad -fuzztime=10s ./internal/dump/
+	$(GO) test -run=FuzzCheckKey -fuzz=FuzzCheckKey -fuzztime=10s ./internal/asr/
 	$(GO) test -run=FuzzPageSearch -fuzz=FuzzPageSearch -fuzztime=10s ./internal/btree/
 	$(GO) test -run=FuzzLeafSplice -fuzz=FuzzLeafSplice -fuzztime=10s ./internal/btree/
 

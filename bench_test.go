@@ -626,6 +626,61 @@ func TestIndexHeapBudget(t *testing.T) {
 	}
 }
 
+// TestOpenFromBudget pins what reopening a durable base's indexes
+// costs in allocations: asr.OpenFrom alone on the saved scale-256 demo
+// base, behind a cold unbounded pool as server.OpenDurableBase builds
+// it. The open walks every page of every partition's two trees and
+// checks each stored key and count in place; decoding every row into
+// boxed values cost ~167 000 allocations here.
+func TestOpenFromBudget(t *testing.T) {
+	mem, err := server.DemoDatabase(256, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "base")
+	saved, err := mem.SaveAs(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := saved.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fd, wal, _, err := storage.Recover(base + ".pages")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd.Close()
+	defer wal.Close()
+	ob, err := dump.LoadFile(base + ".gom")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var most uint64
+	for i := 0; i < 3; i++ {
+		pool := storage.NewBufferPool(fd, 0, storage.LRU)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mgr, err := asr.OpenFrom(ob, pool, base+".manifest")
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ix := range mgr.Indexes() {
+			if ix.Quarantined() {
+				t.Fatalf("reopened index quarantined: %v", ix.QuarantineReason())
+			}
+		}
+		most = max(most, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("asr.OpenFrom at scale 256: %d allocations", most)
+	const budget = 1500
+	if most > budget {
+		t.Errorf("asr.OpenFrom made %d allocations, budget %d", most, budget)
+	}
+}
+
 // maintainedUpdates is a fixed update stream over a demo base in
 // write_durable's mix: 40 % retarget a T2.Next, 20 % a T0.Next, 20 % a
 // T1.Next set gains or loses an element, 20 % rename a T3.Payload. Every

@@ -124,18 +124,21 @@ func (m *Manager) SaveTo(path string) error {
 var manifestWriteHook func(stage string) error
 
 // OpenFrom rebuilds a Manager from a manifest written by SaveTo: every
-// partition is reopened from its durable meta page on pool (one
-// validating walk of both its trees; no row is retained — the trees
-// are the only copy), every index is reconstructed over the shared
-// partition set, and the Manager registers with ob (NewManager) so the
-// indexes track ob again; a failed open registers nothing.
+// partition is reopened from its durable meta page on pool (one walk of
+// both trees checks each stored key and count in place and keeps no
+// row: the trees are the only copy), every index is rebuilt over the
+// shared partition set, and the Manager registers with ob (NewManager)
+// so the indexes track ob again; a failed open registers nothing.
 //
 // A partition whose stored rows fail that walk — a page failing its
 // checksum after a crash, typically one Recover reported in
 // RecoveryInfo.QuarantinedPages — does not fail the open: the owning
 // indexes come up quarantined (queries route around them, degraded)
 // and Manager.Repair rebuilds the partition from the live object base.
-// Only a damaged meta page or a malformed manifest is a hard error.
+// Only a damaged meta page or a malformed manifest is a hard error:
+// placement k must put a partition of arity dec[k+1]-dec[k]+1 at
+// (dec[k], dec[k+1]); a swap of two equal-arity partitions passes, and
+// Verify finds it.
 func OpenFrom(ob *gom.ObjectBase, pool *storage.BufferPool, path string) (*Manager, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -173,16 +176,24 @@ func OpenFrom(ob *gom.ObjectBase, pool *storage.BufferPool, path string) (*Manag
 			return nil, fmt.Errorf("asr: open %s: index on %s: %w", path, mi.Path, err)
 		}
 		ix := &Index{ob: ob, path: pe, ext: ext, dec: dec, pool: pool}
+		if len(mi.Parts) != dec.NumPartitions() {
+			return nil, fmt.Errorf("asr: open %s: index on %s: %d placements, decomposition %v has %d partitions",
+				path, mi.Path, len(mi.Parts), dec, dec.NumPartitions())
+		}
 		var damaged error
-		for _, pl := range mi.Parts {
+		for k, pl := range mi.Parts {
 			if pl.Part < 0 || pl.Part >= len(parts) {
 				return nil, fmt.Errorf("asr: open %s: index on %s: placement references partition %d of %d",
 					path, mi.Path, pl.Part, len(parts))
 			}
+			p := parts[pl.Part]
+			if lo, hi := dec.Partition(k); pl.Lo != lo || pl.Hi != hi || p.arity != hi-lo+1 {
+				return nil, fmt.Errorf("asr: open %s: index on %s: placement %d puts partition %s of arity %d at [%d,%d], decomposition %v needs [%d,%d]",
+					path, mi.Path, k, p.name, p.arity, pl.Lo, pl.Hi, dec, lo, hi)
+			}
 			if perrs[pl.Part] != nil && damaged == nil {
 				damaged = perrs[pl.Part]
 			}
-			p := parts[pl.Part]
 			p.acquire()
 			ix.parts = append(ix.parts, PlacedPartition{Lo: pl.Lo, Hi: pl.Hi, Part: p})
 		}

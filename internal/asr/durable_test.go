@@ -1,11 +1,13 @@
 package asr
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"asr/internal/btree"
 	"asr/internal/dump"
 	"asr/internal/gendb"
 	"asr/internal/gom"
@@ -268,68 +270,222 @@ func TestVerifyDetectsCorruptPartitionPage(t *testing.T) {
 	}
 }
 
-// TestOpenFromQuarantinesDamagedPartition: when a stored page rots
-// while the database is closed, Recover reports it as unhealable (no
-// WAL image covers it), OpenFrom quarantines the owning index instead
-// of failing the whole open, and Repair rebuilds it from the base.
+// TestOpenFromQuarantinesDamagedPartition: damage a partition picks up
+// while the database is closed quarantines the owning index at open
+// instead of failing it, the fallback answers correctly meanwhile, and
+// Repair rebuilds the partition from the base. The damage is bit rot
+// on the first partition's forward root, bit rot on a non-root leaf of
+// the last partition's backward tree (both reported by Recover, which
+// has no WAL image to heal them), or a key with an unknown column tag
+// stored on a page whose checksum is valid, which only OpenFrom's walk
+// of the stored keys can see.
 func TestOpenFromQuarantinesDamagedPartition(t *testing.T) {
-	r := newDurableRig(t, 71)
-	r.mutate(t, 2)
-	root := r.ix.Partitions()[0].Part.Forward().Root()
-	r.save(t)
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, r *durableRig) (rotten storage.PageID)
+	}{
+		{"forward root", func(t *testing.T, r *durableRig) storage.PageID {
+			root := r.ix.Partitions()[0].Part.Forward().Root()
+			r.save(t)
+			return rot(t, r, root)
+		}},
+		{"backward leaf", func(t *testing.T, r *durableRig) storage.PageID {
+			pps := r.ix.Partitions()
+			bwd := pps[len(pps)-1].Part.Backward()
+			if bwd.Height() < 2 {
+				t.Fatalf("backward tree of height %d has no non-root leaf", bwd.Height())
+			}
+			root, height, count := bwd.Root(), bwd.Height(), bwd.Len()
+			r.save(t)
+			return rot(t, r, lastLeaf(t, r.pages, root, height, count))
+		}},
+		{"malformed key", func(t *testing.T, r *durableRig) storage.PageID {
+			part := r.ix.Partitions()[1].Part
+			part.mu.Lock()
+			_, err := part.fwd.Insert([]byte{99, 0, 0, tagNull, 0, 0}, refcntVal(1))
+			if err == nil {
+				err = part.syncMetaLocked()
+			}
+			part.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.save(t)
+			return storage.NilPage
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newDurableRig(t, 71)
+			r.mutate(t, 2)
+			rotten := tc.damage(t, r)
 
-	// Bit rot while closed.
+			ob, mgr, info := r.reopen(t)
+			quarantined := rotten.IsNil() && len(info.QuarantinedPages) == 0
+			for _, id := range info.QuarantinedPages {
+				if id == rotten {
+					quarantined = true
+				}
+			}
+			if !quarantined {
+				t.Fatalf("recovery quarantined %v, want only %v: %+v", info.QuarantinedPages, rotten, info)
+			}
+			ixs := mgr.Indexes()
+			if len(ixs) != 1 {
+				t.Fatalf("%d indexes reopened, want 1", len(ixs))
+			}
+			ix := ixs[0]
+			if !ix.Quarantined() {
+				t.Fatal("index over the damaged partition not quarantined")
+			}
+
+			// Fallback still answers correctly while quarantined.
+			checkAgainstNaive(t, mgr, ob, ix.Path(), r.db.Extents[0][:5])
+			if mgr.Stats().DegradedQueries == 0 {
+				t.Fatal("expected degraded queries while quarantined")
+			}
+
+			// Repair rebuilds from the base and lifts the quarantine.
+			if _, err := mgr.Repair(ix); err != nil {
+				t.Fatalf("Repair: %v", err)
+			}
+			if err := mgr.Healthy(); err != nil {
+				t.Fatalf("manager unhealthy after repair: %v", err)
+			}
+			rep, err := ix.Verify()
+			if err != nil || !rep.Clean() {
+				t.Fatalf("Verify after repair: %v, %s", err, rep)
+			}
+			checkAgainstNaive(t, mgr, ob, ix.Path(), r.db.Extents[0][:5])
+			if mgr.Stats().IndexHits == 0 {
+				t.Fatal("repaired index did not serve queries")
+			}
+		})
+	}
+}
+
+// rot damages a stored page of the saved rig's page file, bypassing its
+// checksum, as bit rot while the database is closed would.
+func rot(t *testing.T, r *durableRig, id storage.PageID) storage.PageID {
+	t.Helper()
 	fd, err := storage.OpenFileDisk(r.pages, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fd.CorruptPage(root, 10); err != nil {
+	if err := fd.CorruptPage(id, 10); err != nil {
 		t.Fatal(err)
 	}
 	if err := fd.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return id
+}
 
-	ob, mgr, info := r.reopen(t)
-	quarantined := false
-	for _, id := range info.QuarantinedPages {
-		if id == root {
-			quarantined = true
+// readLog is a device recording the page ids the pool reads from it.
+type readLog struct {
+	storage.Device
+	ids []storage.PageID
+}
+
+func (d *readLog) Read(id storage.PageID, buf []byte) error {
+	d.ids = append(d.ids, id)
+	return d.Device.Read(id, buf)
+}
+
+// lastLeaf returns the rightmost leaf of the saved tree rooted at root:
+// a scan reads the leaf chain left to right, so it is the last page a
+// cold, unbounded pool reads from disk.
+func lastLeaf(t *testing.T, pages string, root storage.PageID, height, count int) storage.PageID {
+	t.Helper()
+	fd, err := storage.OpenFileDisk(pages, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd.Close()
+	dev := &readLog{Device: fd}
+	tr := btree.Open(storage.NewBufferPool(dev, 0, storage.LRU), "probe", root, height, count)
+	if err := tr.Scan(func(_, _ []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	leaf := dev.ids[len(dev.ids)-1]
+	if leaf == root {
+		t.Fatalf("the last page the scan read is the root %v", root)
+	}
+	return leaf
+}
+
+// TestOpenFromRejectsMalformedManifest: a manifest whose placements do
+// not tile an index's decomposition fails the open — a reopened index
+// never routes to a column no partition covers. A swap of two
+// equal-arity partitions tiles the decomposition and opens; Verify is
+// what reports it.
+func TestOpenFromRejectsMalformedManifest(t *testing.T) {
+	r := newDurableRig(t, 73)
+	r.mutate(t, 2)
+	r.save(t)
+	data, err := os.ReadFile(r.man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(t *testing.T, edit func(mi *manifestIndex)) (*Manager, error) {
+		t.Helper()
+		var man manifest
+		if err := json.Unmarshal(data, &man); err != nil {
+			t.Fatal(err)
 		}
+		if len(man.Indexes) != 1 || len(man.Indexes[0].Parts) != 3 {
+			t.Fatalf("saved manifest has %+v, want one index over three placements", man.Indexes)
+		}
+		edit(&man.Indexes[0])
+		edited, err := json.Marshal(man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "manifest")
+		if err := os.WriteFile(path, edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fd, w, _, err := storage.Recover(r.pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close(); fd.Close() })
+		f, err := os.Open(r.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		ob, err := dump.Load(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return OpenFrom(ob, storage.NewBufferPool(fd, 0, storage.LRU), path)
 	}
-	if !quarantined {
-		t.Fatalf("recovery did not quarantine the rotten page %v: %+v", root, info)
+	for _, tc := range []struct {
+		name string
+		edit func(mi *manifestIndex)
+	}{
+		{"no placements", func(mi *manifestIndex) { mi.Parts = nil }},
+		{"placement dropped", func(mi *manifestIndex) { mi.Parts = mi.Parts[:2] }},
+		{"negative lo", func(mi *manifestIndex) { mi.Parts[0].Lo = -1 }},
+		{"hi past the arity", func(mi *manifestIndex) { mi.Parts[2].Hi++ }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := open(t, tc.edit); err == nil {
+				t.Fatal("OpenFrom accepted the malformed manifest")
+			}
+		})
 	}
-	ixs := mgr.Indexes()
-	if len(ixs) != 1 {
-		t.Fatalf("%d indexes reopened, want 1", len(ixs))
-	}
-	ix := ixs[0]
-	if !ix.Quarantined() {
-		t.Fatal("index over the damaged partition not quarantined")
-	}
-
-	// Fallback still answers correctly while quarantined.
-	checkAgainstNaive(t, mgr, ob, ix.Path(), r.db.Extents[0][:5])
-	if mgr.Stats().DegradedQueries == 0 {
-		t.Fatal("expected degraded queries while quarantined")
-	}
-
-	// Repair rebuilds from the base and lifts the quarantine.
-	if _, err := mgr.Repair(ix); err != nil {
-		t.Fatalf("Repair: %v", err)
-	}
-	if err := mgr.Healthy(); err != nil {
-		t.Fatalf("manager unhealthy after repair: %v", err)
-	}
-	rep, err := ix.Verify()
-	if err != nil || !rep.Clean() {
-		t.Fatalf("Verify after repair: %v, %s", err, rep)
-	}
-	checkAgainstNaive(t, mgr, ob, ix.Path(), r.db.Extents[0][:5])
-	if mgr.Stats().IndexHits == 0 {
-		t.Fatal("repaired index did not serve queries")
-	}
+	t.Run("equal-arity swap", func(t *testing.T) {
+		mgr, err := open(t, func(mi *manifestIndex) {
+			mi.Parts[0].Part, mi.Parts[1].Part = mi.Parts[1].Part, mi.Parts[0].Part
+		})
+		if err != nil {
+			t.Fatalf("OpenFrom: %v", err)
+		}
+		if rep, err := mgr.Indexes()[0].Verify(); err == nil && rep.Clean() {
+			t.Fatal("Verify reports no drift over swapped partitions")
+		}
+	})
 }
 
 // TestVerifyReadsStoredCounts: Verify and Repair judge what the trees

@@ -79,40 +79,46 @@ func appendValue(dst []byte, v gom.Value) ([]byte, error) {
 	}
 }
 
+// payloadLen is each tag's payload length; -1 admits any (a string).
+var payloadLen = [...]int{tagNull: 0, tagRef: 8, tagString: -1, tagInteger: 8, tagDecimal: 8, tagBool: 1, tagChar: 4}
+
+// readColumn reads one column off src, allocating nothing, and returns
+// its tag, its payload and the bytes after it. It alone holds the tag
+// and length rules: decodeValue boxes what it reads, checkKey counts it.
+func readColumn(src []byte) (tag byte, payload, rest []byte, err error) {
+	if len(src) < 3 {
+		return 0, nil, nil, fmt.Errorf("asr: truncated value encoding")
+	}
+	tag = src[0]
+	l := int(binary.BigEndian.Uint16(src[1:3]))
+	if len(src) < 3+l {
+		return 0, nil, nil, fmt.Errorf("asr: truncated value payload")
+	}
+	if int(tag) >= len(payloadLen) {
+		return 0, nil, nil, fmt.Errorf("asr: unknown value tag %d", tag)
+	}
+	payload, rest = src[3:3+l], src[3+l:]
+	if want := payloadLen[tag]; want >= 0 && l != want || tag == tagBool && payload[0] > 1 {
+		return 0, nil, nil, fmt.Errorf("asr: bad payload (length %d) for value tag %d", l, tag)
+	}
+	return tag, payload, rest, nil
+}
+
 // decodeValue decodes one column value, returning it and the remaining
 // bytes.
 func decodeValue(src []byte) (gom.Value, []byte, error) {
-	if len(src) < 3 {
-		return nil, nil, fmt.Errorf("asr: truncated value encoding")
+	tag, payload, rest, err := readColumn(src)
+	if err != nil {
+		return nil, nil, err
 	}
-	tag := src[0]
-	l := int(binary.BigEndian.Uint16(src[1:3]))
-	if len(src) < 3+l {
-		return nil, nil, fmt.Errorf("asr: truncated value payload")
-	}
-	payload, rest := src[3:3+l], src[3+l:]
 	switch tag {
-	case tagNull:
-		if l != 0 {
-			return nil, nil, fmt.Errorf("asr: bad null payload length %d", l)
-		}
-		return nil, rest, nil
 	case tagRef:
-		if l != 8 {
-			return nil, nil, fmt.Errorf("asr: bad ref payload length %d", l)
-		}
 		return gom.Ref(binary.BigEndian.Uint64(payload)), rest, nil
 	case tagString:
 		return gom.String(payload), rest, nil
 	case tagInteger:
-		if l != 8 {
-			return nil, nil, fmt.Errorf("asr: bad integer payload length %d", l)
-		}
 		return gom.Integer(binary.BigEndian.Uint64(payload) ^ (1 << 63)), rest, nil
 	case tagDecimal:
-		if l != 8 {
-			return nil, nil, fmt.Errorf("asr: bad decimal payload length %d", l)
-		}
 		bits := binary.BigEndian.Uint64(payload)
 		if bits&(1<<63) != 0 {
 			bits &^= 1 << 63
@@ -121,18 +127,11 @@ func decodeValue(src []byte) (gom.Value, []byte, error) {
 		}
 		return gom.Decimal(math.Float64frombits(bits)), rest, nil
 	case tagBool:
-		if l != 1 || payload[0] > 1 {
-			return nil, nil, fmt.Errorf("asr: bad bool payload %x (length %d)", payload, l)
-		}
 		return gom.Bool(payload[0] != 0), rest, nil
 	case tagChar:
-		if l != 4 {
-			return nil, nil, fmt.Errorf("asr: bad char payload length %d", l)
-		}
 		return gom.Char(binary.BigEndian.Uint32(payload)), rest, nil
-	default:
-		return nil, nil, fmt.Errorf("asr: unknown value tag %d", tag)
 	}
+	return nil, rest, nil // tagNull
 }
 
 // encodeTuple encodes a tuple with the column at clusterCol first and
@@ -185,6 +184,20 @@ func decodeTuple(key []byte, arity, clusterCol int) (relation.Tuple, error) {
 		j++
 	}
 	return t, nil
+}
+
+// checkKey accepts exactly the keys decodeTuple accepts for arity,
+// whatever the cluster column: arity columns, each passing readColumn.
+// It boxes nothing, so OpenFrom checks a key at the cost of reading it.
+func checkKey(key []byte, arity int) (err error) {
+	n := 0
+	for rest := key; len(rest) > 0; n++ {
+		_, _, rest, err = readColumn(rest) // a failed read returns no rest
+	}
+	if err == nil && n != arity {
+		err = fmt.Errorf("asr: decoded %d columns, want %d", n, arity)
+	}
+	return err
 }
 
 // encodePrefix encodes a single value as a key prefix for clustered

@@ -96,3 +96,36 @@ func FuzzTupleRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCheckKey holds the in-place key check OpenFrom runs to the key
+// decoder queries run: for arbitrary bytes and arities 1–4, checkKey
+// accepts exactly what decodeTuple accepts, for every cluster column.
+func FuzzCheckKey(f *testing.F) {
+	for _, tup := range []relation.Tuple{
+		{gom.Ref(7)},
+		{gom.Ref(1), gom.String("ab")},
+		{gom.Ref(1), nil, gom.Integer(-3)},
+		{gom.Bool(true), gom.Char('x'), gom.Decimal(2.5), gom.Ref(9)},
+	} {
+		key, err := encodeTuple(tup, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(key, uint8(len(tup)-1))
+		f.Add(key, uint8(len(tup)))
+	}
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{99, 0, 0}, uint8(0))
+	f.Add([]byte{tagBool, 0, 1, 2}, uint8(0))
+	f.Add([]byte{tagRef, 0, 8, 0, 0, 0, 0, 0, 0, 0, 1, tagNull, 0}, uint8(1))
+
+	f.Fuzz(func(t *testing.T, key []byte, a uint8) {
+		arity := 1 + int(a%4)
+		cerr := checkKey(key, arity)
+		for cluster := 0; cluster < arity; cluster++ {
+			if _, derr := decodeTuple(key, arity, cluster); (cerr == nil) != (derr == nil) {
+				t.Fatalf("key %x, arity %d, cluster %d: checkKey says %v, decodeTuple %v", key, arity, cluster, cerr, derr)
+			}
+		}
+	})
+}

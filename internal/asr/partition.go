@@ -2,6 +2,7 @@ package asr
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -141,8 +142,9 @@ func (p *Partition) syncMetaLocked() error {
 }
 
 // openPartition reattaches a partition persisted earlier: tree roots
-// from the meta page, then one validating walk of both trees that
-// decodes every stored row and count and retains none of them. The
+// from the meta page, then one validating walk of both trees that reads
+// every page through the pool (which verifies its checksum) and checks
+// every stored key and count in place, decoding and retaining none. The
 // walk is what turns a page recovery could not heal into a quarantined
 // index instead of a failed query later: on a walk error the partition
 // is returned WITH the error, so the caller can wire it up and
@@ -184,15 +186,17 @@ func openPartition(pool *storage.BufferPool, name string, arity int, meta storag
 		fwd:      btree.Open(pool, name+".fwd", storage.PageID(st[0]), int(st[1]), int(st[2])),
 		bwd:      btree.Open(pool, name+".bwd", storage.PageID(st[3]), int(st[4]), int(st[5])),
 	}
-	err = p.scanRows(p.fwd, 0, func(_ relation.Tuple, v []byte) error {
-		_, err := decodeRefcnt(v)
-		return err
-	})
-	if err == nil {
-		err = p.scanRows(p.bwd, arity-1, func(relation.Tuple, []byte) error { return nil })
-	}
-	if err != nil {
-		return p, fmt.Errorf("asr: partition %s: loading rows: %w", name, err)
+	for _, tr := range []*btree.Tree{p.fwd, p.bwd} {
+		var ferr error
+		err := tr.Scan(func(k, v []byte) bool {
+			if ferr = checkKey(k, arity); ferr == nil && tr == p.fwd {
+				_, ferr = decodeRefcnt(v)
+			}
+			return ferr == nil
+		})
+		if err = cmp.Or(err, ferr); err != nil {
+			return p, fmt.Errorf("asr: partition %s: loading rows: %w", name, err)
+		}
 	}
 	return p, nil
 }
