@@ -44,13 +44,15 @@ bench:
 # Smoke-test the instrumented path end to end: one tiny asrbench
 # experiment (EXPLAIN ANALYZE calibration) with a telemetry snapshot,
 # then the page-level simulation and the advisor's empirical check of
-# its own example (the §5 measurement through the live traversal), and
-# the read_large query shapes' micro-benchmarks once each.
+# its own example (the §5 measurement through the live traversal), the
+# read_large query shapes' micro-benchmarks and the contended buffer
+# pool's once each.
 bench-smoke:
 	$(GO) run ./cmd/asrbench -experiment explain-calib -metrics
 	$(GO) run ./cmd/asrbench -experiment sim
 	$(GO) run ./cmd/asradvisor -example | $(GO) run ./cmd/asradvisor -config - -validate
 	$(GO) test -run '^$$' -bench 'BenchmarkReadLarge' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkPoolGetContended' -benchtime 1x ./internal/storage
 
 # Smoke-test the repository's yardstick (BENCHMARK.json, benchmark/):
 # all four workloads, untraced then traced, on scale-4 fixtures for one

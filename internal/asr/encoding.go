@@ -159,29 +159,27 @@ func encodeTuple(t relation.Tuple, clusterCol int) ([]byte, error) {
 
 // decodeTuple reverses encodeTuple for a tuple of the given arity.
 func decodeTuple(key []byte, arity, clusterCol int) (relation.Tuple, error) {
-	vals := make([]gom.Value, 0, arity)
-	rest := key
-	var v gom.Value
-	var err error
-	for len(rest) > 0 {
-		v, rest, err = decodeValue(rest)
-		if err != nil {
+	t := make(relation.Tuple, arity)
+	n := 0
+	for rest := key; len(rest) > 0; n++ {
+		var v gom.Value
+		var err error
+		if v, rest, err = decodeValue(rest); err != nil {
 			return nil, err
 		}
-		vals = append(vals, v)
-	}
-	if len(vals) != arity {
-		return nil, fmt.Errorf("asr: decoded %d columns, want %d", len(vals), arity)
-	}
-	t := make(relation.Tuple, arity)
-	t[clusterCol] = vals[0]
-	j := 1
-	for i := 0; i < arity; i++ {
-		if i == clusterCol {
-			continue
+		// Key column 0 is the cluster column; the others follow in order.
+		i := n - 1
+		if n == 0 {
+			i = clusterCol
+		} else if i >= clusterCol {
+			i++
 		}
-		t[i] = vals[j]
-		j++
+		if i < arity {
+			t[i] = v
+		}
+	}
+	if n != arity {
+		return nil, fmt.Errorf("asr: decoded %d columns, want %d", n, arity)
 	}
 	return t, nil
 }

@@ -378,9 +378,7 @@ func (e *Engine) run(ctx context.Context, q *Query, p *plan) (*Result, uint64, e
 // evaluate runs the nested loop of p, the plan of q, from the outer
 // range's anchors — the index-seeded ones when seeded — and returns the
 // projected values keyed by their rendering, and the object-base fetches
-// it made, also when it fails. The result set is returned, not kept in
-// run's frame: a map the compiler can place on the goroutine's stack
-// made read_large's p99 four times worse (docs/PERFORMANCE.md).
+// it made, also when it fails.
 func (e *Engine) evaluate(ctx context.Context, q *Query, p *plan, anchors []gom.Value, seeded bool) (map[string]gom.Value, uint64, error) {
 	var reads uint64
 	// Every inner range over a collection iterates the same members for

@@ -62,9 +62,10 @@ func (s *BufferStats) add(o BufferStats) {
 
 // shardCounters is one shard's BufferStats as atomics: the shard bumps
 // them under its mutex, Stats and ShardStats read them without it — a
-// shard's mutex is held across device reads, and the query engine
-// snapshots the pool twice per request. Each method is one pool event:
-// the shard's counter and the process-wide registry series together.
+// dirty victim's write-back holds a shard's mutex across device I/O,
+// and the query engine snapshots the pool twice per request. Each
+// method is one pool event: the shard's counter and the process-wide
+// registry series together.
 type shardCounters struct {
 	logical, hits, misses, evictions, writeBacks, writeBackErrs, pins atomic.Uint64
 }
@@ -109,6 +110,8 @@ type frame struct {
 	data    []byte
 	pins    int
 	dirty   bool
+	loading bool          // admitted by a miss whose device read is in flight
+	err     error         // that read's failure, for the Gets waiting on it
 	lsn     uint64        // LSN of the commit covering the dirty bytes
 	lruElem *list.Element // position in the shard's LRU queue
 	handle  Frame         // what every pin hands out: immutable, so shared
@@ -163,10 +166,13 @@ func (fr *Frame) Unpin() {
 // distributed over shards by a page-id hash, so pins of unrelated pages
 // — concurrent queries descending different subtrees, a concurrent
 // index build — proceed without contending on a single pool mutex.
+// A miss reads its page with mu released; loaded is broadcast, under
+// mu, each time such a read ends.
 type shard struct {
 	pool     *BufferPool
 	mu       sync.Mutex
-	capacity int // frames this shard may hold; 0 = unbounded
+	loaded   sync.Cond // L is &mu
+	capacity int       // frames this shard may hold; 0 = unbounded
 	frames   map[PageID]*frame
 	queue    *list.List // LRU order (front = coldest)
 	stats    shardCounters
@@ -271,12 +277,14 @@ func NewBufferPoolShards(dev Device, capacity int, _ ReplacementPolicy, shards i
 				cap++
 			}
 		}
-		b.shards[i] = &shard{
+		s := &shard{
 			pool:     b,
 			capacity: cap,
 			frames:   make(map[PageID]*frame),
 			queue:    list.New(),
 		}
+		s.loaded.L = &s.mu
+		b.shards[i] = s
 	}
 	return b
 }
@@ -391,33 +399,50 @@ func (b *BufferPool) capture(f *frame) {
 }
 
 // Get pins the page into the pool, fetching it from disk on a miss.
+// The device read runs with the shard's mutex released, so a query
+// that misses does not stall the shard's other pages: the new frame is
+// admitted pinned and loading (eviction, Discard and DropClean pass it
+// by as pinned), and a Get of the same page meanwhile pins it and
+// waits for that one read, sharing its error if it fails.
 func (b *BufferPool) Get(id PageID) (*Frame, error) {
 	s := b.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.access()
-	if f, ok := s.frames[id]; ok {
+	f, ok := s.frames[id]
+	if ok {
 		s.stats.hit()
-		s.stats.pin()
 		f.pins++
 		s.queue.MoveToBack(f.lruElem)
-		b.capture(f)
-		return &f.handle, nil
+		for f.loading {
+			s.loaded.Wait()
+		}
+	} else {
+		s.stats.miss()
+		data, err := s.makeRoom()
+		if err != nil {
+			return nil, err
+		}
+		f = &frame{id: id, data: data, pins: 1, loading: true}
+		s.admit(f)
+		s.mu.Unlock()
+		readStart := time.Now()
+		err = b.dev.Read(id, f.data)
+		if err == nil {
+			telPoolReadSeconds.Observe(time.Since(readStart).Seconds())
+		}
+		s.mu.Lock()
+		f.loading, f.err = false, err
+		if err != nil {
+			s.dropFrame(f)
+		}
+		s.loaded.Broadcast()
 	}
-	s.stats.miss()
-	data, err := s.makeRoom()
-	if err != nil {
-		return nil, err
+	if f.err != nil {
+		return nil, f.err
 	}
-	f := &frame{id: id, data: data, pins: 1}
-	readStart := time.Now()
-	if err := b.dev.Read(id, f.data); err != nil {
-		return nil, err
-	}
-	telPoolReadSeconds.Observe(time.Since(readStart).Seconds())
 	b.capture(f)
 	s.stats.pin()
-	s.admit(f)
 	return &f.handle, nil
 }
 

@@ -257,7 +257,14 @@ func (t *UndoTxn) Rollback() error {
 	for id, pre := range pre {
 		s := b.shardOf(id)
 		s.mu.Lock()
-		if f, ok := s.frames[id]; ok {
+		f, ok := s.frames[id]
+		for ok && f.loading {
+			// A concurrent miss is reading the page into f: compare
+			// against what it read, not against the read in progress.
+			s.loaded.Wait()
+			f, ok = s.frames[id]
+		}
+		if ok {
 			// Unchanged pages (captured by concurrent reader pins) are left
 			// alone, so their bytes are never written under a reader.
 			if !bytes.Equal(f.data, pre) {
